@@ -20,6 +20,12 @@
 //! second pair of measurements isolates the post-protocol analysis portion
 //! (where the 3-sweeps-to-1 structural change is the whole story).
 //!
+//! A third set of rows splits the context pipeline by layer, each timed on
+//! its own: the order phase (`DistContext::elect`,
+//! `{family}_order_seconds`), the Lemma 7 protocol (`ctx.wreach()`,
+//! `{family}_protocol_seconds`) and the index sweep (`ctx.index()`,
+//! `{family}_sweep_seconds`).
+//!
 //! Run with `BEDOM_BENCH_JSON=BENCH_distdom.json` to commit the numbers.
 
 use bedom_bench::connected_instance;
@@ -80,19 +86,19 @@ fn baseline_pipeline(graph: &Graph) -> PipelineDigest {
     }
 }
 
+fn context_config() -> DistContextConfig {
+    DistContextConfig {
+        assignment: IdAssignment::Shuffled(SEED),
+        strategy: ExecutionStrategy::Sequential,
+        ..DistContextConfig::for_domination(R)
+    }
+}
+
 /// Context workflow: the same protocol phases through one `DistContext`,
 /// with constant, election check and cover homes all read from the context's
 /// single lazy index sweep.
 fn context_pipeline(graph: &Graph) -> PipelineDigest {
-    let ctx = DistContext::elect(
-        graph,
-        DistContextConfig {
-            assignment: IdAssignment::Shuffled(SEED),
-            strategy: ExecutionStrategy::Sequential,
-            ..DistContextConfig::for_domination(R)
-        },
-    )
-    .unwrap();
+    let ctx = DistContext::elect(graph, context_config()).unwrap();
     let result = distributed_distance_domination_in(&ctx, R).unwrap();
     let witnessed_constant = ctx.witnessed_constant(2 * R).unwrap(); // THE sweep
     let election_ok = result.dominator_of == ctx.expected_election(R).unwrap();
@@ -217,6 +223,24 @@ fn bench_dist_pipeline(c: &mut Criterion) {
             &format!("{name}_analysis_speedup"),
             analysis_baseline / analysis_context,
         );
+
+        let start = Instant::now();
+        let ctx = DistContext::elect(graph, context_config()).unwrap();
+        let order_secs = start.elapsed().as_secs_f64();
+        let start = Instant::now();
+        black_box(ctx.wreach().unwrap());
+        let protocol_secs = start.elapsed().as_secs_f64();
+        let start = Instant::now();
+        black_box(ctx.index());
+        let sweep_secs = start.elapsed().as_secs_f64();
+        drop(ctx);
+        println!(
+            "{name} layers: order = {order_secs:.3} s, protocol = {protocol_secs:.3} s, \
+             sweep = {sweep_secs:.3} s"
+        );
+        record_metric(&format!("{name}_order_seconds"), order_secs);
+        record_metric(&format!("{name}_protocol_seconds"), protocol_secs);
+        record_metric(&format!("{name}_sweep_seconds"), sweep_secs);
 
         group.bench_with_input(
             BenchmarkId::new(format!("per-phase-recompute/{name}"), n),

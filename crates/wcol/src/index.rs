@@ -26,16 +26,9 @@
 
 use crate::order::LinearOrder;
 use bedom_graph::bfs::BfsScratch;
-use bedom_graph::bitset::{bfs_visit_order, FrontierSweep};
 use bedom_graph::{Graph, Vertex};
 use bedom_par::ExecutionStrategy;
 use std::cell::Cell;
-
-/// Sources per word-parallel sweep batch. A multiple of 64 (the lane word
-/// width); batches are cut from a BFS visit order so the sources of one
-/// batch are graph-close and their restricted balls overlap — every vertex
-/// word op then advances many lanes at once instead of one.
-const SWEEP_LANES: usize = 64;
 
 thread_local! {
     static BALL_SWEEPS: Cell<u64> = const { Cell::new(0) };
@@ -78,103 +71,12 @@ pub fn restricted_ball_into(
     scratch.sort_entries_by_vertex();
 }
 
-/// Per-chunk output of the scalar ball sweep: the ragged ball lengths plus
-/// the concatenated entries, appended in source-id order.
+/// Per-chunk output of the ball sweep: the ragged ball lengths plus the
+/// concatenated entries, appended in source-id order.
 struct BallChunk {
     lens: Vec<u32>,
     vertices: Vec<Vertex>,
     depths: Vec<u32>,
-}
-
-/// Per-chunk output of the word-parallel batched sweep. Sources appear in
-/// batch/lane order (not id order), so each ball carries its source and the
-/// assembly scatters balls into id-ordered CSR slots.
-struct BatchChunk {
-    sources: Vec<Vertex>,
-    lens: Vec<u32>,
-    vertices: Vec<Vertex>,
-    depths: Vec<u32>,
-}
-
-/// Per-worker state of the batched sweep: the frontier kernel plus reusable
-/// lane buffers. Allocated once per worker (`O(threads)` for the whole
-/// build), reused across all the worker's batches.
-struct SweepScratch {
-    sweep: FrontierSweep,
-    /// `(rank, source)` of the current batch, sorted by rank: lane `i` is
-    /// the `i`-th ranked source, so a vertex's eligible lanes are exactly a
-    /// prefix — the shape the kernel's masks require.
-    by_rank: Vec<(u32, Vertex)>,
-    lane_sources: Vec<Vertex>,
-    /// Per-lane `(vertex, depth)` ball buffers, reused across batches.
-    lane_balls: Vec<Vec<(Vertex, u32)>>,
-}
-
-impl SweepScratch {
-    fn new(n: usize, radius: u32) -> Self {
-        SweepScratch {
-            sweep: FrontierSweep::new(n, SWEEP_LANES, radius),
-            by_rank: Vec::with_capacity(SWEEP_LANES),
-            lane_sources: Vec::with_capacity(SWEEP_LANES),
-            lane_balls: (0..SWEEP_LANES).map(|_| Vec::new()).collect(),
-        }
-    }
-
-    /// Sweeps every `SWEEP_LANES`-wide batch of `sources` (a batch-aligned
-    /// slice of the global visit order) and appends the per-source balls to
-    /// one chunk. Each ball comes out sorted by vertex id with its
-    /// restricted-BFS depths — bit-identical to the scalar
-    /// [`restricted_ball_into`] for the same source.
-    fn sweep_batches(
-        &mut self,
-        graph: &Graph,
-        order: &LinearOrder,
-        radius: u32,
-        sources: &[Vertex],
-    ) -> BatchChunk {
-        let mut out = BatchChunk {
-            sources: Vec::with_capacity(sources.len()),
-            lens: Vec::with_capacity(sources.len()),
-            vertices: Vec::new(),
-            depths: Vec::new(),
-        };
-        for batch in sources.chunks(SWEEP_LANES) {
-            self.by_rank.clear();
-            self.by_rank
-                .extend(batch.iter().map(|&u| (order.rank(u), u)));
-            self.by_rank.sort_unstable();
-            self.lane_sources.clear();
-            self.lane_sources
-                .extend(self.by_rank.iter().map(|&(_, u)| u));
-            self.sweep.begin(&self.lane_sources);
-            // Eligibility of `w` = the batch sources ranked strictly below
-            // `w` — with rank-sorted lanes, a prefix count. The kernel
-            // caches this per touched vertex.
-            let by_rank = &self.by_rank;
-            self.sweep.run(graph, radius, &mut |w| {
-                let rw = order.rank(w);
-                by_rank.partition_point(|&(rk, _)| rk < rw) as u32
-            });
-            // Emit in ascending vertex id: per lane this reproduces exactly
-            // the sorted (vertex, depth) ball the scalar sweep ends with.
-            self.sweep.sort_touched();
-            let (sweep, lane_balls) = (&self.sweep, &mut self.lane_balls);
-            for &v in sweep.touched() {
-                sweep.for_each_reached_lane(v, |lane, depth| {
-                    lane_balls[lane as usize].push((v, depth));
-                });
-            }
-            for (lane, &u) in self.lane_sources.iter().enumerate() {
-                let ball = &mut self.lane_balls[lane];
-                out.sources.push(u);
-                out.lens.push(ball.len() as u32);
-                out.vertices.extend(ball.iter().map(|&(v, _)| v));
-                out.depths.extend(ball.iter().map(|&(_, d)| d));
-                ball.clear();
-            }
-        }
-        out
-    }
 }
 
 /// The flat weak-reachability index for one `(graph, order, radius)` triple.
@@ -207,16 +109,10 @@ pub struct WReachIndex {
 }
 
 impl WReachIndex {
-    /// Builds the index with the size-gated automatic execution strategy,
-    /// through the scalar sweep — the measured-fastest path on
-    /// bounded-expansion instances, where the order restriction keeps the
-    /// realized lane multiplicity of the batched sweep below 2 (see
-    /// `BENCH_bitset.json` and the README's word-parallel section). The
-    /// batched kernel stays available through
-    /// [`build_with`](WReachIndex::build_with) and is pinned bit-identical
-    /// to this path for the denser regimes where the trade flips.
+    /// Builds the index with the size-gated automatic execution strategy;
+    /// see [`build_with`](WReachIndex::build_with).
     pub fn build(graph: &Graph, order: &LinearOrder, radius: u32) -> Self {
-        Self::build_scalar_with(
+        Self::build_with(
             graph,
             order,
             radius,
@@ -224,78 +120,18 @@ impl WReachIndex {
         )
     }
 
-    /// Builds the index with the **word-parallel batched sweep**: sources
-    /// are cut into [`SWEEP_LANES`]-wide batches along a BFS visit order
-    /// (graph-close sources share ball vertices), each batch's restricted
-    /// BFSes advance together on `u64`-packed frontiers
-    /// ([`bedom_graph::bitset::FrontierSweep`]), and the per-source balls are
-    /// scattered into id-ordered CSR — followed by the same counting-sort
-    /// inversion as the scalar path. Output is **bit-identical** to
-    /// [`WReachIndex::build_scalar_with`] (the equivalence suite pins this
-    /// over the whole conformance corpus), and sequential/parallel builds
-    /// agree by construction: batch composition depends only on the graph,
-    /// never on the worker count
-    /// ([`bedom_par::ExecutionStrategy::batch_collect_with`]).
+    /// Builds the index with one restricted BFS per source
+    /// ([`restricted_ball_into`]), chunked across workers with one
+    /// epoch-stamped scratch per worker, then inverts the balls into the
+    /// `WReach` sets. Each ball depends only on its source and the chunks
+    /// are concatenated in id order, so every strategy builds the same index.
+    ///
+    /// A good order keeps each ball within `wcol` vertices, so a ball's
+    /// working set stays in cache. Packing 64 sources into `u64` lane words,
+    /// as `bedom_graph::bitset` does for unrestricted balls, measured slower
+    /// here on every benchmarked instance (README, "Word-parallel bitset
+    /// sweeps").
     pub fn build_with(
-        graph: &Graph,
-        order: &LinearOrder,
-        radius: u32,
-        strategy: ExecutionStrategy,
-    ) -> Self {
-        let n = graph.num_vertices();
-        assert_eq!(order.len(), n, "order and graph sizes differ");
-        BALL_SWEEPS.with(|c| c.set(c.get() + 1));
-
-        let visit = bfs_visit_order(graph);
-        let chunks: Vec<BatchChunk> = strategy.batch_collect_with(
-            n,
-            SWEEP_LANES,
-            || SweepScratch::new(n, radius),
-            |scratch, range| scratch.sweep_batches(graph, order, radius, &visit[range]),
-        );
-
-        // Scatter the balls (batch order) into id-ordered CSR slots.
-        let mut ball_lens = vec![0u32; n];
-        for chunk in &chunks {
-            for (i, &s) in chunk.sources.iter().enumerate() {
-                ball_lens[s as usize] = chunk.lens[i];
-            }
-        }
-        let mut ball_offsets = Vec::with_capacity(n + 1);
-        ball_offsets.push(0usize);
-        for &len in &ball_lens {
-            ball_offsets.push(ball_offsets.last().unwrap() + len as usize);
-        }
-        let total = *ball_offsets.last().unwrap();
-        let mut ball_vertices = vec![0 as Vertex; total];
-        let mut ball_depths = vec![0u32; total];
-        for chunk in chunks {
-            let mut cursor = 0usize;
-            for (i, &s) in chunk.sources.iter().enumerate() {
-                let len = chunk.lens[i] as usize;
-                let off = ball_offsets[s as usize];
-                ball_vertices[off..off + len]
-                    .copy_from_slice(&chunk.vertices[cursor..cursor + len]);
-                ball_depths[off..off + len].copy_from_slice(&chunk.depths[cursor..cursor + len]);
-                cursor += len;
-            }
-        }
-
-        Self::finish(
-            graph,
-            order,
-            radius,
-            ball_offsets,
-            ball_vertices,
-            ball_depths,
-        )
-    }
-
-    /// Builds the index with the scalar one-source-at-a-time sweep (chunked
-    /// across workers, one epoch-stamped scratch per worker) — the original
-    /// flat-index path, kept as the fallback and as the equivalence
-    /// reference the batched sweep is pinned against.
-    pub fn build_scalar_with(
         graph: &Graph,
         order: &LinearOrder,
         radius: u32,
@@ -333,37 +169,19 @@ impl WReachIndex {
         ball_offsets.push(0usize);
         let mut ball_vertices = Vec::with_capacity(total);
         let mut ball_depths = Vec::with_capacity(total);
+        let mut offset = 0usize;
         for chunk in chunks {
             for len in chunk.lens {
-                ball_offsets.push(ball_offsets.last().unwrap() + len as usize);
+                offset += len as usize;
+                ball_offsets.push(offset);
             }
             ball_vertices.extend_from_slice(&chunk.vertices);
             ball_depths.extend_from_slice(&chunk.depths);
         }
 
-        Self::finish(
-            graph,
-            order,
-            radius,
-            ball_offsets,
-            ball_vertices,
-            ball_depths,
-        )
-    }
-
-    /// Shared tail of both build paths: the counting-sort inversion
-    /// (`u ∈ WReach[w]` iff `w ∈ ball(u)`; scanning sources in increasing id
-    /// appends each WReach list already sorted) plus the `L`-minimum fold.
-    fn finish(
-        graph: &Graph,
-        order: &LinearOrder,
-        radius: u32,
-        ball_offsets: Vec<usize>,
-        ball_vertices: Vec<Vertex>,
-        ball_depths: Vec<u32>,
-    ) -> Self {
-        let n = graph.num_vertices();
-        let total = ball_vertices.len();
+        // Counting-sort inversion: `u ∈ WReach[w]` iff `w ∈ ball(u)`, and
+        // scanning sources in increasing id appends each WReach list already
+        // sorted. The `L`-minimum fold rides along.
         let rank: Vec<u32> = (0..n).map(|v| order.rank(v as Vertex)).collect();
         let mut wreach_offsets = vec![0usize; n + 1];
         for &w in &ball_vertices {
@@ -843,33 +661,6 @@ mod tests {
         let seq = WReachIndex::build_with(&g, &order, 3, ExecutionStrategy::Sequential);
         let par = WReachIndex::build_with(&g, &order, 3, ExecutionStrategy::Parallel);
         assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn batched_and_scalar_sweeps_are_bit_identical() {
-        // The word-parallel build must reproduce the scalar flat-index build
-        // field for field — same CSR offsets, same sorted balls, same
-        // depths, same inversion — across radii, orders and strategies.
-        // (The full-corpus equivalence suite lives in tests/bitset_sweep.rs;
-        // this is the in-crate smoke version.)
-        let g = stacked_triangulation(300, 5);
-        for order in [
-            crate::heuristics::degeneracy_based_order(&g),
-            LinearOrder::identity(300),
-            reverse_order(300),
-        ] {
-            for radius in [0u32, 1, 2, 4] {
-                let batched =
-                    WReachIndex::build_with(&g, &order, radius, ExecutionStrategy::Sequential);
-                let scalar = WReachIndex::build_scalar_with(
-                    &g,
-                    &order,
-                    radius,
-                    ExecutionStrategy::Sequential,
-                );
-                assert_eq!(batched, scalar, "radius {radius}");
-            }
-        }
     }
 
     #[test]

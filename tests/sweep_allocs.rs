@@ -1,17 +1,19 @@
-//! Allocation regression for the word-parallel batched ball sweep. The
-//! batched path must stay `O(workers + batches)` in allocation count — one
-//! `SweepScratch` per worker, one chunk buffer per batch range, one final
-//! CSR — never `Θ(n)` fresh vectors (the seed's per-ball `vec![false; n]`
-//! pattern this whole line of work replaced).
+//! Allocation regression for the index sweep every distributed pipeline
+//! runs: `DistContext::index()` must stay `O(workers)` in allocation count —
+//! one epoch-stamped BFS scratch per worker, one set of ball buffers per
+//! chunk, one final CSR — never `Θ(n)` fresh vectors (the seed's per-ball
+//! `vec![false; n]`) nor the per-batch lane buffers of a 64-source
+//! word-parallel sweep.
 //!
 //! Lives in its own integration-test binary so the counting global allocator
 //! sees no interference from unrelated tests running on sibling threads.
 
 #![allow(unsafe_code)] // the counting allocator implements `GlobalAlloc`
 
+use bedom::core::{DistContext, DistContextConfig};
 use bedom::distsim::ExecutionStrategy;
 use bedom::graph::generators::stacked_triangulation;
-use bedom::wcol::{degeneracy_based_order, WReachIndex};
+use bedom::wcol::WReachIndex;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -40,23 +42,32 @@ fn count_allocs(f: impl FnOnce()) -> u64 {
 }
 
 #[test]
-fn batched_sweep_allocation_count_stays_sublinear_in_n() {
+fn context_index_sweep_stays_within_its_allocation_budget() {
     let n = 20_000;
+    let radius = 2;
     let g = stacked_triangulation(n, 3);
-    let order = degeneracy_based_order(&g);
-    // Warm thread-local scratch (BALL_SWEEPS counters etc.) out of the count.
-    let warm = WReachIndex::build_with(&g, &order, 2, ExecutionStrategy::Sequential);
+    let ctx = DistContext::elect(
+        &g,
+        DistContextConfig {
+            strategy: ExecutionStrategy::Sequential,
+            ..DistContextConfig::new(radius)
+        },
+    )
+    .expect("the order phase runs on a connected planar graph");
     let allocs = count_allocs(|| {
-        let index = WReachIndex::build_with(&g, &order, 2, ExecutionStrategy::Sequential);
-        assert_eq!(index, warm);
+        ctx.index();
     });
-    // n/64 ≈ 313 batches; the budget allows the per-worker scratch (a few
-    // hundred vectors incl. the 64 lane buffers), amortised growth, the
-    // chunk buffers and the final CSR — with comfortable headroom — but a
-    // Θ(n) per-source allocation regression (≥ 20 000) still trips it.
+    // The per-source sweep needs a few dozen allocations whatever n is: the
+    // scratch, the chunk buffers and their growth, the CSR arrays. A
+    // per-source allocation (≥ 20 000) or per-64-source-batch buffers
+    // (≈ 313 batches) both trip the budget.
     assert!(
-        allocs < 8_000,
-        "batched sweep performed {allocs} allocations on n = {n} \
-         (budget 8000): a per-source allocation has crept back in"
+        allocs < 100,
+        "DistContext::index() performed {allocs} allocations on n = {n} (budget 100)"
+    );
+    assert_eq!(
+        ctx.index(),
+        &WReachIndex::build_with(&g, ctx.order(), radius, ExecutionStrategy::Sequential),
+        "the context's index differs from the plain per-source build"
     );
 }
