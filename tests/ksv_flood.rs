@@ -1,13 +1,18 @@
-//! Adversarial-shape coverage for the KSV knowledge flood rework: the
-//! summary flood (per-edge dedup, dictionary compression, cluster-merged
-//! summaries with hub representatives) must elect **bit-identical** sets to
-//! the pre-optimisation record flood on every shape that stresses it —
+//! Pinned elections of the KSV knowledge flood on the shapes that stress it:
 //! hub-heavy Apollonian-style stacks, long paths at r = 3, disconnected
 //! unions, and the whole exact-oracle conformance corpus.
+//!
+//! Every run is pinned to a fingerprint — |D|, |D₁|, |D₂|, |D₃|, |hubs|, the
+//! total wire bits and an FNV-1a hash of the sorted set — recorded while the
+//! library still shipped the verbatim record flood next to the summary flood
+//! and asserted that both elected identical sets on every run below. The
+//! tables are therefore the record flood's elections too; the per-vertex
+//! reference for the decision view is the exact-view oracle in
+//! `bedom_core::dist_ksv`'s unit tests.
 
 use bedom::core::{
-    default_hub_cap, distributed_ksv_domination_r, ksv_rounds, KsvConfig, KsvFlood,
-    KSV_FRAME_HEADER_BITS, KSV_FRAME_PAYLOAD_BITS,
+    default_hub_cap, distributed_ksv_domination_r, ksv_rounds, KsvConfig, KSV_FRAME_HEADER_BITS,
+    KSV_FRAME_PAYLOAD_BITS,
 };
 use bedom::distsim::IdAssignment;
 use bedom::graph::domset::is_distance_dominating_set;
@@ -17,8 +22,7 @@ use bedom::graph::generators::{
 use bedom::graph::{graph_from_edges, Graph, Vertex};
 
 /// The conformance corpus (mirrors `tests/conformance.rs`): every instance
-/// small enough for the exact bitmask oracle there; here they pin the
-/// reworked flood to the pre-optimisation election bit for bit.
+/// small enough for the exact bitmask oracle there.
 fn corpus() -> Vec<(&'static str, Graph)> {
     vec![
         ("empty", Graph::empty(0)),
@@ -87,99 +91,202 @@ fn disconnected_union() -> Graph {
     graph_from_edges(base as usize + 3, &edges)
 }
 
-/// Runs both flood modes under one configuration and asserts the entire
-/// election — D, D₁, D₂, D₃, hubs, the round constant — is identical, plus
-/// validity of the output.
-fn assert_flood_parity(name: &str, g: &Graph, r: u32, hub_cap: Option<usize>) {
-    let run = |flood| {
-        distributed_ksv_domination_r(
-            g,
-            r,
-            KsvConfig {
-                assignment: IdAssignment::Shuffled(0xf10d),
-                flood,
-                hub_cap,
-                ..KsvConfig::new()
-            },
-        )
-        .unwrap()
-    };
-    let summaries = run(KsvFlood::Summaries);
-    let records = run(KsvFlood::Records);
+/// One pinned run: `(shape, r, hub cap, [|D|, |D₁|, |D₂|, |D₃|, |hubs|,
+/// total bits], FNV-1a hash of the sorted set)`.
+type Pin = (&'static str, u32, Option<usize>, [usize; 6], u64);
+
+/// FNV-1a (64-bit) over the little-endian bytes of each vertex.
+fn fnv1a(set: &[Vertex]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for v in set {
+        for byte in v.to_le_bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+/// Runs one pinned configuration (ids `Shuffled(0xf10d)`), checks validity
+/// and the round constant, and returns its fingerprint.
+fn fingerprint(name: &str, g: &Graph, r: u32, hub_cap: Option<usize>) -> ([usize; 6], u64) {
+    let result = distributed_ksv_domination_r(
+        g,
+        r,
+        KsvConfig {
+            assignment: IdAssignment::Shuffled(0xf10d),
+            hub_cap,
+            ..KsvConfig::new()
+        },
+    )
+    .unwrap();
     assert!(
-        is_distance_dominating_set(g, &summaries.dominating_set, r),
-        "{name} (r = {r}, cap {hub_cap:?}): summary-flood output invalid"
+        is_distance_dominating_set(g, &result.dominating_set, r),
+        "{name} (r = {r}, cap {hub_cap:?}): output does not dominate"
     );
-    assert_eq!(
-        summaries.dominating_set, records.dominating_set,
-        "{name} (r = {r}, cap {hub_cap:?}): floods elected different sets"
-    );
-    assert_eq!(summaries.hard_core, records.hard_core, "{name} D₁");
-    assert_eq!(
-        summaries.cover_dominators, records.cover_dominators,
-        "{name} D₂"
-    );
-    assert_eq!(summaries.self_elected, records.self_elected, "{name} D₃");
-    assert_eq!(summaries.high_degree, records.high_degree, "{name} hubs");
     if g.num_vertices() > 0 {
-        assert_eq!(summaries.rounds, ksv_rounds(r), "{name} round constant");
-        assert_eq!(records.rounds, ksv_rounds(r), "{name} round constant");
+        assert_eq!(result.rounds, ksv_rounds(r), "{name} round constant");
+    }
+    (
+        [
+            result.dominating_set.len(),
+            result.hard_core.len(),
+            result.cover_dominators.len(),
+            result.self_elected.len(),
+            result.high_degree.len(),
+            result.stats.total_bits,
+        ],
+        fnv1a(&result.dominating_set),
+    )
+}
+
+/// Re-runs every pin against its shape and compares fingerprints.
+fn assert_pinned(shapes: &[(&str, Graph)], pins: &[Pin]) {
+    for &(name, r, hub_cap, counts, hash) in pins {
+        let (_, g) = shapes
+            .iter()
+            .find(|(shape, _)| *shape == name)
+            .unwrap_or_else(|| panic!("no shape named {name}"));
+        assert_eq!(
+            fingerprint(name, g, r, hub_cap),
+            (counts, hash),
+            "{name} (r = {r}, cap {hub_cap:?}): election moved off its pin"
+        );
     }
 }
+
+/// Corpus pins: r = 1, and r ∈ {2, 3} under the default hub cap and with
+/// hubs disabled. The default cap (n ≤ 14 < 32) fires no hubs here, so both
+/// rows of a radius agree: these are the exact paper elections that
+/// `tests/conformance.rs` certifies against the exact oracle.
+#[rustfmt::skip]
+const CORPUS_PINS: &[Pin] = &[
+    ("empty", 1, None, [0, 0, 0, 0, 0, 0], 0xcbf29ce484222325),
+    ("empty", 2, None, [0, 0, 0, 0, 0, 0], 0xcbf29ce484222325),
+    ("empty", 2, Some(usize::MAX), [0, 0, 0, 0, 0, 0], 0xcbf29ce484222325),
+    ("empty", 3, None, [0, 0, 0, 0, 0, 0], 0xcbf29ce484222325),
+    ("empty", 3, Some(usize::MAX), [0, 0, 0, 0, 0, 0], 0xcbf29ce484222325),
+    ("single-vertex", 1, None, [1, 0, 0, 1, 0, 24], 0x4d25767f9dce13f5),
+    ("single-vertex", 2, None, [1, 0, 0, 1, 0, 49], 0x4d25767f9dce13f5),
+    ("single-vertex", 2, Some(usize::MAX), [1, 0, 0, 1, 0, 49], 0x4d25767f9dce13f5),
+    ("single-vertex", 3, None, [1, 0, 0, 1, 0, 49], 0x4d25767f9dce13f5),
+    ("single-vertex", 3, Some(usize::MAX), [1, 0, 0, 1, 0, 49], 0x4d25767f9dce13f5),
+    ("two-isolated", 1, None, [2, 0, 0, 2, 0, 48], 0x08cd4c29d1e47d34),
+    ("two-isolated", 2, None, [2, 0, 0, 2, 0, 98], 0x08cd4c29d1e47d34),
+    ("two-isolated", 2, Some(usize::MAX), [2, 0, 0, 2, 0, 98], 0x08cd4c29d1e47d34),
+    ("two-isolated", 3, None, [2, 0, 0, 2, 0, 98], 0x08cd4c29d1e47d34),
+    ("two-isolated", 3, Some(usize::MAX), [2, 0, 0, 2, 0, 98], 0x08cd4c29d1e47d34),
+    ("path-10", 1, None, [9, 0, 9, 0, 0, 868], 0x128810cb6e3fe760),
+    ("path-10", 2, None, [6, 0, 6, 0, 0, 2446], 0x2b757857de1560dc),
+    ("path-10", 2, Some(usize::MAX), [6, 0, 6, 0, 0, 2446], 0x2b757857de1560dc),
+    ("path-10", 3, None, [5, 0, 5, 0, 0, 4344], 0x4eb211b337cd3115),
+    ("path-10", 3, Some(usize::MAX), [5, 0, 5, 0, 0, 4344], 0x4eb211b337cd3115),
+    ("path-16", 1, None, [14, 0, 14, 0, 0, 1400], 0x51b88c0bdbc1f659),
+    ("path-16", 2, None, [11, 0, 11, 0, 0, 4172], 0x1014c71b4a909631),
+    ("path-16", 2, Some(usize::MAX), [11, 0, 11, 0, 0, 4172], 0x1014c71b4a909631),
+    ("path-16", 3, None, [9, 0, 9, 0, 0, 7618], 0x2cd62bcd0e4677ff),
+    ("path-16", 3, Some(usize::MAX), [9, 0, 9, 0, 0, 7618], 0x2cd62bcd0e4677ff),
+    ("cycle-13", 1, None, [10, 0, 10, 0, 0, 1128], 0x8f88989e21b90a26),
+    ("cycle-13", 2, None, [9, 0, 9, 0, 0, 3761], 0x41f7701ec1f626a0),
+    ("cycle-13", 2, Some(usize::MAX), [9, 0, 9, 0, 0, 3761], 0x41f7701ec1f626a0),
+    ("cycle-13", 3, None, [9, 0, 9, 0, 0, 7237], 0x41f7701ec1f626a0),
+    ("cycle-13", 3, Some(usize::MAX), [9, 0, 9, 0, 0, 7237], 0x41f7701ec1f626a0),
+    ("star-10", 1, None, [1, 1, 0, 0, 0, 304], 0x4d25767f9dce13f5),
+    ("star-10", 2, None, [2, 0, 2, 0, 0, 2105], 0x88e29c08790d8af0),
+    ("star-10", 2, Some(usize::MAX), [2, 0, 2, 0, 0, 2105], 0x88e29c08790d8af0),
+    ("star-10", 3, None, [2, 0, 2, 0, 0, 7557], 0x88e29c08790d8af0),
+    ("star-10", 3, Some(usize::MAX), [2, 0, 2, 0, 0, 7557], 0x88e29c08790d8af0),
+    ("grid-3x4", 1, None, [10, 0, 10, 0, 0, 1212], 0x77130892f920d223),
+    ("grid-3x4", 2, None, [4, 0, 4, 0, 0, 4758], 0x14c4f4907201ef35),
+    ("grid-3x4", 2, Some(usize::MAX), [4, 0, 4, 0, 0, 4758], 0x14c4f4907201ef35),
+    ("grid-3x4", 3, None, [2, 0, 2, 0, 0, 10490], 0xcdc21d36f6b03286),
+    ("grid-3x4", 3, Some(usize::MAX), [2, 0, 2, 0, 0, 10490], 0xcdc21d36f6b03286),
+    ("grid-4x4", 1, None, [12, 0, 12, 0, 0, 1632], 0x5245bbb4c88df344),
+    ("grid-4x4", 2, None, [11, 0, 11, 0, 0, 7508], 0xf082dd21ff6d8c7f),
+    ("grid-4x4", 2, Some(usize::MAX), [11, 0, 11, 0, 0, 7508], 0xf082dd21ff6d8c7f),
+    ("grid-4x4", 3, None, [5, 0, 5, 0, 0, 17860], 0x47195cacfb7249d9),
+    ("grid-4x4", 3, Some(usize::MAX), [5, 0, 5, 0, 0, 17860], 0x47195cacfb7249d9),
+    ("planar-tri-14", 1, None, [7, 0, 7, 0, 0, 1200], 0xfbf04ad13fe936e5),
+    ("planar-tri-14", 2, None, [4, 0, 4, 0, 0, 5480], 0x63e88390774d9316),
+    ("planar-tri-14", 2, Some(usize::MAX), [4, 0, 4, 0, 0, 5480], 0x63e88390774d9316),
+    ("planar-tri-14", 3, None, [2, 0, 2, 0, 0, 17766], 0xe0be28487a521f67),
+    ("planar-tri-14", 3, Some(usize::MAX), [2, 0, 2, 0, 0, 17766], 0xe0be28487a521f67),
+    ("config-model-14", 1, None, [12, 1, 11, 0, 0, 992], 0xe001d6db6341fcef),
+    ("config-model-14", 2, None, [10, 0, 10, 0, 0, 2632], 0xfee81e71aa98dc83),
+    ("config-model-14", 2, Some(usize::MAX), [10, 0, 10, 0, 0, 2632], 0xfee81e71aa98dc83),
+    ("config-model-14", 3, None, [9, 0, 9, 0, 0, 4090], 0xc978562c60d1e898),
+    ("config-model-14", 3, Some(usize::MAX), [9, 0, 9, 0, 0, 4090], 0xc978562c60d1e898),
+    ("disconnected", 1, None, [12, 0, 9, 3, 0, 816], 0xe554888727308865),
+    ("disconnected", 2, None, [9, 0, 6, 3, 0, 1648], 0x7fecf5319931ff58),
+    ("disconnected", 2, Some(usize::MAX), [9, 0, 6, 3, 0, 1648], 0x7fecf5319931ff58),
+    ("disconnected", 3, None, [9, 0, 6, 3, 0, 2272], 0x160796bd7a0c8a97),
+    ("disconnected", 3, Some(usize::MAX), [9, 0, 6, 3, 0, 2272], 0x160796bd7a0c8a97),
+];
 
 #[test]
 fn conformance_corpus_is_bit_identical_across_floods() {
-    // Default hub cap on the corpus (n ≤ 14 < 32) means no hubs: the
-    // summary flood must reproduce the pre-optimisation elections exactly —
-    // the same sets `tests/conformance.rs` certifies against the exact
-    // oracle.
-    for (name, g) in corpus() {
-        for r in [2u32, 3] {
-            assert_flood_parity(name, &g, r, None);
-            assert_flood_parity(name, &g, r, Some(usize::MAX));
-        }
-    }
+    assert_pinned(&corpus(), CORPUS_PINS);
 }
+
+/// Deep hub nesting: the original corners reach large degree and many
+/// vertices sit within distance 1–2 of several hubs at once.
+#[rustfmt::skip]
+const APOLLONIAN_PINS: &[Pin] = &[
+    ("apollonian-120", 1, None, [16, 4, 12, 0, 0, 8945], 0x4a12b2fff6246aa1),
+    ("apollonian-120", 2, Some(6), [16, 0, 0, 0, 16, 13579], 0x2135120b48416d25),
+    ("apollonian-120", 2, None, [22, 0, 22, 0, 0, 261806], 0xc50ee6e296a219fd),
+    ("apollonian-120", 2, Some(usize::MAX), [22, 0, 22, 0, 0, 261806], 0xc50ee6e296a219fd),
+    ("apollonian-120", 3, Some(6), [16, 0, 0, 0, 16, 101915], 0x2135120b48416d25),
+    ("apollonian-120", 3, None, [5, 0, 5, 0, 0, 7745399], 0xd793772973a77129),
+    ("apollonian-120", 3, Some(usize::MAX), [5, 0, 5, 0, 0, 7745399], 0xd793772973a77129),
+];
 
 #[test]
 fn apollonian_hub_stacks_agree_across_floods() {
-    // Deep hub nesting: the original corners reach large degree and many
-    // vertices sit within distance 1–2 of several hubs at once.
-    let g = apollonian(120);
-    for r in [2u32, 3] {
-        for hub_cap in [Some(6), None, Some(usize::MAX)] {
-            assert_flood_parity("apollonian-120", &g, r, hub_cap);
-        }
-    }
+    assert_pinned(&[("apollonian-120", apollonian(120))], APOLLONIAN_PINS);
 }
+
+/// No hubs ever fire on a path; these pin the beacon/summary/relay wave
+/// timing at the largest tested radius, where the relay window (rounds
+/// r..2r−2) is longest.
+#[rustfmt::skip]
+const LONG_PATH_PINS: &[Pin] = &[
+    ("path-200", 3, None, [124, 0, 124, 0, 0, 126494], 0x9f491801dd97816b),
+    ("cycle-150", 3, None, [99, 0, 99, 0, 0, 95982], 0x56ea6d29b7110ebb),
+];
 
 #[test]
 fn long_paths_at_r3_agree_across_floods() {
-    // No hubs ever fire on a path; this pins the beacon/summary/relay wave
-    // timing at the largest supported test radius, where the relay window
-    // (rounds r..2r−2) is longest.
-    let g = path(200);
-    assert_flood_parity("path-200", &g, 3, None);
-    let g = cycle(150);
-    assert_flood_parity("cycle-150", &g, 3, None);
+    assert_pinned(
+        &[("path-200", path(200)), ("cycle-150", cycle(150))],
+        LONG_PATH_PINS,
+    );
 }
+
+/// Every component's election must stay independent and exact; the star
+/// centre is a hub at both caps.
+#[rustfmt::skip]
+const DISCONNECTED_PINS: &[Pin] = &[
+    ("disconnected-union", 1, None, [38, 1, 34, 3, 0, 5921], 0x0dbdd1825535f030),
+    ("disconnected-union", 2, Some(8), [30, 0, 26, 3, 1, 16770], 0x986ce5a6f6cfed49),
+    ("disconnected-union", 2, None, [30, 0, 26, 3, 1, 16770], 0x986ce5a6f6cfed49),
+    ("disconnected-union", 3, Some(8), [28, 0, 24, 3, 1, 53641], 0xd4cbcbc7e26e6221),
+    ("disconnected-union", 3, None, [28, 0, 24, 3, 1, 53641], 0xd4cbcbc7e26e6221),
+];
 
 #[test]
 fn disconnected_unions_agree_across_floods() {
-    let g = disconnected_union();
-    for r in [2u32, 3] {
-        for hub_cap in [Some(8), None] {
-            assert_flood_parity("disconnected-union", &g, r, hub_cap);
-        }
-    }
+    assert_pinned(
+        &[("disconnected-union", disconnected_union())],
+        DISCONNECTED_PINS,
+    );
 }
 
 #[test]
 fn clustered_flood_smoke_test_at_distance_2() {
     // Tier-1 smoke test for the summary flood on a small planar instance:
-    // the default configuration (summaries, automatic hub cap) must elect a
-    // valid set in the constant round count with bounded frames — the new
-    // path can't silently rot behind the bench-only flag.
+    // the default configuration (automatic hub cap) must elect a valid set
+    // in the constant round count with bounded frames.
     let g = stacked_triangulation(500, 4);
     let result = distributed_ksv_domination_r(&g, 2, KsvConfig::new()).unwrap();
     assert!(is_distance_dominating_set(&g, &result.dominating_set, 2));
