@@ -18,18 +18,14 @@
 //! `BEDOM_BENCH_JSON=BENCH_ksv.json` to commit the numbers.
 //!
 //! The distance-r generalisation (arXiv:2207.02669) runs at the full
-//! `N` = 100k headline sizes since the knowledge-flood rework: the summary
-//! flood (per-edge dedup, dictionary compression, hub-clustered summaries)
-//! replaces the verbatim record flood, whose per-path re-shipping made 100k
-//! infeasible. The pre-optimisation record flood is kept as a measured
-//! baseline at `N_R` = 10k (`*-flood` metrics) so the old-vs-new saving
-//! stays a committed number, and per-phase bit buckets show where the wire
-//! budget goes.
+//! `N` = 100k headline sizes on the summary flood (per-edge dedup,
+//! dictionary compression, hub-clustered summaries), and per-phase bit
+//! buckets show where the wire budget goes.
 
 use bedom_bench::connected_instance;
 use bedom_core::{
     distributed_distance_domination, distributed_ksv_domination, distributed_ksv_domination_r,
-    ksv_rounds, DistDomSetConfig, KsvConfig, KsvDomResult, KsvFlood, KSV_ROUNDS,
+    ksv_rounds, DistDomSetConfig, KsvConfig, KsvDomResult, KSV_ROUNDS,
 };
 use bedom_distsim::{ExecutionStrategy, IdAssignment};
 use bedom_graph::domset::{is_distance_dominating_set, packing_lower_bound};
@@ -40,7 +36,6 @@ use std::hint::black_box;
 use std::time::Instant;
 
 const N: usize = 100_000;
-const N_R: usize = 10_000;
 const SEED: u64 = 0xd15d;
 
 fn t9_config_r(r: u32) -> DistDomSetConfig {
@@ -60,13 +55,6 @@ fn ksv_config() -> KsvConfig {
     KsvConfig {
         assignment: IdAssignment::Shuffled(SEED),
         ..KsvConfig::with_strategy(ExecutionStrategy::Sequential)
-    }
-}
-
-fn ksv_config_flood(flood: KsvFlood) -> KsvConfig {
-    KsvConfig {
-        flood,
-        ..ksv_config()
     }
 }
 
@@ -313,87 +301,5 @@ fn bench_ksv_distance_r(_c: &mut Criterion) {
     }
 }
 
-/// Old flood vs new flood, head to head at `N_R` = 10k (the size the record
-/// flood can still stomach): both modes must elect bit-identical sets; the
-/// recorded flood-bit and wall-time ratios are the PR's old-vs-new numbers.
-fn bench_ksv_flood_modes(_c: &mut Criterion) {
-    let instances: Vec<(&str, Graph)> = vec![
-        ("planar-tri-flood", stacked_triangulation(N_R, 3)),
-        (
-            "config-model-flood",
-            connected_instance(Family::ConfigurationModel, N_R, 5),
-        ),
-    ];
-    let r = 2u32;
-
-    for (name, graph) in &instances {
-        let n = graph.num_vertices();
-        record_metric(&format!("{name}_n"), n as f64);
-        record_metric(&format!("{name}_r"), r as f64);
-
-        let timed = |flood| {
-            let start = Instant::now();
-            let result =
-                black_box(distributed_ksv_domination_r(graph, r, ksv_config_flood(flood)).unwrap());
-            (result, start.elapsed().as_secs_f64())
-        };
-        let (summaries, summary_secs) = timed(KsvFlood::Summaries);
-        let (records, record_secs) = timed(KsvFlood::Records);
-        assert!(is_distance_dominating_set(
-            graph,
-            &summaries.dominating_set,
-            r
-        ));
-        assert_eq!(
-            summaries.dominating_set, records.dominating_set,
-            "{name}: the two floods must elect identical sets"
-        );
-        assert_eq!(summaries.high_degree, records.high_degree);
-
-        println!(
-            "{name} (n = {n}, r = {r}): record flood = {} bits in {record_secs:.2} s, \
-             summary flood = {} bits in {summary_secs:.2} s ({:.1}× flood-bit saving)",
-            records.phase_bits.flood,
-            summaries.phase_bits.flood,
-            records.phase_bits.flood as f64 / summaries.phase_bits.flood.max(1) as f64,
-        );
-        record_metric(
-            &format!("{name}_record_flood_bits"),
-            records.phase_bits.flood as f64,
-        );
-        record_metric(
-            &format!("{name}_summary_flood_bits"),
-            summaries.phase_bits.flood as f64,
-        );
-        record_metric(
-            &format!("{name}_record_total_bits"),
-            records.stats.total_bits as f64,
-        );
-        record_metric(
-            &format!("{name}_summary_total_bits"),
-            summaries.stats.total_bits as f64,
-        );
-        record_metric(&format!("{name}_record_seconds"), record_secs);
-        record_metric(&format!("{name}_summary_seconds"), summary_secs);
-        record_metric(
-            &format!("{name}_flood_bit_reduction"),
-            records.phase_bits.flood as f64 / summaries.phase_bits.flood.max(1) as f64,
-        );
-        record_metric(
-            &format!("{name}_ksv_set"),
-            summaries.dominating_set.len() as f64,
-        );
-        record_metric(
-            &format!("{name}_ksv_high_degree"),
-            summaries.high_degree.len() as f64,
-        );
-    }
-}
-
-criterion_group!(
-    benches,
-    bench_ksv_pipeline,
-    bench_ksv_distance_r,
-    bench_ksv_flood_modes
-);
+criterion_group!(benches, bench_ksv_pipeline, bench_ksv_distance_r);
 criterion_main!(benches);

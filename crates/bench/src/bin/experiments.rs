@@ -106,10 +106,7 @@ fn main() {
 /// pseudo-cover admission threshold at r = 2 across {1, ∇, 2∇ + 1} — the
 /// exhaustive-cover default against the papers' Θ(∇) counting regime.
 fn table_k1(scale: &Scale) {
-    use bedom_core::{
-        distributed_ksv_domination_r_in, distributed_ksv_domination_r_in_with, ksv_rounds,
-        KsvConfig,
-    };
+    use bedom_core::{distributed_ksv_domination_r_in_with, ksv_rounds, KsvConfig};
 
     println!(
         "\n===== K1: constant-round KSV vs the order-based pipeline (rounds / bits / |D|) ====="
@@ -136,7 +133,7 @@ fn table_k1(scale: &Scale) {
             for r in [1u32, 2] {
                 let ctx = DistContext::elect(&graph, DistContextConfig::for_domination(r)).unwrap();
                 let t9 = distributed_distance_domination_in(&ctx, r).unwrap();
-                let ksv = distributed_ksv_domination_r_in(&ctx, r).unwrap();
+                let ksv = distributed_ksv_domination_r_in_with(&ctx, r, KsvConfig::new()).unwrap();
                 assert!(ksv.verified, "KSV output failed verification");
                 assert_eq!(ksv.result.rounds, ksv_rounds(r));
                 let t9_bits: usize = t9.phase_stats.iter().map(|s| s.total_bits).sum();

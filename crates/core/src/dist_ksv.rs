@@ -42,34 +42,33 @@
 //! # The knowledge flood
 //!
 //! The `2r − 1` pre-decision rounds exist to answer the distance-≤ `r`
-//! questions of the `D₁` check and the election. Two interchangeable flood
-//! implementations are provided, selected by [`KsvConfig::flood`]; both
-//! produce **bit-identical elected sets** (a test pins this across modes):
+//! questions of the `D₁` check and the election. They reduce to one
+//! decision view per vertex — its radius-`r` ball with exact distances and
+//! flag bits, plus the exact radius-`r` ball of every unflagged member — and
+//! one decision routine reads that view at every radius.
 //!
-//! * [`KsvFlood::Records`] — the papers' LOCAL-style flood: every vertex
-//!   re-broadcasts whole adjacency records until radius-`2r` balls are
-//!   assembled. Simple, and the baseline the optimised flood is measured
-//!   against; its cost grows with the number of *paths*, not edges.
-//! * [`KsvFlood::Summaries`] (default) — the CONGEST-friendly flood. Each
-//!   vertex assembles only its radius-`r` ball membership (`r − 2` cheap
-//!   beacon waves of fresh ids), then broadcasts **one merged neighbourhood
-//!   summary** — its ball with exact distances — which relays flood with
-//!   per-vertex dedup so each summary crosses each edge **at most once**.
-//!   Summary relays reprice entry ids against the receiver-reconstructible
-//!   dictionary of the sender's own ball (id compression), and a relay
-//!   deferral rule silences a relayer whose distance-2 audience is fully
-//!   covered by a higher-degree common neighbour. In the spirit of the
-//!   papers' cluster-merging trick, low-order vertices near a high-order
-//!   vertex adopt it as their representative: a **hub** (degree >
-//!   [`KsvConfig::hub_cap`]) joins the dominating set outright
-//!   ([`KsvMembership::HighDegree`]), ships a 1-bit stub instead of its
-//!   (huge) summary, and every vertex that detects a hub within distance
-//!   `r` — decidable exactly from the flooded flag bits — skips the `D₁`
-//!   check and the election entirely. Hard-core checks and pseudo-cover
-//!   elections still read *exact* local distances: pruning is
-//!   all-or-nothing (a flagged vertex ships nothing, an unflagged vertex
-//!   ships its exact ball), so every coverage mask the greedy reads is
-//!   exact on the positions that remain.
+//! At `r = 1` the init adjacency exchange is the whole flood: the ball is
+//! `N[v]` and each member's ball its closed neighbourhood. At `r ≥ 2` the
+//! CONGEST-friendly summary flood assembles the view. Each vertex assembles
+//! only its radius-`r` ball membership (`r − 2` cheap beacon waves of fresh
+//! ids), then broadcasts **one merged neighbourhood summary** — its ball
+//! with exact distances — which relays flood with per-vertex dedup so each
+//! summary crosses each edge **at most once**. Summary relays reprice entry
+//! ids against the receiver-reconstructible dictionary of the sender's own
+//! ball (id compression), and a relay deferral rule silences a relayer whose
+//! distance-2 audience is fully covered by a higher-degree common
+//! neighbour. In the spirit of the papers' cluster-merging trick, low-order
+//! vertices near a high-order vertex adopt it as their representative: a
+//! **hub** (degree > [`KsvConfig::hub_cap`]) joins the dominating set
+//! outright ([`KsvMembership::HighDegree`]), ships a 1-bit stub instead of
+//! its (huge) summary, and every vertex that detects a hub within distance
+//! `r` — decidable exactly from the flooded flag bits — skips the `D₁`
+//! check and the election entirely. Hard-core checks and pseudo-cover
+//! elections still read *exact* local distances: pruning is all-or-nothing
+//! (a flagged vertex ships nothing, an unflagged vertex ships its exact
+//! ball), so every coverage mask the greedy reads is exact on the positions
+//! that remain. Summary distances travel in 8 bits, so radii above 255 fail
+//! with a typed error.
 //!
 //! Announcements propagate `r` hops (a vertex within distance `r` of a
 //! dominator must learn it is dominated), so the protocol runs **exactly
@@ -89,17 +88,16 @@
 //! frames even on hub adjacency exchanges, while totals still charge every
 //! frame. Per-phase totals are bucketed in [`KsvPhaseBits`].
 //!
-//! [`distributed_ksv_domination_r`] runs the protocol standalone;
-//! [`distributed_ksv_domination_r_in`] runs it against a shared
-//! [`DistContext`] and verifies the output through the context's one
+//! [`distributed_ksv_domination_r`] runs the protocol standalone
+//! ([`distributed_ksv_domination`] reads the radius from the config, and
+//! [`distributed_ksv_domination_r_faulty`] injects faults);
+//! [`distributed_ksv_domination_r_in_with`] runs it against a shared
+//! [`DistContext`] under explicit protocol tuning (threshold sweeps, hub
+//! caps) and verifies the output through the context's one
 //! [`WReachIndex`](bedom_wcol::WReachIndex) sweep (witnessed constant +
 //! per-vertex domination certificates at radius `r`, read from the stored
 //! `2r` depths — no extra sweep), making it directly comparable to the
-//! order-based path in the pipeline and the experiments binary;
-//! [`distributed_ksv_domination_r_in_with`] does the same under explicit
-//! protocol tuning (threshold sweeps, flood selection).
-//! [`distributed_ksv_domination`] and [`distributed_ksv_domination_in`] are
-//! the distance-1 entry points of PR 4, now thin wrappers.
+//! order-based path in the pipeline and the experiments binary.
 
 use crate::context::DistContext;
 use bedom_distsim::{
@@ -194,22 +192,18 @@ pub struct KsvVertexOutput {
 }
 
 /// Message kinds of the protocol. The kind tag (charged at 8 bits) selects
-/// which payload lists the message encodes: an id list for most kinds, an
-/// adjacency-record list for [`KsvKind::Knowledge`], and summary items (plus
-/// stub ids) for the summary-flood kinds. Each populated list is charged at
-/// a 16-bit length prefix (folded into the frame header) plus its entries,
-/// mirroring the flat encoding of the weak-reachability messages.
+/// which payload lists the message encodes: an id list for most kinds, and
+/// summary items (plus stub ids) for the summary-flood kinds. Each populated
+/// list is charged at a 16-bit length prefix (folded into the frame header)
+/// plus its entries, mirroring the flat encoding of the weak-reachability
+/// messages.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KsvKind {
     /// Init broadcast: the sender's open neighbourhood (network ids).
     Adjacency,
-    /// Record-flood knowledge wave ≥ 2 (`r ≥ 2`, [`KsvFlood::Records`]):
-    /// adjacency records of vertices the sender learnt about in the
-    /// previous round.
-    Knowledge,
-    /// Summary-flood ball wave (`r ≥ 3`, [`KsvFlood::Summaries`]): ids the
-    /// sender first learnt last round — its ball frontier, which receivers
-    /// place one hop further out.
+    /// Summary-flood ball wave (`r ≥ 3`): ids the sender first learnt last
+    /// round — its ball frontier, which receivers place one hop further
+    /// out.
     Beacon,
     /// Summary-flood origin broadcast (round `r − 1`): the sender's own
     /// merged neighbourhood summary (or a 1-bit stub when flagged).
@@ -263,9 +257,6 @@ pub struct KsvMessage {
     /// Network ids, sorted increasingly. For [`KsvKind::SummaryRelay`] these
     /// are stub owner ids (flagged summaries relay as bare ids).
     pub ids: Vec<u64>,
-    /// Adjacency records `(vertex id, its open neighbourhood)` for the
-    /// record-flood knowledge waves; empty for every other kind.
-    pub records: Vec<(u64, Vec<u64>)>,
     /// Summary items for the summary-flood kinds; empty for every other
     /// kind.
     pub summaries: Vec<KsvSummaryItem>,
@@ -280,34 +271,18 @@ impl KsvMessage {
     fn payload_bits(&self) -> usize {
         debug_assert!(
             match self.kind {
-                KsvKind::Knowledge => self.ids.is_empty() && self.summaries.is_empty(),
-                KsvKind::Summary => self.ids.is_empty() && self.records.is_empty(),
-                KsvKind::SummaryRelay => self.records.is_empty(),
-                _ => self.records.is_empty() && self.summaries.is_empty(),
+                KsvKind::Summary => self.ids.is_empty(),
+                KsvKind::SummaryRelay => true,
+                _ => self.summaries.is_empty(),
             },
             "KSV payload lists must match the message kind"
         );
         assert!(
-            self.ids.len() <= u16::MAX as usize
-                && self.records.len() <= u16::MAX as usize
-                && self.summaries.len() <= u16::MAX as usize,
-            "KSV message carries {} ids / {} records / {} summaries — unencodable in a 16-bit length prefix",
+            self.ids.len() <= u16::MAX as usize && self.summaries.len() <= u16::MAX as usize,
+            "KSV message carries {} ids / {} summaries — unencodable in a 16-bit length prefix",
             self.ids.len(),
-            self.records.len(),
             self.summaries.len()
         );
-        let record_bits: usize = self
-            .records
-            .iter()
-            .map(|(_, adj)| {
-                assert!(
-                    adj.len() <= u16::MAX as usize,
-                    "KSV adjacency record carries {} ids — unencodable in the 16-bit length prefix",
-                    adj.len()
-                );
-                self.id_bits + 16 + adj.len() * self.id_bits
-            })
-            .sum();
         let summary_bits: usize = self
             .summaries
             .iter()
@@ -320,7 +295,7 @@ impl KsvMessage {
                 item.wire_bits
             })
             .sum();
-        self.ids.len() * self.id_bits + record_bits + summary_bits
+        self.ids.len() * self.id_bits + summary_bits
     }
 }
 
@@ -373,9 +348,9 @@ fn gain(mask: &[u64], uncovered: &[u64]) -> u32 {
 /// heap behind smaller ids, so the selection (largest gain, then smallest
 /// network id) is *identical* to a full rescan per pick, at a fraction of
 /// the cost on high-degree balls. Selection depends only on `(gain, id)`,
-/// never on the index layout, which is what makes the two flood modes
-/// elect bit-identical sets from equal views. Clears covered bits from
-/// `uncovered` in place; returns the picked network ids in pick order.
+/// never on the index layout, so equal views elect bit-identical sets
+/// however they were assembled. Clears covered bits from `uncovered` in
+/// place; returns the picked network ids in pick order.
 fn greedy_cover(
     ids: &[u64],
     masks: &[Vec<u64>],
@@ -422,51 +397,6 @@ fn greedy_cover(
     picked
 }
 
-/// Breadth-first search over locally gathered adjacency records, up to
-/// `depth` edges from `source`. Vertices whose record is absent are treated
-/// as leaves — during the record flood every vertex the search can reach
-/// within its depth budget has a known record (the knowledge horizon is
-/// `2r − 1` and searches run to depth ≤ `2r` from the holder, ≤ `r` from
-/// vertices at distance ≤ `r`), so the computed distances are exact.
-/// Returns `(vertex, distance)` pairs in BFS order.
-fn local_bfs(adj: &BTreeMap<u64, Vec<u64>>, source: u64, depth: u32) -> Vec<(u64, u32)> {
-    let mut order: Vec<(u64, u32)> = vec![(source, 0)];
-    let mut seen: HashSet<u64> = HashSet::new();
-    seen.insert(source);
-    let mut head = 0;
-    while let Some(&(x, d)) = order.get(head) {
-        head += 1;
-        if d >= depth {
-            continue;
-        }
-        let Some(neighbors) = adj.get(&x) else {
-            continue;
-        };
-        for &w in neighbors {
-            if seen.insert(w) {
-                order.push((w, d + 1));
-            }
-        }
-    }
-    order
-}
-
-/// Knowledge-flood implementation (`r ≥ 2`; at `r = 1` the single adjacency
-/// exchange is the whole flood and the selector is ignored). Both modes
-/// elect bit-identical sets; they differ only in wire cost and local work.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum KsvFlood {
-    /// Deduplicated cluster-merged summary flood (default): each vertex
-    /// floods one merged radius-`r` summary, relayed at most once per edge,
-    /// with dictionary id compression, relay deferral, and the hub
-    /// short-circuit. The CONGEST-friendly path.
-    Summaries,
-    /// The papers' record flood: whole adjacency records re-broadcast until
-    /// radius-`2r` balls are assembled. The pre-optimisation baseline,
-    /// retained for conformance cross-checks and the bench comparison.
-    Records,
-}
-
 /// Default hub degree cap for the summary flood: `max(32, 16·∇)`. Scales
 /// with the promised density so bounded-expansion graphs keep few hubs
 /// (each hub costs one dominating-set slot but removes its whole cluster's
@@ -476,10 +406,10 @@ pub fn default_hub_cap(nabla: usize) -> usize {
     (16 * nabla).max(32)
 }
 
-/// The decision-round view both flood modes reduce to: the radius-`r` ball
-/// with exact distances and flag bits, plus (for unflagged members) their
-/// exact radius-`r` summaries. Equal views make `decide_from_view`
-/// bit-identical across modes.
+/// The decision-round view the knowledge flood assembles: the radius-`r`
+/// ball with exact distances and flag bits, plus (for unflagged members)
+/// their exact radius-`r` summaries. `decide_from_view` reads nothing else,
+/// so equal views make equal decisions.
 struct KsvView {
     /// `(id, distance from self, flagged)`, ascending by id; contains self
     /// at distance 0.
@@ -500,20 +430,14 @@ pub struct KsvNode {
     hard_budget: usize,
     /// Pseudo-cover admission threshold (≥ 1).
     threshold: u32,
-    /// Knowledge-flood implementation (`r ≥ 2`).
-    flood: KsvFlood,
     /// Degree above which a vertex is a hub (`usize::MAX` at `r = 1` and
     /// when hubs are disabled).
     hub_cap: usize,
-    /// Adjacency records gathered so far, keyed by vertex id (own record
-    /// included); each list sorted. The record flood grows this to the
-    /// `2r − 1` horizon; the summary flood keeps only self + neighbours.
-    /// Pruned back to self + neighbours at the decision round (the relay
-    /// filters only ask about direct neighbours).
+    /// Adjacency records of this vertex and its direct neighbours (the init
+    /// exchange), keyed by vertex id; each list sorted. They feed the flag,
+    /// deferral and forwarding checks, and at `r = 1` the whole decision
+    /// view.
     known_adj: BTreeMap<u64, Vec<u64>>,
-    /// Record flood: ids whose records were first learnt in the last
-    /// receive round — the payload of the next knowledge wave.
-    frontier: Vec<u64>,
     /// Summary flood: the radius-`r` ball assembled so far, `(id, exact
     /// distance)` ascending by id.
     ball: Vec<(u64, u32)>,
@@ -535,10 +459,9 @@ pub struct KsvNode {
     dict: Vec<u64>,
     /// Exact local distances from this vertex, sorted by id. Computed in
     /// the decision round; backs the hop-aware relay filters of both flood
-    /// phases. (Record flood: exact to `2r`. Summary flood: exact wherever
-    /// an unflagged midpoint exists — in particular everywhere when the
-    /// graph has no hubs; a missing entry can only suppress a relay, which
-    /// `D₃` absorbs.)
+    /// phases. Exact wherever an unflagged midpoint exists — in particular
+    /// everywhere when the graph has no hubs; a missing entry can only
+    /// suppress a relay, which `D₃` absorbs.
     local_dist: Vec<(u64, u32)>,
     /// The pseudo-cover this vertex will elect *if* it is still undominated
     /// at the election round. Precomputed in the decision round from the
@@ -560,14 +483,12 @@ pub struct KsvNode {
 }
 
 impl KsvNode {
-    #[allow(clippy::too_many_arguments)]
     fn new(
         id: u64,
         r: u32,
         id_bits: usize,
         hard_budget: usize,
         threshold: u32,
-        flood: KsvFlood,
         hub_cap: usize,
     ) -> Self {
         KsvNode {
@@ -576,10 +497,8 @@ impl KsvNode {
             id_bits,
             hard_budget,
             threshold,
-            flood,
             hub_cap,
             known_adj: BTreeMap::new(),
-            frontier: Vec::new(),
             ball: Vec::new(),
             ball_fresh: Vec::new(),
             my_flag: false,
@@ -600,7 +519,6 @@ impl KsvNode {
         Outgoing::Broadcast(KsvMessage {
             kind,
             ids,
-            records: Vec::new(),
             summaries: Vec::new(),
             id_bits: self.id_bits,
         })
@@ -640,56 +558,10 @@ impl KsvNode {
         self.dominated = true;
     }
 
-    /// Absorbs a record-flood knowledge wave: stores fresh adjacency records
-    /// and queues them as the next wave's frontier.
-    fn absorb_knowledge(&mut self, inbox: Inbox<'_, KsvMessage>) {
-        let learn = |known_adj: &mut BTreeMap<u64, Vec<u64>>,
-                     frontier: &mut Vec<u64>,
-                     id: u64,
-                     adj: &Vec<u64>| {
-            if let std::collections::btree_map::Entry::Vacant(slot) = known_adj.entry(id) {
-                slot.insert(adj.clone());
-                frontier.push(id);
-            }
-        };
-        for msg in inbox {
-            match msg.payload.kind {
-                KsvKind::Adjacency => {
-                    learn(
-                        &mut self.known_adj,
-                        &mut self.frontier,
-                        msg.from,
-                        &msg.payload.ids,
-                    );
-                }
-                KsvKind::Knowledge => {
-                    for (id, adj) in &msg.payload.records {
-                        learn(&mut self.known_adj, &mut self.frontier, *id, adj);
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-
-    /// Broadcasts the records first learnt last round (the record-flood
-    /// frontier).
-    fn knowledge_wave(&mut self) -> Outgoing<KsvMessage> {
-        if self.frontier.is_empty() {
-            return Outgoing::Silent;
-        }
-        self.frontier.sort_unstable();
-        let records: Vec<(u64, Vec<u64>)> = std::mem::take(&mut self.frontier)
-            .into_iter()
-            .map(|id| (id, self.known_adj[&id].clone()))
-            .collect();
-        Outgoing::Broadcast(KsvMessage {
-            kind: KsvKind::Knowledge,
-            ids: Vec::new(),
-            records,
-            summaries: Vec::new(),
-            id_bits: self.id_bits,
-        })
+    /// Stores a neighbour's adjacency record from the init exchange (first
+    /// arrival wins).
+    fn absorb_adjacency(&mut self, from: u64, ids: &[u64]) {
+        self.known_adj.entry(from).or_insert_with(|| ids.to_vec());
     }
 
     /// A `D₁`/`D₂` announcement. At `r = 1` announcements travel one hop and
@@ -785,7 +657,7 @@ impl KsvNode {
     }
 
     // ------------------------------------------------------------------
-    // Summary flood (`r ≥ 2`, `KsvFlood::Summaries`)
+    // Summary flood (`r ≥ 2`)
     // ------------------------------------------------------------------
 
     /// Merges one round's batch of newly heard ids into the ball at the
@@ -847,9 +719,7 @@ impl KsvNode {
                     // itself feeds the flag/deferral/forwarding checks,
                     // which only ever ask about direct neighbours.
                     pending.extend_from_slice(&msg.payload.ids);
-                    self.known_adj
-                        .entry(msg.from)
-                        .or_insert_with(|| msg.payload.ids.clone());
+                    self.absorb_adjacency(msg.from, &msg.payload.ids);
                 }
                 KsvKind::Beacon => pending.extend_from_slice(&msg.payload.ids),
                 KsvKind::Summary | KsvKind::SummaryRelay => {
@@ -941,7 +811,6 @@ impl KsvNode {
         Outgoing::Broadcast(KsvMessage {
             kind: KsvKind::Summary,
             ids: Vec::new(),
-            records: Vec::new(),
             summaries: vec![item],
             id_bits: self.id_bits,
         })
@@ -1049,7 +918,6 @@ impl KsvNode {
         Outgoing::Broadcast(KsvMessage {
             kind: KsvKind::SummaryRelay,
             ids: stubs,
-            records: Vec::new(),
             summaries: items,
             id_bits: self.id_bits,
         })
@@ -1102,79 +970,37 @@ impl KsvNode {
         })
     }
 
-    /// Builds the same decision view from the record flood: flags from the
-    /// gathered degrees (a member's neighbours sit within the `2r − 1`
-    /// horizon whenever `r ≥ 2`), summaries by dense depth-`r` searches
-    /// over local indices — the same epoch-stamped scratch discipline as
-    /// the `WReachIndex` sweep.
-    fn view_from_records(&mut self) -> KsvView {
-        let r = self.r;
-        let cap = self.hub_cap;
-        let reach = local_bfs(&self.known_adj, self.id, 2 * r);
-        let k = reach.len();
-        let mut lid: HashMap<u64, u32> = HashMap::with_capacity(k);
-        for (i, &(id, _)) in reach.iter().enumerate() {
-            lid.insert(id, cast::u32_from_usize(i));
-        }
-        // Adjacency in local indices. 2r-boundary vertices have no gathered
-        // record and become leaves — exactly right, since no search below
-        // ever needs to expand them (depth r from a vertex at distance ≤ r).
-        let local_adj: Vec<Vec<u32>> = reach
+    /// Builds the `r = 1` decision view straight from the adjacency
+    /// exchange, which is the whole flood at distance 1: the ball is `N[v]`,
+    /// each member's summary is its closed neighbourhood, and nobody is
+    /// flagged (hubs are off at `r = 1`). Runs only after
+    /// [`Self::check_adjacency_coverage`] has passed, so every member's
+    /// record is present.
+    fn view_from_adjacency(&self) -> KsvView {
+        let closed = |z: u64| -> SummaryEntries {
+            let adj = &self.known_adj[&z];
+            let (below, above) = adj.split_at(adj.partition_point(|&w| w < z));
+            let one = |&w: &u64| (w, 1);
+            below
+                .iter()
+                .map(one)
+                .chain([(z, 0)])
+                .chain(above.iter().map(one))
+                .collect()
+        };
+        let own = closed(self.id);
+        let ball = own.iter().map(|&(z, d)| (z, u32::from(d), false)).collect();
+        let summaries = own
             .iter()
-            .map(|(id, _)| match self.known_adj.get(id) {
-                Some(list) => list.iter().map(|w| lid[w]).collect(),
-                None => Vec::new(),
-            })
+            .map(|&(z, _)| Some(if z == self.id { own.clone() } else { closed(z) }))
             .collect();
-        let mut members: Vec<(u64, u32)> =
-            reach.iter().filter(|&&(_, d)| d <= r).copied().collect();
-        members.sort_unstable_by_key(|&(id, _)| id);
-        let mut ball = Vec::with_capacity(members.len());
-        let mut summaries = Vec::with_capacity(members.len());
-        let mut stamp = vec![0u32; k];
-        let mut epoch = 0u32;
-        let mut queue: Vec<(u32, u32)> = Vec::new();
-        for &(z, dz) in &members {
-            let zi = lid[&z] as usize;
-            let flag = local_adj[zi].len() > cap
-                || local_adj[zi]
-                    .iter()
-                    .any(|&w| local_adj[w as usize].len() > cap);
-            ball.push((z, dz, flag));
-            if flag {
-                summaries.push(None);
-                continue;
-            }
-            epoch += 1;
-            queue.clear();
-            queue.push((cast::u32_from_usize(zi), 0));
-            stamp[zi] = epoch;
-            let mut out: Vec<(u64, u8)> = Vec::new();
-            let mut head = 0;
-            while let Some(&(x, d)) = queue.get(head) {
-                head += 1;
-                out.push((reach[x as usize].0, cast::u8_from_u32(d)));
-                if d >= r {
-                    continue;
-                }
-                for &w in &local_adj[x as usize] {
-                    if stamp[w as usize] != epoch {
-                        stamp[w as usize] = epoch;
-                        queue.push((w, d + 1));
-                    }
-                }
-            }
-            out.sort_unstable_by_key(|&(id, _)| id);
-            summaries.push(Some(out.into_iter().collect()));
-        }
         KsvView { ball, summaries }
     }
 
-    /// Cheap locally checkable knowledge invariant, valid in every flood
-    /// mode: the init round broadcast every open neighbourhood, so by the
-    /// decision round this vertex must hold an adjacency record for each of
-    /// its direct neighbours (plus its own). A gap proves the adjacency
-    /// exchange was lost in transit.
+    /// Cheap locally checkable knowledge invariant: the init round broadcast
+    /// every open neighbourhood, so by the decision round this vertex must
+    /// hold an adjacency record for each of its direct neighbours (plus its
+    /// own). A gap proves the adjacency exchange was lost in transit.
     fn check_adjacency_coverage(&self, ctx: &NodeContext) -> Result<(), ModelViolation> {
         let received = 1 + ctx
             .neighbor_ids
@@ -1193,155 +1019,41 @@ impl KsvNode {
         Ok(())
     }
 
-    /// The decision round (call `2r − 1`): all knowledge is in. Dispatches
-    /// to the original distance-1 table build at `r = 1` (byte-identical to
-    /// the PR 4 protocol) and to the shared view-based decision otherwise.
-    /// If the knowledge invariants fail — messages were lost — the vertex
-    /// records the violation and skips the decision instead of deciding on
-    /// truncated knowledge (it will self-elect in the final round, and the
-    /// run-level entry point surfaces the violation as a typed error).
+    /// The decision round (call `2r − 1`): all knowledge is in. Builds the
+    /// decision view — from the adjacency exchange at `r = 1`, from the
+    /// summary flood otherwise — and decides from it. If the knowledge
+    /// invariants fail — messages were lost — the vertex records the
+    /// violation and skips the decision instead of deciding on truncated
+    /// knowledge (it will self-elect in the final round, and the run-level
+    /// entry point surfaces the violation as a typed error).
     fn decide(&mut self, ctx: &NodeContext) -> Outgoing<KsvMessage> {
-        if let Err(violation) = self.check_adjacency_coverage(ctx) {
-            self.violation = Some(violation);
-            return Outgoing::Silent;
+        let view = self.check_adjacency_coverage(ctx).and_then(|()| {
+            if self.r == 1 {
+                Ok(self.view_from_adjacency())
+            } else {
+                self.view_from_summaries()
+            }
+        });
+        match view {
+            Ok(view) => self.decide_from_view(view),
+            Err(violation) => {
+                self.violation = Some(violation);
+                Outgoing::Silent
+            }
         }
-        if self.r == 1 {
-            return self.decide_r1(ctx);
-        }
-        let view = match self.flood {
-            KsvFlood::Summaries => match self.view_from_summaries() {
-                Ok(view) => view,
-                Err(violation) => {
-                    self.violation = Some(violation);
-                    return Outgoing::Silent;
-                }
-            },
-            KsvFlood::Records => self.view_from_records(),
-        };
-        self.decide_from_view(ctx, view)
     }
 
-    /// The `r = 1` decision: builds the candidate → coverage-bitmask table
-    /// over the positions of `N[v]` straight from the adjacency exchange
-    /// (position `i` is the `i`-th neighbour in ascending id order,
-    /// position `deg` is `v` itself), runs the `D₁` check and — when it
+    /// The decision at every radius, read off the view alone. Computes the
+    /// pruned local distances, applies the hub short-circuit, then builds
+    /// the candidate → coverage-bitmask table over the *unflagged* positions
+    /// of `N_r(v)` (position `i` is the `i`-th unflagged member of the open
+    /// `r`-neighbourhood in ascending id order, position `deg_r` is `v`
+    /// itself; a candidate `z ≠ v` covers `u` exactly when `z ∈ ball_r(u)`,
+    /// read off `u`'s exact summary), runs the `D₁` check and — when it
     /// passes — precomputes the pseudo-cover election from the same table.
-    /// Kept verbatim from the pre-flood-rework protocol: the distance-1
-    /// path has no hubs, no summaries, and no behaviour change.
-    fn decide_r1(&mut self, ctx: &NodeContext) -> Outgoing<KsvMessage> {
-        let r = self.r;
-        let reach = local_bfs(&self.known_adj, self.id, 2 * r);
-        let k = reach.len();
-        let mut lid: HashMap<u64, u32> = HashMap::with_capacity(k);
-        for (i, &(id, _)) in reach.iter().enumerate() {
-            lid.insert(id, cast::u32_from_usize(i));
-        }
-        let local_adj: Vec<Vec<u32>> = reach
-            .iter()
-            .map(|(id, _)| match self.known_adj.get(id) {
-                Some(list) => list.iter().map(|w| lid[w]).collect(),
-                None => Vec::new(),
-            })
-            .collect();
-        // Open r-neighbourhood in ascending network-id order: the coverage
-        // positions (and, against position deg_r, the candidates covering v).
-        let mut position_ids: Vec<u64> = reach
-            .iter()
-            .filter(|&&(_, d)| d >= 1 && d <= r)
-            .map(|&(z, _)| z)
-            .collect();
-        position_ids.sort_unstable();
-        let positions: Vec<u32> = position_ids.iter().map(|z| lid[z]).collect();
-        let deg_r = positions.len();
-        let words = cover_words(deg_r);
-
-        // masks[local idx] = which positions that candidate covers; the ids
-        // vector maps back to network ids for the greedy tie-break.
-        let ids: Vec<u64> = reach.iter().map(|&(id, _)| id).collect();
-        let mut masks: Vec<Vec<u64>> = vec![Vec::new(); k];
-        let mut stamp = vec![0u32; k];
-        let mut epoch = 0u32;
-        let mut queue: Vec<(u32, u32)> = Vec::new();
-        for (i, &p) in positions.iter().enumerate() {
-            epoch += 1;
-            queue.clear();
-            queue.push((p, 0));
-            stamp[p as usize] = epoch;
-            let mut head = 0;
-            while let Some(&(x, d)) = queue.get(head) {
-                head += 1;
-                if x != 0 {
-                    // Local index 0 is this vertex, excluded as a candidate.
-                    let mask = &mut masks[x as usize];
-                    if mask.is_empty() {
-                        *mask = vec![0u64; words];
-                    }
-                    set_bit(mask, i);
-                }
-                if d >= r {
-                    continue;
-                }
-                for &w in &local_adj[x as usize] {
-                    if stamp[w as usize] != epoch {
-                        stamp[w as usize] = epoch;
-                        queue.push((w, d + 1));
-                    }
-                }
-            }
-            // Position i is within r of v, so it covers v (position deg_r).
-            let mask = &mut masks[p as usize];
-            if mask.is_empty() {
-                *mask = vec![0u64; words];
-            }
-            set_bit(mask, deg_r);
-        }
-
-        // Keep the distances (the relay filters read them), drop the bulk of
-        // the gathered records — only the sender-adjacency checks remain,
-        // and those only ever ask about direct neighbours.
-        self.local_dist = reach;
-        self.local_dist.sort_unstable_by_key(|&(id, _)| id);
-        let id = self.id;
-        self.known_adj
-            .retain(|&key, _| key == id || ctx.is_neighbor(key));
-        self.frontier = Vec::new();
-
-        if deg_r > 0 {
-            let mut uncovered = vec![0u64; words];
-            for i in 0..deg_r {
-                set_bit(&mut uncovered, i);
-            }
-            greedy_cover(&ids, &masks, &mut uncovered, self.hard_budget, 1);
-            if uncovered.iter().any(|&w| w != 0) {
-                self.join(KsvMembership::HardCore);
-                return self.announce();
-            }
-        }
-        // Not in D₁: precompute the election-round pseudo-cover from the
-        // same table (it only depends on decision-round knowledge), so the
-        // table is built once and dropped here.
-        let mut uncovered = vec![0u64; words];
-        for i in 0..=deg_r {
-            set_bit(&mut uncovered, i);
-        }
-        self.planned_election =
-            greedy_cover(&ids, &masks, &mut uncovered, usize::MAX, self.threshold);
-        self.planned_election.sort_unstable();
-        Outgoing::Silent
-    }
-
-    /// The shared `r ≥ 2` decision, identical for both flood modes given
-    /// equal views. Computes the pruned local distances, applies the hub
-    /// short-circuit, then builds the candidate → coverage-bitmask table
-    /// over the *unflagged* positions of `N_r(v)` (position `i` is the
-    /// `i`-th unflagged member of the open `r`-neighbourhood in ascending
-    /// id order, position `deg_r` is `v` itself; a candidate `z ≠ v`
-    /// covers `u` exactly when `z ∈ ball_r(u)`, read off `u`'s exact
-    /// summary), runs the `D₁` check and — when it passes — precomputes
-    /// the pseudo-cover election from the same table. Flagged positions
-    /// need no coverage: a flagged vertex has a hub within distance 1 and
-    /// is dominated by it.
-    fn decide_from_view(&mut self, ctx: &NodeContext, view: KsvView) -> Outgoing<KsvMessage> {
+    /// Flagged positions need no coverage: a flagged vertex has a hub within
+    /// distance 1 and is dominated by it.
+    fn decide_from_view(&mut self, view: KsvView) -> Outgoing<KsvMessage> {
         let r = self.r;
         // Pruned local distances: the ball itself plus one unflagged
         // midpoint hop (`d(v,u) + d_u(z)`). Exact wherever an unflagged
@@ -1364,10 +1076,6 @@ impl KsvNode {
         pairs.sort_unstable();
         pairs.dedup_by_key(|p| p.0);
         self.local_dist = pairs;
-        let id = self.id;
-        self.known_adj
-            .retain(|&key, _| key == id || ctx.is_neighbor(key));
-        self.frontier = Vec::new();
 
         // Hub short-circuit: a flagged vertex within distance r − 1 proves
         // a hub within distance r (and conversely — the nearest flagged
@@ -1451,7 +1159,7 @@ impl NodeAlgorithm for KsvNode {
             // (every neighbour reads the degree off this same broadcast).
             self.join(KsvMembership::HighDegree);
         }
-        if self.r >= 2 && self.flood == KsvFlood::Summaries {
+        if self.r >= 2 {
             self.ball.push((ctx.id, 0));
             self.ball.extend(ctx.neighbor_ids.iter().map(|&w| (w, 1)));
             self.ball.sort_unstable_by_key(|&(z, _)| z);
@@ -1470,25 +1178,24 @@ impl NodeAlgorithm for KsvNode {
         let elect = 3 * r - 1;
         let announce2 = 5 * r - 1;
         let last = 6 * r - 1;
-        if round <= decide && r >= 2 && self.flood == KsvFlood::Summaries {
-            // Summary flood: beacons, the summary broadcast, relays — and
-            // at the decision call, absorb-only before deciding.
-            let wave = self.summary_flood_round(ctx, round, inbox);
-            if round < decide {
-                return wave;
+        if round <= decide {
+            // Knowledge rounds. At r = 1 the adjacency exchange is the whole
+            // flood; at r ≥ 2 the summary flood runs its beacons, summary
+            // broadcast and relays, absorbing only at the decision call.
+            // Then the D₁ check: members start the announcement flood,
+            // everyone else precomputes and waits.
+            if r == 1 {
+                for msg in inbox {
+                    if msg.payload.kind == KsvKind::Adjacency {
+                        self.absorb_adjacency(msg.from, &msg.payload.ids);
+                    }
+                }
+            } else {
+                let wave = self.summary_flood_round(ctx, round, inbox);
+                if round < decide {
+                    return wave;
+                }
             }
-            return self.decide(ctx);
-        }
-        if round < decide {
-            // Record-flood knowledge waves (r ≥ 2): absorb fresh records,
-            // flood the frontier one hop further.
-            self.absorb_knowledge(inbox);
-            return self.knowledge_wave();
-        }
-        if round == decide {
-            // Final knowledge wave is in: run the D₁ check; members start
-            // the announcement flood, everyone else precomputes and waits.
-            self.absorb_knowledge(inbox);
             return self.decide(ctx);
         }
         if round < elect {
@@ -1574,9 +1281,6 @@ pub struct KsvConfig {
     /// papers' counting argument uses a `Θ(∇)` threshold, selectable for
     /// experiments (the `k1` experiment sweeps it). Clamped to ≥ 1.
     pub threshold: u32,
-    /// Knowledge-flood implementation at `r ≥ 2` (ignored at `r = 1`).
-    /// Both modes elect bit-identical sets.
-    pub flood: KsvFlood,
     /// Hub degree cap of the summary-flood cluster merge at `r ≥ 2`:
     /// vertices of larger degree join the set at init and excuse their
     /// whole distance-`r` zone from the election. `None` uses
@@ -1591,15 +1295,13 @@ pub struct KsvConfig {
 
 impl KsvConfig {
     /// Defaults: distance 1, shuffled ids, estimated `∇`, exhaustive covers,
-    /// summary flood with the default hub cap, size-gated automatic
-    /// strategy.
+    /// the default hub cap, size-gated automatic strategy.
     pub fn new() -> Self {
         KsvConfig {
             r: 1,
             assignment: IdAssignment::Shuffled(0x5eed),
             nabla: None,
             threshold: 1,
-            flood: KsvFlood::Summaries,
             hub_cap: None,
             strategy: ExecutionStrategy::Auto,
         }
@@ -1635,8 +1337,8 @@ impl Default for KsvConfig {
 /// announcements (`5r..=6r − 1`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct KsvPhaseBits {
-    /// Knowledge-flood bits: adjacency exchange plus record waves or
-    /// beacon/summary/relay waves, depending on the flood mode.
+    /// Knowledge-flood bits: the adjacency exchange plus the
+    /// beacon/summary/relay waves (`r ≥ 2`).
     pub flood: usize,
     /// `D₁` (hard core) announcement-flood bits.
     pub hard_core_announce: usize,
@@ -1739,7 +1441,9 @@ pub fn distributed_ksv_domination(
 /// Exactly [`ksv_rounds`]`(r)` engine rounds on any non-empty graph; the
 /// output dominates at distance `r` on every graph. `r = 0` is rejected with
 /// [`ModelViolation::RadiusUnsupported`] — the degenerate distance-0 set is
-/// `V` and needs no protocol (the pipeline short-circuits it).
+/// `V` and needs no protocol (the pipeline short-circuits it) — and radii
+/// above 255 with [`ModelViolation::RadiusOutOfRange`], because summary
+/// distances travel in 8 bits.
 pub fn distributed_ksv_domination_r(
     graph: &Graph,
     r: u32,
@@ -1793,6 +1497,25 @@ fn validate_ksv_outputs(outputs: &[KsvVertexOutput], rounds: usize) -> Result<()
     Ok(())
 }
 
+/// The protocol's network on `graph` at radius `r` under `config`, plus the
+/// `2∇` budget its `D₁` checks run with.
+fn ksv_network<'g>(graph: &'g Graph, r: u32, config: &KsvConfig) -> (Network<'g, KsvNode>, usize) {
+    let nabla = config.nabla.unwrap_or_else(|| estimate_nabla(graph));
+    let hard_budget = 2 * nabla;
+    let hub_cap = if r >= 2 {
+        config.hub_cap.unwrap_or_else(|| default_hub_cap(nabla))
+    } else {
+        usize::MAX
+    };
+    let threshold = config.threshold.max(1);
+    let id_bits = bedom_distsim::id_bits(graph.num_vertices());
+    let mut network = Network::new(graph, Model::Local, config.assignment, |_, ctx| {
+        KsvNode::new(ctx.id, r, id_bits, hard_budget, threshold, hub_cap)
+    });
+    network.set_strategy(config.strategy);
+    (network, hard_budget)
+}
+
 /// Shared body of the plain and faulty entry points.
 fn run_ksv_network(
     graph: &Graph,
@@ -1806,6 +1529,13 @@ fn run_ksv_network(
             requested: 0,
             minimum: 1,
             what: "the KSV constant-round protocol (distance-0 domination is the degenerate full vertex set)",
+        });
+    }
+    if r > u32::from(u8::MAX) {
+        return Err(ModelViolation::RadiusOutOfRange {
+            requested: r,
+            supported: u32::from(u8::MAX),
+            what: "the KSV summary flood (its distances travel in 8 bits)",
         });
     }
     let n = graph.num_vertices();
@@ -1824,24 +1554,7 @@ fn run_ksv_network(
             recovery: None,
         });
     }
-    assert!(
-        config.flood == KsvFlood::Records || r <= u32::from(u8::MAX),
-        "summary-flood distances are encoded in 8 bits — run radii above 255 with KsvFlood::Records"
-    );
-    let nabla = config.nabla.unwrap_or_else(|| estimate_nabla(graph));
-    let hard_budget = 2 * nabla;
-    let hub_cap = if r >= 2 {
-        config.hub_cap.unwrap_or_else(|| default_hub_cap(nabla))
-    } else {
-        usize::MAX
-    };
-    let flood = config.flood;
-    let threshold = config.threshold.max(1);
-    let id_bits = bedom_distsim::id_bits(n);
-    let mut network = Network::new(graph, Model::Local, config.assignment, |_, ctx| {
-        KsvNode::new(ctx.id, r, id_bits, hard_budget, threshold, flood, hub_cap)
-    });
-    network.set_strategy(config.strategy);
+    let (mut network, hard_budget) = ksv_network(graph, r, &config);
     if let Some(plan) = fault {
         network.set_fault_plan(plan);
     }
@@ -1939,21 +1652,19 @@ pub struct KsvContextReport {
     pub verified: bool,
 }
 
-/// Runs the distance-1 KSV protocol on a context's graph and verifies the
-/// output through the context's shared index — see
-/// [`distributed_ksv_domination_r_in`].
-pub fn distributed_ksv_domination_in(
-    ctx: &DistContext<'_>,
-) -> Result<KsvContextReport, ModelViolation> {
-    distributed_ksv_domination_r_in(ctx, 1)
-}
-
-/// Runs the distance-`r` KSV protocol on a context's graph and verifies the
-/// output through the context's shared index — **no extra ball sweep**: the
-/// witnessed constant and the per-vertex certificates are reads of the one
-/// lazy index the order-based phases share ([`WReachIndex::certified_dominated`](bedom_wcol::WReachIndex::certified_dominated)
+/// Runs the distance-`r` KSV protocol on a context's graph under explicit
+/// protocol tuning and verifies the output through the context's shared
+/// index — **no extra ball sweep**: the witnessed constant and the
+/// per-vertex certificates are reads of the one lazy index the order-based
+/// phases share ([`WReachIndex::certified_dominated`](bedom_wcol::WReachIndex::certified_dominated)
 /// reads the stored depths, so a `2r` index answers the radius-`r`
 /// certificate without re-sweeping).
+///
+/// The `threshold`, `hub_cap` and `nabla` knobs of `tuning` are honoured
+/// (the `k1` experiment sweeps the admission threshold through this), while
+/// the id assignment and execution strategy always come from the context so
+/// runs stay comparable against the order-based path; `tuning.r` is
+/// ignored in favour of `r`. Pass [`KsvConfig::new`] for the defaults.
 ///
 /// The context must have been elected with reach radius ≥ `2r` (the radius
 /// the radius-`r` analysis questions need —
@@ -1962,18 +1673,6 @@ pub fn distributed_ksv_domination_in(
 /// [`ModelViolation::RadiusOutOfRange`] instead of verifying against
 /// truncated balls. `r = 0` is rejected with
 /// [`ModelViolation::RadiusUnsupported`], as in the standalone entry point.
-pub fn distributed_ksv_domination_r_in(
-    ctx: &DistContext<'_>,
-    r: u32,
-) -> Result<KsvContextReport, ModelViolation> {
-    distributed_ksv_domination_r_in_with(ctx, r, KsvConfig::new())
-}
-
-/// [`distributed_ksv_domination_r_in`] under explicit protocol tuning: the
-/// `threshold`, `flood`, `hub_cap`, and `nabla` knobs of `tuning` are
-/// honoured (the `k1` experiment sweeps the admission threshold through
-/// this), while the id assignment and execution strategy always come from
-/// the context so runs stay comparable against the order-based path.
 pub fn distributed_ksv_domination_r_in_with(
     ctx: &DistContext<'_>,
     r: u32,
@@ -2224,7 +1923,7 @@ mod tests {
         let err = distributed_ksv_domination(&g, KsvConfig::for_radius(0)).unwrap_err();
         assert!(matches!(err, ModelViolation::RadiusUnsupported { .. }));
         let ctx = DistContext::elect(&g, DistContextConfig::for_domination(1)).unwrap();
-        let err = distributed_ksv_domination_r_in(&ctx, 0).unwrap_err();
+        let err = distributed_ksv_domination_r_in_with(&ctx, 0, KsvConfig::new()).unwrap_err();
         assert!(matches!(err, ModelViolation::RadiusUnsupported { .. }));
     }
 
@@ -2286,7 +1985,7 @@ mod tests {
         let g = stacked_triangulation(180, 6);
         let ctx = DistContext::elect(&g, DistContextConfig::for_domination(1)).unwrap();
         let before = ball_sweeps_on_this_thread();
-        let report = distributed_ksv_domination_in(&ctx).unwrap();
+        let report = distributed_ksv_domination_r_in_with(&ctx, 1, KsvConfig::new()).unwrap();
         assert_eq!(
             ball_sweeps_on_this_thread() - before,
             1,
@@ -2307,7 +2006,7 @@ mod tests {
         let g = stacked_triangulation(150, 8);
         let ctx = DistContext::elect(&g, DistContextConfig::for_domination(2)).unwrap();
         let before = ball_sweeps_on_this_thread();
-        let report = distributed_ksv_domination_r_in(&ctx, 2).unwrap();
+        let report = distributed_ksv_domination_r_in_with(&ctx, 2, KsvConfig::new()).unwrap();
         assert_eq!(
             ball_sweeps_on_this_thread() - before,
             1,
@@ -2322,7 +2021,7 @@ mod tests {
         // The r = 1 protocol runs against the same (radius-4) context with
         // no further sweep — the certificates read stored depths.
         let before = ball_sweeps_on_this_thread();
-        let report1 = distributed_ksv_domination_r_in(&ctx, 1).unwrap();
+        let report1 = distributed_ksv_domination_r_in_with(&ctx, 1, KsvConfig::new()).unwrap();
         assert_eq!(ball_sweeps_on_this_thread() - before, 0);
         assert!(report1.verified);
     }
@@ -2331,7 +2030,7 @@ mod tests {
     fn undersized_context_is_rejected_loudly() {
         let g = grid(5, 5);
         let ctx = DistContext::elect(&g, DistContextConfig::new(1)).unwrap();
-        let err = distributed_ksv_domination_in(&ctx).unwrap_err();
+        let err = distributed_ksv_domination_r_in_with(&ctx, 1, KsvConfig::new()).unwrap_err();
         assert!(matches!(
             err,
             ModelViolation::RadiusOutOfRange {
@@ -2342,7 +2041,7 @@ mod tests {
         ));
         // A radius-1 context cannot verify a distance-2 run either.
         let ctx = DistContext::elect(&g, DistContextConfig::for_domination(1)).unwrap();
-        let err = distributed_ksv_domination_r_in(&ctx, 2).unwrap_err();
+        let err = distributed_ksv_domination_r_in_with(&ctx, 2, KsvConfig::new()).unwrap_err();
         assert!(matches!(
             err,
             ModelViolation::RadiusOutOfRange {
@@ -2380,43 +2079,132 @@ mod tests {
         assert_eq!(via_config.r, 2);
     }
 
+    /// The exact decision view of every vertex by plain BFS over the whole
+    /// graph — the reference the knowledge flood must reproduce: the
+    /// radius-`r` ball with exact distances, flags from true degrees against
+    /// `hub_cap`, and the radius-`r` balls of unflagged members. Indexed by
+    /// vertex; `ids` maps vertices to network ids.
+    fn exact_views(graph: &Graph, ids: &[u64], r: u32, hub_cap: usize) -> Vec<KsvView> {
+        let n = graph.num_vertices();
+        let dist = bedom_graph::bfs::all_pairs_distances(graph);
+        let balls: Vec<Vec<(usize, u32)>> = (0..n)
+            .map(|v| {
+                let mut ball: Vec<(usize, u32)> = (0..n)
+                    .filter(|&x| dist[v][x] <= r)
+                    .map(|x| (x, dist[v][x]))
+                    .collect();
+                ball.sort_unstable_by_key(|&(x, _)| ids[x]);
+                ball
+            })
+            .collect();
+        let hub = |v: Vertex| graph.degree(v) > hub_cap;
+        let flagged: Vec<bool> = (0..n as Vertex)
+            .map(|v| hub(v) || graph.neighbors(v).iter().any(|&w| hub(w)))
+            .collect();
+        balls
+            .iter()
+            .map(|ball| KsvView {
+                ball: ball.iter().map(|&(x, d)| (ids[x], d, flagged[x])).collect(),
+                summaries: ball
+                    .iter()
+                    .map(|&(x, _)| {
+                        (!flagged[x]).then(|| {
+                            balls[x]
+                                .iter()
+                                .map(|&(y, d)| (ids[y], cast::u8_from_u32(d)))
+                                .collect()
+                        })
+                    })
+                    .collect(),
+            })
+            .collect()
+    }
+
     #[test]
-    fn summary_and_record_floods_elect_identical_sets() {
-        // The two flood implementations answer the same distance-≤ r
-        // questions, so under every hub-cap setting (including hubs
-        // disabled) they must elect bit-identical sets.
+    fn every_decision_matches_the_exact_view_oracle() {
+        // Run the protocol to its decision round, then check that each
+        // node decided exactly as a fresh node deciding on the oracle's
+        // view does: the flood delivered the exact view at every radius,
+        // hubs forced on, automatic, and off (caps are ignored at r = 1).
         let shapes: Vec<Graph> = vec![
             stacked_triangulation(200, 6),
             star(40),
             configuration_model_power_law(200, 2.5, 2, 8, 3),
             path(50),
+            grid(8, 8),
+            graph_from_edges(7, &[(0, 1), (2, 3), (4, 5)]),
         ];
+        let state = |node: &KsvNode| {
+            (
+                node.membership == Some(KsvMembership::HardCore),
+                node.planned_election.clone(),
+                node.local_dist.clone(),
+                node.dominated,
+            )
+        };
         for g in &shapes {
-            for r in [2u32, 3] {
+            for r in [1u32, 2, 3] {
                 for hub_cap in [Some(8), None, Some(usize::MAX)] {
-                    let run = |flood| {
-                        distributed_ksv_domination_r(
-                            g,
-                            r,
-                            KsvConfig {
-                                flood,
-                                hub_cap,
-                                ..KsvConfig::new()
-                            },
-                        )
-                        .unwrap()
+                    let config = KsvConfig {
+                        hub_cap,
+                        ..KsvConfig::new()
                     };
-                    let summaries = run(KsvFlood::Summaries);
-                    let records = run(KsvFlood::Records);
-                    assert!(is_distance_dominating_set(g, &summaries.dominating_set, r));
-                    assert_eq!(summaries.dominating_set, records.dominating_set);
-                    assert_eq!(summaries.hard_core, records.hard_core);
-                    assert_eq!(summaries.cover_dominators, records.cover_dominators);
-                    assert_eq!(summaries.self_elected, records.self_elected);
-                    assert_eq!(summaries.high_degree, records.high_degree);
+                    let (mut network, _) = ksv_network(g, r, &config);
+                    network.init().unwrap();
+                    for _ in 0..2 * r - 1 {
+                        network.step().unwrap();
+                    }
+                    let ids: Vec<u64> = (0..g.num_vertices() as Vertex)
+                        .map(|v| network.id_of(v))
+                        .collect();
+                    let cap = network.node(0).hub_cap;
+                    for (v, view) in exact_views(g, &ids, r, cap).into_iter().enumerate() {
+                        let node = network.node(v as Vertex);
+                        assert_eq!(node.violation, None);
+                        let mut fresh = KsvNode::new(
+                            node.id,
+                            r,
+                            node.id_bits,
+                            node.hard_budget,
+                            node.threshold,
+                            node.hub_cap,
+                        );
+                        let _ = fresh.decide_from_view(view);
+                        assert_eq!(
+                            state(node),
+                            state(&fresh),
+                            "vertex {v} (r = {r}, cap {hub_cap:?}) decided off the exact view"
+                        );
+                    }
                 }
             }
         }
+    }
+
+    #[test]
+    fn radii_above_255_fail_with_a_typed_error() {
+        // Summary distances travel in 8 bits: 255 still runs, 256 is a
+        // typed error on every standalone entry point.
+        let g = path(6);
+        check_r(&g, 255);
+        let out_of_range = |err| {
+            matches!(
+                err,
+                ModelViolation::RadiusOutOfRange {
+                    requested: 256,
+                    supported: 255,
+                    ..
+                }
+            )
+        };
+        let err = distributed_ksv_domination_r(&g, 256, KsvConfig::new()).unwrap_err();
+        assert!(out_of_range(err));
+        let err = distributed_ksv_domination(&g, KsvConfig::for_radius(256)).unwrap_err();
+        assert!(out_of_range(err));
+        let plan = FaultPlan::seeded(1);
+        let err =
+            distributed_ksv_domination_r_faulty(&g, 256, KsvConfig::new(), plan, None).unwrap_err();
+        assert!(out_of_range(err));
     }
 
     #[test]
@@ -2441,31 +2229,6 @@ mod tests {
             assert_eq!(result.phase_bits.total(), result.stats.total_bits);
             assert!(result.phase_bits.flood > 0, "the flood is never free");
         }
-    }
-
-    #[test]
-    fn summary_flood_is_cheaper_than_record_flood_at_distance_2() {
-        let g = stacked_triangulation(1000, 3);
-        let run = |flood| {
-            distributed_ksv_domination_r(
-                &g,
-                2,
-                KsvConfig {
-                    flood,
-                    ..KsvConfig::new()
-                },
-            )
-            .unwrap()
-        };
-        let summaries = run(KsvFlood::Summaries);
-        let records = run(KsvFlood::Records);
-        assert_eq!(summaries.dominating_set, records.dominating_set);
-        assert!(
-            summaries.phase_bits.flood * 3 < records.phase_bits.flood * 2,
-            "summary flood {} must save ≥ 1.5× over record flood {}",
-            summaries.phase_bits.flood,
-            records.phase_bits.flood
-        );
     }
 
     #[test]

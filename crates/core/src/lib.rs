@@ -43,10 +43,9 @@ pub use dist_domset::{
     DistDomSetResult,
 };
 pub use dist_ksv::{
-    default_hub_cap, distributed_ksv_domination, distributed_ksv_domination_in,
-    distributed_ksv_domination_r, distributed_ksv_domination_r_faulty,
-    distributed_ksv_domination_r_in, distributed_ksv_domination_r_in_with, ksv_rounds, KsvConfig,
-    KsvContextReport, KsvDomResult, KsvFlood, KsvMembership, KsvPhaseBits, KsvVertexOutput,
+    default_hub_cap, distributed_ksv_domination, distributed_ksv_domination_r,
+    distributed_ksv_domination_r_faulty, distributed_ksv_domination_r_in_with, ksv_rounds,
+    KsvConfig, KsvContextReport, KsvDomResult, KsvMembership, KsvPhaseBits, KsvVertexOutput,
     KSV_FRAME_HEADER_BITS, KSV_FRAME_PAYLOAD_BITS, KSV_ROUNDS,
 };
 pub use dist_wreach::{

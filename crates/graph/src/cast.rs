@@ -32,7 +32,8 @@ pub fn u16_from_usize(x: usize) -> u16 {
 }
 
 /// `u32 → u8`, panicking loudly past `u8::MAX` (summary-flood distances are
-/// encoded in 8 bits; radii above 255 must use `KsvFlood::Records`).
+/// encoded in 8 bits; the KSV entry points reject radii above 255 with a
+/// typed error before any distance is cast).
 #[track_caller]
 pub fn u8_from_u32(x: u32) -> u8 {
     match u8::try_from(x) {

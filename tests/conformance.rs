@@ -315,73 +315,82 @@ fn reference_solvers_agree_with_the_oracle_on_the_corpus() {
 
 #[test]
 fn ksv_self_healing_recovers_the_fault_free_result() {
-    // Fault injection on the whole corpus at r = 2, with heavy loss
-    // concentrated on the knowledge flood (rounds 1..=3). Three contracts:
+    // Fault injection on the whole corpus at r = 1 and r = 2, with heavy
+    // loss in rounds 1..=3: the adjacency exchange, the D₁ announcement and
+    // the election at r = 1, the whole knowledge flood at r = 2. Three
+    // contracts:
     //
     // 1. **Typed degradation** — a lossy run either still produces a set
     //    that passes the oracle, or fails with a typed violation; never a
-    //    silently wrong set. At this loss rate at least one corpus instance
-    //    must take the typed-failure path.
+    //    silently wrong set and never a panic (the r = 1 decision view reads
+    //    a record for every neighbour). At this loss rate at least one
+    //    corpus instance per radius must take the typed-failure path.
     // 2. **Self-healing** — the same run under a `RecoveryPolicy` succeeds,
     //    and its output is bit-identical to the fault-free run.
     // 3. The recovered set is certified against the brute-force oracle like
     //    every other solver output.
     use bedom::core::distributed_ksv_domination_r_faulty;
     use bedom::distsim::{FaultPlan, ModelViolation, RecoveryPolicy};
-    let r = 2u32;
     let plan = FaultPlan::seeded(0xd509).drop_messages(0.5).during(1, 4);
-    let mut typed_failures = 0usize;
-    for (instance, graph) in corpus() {
-        let opt = bitmask_minimum_domination_number(&graph, r)
-            .expect("corpus instances fit the exact oracle");
-        let fault_free = distributed_ksv_domination_r(&graph, r, KsvConfig::new()).unwrap();
-        let faulty =
-            distributed_ksv_domination_r_faulty(&graph, r, KsvConfig::new(), plan.clone(), None);
-        match &faulty {
-            Ok(res) => conforms("ksv-lossy", instance, &graph, &res.dominating_set, r, opt),
-            Err(violation) => {
+    for r in [1u32, 2] {
+        let mut typed_failures = 0usize;
+        for (instance, graph) in corpus() {
+            let opt = bitmask_minimum_domination_number(&graph, r)
+                .expect("corpus instances fit the exact oracle");
+            let fault_free = distributed_ksv_domination_r(&graph, r, KsvConfig::new()).unwrap();
+            let faulty = distributed_ksv_domination_r_faulty(
+                &graph,
+                r,
+                KsvConfig::new(),
+                plan.clone(),
+                None,
+            );
+            match &faulty {
+                Ok(res) => conforms("ksv-lossy", instance, &graph, &res.dominating_set, r, opt),
+                Err(violation) => {
+                    assert!(
+                        matches!(violation, ModelViolation::IncompleteKnowledge { .. }),
+                        "{instance} (r = {r}): unexpected violation kind: {violation}"
+                    );
+                    typed_failures += 1;
+                }
+            }
+            let recovered = distributed_ksv_domination_r_faulty(
+                &graph,
+                r,
+                KsvConfig::new(),
+                plan.clone(),
+                Some(RecoveryPolicy::new(2, 10)),
+            )
+            .unwrap_or_else(|violation| {
+                panic!("{instance} (r = {r}): recovery failed to heal the run: {violation}")
+            });
+            conforms(
+                "ksv-recovered",
+                instance,
+                &graph,
+                &recovered.dominating_set,
+                r,
+                opt,
+            );
+            assert_eq!(
+                recovered.dominating_set, fault_free.dominating_set,
+                "{instance} (r = {r}): recovered set is not bit-identical to the fault-free run"
+            );
+            if faulty.is_err() {
+                let report = recovered
+                    .recovery
+                    .expect("healed runs carry a recovery report");
                 assert!(
-                    matches!(violation, ModelViolation::IncompleteKnowledge { .. }),
-                    "{instance}: unexpected violation kind: {violation}"
+                    report.retries >= 1,
+                    "{instance} (r = {r}): the lossy run failed without recovery retrying"
                 );
-                typed_failures += 1;
             }
         }
-        let recovered = distributed_ksv_domination_r_faulty(
-            &graph,
-            r,
-            KsvConfig::new(),
-            plan.clone(),
-            Some(RecoveryPolicy::new(2, 10)),
-        )
-        .unwrap_or_else(|violation| {
-            panic!("{instance}: recovery failed to heal the run: {violation}")
-        });
-        conforms(
-            "ksv-recovered",
-            instance,
-            &graph,
-            &recovered.dominating_set,
-            r,
-            opt,
+        assert!(
+            typed_failures >= 1,
+            "the fault plan never produced a typed violation on the corpus at r = {r} — \
+             the degradation checks are not firing"
         );
-        assert_eq!(
-            recovered.dominating_set, fault_free.dominating_set,
-            "{instance}: recovered set is not bit-identical to the fault-free run"
-        );
-        if faulty.is_err() {
-            let report = recovered
-                .recovery
-                .expect("healed runs carry a recovery report");
-            assert!(
-                report.retries >= 1,
-                "{instance}: the lossy run failed without recovery retrying"
-            );
-        }
     }
-    assert!(
-        typed_failures >= 1,
-        "the fault plan never produced a typed violation on the corpus — \
-         the degradation checks are not firing"
-    );
 }

@@ -334,7 +334,7 @@ fn zero_radius_and_degenerate_graphs_are_safe_through_every_entry_point() {
     // the produced sets still dominate.
     use bedom::core::{
         distributed_distance_domination_in, distributed_ksv_domination,
-        distributed_ksv_domination_in, DistContext, DistContextConfig, DominationPipeline,
+        distributed_ksv_domination_r_in_with, DistContext, DistContextConfig, DominationPipeline,
         KsvConfig, Mode,
     };
     use bedom::graph::Graph;
@@ -350,7 +350,7 @@ fn zero_radius_and_degenerate_graphs_are_safe_through_every_entry_point() {
     // …but any larger question fails loudly instead of truncating.
     assert!(ctx.witnessed_constant(1).is_err());
     assert!(ctx.expected_election(1).is_err());
-    assert!(distributed_ksv_domination_in(&ctx).is_err());
+    assert!(distributed_ksv_domination_r_in_with(&ctx, 1, KsvConfig::new()).is_err());
 
     // Radius-0 pipelines in both modes.
     for mode in [Mode::Sequential, Mode::Distributed] {
@@ -369,13 +369,13 @@ fn zero_radius_and_degenerate_graphs_are_safe_through_every_entry_point() {
 
     let single = Graph::empty(1);
     let ctx = DistContext::elect(&single, DistContextConfig::for_domination(1)).unwrap();
-    let report = distributed_ksv_domination_in(&ctx).unwrap();
+    let report = distributed_ksv_domination_r_in_with(&ctx, 1, KsvConfig::new()).unwrap();
     assert_eq!(report.result.dominating_set, vec![0]);
     assert!(report.verified);
 
     let disconnected = bedom::graph::graph_from_edges(6, &[(0, 1), (2, 3), (4, 5)]);
     let ctx = DistContext::elect(&disconnected, DistContextConfig::for_domination(1)).unwrap();
-    let report = distributed_ksv_domination_in(&ctx).unwrap();
+    let report = distributed_ksv_domination_r_in_with(&ctx, 1, KsvConfig::new()).unwrap();
     assert!(is_distance_dominating_set(
         &disconnected,
         &report.result.dominating_set,
