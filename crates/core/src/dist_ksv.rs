@@ -1476,10 +1476,14 @@ pub fn distributed_ksv_domination_r_faulty(
 }
 
 /// Every vertex must finish with its knowledge invariants intact and a
-/// dominator in range; the first violated vertex fails the run. `rounds` is
-/// the protocol's final round index (for the `knows_dominated` coordinate).
-fn validate_ksv_outputs(outputs: &[KsvVertexOutput], rounds: usize) -> Result<(), ModelViolation> {
-    for (v, out) in outputs.iter().enumerate() {
+/// dominator in range; the first violated vertex (in graph order) fails the
+/// run, reported by its network id. `rounds` is the protocol's final round
+/// index (for the `knows_dominated` coordinate).
+fn validate_ksv_outputs(
+    network: &Network<'_, KsvNode>,
+    rounds: usize,
+) -> Result<(), ModelViolation> {
+    for (v, out) in network.outputs().iter().enumerate() {
         if let Some(violation) = &out.violation {
             return Err(violation.clone());
         }
@@ -1487,7 +1491,7 @@ fn validate_ksv_outputs(outputs: &[KsvVertexOutput], rounds: usize) -> Result<()
             // A healthy vertex always ends dominated (D₃ is a local
             // self-election); a vertex that didn't was crashed or cut off.
             return Err(ModelViolation::IncompleteKnowledge {
-                vertex: v as u64,
+                vertex: network.id_of(v as Vertex),
                 round: rounds,
                 expected: 1,
                 received: 0,
@@ -1562,7 +1566,7 @@ fn run_ksv_network(
     let recovery_report = match recovery {
         None => {
             Engine::new(&mut network).run(RunPolicy::fixed(total_rounds))?;
-            validate_ksv_outputs(&network.outputs(), total_rounds)?;
+            validate_ksv_outputs(&network, total_rounds)?;
             None
         }
         Some(policy) => {
@@ -1570,7 +1574,7 @@ fn run_ksv_network(
                 &mut network,
                 RunPolicy::fixed(total_rounds),
                 policy,
-                |net| validate_ksv_outputs(&net.outputs(), total_rounds),
+                |net| validate_ksv_outputs(net, total_rounds),
             )
             .map_err(|exhausted| {
                 exhausted
@@ -2205,6 +2209,35 @@ mod tests {
         let err =
             distributed_ksv_domination_r_faulty(&g, 256, KsvConfig::new(), plan, None).unwrap_err();
         assert!(out_of_range(err));
+    }
+
+    #[test]
+    fn undominated_vertices_are_reported_by_network_id() {
+        // Vertex 0 of path(6) is down for the whole run, so it never learns
+        // of a dominator; the run fails on it, naming its network id (4
+        // under these ids), not its graph index.
+        let g = path(6);
+        for r in [1u32, 2] {
+            let config = KsvConfig {
+                assignment: IdAssignment::Shuffled(7),
+                ..KsvConfig::new()
+            };
+            let (network, _) = ksv_network(&g, r, &config);
+            let ids: Vec<u64> = (0..6).map(|v| network.id_of(v)).collect();
+            assert_eq!(ids, [4, 3, 1, 2, 5, 0]);
+            let plan = FaultPlan::seeded(0).crash(0, 1, ksv_rounds(r) + 1);
+            let err = distributed_ksv_domination_r_faulty(&g, r, config, plan, None).unwrap_err();
+            assert_eq!(
+                err,
+                ModelViolation::IncompleteKnowledge {
+                    vertex: 4,
+                    round: ksv_rounds(r),
+                    expected: 1,
+                    received: 0,
+                },
+                "r = {r}"
+            );
+        }
     }
 
     #[test]
