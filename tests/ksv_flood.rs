@@ -9,12 +9,16 @@
 //! tables are therefore the record flood's elections too; the per-vertex
 //! reference for the decision view is the exact-view oracle in
 //! `bedom_core::dist_ksv`'s unit tests.
+//!
+//! Faulty runs are pinned too: crashes in every knowledge round and lossy
+//! knowledge floods, each outcome (the elected set and its wire cost, or the
+//! typed violation) folded into one hash per shape and radius.
 
 use bedom::core::{
-    default_hub_cap, distributed_ksv_domination_r, ksv_rounds, KsvConfig, KSV_FRAME_HEADER_BITS,
-    KSV_FRAME_PAYLOAD_BITS,
+    default_hub_cap, distributed_ksv_domination_r, distributed_ksv_domination_r_faulty, ksv_rounds,
+    KsvConfig, KSV_FRAME_HEADER_BITS, KSV_FRAME_PAYLOAD_BITS,
 };
-use bedom::distsim::IdAssignment;
+use bedom::distsim::{ExecutionStrategy, FaultPlan, IdAssignment};
 use bedom::graph::domset::is_distance_dominating_set;
 use bedom::graph::generators::{
     configuration_model_power_law, cycle, grid, path, stacked_triangulation, star,
@@ -95,16 +99,22 @@ fn disconnected_union() -> Graph {
 /// total bits], FNV-1a hash of the sorted set)`.
 type Pin = (&'static str, u32, Option<usize>, [usize; 6], u64);
 
-/// FNV-1a (64-bit) over the little-endian bytes of each vertex.
-fn fnv1a(set: &[Vertex]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in set {
-        for byte in v.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+/// The FNV-1a (64-bit) offset basis.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continues an FNV-1a (64-bit) hash over `bytes`.
+fn fnv1a_extend(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &byte in bytes {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
+}
+
+/// FNV-1a (64-bit) over the little-endian bytes of each vertex.
+fn fnv1a(set: &[Vertex]) -> u64 {
+    set.iter()
+        .fold(FNV_OFFSET, |hash, v| fnv1a_extend(hash, &v.to_le_bytes()))
 }
 
 /// Runs one pinned configuration (ids `Shuffled(0xf10d)`), checks validity
@@ -327,4 +337,112 @@ fn hub_cap_knob_controls_the_cluster_merge() {
             2
         ));
     }
+}
+
+/// One pinned faulty-run row: `(shape, r, [Ok runs, Err runs], FNV-1a of
+/// every run's outcome in plan order)`.
+type FaultPin = (&'static str, u32, [usize; 2], u64);
+
+/// The fault plans of one row: for every round `t ∈ 1..=2r`, a one-round
+/// crash `[t, t + 1)` of vertex 0, 1 and 7 and a crash of vertex 0 from `t`
+/// to the end of the run; then message drops at rate 0.2 throughout the
+/// knowledge flood under seeds 0–3.
+fn fault_plans(r: u32) -> Vec<FaultPlan> {
+    let end = ksv_rounds(r) + 1;
+    let mut plans = Vec::new();
+    for t in 1..=2 * r as usize {
+        for v in [0, 1, 7] {
+            plans.push(FaultPlan::seeded(0).crash(v, t, t + 1));
+        }
+        plans.push(FaultPlan::seeded(0).crash(0, t, end));
+    }
+    for seed in 0..4 {
+        plans.push(
+            FaultPlan::seeded(seed)
+                .drop_messages(0.2)
+                .during(1, 2 * r as usize + 1),
+        );
+    }
+    plans
+}
+
+/// Runs every fault plan of `r` on `g` (hub cap 8, ids `Shuffled(11)`,
+/// sequential) and folds the outcomes: an `Ok` run contributes the FNV-1a
+/// of its sorted set, its total bits and its largest frame; an `Err` run
+/// the `Debug` text of its violation.
+fn fault_fingerprint(g: &Graph, r: u32) -> ([usize; 2], u64) {
+    let config = KsvConfig {
+        assignment: IdAssignment::Shuffled(11),
+        hub_cap: Some(8),
+        strategy: ExecutionStrategy::Sequential,
+        ..KsvConfig::new()
+    };
+    let mut counts = [0usize; 2];
+    let mut hash = FNV_OFFSET;
+    for plan in fault_plans(r) {
+        match distributed_ksv_domination_r_faulty(g, r, config, plan, None) {
+            Ok(result) => {
+                counts[0] += 1;
+                for word in [
+                    fnv1a(&result.dominating_set),
+                    result.stats.total_bits as u64,
+                    result.stats.max_message_bits as u64,
+                ] {
+                    hash = fnv1a_extend(hash, &word.to_le_bytes());
+                }
+            }
+            Err(violation) => {
+                counts[1] += 1;
+                hash = fnv1a_extend(hash, format!("{violation:?}").as_bytes());
+            }
+        }
+    }
+    (counts, hash)
+}
+
+#[rustfmt::skip]
+const FAULT_PINS: &[FaultPin] = &[
+    ("planar-tri-300", 1, [3, 9], 0x95fa3fffed5d6b14),
+    ("planar-tri-300", 2, [4, 16], 0xeb158e0d7f335157),
+    ("planar-tri-300", 3, [4, 24], 0xd1f778c4d3926415),
+    ("star-60", 1, [4, 8], 0x4c3377f8bb00b00b),
+    ("star-60", 2, [6, 14], 0x06efcbfeb318d7f0),
+    ("star-60", 3, [8, 20], 0x89861d844925ea82),
+    ("config-model-300", 1, [4, 8], 0xf9881fee8f7f2a32),
+    ("config-model-300", 2, [4, 16], 0x5eb6a4b5e006e321),
+    ("config-model-300", 3, [4, 24], 0x7c6e60f2b5ac641d),
+    ("grid-12x12", 1, [3, 9], 0xf5596b6dfe7533e0),
+    ("grid-12x12", 2, [4, 16], 0xcb98055d5986d5e7),
+    ("grid-12x12", 3, [4, 24], 0xa5264fb893394108),
+];
+
+#[test]
+fn faulty_runs_keep_their_pinned_outcomes() {
+    // No other suite crashes a vertex across the summary broadcast round
+    // (r − 1) or drops summaries mid-flood; these rows pin what such runs
+    // elect, or exactly which violation they report.
+    let shapes: Vec<(&str, Graph)> = vec![
+        ("planar-tri-300", stacked_triangulation(300, 5)),
+        ("star-60", star(60)),
+        (
+            "config-model-300",
+            configuration_model_power_law(300, 2.5, 2, 8, 3),
+        ),
+        ("grid-12x12", grid(12, 12)),
+    ];
+    let mut actual: Vec<FaultPin> = Vec::new();
+    for &(name, ref g) in &shapes {
+        for r in 1..=3 {
+            let (counts, hash) = fault_fingerprint(g, r);
+            actual.push((name, r, counts, hash));
+        }
+    }
+    let table: String = actual
+        .iter()
+        .map(|(name, r, counts, hash)| format!("    ({name:?}, {r}, {counts:?}, {hash:#018x}),\n"))
+        .collect();
+    assert_eq!(
+        actual, FAULT_PINS,
+        "faulty runs moved off their pins; now:\n{table}"
+    );
 }
