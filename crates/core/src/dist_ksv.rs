@@ -70,6 +70,12 @@
 //! that remain. Summary distances travel in 8 bits, so radii above 255 fail
 //! with a typed error.
 //!
+//! Node state holds no maps: adjacency records sit in one flat store by
+//! neighbour position, summaries in slots by ball index, flood dedup bits
+//! by `local_dist` position. One per-thread, epoch-stamped scratch maps
+//! network ids to local ids for the ball merge and the decision round, whose
+//! coverage masks share one arena reused across vertices.
+//!
 //! Announcements propagate `r` hops (a vertex within distance `r` of a
 //! dominator must learn it is dominated), so the protocol runs **exactly
 //! [`ksv_rounds`]`(r) = 6r − 1` engine rounds independent of `n`** (a
@@ -108,7 +114,9 @@ use bedom_distsim::{
 use bedom_graph::cast;
 use bedom_graph::domset::is_distance_dominating_set;
 use bedom_graph::{Graph, Vertex};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::cell::RefCell;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// Communication rounds of the distance-1 KSV protocol — a constant,
@@ -334,69 +342,6 @@ fn gain(mask: &[u64], uncovered: &[u64]) -> u32 {
         .sum()
 }
 
-/// Greedy maximum-coverage over bitmask candidates, lazily re-evaluated:
-/// repeatedly pick the candidate with the largest fresh coverage (ties
-/// broken towards the smallest network id), admitting a pick only while it
-/// newly covers at least `threshold` elements, up to `budget` picks.
-/// `masks` is indexed by candidate position (an empty mask means "not a
-/// candidate"), `ids` maps positions back to network ids.
-///
-/// Gains only decrease as `uncovered` shrinks, so a popped heap entry whose
-/// recomputed gain still matches is globally maximal — the same
-/// lazy-deletion argument as the sequential greedy solver in
-/// `bedom_graph::domset`. Stale entries with equal true gain re-enter the
-/// heap behind smaller ids, so the selection (largest gain, then smallest
-/// network id) is *identical* to a full rescan per pick, at a fraction of
-/// the cost on high-degree balls. Selection depends only on `(gain, id)`,
-/// never on the index layout, so equal views elect bit-identical sets
-/// however they were assembled. Clears covered bits from `uncovered` in
-/// place; returns the picked network ids in pick order.
-fn greedy_cover(
-    ids: &[u64],
-    masks: &[Vec<u64>],
-    uncovered: &mut [u64],
-    budget: usize,
-    threshold: u32,
-) -> Vec<u64> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    let mut heap: BinaryHeap<(u32, Reverse<u64>, u32)> = masks
-        .iter()
-        .enumerate()
-        .filter(|(_, mask)| !mask.is_empty())
-        .map(|(i, mask)| {
-            (
-                gain(mask, uncovered),
-                Reverse(ids[i]),
-                cast::u32_from_usize(i),
-            )
-        })
-        .filter(|&(g, _, _)| g > 0)
-        .collect();
-    let mut picked = Vec::new();
-    while picked.len() < budget {
-        let Some((claimed, Reverse(id), i)) = heap.pop() else {
-            break;
-        };
-        let mask = &masks[i as usize];
-        let actual = gain(mask, uncovered);
-        if actual < claimed {
-            if actual > 0 {
-                heap.push((actual, Reverse(id), i));
-            }
-            continue;
-        }
-        if actual < threshold {
-            break;
-        }
-        for (w, m) in uncovered.iter_mut().zip(mask) {
-            *w &= !m;
-        }
-        picked.push(id);
-    }
-    picked
-}
-
 /// Default hub degree cap for the summary flood: `max(32, 16·∇)`. Scales
 /// with the promised density so bounded-expansion graphs keep few hubs
 /// (each hub costs one dominating-set slot but removes its whole cluster's
@@ -404,6 +349,138 @@ fn greedy_cover(
 /// the protocol degenerates to the exact paper behaviour there.
 pub fn default_hub_cap(nabla: usize) -> usize {
     (16 * nabla).max(32)
+}
+
+thread_local! {
+    /// One [`KsvScratch`] per thread, reused across vertices, runs and
+    /// radii.
+    static SCRATCH: RefCell<KsvScratch> = RefCell::new(KsvScratch::default());
+}
+
+/// Per-thread scratch of the KSV node computations, after
+/// `bedom_graph::bfs::BfsScratch`: network ids are a permutation of `0..n`,
+/// so an **epoch-stamped** slot per id maps it to a dense local index in
+/// `O(1)`, and bumping the epoch forgets every mapping at once. Grows on
+/// demand; nothing in it outlives one node's computation, so it never
+/// affects a result.
+#[derive(Debug, Default)]
+struct KsvScratch {
+    /// `(epoch stamp, local index)` per network id.
+    slots: Vec<(u32, u32)>,
+    epoch: u32,
+    /// Local index → network id, in first-seen order.
+    ids: Vec<u64>,
+    /// Local index → pruned local distance (decision round).
+    dist: Vec<u32>,
+    /// Words per coverage mask; 0 when no masks are built.
+    words: usize,
+    /// `ids.len() × words` coverage masks, one row per local id.
+    masks: Vec<u64>,
+    /// The greedy's uncovered positions of `N_r[v]`.
+    uncovered: Vec<u64>,
+    /// The greedy's heap buffer: `(claimed gain, id, local index)`.
+    heap: Vec<(u32, Reverse<u64>, u32)>,
+}
+
+impl KsvScratch {
+    /// Starts a new local-id space with `words`-word coverage masks.
+    fn begin(&mut self, words: usize) {
+        self.ids.clear();
+        self.dist.clear();
+        self.masks.clear();
+        self.words = words;
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.slots.fill((0, 0));
+            self.epoch = 1;
+        }
+    }
+
+    /// The local index of `id`, interned on first sight (with distance `d`
+    /// and an empty mask row); later sightings min-relax its distance.
+    fn relax(&mut self, id: u64, d: u32) -> usize {
+        let slot = cast::usize_from_u64(id);
+        if slot >= self.slots.len() {
+            self.slots.resize(slot + 1, (0, 0));
+        }
+        let (stamp, local) = self.slots[slot];
+        if stamp == self.epoch {
+            let local = local as usize;
+            self.dist[local] = self.dist[local].min(d);
+            return local;
+        }
+        let local = self.ids.len();
+        self.slots[slot] = (self.epoch, cast::u32_from_usize(local));
+        self.ids.push(id);
+        self.dist.push(d);
+        self.masks.resize(self.masks.len() + self.words, 0);
+        local
+    }
+
+    /// The coverage mask row of local index `local`.
+    fn mask(&mut self, local: usize) -> &mut [u64] {
+        &mut self.masks[local * self.words..(local + 1) * self.words]
+    }
+
+    /// Marks positions `0..k` uncovered.
+    fn uncover(&mut self, k: usize) {
+        self.uncovered.clear();
+        self.uncovered.resize(self.words, 0);
+        for i in 0..k {
+            set_bit(&mut self.uncovered, i);
+        }
+    }
+
+    /// Greedy maximum-coverage over the mask rows, lazily re-evaluated:
+    /// repeatedly pick the row with the largest fresh coverage (ties broken
+    /// towards the smallest network id), admitting a pick only while it
+    /// newly covers at least `threshold` elements, up to `budget` picks.
+    /// Rows that cover nothing (non-candidates) never enter the heap.
+    ///
+    /// Gains only decrease as `uncovered` shrinks, so a popped entry whose
+    /// recomputed gain still matches is globally maximal (the lazy-deletion
+    /// argument of the sequential greedy in `bedom_graph::domset`), and the
+    /// selection is *identical* to a full rescan per pick. It depends only
+    /// on `(gain, id)`, never on the local-id layout, so equal views elect
+    /// bit-identical sets. Clears covered bits from `uncovered` and hands
+    /// each pick's network id to `pick`.
+    fn greedy_cover(&mut self, budget: usize, threshold: u32, mut pick: impl FnMut(u64)) {
+        let (ids, words, masks) = (&self.ids, self.words, &self.masks);
+        let uncovered = &mut self.uncovered;
+        let mut entries = std::mem::take(&mut self.heap);
+        entries.clear();
+        entries.extend(masks.chunks_exact(words).zip(ids).enumerate().filter_map(
+            |(local, (mask, &id))| {
+                let g = gain(mask, uncovered);
+                (g > 0).then(|| (g, Reverse(id), cast::u32_from_usize(local)))
+            },
+        ));
+        let mut queue = BinaryHeap::from(entries);
+        let mut picked = 0;
+        while picked < budget {
+            let Some((claimed, Reverse(id), local)) = queue.pop() else {
+                break;
+            };
+            let local = local as usize;
+            let mask = &masks[local * words..(local + 1) * words];
+            let actual = gain(mask, uncovered);
+            if actual < claimed {
+                if actual > 0 {
+                    queue.push((actual, Reverse(id), cast::u32_from_usize(local)));
+                }
+                continue;
+            }
+            if actual < threshold {
+                break;
+            }
+            for (w, m) in uncovered.iter_mut().zip(mask) {
+                *w &= !m;
+            }
+            pick(id);
+            picked += 1;
+        }
+        self.heap = queue.into_vec();
+    }
 }
 
 /// The decision-round view the knowledge flood assembles: the radius-`r`
@@ -419,8 +496,23 @@ struct KsvView {
     summaries: Vec<Option<SummaryEntries>>,
 }
 
-/// Node state of the distance-`r` KSV protocol. `Clone` so the engine's
-/// checkpoint/recovery machinery can snapshot it.
+/// A ball member's flooded summary, as heard.
+#[derive(Clone, Debug)]
+enum MemberSummary {
+    /// A flagged owner's 1-bit stub: no entries.
+    Stub,
+    /// An unflagged owner's exact radius-`r` ball.
+    Ball(SummaryEntries),
+}
+
+/// Index of the announcer half of `KsvNode::seen`.
+const ANNOUNCERS: usize = 0;
+/// Index of the election-target half of `KsvNode::seen`.
+const TARGETS: usize = 1;
+
+/// Node state of the distance-`r` KSV protocol, flat and indexed by local
+/// position (in `ctx.neighbor_ids`, the ball, or `local_dist`) — no maps.
+/// `Clone` so the engine's checkpoint/recovery machinery can snapshot it.
 #[derive(Clone, Debug)]
 pub struct KsvNode {
     id: u64,
@@ -433,25 +525,22 @@ pub struct KsvNode {
     /// Degree above which a vertex is a hub (`usize::MAX` at `r = 1` and
     /// when hubs are disabled).
     hub_cap: usize,
-    /// Adjacency records of this vertex and its direct neighbours (the init
-    /// exchange), keyed by vertex id; each list sorted. They feed the flag,
+    /// The direct neighbours' adjacency records from the init exchange
+    /// (each sorted), concatenated in arrival order. They feed the flag,
     /// deferral and forwarding checks, and at `r = 1` the whole decision
-    /// view.
-    known_adj: BTreeMap<u64, Vec<u64>>,
+    /// view; this vertex's own record is `ctx.neighbor_ids`.
+    adj: Vec<u64>,
+    /// Per position in `ctx.neighbor_ids`: the `start..end` range of that
+    /// neighbour's record in `adj`, empty until it arrives (a neighbour's
+    /// record lists this vertex, so an arrived record is never empty).
+    adj_at: Vec<(usize, usize)>,
     /// Summary flood: the radius-`r` ball assembled so far, `(id, exact
-    /// distance)` ascending by id.
+    /// distance)` ascending by id. Frozen from call `r − 1` on.
     ball: Vec<(u64, u32)>,
-    /// Summary flood: ids first learnt in the last receive round — the next
-    /// beacon's payload.
-    ball_fresh: Vec<u64>,
-    /// Summary flood: whether this vertex is flagged (hub, or hub in the
-    /// open neighbourhood). Computed at the summary broadcast round.
-    my_flag: bool,
-    /// Summary flood: owners known to be flagged (their summaries are
-    /// stubs).
-    sum_flagged: HashSet<u64>,
-    /// Summary flood: received summaries by owner (own included).
-    sum_entries: HashMap<u64, Arc<[(u64, u8)]>>,
+    /// Summary flood: parallel to the frozen ball, each member's summary
+    /// once heard (own included). Allocated at call `r − 1`, or at the
+    /// first summary call of a vertex that was down through it.
+    heard: Vec<Option<MemberSummary>>,
     /// Summary flood: the frozen repricing dictionary announced by our own
     /// summary broadcast — our ball ids (unflagged) or closed neighbourhood
     /// (flagged), sorted. Receivers can reconstruct it, so relayed entry
@@ -465,15 +554,17 @@ pub struct KsvNode {
     local_dist: Vec<(u64, u32)>,
     /// The pseudo-cover this vertex will elect *if* it is still undominated
     /// at the election round. Precomputed in the decision round from the
-    /// same coverage table as the `D₁` check — the election depends only on
-    /// decision-round knowledge, and building the table is the protocol's
-    /// dominant local computation, so it must be built exactly once (and not
-    /// retained: only this small id list survives the round boundary).
+    /// same coverage arena as the `D₁` check — the election depends only on
+    /// decision-round knowledge, and building the arena is the protocol's
+    /// dominant local computation, so it must be built exactly once (and
+    /// not retained: only this small id list survives the round boundary).
     planned_election: Vec<u64>,
-    /// Announcer ids already heard (flood dedup, both announcement phases).
-    seen_announce: BTreeSet<u64>,
-    /// Election-token targets already processed (flood dedup).
-    seen_target: BTreeSet<u64>,
+    /// Flood dedup over `local_dist` positions: bit `p` of half
+    /// `ANNOUNCERS` marks announcer `p` as heard (both announcement
+    /// phases), of half `TARGETS` election target `p` as processed. Ids
+    /// outside `local_dist` are never relayed or forwarded — both filters
+    /// need a local distance — so they need no mark.
+    seen: Vec<u64>,
     membership: Option<KsvMembership>,
     dominated: bool,
     /// First broken knowledge invariant observed at a decision point (lost
@@ -498,17 +589,14 @@ impl KsvNode {
             hard_budget,
             threshold,
             hub_cap,
-            known_adj: BTreeMap::new(),
+            adj: Vec::new(),
+            adj_at: Vec::new(),
             ball: Vec::new(),
-            ball_fresh: Vec::new(),
-            my_flag: false,
-            sum_flagged: HashSet::new(),
-            sum_entries: HashMap::new(),
+            heard: Vec::new(),
             dict: Vec::new(),
             local_dist: Vec::new(),
             planned_election: Vec::new(),
-            seen_announce: BTreeSet::new(),
-            seen_target: BTreeSet::new(),
+            seen: Vec::new(),
             membership: None,
             dominated: false,
             violation: None,
@@ -524,31 +612,43 @@ impl KsvNode {
         })
     }
 
-    /// The exact local distance to `z`, if known.
-    fn local_distance(&self, z: u64) -> Option<u32> {
-        self.local_dist
-            .binary_search_by_key(&z, |&(id, _)| id)
-            .ok()
-            .map(|i| self.local_dist[i].1)
+    /// The adjacency record of the neighbour at position `p` of
+    /// `ctx.neighbor_ids`, if it arrived.
+    fn record(&self, p: usize) -> Option<&[u64]> {
+        let (start, end) = self.adj_at[p];
+        (start < end).then(|| &self.adj[start..end])
     }
 
-    /// The distance to `z` in the assembled radius-`r` ball, if present.
-    fn ball_distance(&self, z: u64) -> Option<u32> {
-        self.ball
-            .binary_search_by_key(&z, |&(id, _)| id)
-            .ok()
-            .map(|i| self.ball[i].1)
+    /// The adjacency record of neighbour `w`, if `w` is a neighbour and its
+    /// record arrived.
+    fn neighbor_record(&self, ctx: &NodeContext, w: u64) -> Option<&[u64]> {
+        self.record(ctx.neighbor_ids.binary_search(&w).ok()?)
     }
 
     /// Whether `z` is known to be in `N[from]` — used to skip forwarding
     /// election tokens their target already heard directly.
-    fn known_adjacent(&self, from: u64, z: u64) -> bool {
-        if from == z {
-            return true;
+    fn known_adjacent(&self, ctx: &NodeContext, from: u64, z: u64) -> bool {
+        from == z
+            || self
+                .neighbor_record(ctx, from)
+                .is_some_and(|adj| adj.binary_search(&z).is_ok())
+    }
+
+    /// Marks `z` in half `half` of the flood dedup bitset. Returns its local
+    /// distance if this is its first sighting there, `None` if it was seen
+    /// before or has no local distance.
+    fn first_sighting(&mut self, z: u64, half: usize) -> Option<u32> {
+        let p = self
+            .local_dist
+            .binary_search_by_key(&z, |&(id, _)| id)
+            .ok()?;
+        let bit = half * self.local_dist.len() + p;
+        let (word, mask) = (bit / 64, 1u64 << (bit % 64));
+        if self.seen[word] & mask != 0 {
+            return None;
         }
-        self.known_adj
-            .get(&from)
-            .is_some_and(|adj| adj.binary_search(&z).is_ok())
+        self.seen[word] |= mask;
+        Some(self.local_dist[p].1)
     }
 
     fn join(&mut self, membership: KsvMembership) {
@@ -558,17 +658,28 @@ impl KsvNode {
         self.dominated = true;
     }
 
-    /// Stores a neighbour's adjacency record from the init exchange (first
-    /// arrival wins).
-    fn absorb_adjacency(&mut self, from: u64, ids: &[u64]) {
-        self.known_adj.entry(from).or_insert_with(|| ids.to_vec());
+    /// Stores the neighbours' adjacency records from the init exchange
+    /// (first arrival wins) in one flat allocation.
+    fn absorb_adjacency(&mut self, ctx: &NodeContext, inbox: Inbox<'_, KsvMessage>) {
+        self.adj
+            .reserve_exact(inbox.into_iter().map(|m| m.payload.ids.len()).sum());
+        for msg in inbox {
+            let Ok(p) = ctx.neighbor_ids.binary_search(&msg.from) else {
+                continue;
+            };
+            if msg.payload.kind == KsvKind::Adjacency && self.record(p).is_none() {
+                let start = self.adj.len();
+                self.adj.extend_from_slice(&msg.payload.ids);
+                self.adj_at[p] = (start, self.adj.len());
+            }
+        }
     }
 
     /// A `D₁`/`D₂` announcement. At `r = 1` announcements travel one hop and
     /// carry no ids (the sender *is* the announcer); at `r ≥ 2` the flood
     /// relays need the announcer id.
     fn announce(&mut self) -> Outgoing<KsvMessage> {
-        self.seen_announce.insert(self.id);
+        let _ = self.first_sighting(self.id, ANNOUNCERS);
         let ids = if self.r == 1 {
             Vec::new()
         } else {
@@ -580,45 +691,33 @@ impl KsvNode {
     /// Absorbs announcement-flood messages: any heard announcement proves a
     /// dominator within distance `r` (floods travel at one hop per round and
     /// each window spans `r` hops), so hearing one settles `dominated`.
-    /// Returns the announcer ids first heard this round, sorted.
-    fn absorb_announcements(&mut self, inbox: Inbox<'_, KsvMessage>) -> Vec<u64> {
+    /// Returns the relay of the announcer ids first heard this round —
+    /// only those strictly inside the radius-`r` ball (a relay at distance
+    /// `d` reaches vertices at distance `d + 1` from the announcer, useful
+    /// only while `d + 1 ≤ r`). Vertices at distance exactly `r` hear and
+    /// stop the flood, which is what caps every announcement at `r` hops
+    /// alongside the window structure.
+    fn absorb_announcements(&mut self, inbox: Inbox<'_, KsvMessage>) -> Outgoing<KsvMessage> {
         let mut fresh = Vec::new();
-        let mut any = false;
         for msg in inbox {
             if msg.payload.kind != KsvKind::InDominatingSet {
                 continue;
             }
-            any = true;
+            self.dominated = true;
             for &a in &msg.payload.ids {
-                if self.seen_announce.insert(a) {
+                if self
+                    .first_sighting(a, ANNOUNCERS)
+                    .is_some_and(|d| d < self.r)
+                {
                     fresh.push(a);
                 }
             }
         }
-        if any {
-            self.dominated = true;
+        if fresh.is_empty() {
+            return Outgoing::Silent;
         }
         fresh.sort_unstable();
-        fresh
-    }
-
-    /// Relays fresh announcer ids onward — only for announcers strictly
-    /// inside the radius-`r` ball (a relay at distance `d` reaches vertices
-    /// at distance `d + 1` from the announcer, useful only while
-    /// `d + 1 ≤ r`). Vertices at distance exactly `r` hear and stop the
-    /// flood, which is what caps every announcement at `r` hops alongside
-    /// the window structure.
-    fn relay_announcements(&mut self, fresh: Vec<u64>) -> Outgoing<KsvMessage> {
-        let r = self.r;
-        let relay: Vec<u64> = fresh
-            .into_iter()
-            .filter(|&a| self.local_distance(a).is_some_and(|d| d < r))
-            .collect();
-        if relay.is_empty() {
-            Outgoing::Silent
-        } else {
-            self.message(KsvKind::InDominatingSet, relay)
-        }
+        self.message(KsvKind::InDominatingSet, fresh)
     }
 
     /// Absorbs election-flood messages: joins `D₂` when targeted, forwards
@@ -628,6 +727,7 @@ impl KsvNode {
     /// targets within local distance `fwd_limit` stay alive through us.
     fn absorb_elections(
         &mut self,
+        ctx: &NodeContext,
         inbox: Inbox<'_, KsvMessage>,
         fwd_limit: u32,
     ) -> Outgoing<KsvMessage> {
@@ -639,12 +739,10 @@ impl KsvNode {
             for &z in &msg.payload.ids {
                 if z == self.id {
                     self.join(KsvMembership::PseudoCover);
-                } else if self.seen_target.insert(z)
-                    && !self.known_adjacent(msg.from, z)
-                    && fwd_limit > 0
-                    && self.local_distance(z).is_some_and(|d| d <= fwd_limit)
-                {
-                    forward.push(z);
+                } else if let Some(d) = self.first_sighting(z, TARGETS) {
+                    if !self.known_adjacent(ctx, msg.from, z) && fwd_limit > 0 && d <= fwd_limit {
+                        forward.push(z);
+                    }
                 }
             }
         }
@@ -660,48 +758,93 @@ impl KsvNode {
     // Summary flood (`r ≥ 2`)
     // ------------------------------------------------------------------
 
-    /// Merges one round's batch of newly heard ids into the ball at the
-    /// given distance. All ids arriving in one receive round share one
-    /// distance (the flood is a BFS wave), so the merge is a single
-    /// sort + dedup + filter against the present ball — no per-id map.
-    /// The surviving ids (first heard this round, hence at exactly this
-    /// distance) become the next beacon's payload.
-    fn ball_extend(&mut self, mut pending: Vec<u64>, distance: u32) {
-        pending.sort_unstable();
-        pending.dedup();
-        pending.retain(|&z| self.ball.binary_search_by_key(&z, |&(id, _)| id).is_err());
-        self.ball.extend(pending.iter().map(|&z| (z, distance)));
-        self.ball.sort_unstable_by_key(|&(id, _)| id);
-        self.ball_fresh = pending;
+    /// Merges the ids this round's adjacency records and beacons carried
+    /// into the ball at `distance` and returns the ones first heard — the
+    /// next beacon's payload, sorted. All ids arriving in one receive round
+    /// share one distance (the flood is a BFS wave), so the thread's
+    /// scratch dedups them against the ball and each other and one linear
+    /// merge places the survivors. Returns at once when nothing arrived.
+    fn ball_extend(&mut self, inbox: Inbox<'_, KsvMessage>, distance: u32) -> Vec<u64> {
+        let mut lists = inbox
+            .into_iter()
+            .filter(|msg| matches!(msg.payload.kind, KsvKind::Adjacency | KsvKind::Beacon))
+            .map(|msg| &msg.payload.ids)
+            .peekable();
+        if lists.peek().is_none() {
+            return Vec::new();
+        }
+        let mut fresh = SCRATCH.with(|cell| {
+            let scratch = &mut *cell.borrow_mut();
+            scratch.begin(0);
+            for &(z, _) in &self.ball {
+                scratch.relax(z, 0);
+            }
+            let known = scratch.ids.len();
+            for ids in lists {
+                for &z in ids {
+                    scratch.relax(z, 0);
+                }
+            }
+            scratch.ids[known..].to_vec()
+        });
+        fresh.sort_unstable();
+        // Merge from the back into the grown ball (ids are distinct).
+        let (mut i, mut j) = (self.ball.len(), fresh.len());
+        self.ball.resize(i + j, (0, 0));
+        while j > 0 {
+            if i > 0 && self.ball[i - 1].0 > fresh[j - 1] {
+                self.ball[i + j - 1] = self.ball[i - 1];
+                i -= 1;
+            } else {
+                self.ball[i + j - 1] = (fresh[j - 1], distance);
+                j -= 1;
+            }
+        }
+        fresh
     }
 
-    /// Records one received summary (or stub) if its owner is new; new
-    /// owners are queued for this round's relay decision. First arrival
-    /// wins, which is what makes each summary cross each edge at most once.
-    fn absorb_summary_item(
-        &mut self,
-        owner: u64,
-        flagged: bool,
-        entries: Option<&Arc<[(u64, u8)]>>,
-        fresh: &mut Vec<u64>,
-    ) {
-        if self.sum_flagged.contains(&owner) || self.sum_entries.contains_key(&owner) {
-            return;
+    /// Records every summary (or stub) this round delivered whose owner is
+    /// a ball member not heard from yet, and returns those members' ball
+    /// indices, ascending (= id order) — this round's relay candidates.
+    /// First arrival wins, which is what makes each summary cross each edge
+    /// at most once. Owners outside the ball are ignored: nothing ever
+    /// relays or reads them.
+    fn absorb_summaries(&mut self, inbox: Inbox<'_, KsvMessage>) -> Vec<usize> {
+        let mut fresh = Vec::new();
+        if self.heard.is_empty() {
+            // Down through call r − 1: the ball froze without our summary.
+            self.heard = vec![None; self.ball.len()];
         }
-        if flagged {
-            self.sum_flagged.insert(owner);
-        } else {
-            let entries = entries.expect("unflagged summary items carry entries");
-            self.sum_entries.insert(owner, entries.clone());
+        for msg in inbox {
+            if !matches!(msg.payload.kind, KsvKind::Summary | KsvKind::SummaryRelay) {
+                continue;
+            }
+            let items = msg.payload.summaries.iter().map(|item| {
+                let entries = (!item.flagged).then_some(&item.entries);
+                (item.owner, entries)
+            });
+            let stubs = msg.payload.ids.iter().map(|&owner| (owner, None));
+            for (owner, entries) in items.chain(stubs) {
+                let Ok(i) = self.ball.binary_search_by_key(&owner, |&(id, _)| id) else {
+                    continue;
+                };
+                if self.heard[i].is_none() {
+                    let summary = entries.map(|e| MemberSummary::Ball(Arc::clone(e)));
+                    self.heard[i] = Some(summary.unwrap_or(MemberSummary::Stub));
+                    fresh.push(i);
+                }
+            }
         }
-        fresh.push(owner);
+        fresh.sort_unstable();
+        fresh
     }
 
-    /// One summary-flood round (calls `1..=2r − 1`): absorb whatever the
-    /// schedule delivered, then emit this round's wave — beacons while the
-    /// ball grows (calls `< r − 1`), the own summary at call `r − 1`,
-    /// relays of first-heard summaries at calls `r..=2r − 2`, and silence
-    /// at the decision call (absorb only; `decide` runs right after).
+    /// One summary-flood round (calls `1..=2r − 1`). While the ball grows
+    /// (calls `< r`) it absorbs the adjacency records (call 1) and beacons
+    /// and emits the next beacon wave, or at call `r − 1` the own summary;
+    /// from call `r` on the ball is frozen and it absorbs summaries, relays
+    /// the first-heard ones at calls `r..=2r − 2`, and stays silent at the
+    /// decision call (absorb only; `decide` runs right after).
     fn summary_flood_round(
         &mut self,
         ctx: &NodeContext,
@@ -709,48 +852,26 @@ impl KsvNode {
         inbox: Inbox<'_, KsvMessage>,
     ) -> Outgoing<KsvMessage> {
         let r = self.r as usize;
-        let mut pending: Vec<u64> = Vec::new();
-        let mut fresh: Vec<u64> = Vec::new();
-        for msg in inbox {
-            match msg.payload.kind {
-                KsvKind::Adjacency => {
-                    // A neighbour's neighbourhood: its members are at
-                    // distance ≤ 2 (kept for the ball), and the record
-                    // itself feeds the flag/deferral/forwarding checks,
-                    // which only ever ask about direct neighbours.
-                    pending.extend_from_slice(&msg.payload.ids);
-                    self.absorb_adjacency(msg.from, &msg.payload.ids);
-                }
-                KsvKind::Beacon => pending.extend_from_slice(&msg.payload.ids),
-                KsvKind::Summary | KsvKind::SummaryRelay => {
-                    for item in &msg.payload.summaries {
-                        self.absorb_summary_item(
-                            item.owner,
-                            item.flagged,
-                            Some(&item.entries),
-                            &mut fresh,
-                        );
-                    }
-                    for &stub in &msg.payload.ids {
-                        self.absorb_summary_item(stub, true, None, &mut fresh);
-                    }
-                }
-                _ => {}
+        if round < r {
+            if round == 1 {
+                // The neighbours' neighbourhoods: their members are at
+                // distance ≤ 2 (kept for the ball), and the records feed the
+                // flag/deferral/forwarding checks, which only ever ask
+                // about direct neighbours.
+                self.absorb_adjacency(ctx, inbox);
             }
-        }
-        // Ids first heard at call t sit at distance exactly t + 1 (the
-        // init adjacency exchange seeded distances 0 and 1).
-        self.ball_extend(pending, cast::u32_from_usize(round) + 1);
-        if round + 1 < r {
-            let wave = std::mem::take(&mut self.ball_fresh);
-            if wave.is_empty() {
-                return Outgoing::Silent;
+            // Ids first heard at call t sit at distance exactly t + 1 (the
+            // init adjacency exchange seeded distances 0 and 1).
+            let wave = self.ball_extend(inbox, cast::u32_from_usize(round) + 1);
+            if round + 1 < r {
+                if wave.is_empty() {
+                    return Outgoing::Silent;
+                }
+                return self.message(KsvKind::Beacon, wave);
             }
-            return self.message(KsvKind::Beacon, wave);
-        }
-        if round == r - 1 {
             return self.broadcast_summary(ctx);
         }
+        let fresh = self.absorb_summaries(inbox);
         if round <= 2 * r - 2 {
             return self.relay_summaries(ctx, fresh);
         }
@@ -763,34 +884,31 @@ impl KsvNode {
     /// broadcast adjacency, frontier entries explicit) or a 1-bit stub
     /// (flagged: a hub within distance `r` dominates every potential reader
     /// of this data, so none of it is needed). Also records the own
-    /// summary locally so the decision view treats self uniformly.
+    /// summary in its ball slot so the decision view treats self uniformly.
     fn broadcast_summary(&mut self, ctx: &NodeContext) -> Outgoing<KsvMessage> {
         let cap = self.hub_cap;
         let deg = ctx.neighbor_ids.len();
-        self.my_flag = deg > cap
-            || ctx
-                .neighbor_ids
-                .iter()
-                .any(|w| self.known_adj.get(w).is_some_and(|adj| adj.len() > cap));
-        let item = if self.my_flag {
+        let flagged =
+            deg > cap || (0..deg).any(|p| self.record(p).is_some_and(|adj| adj.len() > cap));
+        let (own, item) = if flagged {
             // Dictionary receivers can reconstruct from a stub sender: the
             // closed neighbourhood (adjacency was broadcast at init).
             let mut dict: Vec<u64> = ctx.neighbor_ids.clone();
             dict.push(self.id);
             dict.sort_unstable();
             self.dict = dict;
-            self.sum_flagged.insert(self.id);
-            KsvSummaryItem {
+            let item = KsvSummaryItem {
                 owner: self.id,
                 flagged: true,
                 entries: Arc::from(&[][..]),
                 wire_bits: 1,
-            }
+            };
+            (MemberSummary::Stub, item)
         } else {
             // Dictionary = the ball ids, all announced by this message
             // (inner part = the init adjacency, frontier explicit below).
             self.dict = self.ball.iter().map(|&(z, _)| z).collect();
-            let entries: Arc<[(u64, u8)]> = self
+            let entries: SummaryEntries = self
                 .ball
                 .iter()
                 .map(|&(z, d)| (z, cast::u8_from_u32(d)))
@@ -800,14 +918,19 @@ impl KsvNode {
             // part, reconstructed by receivers who know N(v)) + explicit
             // frontier entries.
             let wire_bits = 1 + deg + frontier * (self.id_bits + dist_bits(self.r));
-            self.sum_entries.insert(self.id, entries.clone());
-            KsvSummaryItem {
+            let item = KsvSummaryItem {
                 owner: self.id,
                 flagged: false,
-                entries,
+                entries: Arc::clone(&entries),
                 wire_bits,
-            }
+            };
+            (MemberSummary::Ball(entries), item)
         };
+        // The ball is frozen from here on: one summary slot per member.
+        self.heard = vec![None; self.ball.len()];
+        if let Ok(i) = self.ball.binary_search_by_key(&self.id, |&(id, _)| id) {
+            self.heard[i] = Some(own);
+        }
         Outgoing::Broadcast(KsvMessage {
             kind: KsvKind::Summary,
             ids: Vec::new(),
@@ -827,24 +950,22 @@ impl KsvNode {
     /// (`y` is restricted to `N(v)`, whose degrees the init exchange
     /// delivered), so every vertex evaluates the same global rule.
     fn defer_relay(&self, ctx: &NodeContext, u: u64) -> bool {
-        let Some(nu) = self.known_adj.get(&u) else {
+        let Some(nu) = self.neighbor_record(ctx, u) else {
             return false;
         };
         let deg_v = ctx.neighbor_ids.len();
-        'needy: for &w in &ctx.neighbor_ids {
+        'needy: for (p, &w) in ctx.neighbor_ids.iter().enumerate() {
             if w == u || nu.binary_search(&w).is_ok() {
                 continue; // w heard the origin broadcast itself
             }
-            let Some(nw) = self.known_adj.get(&w) else {
+            let Some(nw) = self.record(p) else {
                 return false;
             };
             for &y in nw {
                 if y != self.id
-                    && ctx.is_neighbor(y)
                     && nu.binary_search(&y).is_ok()
                     && self
-                        .known_adj
-                        .get(&y)
+                        .neighbor_record(ctx, y)
                         .is_some_and(|ny| (ny.len(), y) > (deg_v, self.id))
                 {
                     continue 'needy;
@@ -862,7 +983,7 @@ impl KsvNode {
     fn repriced_item(
         &self,
         owner: u64,
-        entries: Arc<[(u64, u8)]>,
+        entries: &SummaryEntries,
         dict_bits: usize,
     ) -> KsvSummaryItem {
         let db = dist_bits(self.r);
@@ -878,38 +999,33 @@ impl KsvNode {
         KsvSummaryItem {
             owner,
             flagged: false,
-            entries,
+            entries: Arc::clone(entries),
             wire_bits,
         }
     }
 
-    /// Relays the summaries first heard this round (calls `r..=2r − 2`).
-    /// Owners at ball distance ≥ r need no further hops (their summaries
-    /// would only reach vertices outside the owner's audience); owners at
-    /// distance 1 are subject to the deferral rule; everything else relays
-    /// unconditionally — once, this being its first arrival. Flagged
-    /// owners relay as bare stub ids.
-    fn relay_summaries(&mut self, ctx: &NodeContext, mut fresh: Vec<u64>) -> Outgoing<KsvMessage> {
-        fresh.sort_unstable();
+    /// Relays the summaries first heard this round (calls `r..=2r − 2`),
+    /// given by ball index. Owners at ball distance ≥ r need no further
+    /// hops (their summaries would only reach vertices outside the owner's
+    /// audience); owners at distance 1 are subject to the deferral rule;
+    /// everything else relays unconditionally — once, this being its first
+    /// arrival. Flagged owners relay as bare stub ids.
+    fn relay_summaries(&self, ctx: &NodeContext, fresh: Vec<usize>) -> Outgoing<KsvMessage> {
         let r = self.r;
         let dict_bits = ceil_log2(self.dict.len());
         let mut stubs: Vec<u64> = Vec::new();
         let mut items: Vec<KsvSummaryItem> = Vec::new();
-        for owner in fresh {
-            let Some(d) = self.ball_distance(owner) else {
-                continue;
-            };
-            if d >= r {
+        for i in fresh {
+            let (owner, d) = self.ball[i];
+            if d >= r || (d == 1 && self.defer_relay(ctx, owner)) {
                 continue;
             }
-            if d == 1 && self.defer_relay(ctx, owner) {
-                continue;
-            }
-            if self.sum_flagged.contains(&owner) {
-                stubs.push(owner);
-            } else {
-                let entries = self.sum_entries[&owner].clone();
-                items.push(self.repriced_item(owner, entries, dict_bits));
+            match &self.heard[i] {
+                Some(MemberSummary::Stub) => stubs.push(owner),
+                Some(MemberSummary::Ball(entries)) => {
+                    items.push(self.repriced_item(owner, entries, dict_bits));
+                }
+                None => {} // fresh slots are always filled
             }
         }
         if stubs.is_empty() && items.is_empty() {
@@ -937,31 +1053,25 @@ impl KsvNode {
     /// truncated view. Drops the flood state either way.
     fn view_from_summaries(&mut self) -> Result<KsvView, ModelViolation> {
         let ball = std::mem::take(&mut self.ball);
+        let heard = std::mem::take(&mut self.heard);
+        self.dict = Vec::new();
         let mut view_ball = Vec::with_capacity(ball.len());
         let mut summaries = Vec::with_capacity(ball.len());
-        let mut received = 0usize;
-        for &(z, d) in &ball {
-            let (flag, entries) = if self.sum_flagged.contains(&z) {
-                (true, None)
-            } else if let Some(e) = self.sum_entries.get(&z) {
-                (false, Some(e.clone()))
-            } else {
-                continue;
+        for (&(z, d), slot) in ball.iter().zip(heard) {
+            let entries = match slot {
+                Some(MemberSummary::Stub) => None,
+                Some(MemberSummary::Ball(entries)) => Some(entries),
+                None => continue,
             };
-            received += 1;
-            view_ball.push((z, d, flag));
+            view_ball.push((z, d, entries.is_none()));
             summaries.push(entries);
         }
-        self.sum_entries = HashMap::new();
-        self.sum_flagged = HashSet::new();
-        self.dict = Vec::new();
-        self.ball_fresh = Vec::new();
-        if received != ball.len() {
+        if view_ball.len() != ball.len() {
             return Err(ModelViolation::IncompleteKnowledge {
                 vertex: self.id,
                 round: 2 * self.r as usize - 1,
                 expected: ball.len(),
-                received,
+                received: view_ball.len(),
             });
         }
         Ok(KsvView {
@@ -976,9 +1086,8 @@ impl KsvNode {
     /// flagged (hubs are off at `r = 1`). Runs only after
     /// [`Self::check_adjacency_coverage`] has passed, so every member's
     /// record is present.
-    fn view_from_adjacency(&self) -> KsvView {
-        let closed = |z: u64| -> SummaryEntries {
-            let adj = &self.known_adj[&z];
+    fn view_from_adjacency(&self, ctx: &NodeContext) -> KsvView {
+        let closed = |z: u64, adj: &[u64]| -> SummaryEntries {
             let (below, above) = adj.split_at(adj.partition_point(|&w| w < z));
             let one = |&w: &u64| (w, 1);
             below
@@ -988,11 +1097,17 @@ impl KsvNode {
                 .chain(above.iter().map(one))
                 .collect()
         };
-        let own = closed(self.id);
+        let own = closed(self.id, &ctx.neighbor_ids);
         let ball = own.iter().map(|&(z, d)| (z, u32::from(d), false)).collect();
         let summaries = own
             .iter()
-            .map(|&(z, _)| Some(if z == self.id { own.clone() } else { closed(z) }))
+            .map(|&(z, _)| {
+                Some(if z == self.id {
+                    Arc::clone(&own)
+                } else {
+                    closed(z, self.neighbor_record(ctx, z).unwrap_or_default())
+                })
+            })
             .collect();
         KsvView { ball, summaries }
     }
@@ -1002,12 +1117,8 @@ impl KsvNode {
     /// hold an adjacency record for each of its direct neighbours (plus its
     /// own). A gap proves the adjacency exchange was lost in transit.
     fn check_adjacency_coverage(&self, ctx: &NodeContext) -> Result<(), ModelViolation> {
-        let received = 1 + ctx
-            .neighbor_ids
-            .iter()
-            .filter(|w| self.known_adj.contains_key(w))
-            .count();
         let expected = 1 + ctx.neighbor_ids.len();
+        let received = 1 + self.adj_at.iter().filter(|(s, e)| s < e).count();
         if received != expected {
             return Err(ModelViolation::IncompleteKnowledge {
                 vertex: self.id,
@@ -1029,7 +1140,7 @@ impl KsvNode {
     fn decide(&mut self, ctx: &NodeContext) -> Outgoing<KsvMessage> {
         let view = self.check_adjacency_coverage(ctx).and_then(|()| {
             if self.r == 1 {
-                Ok(self.view_from_adjacency())
+                Ok(self.view_from_adjacency(ctx))
             } else {
                 self.view_from_summaries()
             }
@@ -1043,106 +1154,87 @@ impl KsvNode {
         }
     }
 
-    /// The decision at every radius, read off the view alone. Computes the
-    /// pruned local distances, applies the hub short-circuit, then builds
-    /// the candidate → coverage-bitmask table over the *unflagged* positions
-    /// of `N_r(v)` (position `i` is the `i`-th unflagged member of the open
-    /// `r`-neighbourhood in ascending id order, position `deg_r` is `v`
-    /// itself; a candidate `z ≠ v` covers `u` exactly when `z ∈ ball_r(u)`,
-    /// read off `u`'s exact summary), runs the `D₁` check and — when it
-    /// passes — precomputes the pseudo-cover election from the same table.
-    /// Flagged positions need no coverage: a flagged vertex has a hub within
-    /// distance 1 and is dominated by it.
+    /// The decision at every radius, read off the view alone, through the
+    /// thread's scratch. Computes the pruned local distances, applies the
+    /// hub short-circuit, then fills the coverage arena over the
+    /// *unflagged* positions of `N_r(v)` (position `i` is the `i`-th
+    /// unflagged member of the open `r`-neighbourhood in ascending id order,
+    /// position `deg_r` is `v` itself; a candidate `z ≠ v` covers `u`
+    /// exactly when `z ∈ ball_r(u)`, read off `u`'s exact summary), runs the
+    /// `D₁` check and — when it passes — precomputes the pseudo-cover
+    /// election from the same arena. Flagged positions need no coverage: a
+    /// flagged vertex has a hub within distance 1 and is dominated by it.
     fn decide_from_view(&mut self, view: KsvView) -> Outgoing<KsvMessage> {
-        let r = self.r;
-        // Pruned local distances: the ball itself plus one unflagged
-        // midpoint hop (`d(v,u) + d_u(z)`). Exact wherever an unflagged
-        // midpoint exists — everywhere, when no hubs are near. Sorted
-        // lexicographically, the first entry per id is the minimum.
-        let mut pairs: Vec<(u64, u32)> = Vec::new();
-        for &(z, d, _) in &view.ball {
-            pairs.push((z, d));
-        }
-        for (i, &(_, du, flag)) in view.ball.iter().enumerate() {
-            if flag {
-                continue;
-            }
-            if let Some(entries) = &view.summaries[i] {
-                for &(z, dz) in entries.iter() {
-                    pairs.push((z, du + u32::from(dz)));
-                }
-            }
-        }
-        pairs.sort_unstable();
-        pairs.dedup_by_key(|p| p.0);
-        self.local_dist = pairs;
+        SCRATCH.with(|cell| self.decide_in(&view, &mut cell.borrow_mut()))
+    }
 
+    fn decide_in(&mut self, view: &KsvView, scratch: &mut KsvScratch) -> Outgoing<KsvMessage> {
+        let r = self.r;
         // Hub short-circuit: a flagged vertex within distance r − 1 proves
         // a hub within distance r (and conversely — the nearest flagged
         // vertex on a shortest path to a hub sits one hop earlier), and
         // every hub is in the dominating set from init. Nothing to check,
         // nothing to elect; membership stays as-is (hubs already joined).
-        if view.ball.iter().any(|&(_, d, f)| f && d < r) {
+        let hub_near = view.ball.iter().any(|&(_, d, f)| f && d < r);
+        let members = || view.ball.iter().zip(&view.summaries).enumerate();
+        let deg_r = members()
+            .filter(|(_, (&(_, d, _), summary))| d >= 1 && summary.is_some())
+            .count();
+        scratch.begin(if hub_near { 0 } else { cover_words(deg_r) });
+        // Pruned local distances, min-relaxed in one pass: the ball itself
+        // (its members take local ids 0.. in ball order) plus one unflagged
+        // midpoint hop (`d(v,u) + d_u(z)`). Exact wherever an unflagged
+        // midpoint exists — everywhere, when no hubs are near. The same
+        // pass fills the coverage arena.
+        for &(z, d, _) in &view.ball {
+            scratch.relax(z, d);
+        }
+        let mut position = 0;
+        for (i, (&(_, du, _), summary)) in members() {
+            let Some(entries) = summary else {
+                continue;
+            };
+            let covers = !hub_near && du >= 1;
+            for &(z, dz) in entries.iter() {
+                let local = scratch.relax(z, du + u32::from(dz));
+                if covers && z != self.id {
+                    set_bit(scratch.mask(local), position);
+                }
+            }
+            if covers {
+                // Position `position` is within r of v, so it covers v
+                // (position deg_r); its local id is its ball index.
+                set_bit(scratch.mask(i), deg_r);
+                position += 1;
+            }
+        }
+        let mut local_dist: Vec<(u64, u32)> = scratch
+            .ids
+            .iter()
+            .copied()
+            .zip(scratch.dist.iter().copied())
+            .collect();
+        local_dist.sort_unstable_by_key(|&(z, _)| z);
+        self.seen = vec![0; (2 * local_dist.len()).div_ceil(64)];
+        self.local_dist = local_dist;
+        if hub_near {
             self.dominated = true;
             return Outgoing::Silent;
         }
 
-        let positions: Vec<usize> = view
-            .ball
-            .iter()
-            .enumerate()
-            .filter(|&(_, &(_, d, f))| d >= 1 && !f)
-            .map(|(i, _)| i)
-            .collect();
-        let deg_r = positions.len();
-        let words = cover_words(deg_r);
-        let mut cand_idx: HashMap<u64, u32> = HashMap::new();
-        let mut cand_ids: Vec<u64> = Vec::new();
-        let mut masks: Vec<Vec<u64>> = Vec::new();
-        for (i, &bi) in positions.iter().enumerate() {
-            let entries = view.summaries[bi]
-                .as_ref()
-                .expect("unflagged positions carry their exact summary");
-            for &(z, _) in entries.iter() {
-                if z == self.id {
-                    continue;
-                }
-                let zi = *cand_idx.entry(z).or_insert_with(|| {
-                    cand_ids.push(z);
-                    masks.push(vec![0u64; words]);
-                    cast::u32_from_usize(cand_ids.len() - 1)
-                }) as usize;
-                set_bit(&mut masks[zi], i);
-            }
-            // Position i is within r of v, so it covers v (position deg_r);
-            // it appears in its own summary, so its mask already exists.
-            let pi = cand_idx[&view.ball[bi].0] as usize;
-            set_bit(&mut masks[pi], deg_r);
-        }
-
         if deg_r > 0 {
-            let mut uncovered = vec![0u64; words];
-            for i in 0..deg_r {
-                set_bit(&mut uncovered, i);
-            }
-            greedy_cover(&cand_ids, &masks, &mut uncovered, self.hard_budget, 1);
-            if uncovered.iter().any(|&w| w != 0) {
+            scratch.uncover(deg_r);
+            scratch.greedy_cover(self.hard_budget, 1, |_| {});
+            if scratch.uncovered.iter().any(|&w| w != 0) {
                 self.join(KsvMembership::HardCore);
                 return self.announce();
             }
         }
-        let mut uncovered = vec![0u64; words];
-        for i in 0..=deg_r {
-            set_bit(&mut uncovered, i);
-        }
-        self.planned_election = greedy_cover(
-            &cand_ids,
-            &masks,
-            &mut uncovered,
-            usize::MAX,
-            self.threshold,
-        );
-        self.planned_election.sort_unstable();
+        scratch.uncover(deg_r + 1);
+        let mut election = Vec::new();
+        scratch.greedy_cover(usize::MAX, self.threshold, |id| election.push(id));
+        election.sort_unstable();
+        self.planned_election = election;
         Outgoing::Silent
     }
 }
@@ -1153,13 +1245,15 @@ impl NodeAlgorithm for KsvNode {
 
     fn init(&mut self, ctx: &NodeContext) -> Outgoing<KsvMessage> {
         // Round 0: exchange open neighbourhoods (the first knowledge wave).
-        self.known_adj.insert(ctx.id, ctx.neighbor_ids.clone());
-        if ctx.neighbor_ids.len() > self.hub_cap {
+        let deg = ctx.neighbor_ids.len();
+        self.adj_at = vec![(0, 0); deg];
+        if deg > self.hub_cap {
             // Cluster representative: in the set from the start, visibly so
             // (every neighbour reads the degree off this same broadcast).
             self.join(KsvMembership::HighDegree);
         }
         if self.r >= 2 {
+            self.ball = Vec::with_capacity(deg + 1);
             self.ball.push((ctx.id, 0));
             self.ball.extend(ctx.neighbor_ids.iter().map(|&w| (w, 1)));
             self.ball.sort_unstable_by_key(|&(z, _)| z);
@@ -1185,11 +1279,7 @@ impl NodeAlgorithm for KsvNode {
             // Then the D₁ check: members start the announcement flood,
             // everyone else precomputes and waits.
             if r == 1 {
-                for msg in inbox {
-                    if msg.payload.kind == KsvKind::Adjacency {
-                        self.absorb_adjacency(msg.from, &msg.payload.ids);
-                    }
-                }
+                self.absorb_adjacency(ctx, inbox);
             } else {
                 let wave = self.summary_flood_round(ctx, round, inbox);
                 if round < decide {
@@ -1200,8 +1290,7 @@ impl NodeAlgorithm for KsvNode {
         }
         if round < elect {
             // D₁ announcement relays (r ≥ 2).
-            let fresh = self.absorb_announcements(inbox);
-            return self.relay_announcements(fresh);
+            return self.absorb_announcements(inbox);
         }
         if round == elect {
             // Final D₁ announcement hop; whoever is still undominated elects
@@ -1212,7 +1301,7 @@ impl NodeAlgorithm for KsvNode {
                 return Outgoing::Silent;
             }
             for &z in &elected {
-                self.seen_target.insert(z);
+                let _ = self.first_sighting(z, TARGETS);
             }
             return self.message(KsvKind::Elect, elected);
         }
@@ -1221,12 +1310,12 @@ impl NodeAlgorithm for KsvNode {
             // token has `2r + elect − round − 1` delivery hops spent, so the
             // remaining useful reach from here is the difference.
             let fwd_limit = cast::u32_from_usize(2 * r + elect - round);
-            return self.absorb_elections(inbox, fwd_limit);
+            return self.absorb_elections(ctx, inbox, fwd_limit);
         }
         if round == announce2 {
             // Final election hop; all of D₂ starts the second announcement
             // flood.
-            let _ = self.absorb_elections(inbox, 0);
+            let _ = self.absorb_elections(ctx, inbox, 0);
             if self.membership == Some(KsvMembership::PseudoCover) {
                 return self.announce();
             }
@@ -1234,8 +1323,7 @@ impl NodeAlgorithm for KsvNode {
         }
         if round < last {
             // D₂ announcement relays (r ≥ 2).
-            let fresh = self.absorb_announcements(inbox);
-            return self.relay_announcements(fresh);
+            return self.absorb_announcements(inbox);
         }
         // Final round: hear the last D₂ hop; whoever is still undominated
         // self-elects (D₃). Nothing needs announcing: a D₃ vertex dominates
