@@ -478,6 +478,9 @@ impl KsvScratch {
             }
             pick(id);
             picked += 1;
+            if uncovered.iter().all(|&w| w == 0) {
+                break; // every later gain is 0
+            }
         }
         self.heap = queue.into_vec();
     }
@@ -546,9 +549,10 @@ pub struct KsvNode {
     /// (flagged), sorted. Receivers can reconstruct it, so relayed entry
     /// ids found here are charged at `⌈log₂ |dict|⌉` bits.
     dict: Vec<u64>,
-    /// Exact local distances from this vertex, sorted by id. Computed in
-    /// the decision round; backs the hop-aware relay filters of both flood
-    /// phases. Exact wherever an unflagged midpoint exists — in particular
+    /// Exact local distances from this vertex, sorted by id, up to
+    /// `2r − 1` — the farthest reach of the hop-aware relay filters of both
+    /// flood phases, which are all they back. Computed in the decision
+    /// round. Exact wherever an unflagged midpoint exists — in particular
     /// everywhere when the graph has no hubs; a missing entry can only
     /// suppress a relay, which `D₃` absorbs.
     local_dist: Vec<(u64, u32)>,
@@ -1213,6 +1217,7 @@ impl KsvNode {
             .iter()
             .copied()
             .zip(scratch.dist.iter().copied())
+            .filter(|&(_, d)| d < 2 * r) // the relay filters' reach
             .collect();
         local_dist.sort_unstable_by_key(|&(z, _)| z);
         self.seen = vec![0; (2 * local_dist.len()).div_ceil(64)];
@@ -1684,24 +1689,15 @@ fn run_ksv_network(
     let mut high_degree = Vec::new();
     for (v, out) in outputs.iter().enumerate() {
         let v = v as Vertex;
-        match out.membership {
-            Some(KsvMembership::HardCore) => {
-                hard_core.push(v);
-                dominating_set.push(v);
-            }
-            Some(KsvMembership::PseudoCover) => {
-                cover_dominators.push(v);
-                dominating_set.push(v);
-            }
-            Some(KsvMembership::SelfElected) => {
-                self_elected.push(v);
-                dominating_set.push(v);
-            }
-            Some(KsvMembership::HighDegree) => {
-                high_degree.push(v);
-                dominating_set.push(v);
-            }
-            None => {}
+        let Some(membership) = out.membership else {
+            continue;
+        };
+        dominating_set.push(v);
+        match membership {
+            KsvMembership::HardCore => hard_core.push(v),
+            KsvMembership::PseudoCover => cover_dominators.push(v),
+            KsvMembership::SelfElected => self_elected.push(v),
+            KsvMembership::HighDegree => high_degree.push(v),
         }
     }
 
