@@ -1227,7 +1227,9 @@ impl KsvNode {
             return Outgoing::Silent;
         }
 
-        if deg_r > 0 {
+        // Each position covers itself, so at most `deg_r` picks cover them
+        // all: the check can only fail when `deg_r` exceeds the budget.
+        if deg_r > self.hard_budget {
             scratch.uncover(deg_r);
             scratch.greedy_cover(self.hard_budget, 1, |_| {});
             if scratch.uncovered.iter().any(|&w| w != 0) {
