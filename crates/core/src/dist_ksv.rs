@@ -1212,13 +1212,14 @@ impl KsvNode {
                 position += 1;
             }
         }
-        let mut local_dist: Vec<(u64, u32)> = scratch
-            .ids
-            .iter()
-            .copied()
-            .zip(scratch.dist.iter().copied())
-            .filter(|&(_, d)| d < 2 * r) // the relay filters' reach
-            .collect();
+        // Kept up to the relay filters' reach, in one exact allocation.
+        let kept = scratch.dist.iter().filter(|&&d| d < 2 * r).count();
+        let mut local_dist = Vec::with_capacity(kept);
+        for (&z, &d) in scratch.ids.iter().zip(&scratch.dist) {
+            if d < 2 * r {
+                local_dist.push((z, d));
+            }
+        }
         local_dist.sort_unstable_by_key(|&(z, _)| z);
         self.seen = vec![0; (2 * local_dist.len()).div_ceil(64)];
         self.local_dist = local_dist;
