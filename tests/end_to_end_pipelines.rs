@@ -402,3 +402,148 @@ fn quality_ordering_of_methods_on_bounded_expansion_classes() {
         "kp {kp} should exceed greedy {greedy} at r = {r}"
     );
 }
+
+/// The FNV-1a (64-bit) offset basis (same idiom as `tests/ksv_flood.rs`).
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continues an FNV-1a (64-bit) hash over the little-endian bytes of `words`.
+fn fnv1a_words(mut hash: u64, words: impl IntoIterator<Item = u64>) -> u64 {
+    for word in words {
+        for byte in word.to_le_bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+/// Continues an FNV-1a hash over a vertex list, length first.
+fn fnv1a_vertices(hash: u64, set: &[bedom::graph::Vertex]) -> u64 {
+    let hash = fnv1a_words(hash, [set.len() as u64]);
+    fnv1a_words(hash, set.iter().map(|&v| u64::from(v)))
+}
+
+/// One pinned Lemma 7 row: `(shape, r, [|D|, |D'|, Lemma 7 bits, election
+/// bits, flood bits], FNV-1a hash of every path and every consumer output)`.
+type PathPin = (&'static str, u32, [usize; 5], u64);
+
+/// Runs Lemma 7 and its three consumers on one `for_connected_domination(r)`
+/// context (ρ = 2r + 1, so Theorem 9's and the cover's length filters drop
+/// paths) and folds everything they output into one fingerprint: every
+/// vertex's `(start, path)` store and the protocol's bit totals, the Theorem 9
+/// set with its per-phase bits, the Theorem 10 `D'` with its flood bits, and
+/// the cover memberships.
+fn lemma7_fingerprint(graph: &bedom::graph::Graph, r: u32) -> ([usize; 5], u64) {
+    use bedom::core::{
+        distributed_connected_domination_in, distributed_distance_domination_in,
+        distributed_neighborhood_cover_in, DistContext, DistContextConfig,
+    };
+    use bedom::distsim::ExecutionStrategy;
+
+    let ctx = DistContext::elect(
+        graph,
+        DistContextConfig {
+            assignment: IdAssignment::Shuffled(11),
+            strategy: ExecutionStrategy::Sequential,
+            ..DistContextConfig::for_connected_domination(r)
+        },
+    )
+    .unwrap();
+    let wreach = ctx.wreach().unwrap();
+    let mut hash = FNV_OFFSET;
+    for info in &wreach.info {
+        hash = fnv1a_words(hash, [info.sid, info.paths.len() as u64]);
+        for (start, path) in info.paths.iter() {
+            hash = fnv1a_words(hash, [start, path.len() as u64]);
+            hash = fnv1a_words(hash, path.iter().copied());
+        }
+    }
+    hash = fnv1a_words(
+        hash,
+        [
+            wreach.stats.total_bits as u64,
+            wreach.stats.max_message_bits as u64,
+        ],
+    );
+
+    let domset = distributed_distance_domination_in(&ctx, r).unwrap();
+    hash = fnv1a_vertices(hash, &domset.dominating_set);
+    hash = fnv1a_vertices(hash, &domset.dominator_of);
+    hash = fnv1a_words(hash, domset.phase_stats.iter().map(|s| s.total_bits as u64));
+    hash = fnv1a_words(hash, [domset.max_message_bits() as u64]);
+
+    let connected = distributed_connected_domination_in(&ctx, r).unwrap();
+    hash = fnv1a_vertices(hash, &connected.connected_dominating_set);
+    hash = fnv1a_words(hash, [connected.flood_stats.total_bits as u64]);
+
+    let cover = distributed_neighborhood_cover_in(&ctx, r).unwrap();
+    for entries in &cover.memberships {
+        hash = fnv1a_words(hash, [entries.len() as u64]);
+        for (center, path) in entries {
+            hash = fnv1a_words(hash, [u64::from(*center)]);
+            hash = fnv1a_vertices(hash, path);
+        }
+    }
+    hash = fnv1a_vertices(hash, &cover.home);
+    (
+        [
+            domset.dominating_set.len(),
+            connected.connected_dominating_set.len(),
+            wreach.stats.total_bits,
+            domset.phase_stats[2].total_bits,
+            connected.flood_stats.total_bits,
+        ],
+        hash,
+    )
+}
+
+/// Pins of the Lemma 7 paths and everything built from them, recorded while
+/// every path was still its own `Vec`; any change to the path store, the
+/// path message or the nodes that read them must leave this table intact.
+#[rustfmt::skip]
+const LEMMA7_PINS: &[PathPin] = &[
+    ("planar-tri-300", 1, [52, 119, 225_197, 14_063, 141_209], 0x9c447fe9cabe80ad),
+    ("planar-tri-300", 2, [10, 23, 526_937, 21_925, 19_580], 0x86e07660f8a94e04),
+    ("planar-tri-300", 3, [5, 7, 591_284, 27_027, 3_226], 0xdc0f5e53eab3918a),
+    ("star-60", 1, [1, 1, 6_416, 2_596, 44], 0xea35147d33e3793c),
+    ("star-60", 2, [1, 1, 6_416, 2_596, 44], 0xea35147d33e3793c),
+    ("star-60", 3, [1, 1, 6_416, 2_596, 44], 0xea35147d33e3793c),
+    ("config-model-300", 1, [138, 300, 114_907, 10_486, 324_746], 0x5bbc27692f4b04bc),
+    ("config-model-300", 2, [65, 287, 667_442, 19_496, 694_177], 0xa8b3208bded0aa34),
+    ("config-model-300", 3, [39, 280, 2_450_006, 29_214, 1_001_126], 0x583e43e5efbbd5cc),
+    ("grid-12x12", 1, [61, 139, 57_631, 5_358, 73_337], 0xd2238c6a2a87d3c5),
+    ("grid-12x12", 2, [30, 113, 190_634, 9_192, 69_242], 0x50624fd78df051a3),
+    ("grid-12x12", 3, [19, 110, 414_204, 12_360, 83_198], 0xd1b921022a674630),
+    ("path-40", 1, [20, 38, 5_745, 1_075, 7_334], 0x46dd0b035f5b7f4c),
+    ("path-40", 2, [15, 38, 9_636, 1_976, 9_321], 0xa05e5f3aa067cf03),
+    ("path-40", 3, [10, 36, 12_987, 2_504, 7_723], 0x02355556399cfad0),
+];
+
+#[test]
+fn lemma7_paths_and_their_consumers_match_their_pins() {
+    use bedom::graph::generators::{
+        configuration_model_power_law, grid, path, stacked_triangulation, star,
+    };
+
+    let shapes = [
+        ("planar-tri-300", stacked_triangulation(300, 5)),
+        ("star-60", star(60)),
+        (
+            "config-model-300",
+            configuration_model_power_law(300, 2.5, 2, 8, 3),
+        ),
+        ("grid-12x12", grid(12, 12)),
+        ("path-40", path(40)),
+    ];
+    let mut got = Vec::new();
+    for (name, graph) in &shapes {
+        for r in 1..=3u32 {
+            let (counts, hash) = lemma7_fingerprint(graph, r);
+            got.push((*name, r, counts, hash));
+        }
+    }
+    assert_eq!(
+        got, LEMMA7_PINS,
+        "a Lemma 7 path or consumer moved off its pin"
+    );
+}
