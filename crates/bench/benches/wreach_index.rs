@@ -12,10 +12,12 @@
 //! a counting global allocator reports the allocation totals of one run of
 //! each variant.
 //!
-//! A second section verifies the distributed-wreach satellite the same way:
-//! the protocol's flat sorted [`PathStore`](bedom_core::PathStore) against a
-//! replica of the former `BTreeMap` per-node path store, run through the
-//! engine on an identical instance, compared on allocations.
+//! A second section profiles the distributed Lemma 7 protocol, whose paths
+//! live in flat per-vertex [`PathStore`](bedom_core::PathStore) arenas, on
+//! one 20k-vertex instance: allocations and wall time of one engine run.
+//! The `dist_wreach_btree_*` rows of `BENCH_wreach.json` are frozen: they
+//! measured a replica of the former `BTreeMap` per-node store, which this
+//! bench no longer builds.
 //!
 //! Run with `BEDOM_BENCH_JSON=BENCH_wreach.json` to commit the numbers.
 
@@ -23,10 +25,7 @@
 
 use bedom_bench::connected_instance;
 use bedom_bench::legacy_wreach::seed_election_and_constant;
-use bedom_core::dist_wreach::{PathSetMessage, WReachConfig};
-use bedom_distsim::{
-    Engine, IdAssignment, Inbox, Model, Network, NodeAlgorithm, NodeContext, Outgoing, RunPolicy,
-};
+use bedom_core::dist_wreach::WReachConfig;
 use bedom_graph::generators::{stacked_triangulation, Family};
 use bedom_graph::Graph;
 use bedom_wcol::{degeneracy_based_order, LinearOrder, WReachIndex};
@@ -34,7 +33,6 @@ use criterion::{
     criterion_group, criterion_main, record_metric, BenchmarkId, Criterion, Throughput,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -82,116 +80,8 @@ fn index_pipeline(graph: &Graph, order: &LinearOrder) -> usize {
     dominators.len() + index.wcol()
 }
 
-/// Replica of the former `BTreeMap`-backed weak-reachability node, for the
-/// satellite's allocation comparison against the flat `PathStore` protocol.
-struct BTreeWReachNode {
-    sid: u64,
-    rho: u32,
-    id_bits: usize,
-    paths: BTreeMap<u64, Vec<u64>>,
-    to_send: Vec<Vec<u64>>,
-}
-
-impl BTreeWReachNode {
-    fn offer(&mut self, candidate: Vec<u64>) {
-        let start = candidate[0];
-        if start >= self.sid {
-            return;
-        }
-        let better = match self.paths.get(&start) {
-            None => true,
-            Some(existing) => {
-                candidate.len() < existing.len()
-                    || (candidate.len() == existing.len() && candidate < *existing)
-            }
-        };
-        if better {
-            if candidate.len().saturating_sub(1) < self.rho as usize {
-                self.to_send.push(candidate.clone());
-            }
-            self.paths.insert(start, candidate);
-        }
-    }
-}
-
-impl NodeAlgorithm for BTreeWReachNode {
-    type Message = PathSetMessage;
-    // The real protocol's output clones the node's whole path store; the
-    // replica must do the same or the comparison is lopsided.
-    type Output = BTreeMap<u64, Vec<u64>>;
-
-    fn init(&mut self, _ctx: &NodeContext) -> Outgoing<PathSetMessage> {
-        self.paths.insert(self.sid, vec![self.sid]);
-        Outgoing::Broadcast(PathSetMessage {
-            paths: vec![vec![self.sid]],
-            id_bits: self.id_bits,
-        })
-    }
-
-    fn round(
-        &mut self,
-        _ctx: &NodeContext,
-        round: usize,
-        inbox: Inbox<'_, PathSetMessage>,
-    ) -> Outgoing<PathSetMessage> {
-        if round > self.rho as usize {
-            return Outgoing::Silent;
-        }
-        self.to_send.clear();
-        for message in inbox {
-            for path in &message.payload.paths {
-                if path.contains(&self.sid) || path.len() > self.rho as usize {
-                    continue;
-                }
-                let mut extended = path.clone();
-                extended.push(self.sid);
-                self.offer(extended);
-            }
-        }
-        if self.to_send.is_empty() {
-            Outgoing::Silent
-        } else {
-            self.to_send.sort();
-            Outgoing::Broadcast(PathSetMessage {
-                paths: std::mem::take(&mut self.to_send),
-                id_bits: self.id_bits,
-            })
-        }
-    }
-
-    fn output(&self, _ctx: &NodeContext) -> BTreeMap<u64, Vec<u64>> {
-        self.paths.clone()
-    }
-}
-
-/// One protocol run with the replica `BTreeMap` node; returns the measured
-/// constant so the flat run can be cross-checked against it.
-fn run_btree_protocol(graph: &Graph, super_ids: &[u64], rho: u32) -> usize {
-    let n = graph.num_vertices();
-    let id_bits = bedom_distsim::log2_ceil(n.max(2).pow(2)) + 8;
-    let mut network = Network::new(graph, Model::Local, IdAssignment::Natural, |v, _ctx| {
-        BTreeWReachNode {
-            sid: super_ids[v as usize],
-            rho,
-            id_bits,
-            paths: BTreeMap::new(),
-            to_send: Vec::new(),
-        }
-    });
-    Engine::new(&mut network)
-        .run(RunPolicy::fixed(rho as usize))
-        .unwrap();
-    network
-        .outputs()
-        .iter()
-        .map(BTreeMap::len)
-        .max()
-        .unwrap_or(0)
-}
-
+/// One sequential protocol run; returns the measured constant.
 fn run_flat_protocol(graph: &Graph, super_ids: &[u64], rho: u32) -> usize {
-    // Pinned to Sequential to match the replica network's default strategy,
-    // so the comparison isolates the path-store change on any machine.
     let config = WReachConfig {
         rho,
         bandwidth_logs: None,
@@ -276,32 +166,25 @@ fn bench_wreach_index(c: &mut Criterion) {
     }
     group.finish();
 
-    // Satellite check: the distributed protocol's flat sorted path store vs
-    // the former BTreeMap store, verified with the allocation counter on an
-    // identical engine run.
+    // The distributed protocol's flat path store, profiled with the
+    // allocation counter on one engine run.
     let g = stacked_triangulation(20_000, 3);
     let order = degeneracy_based_order(&g);
     let super_ids: Vec<u64> = g.vertices().map(|v| order.rank(v) as u64).collect();
     let rho = 4;
     assert_eq!(
-        run_btree_protocol(&g, &super_ids, rho),
         run_flat_protocol(&g, &super_ids, rho),
-        "flat and BTreeMap protocols disagree"
+        bedom_wcol::wcol_of_order(&g, &order, rho),
+        "the protocol's constant differs from wcol of its order"
     );
-    let (btree_allocs, btree_secs) = timed_allocs(|| {
-        black_box(run_btree_protocol(&g, &super_ids, rho));
-    });
     let (flat_allocs, flat_secs) = timed_allocs(|| {
         black_box(run_flat_protocol(&g, &super_ids, rho));
     });
     println!(
         "dist-wreach path store (n = 20000, rho = {rho}): \
-         btree = {btree_secs:.2} s / {btree_allocs} allocs, \
          flat = {flat_secs:.2} s / {flat_allocs} allocs"
     );
-    record_metric("dist_wreach_btree_allocs", btree_allocs as f64);
     record_metric("dist_wreach_flat_allocs", flat_allocs as f64);
-    record_metric("dist_wreach_btree_seconds", btree_secs);
     record_metric("dist_wreach_flat_seconds", flat_secs);
 }
 

@@ -203,7 +203,6 @@ impl<'g> DistContext<'g> {
             let result = if self.graph.num_vertices() == 0 {
                 DistributedWReach {
                     info: Vec::new(),
-                    super_ids: Vec::new(),
                     rounds: 0,
                     stats: RunStats::default(),
                 }

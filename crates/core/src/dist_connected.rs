@@ -60,14 +60,13 @@ impl PathFloodNode {
         }
         self.pending.sort();
         self.pending.dedup();
-        let paths = std::mem::take(&mut self.pending);
-        for p in &paths {
-            self.forwarded.insert(p.clone());
+        let words = self.pending.iter().map(|p| p.len() + 1).sum();
+        let mut message = PathSetMessage::with_capacity(self.id_bits, words);
+        for path in self.pending.drain(..) {
+            message.push(&path);
+            self.forwarded.insert(path);
         }
-        Outgoing::Broadcast(PathSetMessage {
-            paths,
-            id_bits: self.id_bits,
-        })
+        Outgoing::Broadcast(message)
     }
 }
 
@@ -86,10 +85,10 @@ impl NodeAlgorithm for PathFloodNode {
         inbox: Inbox<'_, PathSetMessage>,
     ) -> Outgoing<PathSetMessage> {
         for message in inbox {
-            for path in &message.payload.paths {
+            for path in message.payload.paths() {
                 if path.contains(&self.sid) && !self.forwarded.contains(path) {
                     self.in_connected_set = true;
-                    self.pending.push(path.clone());
+                    self.pending.push(path.to_vec());
                 }
             }
         }

@@ -27,14 +27,13 @@
 //! the one of [46]; see DESIGN.md §1.3).
 
 use crate::context::{DistContext, DistContextConfig};
-use crate::dist_wreach::PathSetMessage;
+use crate::dist_wreach::{PathOutbox, PathSetMessage};
 use bedom_distsim::{
     Engine, ExecutionStrategy, IdAssignment, Inbox, ModelViolation, Network, NodeAlgorithm,
     NodeContext, Outgoing, RunPolicy, RunStats,
 };
 use bedom_graph::{Graph, Vertex};
 use bedom_wcol::LinearOrder;
-use std::collections::BTreeMap;
 
 /// Per-vertex state of the election/routing phase.
 ///
@@ -47,10 +46,12 @@ use std::collections::BTreeMap;
 pub struct ElectionNode {
     sid: u64,
     id_bits: usize,
-    /// Tokens held, keyed by target super-id (deduplicated).
-    tokens: BTreeMap<u64, Vec<u64>>,
+    /// `(target, length of the token forwarded towards it)`, sorted by
+    /// target: a later token for the same target is forwarded only if it is
+    /// shorter than that one, so duplicates are dropped.
+    forwarded: Vec<(u64, usize)>,
     /// Tokens to broadcast this round.
-    outgoing: Vec<Vec<u64>>,
+    outbox: PathOutbox,
     /// Whether this vertex has learnt it is in the dominating set.
     in_dominating_set: bool,
 }
@@ -58,12 +59,12 @@ pub struct ElectionNode {
 impl ElectionNode {
     /// Initial state: the vertex already knows its elected dominator path
     /// (from the weak-reachability phase outputs).
-    pub fn new(sid: u64, id_bits: usize, elected_path: Vec<u64>) -> Self {
+    pub fn new(sid: u64, id_bits: usize, elected_path: &[u64]) -> Self {
         let mut node = ElectionNode {
             sid,
             id_bits,
-            tokens: BTreeMap::new(),
-            outgoing: Vec::new(),
+            forwarded: Vec::new(),
+            outbox: PathOutbox::default(),
             in_dominating_set: false,
         };
         node.accept(elected_path);
@@ -71,26 +72,21 @@ impl ElectionNode {
     }
 
     /// Accepts a token whose last entry is this vertex.
-    fn accept(&mut self, path: Vec<u64>) {
-        debug_assert_eq!(*path.last().unwrap(), self.sid);
+    fn accept(&mut self, path: &[u64]) {
+        debug_assert_eq!(path.last(), Some(&self.sid));
         if path.len() == 1 {
             // The token has reached its target: self-election.
             self.in_dominating_set = true;
             return;
         }
         let target = path[0];
-        let shorter = match self.tokens.get(&target) {
-            None => true,
-            Some(existing) => path.len() < existing.len(),
-        };
-        if shorter {
-            let mut forward = path;
-            forward.pop();
-            self.outgoing.push(forward);
-            // Store what we forwarded so duplicates arriving later are dropped.
-            self.tokens
-                .insert(target, self.outgoing.last().unwrap().clone());
+        let forward = &path[..path.len() - 1];
+        match self.forwarded.binary_search_by_key(&target, |&(t, _)| t) {
+            Ok(i) if path.len() < self.forwarded[i].1 => self.forwarded[i].1 = forward.len(),
+            Ok(_) => return,
+            Err(i) => self.forwarded.insert(i, (target, forward.len())),
         }
+        self.outbox.push(forward, None);
     }
 }
 
@@ -99,15 +95,7 @@ impl NodeAlgorithm for ElectionNode {
     type Output = bool;
 
     fn init(&mut self, _ctx: &NodeContext) -> Outgoing<PathSetMessage> {
-        if self.outgoing.is_empty() {
-            Outgoing::Silent
-        } else {
-            self.outgoing.sort();
-            Outgoing::Broadcast(PathSetMessage {
-                paths: std::mem::take(&mut self.outgoing),
-                id_bits: self.id_bits,
-            })
-        }
+        self.outbox.broadcast(self.id_bits)
     }
 
     fn round(
@@ -116,23 +104,14 @@ impl NodeAlgorithm for ElectionNode {
         _round: usize,
         inbox: Inbox<'_, PathSetMessage>,
     ) -> Outgoing<PathSetMessage> {
-        self.outgoing.clear();
         for message in inbox {
-            for path in &message.payload.paths {
-                if *path.last().unwrap() == self.sid {
-                    self.accept(path.clone());
+            for path in message.payload.paths() {
+                if path.last() == Some(&self.sid) {
+                    self.accept(path);
                 }
             }
         }
-        if self.outgoing.is_empty() {
-            Outgoing::Silent
-        } else {
-            self.outgoing.sort();
-            Outgoing::Broadcast(PathSetMessage {
-                paths: std::mem::take(&mut self.outgoing),
-                id_bits: self.id_bits,
-            })
-        }
+        self.outbox.broadcast(self.id_bits)
     }
 
     fn output(&self, _ctx: &NodeContext) -> bool {
@@ -276,17 +255,19 @@ pub fn distributed_distance_domination_in(
     let wreach = ctx.wreach()?;
 
     // Phase 3: election and token routing (r + 1 rounds: the init broadcast
-    // plus up to r forwarding hops).
+    // plus up to r forwarding hops). Every vertex elects min WReach_r[w].
     let id_bits = ctx.id_bits();
     let info = &wreach.info;
+    let elected_sids: Vec<u64> = info
+        .iter()
+        .map(|info| info.min_reachable_within(r as usize))
+        .collect();
     let mut election = Network::new(graph, ctx.model(), IdAssignment::Natural, |v, _ctx| {
         let my_info = &info[v as usize];
-        let elected_sid = my_info.min_reachable_within(r as usize);
         let elected_path = my_info
             .paths
-            .get(elected_sid)
-            .expect("elected start must have a stored path")
-            .to_vec();
+            .get(elected_sids[v as usize])
+            .expect("elected start must have a stored path");
         ElectionNode::new(my_info.sid, id_bits, elected_path)
     });
     election.set_strategy(ctx.strategy());
@@ -296,10 +277,9 @@ pub fn distributed_distance_domination_in(
 
     // Assemble the result; sid → vertex resolution is the context's shared
     // lookup table (a local renaming, not a network step).
-    let dominator_of: Vec<Vertex> = graph
-        .vertices()
-        .map(|w| {
-            let sid = wreach.info[w as usize].min_reachable_within(r as usize);
+    let dominator_of: Vec<Vertex> = elected_sids
+        .iter()
+        .map(|&sid| {
             ctx.vertex_of_sid(sid)
                 .expect("elected sid must belong to a vertex")
         })

@@ -17,25 +17,57 @@
 //! improved. Every vertex therefore forwards information only about vertices
 //! in its own weak reachability set, which is what keeps the per-round
 //! broadcast at `O(c(ρ)²·ρ·log n)` bits (Lemma 7).
+//!
+//! This module owns the path format, and every path is stored flat. A
+//! vertex's [`PathStore`] is its sorted start super-ids, one span per start
+//! and one id arena; a [`PathSetMessage`] is one vector of `[len, id…]` runs.
+//! The Lemma 7 node here, the Theorem 9 election and the Theorem 10 path
+//! flood read messages through [`PathSetMessage::paths`] and queue their
+//! broadcasts in a reused crate-private `PathOutbox`, so accepting or
+//! forwarding a path never allocates a vector of its own. The wire format
+//! charges 8 bits for a path's length, so a path has at most 255 ids and
+//! [`distributed_weak_reachability`] rejects `ρ > 254`.
 
 use bedom_distsim::{
     Engine, ExecutionStrategy, IdAssignment, Inbox, MessageSize, Model, ModelViolation, Network,
     NodeAlgorithm, NodeContext, Outgoing, RunPolicy, RunStats,
 };
-use bedom_graph::{Graph, Vertex};
+use bedom_graph::cast::u32_from_usize;
+use bedom_graph::Graph;
 
-/// A sorted flat map from start super-id to its stored routing path — the
-/// allocation-lean replacement for the former per-node `BTreeMap` store.
-///
-/// The store holds at most `|WReach_ρ[w]| ≤ c(ρ)` entries (a class constant),
-/// so a sorted `Vec` beats a node-per-entry tree on every axis that matters
-/// in the round hot path: lookups are branchless binary searches over one
-/// cache-resident allocation, and inserting never allocates map nodes —
-/// steady-state rounds only allocate when a path itself is stored.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PathStore {
-    entries: Vec<(u64, Vec<u64>)>,
+/// The largest reach radius whose paths (`ρ + 1` ids) fit the 8-bit path
+/// length of the wire format.
+const MAX_RHO: u32 = 254;
+
+/// The path a `(offset, len)` span marks in `ids`.
+fn span_of(ids: &[u64], (offset, len): (u32, u32)) -> &[u64] {
+    &ids[offset as usize..][..len as usize]
 }
+
+/// A sorted flat map from start super-id to its stored routing path.
+///
+/// The store holds at most `|WReach_ρ[w]| ≤ c(ρ)` entries (a class constant)
+/// in three allocations: the sorted starts, one `(offset, len)` span per
+/// start, and one arena holding every path's ids. Lookups are binary searches
+/// over the starts. The protocol replaces a path only by one that is no
+/// longer (shorter paths win), so a replacement overwrites its span in place
+/// and a new start appends to the arena; a shorter replacement leaves dead
+/// words behind. Equality therefore compares the `(start, path)` sequences,
+/// never the arena.
+#[derive(Clone, Debug, Default)]
+pub struct PathStore {
+    keys: Vec<u64>,
+    spans: Vec<(u32, u32)>,
+    ids: Vec<u64>,
+}
+
+impl PartialEq for PathStore {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for PathStore {}
 
 impl PathStore {
     /// An empty store.
@@ -45,45 +77,76 @@ impl PathStore {
 
     /// Number of stored starts — `|WReach_ρ[w]|` once the protocol finishes.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.keys.len()
     }
 
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.keys.is_empty()
     }
 
     /// The stored path for `start`, if any. `O(log len)`.
     pub fn get(&self, start: u64) -> Option<&[u64]> {
-        self.entries
-            .binary_search_by_key(&start, |&(sid, _)| sid)
-            .ok()
-            .map(|i| self.entries[i].1.as_slice())
+        let i = self.keys.binary_search(&start).ok()?;
+        Some(self.path_at(i))
+    }
+
+    /// The path of the `i`-th smallest start.
+    fn path_at(&self, i: usize) -> &[u64] {
+        span_of(&self.ids, self.spans[i])
     }
 
     /// Stores `path` for `start`, replacing any previous entry.
-    pub fn insert(&mut self, start: u64, path: Vec<u64>) {
-        match self.entries.binary_search_by_key(&start, |&(sid, _)| sid) {
-            Ok(i) => self.entries[i].1 = path,
-            Err(i) => self.entries.insert(i, (start, path)),
+    pub fn insert(&mut self, start: u64, path: &[u64]) {
+        self.store(self.keys.binary_search(&start), start, path, None);
+    }
+
+    /// Stores `path ++ tail` for `start` at `slot`, the result of searching
+    /// the starts for `start`. A path no longer than the one it replaces
+    /// overwrites it in place; anything else appends to the arena.
+    fn store(&mut self, slot: Result<usize, usize>, start: u64, path: &[u64], tail: Option<u64>) {
+        let len = path.len() + usize::from(tail.is_some());
+        let span = match slot {
+            Ok(i) if len <= self.spans[i].1 as usize => {
+                let offset = self.spans[i].0 as usize;
+                self.ids[offset..][..path.len()].copy_from_slice(path);
+                if let Some(last) = tail {
+                    self.ids[offset + path.len()] = last;
+                }
+                (self.spans[i].0, u32_from_usize(len))
+            }
+            _ => {
+                let offset = u32_from_usize(self.ids.len());
+                self.ids.extend_from_slice(path);
+                self.ids.extend(tail);
+                (offset, u32_from_usize(len))
+            }
+        };
+        match slot {
+            Ok(i) => self.spans[i] = span,
+            Err(i) => {
+                self.keys.insert(i, start);
+                self.spans.insert(i, span);
+            }
         }
     }
 
     /// Iterates `(start, path)` in increasing start super-id order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &[u64])> + '_ {
-        self.entries
+        self.keys
             .iter()
-            .map(|(sid, path)| (*sid, path.as_slice()))
+            .zip(&self.spans)
+            .map(|(&start, &span)| (start, span_of(&self.ids, span)))
     }
 
     /// The stored start super-ids, in increasing order.
     pub fn keys(&self) -> impl Iterator<Item = u64> + '_ {
-        self.entries.iter().map(|&(sid, _)| sid)
+        self.keys.iter().copied()
     }
 
     /// The stored paths, in increasing start super-id order.
     pub fn values(&self) -> impl Iterator<Item = &[u64]> + '_ {
-        self.entries.iter().map(|(_, path)| path.as_slice())
+        (0..self.len()).map(|i| self.path_at(i))
     }
 
     /// Bits a [`PathSetMessage`] broadcasting every stored path would occupy
@@ -96,34 +159,101 @@ impl PathStore {
     /// bandwidth regression in `tests/model_compliance.rs`.
     pub fn encoded_bits(&self, id_bits: usize) -> usize {
         16 + self
-            .entries
+            .spans
             .iter()
-            .map(|(_, path)| 8 + path.len() * id_bits)
+            .map(|&(_, len)| 8 + len as usize * id_bits)
             .sum::<usize>()
     }
 }
 
-/// A set of routing paths, the broadcast payload of the protocol.
+/// A set of routing paths, the broadcast payload of the protocol and of the
+/// Theorem 9 and 10 phases that route along its paths.
 ///
-/// Each path is a sequence of super-ids from its start vertex to the sender.
-/// For bandwidth accounting every super-id is charged at `id_bits` bits
-/// (super-ids are bounded by `O(n log n)`, i.e. `O(log n)` bits).
+/// Each path is a sequence of super-ids from its start vertex to the sender,
+/// held as one `[len, id…]` run of a single word vector. For bandwidth
+/// accounting every super-id is charged at `id_bits` bits (super-ids are
+/// bounded by `O(n log n)`, i.e. `O(log n)` bits), plus 16 bits for the
+/// message and 8 bits per path for the lengths.
 #[derive(Clone, Debug, Default)]
 pub struct PathSetMessage {
-    /// The paths, each a super-id sequence of length ≥ 1.
-    pub paths: Vec<Vec<u64>>,
-    /// Bits charged per super-id.
-    pub id_bits: usize,
+    words: Vec<u64>,
+    count: usize,
+    id_bits: usize,
+}
+
+impl PathSetMessage {
+    /// An empty message with room for `words` words, charging `id_bits` bits
+    /// per super-id.
+    pub(crate) fn with_capacity(id_bits: usize, words: usize) -> Self {
+        PathSetMessage {
+            words: Vec::with_capacity(words),
+            count: 0,
+            id_bits,
+        }
+    }
+
+    /// Appends `path`.
+    pub(crate) fn push(&mut self, path: &[u64]) {
+        self.words.push(path.len() as u64);
+        self.words.extend_from_slice(path);
+        self.count += 1;
+    }
+
+    /// The paths, in the order they were sent.
+    pub fn paths(&self) -> impl Iterator<Item = &[u64]> + '_ {
+        let mut rest = self.words.as_slice();
+        std::iter::from_fn(move || {
+            let (&len, tail) = rest.split_first()?;
+            let (path, next) = tail.split_at(len as usize);
+            rest = next;
+            Some(path)
+        })
+    }
 }
 
 impl MessageSize for PathSetMessage {
     fn size_bits(&self) -> usize {
         // Length prefix per message and per path, plus the ids themselves.
-        16 + self
-            .paths
-            .iter()
-            .map(|p| 8 + p.len() * self.id_bits)
-            .sum::<usize>()
+        16 + 8 * self.count + (self.words.len() - self.count) * self.id_bits
+    }
+}
+
+/// A node's reused queue of outgoing paths: their ids back to back plus one
+/// span per path. [`PathOutbox::broadcast`] turns a round's queue into one
+/// [`PathSetMessage`] in lexicographic path order, the deterministic
+/// broadcast order of every path protocol.
+#[derive(Debug, Default)]
+pub(crate) struct PathOutbox {
+    ids: Vec<u64>,
+    spans: Vec<(u32, u32)>,
+}
+
+impl PathOutbox {
+    /// Queues `path ++ tail`.
+    pub(crate) fn push(&mut self, path: &[u64], tail: Option<u64>) {
+        let offset = u32_from_usize(self.ids.len());
+        self.ids.extend_from_slice(path);
+        self.ids.extend(tail);
+        self.spans
+            .push((offset, u32_from_usize(self.ids.len()) - offset));
+    }
+
+    /// Broadcasts every queued path, sorted by content, and empties the
+    /// queue; silent when nothing is queued.
+    pub(crate) fn broadcast(&mut self, id_bits: usize) -> Outgoing<PathSetMessage> {
+        if self.spans.is_empty() {
+            return Outgoing::Silent;
+        }
+        let ids = &self.ids;
+        self.spans
+            .sort_unstable_by(|&a, &b| span_of(ids, a).cmp(span_of(ids, b)));
+        let mut message = PathSetMessage::with_capacity(id_bits, ids.len() + self.spans.len());
+        for &span in &self.spans {
+            message.push(span_of(ids, span));
+        }
+        self.ids.clear();
+        self.spans.clear();
+        Outgoing::Broadcast(message)
     }
 }
 
@@ -146,14 +276,13 @@ impl WReachInfo {
 
     /// The `L`-minimum super-id reachable by a stored path of at most
     /// `max_len` edges — used by Theorem 9 to elect `min WReach_r[w]` from an
-    /// order computed for a larger radius.
+    /// order computed for a larger radius. Starts are sorted, so this is the
+    /// first short-enough one.
     pub fn min_reachable_within(&self, max_len: usize) -> u64 {
         self.paths
             .iter()
-            .filter(|(_, path)| path.len().saturating_sub(1) <= max_len)
-            .map(|(sid, _)| sid)
-            .min()
-            .unwrap_or(self.sid)
+            .find(|(_, path)| path.len().saturating_sub(1) <= max_len)
+            .map_or(self.sid, |(sid, _)| sid)
     }
 }
 
@@ -164,7 +293,7 @@ pub struct WReachNode {
     rho: u32,
     id_bits: usize,
     paths: PathStore,
-    to_send: Vec<Vec<u64>>,
+    outbox: PathOutbox,
 }
 
 impl WReachNode {
@@ -176,36 +305,30 @@ impl WReachNode {
             rho,
             id_bits,
             paths: PathStore::new(),
-            to_send: Vec::new(),
+            outbox: PathOutbox::default(),
         }
     }
 
     /// Offers the extension `path ++ [self.sid]` as a candidate; stores and
-    /// schedules it for broadcast if it is new or better than the stored one.
-    ///
-    /// The comparison runs on the borrowed incoming path, so the hot path
-    /// allocates **only when a candidate is actually accepted** — the former
-    /// code cloned every incoming path up front, which dominated the
-    /// protocol's per-round allocations.
+    /// queues it for broadcast if it is new or better than the stored one.
+    /// Both copies are written straight from the borrowed incoming path.
     fn offer(&mut self, path: &[u64]) {
         let start = path[0];
-        if start >= self.sid {
+        // Only smaller starts, and never a path through this vertex.
+        if start >= self.sid || path.contains(&self.sid) {
             return;
         }
-        let better = match self.paths.get(start) {
-            None => true,
-            Some(existing) => extension_is_better(path, self.sid, existing),
-        };
-        if better {
-            let mut candidate = Vec::with_capacity(path.len() + 1);
-            candidate.extend_from_slice(path);
-            candidate.push(self.sid);
-            // Re-broadcast only paths that can still be usefully extended.
-            if candidate.len() - 1 < self.rho as usize {
-                self.to_send.push(candidate.clone());
+        let slot = self.paths.keys.binary_search(&start);
+        if let Ok(i) = slot {
+            if !extension_is_better(path, self.sid, self.paths.path_at(i)) {
+                return;
             }
-            self.paths.insert(start, candidate);
         }
+        // Re-broadcast only paths that can still be usefully extended.
+        if path.len() < self.rho as usize {
+            self.outbox.push(path, Some(self.sid));
+        }
+        self.paths.store(slot, start, path, Some(self.sid));
     }
 }
 
@@ -229,11 +352,9 @@ impl NodeAlgorithm for WReachNode {
     type Output = WReachInfo;
 
     fn init(&mut self, _ctx: &NodeContext) -> Outgoing<PathSetMessage> {
-        self.paths.insert(self.sid, vec![self.sid]);
-        Outgoing::Broadcast(PathSetMessage {
-            paths: vec![vec![self.sid]],
-            id_bits: self.id_bits,
-        })
+        self.paths.insert(self.sid, &[self.sid]);
+        self.outbox.push(&[self.sid], None);
+        self.outbox.broadcast(self.id_bits)
     }
 
     fn round(
@@ -245,29 +366,15 @@ impl NodeAlgorithm for WReachNode {
         if round > self.rho as usize {
             return Outgoing::Silent;
         }
-        self.to_send.clear();
         for message in inbox {
-            for path in &message.payload.paths {
-                if path.contains(&self.sid) {
-                    continue;
+            for path in message.payload.paths() {
+                // Extending a longer path would exceed the reach radius.
+                if path.len() <= self.rho as usize {
+                    self.offer(path);
                 }
-                if path.len() > self.rho as usize {
-                    // Extending would exceed the reach radius.
-                    continue;
-                }
-                self.offer(path);
             }
         }
-        if self.to_send.is_empty() {
-            Outgoing::Silent
-        } else {
-            // Deterministic broadcast order.
-            self.to_send.sort();
-            Outgoing::Broadcast(PathSetMessage {
-                paths: std::mem::take(&mut self.to_send),
-                id_bits: self.id_bits,
-            })
-        }
+        self.outbox.broadcast(self.id_bits)
     }
 
     fn output(&self, _ctx: &NodeContext) -> WReachInfo {
@@ -283,8 +390,6 @@ impl NodeAlgorithm for WReachNode {
 pub struct DistributedWReach {
     /// Per-vertex outputs, indexed by graph vertex.
     pub info: Vec<WReachInfo>,
-    /// Super-id of every graph vertex (copied from the order phase).
-    pub super_ids: Vec<u64>,
     /// Communication rounds used by this phase.
     pub rounds: usize,
     /// Executor statistics for this phase.
@@ -292,14 +397,6 @@ pub struct DistributedWReach {
 }
 
 impl DistributedWReach {
-    /// Maps a super-id back to the graph vertex carrying it.
-    pub fn vertex_of_sid(&self, sid: u64) -> Option<Vertex> {
-        self.super_ids
-            .iter()
-            .position(|&s| s == sid)
-            .map(|v| v as Vertex)
-    }
-
     /// The measured constant: `max_w |WReach_ρ[w]|` over all vertices.
     pub fn measured_constant(&self) -> usize {
         self.info.iter().map(|i| i.paths.len()).max().unwrap_or(0)
@@ -335,12 +432,23 @@ impl WReachConfig {
 
 /// Runs the weak reachability protocol of Lemma 7 on `graph` using the given
 /// per-vertex super-ids (from the distributed order phase).
+///
+/// Fails with [`ModelViolation::RadiusOutOfRange`] before any round runs when
+/// `config.rho > 254`: a stored path has `ρ + 1` ids, and the wire format
+/// describes at most 255.
 pub fn distributed_weak_reachability(
     graph: &Graph,
     super_ids: &[u64],
     config: WReachConfig,
 ) -> Result<DistributedWReach, ModelViolation> {
     assert_eq!(super_ids.len(), graph.num_vertices());
+    if config.rho > MAX_RHO {
+        return Err(ModelViolation::RadiusOutOfRange {
+            requested: config.rho,
+            supported: MAX_RHO,
+            what: "the Lemma 7 protocol (a path's length travels in 8 bits)",
+        });
+    }
     let n = graph.num_vertices();
     // Super-ids fit in O(log n) bits: they are bounded by (phases+1)·n.
     let id_bits = bedom_distsim::log2_ceil(n.max(2).pow(2)) + 8;
@@ -379,7 +487,6 @@ pub fn distributed_weak_reachability(
     let stats = network.stats().clone();
     Ok(DistributedWReach {
         info,
-        super_ids: super_ids.to_vec(),
         rounds: stats.rounds,
         stats,
     })
@@ -389,6 +496,7 @@ pub fn distributed_weak_reachability(
 mod tests {
     use super::*;
     use bedom_graph::generators::{cycle, grid, path, random_tree, stacked_triangulation};
+    use bedom_graph::Vertex;
     use bedom_wcol::{weak_reachability_sets, LinearOrder};
 
     /// Runs the protocol with super-ids equal to ranks of the given order and
@@ -557,28 +665,71 @@ mod tests {
         let mut store = PathStore::new();
         assert!(store.is_empty());
         assert_eq!(store.get(3), None);
-        store.insert(5, vec![5]);
-        store.insert(2, vec![2, 5]);
-        store.insert(9, vec![9, 2]);
+        store.insert(5, &[5]);
+        store.insert(2, &[2, 5]);
+        store.insert(9, &[9, 2]);
         assert_eq!(store.len(), 3);
         assert_eq!(store.keys().collect::<Vec<_>>(), vec![2, 5, 9]);
         assert_eq!(store.get(2), Some(&[2, 5][..]));
-        // Replacement keeps the store sorted and deduplicated.
-        store.insert(2, vec![2]);
+        // Replacement keeps the store sorted and deduplicated, in place when
+        // the new path is no longer and by appending when it is longer.
+        store.insert(2, &[2]);
         assert_eq!(store.len(), 3);
         assert_eq!(store.get(2), Some(&[2][..]));
+        store.insert(5, &[5, 7, 5]);
+        assert_eq!(store.get(5), Some(&[5, 7, 5][..]));
         let collected: Vec<(u64, &[u64])> = store.iter().collect();
         assert_eq!(collected[0], (2, &[2][..]));
         assert_eq!(collected[2], (9, &[9, 2][..]));
+        assert_eq!(
+            store.values().collect::<Vec<_>>(),
+            vec![&[2][..], &[5, 7, 5], &[9, 2]]
+        );
+    }
+
+    #[test]
+    fn path_stores_with_equal_content_are_equal_whatever_their_history() {
+        // An in-place replacement leaves dead words in the arena, so equal
+        // stores may differ in layout; equality must see only the content.
+        let mut replaced = PathStore::new();
+        replaced.insert(4, &[4, 8, 6, 9]);
+        replaced.insert(1, &[1, 3, 9]);
+        replaced.insert(4, &[4, 9]);
+        let mut direct = PathStore::new();
+        direct.insert(1, &[1, 3, 9]);
+        direct.insert(4, &[4, 9]);
+        assert_eq!(replaced, direct);
+        direct.insert(1, &[1, 2, 9]);
+        assert_ne!(replaced, direct);
     }
 
     #[test]
     fn message_size_accounting() {
-        let m = PathSetMessage {
-            paths: vec![vec![1, 2, 3], vec![4]],
-            id_bits: 10,
-        };
+        let mut m = PathSetMessage::with_capacity(10, 6);
+        m.push(&[1, 2, 3]);
+        m.push(&[4]);
         assert_eq!(m.size_bits(), 16 + (8 + 30) + (8 + 10));
+        assert_eq!(m.paths().collect::<Vec<_>>(), vec![&[1, 2, 3][..], &[4]]);
+        assert_eq!(PathSetMessage::with_capacity(10, 0).size_bits(), 16);
+    }
+
+    #[test]
+    fn outbox_broadcasts_every_queued_path_in_lexicographic_order() {
+        // Two candidates for one start in one round are both sent, in the
+        // order `Vec<Vec<u64>>::sort` would give.
+        let mut outbox = PathOutbox::default();
+        assert!(matches!(outbox.broadcast(8), Outgoing::Silent));
+        outbox.push(&[3, 5], Some(9));
+        outbox.push(&[1], None);
+        outbox.push(&[3], Some(9));
+        outbox.push(&[1, 4], None);
+        let Outgoing::Broadcast(message) = outbox.broadcast(8) else {
+            panic!("queued paths must be broadcast");
+        };
+        let mut expected = vec![vec![3, 5, 9], vec![1], vec![3, 9], vec![1, 4]];
+        expected.sort();
+        assert_eq!(message.paths().collect::<Vec<_>>(), expected);
+        assert!(matches!(outbox.broadcast(8), Outgoing::Silent));
     }
 
     #[test]
@@ -587,15 +738,38 @@ mod tests {
         // store's flat encoding — the wire accounting runs on the flat
         // PathStore representation, not on any legacy shape.
         let mut store = PathStore::new();
-        store.insert(7, vec![7]);
-        store.insert(2, vec![2, 9, 7]);
-        store.insert(4, vec![4, 7]);
+        store.insert(7, &[7]);
+        store.insert(2, &[2, 9, 7]);
+        store.insert(4, &[4, 7]);
         let id_bits = 13;
-        let message = PathSetMessage {
-            paths: store.values().map(<[u64]>::to_vec).collect(),
-            id_bits,
-        };
+        let mut message = PathSetMessage::with_capacity(id_bits, 0);
+        for path in store.values() {
+            message.push(path);
+        }
         assert_eq!(message.size_bits(), store.encoded_bits(id_bits));
         assert_eq!(PathStore::new().encoded_bits(id_bits), 16);
+    }
+
+    #[test]
+    fn radii_beyond_the_8_bit_path_length_are_rejected() {
+        // ρ = 254 stores paths of 255 ids, the most an 8-bit length
+        // describes; ρ = 255 would store 256 and fails before any round.
+        let g = path(255);
+        let super_ids: Vec<u64> = (0..255).collect();
+        let err = distributed_weak_reachability(&g, &super_ids, WReachConfig::measuring(255))
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            ModelViolation::RadiusOutOfRange {
+                requested: 255,
+                supported: 254,
+                ..
+            }
+        ));
+        let result =
+            distributed_weak_reachability(&g, &super_ids, WReachConfig::measuring(254)).unwrap();
+        let longest = result.info[254].paths.get(0).unwrap();
+        assert_eq!(longest.len(), 255);
+        assert_eq!(longest, &super_ids[..255]);
     }
 }
