@@ -1,18 +1,25 @@
-//! Allocation regression for the index sweep every distributed pipeline
-//! runs: `DistContext::index()` must stay `O(workers)` in allocation count —
-//! one epoch-stamped BFS scratch per worker, one set of ball buffers per
-//! chunk, one final CSR — never `Θ(n)` fresh vectors (the seed's per-ball
-//! `vec![false; n]`) nor the per-batch lane buffers of a 64-source
-//! word-parallel sweep.
+//! Allocation regression for the two context phases every distributed
+//! pipeline runs.
 //!
-//! Lives in its own integration-test binary so the counting global allocator
-//! sees no interference from unrelated tests running on sibling threads.
+//! * The index sweep: `DistContext::index()` must stay `O(workers)` in
+//!   allocation count — one epoch-stamped BFS scratch per worker, one set of
+//!   ball buffers per chunk, one final CSR — never `Θ(n)` fresh vectors (the
+//!   seed's per-ball `vec![false; n]`) nor the per-batch lane buffers of a
+//!   64-source word-parallel sweep.
+//! * The Lemma 7 protocol: `DistContext::wreach()` must stay within a fixed
+//!   number of allocations per vertex — a flat path store and a reused
+//!   outbox per vertex, one message per broadcast — never one vector per
+//!   stored or forwarded path.
+//!
+//! Lives in its own integration-test binary, with a single `#[test]`, so the
+//! counting global allocator sees no interference from tests running on
+//! sibling threads.
 
 #![allow(unsafe_code)] // the counting allocator implements `GlobalAlloc`
 
 use bedom::core::{DistContext, DistContextConfig};
 use bedom::distsim::ExecutionStrategy;
-use bedom::graph::generators::stacked_triangulation;
+use bedom::graph::generators::{configuration_model_power_law, stacked_triangulation};
 use bedom::wcol::WReachIndex;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,7 +49,7 @@ fn count_allocs(f: impl FnOnce()) -> u64 {
 }
 
 #[test]
-fn context_index_sweep_stays_within_its_allocation_budget() {
+fn context_index_sweep_and_wreach_protocol_stay_within_their_allocation_budgets() {
     let n = 20_000;
     let radius = 2;
     let g = stacked_triangulation(n, 3);
@@ -70,4 +77,34 @@ fn context_index_sweep_stays_within_its_allocation_budget() {
         &WReachIndex::build_with(&g, ctx.order(), radius, ExecutionStrategy::Sequential),
         "the context's index differs from the plain per-source build"
     );
+
+    // The Lemma 7 protocol at radius 4: each vertex stores and forwards
+    // dozens of paths, so one vector per path (the former layout made 80.0
+    // and 60.8 allocations per vertex here) trips the budget.
+    let n = 5_000;
+    for (name, g) in [
+        ("planar-tri", stacked_triangulation(n, 3)),
+        (
+            "config-model",
+            configuration_model_power_law(n, 2.5, 2, 8, 3),
+        ),
+    ] {
+        let ctx = DistContext::elect(
+            &g,
+            DistContextConfig {
+                strategy: ExecutionStrategy::Sequential,
+                ..DistContextConfig::new(4)
+            },
+        )
+        .expect("the order phase runs on every generated graph");
+        let allocs = count_allocs(|| {
+            ctx.wreach().expect("a fault-free protocol run succeeds");
+        });
+        let per_vertex = allocs as f64 / n as f64;
+        assert!(
+            per_vertex < 35.0,
+            "{name}: DistContext::wreach() performed {per_vertex:.1} allocations per vertex \
+             on n = {n} (budget 35)"
+        );
+    }
 }
