@@ -22,11 +22,11 @@
 //! vertex's [`PathStore`] is its sorted start super-ids, one span per start
 //! and one id arena; a [`PathSetMessage`] is one vector of `[len, id…]` runs.
 //! The Lemma 7 node here, the Theorem 9 election and the Theorem 10 path
-//! flood read messages through [`PathSetMessage::paths`] and queue their
-//! broadcasts in a reused crate-private `PathOutbox`, so accepting or
-//! forwarding a path never allocates a vector of its own. The wire format
-//! charges 8 bits for a path's length, so a path has at most 255 ids and
-//! [`distributed_weak_reachability`] rejects `ρ > 254`.
+//! flood read messages through [`PathSetMessage::paths`]. The first two
+//! queue their broadcasts in a reused crate-private `PathOutbox`, so they
+//! accept and forward paths without allocating a vector per path. The wire
+//! format charges 8 bits for a path's length, so a path has at most 255 ids
+//! and [`distributed_weak_reachability`] rejects `ρ > 254`.
 
 use bedom_distsim::{
     Engine, ExecutionStrategy, IdAssignment, Inbox, MessageSize, Model, ModelViolation, Network,
