@@ -60,8 +60,8 @@ impl PathFloodNode {
         }
         self.pending.sort();
         self.pending.dedup();
-        let words = self.pending.iter().map(|p| p.len() + 1).sum();
-        let mut message = PathSetMessage::with_capacity(self.id_bits, words);
+        let ids = self.pending.iter().map(Vec::len).sum();
+        let mut message = PathSetMessage::with_capacity(self.id_bits, self.pending.len(), ids);
         for path in self.pending.drain(..) {
             message.push(&path);
             self.forwarded.insert(path);

@@ -182,11 +182,11 @@ pub struct PathSetMessage {
 }
 
 impl PathSetMessage {
-    /// An empty message with room for `words` words, charging `id_bits` bits
-    /// per super-id.
-    pub(crate) fn with_capacity(id_bits: usize, words: usize) -> Self {
+    /// An empty message with room for `paths` paths of `ids` super-ids in
+    /// total, charging `id_bits` bits per super-id.
+    pub(crate) fn with_capacity(id_bits: usize, paths: usize, ids: usize) -> Self {
         PathSetMessage {
-            words: Vec::with_capacity(words),
+            words: Vec::with_capacity(paths + ids),
             count: 0,
             id_bits,
         }
@@ -247,7 +247,7 @@ impl PathOutbox {
         let ids = &self.ids;
         self.spans
             .sort_unstable_by(|&a, &b| span_of(ids, a).cmp(span_of(ids, b)));
-        let mut message = PathSetMessage::with_capacity(id_bits, ids.len() + self.spans.len());
+        let mut message = PathSetMessage::with_capacity(id_bits, self.spans.len(), ids.len());
         for &span in &self.spans {
             message.push(span_of(ids, span));
         }
@@ -705,12 +705,12 @@ mod tests {
 
     #[test]
     fn message_size_accounting() {
-        let mut m = PathSetMessage::with_capacity(10, 6);
+        let mut m = PathSetMessage::with_capacity(10, 2, 4);
         m.push(&[1, 2, 3]);
         m.push(&[4]);
         assert_eq!(m.size_bits(), 16 + (8 + 30) + (8 + 10));
         assert_eq!(m.paths().collect::<Vec<_>>(), vec![&[1, 2, 3][..], &[4]]);
-        assert_eq!(PathSetMessage::with_capacity(10, 0).size_bits(), 16);
+        assert_eq!(PathSetMessage::with_capacity(10, 0, 0).size_bits(), 16);
     }
 
     #[test]
@@ -742,7 +742,7 @@ mod tests {
         store.insert(2, &[2, 9, 7]);
         store.insert(4, &[4, 7]);
         let id_bits = 13;
-        let mut message = PathSetMessage::with_capacity(id_bits, 0);
+        let mut message = PathSetMessage::with_capacity(id_bits, 0, 0);
         for path in store.values() {
             message.push(path);
         }
