@@ -771,5 +771,12 @@ mod tests {
         let longest = result.info[254].paths.get(0).unwrap();
         assert_eq!(longest.len(), 255);
         assert_eq!(longest, &super_ids[..255]);
+        // A context at reach radius 255 elects its order but cannot run
+        // Lemma 7.
+        let ctx = crate::DistContext::elect(&g, crate::DistContextConfig::new(255)).unwrap();
+        assert!(matches!(
+            ctx.wreach(),
+            Err(ModelViolation::RadiusOutOfRange { requested: 255, .. })
+        ));
     }
 }
