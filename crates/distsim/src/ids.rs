@@ -60,7 +60,7 @@ impl IdAssignment {
 }
 
 /// Vertices in BFS-from-0 order (unreached vertices appended in id order).
-fn bfs_order(graph: &Graph) -> Vec<Vertex> {
+pub(crate) fn bfs_order(graph: &Graph) -> Vec<Vertex> {
     let n = graph.num_vertices();
     if n == 0 {
         return Vec::new();

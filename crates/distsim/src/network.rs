@@ -1138,4 +1138,292 @@ mod tests {
         assert_eq!(stats.deliveries, 2);
         assert_eq!(stats.senders, 1);
     }
+
+    /// The FNV-1a (64-bit) offset basis.
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+    /// Continues an FNV-1a (64-bit) hash over `bytes`.
+    fn fnv1a_extend(mut hash: u64, bytes: &[u8]) -> u64 {
+        for &b in bytes {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x0100_0000_01b3);
+        }
+        hash
+    }
+
+    /// Broadcasts on odd rounds and unicasts to its two smallest-id
+    /// neighbours on even rounds (so both delivery paths run), folding every
+    /// `(from, payload)` it receives, in inbox order, into its state.
+    #[derive(Clone, Debug)]
+    struct Folder(u64);
+
+    impl Folder {
+        fn send(&self, ctx: &NodeContext, round: usize) -> Outgoing<u64> {
+            if round % 2 == 1 {
+                Outgoing::Broadcast(self.0)
+            } else {
+                let targets = ctx.neighbor_ids.iter().take(2);
+                Outgoing::Unicast(targets.map(|&t| (t, self.0 ^ t)).collect())
+            }
+        }
+    }
+
+    impl NodeAlgorithm for Folder {
+        type Message = u64;
+        type Output = u64;
+        fn init(&mut self, ctx: &NodeContext) -> Outgoing<u64> {
+            self.0 = fnv1a_extend(FNV_OFFSET, &ctx.id.to_le_bytes());
+            self.send(ctx, 0)
+        }
+        fn round(
+            &mut self,
+            ctx: &NodeContext,
+            round: usize,
+            inbox: Inbox<'_, u64>,
+        ) -> Outgoing<u64> {
+            for Incoming { from, payload } in inbox {
+                self.0 = fnv1a_extend(self.0, &from.to_le_bytes());
+                self.0 = fnv1a_extend(self.0, &payload.to_le_bytes());
+            }
+            self.send(ctx, round)
+        }
+        fn output(&self, _: &NodeContext) -> u64 {
+            self.0
+        }
+    }
+
+    impl crate::snapshot_codec::ByteCodec for Folder {
+        fn encode(&self, out: &mut Vec<u8>) {
+            self.0.encode(out);
+        }
+        fn decode(input: &mut &[u8]) -> Result<Self, crate::snapshot_codec::CodecError> {
+            u64::decode(input).map(Folder)
+        }
+    }
+
+    /// `g` with its vertices renumbered by a seeded random permutation, so a
+    /// BFS from vertex 0 no longer follows the numbering.
+    fn scrambled(g: &Graph, seed: u64) -> Graph {
+        let mut perm: Vec<Vertex> = (0..g.num_vertices() as Vertex).collect();
+        bedom_rng::DetRng::seed_from_u64(seed).shuffle(&mut perm);
+        g.relabel(&perm)
+    }
+
+    /// `slot_of[v]`: the position of `v` in the BFS order from vertex 0.
+    fn bfs_slots(g: &Graph) -> Vec<usize> {
+        let mut slot_of = vec![0; g.num_vertices()];
+        for (slot, &v) in crate::ids::bfs_order(g).iter().enumerate() {
+            slot_of[v as usize] = slot;
+        }
+        slot_of
+    }
+
+    /// Everything observable at the engine's boundary must be keyed by graph
+    /// vertex and network id, whatever order the network stores vertices in:
+    /// outputs, ids, statistics, snapshot bytes and the first reported model
+    /// violation. The scrambled shapes make a BFS order differ from the
+    /// numbering; `path-40` (where BFS is the identity) is the control.
+    #[test]
+    fn boundary_outputs_match_their_pins() {
+        use crate::snapshot_codec::{encode_snapshot, ByteCodec};
+        use bedom_graph::generators::{configuration_model_power_law, stacked_triangulation};
+        let shapes = [
+            ("grid-12x12", scrambled(&grid(12, 12), 1)),
+            (
+                "planar-tri-300",
+                scrambled(&stacked_triangulation(300, 5), 2),
+            ),
+            (
+                "config-model-300",
+                scrambled(&configuration_model_power_law(300, 2.5, 2, 8, 3), 3),
+            ),
+            ("path-40", path(40)),
+        ];
+        let pins: [(&str, IdAssignment, bool, u64); 16] = [
+            (
+                "grid-12x12",
+                IdAssignment::Natural,
+                false,
+                0x9489_fe97_20b8_83ba,
+            ),
+            (
+                "grid-12x12",
+                IdAssignment::Natural,
+                true,
+                0x65d8_20a8_7d01_2508,
+            ),
+            (
+                "grid-12x12",
+                IdAssignment::Shuffled(11),
+                false,
+                0x7d1d_bcc2_c492_4118,
+            ),
+            (
+                "grid-12x12",
+                IdAssignment::Shuffled(11),
+                true,
+                0xcc99_3c92_bc3a_6ecf,
+            ),
+            (
+                "planar-tri-300",
+                IdAssignment::Natural,
+                false,
+                0xe52f_680e_2b41_f79e,
+            ),
+            (
+                "planar-tri-300",
+                IdAssignment::Natural,
+                true,
+                0x434c_0ae4_ce16_0858,
+            ),
+            (
+                "planar-tri-300",
+                IdAssignment::Shuffled(11),
+                false,
+                0xa3eb_909b_583e_0fea,
+            ),
+            (
+                "planar-tri-300",
+                IdAssignment::Shuffled(11),
+                true,
+                0xae13_e6aa_2edf_6624,
+            ),
+            (
+                "config-model-300",
+                IdAssignment::Natural,
+                false,
+                0xdb7b_b296_1fe7_6019,
+            ),
+            (
+                "config-model-300",
+                IdAssignment::Natural,
+                true,
+                0x21dc_6b4b_7727_528f,
+            ),
+            (
+                "config-model-300",
+                IdAssignment::Shuffled(11),
+                false,
+                0x80df_fa13_744b_e8ca,
+            ),
+            (
+                "config-model-300",
+                IdAssignment::Shuffled(11),
+                true,
+                0xe799_ed37_b911_4087,
+            ),
+            (
+                "path-40",
+                IdAssignment::Natural,
+                false,
+                0x9c5a_2a07_26ea_d492,
+            ),
+            (
+                "path-40",
+                IdAssignment::Natural,
+                true,
+                0xc17a_0eb7_4868_43b1,
+            ),
+            (
+                "path-40",
+                IdAssignment::Shuffled(11),
+                false,
+                0xa19b_e3c2_2f32_aaf9,
+            ),
+            (
+                "path-40",
+                IdAssignment::Shuffled(11),
+                true,
+                0x6784_9b57_3c80_a8e6,
+            ),
+        ];
+        let mut actual = Vec::new();
+        for &(name, assignment, faulty, _) in &pins {
+            let g = &shapes.iter().find(|(shape, _)| *shape == name).unwrap().1;
+            let n = g.num_vertices();
+            let slot_of = bfs_slots(g);
+            let crashed = (0..n).find(|&v| slot_of[v] != v).unwrap_or(n / 2) as Vertex;
+            let mut net = Network::new(g, Model::Local, assignment, |_, _| Folder(0));
+            if faulty {
+                let plan = FaultPlan::seeded(0xb0d7)
+                    .drop_messages(0.2)
+                    .link_outages(0.05)
+                    .crash(crashed, 2, 5);
+                net.set_fault_plan(plan);
+            }
+            let mut snapshots = crate::engine::SnapshotObserver::every(3);
+            Engine::new(&mut net)
+                .observe_state(&mut snapshots)
+                .run(RunPolicy::fixed(8))
+                .unwrap();
+            let mut hash = FNV_OFFSET;
+            for (v, out) in net.outputs().into_iter().enumerate() {
+                hash = fnv1a_extend(hash, &out.to_le_bytes());
+                hash = fnv1a_extend(hash, &net.id_of(v as Vertex).to_le_bytes());
+            }
+            if faulty {
+                assert!(
+                    net.stats().dropped_deliveries > 0,
+                    "{name}: the plan should bite"
+                );
+                assert_eq!(net.stats().crashed_vertex_rounds, 3, "{name}");
+            }
+            let mut stats = Vec::new();
+            net.stats().encode(&mut stats);
+            hash = fnv1a_extend(hash, &stats);
+            hash = fnv1a_extend(hash, &encode_snapshot(&snapshots.snapshots()[0]));
+            actual.push((name, assignment, faulty, hash));
+        }
+        assert_eq!(actual, pins);
+
+        // Two vertices send an oversized message in the same round: the
+        // violation reported names the smaller graph vertex, here the one a
+        // BFS reaches later.
+        struct RoundOneBloater(bool);
+        impl NodeAlgorithm for RoundOneBloater {
+            type Message = Vec<u64>;
+            type Output = ();
+            fn init(&mut self, _: &NodeContext) -> Outgoing<Vec<u64>> {
+                Outgoing::Silent
+            }
+            fn round(
+                &mut self,
+                _: &NodeContext,
+                _: usize,
+                _: Inbox<'_, Vec<u64>>,
+            ) -> Outgoing<Vec<u64>> {
+                if self.0 {
+                    Outgoing::Broadcast(vec![0; 64])
+                } else {
+                    Outgoing::Silent
+                }
+            }
+            fn output(&self, _: &NodeContext) {}
+        }
+        let g = &shapes[0].1;
+        let n = g.num_vertices();
+        let slot_of = bfs_slots(g);
+        let (a, b) = (0..n)
+            .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
+            .find(|&(a, b)| slot_of[a] > slot_of[b])
+            .unwrap();
+        let mut net = Network::new(
+            g,
+            Model::congest_bc(),
+            IdAssignment::Shuffled(11),
+            |v, _| RoundOneBloater(v as usize == a || v as usize == b),
+        );
+        let violation = run_fixed(&mut net, 2).unwrap_err();
+        assert_eq!((a, b), (1, 2));
+        assert_eq!(
+            violation,
+            ModelViolation::MessageTooLarge {
+                vertex: 97,
+                round: 1,
+                bits: 4128,
+                limit: 8
+            }
+        );
+        assert_eq!(net.id_of(a as Vertex), 97);
+    }
 }
