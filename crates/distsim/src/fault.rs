@@ -232,19 +232,25 @@ impl FaultPlan {
 
 /// The per-receiver delivery predicate the broadcast fast path threads into
 /// [`crate::node::InboxSource::Broadcasts`]: the arena path filters packets
-/// at build time, the fast path filters them at read time with this.
+/// at build time, the fast path filters them at read time with this. Senders
+/// arrive as the network's storage slots and are mapped back to graph
+/// vertices, which is what the plan is keyed by.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct DeliveryFilter<'a> {
     pub(crate) plan: &'a FaultPlan,
     pub(crate) round: usize,
     /// The receiving graph vertex.
     pub(crate) receiver: u32,
+    /// The graph vertex stored in each network slot.
+    pub(crate) vertex_at: &'a [u32],
 }
 
 impl DeliveryFilter<'_> {
-    /// Whether the broadcast of graph vertex `sender` reaches the receiver.
+    /// Whether the broadcast of the vertex in slot `sender` reaches the
+    /// receiver.
     pub(crate) fn delivers_from(&self, sender: u32) -> bool {
-        self.plan.delivers(self.round, sender, self.receiver)
+        let from = self.vertex_at[sender as usize];
+        self.plan.delivers(self.round, from, self.receiver)
     }
 }
 

@@ -59,27 +59,27 @@ impl IdAssignment {
     }
 }
 
-/// Vertices in BFS-from-0 order (unreached vertices appended in id order).
+/// Vertices in BFS order: a BFS from vertex 0, then one from the lowest
+/// unreached vertex of each later component. Also the storage order of
+/// [`crate::network::Network`].
 pub(crate) fn bfs_order(graph: &Graph) -> Vec<Vertex> {
     let n = graph.num_vertices();
-    if n == 0 {
-        return Vec::new();
-    }
     let mut visited = vec![false; n];
+    // The output doubles as the FIFO queue: `order[head..]` is the frontier.
     let mut order = Vec::with_capacity(n);
-    let mut queue = std::collections::VecDeque::new();
+    let mut head = 0;
     for start in 0..n as Vertex {
         if visited[start as usize] {
             continue;
         }
         visited[start as usize] = true;
-        queue.push_back(start);
-        while let Some(v) = queue.pop_front() {
-            order.push(v);
+        order.push(start);
+        while let Some(&v) = order.get(head) {
+            head += 1;
             for &w in graph.neighbors(v) {
                 if !visited[w as usize] {
                     visited[w as usize] = true;
-                    queue.push_back(w);
+                    order.push(w);
                 }
             }
         }

@@ -34,6 +34,25 @@
 //! allocated a fresh `Vec` per receiver per round and cloned every payload
 //! per delivery; the `engine_delivery` bench in `bedom-bench` measures the
 //! difference.
+//!
+//! ## Storage order
+//!
+//! Generators number vertices with no locality (a stacked triangulation
+//! attaches each new vertex to a random face), so walking inboxes in vertex
+//! order misses cache on every neighbour. The network therefore stores its
+//! per-vertex state in *slots*: one BFS order of the graph, computed when it
+//! is built. The node instances, their contexts, both outbox buffers, the
+//! inbox arena and the id-sorted delivery CSR are all indexed by slot, so a
+//! receiver's neighbours, and the payloads they allocated earlier in the
+//! same sweep, sit near it in memory.
+//!
+//! Slots never leave this module. The factory receives the graph vertex,
+//! [`Network::outputs`], [`Network::node`] and [`Network::id_of`] are keyed
+//! by graph vertex, fault plans are asked about graph vertices, model
+//! violations are checked in graph-vertex order (so the first one reported
+//! is the same whatever the layout), and snapshots hold nodes and outboxes
+//! in graph-vertex order. Inboxes are ordered by sender network id, which
+//! the layout does not touch, so no protocol can observe it.
 
 use crate::fault::{DeliveryFilter, FaultPlan};
 use crate::ids::IdAssignment;
@@ -41,15 +60,24 @@ use crate::message::MessageSize;
 use crate::model::{Model, ModelViolation};
 use crate::node::{Inbox, InboxSource, NodeAlgorithm, NodeContext, Outgoing, Packet};
 use crate::trace::{RoundStats, RunStats};
+use bedom_graph::cast::u32_from_usize;
 use bedom_graph::{Graph, Vertex};
 use bedom_par::ExecutionStrategy;
 
 /// A configured network: the input graph, a communication model, an id
 /// assignment, one algorithm instance per vertex, and the reusable delivery
 /// buffers. Drive it with [`crate::engine::Engine`].
+///
+/// Every per-vertex buffer below is indexed by storage slot (see the module
+/// docs' *Storage order*).
 pub struct Network<'g, A: NodeAlgorithm> {
     graph: &'g Graph,
     model: Model,
+    /// The graph vertex stored in each slot: a BFS order of the graph.
+    vertex_at: Vec<Vertex>,
+    /// Inverse of `vertex_at`: the slot each graph vertex is stored in.
+    slot_of: Vec<u32>,
+    /// Network id of each slot's vertex.
     ids: Vec<u64>,
     contexts: Vec<NodeContext>,
     nodes: Vec<A>,
@@ -63,11 +91,12 @@ pub struct Network<'g, A: NodeAlgorithm> {
     inbox_arena: Vec<Packet>,
     /// CSR offsets into [`Network::delivery_order`]; length `n + 1`.
     nbr_offsets: Vec<u32>,
-    /// Every vertex's neighbours sorted by network id — the deterministic
+    /// Every slot's neighbour slots sorted by network id — the deterministic
     /// delivery order, precomputed once.
-    delivery_order: Vec<Vertex>,
-    /// Inverse of `ids` (ids are always a dense permutation of `0..n`), used
-    /// to resolve unicast targets back to graph vertices for fault checks.
+    delivery_order: Vec<u32>,
+    /// Inverse of the id assignment (ids are always a dense permutation of
+    /// `0..n`): the graph vertex holding each id, used to resolve unicast
+    /// targets for fault checks.
     vertex_of: Vec<Vertex>,
     /// The installed fault schedule, if any. Configuration, not execution
     /// state: snapshots do not capture it and restores do not touch it.
@@ -91,7 +120,8 @@ impl<A: NodeAlgorithm> std::fmt::Debug for Network<'_, A> {
 
 impl<'g, A: NodeAlgorithm> Network<'g, A> {
     /// Builds a network over `graph` where vertex `v` runs the instance
-    /// produced by `factory(v, &context_of_v)`.
+    /// produced by `factory(v, &context_of_v)`. The factory is called once
+    /// per vertex, in an unspecified order.
     pub fn new(
         graph: &'g Graph,
         model: Model,
@@ -99,49 +129,59 @@ impl<'g, A: NodeAlgorithm> Network<'g, A> {
         mut factory: impl FnMut(Vertex, &NodeContext) -> A,
     ) -> Self {
         let n = graph.num_vertices();
-        let ids = assignment.assign(graph);
-        let contexts: Vec<NodeContext> = (0..n)
-            .map(|v| {
+        let id_of = assignment.assign(graph);
+        let vertex_at = crate::ids::bfs_order(graph);
+        let mut slot_of = vec![0u32; n];
+        for (slot, &v) in vertex_at.iter().enumerate() {
+            slot_of[v as usize] = u32_from_usize(slot);
+        }
+        let mut vertex_of: Vec<Vertex> = vec![0; n];
+        for (v, &id) in id_of.iter().enumerate() {
+            debug_assert!((id as usize) < n, "id assignments are dense permutations");
+            vertex_of[id as usize] = v as Vertex;
+        }
+        let contexts: Vec<NodeContext> = vertex_at
+            .iter()
+            .map(|&v| {
                 let mut neighbor_ids: Vec<u64> = graph
-                    .neighbors(v as Vertex)
+                    .neighbors(v)
                     .iter()
-                    .map(|&w| ids[w as usize])
+                    .map(|&w| id_of[w as usize])
                     .collect();
                 neighbor_ids.sort_unstable();
                 NodeContext {
-                    id: ids[v],
+                    id: id_of[v as usize],
                     n,
                     neighbor_ids,
                 }
             })
             .collect();
-        let nodes: Vec<A> = (0..n).map(|v| factory(v as Vertex, &contexts[v])).collect();
+        let nodes: Vec<A> = vertex_at
+            .iter()
+            .zip(&contexts)
+            .map(|(&v, ctx)| factory(v, ctx))
+            .collect();
 
-        // Precompute the deterministic delivery order: each vertex's
-        // neighbours sorted by their network id.
+        // Precompute the deterministic delivery order: each slot's
+        // neighbours, sorted by network id as its context already lists them.
         let mut nbr_offsets: Vec<u32> = Vec::with_capacity(n + 1);
-        let mut delivery_order: Vec<Vertex> = Vec::with_capacity(2 * graph.num_edges());
+        let mut delivery_order: Vec<u32> = Vec::with_capacity(2 * graph.num_edges());
         nbr_offsets.push(0);
-        for v in 0..n {
-            let start = delivery_order.len();
-            delivery_order.extend_from_slice(graph.neighbors(v as Vertex));
-            delivery_order[start..].sort_unstable_by_key(|&u| ids[u as usize]);
-            nbr_offsets
-                .push(u32::try_from(delivery_order.len()).expect(
-                    "delivery CSR exceeds u32 offsets — graph too large for the simulator",
-                ));
-        }
-
-        let mut vertex_of: Vec<Vertex> = vec![0; n];
-        for (v, &id) in ids.iter().enumerate() {
-            debug_assert!((id as usize) < n, "id assignments are dense permutations");
-            vertex_of[id as usize] = v as Vertex;
+        for ctx in &contexts {
+            delivery_order.extend(
+                ctx.neighbor_ids
+                    .iter()
+                    .map(|&id| slot_of[vertex_of[id as usize] as usize]),
+            );
+            nbr_offsets.push(u32_from_usize(delivery_order.len()));
         }
 
         Network {
             graph,
             model,
-            ids,
+            ids: vertex_at.iter().map(|&v| id_of[v as usize]).collect(),
+            vertex_at,
+            slot_of,
             contexts,
             nodes,
             outboxes: (0..n).map(|_| Outgoing::Silent).collect(),
@@ -199,7 +239,7 @@ impl<'g, A: NodeAlgorithm> Network<'g, A> {
 
     /// The network id assigned to graph vertex `v`.
     pub fn id_of(&self, v: Vertex) -> u64 {
-        self.ids[v as usize]
+        self.ids[self.slot_of[v as usize] as usize]
     }
 
     /// Statistics of the execution so far.
@@ -221,17 +261,10 @@ impl<'g, A: NodeAlgorithm> Network<'g, A> {
         }
         let contexts = &self.contexts;
         self.strategy
-            .zip_apply(&mut self.nodes, &mut self.outboxes, |v, node, slot| {
-                *slot = node.init(&contexts[v]);
+            .zip_apply(&mut self.nodes, &mut self.outboxes, |s, node, slot| {
+                *slot = node.init(&contexts[s]);
             });
-        Self::validate(
-            self.model,
-            self.graph.num_vertices(),
-            &self.ids,
-            &self.contexts,
-            &self.outboxes,
-            0,
-        )?;
+        self.validate(&self.outboxes, 0)?;
         self.initialized = true;
         Ok(())
     }
@@ -242,7 +275,6 @@ impl<'g, A: NodeAlgorithm> Network<'g, A> {
     /// [`crate::engine::Engine::run`] for whole executions.
     pub fn step(&mut self) -> Result<RoundStats, ModelViolation> {
         self.init()?;
-        let n = self.graph.num_vertices();
         let round_index = self.stats.rounds + 1;
 
         // Fault preamble. Crashed senders lose whatever they queued last
@@ -250,17 +282,13 @@ impl<'g, A: NodeAlgorithm> Network<'g, A> {
         // both delivery paths consistent without per-path special cases.
         // `active_at` gates all of this, so fault-free rounds (and fault-free
         // networks) pay nothing.
-        let fault_active = self
-            .fault
-            .as_ref()
-            .is_some_and(|plan| plan.active_at(round_index));
+        let fault = self.fault.as_ref().filter(|p| p.active_at(round_index));
         let mut crashed = 0usize;
-        if fault_active {
-            let plan = self.fault.as_ref().expect("fault_active implies a plan");
-            for v in 0..n {
-                if plan.is_crashed(round_index, v as Vertex) {
+        if let Some(plan) = fault {
+            for (out, &v) in self.outboxes.iter_mut().zip(&self.vertex_at) {
+                if plan.is_crashed(round_index, v) {
                     crashed += 1;
-                    self.outboxes[v] = Outgoing::Silent;
+                    *out = Outgoing::Silent;
                 }
             }
         }
@@ -278,23 +306,18 @@ impl<'g, A: NodeAlgorithm> Network<'g, A> {
         };
         let mut any_unicast = false;
         let graph = self.graph;
-        let fault = if fault_active {
-            self.fault.as_ref()
-        } else {
-            None
-        };
-        for (v, out) in self.outboxes.iter().enumerate() {
+        for (out, &v) in self.outboxes.iter().zip(&self.vertex_at) {
             match out {
                 Outgoing::Silent => {}
                 Outgoing::Broadcast(m) => {
                     let bits = m.size_bits();
                     round_stats.senders += 1;
-                    let degree = graph.degree(v as Vertex);
+                    let degree = graph.degree(v);
                     let delivered = match fault {
                         Some(plan) => graph
-                            .neighbors(v as Vertex)
+                            .neighbors(v)
                             .iter()
-                            .filter(|&&w| plan.delivers(round_index, v as Vertex, w))
+                            .filter(|&&w| plan.delivers(round_index, v, w))
                             .count(),
                         None => degree,
                     };
@@ -320,11 +343,9 @@ impl<'g, A: NodeAlgorithm> Network<'g, A> {
                         let delivered = match fault {
                             // Targets passed validation last round, so the
                             // inverse id map resolves them to real vertices.
-                            Some(plan) => plan.delivers(
-                                round_index,
-                                v as Vertex,
-                                self.vertex_of[*target as usize],
-                            ),
+                            Some(plan) => {
+                                plan.delivers(round_index, v, self.vertex_of[*target as usize])
+                            }
                             None => true,
                         };
                         if delivered {
@@ -344,16 +365,14 @@ impl<'g, A: NodeAlgorithm> Network<'g, A> {
         }
 
         if any_unicast {
-            self.build_inboxes(fault_active.then_some(round_index));
+            let mut offsets = std::mem::take(&mut self.inbox_offsets);
+            let mut arena = std::mem::take(&mut self.inbox_arena);
+            self.build_inboxes(&mut offsets, &mut arena, fault, round_index);
+            (self.inbox_offsets, self.inbox_arena) = (offsets, arena);
         }
-        let fault = if fault_active {
-            self.fault.as_ref()
-        } else {
-            None
-        };
 
         // Evaluate every vertex's transition through the one execution path;
-        // results land in the second outbox buffer by index. Broadcast-only
+        // results land in the second outbox buffer by slot. Broadcast-only
         // rounds read straight off the pre-sorted neighbour CSR; rounds with
         // unicasts go through the freshly built packet arena. Both sources
         // deliver in the same deterministic order; under a fault plan the
@@ -362,19 +381,19 @@ impl<'g, A: NodeAlgorithm> Network<'g, A> {
             let contexts = &self.contexts;
             let outboxes = &self.outboxes;
             let ids = &self.ids;
+            let vertex_at = &self.vertex_at;
             let offsets = &self.inbox_offsets;
             let arena = &self.inbox_arena;
             let nbr_offsets = &self.nbr_offsets;
             let delivery_order = &self.delivery_order;
             self.strategy
                 .zip_apply(&mut self.nodes, &mut self.next_outboxes, |w, node, slot| {
-                    if let Some(plan) = fault {
-                        if plan.is_crashed(round_index, w as Vertex) {
-                            // A crashed vertex neither receives nor
-                            // transitions; its state freezes until restore.
-                            *slot = Outgoing::Silent;
-                            return;
-                        }
+                    let receiver = vertex_at[w];
+                    if fault.is_some_and(|plan| plan.is_crashed(round_index, receiver)) {
+                        // A crashed vertex neither receives nor transitions;
+                        // its state freezes until restore.
+                        *slot = Outgoing::Silent;
+                        return;
                     }
                     let source = if any_unicast {
                         InboxSource::Packets(&arena[offsets[w] as usize..offsets[w + 1] as usize])
@@ -385,7 +404,8 @@ impl<'g, A: NodeAlgorithm> Network<'g, A> {
                             fault.map(|plan| DeliveryFilter {
                                 plan,
                                 round: round_index,
-                                receiver: w as Vertex,
+                                receiver,
+                                vertex_at,
                             }),
                         )
                     };
@@ -393,14 +413,7 @@ impl<'g, A: NodeAlgorithm> Network<'g, A> {
                     *slot = node.round(&contexts[w], round_index, inbox);
                 });
         }
-        Self::validate(
-            self.model,
-            n,
-            &self.ids,
-            &self.contexts,
-            &self.next_outboxes,
-            round_index,
-        )?;
+        self.validate(&self.next_outboxes, round_index)?;
         std::mem::swap(&mut self.outboxes, &mut self.next_outboxes);
         self.stats.push_round(round_stats);
         Ok(round_stats)
@@ -408,21 +421,23 @@ impl<'g, A: NodeAlgorithm> Network<'g, A> {
 
     /// Rebuilds the flat inbox arena from the current outboxes: counts per
     /// receiver, prefix sums, then a fill pass over disjoint arena segments.
-    /// With `fault_round` set, deliveries the installed fault plan suppresses
-    /// in that round are excluded at build time, so the arena only ever
-    /// contains surviving packets.
-    fn build_inboxes(&mut self, fault_round: Option<usize>) {
+    /// With a fault plan, deliveries it suppresses in `round` are excluded at
+    /// build time, so the arena only ever contains surviving packets.
+    fn build_inboxes(
+        &self,
+        offsets: &mut [u32],
+        arena: &mut Vec<Packet>,
+        fault: Option<&FaultPlan>,
+        round: usize,
+    ) {
         let n = self.graph.num_vertices();
         let ids = &self.ids;
         let outboxes = &self.outboxes;
         let nbr_offsets = &self.nbr_offsets;
         let delivery_order = &self.delivery_order;
-        let fault = fault_round.and_then(|round| self.fault.as_ref().map(|plan| (plan, round)));
-        let delivers = move |u: Vertex, w: usize| -> bool {
-            match fault {
-                Some((plan, round)) => plan.delivers(round, u, w as Vertex),
-                None => true,
-            }
+        let vertex_at = &self.vertex_at;
+        let delivers = move |u: u32, w: usize| -> bool {
+            fault.is_none_or(|plan| plan.delivers(round, vertex_at[u as usize], vertex_at[w]))
         };
 
         // How many messages does receiver `w` get this round?
@@ -438,7 +453,7 @@ impl<'g, A: NodeAlgorithm> Network<'g, A> {
                     }
                     Outgoing::Unicast(messages) => {
                         if delivers(u, w) {
-                            count += bedom_graph::cast::u32_from_usize(
+                            count += u32_from_usize(
                                 messages.iter().filter(|(t, _)| *t == ids[w]).count(),
                             );
                         }
@@ -449,19 +464,19 @@ impl<'g, A: NodeAlgorithm> Network<'g, A> {
         };
         // Fill counts shifted by one, then prefix-sum in place: offsets[w] /
         // offsets[w + 1] end up delimiting receiver w's arena segment.
-        self.inbox_offsets[0] = 0;
+        offsets[0] = 0;
         self.strategy
-            .apply(&mut self.inbox_offsets[1..], |w, slot| *slot = count_for(w));
+            .apply(&mut offsets[1..], |w, slot| *slot = count_for(w));
         for w in 0..n {
-            self.inbox_offsets[w + 1] += self.inbox_offsets[w];
+            offsets[w + 1] += offsets[w];
         }
-        let total = self.inbox_offsets[n] as usize;
-        self.inbox_arena.clear();
-        self.inbox_arena.resize(total, Packet::default());
+        let total = offsets[n] as usize;
+        arena.clear();
+        arena.resize(total, Packet::default());
 
         // Fill receiver segments; contiguous receiver chunks own disjoint
         // arena slices, so the fill parallelises without synchronisation.
-        let offsets = &self.inbox_offsets;
+        let offsets = &*offsets;
         let fill_receiver = |w: usize, segment: &mut [Packet]| {
             let mut cursor = 0;
             for &u in &delivery_order[nbr_offsets[w] as usize..nbr_offsets[w + 1] as usize] {
@@ -484,7 +499,7 @@ impl<'g, A: NodeAlgorithm> Network<'g, A> {
                                     segment[cursor] = Packet {
                                         from: ids[u as usize],
                                         sender: u,
-                                        unicast_idx: bedom_graph::cast::u32_from_usize(k),
+                                        unicast_idx: u32_from_usize(k),
                                     };
                                     cursor += 1;
                                 }
@@ -498,7 +513,7 @@ impl<'g, A: NodeAlgorithm> Network<'g, A> {
         let threads = self.strategy.threads_for(n);
         let chunk = n.div_ceil(threads.max(1)).max(1);
         let mut jobs: Vec<(usize, &mut [Packet])> = Vec::with_capacity(threads);
-        let mut rest: &mut [Packet] = &mut self.inbox_arena;
+        let mut rest: &mut [Packet] = arena;
         let mut consumed = 0usize;
         let mut w = 0usize;
         while w < n {
@@ -528,15 +543,16 @@ impl<'g, A: NodeAlgorithm> Network<'g, A> {
     /// strategy) resumes the run **bit-identically**: the delivery buffers
     /// are rebuilt from the restored outboxes, so nothing observable depends
     /// on when the snapshot was taken. This is the checkpoint primitive
-    /// behind [`crate::engine::SnapshotObserver`].
+    /// behind [`crate::engine::SnapshotObserver`]. Nodes and outboxes are
+    /// captured in graph-vertex order, whatever the storage order.
     pub fn snapshot(&self) -> NetworkSnapshot<A>
     where
         A: Clone,
         A::Message: Clone,
     {
         NetworkSnapshot {
-            nodes: self.nodes.clone(),
-            outboxes: self.outboxes.clone(),
+            nodes: gather(&self.nodes, &self.slot_of),
+            outboxes: gather(&self.outboxes, &self.slot_of),
             stats: self.stats.clone(),
             initialized: self.initialized,
         }
@@ -560,8 +576,8 @@ impl<'g, A: NodeAlgorithm> Network<'g, A> {
             snapshot.nodes.len(),
             self.graph.num_vertices()
         );
-        self.nodes = snapshot.nodes.clone();
-        self.outboxes = snapshot.outboxes.clone();
+        self.nodes = gather(&snapshot.nodes, &self.vertex_at);
+        self.outboxes = gather(&snapshot.outboxes, &self.vertex_at);
         for slot in &mut self.next_outboxes {
             *slot = Outgoing::Silent;
         }
@@ -572,32 +588,30 @@ impl<'g, A: NodeAlgorithm> Network<'g, A> {
 
     /// Collects every vertex's output, indexed by graph vertex.
     pub fn outputs(&self) -> Vec<A::Output> {
-        self.nodes
+        self.slot_of
             .iter()
-            .zip(self.contexts.iter())
-            .map(|(node, ctx)| node.output(ctx))
+            .map(|&s| self.nodes[s as usize].output(&self.contexts[s as usize]))
             .collect()
     }
 
     /// Immutable access to a vertex's algorithm instance (for white-box
     /// assertions in tests).
     pub fn node(&self, v: Vertex) -> &A {
-        &self.nodes[v as usize]
+        &self.nodes[self.slot_of[v as usize] as usize]
     }
 
-    /// Checks every outbox against the communication model.
+    /// Checks every outbox against the communication model, in graph-vertex
+    /// order, so the first violation reported does not depend on the layout.
     fn validate(
-        model: Model,
-        n: usize,
-        ids: &[u64],
-        contexts: &[NodeContext],
+        &self,
         outboxes: &[Outgoing<A::Message>],
         round: usize,
     ) -> Result<(), ModelViolation> {
-        let limit = model.max_message_bits(n);
-        for (v, out) in outboxes.iter().enumerate() {
-            let vertex = ids[v];
-            match out {
+        let limit = self.model.max_message_bits(self.graph.num_vertices());
+        for &s in &self.slot_of {
+            let s = s as usize;
+            let vertex = self.ids[s];
+            match &outboxes[s] {
                 Outgoing::Silent => {}
                 Outgoing::Broadcast(m) => {
                     if let Some(limit) = limit {
@@ -613,11 +627,11 @@ impl<'g, A: NodeAlgorithm> Network<'g, A> {
                     }
                 }
                 Outgoing::Unicast(messages) => {
-                    if model.broadcast_only() {
+                    if self.model.broadcast_only() {
                         return Err(ModelViolation::UnicastInBroadcastModel { vertex, round });
                     }
                     for (target, m) in messages {
-                        if !contexts[v].is_neighbor(*target) {
+                        if !self.contexts[s].is_neighbor(*target) {
                             return Err(ModelViolation::NotANeighbor {
                                 vertex,
                                 target: *target,
@@ -641,6 +655,12 @@ impl<'g, A: NodeAlgorithm> Network<'g, A> {
         }
         Ok(())
     }
+}
+
+/// `items[order[0]], items[order[1]], …`: moves per-vertex state between
+/// slot order and graph-vertex order.
+fn gather<T: Clone>(items: &[T], order: &[u32]) -> Vec<T> {
+    order.iter().map(|&i| items[i as usize].clone()).collect()
 }
 
 /// A checkpoint of a [`Network`]'s execution state, captured by

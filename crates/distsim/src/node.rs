@@ -71,7 +71,7 @@ impl<M> Outgoing<M> {
 pub(crate) struct Packet {
     /// Network id of the sender (delivery order key).
     pub from: u64,
-    /// Graph vertex index of the sender.
+    /// Storage slot of the sender in the network (not its graph vertex).
     pub sender: u32,
     /// Index into the sender's unicast list (unused for broadcasts).
     pub unicast_idx: u32,
@@ -107,10 +107,11 @@ pub(crate) enum InboxSource<'a> {
     /// Packets from the delivery arena. Fault filtering (if any) happened at
     /// arena-build time, so the packets are exactly the surviving deliveries.
     Packets(&'a [Packet]),
-    /// The receiver's neighbours (sorted by network id); silent senders are
-    /// skipped during iteration. The second slice maps vertex → network id.
-    /// The filter, when present, additionally suppresses deliveries the
-    /// installed [`crate::FaultPlan`] kills this round.
+    /// The storage slots of the receiver's neighbours (sorted by network
+    /// id); silent senders are skipped during iteration. The second slice
+    /// maps slot → network id. The filter, when present, additionally
+    /// suppresses deliveries the installed [`crate::FaultPlan`] kills this
+    /// round.
     Broadcasts(&'a [u32], &'a [u64], Option<DeliveryFilter<'a>>),
 }
 
@@ -377,6 +378,7 @@ mod tests {
             plan: &plan,
             round: 1,
             receiver: 3,
+            vertex_at: &[0, 1, 2, 3],
         };
         let inbox = Inbox {
             source: InboxSource::Broadcasts(&neighbors, &ids, Some(filter)),
