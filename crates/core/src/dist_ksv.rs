@@ -2272,6 +2272,186 @@ mod tests {
         }
     }
 
+    /// A ball member's flood state as the flood-state table reads it.
+    enum HeardState<'a> {
+        Unheard,
+        Stub,
+        Summary(&'a [(u64, u8)]),
+    }
+
+    /// A node's flood state in representation-free form.
+    struct FloodState<'a> {
+        /// The ball as `(id, d)` pairs.
+        ball: Vec<(u64, u32)>,
+        /// One state per allocated heard slot.
+        heard: Vec<HeardState<'a>>,
+        /// `local_dist` as `(id, d)` pairs.
+        local_dist: Vec<(u64, u32)>,
+    }
+
+    impl KsvNode {
+        /// The flood-state table's one window into the node's storage.
+        fn flood_state(&self) -> FloodState<'_> {
+            let heard = self
+                .heard
+                .iter()
+                .map(|slot| match slot {
+                    None => HeardState::Unheard,
+                    Some(MemberSummary::Stub) => HeardState::Stub,
+                    Some(MemberSummary::Ball(entries)) => HeardState::Summary(entries),
+                })
+                .collect();
+            FloodState {
+                ball: self.ball.clone(),
+                heard,
+                local_dist: self.local_dist.clone(),
+            }
+        }
+    }
+
+    /// The FNV-1a (64-bit) offset basis.
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+    /// Continues an FNV-1a (64-bit) hash over `bytes`.
+    fn fnv1a_extend(mut hash: u64, bytes: &[u8]) -> u64 {
+        for &byte in bytes {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        hash
+    }
+
+    /// Continues an FNV-1a (64-bit) hash over `word`'s little-endian bytes.
+    fn fnv1a_word(hash: u64, word: u64) -> u64 {
+        fnv1a_extend(hash, &word.to_le_bytes())
+    }
+
+    /// Folds `node`'s flood state into `hash`: each list's length, then its
+    /// entries as little-endian words.
+    fn hash_flood_state(mut hash: u64, node: &KsvNode) -> u64 {
+        let state = node.flood_state();
+        for pairs in [&state.ball, &state.local_dist] {
+            hash = fnv1a_word(hash, pairs.len() as u64);
+            for &(id, d) in pairs {
+                hash = fnv1a_word(fnv1a_word(hash, id), u64::from(d));
+            }
+        }
+        hash = fnv1a_word(hash, state.heard.len() as u64);
+        for heard in &state.heard {
+            hash = match heard {
+                HeardState::Unheard => fnv1a_word(hash, 0),
+                HeardState::Stub => fnv1a_word(hash, 1),
+                HeardState::Summary(entries) => entries
+                    .iter()
+                    .fold(fnv1a_word(hash, 2 + entries.len() as u64), |h, &(id, d)| {
+                        fnv1a_word(h, id << 8 | u64::from(d))
+                    }),
+            };
+        }
+        hash
+    }
+
+    /// One flood-state pin: `(shape, r, hub cap, vertex crashed through
+    /// call r − 1, hash)`.
+    type FloodPin = (&'static str, u32, Option<usize>, Option<Vertex>, u64);
+
+    /// Steps one run through every round and hashes each round's
+    /// `RoundStats`, every vertex's flood state after each call from `r − 1`
+    /// to `2r − 1`, and the run's final violation.
+    fn flood_state_hash(g: &Graph, r: u32, hub_cap: Option<usize>, crash: Option<Vertex>) -> u64 {
+        let config = KsvConfig {
+            hub_cap,
+            ..KsvConfig::new()
+        };
+        let (mut network, _) = ksv_network(g, r, &config);
+        if let Some(v) = crash {
+            network.set_fault_plan(FaultPlan::seeded(0).crash(v, 1, r as usize));
+        }
+        network.init().unwrap();
+        let rounds = ksv_rounds(r);
+        let mut hash = FNV_OFFSET;
+        for call in 1..=rounds {
+            let stats = network.step().unwrap();
+            hash = fnv1a_extend(hash, format!("{stats:?}").as_bytes());
+            if (r as usize - 1..2 * r as usize).contains(&call) {
+                for v in 0..g.num_vertices() as Vertex {
+                    hash = hash_flood_state(hash, network.node(v));
+                }
+            }
+        }
+        let violation = validate_ksv_outputs(&network, rounds).err();
+        fnv1a_extend(hash, format!("{violation:?}").as_bytes())
+    }
+
+    #[rustfmt::skip]
+    const FLOOD_PINS: &[FloodPin] = &[
+    ("planar-tri-300", 2, Some(8), None, 0xd5f97403429c0b13),
+    ("planar-tri-300", 2, None, None, 0xbfb8f549f3882158),
+    ("planar-tri-300", 2, Some(usize::MAX), None, 0xbfb8f549f3882158),
+    ("planar-tri-300", 3, Some(8), None, 0xe5eeeb81267e2894),
+    ("planar-tri-300", 3, None, None, 0x5d2c46e136e8efe6),
+    ("planar-tri-300", 3, Some(usize::MAX), None, 0x5d2c46e136e8efe6),
+    ("star-60", 2, Some(8), None, 0x743f3bf44cec747e),
+    ("star-60", 2, None, None, 0x743f3bf44cec747e),
+    ("star-60", 2, Some(usize::MAX), None, 0x811fc89ec6dadc36),
+    ("star-60", 3, Some(8), None, 0x1028aef1efcf66e7),
+    ("star-60", 3, None, None, 0x1028aef1efcf66e7),
+    ("star-60", 3, Some(usize::MAX), None, 0x6a26da3ac08592b9),
+    ("config-model-300", 2, Some(8), None, 0x7486f6e0231f3833),
+    ("config-model-300", 2, None, None, 0x7486f6e0231f3833),
+    ("config-model-300", 2, Some(usize::MAX), None, 0x7486f6e0231f3833),
+    ("config-model-300", 3, Some(8), None, 0x1b97f31eeaad4767),
+    ("config-model-300", 3, None, None, 0x1b97f31eeaad4767),
+    ("config-model-300", 3, Some(usize::MAX), None, 0x1b97f31eeaad4767),
+    ("grid-12x12", 2, Some(8), None, 0x6fecf1778e039b70),
+    ("grid-12x12", 2, None, None, 0x6fecf1778e039b70),
+    ("grid-12x12", 2, Some(usize::MAX), None, 0x6fecf1778e039b70),
+    ("grid-12x12", 3, Some(8), None, 0x3716b124f3f47ff7),
+    ("grid-12x12", 3, None, None, 0x3716b124f3f47ff7),
+    ("grid-12x12", 3, Some(usize::MAX), None, 0x3716b124f3f47ff7),
+    ("planar-tri-300", 3, None, Some(7), 0x0ca9ec2b8e6a0440),
+    ];
+
+    #[test]
+    fn flood_state_matches_its_pins() {
+        // Pins the summary flood's node state call by call — ball, heard
+        // summaries and local distances — on hubbed, hub-free and lossy
+        // runs, so a change of its storage cannot move a single entry.
+        let shapes: Vec<(&str, Graph)> = vec![
+            ("planar-tri-300", stacked_triangulation(300, 5)),
+            ("star-60", star(60)),
+            (
+                "config-model-300",
+                configuration_model_power_law(300, 2.5, 2, 8, 3),
+            ),
+            ("grid-12x12", grid(12, 12)),
+        ];
+        let mut actual: Vec<FloodPin> = Vec::new();
+        for &(name, ref g) in &shapes {
+            for r in [2u32, 3] {
+                for hub_cap in [Some(8), None, Some(usize::MAX)] {
+                    let hash = flood_state_hash(g, r, hub_cap, None);
+                    actual.push((name, r, hub_cap, None, hash));
+                }
+            }
+        }
+        // A vertex down through call r − 1 misses the summary broadcast and
+        // allocates its heard slots on its first summary call.
+        let crashed = (shapes[0].0, 3, None, Some(7));
+        let hash = flood_state_hash(&shapes[0].1, crashed.1, crashed.2, crashed.3);
+        actual.push((crashed.0, crashed.1, crashed.2, crashed.3, hash));
+        let table: String = actual
+            .iter()
+            .map(|(name, r, cap, crash, hash)| {
+                format!("    ({name:?}, {r}, {cap:?}, {crash:?}, {hash:#018x}),\n")
+            })
+            .collect();
+        assert_eq!(
+            actual, FLOOD_PINS,
+            "flood state moved off its pins; now:\n{table}"
+        );
+    }
+
     #[test]
     fn radii_above_255_fail_with_a_typed_error() {
         // Summary distances travel in 8 bits: 255 still runs, 256 is a
