@@ -71,10 +71,13 @@
 //! with a typed error.
 //!
 //! Node state holds no maps: adjacency records sit in one flat store by
-//! neighbour position, summaries in slots by ball index, flood dedup bits
-//! by `local_dist` position. One per-thread, epoch-stamped scratch maps
-//! network ids to local ids for the ball merge and the decision round, whose
-//! coverage masks share one arena reused across vertices.
+//! neighbour position, a ball entry is one `id << 8 | d` word (`d ≤ r ≤
+//! 255`), a local distance one `id << 16 | d` word (`d < 2r ≤ 510`; ids are
+//! below `n ≤ 2³²`, so both sort by id), each member's heard summary a
+//! 4-byte slot (unheard, stub, or an index into the unflagged summaries),
+//! flood dedup bits by `local_dist` position. One per-thread, epoch-stamped
+//! scratch maps network ids to local ids for the ball merge and the decision
+//! round, whose coverage masks share one arena reused across vertices.
 //!
 //! Announcements propagate `r` hops (a vertex within distance `r` of a
 //! dominator must learn it is dominated), so the protocol runs **exactly
@@ -342,6 +345,27 @@ fn gain(mask: &[u64], uncovered: &[u64]) -> u32 {
         .sum()
 }
 
+/// Distance bits of a packed ball entry: `d ≤ r ≤ 255`.
+const BALL_DIST_BITS: u32 = 8;
+/// Distance bits of a packed local distance: `d < 2r ≤ 510`.
+const LOCAL_DIST_BITS: u32 = 16;
+
+/// Packs `(id, d)` into `id << bits | d`, which sorts by id.
+fn pack(id: u64, d: u32, bits: u32) -> u64 {
+    assert!(d >> bits == 0, "distance {d} does not fit in {bits} bits");
+    id << bits | u64::from(d)
+}
+
+/// The `(id, d)` of a word packed with a `bits`-bit distance.
+fn unpack(word: u64, bits: u32) -> (u64, u32) {
+    (word >> bits, cast::u32_from_u64(word & ((1 << bits) - 1)))
+}
+
+/// Heard slot of a ball member whose summary has not arrived.
+const UNHEARD: u32 = 0;
+/// Heard slot of a flagged member's stub (slot `k + 2` is `summaries[k]`).
+const STUB: u32 = 1;
+
 /// Default hub degree cap for the summary flood: `max(32, 16·∇)`. Scales
 /// with the promised density so bounded-expansion graphs keep few hubs
 /// (each hub costs one dominating-set slot but removes its whole cluster's
@@ -499,15 +523,6 @@ struct KsvView {
     summaries: Vec<Option<SummaryEntries>>,
 }
 
-/// A ball member's flooded summary, as heard.
-#[derive(Clone, Debug)]
-enum MemberSummary {
-    /// A flagged owner's 1-bit stub: no entries.
-    Stub,
-    /// An unflagged owner's exact radius-`r` ball.
-    Ball(SummaryEntries),
-}
-
 /// Index of the announcer half of `KsvNode::seen`.
 const ANNOUNCERS: usize = 0;
 /// Index of the election-target half of `KsvNode::seen`.
@@ -537,25 +552,27 @@ pub struct KsvNode {
     /// neighbour's record in `adj`, empty until it arrives (a neighbour's
     /// record lists this vertex, so an arrived record is never empty).
     adj_at: Vec<(usize, usize)>,
-    /// Summary flood: the radius-`r` ball assembled so far, `(id, exact
-    /// distance)` ascending by id. Frozen from call `r − 1` on.
-    ball: Vec<(u64, u32)>,
-    /// Summary flood: parallel to the frozen ball, each member's summary
-    /// once heard (own included). Allocated at call `r − 1`, or at the
-    /// first summary call of a vertex that was down through it.
-    heard: Vec<Option<MemberSummary>>,
+    /// Summary flood: the radius-`r` ball so far, `id << 8 | exact
+    /// distance` ascending by id. Frozen from call `r − 1` on.
+    ball: Vec<u64>,
+    /// Summary flood: parallel to the frozen ball, each member's heard slot
+    /// (own included). Allocated at call `r − 1`, or at the first summary
+    /// call of a vertex that was down through it.
+    heard: Vec<u32>,
+    /// Summary flood: the unflagged members' summaries, in arrival order.
+    summaries: Vec<Option<SummaryEntries>>,
     /// Summary flood: the frozen repricing dictionary announced by our own
     /// summary broadcast — our ball ids (unflagged) or closed neighbourhood
     /// (flagged), sorted. Receivers can reconstruct it, so relayed entry
     /// ids found here are charged at `⌈log₂ |dict|⌉` bits.
     dict: Vec<u64>,
-    /// Exact local distances from this vertex, sorted by id, up to
-    /// `2r − 1` — the farthest reach of the hop-aware relay filters of both
-    /// flood phases, which are all they back. Computed in the decision
-    /// round. Exact wherever an unflagged midpoint exists — in particular
-    /// everywhere when the graph has no hubs; a missing entry can only
-    /// suppress a relay, which `D₃` absorbs.
-    local_dist: Vec<(u64, u32)>,
+    /// Exact local distances from this vertex, one `id << 16 | distance`
+    /// word each, sorted by id, up to `2r − 1` — the farthest reach of the
+    /// hop-aware relay filters of both flood phases, which are all they
+    /// back. Computed in the decision round. Exact wherever an unflagged
+    /// midpoint exists — in particular everywhere when the graph has no
+    /// hubs; a missing entry can only suppress a relay, which `D₃` absorbs.
+    local_dist: Vec<u64>,
     /// The pseudo-cover this vertex will elect *if* it is still undominated
     /// at the election round. Precomputed in the decision round from the
     /// same coverage arena as the `D₁` check — the election depends only on
@@ -597,6 +614,7 @@ impl KsvNode {
             adj_at: Vec::new(),
             ball: Vec::new(),
             heard: Vec::new(),
+            summaries: Vec::new(),
             dict: Vec::new(),
             local_dist: Vec::new(),
             planned_election: Vec::new(),
@@ -644,7 +662,7 @@ impl KsvNode {
     fn first_sighting(&mut self, z: u64, half: usize) -> Option<u32> {
         let p = self
             .local_dist
-            .binary_search_by_key(&z, |&(id, _)| id)
+            .binary_search_by_key(&z, |&w| w >> LOCAL_DIST_BITS)
             .ok()?;
         let bit = half * self.local_dist.len() + p;
         let (word, mask) = (bit / 64, 1u64 << (bit % 64));
@@ -652,7 +670,7 @@ impl KsvNode {
             return None;
         }
         self.seen[word] |= mask;
-        Some(self.local_dist[p].1)
+        Some(unpack(self.local_dist[p], LOCAL_DIST_BITS).1)
     }
 
     fn join(&mut self, membership: KsvMembership) {
@@ -780,8 +798,8 @@ impl KsvNode {
         let mut fresh = SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
             scratch.begin(0);
-            for &(z, _) in &self.ball {
-                scratch.relax(z, 0);
+            for &w in &self.ball {
+                scratch.relax(w >> BALL_DIST_BITS, 0);
             }
             let known = scratch.ids.len();
             for ids in lists {
@@ -794,17 +812,34 @@ impl KsvNode {
         fresh.sort_unstable();
         // Merge from the back into the grown ball (ids are distinct).
         let (mut i, mut j) = (self.ball.len(), fresh.len());
-        self.ball.resize(i + j, (0, 0));
+        self.ball.resize(i + j, 0);
         while j > 0 {
-            if i > 0 && self.ball[i - 1].0 > fresh[j - 1] {
+            if i > 0 && self.ball[i - 1] >> BALL_DIST_BITS > fresh[j - 1] {
                 self.ball[i + j - 1] = self.ball[i - 1];
                 i -= 1;
             } else {
-                self.ball[i + j - 1] = (fresh[j - 1], distance);
+                self.ball[i + j - 1] = pack(fresh[j - 1], distance, BALL_DIST_BITS);
                 j -= 1;
             }
         }
         fresh
+    }
+
+    /// The ball index of member `id`.
+    fn ball_index(&self, id: u64) -> Option<usize> {
+        self.ball
+            .binary_search_by_key(&id, |&w| w >> BALL_DIST_BITS)
+            .ok()
+    }
+
+    /// The heard slot of a member whose summary (`None`: stub) just
+    /// arrived; a summary is appended to `summaries`.
+    fn hear(&mut self, entries: Option<SummaryEntries>) -> u32 {
+        if entries.is_none() {
+            return STUB;
+        }
+        self.summaries.push(entries);
+        cast::u32_from_usize(self.summaries.len() + 1)
     }
 
     /// Records every summary (or stub) this round delivered whose owner is
@@ -817,7 +852,7 @@ impl KsvNode {
         let mut fresh = Vec::new();
         if self.heard.is_empty() {
             // Down through call r − 1: the ball froze without our summary.
-            self.heard = vec![None; self.ball.len()];
+            self.heard = vec![UNHEARD; self.ball.len()];
         }
         for msg in inbox {
             if !matches!(msg.payload.kind, KsvKind::Summary | KsvKind::SummaryRelay) {
@@ -829,12 +864,11 @@ impl KsvNode {
             });
             let stubs = msg.payload.ids.iter().map(|&owner| (owner, None));
             for (owner, entries) in items.chain(stubs) {
-                let Ok(i) = self.ball.binary_search_by_key(&owner, |&(id, _)| id) else {
+                let Some(i) = self.ball_index(owner) else {
                     continue;
                 };
-                if self.heard[i].is_none() {
-                    let summary = entries.map(|e| MemberSummary::Ball(Arc::clone(e)));
-                    self.heard[i] = Some(summary.unwrap_or(MemberSummary::Stub));
+                if self.heard[i] == UNHEARD {
+                    self.heard[i] = self.hear(entries.cloned());
                     fresh.push(i);
                 }
             }
@@ -907,17 +941,18 @@ impl KsvNode {
                 entries: Arc::from(&[][..]),
                 wire_bits: 1,
             };
-            (MemberSummary::Stub, item)
+            (None, item)
         } else {
             // Dictionary = the ball ids, all announced by this message
             // (inner part = the init adjacency, frontier explicit below).
-            self.dict = self.ball.iter().map(|&(z, _)| z).collect();
+            self.dict = self.ball.iter().map(|&w| w >> BALL_DIST_BITS).collect();
             let entries: SummaryEntries = self
                 .ball
                 .iter()
-                .map(|&(z, d)| (z, cast::u8_from_u32(d)))
+                .map(|&w| unpack(w, BALL_DIST_BITS))
+                .map(|(z, d)| (z, cast::u8_from_u32(d)))
                 .collect();
-            let frontier = self.ball.iter().filter(|&&(_, d)| d >= 2).count();
+            let frontier = entries.iter().filter(|&&(_, d)| d >= 2).count();
             // 1 flag bit + a deg-bit membership mask over N(v) (the inner
             // part, reconstructed by receivers who know N(v)) + explicit
             // frontier entries.
@@ -928,12 +963,12 @@ impl KsvNode {
                 entries: Arc::clone(&entries),
                 wire_bits,
             };
-            (MemberSummary::Ball(entries), item)
+            (Some(entries), item)
         };
-        // The ball is frozen from here on: one summary slot per member.
-        self.heard = vec![None; self.ball.len()];
-        if let Ok(i) = self.ball.binary_search_by_key(&self.id, |&(id, _)| id) {
-            self.heard[i] = Some(own);
+        // The ball is frozen from here on: one heard slot per member.
+        self.heard = vec![UNHEARD; self.ball.len()];
+        if let Some(i) = self.ball_index(self.id) {
+            self.heard[i] = self.hear(own);
         }
         Outgoing::Broadcast(KsvMessage {
             kind: KsvKind::Summary,
@@ -1020,16 +1055,17 @@ impl KsvNode {
         let mut stubs: Vec<u64> = Vec::new();
         let mut items: Vec<KsvSummaryItem> = Vec::new();
         for i in fresh {
-            let (owner, d) = self.ball[i];
+            let (owner, d) = unpack(self.ball[i], BALL_DIST_BITS);
             if d >= r || (d == 1 && self.defer_relay(ctx, owner)) {
                 continue;
             }
-            match &self.heard[i] {
-                Some(MemberSummary::Stub) => stubs.push(owner),
-                Some(MemberSummary::Ball(entries)) => {
-                    items.push(self.repriced_item(owner, entries, dict_bits));
+            match self.heard[i] {
+                UNHEARD => {} // fresh slots are always filled
+                STUB => stubs.push(owner),
+                k => {
+                    let entries = self.summaries[k as usize - 2].as_ref();
+                    items.extend(entries.map(|e| self.repriced_item(owner, e, dict_bits)));
                 }
-                None => {} // fresh slots are always filled
             }
         }
         if stubs.is_empty() && items.is_empty() {
@@ -1058,15 +1094,17 @@ impl KsvNode {
     fn view_from_summaries(&mut self) -> Result<KsvView, ModelViolation> {
         let ball = std::mem::take(&mut self.ball);
         let heard = std::mem::take(&mut self.heard);
+        let mut heard_summaries = std::mem::take(&mut self.summaries);
         self.dict = Vec::new();
         let mut view_ball = Vec::with_capacity(ball.len());
         let mut summaries = Vec::with_capacity(ball.len());
-        for (&(z, d), slot) in ball.iter().zip(heard) {
+        for (&w, slot) in ball.iter().zip(heard) {
             let entries = match slot {
-                Some(MemberSummary::Stub) => None,
-                Some(MemberSummary::Ball(entries)) => Some(entries),
-                None => continue,
+                UNHEARD => continue,
+                STUB => None,
+                k => heard_summaries[k as usize - 2].take(),
             };
+            let (z, d) = unpack(w, BALL_DIST_BITS);
             view_ball.push((z, d, entries.is_none()));
             summaries.push(entries);
         }
@@ -1217,10 +1255,10 @@ impl KsvNode {
         let mut local_dist = Vec::with_capacity(kept);
         for (&z, &d) in scratch.ids.iter().zip(&scratch.dist) {
             if d < 2 * r {
-                local_dist.push((z, d));
+                local_dist.push(pack(z, d, LOCAL_DIST_BITS));
             }
         }
-        local_dist.sort_unstable_by_key(|&(z, _)| z);
+        local_dist.sort_unstable();
         self.seen = vec![0; (2 * local_dist.len()).div_ceil(64)];
         self.local_dist = local_dist;
         if hub_near {
@@ -1262,9 +1300,10 @@ impl NodeAlgorithm for KsvNode {
         }
         if self.r >= 2 {
             self.ball = Vec::with_capacity(deg + 1);
-            self.ball.push((ctx.id, 0));
-            self.ball.extend(ctx.neighbor_ids.iter().map(|&w| (w, 1)));
-            self.ball.sort_unstable_by_key(|&(z, _)| z);
+            self.ball.push(pack(ctx.id, 0, BALL_DIST_BITS));
+            self.ball
+                .extend(ctx.neighbor_ids.iter().map(|&w| pack(w, 1, BALL_DIST_BITS)));
+            self.ball.sort_unstable();
         }
         self.message(KsvKind::Adjacency, ctx.neighbor_ids.clone())
     }
@@ -2295,16 +2334,17 @@ mod tests {
             let heard = self
                 .heard
                 .iter()
-                .map(|slot| match slot {
-                    None => HeardState::Unheard,
-                    Some(MemberSummary::Stub) => HeardState::Stub,
-                    Some(MemberSummary::Ball(entries)) => HeardState::Summary(entries),
+                .map(|&slot| match slot {
+                    UNHEARD => HeardState::Unheard,
+                    STUB => HeardState::Stub,
+                    k => HeardState::Summary(self.summaries[k as usize - 2].as_deref().unwrap()),
                 })
                 .collect();
+            let pairs = |words: &[u64], bits| words.iter().map(|&w| unpack(w, bits)).collect();
             FloodState {
-                ball: self.ball.clone(),
+                ball: pairs(&self.ball, BALL_DIST_BITS),
                 heard,
-                local_dist: self.local_dist.clone(),
+                local_dist: pairs(&self.local_dist, LOCAL_DIST_BITS),
             }
         }
     }

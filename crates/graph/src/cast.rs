@@ -21,6 +21,16 @@ pub fn u32_from_usize(x: usize) -> u32 {
     }
 }
 
+/// `u64 → u32`, panicking loudly past `u32::MAX` (fields unpacked from
+/// packed `u64` words).
+#[track_caller]
+pub fn u32_from_u64(x: u64) -> u32 {
+    match u32::try_from(x) {
+        Ok(v) => v,
+        Err(_) => panic!("narrowing conversion out of range: {x} does not fit in u32"),
+    }
+}
+
 /// `usize → u16`, panicking loudly past `u16::MAX` (id bit-widths and other
 /// log-scale quantities).
 #[track_caller]
@@ -60,6 +70,7 @@ mod tests {
     fn in_range_values_convert() {
         assert_eq!(u32_from_usize(0), 0);
         assert_eq!(u32_from_usize(u32::MAX as usize), u32::MAX);
+        assert_eq!(u32_from_u64(u64::from(u32::MAX)), u32::MAX);
         assert_eq!(u16_from_usize(65_535), u16::MAX);
         assert_eq!(u8_from_u32(255), u8::MAX);
         assert_eq!(usize_from_u64(7), 7);
@@ -69,6 +80,12 @@ mod tests {
     #[should_panic(expected = "does not fit in u32")]
     fn u32_overflow_panics() {
         u32_from_usize(u32::MAX as usize + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit in u32")]
+    fn u32_from_u64_overflow_panics() {
+        u32_from_u64(u64::from(u32::MAX) + 1);
     }
 
     #[test]
