@@ -461,7 +461,16 @@ pub fn distributed_weak_reachability(
     });
     network.set_strategy(config.strategy);
     Engine::new(&mut network).run(RunPolicy::fixed(config.rho as usize))?;
-    let info = network.outputs();
+    let stats = network.stats().clone();
+    // Move each vertex's path store out instead of cloning it.
+    let info: Vec<WReachInfo> = network
+        .into_nodes()
+        .into_iter()
+        .map(|node| WReachInfo {
+            sid: node.sid,
+            paths: node.paths,
+        })
+        .collect();
     // Unconditional-path invariant, O(m): the first exchange round delivers
     // every vertex's unit path to all its neighbours, and an offered
     // one-edge extension is never discarded (it is minimal for its start),
@@ -484,7 +493,6 @@ pub fn distributed_weak_reachability(
             }
         }
     }
-    let stats = network.stats().clone();
     Ok(DistributedWReach {
         info,
         rounds: stats.rounds,

@@ -594,6 +594,22 @@ impl<'g, A: NodeAlgorithm> Network<'g, A> {
             .collect()
     }
 
+    /// Consumes the network and returns every vertex's algorithm instance,
+    /// indexed by graph vertex, so a driver can move state out where
+    /// [`Network::outputs`] would clone it.
+    pub fn into_nodes(self) -> Vec<A> {
+        let (mut nodes, mut vertex_at) = (self.nodes, self.vertex_at);
+        // Cycle-follow the permutation: each swap settles slot `t`'s vertex.
+        for s in 0..nodes.len() {
+            while vertex_at[s] as usize != s {
+                let t = vertex_at[s] as usize;
+                nodes.swap(s, t);
+                vertex_at.swap(s, t);
+            }
+        }
+        nodes
+    }
+
     /// Immutable access to a vertex's algorithm instance (for white-box
     /// assertions in tests).
     pub fn node(&self, v: Vertex) -> &A {
@@ -1236,6 +1252,22 @@ mod tests {
             slot_of[v as usize] = slot;
         }
         slot_of
+    }
+
+    #[test]
+    fn into_nodes_returns_nodes_in_graph_vertex_order() {
+        let g = scrambled(&grid(12, 12), 5);
+        let slot_of = bfs_slots(&g);
+        assert!((0..g.num_vertices()).any(|v| slot_of[v] != v));
+        // Each node remembers the vertex its factory call was for.
+        let net = Network::new(&g, Model::Local, IdAssignment::Shuffled(3), |v, _| {
+            MaxIdFlood {
+                best: u64::from(v),
+                changed: false,
+            }
+        });
+        let owners: Vec<u64> = net.into_nodes().iter().map(|node| node.best).collect();
+        assert_eq!(owners, (0..g.num_vertices() as u64).collect::<Vec<_>>());
     }
 
     /// Everything observable at the engine's boundary must be keyed by graph
