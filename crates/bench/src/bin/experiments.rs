@@ -9,7 +9,9 @@
 //! ```
 //!
 //! `--quick` shrinks instance sizes so the full suite finishes in a couple of
-//! minutes; the default sizes are the ones EXPERIMENTS.md reports.
+//! minutes; the default sizes are the ones EXPERIMENTS.md reports. No
+//! argument runs everything; any other argument prints the usage to stderr
+//! and exits with status 2 before anything runs.
 //!
 //! The distributed experiments construct their phases from a shared
 //! [`DistContext`] per instance (one order phase, one weak-reachability
@@ -45,55 +47,46 @@ impl Scale {
     }
 }
 
+/// One table or figure: its command-line name and its generator.
+type Table = (&'static str, fn(&Scale));
+
+/// Every table and figure, in the order `all` runs them.
+const TABLES: [Table; 12] = [
+    ("t1", table_t1),
+    ("t2", table_t2),
+    ("t3", table_t3),
+    ("t4", table_t4),
+    ("t5", table_t5),
+    ("t6", table_t6),
+    ("f1", figure_f1),
+    ("f2", figure_f2),
+    ("f3", figure_f3),
+    ("f4", figure_f4),
+    ("s1", scenario_s1),
+    ("k1", table_k1),
+];
+
+const USAGE: &str = "usage: experiments [all|t1|t2|t3|t4|t5|t6|f1|f2|f3|f4|s1|k1]... [--quick]";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let which: Vec<&str> = args
         .iter()
-        .filter(|a| !a.starts_with("--"))
         .map(String::as_str)
+        .filter(|&a| a != "--quick")
         .collect();
-    let which = if which.is_empty() { vec!["all"] } else { which };
+    let known = |a: &str| a == "all" || TABLES.iter().any(|&(name, _)| name == a);
+    if let Some(bad) = which.iter().find(|&&a| !known(a)) {
+        eprintln!("experiments: unknown argument {bad:?}\n{USAGE}");
+        std::process::exit(2);
+    }
     let scale = Scale { quick };
-
-    let run_all = which.contains(&"all");
-    let wants = |name: &str| run_all || which.contains(&name);
-
-    if wants("t1") {
-        table_t1(&scale);
-    }
-    if wants("t2") {
-        table_t2(&scale);
-    }
-    if wants("t3") {
-        table_t3(&scale);
-    }
-    if wants("t4") {
-        table_t4(&scale);
-    }
-    if wants("t5") {
-        table_t5(&scale);
-    }
-    if wants("t6") {
-        table_t6(&scale);
-    }
-    if wants("f1") {
-        figure_f1(&scale);
-    }
-    if wants("f2") {
-        figure_f2(&scale);
-    }
-    if wants("f3") {
-        figure_f3(&scale);
-    }
-    if wants("f4") {
-        figure_f4(&scale);
-    }
-    if wants("s1") {
-        scenario_s1(&scale);
-    }
-    if wants("k1") {
-        table_k1(&scale);
+    let run_all = which.is_empty() || which.contains(&"all");
+    for (name, run) in TABLES {
+        if run_all || which.contains(&name) {
+            run(&scale);
+        }
     }
 }
 
