@@ -1,7 +1,7 @@
 //! A Lenzen–Wattenhofer-style "greedy by degree buckets" dominating-set
-//! algorithm for graphs of bounded arboricity [38].
+//! algorithm for graphs of bounded arboricity \[38\].
 //!
-//! The paper cites [38] for an `O(a²)`-factor randomized and an
+//! The paper cites \[38\] for an `O(a²)`-factor randomized and an
 //! `O(a log Δ)`-factor deterministic distributed algorithm on graphs of
 //! arboricity `a`. We implement the deterministic bucketed greedy: proceed in
 //! `⌈log₂(Δ+1)⌉` phases; in phase `i` (from the highest bucket down), every

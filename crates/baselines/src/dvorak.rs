@@ -1,7 +1,7 @@
 //! A Dvořák-2013-style `c(r)²`-approximation of the distance-`r` dominating
 //! set — the algorithm the paper's Theorem 5 improves on.
 //!
-//! Dvořák's constant-factor approximation [21] also works from an order
+//! Dvořák's constant-factor approximation \[21\] also works from an order
 //! witnessing a weak-colouring-number bound, but charges each selected vertex
 //! to a *set* of weakly reachable vertices rather than to a single elected
 //! minimum, which loses one factor of `c(r)`. We reconstruct the algorithm in

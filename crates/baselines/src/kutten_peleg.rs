@@ -1,4 +1,4 @@
-//! A Kutten–Peleg-style distance-`r` dominating set of size `O(n / r)` [35].
+//! A Kutten–Peleg-style distance-`r` dominating set of size `O(n / r)` \[35\].
 //!
 //! The paper cites this family of algorithms as the fast distributed
 //! baselines whose output size is bounded only in terms of `n/r`, "without

@@ -1,5 +1,5 @@
 //! The Lenzen–Pignolet–Wattenhofer constant-round LOCAL approximation of the
-//! minimum dominating set on planar graphs [36] — the algorithm Theorem 17
+//! minimum dominating set on planar graphs \[36\] — the algorithm Theorem 17
 //! composes with to get a constant-round *connected* dominating set on planar
 //! graphs ("the constant c(1) which we need here is 6").
 //!
@@ -53,7 +53,7 @@ fn coverable_by_two(view: &LocalView<'_>, v: Vertex) -> bool {
     false
 }
 
-/// Runs the planar MDS algorithm of [36]. `ids` provide the identifiers used
+/// Runs the planar MDS algorithm of \[36\]. `ids` provide the identifiers used
 /// for tie-breaking. Returns the dominating set sorted by vertex id.
 ///
 /// The algorithm is correct (it always returns a dominating set) on every

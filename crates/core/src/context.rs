@@ -24,7 +24,7 @@
 //!   sweep.
 //!
 //! The regression contract (asserted in `tests/end_to_end_pipelines.rs`):
-//! one end-to-end distributed [`DominationPipeline::solve`]
+//! one end-to-end distributed [`DominationPipeline::solve`](crate::DominationPipeline::solve)
 //! (`crate::pipeline`), including witnessed-constant computation and
 //! election verification, performs **exactly one** ball sweep, where
 //! assembling the same report from the pre-context entry points took three

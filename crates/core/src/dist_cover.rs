@@ -87,7 +87,8 @@ pub struct DistCoverConfig {
     pub r: u32,
     /// Identifier assignment for the order phase.
     pub assignment: IdAssignment,
-    /// Bandwidth multiplier (see [`WReachConfig::bandwidth_logs`]).
+    /// Bandwidth multiplier (see
+    /// [`WReachConfig::bandwidth_logs`](crate::WReachConfig::bandwidth_logs)).
     pub bandwidth_logs: Option<usize>,
     /// Engine execution strategy for both phases.
     pub strategy: ExecutionStrategy,

@@ -24,7 +24,7 @@
 //! The total number of communication rounds is
 //! `(order phase) + 2r + (r + 1) = O(log n + r)`, comfortably within the
 //! paper's `O(r²·log n)` bound (our substituted order phase is cheaper than
-//! the one of [46]; see DESIGN.md §1.3).
+//! the one of \[46\]; see DESIGN.md §1.3).
 
 use crate::context::{DistContext, DistContextConfig};
 use crate::dist_wreach::{PathOutbox, PathSetMessage};
@@ -167,7 +167,8 @@ pub struct DistDomSetConfig {
     /// Identifier assignment used in the order phase.
     pub assignment: IdAssignment,
     /// Bandwidth multiplier for the weak-reachability and election phases
-    /// (`None` = measure only; see [`WReachConfig::bandwidth_logs`]).
+    /// (`None` = measure only; see
+    /// [`WReachConfig::bandwidth_logs`](crate::WReachConfig::bandwidth_logs)).
     pub bandwidth_logs: Option<usize>,
     /// Engine execution strategy for every phase (sequential and parallel
     /// produce bit-identical results).

@@ -10,7 +10,7 @@
 //! | Theorem 8 (distributed sparse `r`-neighbourhood covers) | [`dist_cover`] | [`dist_cover::distributed_neighborhood_cover`] |
 //! | Theorem 9 (distributed `c(r)`-approximation in CONGEST_BC) | [`dist_domset`] | [`dist_domset::distributed_distance_domination`] |
 //! | Theorem 10 (distributed *connected* approximation in CONGEST_BC) | [`dist_connected`] | [`dist_connected::distributed_connected_domination`] |
-//! | Lemmas 14–16, Theorem 17 (LOCAL connector, factor `2r·d`) | [`local_connect`] | [`local_connect::local_connect`] |
+//! | Lemmas 14–16, Theorem 17 (LOCAL connector, factor `2r·d`) | [`local_connect`](mod@local_connect) | [`local_connect::local_connect`] |
 //! | KSV constant-round protocol (arXiv:2012.02701, follow-up work) | [`dist_ksv`] | [`dist_ksv::distributed_ksv_domination`] |
 //! | Distance-`r` KSV generalisation (arXiv:2207.02669, follow-up work) | [`dist_ksv`] | [`dist_ksv::distributed_ksv_domination_r`] |
 //!

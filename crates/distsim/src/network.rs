@@ -20,7 +20,7 @@
 //!    receivers read straight off the precomputed id-sorted neighbour CSR —
 //!    zero per-round work; in rounds with unicasts it rebuilds the flat
 //!    inbox arena, a CSR-style `offsets` array (one slot per receiver) plus
-//!    one 16-byte [`Packet`] per delivery, pointing into the sender's
+//!    one 16-byte `Packet` per delivery, pointing into the sender's
 //!    outbox — either way **no payload is ever cloned**, receivers read
 //!    messages by reference through [`Inbox`],
 //! 3. evaluates every vertex's transition, writing the next outbox into a

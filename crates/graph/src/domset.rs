@@ -26,7 +26,7 @@ const BITSET_VALIDATOR_MAX_N: usize = 512;
 /// is within distance `r` of some member of `set`.
 ///
 /// The empty set dominates only the empty graph. Small instances (up to
-/// [`BITSET_VALIDATOR_MAX_N`]) are checked against word-parallel `N_r[·]`
+/// `BITSET_VALIDATOR_MAX_N`) are checked against word-parallel `N_r[·]`
 /// bitset rows; larger ones by one scalar multi-source BFS.
 pub fn is_distance_dominating_set(graph: &Graph, set: &[Vertex], r: u32) -> bool {
     let n = graph.num_vertices();

@@ -120,7 +120,7 @@ pub fn configuration_model(degrees: &[usize], seed: u64) -> Graph {
 }
 
 /// Configuration model with a truncated power-law degree sequence — the
-/// "scale-free but bounded expansion" family from [19] as cited by the paper.
+/// "scale-free but bounded expansion" family from \[19\] as cited by the paper.
 pub fn configuration_model_power_law(
     n: usize,
     gamma: f64,

@@ -135,7 +135,7 @@ pub fn caterpillar(spine: usize, legs: usize) -> Graph {
 
 /// A "star-split"-like graph: `k` stars of size `branch` whose centres are
 /// joined in a path. These are the kind of very restricted instances the
-/// paper cites prior distance-r domination work on ([54], [56]).
+/// paper cites prior distance-r domination work on (\[54\], \[56\]).
 pub fn star_chain(k: usize, branch: usize) -> Graph {
     let k = k.max(1);
     let n = k * (branch + 1);

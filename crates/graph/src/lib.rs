@@ -7,7 +7,7 @@
 //! This crate is deliberately self-contained (no external graph library): it
 //! provides
 //!
-//! * a compact CSR [`Graph`](graph::Graph) type with a safe builder,
+//! * a compact CSR [`Graph`] type with a safe builder,
 //! * BFS/distance/radius utilities matching the paper's definitions
 //!   ([`bfs`]),
 //! * word-parallel closed-neighbourhood rows from a `u64`-packed

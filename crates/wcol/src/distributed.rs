@@ -2,7 +2,7 @@
 //! (the substitute for Theorem 3 / Nešetřil–Ossona de Mendez).
 //!
 //! The paper obtains its order from the distributed low-tree-depth
-//! decomposition of [46], whose engine is the Barenboim–Elkin H-partition /
+//! decomposition of \[46\], whose engine is the Barenboim–Elkin H-partition /
 //! forest-decomposition procedure: repeatedly peel, in parallel, all vertices
 //! whose residual degree is at most a fixed threshold. Each peeling phase is
 //! one CONGEST_BC round with a one-bit broadcast, and for any graph of

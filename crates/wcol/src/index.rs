@@ -9,7 +9,7 @@
 //! [`WReachIndex`] fixes both structurally:
 //!
 //! * **Epoch-stamped scratch.** The sweep reuses one
-//!   [`BfsScratch`](bedom_graph::bfs::BfsScratch) per worker thread
+//!   [`BfsScratch`] per worker thread
 //!   (`bedom_par::ExecutionStrategy::chunk_collect_with`): a `u32` stamp
 //!   array reset by bumping an epoch, never re-allocated or re-zeroed per
 //!   ball, so the parallel path allocates `O(threads · n)` once instead of
