@@ -21,8 +21,9 @@ use std::sync::Mutex;
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
-/// Bytes currently allocated, and the most seen since the last reset.
+/// Bytes currently allocated.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
+/// The most bytes allocated at once since `peak_bytes` last reset it.
 static PEAK: AtomicUsize = AtomicUsize::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
