@@ -595,7 +595,7 @@ impl<'g, A: NodeAlgorithm> Network<'g, A> {
     }
 
     /// Consumes the network and returns every vertex's algorithm instance,
-    /// indexed by graph vertex, so a driver can move state out where
+    /// indexed by graph vertex, so a caller can move state out where
     /// [`Network::outputs`] would clone it.
     pub fn into_nodes(self) -> Vec<A> {
         let (mut nodes, mut vertex_at) = (self.nodes, self.vertex_at);
