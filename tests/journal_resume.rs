@@ -12,10 +12,12 @@
 //! "domination as a service" determinism contract.
 
 use bedom::core::{
-    solve_scenario, solve_scenario_resumable, Algorithm, DominationPipeline, DominationReport, Mode,
+    solve_scenario, solve_scenario_resumable, solve_scenario_streaming, Algorithm, BatchError,
+    DominationPipeline, DominationReport, Mode,
 };
 use bedom::distsim::{
-    encode_frame, DurabilityMode, ExecutionStrategy, FrameReader, ScenarioReport, ShardRecord,
+    encode_frame, DurabilityMode, ExecutionStrategy, FrameReader, ModelViolation, ScenarioReport,
+    ShardRecord,
 };
 use bedom::graph::generators::{cycle, grid, path, stacked_triangulation, star, Family};
 use bedom::graph::{graph_from_edges, Graph};
@@ -253,5 +255,81 @@ fn pooled_queue_matches_chunked_execution_over_the_corpus() {
             chunked,
             "pool seed {seed}: dynamic claim order reached the output"
         );
+    }
+}
+
+/// The batch violation contract, pinned under every strategy: a batch whose
+/// shards 1 and 3 both hit `RadiusOutOfRange` fails with shard 1's error
+/// through all three entry points. Streaming absorbs exactly the successful
+/// shards, and the journal keeps exactly their two records, so a rerun
+/// re-attempts only the violated shards.
+#[test]
+fn a_violating_batch_fails_with_the_lowest_indexed_shards_error_under_every_strategy() {
+    let shards: Vec<(Graph, DominationPipeline)> = vec![
+        (path(10), DominationPipeline::new(1)),
+        (
+            grid(3, 3),
+            DominationPipeline::new(256).algorithm(Algorithm::KsvConstantRound),
+        ),
+        (
+            grid(3, 3),
+            DominationPipeline::new(1).mode(Mode::Distributed),
+        ),
+        (
+            path(7),
+            DominationPipeline::new(128).mode(Mode::Distributed),
+        ),
+    ];
+    // Shard 3 fails on its own too, with a different error.
+    let last = solve_scenario(&shards[3..], ExecutionStrategy::Sequential).unwrap_err();
+    assert!(
+        matches!(
+            last,
+            ModelViolation::RadiusOutOfRange {
+                requested: 256,
+                supported: 254,
+                ..
+            }
+        ),
+        "shard 3 alone failed with {last:?}"
+    );
+    for strategy in [
+        ExecutionStrategy::Sequential,
+        ExecutionStrategy::Parallel,
+        ExecutionStrategy::Pooled(3),
+        ExecutionStrategy::Pooled(0xfeed),
+    ] {
+        let collected = solve_scenario(&shards, strategy).unwrap_err();
+        assert!(
+            matches!(
+                collected,
+                ModelViolation::RadiusOutOfRange {
+                    requested: 256,
+                    supported: 255,
+                    ..
+                }
+            ),
+            "{strategy:?}: solve_scenario failed with {collected:?}"
+        );
+
+        let mut sink = ScenarioReport { shards: Vec::new() };
+        let streamed = solve_scenario_streaming(&shards, strategy, &mut sink).unwrap_err();
+        assert_eq!(streamed, collected, "{strategy:?}: streaming");
+        let absorbed: Vec<usize> = sink.shards.iter().map(|s| s.shard).collect();
+        assert_eq!(absorbed, vec![0, 2], "{strategy:?}: the sink's shards");
+
+        let journal = temp_journal("violation");
+        match solve_scenario_resumable(&shards, strategy, &journal, DurabilityMode::Sync) {
+            Err(BatchError::Violation(violation)) => {
+                assert_eq!(violation, collected, "{strategy:?}: resumable")
+            }
+            other => panic!("{strategy:?}: resumable returned {other:?}"),
+        }
+        assert_eq!(
+            journal_record_count(&journal, shards.len()),
+            2,
+            "{strategy:?}: only the two solved shards are journaled"
+        );
+        std::fs::remove_file(&journal).unwrap();
     }
 }
