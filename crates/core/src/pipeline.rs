@@ -470,9 +470,9 @@ pub fn witnessed_constant_for(graph: &Graph, r: u32, strategy: OrderingStrategy)
 ///
 /// Contract (asserted in `tests/determinism.rs`):
 ///
-/// * outputs and metrics are bit-identical across
-///   [`ExecutionStrategy::Sequential`] and [`ExecutionStrategy::Parallel`] —
-///   each shard's engine and index sweeps are pinned to the
+/// * outputs and metrics are bit-identical across every
+///   [`ExecutionStrategy`] — each shard's engine and index sweeps are
+///   pinned to the
 ///   [`ExecutionStrategy::nested`] strategy, so nothing depends on how
 ///   shards are spread;
 /// * every worker reuses one [`BfsScratch`] (grown to the largest shard it
@@ -480,18 +480,17 @@ pub fn witnessed_constant_for(graph: &Graph, r: u32, strategy: OrderingStrategy)
 ///   panics, mirroring [`solve_checked`]'s defensiveness at batch scale;
 /// * a [`ModelViolation`] in any shard fails the whole batch with the
 ///   lowest-indexed shard's error.
+///
+/// This is [`solve_scenario_streaming`] into a [`ScenarioReport`].
 pub fn solve_scenario(
     shards: &[(Graph, DominationPipeline)],
     strategy: ExecutionStrategy,
 ) -> Result<ScenarioReport<DominationReport>, ModelViolation> {
-    let inner = strategy.nested();
-    let runner = ScenarioRunner::new(strategy);
-    let report = runner.run(
-        shards,
-        || BfsScratch::new(0),
-        |scratch, shard, (graph, pipeline)| solve_shard(inner, scratch, shard, graph, pipeline),
-    );
-    report.transpose()
+    let mut report = ScenarioReport {
+        shards: Vec::with_capacity(shards.len()),
+    };
+    solve_scenario_streaming(shards, strategy, &mut report)?;
+    Ok(report)
 }
 
 /// The per-shard body shared by every batch entry point: solve, re-validate
@@ -633,7 +632,10 @@ pub fn solve_scenario_streaming(
 ///
 /// Shards that fail with a [`ModelViolation`] are *not* checkpointed; the
 /// batch fails with the lowest-indexed violation and a rerun re-attempts
-/// exactly the unjournaled shards.
+/// exactly the unjournaled shards. Records are appended in ascending shard
+/// order under every strategy; see
+/// [`ScenarioRunner::run_resumable`](bedom_distsim::ScenarioRunner::run_resumable)
+/// for what a crash loses.
 pub fn solve_scenario_resumable(
     shards: &[(Graph, DominationPipeline)],
     strategy: ExecutionStrategy,

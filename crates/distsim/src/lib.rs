@@ -66,8 +66,7 @@ pub use model::{id_bits, log2_ceil, Model, ModelViolation};
 pub use network::{Network, NetworkSnapshot};
 pub use node::{Inbox, Incoming, NodeAlgorithm, NodeContext, Outgoing};
 pub use scenario::{
-    MetricsDigest, ReportSink, ScenarioReport, ScenarioRunner, ShardFailure, ShardMetrics,
-    ShardReport,
+    MetricsDigest, ReportSink, ScenarioReport, ScenarioRunner, ShardMetrics, ShardReport,
 };
 pub use snapshot_codec::{
     decode_snapshot, encode_frame, encode_snapshot, ByteCodec, CodecError, FrameError, FrameReader,

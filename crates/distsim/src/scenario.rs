@@ -4,32 +4,32 @@
 //! The north-star workloads are not "one graph, one run" but *fleets* of
 //! independent instances: many sensor fields, many topology seeds, many
 //! `(graph, config)` what-if scenarios evaluated side by side. This module
-//! packages that shape once:
+//! packages that shape once, on one schedule:
 //!
-//! * [`ScenarioRunner::run`] executes `N` independent shards across the
-//!   workers of a [`bedom_par::ExecutionStrategy`]: static strategies claim
-//!   contiguous shard ranges (via [`ExecutionStrategy::chunk_collect_with`]),
-//!   [`ExecutionStrategy::Pooled`] claims shards one at a time off a dynamic
-//!   work queue (via [`ExecutionStrategy::queue_collect_with`]) so an
-//!   imbalanced batch keeps every worker busy. Either way each worker reuses
-//!   **one scratch value** (a `BfsScratch`, a buffer pool, whatever the job
-//!   needs) across all of its shards, so a thousand-shard batch allocates
-//!   `O(workers)` scratches.
-//! * Results come back as a [`ScenarioReport`] with **one
-//!   [`ShardReport`] per shard, in shard order** — because each shard runs
-//!   entirely on one worker thread and results are placed by shard index,
-//!   the report is bit-identical across **every** strategy, static or
-//!   pooled (asserted in `tests/determinism.rs`).
+//! * Every entry point runs its shards through
+//!   [`ExecutionStrategy::queue_stream_with`]: the workers of a
+//!   [`bedom_par::ExecutionStrategy`] claim shards one at a time off a
+//!   dynamic work queue, so an imbalanced batch keeps every worker busy, and
+//!   each worker reuses **one scratch value** (a `BfsScratch`, a buffer
+//!   pool, whatever the job needs) across all of its shards, so a
+//!   thousand-shard batch allocates `O(workers)` scratches.
+//! * Finished shards reach the calling thread **in ascending shard order**
+//!   under every strategy (a reorder window holds the ones that finish
+//!   early). [`ScenarioRunner::run_streaming`] folds them into a
+//!   [`ReportSink`], [`ScenarioRunner::run`] into a [`ScenarioReport`] with
+//!   one [`ShardReport`] per shard, and [`ScenarioRunner::run_resumable`]
+//!   also appends each one to a [`BatchJournal`], so an interrupted batch
+//!   resumes where it died, bit-identically to an uninterrupted run. Because
+//!   a shard runs entirely on one worker and the order is fixed, reports
+//!   and journal bytes are identical across **every** strategy (asserted in
+//!   `tests/determinism.rs` and `tests/journal_resume.rs`).
 //! * [`ShardMetrics`] is the per-shard measurement record (rounds, message
 //!   bits, ball sweeps) that the aggregate accessors of [`ScenarioReport`]
-//!   fold over — skipping failed, metric-less shards and surfacing them via
-//!   [`ScenarioReport::failed_shards`] instead of panicking through the
-//!   containment that [`ScenarioRunner::try_run`] bought.
-//! * [`ScenarioRunner::run_streaming`] folds reports into a [`ReportSink`]
-//!   in shard order as they finish (nothing is retained but the sink), and
-//!   [`ScenarioRunner::run_resumable`] checkpoints every completed shard
-//!   into a [`BatchJournal`] so an interrupted batch resumes where it died —
-//!   bit-identically to an uninterrupted run.
+//!   fold over, skipping shards that failed before measuring and counting
+//!   them in [`ScenarioReport::failed_shards`].
+//! * A panicking shard panics the batch once every lower-indexed shard has
+//!   been delivered; the shards after it are dropped, even those that had
+//!   already finished.
 //!
 //! The runner is deliberately generic over the job: `bedom-distsim` sits
 //! below the algorithm crates, so the concrete "solve a domination instance"
@@ -41,64 +41,10 @@
 //! per shard would oversubscribe the machine.
 
 use crate::journal::{BatchJournal, DurabilityMode, JournalError, ShardRecord};
-use crate::model::ModelViolation;
 use crate::snapshot_codec::ByteCodec;
 use crate::trace::RunStats;
 use bedom_par::ExecutionStrategy;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
-/// Locks a runner-internal mutex, ignoring poison: the only way these
-/// mutexes poison is a job panic, which the surrounding combinator re-raises
-/// anyway, and the guarded values (journal, first-error slot) stay valid.
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Why a shard failed without producing an output.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ShardFailure {
-    /// The shard body panicked; contained by [`ScenarioRunner::try_run`] so
-    /// one bad shard no longer poisons the batch.
-    Panicked {
-        /// The panic payload, when it was a string (the usual case).
-        message: String,
-    },
-    /// Every attempt [`ScenarioRunner::run_with_retry`] budgeted for the
-    /// shard failed with a typed violation; this is the last one.
-    RetriesExhausted {
-        /// Attempts made (initial run plus retries).
-        attempts: usize,
-        /// The violation of the final attempt.
-        last: ModelViolation,
-    },
-}
-
-impl std::fmt::Display for ShardFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ShardFailure::Panicked { message } => write!(f, "shard panicked: {message}"),
-            ShardFailure::RetriesExhausted { attempts, last } => write!(
-                f,
-                "shard retry budget exhausted after {attempts} attempt(s); last violation: {last}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ShardFailure {}
-
-/// Renders a panic payload for [`ShardFailure::Panicked`].
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    match payload.downcast::<String>() {
-        Ok(s) => *s,
-        Err(payload) => match payload.downcast::<&'static str>() {
-            Ok(s) => (*s).to_string(),
-            Err(_) => "non-string panic payload".to_string(),
-        },
-    }
-}
 
 /// Per-shard measurement record, filled in by the job and aggregated by
 /// [`ScenarioReport`].
@@ -204,11 +150,9 @@ impl<T> ScenarioReport<T> {
     /// Sum of the measured shards' communication rounds.
     ///
     /// Shards that failed before measuring are **skipped**, not counted as
-    /// zero successes: [`ScenarioRunner::try_run`] contains a panicking shard
-    /// precisely so the rest of the batch stays reportable, and an aggregate
-    /// that panicked on the survivor totals would defeat that containment
-    /// one call later. Callers that cannot tolerate a partial batch should
-    /// use [`ScenarioReport::failed_shards`] /
+    /// zero successes, so the rest of the batch stays reportable. Callers
+    /// that cannot tolerate a partial batch should use
+    /// [`ScenarioReport::failed_shards`] /
     /// [`ScenarioReport::missing_metrics`], or the strict
     /// [`ShardReport::expect_metrics`] per shard.
     pub fn total_rounds(&self) -> usize {
@@ -249,62 +193,6 @@ impl<T> ScenarioReport<T> {
                 })
                 .collect(),
         }
-    }
-}
-
-impl<T> ScenarioReport<Result<T, ShardFailure>> {
-    /// The failed shards as `(shard index, failure)` pairs, in shard order.
-    pub fn failures(&self) -> Vec<(usize, &ShardFailure)> {
-        self.shards
-            .iter()
-            .filter_map(|s| s.output.as_ref().err().map(|e| (s.shard, e)))
-            .collect()
-    }
-
-    /// Unwraps a fully-successful report, panicking with **every** failed
-    /// shard's cause when any failed — the loud end of the
-    /// [`ScenarioReport::missing_metrics`] path for callers that cannot
-    /// tolerate partial batches.
-    ///
-    /// # Panics
-    /// Panics if any shard failed, listing all failures.
-    pub fn expect_all(self) -> ScenarioReport<T> {
-        let failures = self.failures();
-        if !failures.is_empty() {
-            let mut lines = String::new();
-            for (shard, failure) in &failures {
-                lines.push_str(&format!("\n  shard {shard}: {failure}"));
-            }
-            panic!("{} shard(s) failed:{lines}", failures.len());
-        }
-        ScenarioReport {
-            shards: self
-                .shards
-                .into_iter()
-                .map(|s| ShardReport {
-                    shard: s.shard,
-                    output: s.output.expect("checked above"),
-                    metrics: s.metrics,
-                })
-                .collect(),
-        }
-    }
-}
-
-impl<T, E> ScenarioReport<Result<T, E>> {
-    /// Lifts per-shard `Result` outputs into one `Result` over the whole
-    /// report, failing with the error of the **lowest-indexed** failing shard
-    /// (shard execution order never leaks into which error wins).
-    pub fn transpose(self) -> Result<ScenarioReport<T>, E> {
-        let mut shards = Vec::with_capacity(self.shards.len());
-        for shard in self.shards {
-            shards.push(ShardReport {
-                shard: shard.shard,
-                output: shard.output?,
-                metrics: shard.metrics,
-            });
-        }
-        Ok(ScenarioReport { shards })
     }
 }
 
@@ -399,42 +287,11 @@ impl ScenarioRunner {
         self.strategy
     }
 
-    /// Runs `per_shard` for every shard index and returns the reports in
-    /// shard order, routing to the strategy's natural combinator:
-    /// [`ExecutionStrategy::Pooled`] claims shards off the dynamic work
-    /// queue ([`ExecutionStrategy::queue_collect_with`]), everything else
-    /// keeps the static contiguous chunks
-    /// ([`ExecutionStrategy::chunk_collect_with`]). Either way a shard runs
-    /// entirely on one worker with a per-worker scratch, so the reports are
-    /// bit-identical across all strategies.
-    fn collect_shards<Sc, T>(
-        &self,
-        n: usize,
-        init: impl Fn() -> Sc + Sync,
-        per_shard: impl Fn(&mut Sc, usize) -> ShardReport<T> + Sync,
-    ) -> Vec<ShardReport<T>>
-    where
-        T: Send,
-    {
-        if matches!(self.strategy, ExecutionStrategy::Pooled(_)) {
-            self.strategy.queue_collect_with(n, init, per_shard)
-        } else {
-            self.strategy
-                .chunk_collect_with(n, init, |scratch, range| {
-                    range
-                        .map(|shard| per_shard(scratch, shard))
-                        .collect::<Vec<_>>()
-                })
-                .into_iter()
-                .flatten()
-                .collect()
-        }
-    }
-
     /// Runs `job` once per input shard and collects the reports in shard
-    /// order. Each worker thread builds one scratch via `init` and reuses it
-    /// for every shard it processes; the job must leave no shard-visible
-    /// residue in the scratch (reset-by-epoch buffers like
+    /// order — [`ScenarioRunner::run_streaming`] into a [`ScenarioReport`].
+    /// Each worker thread builds one scratch via `init` and reuses it for
+    /// every shard it processes; the job must leave no shard-visible residue
+    /// in the scratch (reset-by-epoch buffers like
     /// `bedom_graph::bfs::BfsScratch` do this by construction).
     ///
     /// A job that fails before measuring must return `None` metrics — never a
@@ -449,116 +306,19 @@ impl ScenarioRunner {
         In: Sync,
         T: Send,
     {
-        let shards = self.collect_shards(inputs.len(), init, |scratch, shard| {
-            let (output, metrics) = job(scratch, shard, &inputs[shard]);
-            ShardReport {
-                shard,
-                output,
-                metrics,
-            }
-        });
-        ScenarioReport { shards }
+        let mut report = ScenarioReport {
+            shards: Vec::with_capacity(inputs.len()),
+        };
+        self.run_streaming(inputs, init, job, &mut report);
+        report
     }
 
-    /// Like [`ScenarioRunner::run`], but a panicking shard no longer poisons
-    /// the batch: each shard body runs under `catch_unwind`, a panic becomes
-    /// a [`ShardFailure::Panicked`] report with `None` metrics, and the
-    /// remaining shards keep going. The worker's scratch is rebuilt via
-    /// `init` after a panic, so no shard ever sees a scratch the unwound
-    /// shard may have left mid-mutation.
-    pub fn try_run<In, Sc, T>(
-        &self,
-        inputs: &[In],
-        init: impl Fn() -> Sc + Sync,
-        job: impl Fn(&mut Sc, usize, &In) -> (T, Option<ShardMetrics>) + Sync,
-    ) -> ScenarioReport<Result<T, ShardFailure>>
-    where
-        In: Sync,
-        T: Send,
-    {
-        let shards = self.collect_shards(inputs.len(), &init, |scratch, shard| {
-            // AssertUnwindSafe: on unwind the scratch is replaced wholesale
-            // below, and `inputs`/`job` are only shared immutably, so no
-            // broken invariant can leak.
-            let attempt = catch_unwind(AssertUnwindSafe(|| job(scratch, shard, &inputs[shard])));
-            match attempt {
-                Ok((output, metrics)) => ShardReport {
-                    shard,
-                    output: Ok(output),
-                    metrics,
-                },
-                Err(payload) => {
-                    *scratch = init();
-                    ShardReport {
-                        shard,
-                        output: Err(ShardFailure::Panicked {
-                            message: panic_message(payload),
-                        }),
-                        metrics: None,
-                    }
-                }
-            }
-        });
-        ScenarioReport { shards }
-    }
-
-    /// Per-shard retry on typed violations: runs `job` up to
-    /// `1 + max_retries` times per shard (the attempt index is passed as the
-    /// job's last argument, starting at 0) and keeps the first success. A
-    /// shard that fails every attempt reports
-    /// [`ShardFailure::RetriesExhausted`] with the final violation and `None`
-    /// metrics — loud in [`ScenarioReport::failures`] /
-    /// [`ScenarioReport::expect_all`], and visible through the existing
-    /// [`ScenarioReport::missing_metrics`] path. Panics are not retried
-    /// (they indicate bugs, not environmental faults) and surface as
-    /// [`ShardFailure::Panicked`].
-    pub fn run_with_retry<In, Sc, T>(
-        &self,
-        inputs: &[In],
-        max_retries: usize,
-        init: impl Fn() -> Sc + Sync,
-        job: impl Fn(&mut Sc, usize, &In, usize) -> (Result<T, ModelViolation>, Option<ShardMetrics>)
-            + Sync,
-    ) -> ScenarioReport<Result<T, ShardFailure>>
-    where
-        In: Sync,
-        T: Send,
-    {
-        let report = self.try_run(inputs, init, |scratch, shard, input| {
-            let mut last: Option<ModelViolation> = None;
-            for attempt in 0..=max_retries {
-                match job(scratch, shard, input, attempt) {
-                    (Ok(output), metrics) => return (Ok(output), metrics),
-                    (Err(violation), _) => last = Some(violation),
-                }
-            }
-            let failure = ShardFailure::RetriesExhausted {
-                attempts: max_retries + 1,
-                last: last.expect("at least one attempt ran"),
-            };
-            (Err(failure), None)
-        });
-        // Flatten the panic layer over the retry layer: either failure kind
-        // surfaces as the shard's single `ShardFailure`.
-        ScenarioReport {
-            shards: report
-                .shards
-                .into_iter()
-                .map(|s| ShardReport {
-                    shard: s.shard,
-                    output: s.output.and_then(|inner| inner),
-                    metrics: s.metrics,
-                })
-                .collect(),
-        }
-    }
-
-    /// Like [`ScenarioRunner::run`], but each [`ShardReport`] is handed to
-    /// `sink` **in shard order as soon as it is ready** instead of being
-    /// collected — a million-instance batch holds at most the reorder
+    /// Runs `job` once per input shard and hands each [`ShardReport`] to
+    /// `sink` **in shard order as soon as it is ready** instead of
+    /// collecting it — a million-instance batch holds at most the reorder
     /// window, not the whole result set. Streaming into a fresh
-    /// [`ScenarioReport`] sink reproduces [`ScenarioRunner::run`] exactly;
-    /// a [`MetricsDigest`] sink keeps only the aggregate numbers.
+    /// [`ScenarioReport`] sink is [`ScenarioRunner::run`]; a
+    /// [`MetricsDigest`] sink keeps only the aggregate numbers.
     pub fn run_streaming<In, Sc, T>(
         &self,
         inputs: &[In],
@@ -597,6 +357,14 @@ impl ScenarioRunner {
     /// and path resumes where the journal ends. Delete the journal (or use
     /// [`ScenarioRunner::run`]) to recompute from scratch.
     ///
+    /// Records are appended on the calling thread in ascending shard order,
+    /// so the file's bytes do not depend on the strategy. A crash loses the
+    /// shards that finished while a lower-indexed shard was still running
+    /// (they wait in the reorder window); a resume re-runs them. After the
+    /// first failed append nothing more is written, so the file never holds
+    /// a torn frame between intact ones, and the run returns that error once
+    /// the workers have joined.
+    ///
     /// A shard whose job reports `None` metrics — the runner-wide "failed
     /// before measuring" signal — is **not** checkpointed: its (presumably
     /// degenerate) output still appears in this run's report, but a resume
@@ -615,68 +383,50 @@ impl ScenarioRunner {
     {
         let mut journal =
             BatchJournal::<T>::open_or_create(journal_path, inputs.len(), durability)?;
-        let recovered = journal.take_recovered();
         let pending = journal.pending();
-        let journal = Mutex::new(journal);
-        // Append failures must not tear down workers mid-shard; the first
-        // one is parked here and fails the batch after the joins.
-        let append_error: Mutex<Option<JournalError>> = Mutex::new(None);
-
-        let fresh = self.collect_shards(pending.len(), init, |scratch, k| {
-            let shard = pending[k];
-            let (output, metrics) = job(scratch, shard, &inputs[shard]);
-            let record = ShardRecord {
-                shard: shard as u64,
-                metrics,
-                output,
-            };
-            if record.metrics.is_some() {
-                if let Err(e) = lock(&journal).append(&record) {
-                    let mut slot = lock(&append_error);
-                    if slot.is_none() {
-                        *slot = Some(e);
-                    }
+        // The recovered records are index-aligned, so flattening them keeps
+        // shard order; `pending` is exactly their complement, and the fresh
+        // shards are merged in as they are released.
+        let mut recovered = journal.take_recovered().into_iter().flatten().peekable();
+        let mut shards = Vec::with_capacity(inputs.len());
+        let mut append_error = None;
+        self.strategy.queue_stream_with(
+            pending.len(),
+            init,
+            |scratch, k| {
+                let shard = pending[k];
+                let (output, metrics) = job(scratch, shard, &inputs[shard]);
+                ShardRecord {
+                    shard: shard as u64,
+                    metrics,
+                    output,
                 }
-            }
-            ShardReport {
-                shard,
-                output: record.output,
-                metrics: record.metrics,
-            }
-        });
-
-        if let Some(e) = lock(&append_error).take() {
+            },
+            |_, record| {
+                while let Some(earlier) = recovered.next_if(|r| r.shard < record.shard) {
+                    shards.push(report_of(earlier));
+                }
+                if append_error.is_none() && record.metrics.is_some() {
+                    append_error = journal.append(&record).err();
+                }
+                shards.push(report_of(record));
+            },
+        );
+        if let Some(e) = append_error {
             return Err(e);
         }
-        journal
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-            .finish()?;
-
-        let mut slots: Vec<Option<ShardReport<T>>> = recovered
-            .into_iter()
-            .map(|rec| {
-                rec.map(|r| ShardReport {
-                    shard: r.shard as usize,
-                    output: r.output,
-                    metrics: r.metrics,
-                })
-            })
-            .collect();
-        for report in fresh {
-            let shard = report.shard;
-            slots[shard] = Some(report);
-        }
-        let mut shards = Vec::with_capacity(slots.len());
-        for (shard, slot) in slots.into_iter().enumerate() {
-            match slot {
-                Some(report) => shards.push(report),
-                // `pending` is exactly the complement of the recovered set,
-                // so every slot is filled by one of the two loops above.
-                None => panic!("bedom-distsim: shard {shard} neither recovered nor run"),
-            }
-        }
+        journal.finish()?;
+        shards.extend(recovered.map(report_of));
         Ok(ScenarioReport { shards })
+    }
+}
+
+/// The report of a journaled (or about to be journaled) shard.
+fn report_of<T>(record: ShardRecord<T>) -> ShardReport<T> {
+    ShardReport {
+        shard: record.shard as usize,
+        output: record.output,
+        metrics: record.metrics,
     }
 }
 
@@ -766,36 +516,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose_fails_with_the_lowest_indexed_error() {
-        let inputs: Vec<usize> = (0..8).collect();
-        let report = ScenarioRunner::new(ExecutionStrategy::Parallel).run(
-            &inputs,
-            || (),
-            |(), shard, _| {
-                // Failed shards report no metrics, mirroring real jobs.
-                if shard == 3 || shard == 6 {
-                    (Err(format!("shard {shard} failed")), None)
-                } else {
-                    (Ok(shard), Some(ShardMetrics::default()))
-                }
-            },
-        );
-        assert_eq!(report.missing_metrics(), vec![3, 6]);
-        assert_eq!(report.transpose().unwrap_err(), "shard 3 failed");
-
-        let ok = ScenarioRunner::new(ExecutionStrategy::Sequential).run(
-            &inputs,
-            || (),
-            |(), shard, _| (Ok::<_, String>(shard), Some(metrics(1, 2, 3, 4))),
-        );
-        let ok = ok.transpose().unwrap();
-        assert_eq!(ok.num_shards(), 8);
-        assert!(ok.missing_metrics().is_empty());
-        assert_eq!(ok.max_message_bits(), 3);
-        assert_eq!(ok.total_message_bits(), 16);
-    }
-
-    #[test]
     fn empty_batch() {
         let report = ScenarioRunner::new(ExecutionStrategy::Parallel).run(
             &Vec::<u8>::new(),
@@ -809,8 +529,7 @@ mod tests {
 
     /// A shard without metrics is **skipped** by the aggregates and counted
     /// in `failed_shards` — it must neither masquerade as a "0 rounds"
-    /// success nor panic the aggregate (which would defeat `try_run`'s
-    /// containment one call later).
+    /// success nor panic the aggregate.
     #[test]
     fn aggregates_skip_metricless_shards_and_count_them() {
         let inputs: Vec<usize> = (0..4).collect();
@@ -828,160 +547,6 @@ mod tests {
         assert_eq!(report.total_message_bits(), 30);
         assert_eq!(report.max_message_bits(), 10);
         assert_eq!(report.total_ball_sweeps(), 3);
-    }
-
-    /// The headline regression: a batch with one panicking shard must
-    /// aggregate its surviving shards without panicking, and report the
-    /// failure count alongside.
-    #[test]
-    fn a_batch_with_one_panicking_shard_aggregates_without_panicking() {
-        let inputs: Vec<usize> = (0..8).collect();
-        for strategy in [
-            ExecutionStrategy::Sequential,
-            ExecutionStrategy::Parallel,
-            ExecutionStrategy::Pooled(11),
-        ] {
-            let report = ScenarioRunner::new(strategy).try_run(
-                &inputs,
-                || (),
-                |(), shard, &input| {
-                    assert!(shard != 5, "shard 5 exploded");
-                    (input, Some(metrics(2, 100, 40, 3)))
-                },
-            );
-            assert_eq!(report.failed_shards(), 1, "{strategy:?}");
-            assert_eq!(report.failures().len(), 1, "{strategy:?}");
-            // Aggregates fold the 7 survivors — no panic.
-            assert_eq!(report.total_rounds(), 14, "{strategy:?}");
-            assert_eq!(report.total_message_bits(), 700, "{strategy:?}");
-            assert_eq!(report.max_message_bits(), 40, "{strategy:?}");
-            assert_eq!(report.total_ball_sweeps(), 21, "{strategy:?}");
-        }
-    }
-
-    #[test]
-    fn try_run_contains_shard_panics_under_both_strategies() {
-        let inputs: Vec<usize> = (0..12).collect();
-        for strategy in [ExecutionStrategy::Sequential, ExecutionStrategy::Parallel] {
-            let report = ScenarioRunner::new(strategy).try_run(
-                &inputs,
-                Vec::<usize>::new,
-                |scratch, shard, &input| {
-                    scratch.push(shard);
-                    assert!(shard != 5, "shard 5 exploded");
-                    (input * 2, Some(ShardMetrics::default()))
-                },
-            );
-            assert_eq!(report.num_shards(), 12, "{strategy:?}");
-            let failures = report.failures();
-            assert_eq!(failures.len(), 1, "{strategy:?}");
-            assert_eq!(failures[0].0, 5);
-            match failures[0].1 {
-                ShardFailure::Panicked { message } => {
-                    assert!(message.contains("shard 5 exploded"), "{message}")
-                }
-                other => panic!("unexpected failure {other:?}"),
-            }
-            // The failed shard reports no metrics; the others all succeeded.
-            assert_eq!(report.missing_metrics(), vec![5], "{strategy:?}");
-            for shard in &report.shards {
-                if shard.shard != 5 {
-                    assert_eq!(shard.output, Ok(shard.shard * 2), "{strategy:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn try_run_rebuilds_the_scratch_after_a_panic() {
-        let inputs: Vec<usize> = (0..4).collect();
-        let report = ScenarioRunner::new(ExecutionStrategy::Sequential).try_run(
-            &inputs,
-            Vec::<usize>::new,
-            |scratch, shard, _| {
-                scratch.push(shard);
-                assert!(shard != 1, "boom");
-                // A scratch polluted by the panicking shard would still
-                // contain its entry; the rebuilt one must not.
-                (scratch.clone(), Some(ShardMetrics::default()))
-            },
-        );
-        assert_eq!(report.shards[0].output, Ok(vec![0]));
-        assert!(report.shards[1].output.is_err());
-        assert_eq!(
-            report.shards[2].output,
-            Ok(vec![2]),
-            "scratch must be rebuilt after the shard-1 panic"
-        );
-        assert_eq!(report.shards[3].output, Ok(vec![2, 3]));
-    }
-
-    #[test]
-    fn run_with_retry_recovers_flaky_shards_and_reports_exhaustion() {
-        use crate::model::ModelViolation;
-        let inputs: Vec<usize> = (0..6).collect();
-        let violation = |shard: usize| ModelViolation::IncompleteKnowledge {
-            vertex: shard as u64,
-            round: 1,
-            expected: 2,
-            received: 1,
-        };
-        for strategy in [ExecutionStrategy::Sequential, ExecutionStrategy::Parallel] {
-            let report = ScenarioRunner::new(strategy).run_with_retry(
-                &inputs,
-                2,
-                || (),
-                |(), shard, &input, attempt| {
-                    // Shard 2 needs one retry, shard 4 never succeeds.
-                    let fails = (shard == 2 && attempt == 0) || shard == 4;
-                    if fails {
-                        (Err(violation(shard)), None)
-                    } else {
-                        (Ok((input, attempt)), Some(ShardMetrics::default()))
-                    }
-                },
-            );
-            let failures = report.failures();
-            assert_eq!(failures.len(), 1, "{strategy:?}");
-            assert_eq!(failures[0].0, 4);
-            match failures[0].1 {
-                ShardFailure::RetriesExhausted { attempts, last } => {
-                    assert_eq!(*attempts, 3);
-                    assert_eq!(last, &violation(4));
-                }
-                other => panic!("unexpected failure {other:?}"),
-            }
-            assert_eq!(report.shards[2].output, Ok((2, 1)), "one retry used");
-            assert_eq!(report.shards[0].output, Ok((0, 0)));
-            assert_eq!(report.missing_metrics(), vec![4]);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "shard 3: shard retry budget exhausted")]
-    fn expect_all_panics_loudly_listing_failures() {
-        use crate::model::ModelViolation;
-        let inputs: Vec<usize> = (0..5).collect();
-        let report = ScenarioRunner::new(ExecutionStrategy::Sequential).run_with_retry(
-            &inputs,
-            0,
-            || (),
-            |(), shard, &input, _| {
-                if shard == 3 {
-                    (
-                        Err(ModelViolation::TokenLost {
-                            round: 2,
-                            expected: 4,
-                            received: 3,
-                        }),
-                        None,
-                    )
-                } else {
-                    (Ok(input), Some(ShardMetrics::default()))
-                }
-            },
-        );
-        let _ = report.expect_all();
     }
 
     #[test]
@@ -1005,7 +570,6 @@ mod tests {
         for strategy in [
             ExecutionStrategy::Sequential,
             ExecutionStrategy::Parallel,
-            ExecutionStrategy::Perturbed(9),
             ExecutionStrategy::Pooled(9),
         ] {
             let mut collected = ScenarioReport::default();
@@ -1117,5 +681,65 @@ mod tests {
         assert_eq!(resumed.failed_shards(), 0);
         assert_eq!(resumed.shards[4].output, 5);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A panicking shard panics the batch after every lower-indexed shard
+    /// was journaled, and nothing after it is, even a shard that had already
+    /// finished: a resume re-runs exactly the shards from the panicking one
+    /// on.
+    #[test]
+    fn a_panicking_shard_leaves_exactly_the_shards_before_it_in_the_journal() {
+        let inputs: Vec<u64> = (0..24).collect();
+        let job = |shard: usize, input: u64| (input * 2, Some(metrics(1, shard, 1, 1)));
+        let baseline = ScenarioRunner::new(ExecutionStrategy::Sequential).run(
+            &inputs,
+            || (),
+            |(), shard, &input| job(shard, input),
+        );
+        for strategy in [
+            ExecutionStrategy::Sequential,
+            ExecutionStrategy::Parallel,
+            ExecutionStrategy::Pooled(11),
+        ] {
+            let path = temp_journal("panic");
+            let runner = ScenarioRunner::new(strategy);
+            let crashed = std::thread::scope(|scope| {
+                scope
+                    .spawn(|| {
+                        runner.run_resumable(
+                            &inputs,
+                            &path,
+                            DurabilityMode::Sync,
+                            || (),
+                            |(), shard, &input| {
+                                assert!(shard != 13, "shard 13 exploded");
+                                job(shard, input)
+                            },
+                        )
+                    })
+                    .join()
+            });
+            assert!(crashed.is_err(), "{strategy:?}: the panic must propagate");
+            let journal =
+                BatchJournal::<u64>::open_or_create(&path, inputs.len(), DurabilityMode::Sync)
+                    .unwrap();
+            assert_eq!(
+                journal.pending(),
+                (13..24).collect::<Vec<_>>(),
+                "{strategy:?}"
+            );
+            drop(journal);
+            let resumed = runner
+                .run_resumable(
+                    &inputs,
+                    &path,
+                    DurabilityMode::Sync,
+                    || (),
+                    |(), shard, &input| job(shard, input),
+                )
+                .unwrap();
+            assert_eq!(resumed, baseline, "{strategy:?}");
+            std::fs::remove_file(&path).unwrap();
+        }
     }
 }

@@ -97,7 +97,7 @@ fn interrupted_batches_resume_bit_identically_under_every_strategy() {
 
     // One uninterrupted resumable run provides both the baseline equality
     // check and the completed journal whose frame boundaries the truncation
-    // cases are measured from. Sequential execution appends records in shard
+    // cases are measured from. Every strategy appends records in shard
     // order, so cutting after `k` frames leaves exactly shards `0..k`.
     let full_path = temp_journal("full");
     let full = solve_scenario_resumable(
@@ -120,7 +120,7 @@ fn interrupted_batches_resume_bit_identically_under_every_strategy() {
     let strategies = [
         ExecutionStrategy::Sequential,
         ExecutionStrategy::Parallel,
-        ExecutionStrategy::Perturbed(0xfeed),
+        ExecutionStrategy::Pooled(0xfeed),
         ExecutionStrategy::Pooled(3),
     ];
     for (i, strategy) in strategies.into_iter().enumerate() {
@@ -167,6 +167,31 @@ fn interrupted_batches_resume_bit_identically_under_every_strategy() {
             );
             std::fs::remove_file(&path).unwrap();
         }
+    }
+}
+
+/// The journal's bytes do not depend on the strategy: every strategy appends
+/// the records on the calling thread in ascending shard order.
+#[test]
+fn journal_bytes_are_identical_under_every_strategy() {
+    let shards = ksv_batch();
+    let write = |strategy| {
+        let path = temp_journal("bytes");
+        solve_scenario_resumable(&shards, strategy, &path, DurabilityMode::Deferred).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        bytes
+    };
+    let sequential = write(ExecutionStrategy::Sequential);
+    for strategy in [
+        ExecutionStrategy::Parallel,
+        ExecutionStrategy::Pooled(3),
+        ExecutionStrategy::Pooled(0xfeed),
+    ] {
+        assert!(
+            write(strategy) == sequential,
+            "{strategy:?}: the journal's bytes differ from the sequential run's"
+        );
     }
 }
 
