@@ -45,7 +45,7 @@ pub fn seed_restricted_ball(graph: &Graph, order: &LinearOrder, u: Vertex, r: u3
 /// `Vec<Vec<Vertex>>`.
 pub fn seed_weak_reachability_sets(graph: &Graph, order: &LinearOrder, r: u32) -> Vec<Vec<Vertex>> {
     let n = graph.num_vertices();
-    let balls: Vec<(Vertex, Vec<Vertex>)> = ExecutionStrategy::auto_for(n).map_collect(n, |u| {
+    let balls: Vec<(Vertex, Vec<Vertex>)> = ExecutionStrategy::Auto.map_collect(n, |u| {
         let u = u as Vertex;
         (u, seed_restricted_ball(graph, order, u, r))
     });
@@ -73,7 +73,7 @@ pub fn seed_wcol_of_order(graph: &Graph, order: &LinearOrder, r: u32) -> usize {
 /// The seed's dominator election: yet another full sweep.
 pub fn seed_min_wreach(graph: &Graph, order: &LinearOrder, r: u32) -> Vec<Vertex> {
     let n = graph.num_vertices();
-    let balls: Vec<(Vertex, Vec<Vertex>)> = ExecutionStrategy::auto_for(n).map_collect(n, |u| {
+    let balls: Vec<(Vertex, Vec<Vertex>)> = ExecutionStrategy::Auto.map_collect(n, |u| {
         let u = u as Vertex;
         (u, seed_restricted_ball(graph, order, u, r))
     });

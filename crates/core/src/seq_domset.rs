@@ -48,12 +48,7 @@ pub struct SeqDomSetResult {
 /// radius (the seed ran the whole `n`-ball sweep twice here, once per
 /// quantity).
 pub fn domset_via_min_wreach(graph: &Graph, order: &LinearOrder, r: u32) -> SeqDomSetResult {
-    domset_via_min_wreach_with(
-        graph,
-        order,
-        r,
-        bedom_par::ExecutionStrategy::auto_for(graph.num_vertices()),
-    )
+    domset_via_min_wreach_with(graph, order, r, bedom_par::ExecutionStrategy::Auto)
 }
 
 /// [`domset_via_min_wreach`] with an explicit execution strategy for the

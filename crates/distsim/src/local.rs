@@ -92,13 +92,7 @@ pub fn run_local<O: Send>(
     radius: u32,
     algorithm: impl Fn(&LocalView<'_>) -> O + Sync,
 ) -> Vec<O> {
-    run_local_with(
-        ExecutionStrategy::auto_for(graph.num_vertices()),
-        graph,
-        ids,
-        radius,
-        algorithm,
-    )
+    run_local_with(ExecutionStrategy::Auto, graph, ids, radius, algorithm)
 }
 
 /// [`run_local`] with an explicit [`ExecutionStrategy`]; both strategies

@@ -27,7 +27,7 @@ pub fn power_graph(graph: &Graph, r: u32) -> Graph {
     if r == 1 {
         return graph.clone();
     }
-    let chunks: Vec<Vec<(Vertex, Vertex)>> = ExecutionStrategy::auto_for(n).chunk_collect_with(
+    let chunks: Vec<Vec<(Vertex, Vertex)>> = ExecutionStrategy::Auto.chunk_collect_with(
         n,
         || (BfsScratch::new(n), Vec::new()),
         |(scratch, nbh), range| {
@@ -54,7 +54,7 @@ pub fn power_graph(graph: &Graph, r: u32) -> Graph {
 /// solvers; parallelised via `bedom-par` with a worker-local scratch.
 pub fn all_closed_neighborhoods(graph: &Graph, r: u32) -> Vec<Vec<Vertex>> {
     let n = graph.num_vertices();
-    ExecutionStrategy::auto_for(n).map_collect_with(
+    ExecutionStrategy::Auto.map_collect_with(
         n,
         || BfsScratch::new(n),
         |scratch, v| {

@@ -19,12 +19,16 @@
 //!   combinator splits its index range into `threads()` contiguous chunks up
 //!   front. For the uniform per-element costs of superstep simulation this
 //!   is within noise of a work-stealing scheduler.
-//! * The **work queue** (`queue_collect_with`, `queue_stream_with`): a pool
-//!   of persistent workers claims indices dynamically off one shared atomic
-//!   counter — the shape for *imbalanced* loops like multi-graph scenario
-//!   batches, where one heavy shard must not serialise a whole chunk behind
-//!   it. Results are still placed (or streamed) strictly by index, so the
-//!   claim order never leaks into the output.
+//! * The **work queue** (`queue_stream_with`): a pool of persistent workers
+//!   claims indices dynamically off one shared atomic counter — the shape
+//!   for *imbalanced* loops like multi-graph scenario batches, where one
+//!   heavy shard must not serialise a whole chunk behind it. Results are
+//!   streamed to the caller strictly by index, so the claim order never
+//!   leaks into the output.
+//!
+//! [`ExecutionStrategy::Pooled`] is `Parallel` with a seeded schedule; the
+//! determinism suite runs it to flush out any output that depends on which
+//! worker finished first.
 
 use std::num::NonZeroUsize;
 
@@ -40,85 +44,49 @@ pub mod sanitizer;
 pub enum ExecutionStrategy {
     /// Run the loop body on the calling thread.
     Sequential,
-    /// Split the index range into contiguous chunks, one per available core.
+    /// Split the index range into contiguous chunks, one per available core,
+    /// or let the workers claim indices off the work queue.
     Parallel,
     /// Decide per loop: parallel only when the loop is large enough
     /// (`n > 4096`) to amortise thread handoff, sequential otherwise. The
     /// right default for configs built before the instance size is known.
     Auto,
-    /// `Parallel` with a seeded schedule perturbation: each worker yields a
-    /// seed-derived number of times before touching its chunk, and the
-    /// fork-join primitives harvest worker results in a seed-shuffled order
-    /// (still *placing* them by index). Output must be bit-identical to
-    /// `Sequential` — any divergence means a combinator's result depends on
-    /// scheduling, which is exactly the bug class the determinism suite runs
-    /// this mode to flush out.
-    Perturbed(u64),
-    /// A persistent worker pool with a **dynamic work queue**: in the
-    /// `queue_*` combinators, workers claim indices one at a time off a
-    /// shared counter instead of receiving a static contiguous chunk, so a
-    /// batch with one heavy element keeps every core busy. The seed
-    /// perturbs worker start-up and join order exactly like
-    /// [`ExecutionStrategy::Perturbed`] (which this mode degrades to in the
-    /// chunk-based combinators, whose contract is a static split), varying
-    /// the *claim schedule* across seeds; results are placed by index, so
-    /// the output is bit-identical to `Sequential` for any seed.
+    /// `Parallel` with a seeded schedule: each worker yields a seed-derived
+    /// number of times before it starts, and the fork-join primitives join
+    /// the workers in a seed-shuffled order (still *placing* results by
+    /// index). Output must be bit-identical to `Sequential` for any seed —
+    /// a divergence means a combinator's result depends on scheduling,
+    /// which is exactly the bug class the determinism suite runs this mode
+    /// to flush out.
     Pooled(u64),
 }
 
+/// The environment variable [`ExecutionStrategy::perturbed_from_env`] reads.
+const PERTURB_SEED_VAR: &str = "BEDOM_PERTURB_SEED";
+
 impl ExecutionStrategy {
-    /// `Parallel` when the machine has more than one core, else `Sequential`.
-    pub fn auto() -> Self {
-        if available_threads() > 1 {
-            ExecutionStrategy::Parallel
-        } else {
-            ExecutionStrategy::Sequential
-        }
-    }
-
-    /// Heuristic used by round-based simulations: parallelism only pays off
-    /// once the per-round work is large enough to amortise thread handoff.
-    pub fn auto_for(n: usize) -> Self {
-        if n > 4096 {
-            ExecutionStrategy::auto()
-        } else {
-            ExecutionStrategy::Sequential
-        }
-    }
-
-    /// The pooled work-queue strategy with the given schedule seed — see
-    /// [`ExecutionStrategy::Pooled`]. Seed 0 is a fine default; the
-    /// determinism suite sweeps several.
-    pub fn pooled(seed: u64) -> Self {
-        ExecutionStrategy::Pooled(seed)
-    }
-
     /// Whether this strategy may use more than one thread.
     pub fn is_parallel(self) -> bool {
-        matches!(
-            self,
-            ExecutionStrategy::Parallel
-                | ExecutionStrategy::Auto
-                | ExecutionStrategy::Perturbed(_)
-                | ExecutionStrategy::Pooled(_)
-        )
+        !matches!(self, ExecutionStrategy::Sequential)
     }
 
-    /// [`ExecutionStrategy::Perturbed`] seeded from the `BEDOM_PERTURB_SEED`
-    /// environment variable, if set to an integer. The determinism suite uses
-    /// this to re-run its cross-strategy assertions under a perturbed
-    /// schedule without a dedicated binary.
+    /// [`ExecutionStrategy::Pooled`] seeded from the `BEDOM_PERTURB_SEED`
+    /// environment variable, or `None` when it is unset. The determinism
+    /// suite uses this to re-run its cross-strategy assertions under a
+    /// seeded schedule without a dedicated binary.
+    ///
+    /// # Panics
+    /// Panics, naming the variable and its value, when the variable is set
+    /// to anything but a decimal `u64`: a seed that silently failed to
+    /// parse would turn the perturbed run into an unperturbed one.
     pub fn perturbed_from_env() -> Option<ExecutionStrategy> {
-        std::env::var("BEDOM_PERTURB_SEED")
-            .ok()
-            .and_then(|raw| raw.trim().parse::<u64>().ok())
-            .map(ExecutionStrategy::Perturbed)
+        perturbed_from(std::env::var_os(PERTURB_SEED_VAR).as_deref())
     }
 
     /// The perturbation seed, if this strategy carries one.
     fn perturb_seed(self) -> Option<u64> {
         match self {
-            ExecutionStrategy::Perturbed(seed) | ExecutionStrategy::Pooled(seed) => Some(seed),
+            ExecutionStrategy::Pooled(seed) => Some(seed),
             _ => None,
         }
     }
@@ -156,9 +124,9 @@ impl ExecutionStrategy {
     pub fn threads_for(self, n: usize) -> usize {
         match self {
             ExecutionStrategy::Sequential => 1,
-            ExecutionStrategy::Parallel
-            | ExecutionStrategy::Perturbed(_)
-            | ExecutionStrategy::Pooled(_) => available_threads().max(2).min(n.max(1)),
+            ExecutionStrategy::Parallel | ExecutionStrategy::Pooled(_) => {
+                available_threads().max(2).min(n.max(1))
+            }
             ExecutionStrategy::Auto => {
                 if n > 4096 {
                     available_threads().min(n)
@@ -262,81 +230,22 @@ impl ExecutionStrategy {
         parts
     }
 
-    /// `(0..n).map(f).collect()` through a **dynamic work queue**: a pool of
+    /// Runs `f` for every index through a **dynamic work queue**: a pool of
     /// persistent workers (one scratch each, built by `init`) claims indices
     /// one at a time off a shared counter, so imbalanced per-index costs
     /// spread across the pool instead of serialising behind a static chunk
-    /// boundary. Results are placed by index after the joins — the claim
-    /// order (which *does* vary with scheduling and with a
-    /// [`ExecutionStrategy::Pooled`] seed) never reaches the output, so
-    /// every strategy is bit-identical to `Sequential` as long as `f`'s
-    /// result for an index does not depend on residual scratch state.
-    pub fn queue_collect_with<S, T, I, F>(self, n: usize, init: I, f: F) -> Vec<T>
-    where
-        T: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, usize) -> T + Sync,
-    {
-        let threads = self.threads_for(n);
-        if threads <= 1 || n == 0 {
-            let mut scratch = init();
-            #[cfg(debug_assertions)]
-            let _guard = sanitizer::ScratchGuard::acquire(&scratch);
-            return (0..n).map(|i| f(&mut scratch, i)).collect();
-        }
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let mut slots: Vec<Option<T>> = Vec::with_capacity(n);
-        slots.resize_with(n, || None);
-        std::thread::scope(|scope| {
-            // Each worker hands back its claimed `(index, result)` pairs.
-            let mut handles: Vec<_> = (0..threads)
-                .map(|worker| {
-                    let init = &init;
-                    let f = &f;
-                    let next = &next;
-                    Some(scope.spawn(move || {
-                        self.stagger(worker);
-                        let mut scratch = init();
-                        #[cfg(debug_assertions)]
-                        let _guard = sanitizer::ScratchGuard::acquire(&scratch);
-                        let mut claimed = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            claimed.push((i, f(&mut scratch, i)));
-                        }
-                        claimed
-                    }))
-                })
-                .collect();
-            // Harvest in (possibly seed-shuffled) order, but place by index:
-            // neither claim order nor completion order may leak.
-            for idx in join_permutation(self.perturb_seed(), handles.len()) {
-                if let Some(handle) = handles[idx].take() {
-                    for (i, value) in join_worker(handle) {
-                        slots[i] = Some(value);
-                    }
-                }
-            }
-        });
-        let out: Vec<T> = slots.into_iter().flatten().collect();
-        assert_eq!(out.len(), n, "bedom-par: the work queue lost a result");
-        out
-    }
-
-    /// The streaming variant of [`ExecutionStrategy::queue_collect_with`]:
-    /// instead of materialising a `Vec<T>` of all `n` results, each result is
-    /// handed to `consume(i, result)` on the **calling thread** and can be
-    /// folded away immediately — the combinator behind streaming report
-    /// sinks, where a million-element batch must never hold a million
-    /// results at once.
+    /// boundary. Each result is handed to `consume(i, result)` on the
+    /// **calling thread** and can be folded away immediately — the
+    /// combinator behind every scenario batch, where a million-element batch
+    /// must never hold a million results at once.
     ///
     /// `consume` is invoked **strictly in index order** (a reorder buffer
     /// holds out-of-order completions, so its worst-case footprint is the
     /// pool's completion skew, not `n`), which makes any fold — even an
-    /// order-sensitive one — strategy-independent by construction.
+    /// order-sensitive one — strategy-independent by construction, as long
+    /// as `f`'s result for an index does not depend on residual scratch
+    /// state. If `f` panics, `consume` still sees every index below the
+    /// panicking one, then the panic is re-raised after the joins.
     pub fn queue_stream_with<S, T, I, F, C>(self, n: usize, init: I, f: F, mut consume: C)
     where
         T: Send,
@@ -543,6 +452,21 @@ fn join_permutation(seed: Option<u64>, len: usize) -> Vec<usize> {
     order
 }
 
+/// Parses a `BEDOM_PERTURB_SEED` value: unset is `None`, a decimal `u64`
+/// (surrounding whitespace allowed) is a [`ExecutionStrategy::Pooled`]
+/// seed, and anything else panics — see
+/// [`ExecutionStrategy::perturbed_from_env`].
+fn perturbed_from(raw: Option<&std::ffi::OsStr>) -> Option<ExecutionStrategy> {
+    let raw = raw?;
+    match raw
+        .to_str()
+        .and_then(|seed| seed.trim().parse::<u64>().ok())
+    {
+        Some(seed) => Some(ExecutionStrategy::Pooled(seed)),
+        None => panic!("{PERTURB_SEED_VAR} must be a decimal u64 seed, got {raw:?}"),
+    }
+}
+
 /// Joins a worker, re-raising its panic payload on the calling thread so a
 /// panicking loop body surfaces with its original message.
 fn join_worker<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> T {
@@ -683,15 +607,30 @@ mod tests {
             ExecutionStrategy::Sequential,
             ExecutionStrategy::Parallel,
             ExecutionStrategy::Auto,
-            ExecutionStrategy::Perturbed(7),
             ExecutionStrategy::Pooled(7),
         ] {
             assert_eq!(strategy.nested(), ExecutionStrategy::Sequential);
         }
     }
 
+    /// `queue_stream_with` folded into a `Vec`, checking that `consume`
+    /// sees every index once, in ascending order.
+    fn queue_collect<S, T: Send>(
+        strategy: ExecutionStrategy,
+        n: usize,
+        init: impl Fn() -> S + Sync,
+        f: impl Fn(&mut S, usize) -> T + Sync,
+    ) -> Vec<T> {
+        let mut out = Vec::with_capacity(n);
+        strategy.queue_stream_with(n, init, f, |i, value| {
+            assert_eq!(i, out.len(), "{strategy:?}: index {i} out of order");
+            out.push(value);
+        });
+        out
+    }
+
     #[test]
-    fn queue_collect_with_agrees_with_sequential_for_every_strategy_and_seed() {
+    fn queue_stream_with_agrees_with_sequential_for_every_strategy_and_seed() {
         // Imbalanced per-index cost (quadratic in i % 97) so dynamic claims
         // genuinely interleave across workers.
         let f = |scratch: &mut Vec<u64>, i: usize| {
@@ -700,23 +639,23 @@ mod tests {
             scratch.iter().sum::<u64>() + i as u64
         };
         for n in [0usize, 1, 2, 13, 1000, 4099] {
-            let seq = ExecutionStrategy::Sequential.queue_collect_with(n, Vec::new, f);
+            let seq = queue_collect(ExecutionStrategy::Sequential, n, Vec::new, f);
             assert_eq!(seq.len(), n);
             for strategy in [
                 ExecutionStrategy::Parallel,
                 ExecutionStrategy::Auto,
                 ExecutionStrategy::Pooled(0),
                 ExecutionStrategy::Pooled(0xDEAD_BEEF),
-                ExecutionStrategy::Perturbed(42),
+                ExecutionStrategy::Pooled(42),
             ] {
-                let got = strategy.queue_collect_with(n, Vec::new, f);
+                let got = queue_collect(strategy, n, Vec::new, f);
                 assert_eq!(seq, got, "{strategy:?}, n = {n}");
             }
         }
     }
 
     #[test]
-    fn queue_collect_with_runs_each_index_exactly_once() {
+    fn queue_stream_with_runs_each_index_exactly_once() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         for strategy in [
             ExecutionStrategy::Sequential,
@@ -725,7 +664,8 @@ mod tests {
         ] {
             let n = 4099;
             let calls = AtomicUsize::new(0);
-            let out = strategy.queue_collect_with(
+            let out = queue_collect(
+                strategy,
                 n,
                 || (),
                 |(), i| {
@@ -739,13 +679,17 @@ mod tests {
     }
 
     #[test]
-    fn queue_collect_with_builds_one_scratch_per_worker() {
+    fn queue_stream_with_builds_one_scratch_per_worker() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let builds = AtomicUsize::new(0);
         let n = 5000;
         let strategy = ExecutionStrategy::Pooled(1);
-        let out =
-            strategy.queue_collect_with(n, || builds.fetch_add(1, Ordering::Relaxed), |_, i| i);
+        let out = queue_collect(
+            strategy,
+            n,
+            || builds.fetch_add(1, Ordering::Relaxed),
+            |_, i| i,
+        );
         assert_eq!(out.len(), n);
         assert!(builds.load(Ordering::Relaxed) <= strategy.threads_for(n));
     }
@@ -757,7 +701,7 @@ mod tests {
             ExecutionStrategy::Parallel,
             ExecutionStrategy::Pooled(0),
             ExecutionStrategy::Pooled(99),
-            ExecutionStrategy::Perturbed(5),
+            ExecutionStrategy::Pooled(5),
         ] {
             for n in [0usize, 1, 7, 1000] {
                 let mut seen = Vec::new();
@@ -774,21 +718,14 @@ mod tests {
     }
 
     #[test]
-    fn queue_worker_panics_propagate_with_their_payload() {
-        for strategy in [ExecutionStrategy::Pooled(0), ExecutionStrategy::Parallel] {
-            let collected = std::panic::catch_unwind(|| {
-                strategy.queue_collect_with(
-                    5000,
-                    || (),
-                    |(), i| {
-                        assert!(i != 2500, "queue boom at {i}");
-                        i
-                    },
-                );
-            });
-            assert!(collected.is_err(), "{strategy:?}");
-            let streamed = std::panic::catch_unwind(|| {
-                let mut sink = 0usize;
+    fn queue_worker_panics_propagate_after_every_lower_index() {
+        for strategy in [
+            ExecutionStrategy::Sequential,
+            ExecutionStrategy::Pooled(0),
+            ExecutionStrategy::Parallel,
+        ] {
+            let mut consumed = Vec::new();
+            let streamed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 strategy.queue_stream_with(
                     5000,
                     || (),
@@ -796,41 +733,26 @@ mod tests {
                         assert!(i != 2500, "stream boom at {i}");
                         i
                     },
-                    |_, v| sink += v,
+                    |i, _| consumed.push(i),
                 );
-            });
-            assert!(streamed.is_err(), "{strategy:?}");
+            }));
+            let payload = streamed.expect_err("the panic must propagate");
+            let message = payload.downcast_ref::<String>().map(String::as_str);
+            assert_eq!(message, Some("stream boom at 2500"), "{strategy:?}");
+            assert_eq!(consumed, (0..2500).collect::<Vec<_>>(), "{strategy:?}");
         }
     }
 
     #[test]
-    fn pooled_agrees_with_sequential_on_the_chunk_combinators_too() {
-        // In the chunk-based combinators Pooled degrades to a perturbed
-        // static split; outputs stay bit-identical.
+    fn pooled_agrees_with_sequential_on_every_combinator() {
         let n = 4099;
-        let pooled = ExecutionStrategy::pooled(0xfeed);
-        assert!(pooled.is_parallel());
-        assert!(pooled.threads_for(n) >= 2);
-        let seq_map = ExecutionStrategy::Sequential.map_collect(n, |i| i * 31 + 7);
-        assert_eq!(seq_map, pooled.map_collect(n, |i| i * 31 + 7));
-        let apply = |strategy: ExecutionStrategy| {
-            let mut out = vec![0usize; n];
-            strategy.apply(&mut out, |i, slot| *slot = i ^ 0x5555);
-            out
-        };
-        assert_eq!(apply(ExecutionStrategy::Sequential), apply(pooled));
-    }
-
-    #[test]
-    fn perturbed_agrees_with_sequential_on_every_combinator() {
-        let n = 4099;
-        for seed in [0u64, 1, 0xDEAD_BEEF, u64::MAX] {
-            let perturbed = ExecutionStrategy::Perturbed(seed);
-            assert!(perturbed.is_parallel());
-            assert!(perturbed.threads_for(n) >= 2);
+        for seed in [0u64, 1, 0xfeed, 0xDEAD_BEEF, u64::MAX] {
+            let pooled = ExecutionStrategy::Pooled(seed);
+            assert!(pooled.is_parallel());
+            assert!(pooled.threads_for(n) >= 2);
 
             let seq_map = ExecutionStrategy::Sequential.map_collect(n, |i| i * 31 + 7);
-            assert_eq!(seq_map, perturbed.map_collect(n, |i| i * 31 + 7));
+            assert_eq!(seq_map, pooled.map_collect(n, |i| i * 31 + 7));
 
             let with = |strategy: ExecutionStrategy| {
                 strategy.map_collect_with(n, Vec::new, |scratch: &mut Vec<usize>, i| {
@@ -839,16 +761,16 @@ mod tests {
                     scratch.iter().sum::<usize>() + i
                 })
             };
-            assert_eq!(with(ExecutionStrategy::Sequential), with(perturbed));
+            assert_eq!(with(ExecutionStrategy::Sequential), with(pooled));
 
             let apply = |strategy: ExecutionStrategy| {
                 let mut out = vec![0usize; n];
                 strategy.apply(&mut out, |i, slot| *slot = i ^ 0x5555);
                 out
             };
-            assert_eq!(apply(ExecutionStrategy::Sequential), apply(perturbed));
+            assert_eq!(apply(ExecutionStrategy::Sequential), apply(pooled));
 
-            let chunks = perturbed.chunk_collect_with(n, || (), |(), range| range);
+            let chunks = pooled.chunk_collect_with(n, || (), |(), range| range);
             let mut expected_start = 0;
             for range in &chunks {
                 assert_eq!(range.start, expected_start, "seed {seed}");
@@ -859,14 +781,28 @@ mod tests {
     }
 
     #[test]
-    fn perturbed_from_env_parses_the_seed() {
-        // Avoid mutating the process environment (other tests run in
-        // parallel); the parse path is covered via the public constructor
-        // plus the env read returning None when unset here.
-        match ExecutionStrategy::perturbed_from_env() {
-            None => {}
-            Some(ExecutionStrategy::Perturbed(_)) => {}
-            Some(other) => panic!("unexpected strategy {other:?}"),
+    fn perturb_seed_parse_accepts_decimal_and_rejects_everything_else() {
+        use std::ffi::OsStr;
+        assert_eq!(perturbed_from(None), None);
+        assert_eq!(
+            perturbed_from(Some(OsStr::new("20260808"))),
+            Some(ExecutionStrategy::Pooled(20_260_808))
+        );
+        assert_eq!(
+            perturbed_from(Some(OsStr::new(" 7\n"))),
+            Some(ExecutionStrategy::Pooled(7))
+        );
+        for bad in ["0xfeed", "", "-1", "18446744073709551616", "seed"] {
+            let parsed = std::panic::catch_unwind(|| perturbed_from(Some(OsStr::new(bad))));
+            let payload = parsed.expect_err(bad);
+            let message = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            assert!(
+                message.contains("BEDOM_PERTURB_SEED") && message.contains(&format!("{bad:?}")),
+                "{bad:?}: {message}"
+            );
         }
     }
 
@@ -898,7 +834,6 @@ mod tests {
         assert_eq!(ExecutionStrategy::Sequential.threads_for(100), 1);
         assert!(ExecutionStrategy::Parallel.threads_for(100) >= 1);
         assert_eq!(ExecutionStrategy::Parallel.threads_for(1), 1);
-        assert!(!ExecutionStrategy::auto_for(10).is_parallel());
         assert_eq!(ExecutionStrategy::Auto.threads_for(10), 1);
         assert_eq!(
             ExecutionStrategy::Auto.threads_for(10_000),

@@ -53,7 +53,7 @@ impl NeighborhoodCover {
     /// if some cluster induces a disconnected subgraph (which would violate
     /// the theorem).
     pub fn max_cluster_radius(&self, graph: &Graph) -> Option<u32> {
-        let radii: Vec<Option<u32>> = ExecutionStrategy::auto_for(self.clusters.len())
+        let radii: Vec<Option<u32>> = ExecutionStrategy::Auto
             .map_collect(self.clusters.len(), |v| {
                 induced_radius(graph, &self.clusters[v])
             });
@@ -66,7 +66,7 @@ impl NeighborhoodCover {
     /// cluster contains the full closed `r`-neighbourhood `N_r[w]`.
     pub fn covers_all_r_neighborhoods(&self, graph: &Graph) -> bool {
         let n = graph.num_vertices();
-        ExecutionStrategy::auto_for(n)
+        ExecutionStrategy::Auto
             .map_collect(n, |w| {
                 let w = w as Vertex;
                 let home = self.home[w as usize];
@@ -113,7 +113,7 @@ pub fn neighborhood_cover_from_index(index: &WReachIndex, r: u32) -> Neighborhoo
     );
     let n = index.num_vertices();
     let clusters: Vec<Vec<Vertex>> =
-        ExecutionStrategy::auto_for(n).map_collect(n, |v| index.ball_at(v as Vertex, 2 * r));
+        ExecutionStrategy::Auto.map_collect(n, |v| index.ball_at(v as Vertex, 2 * r));
     let home = index.min_wreach_at(r);
     NeighborhoodCover { r, clusters, home }
 }

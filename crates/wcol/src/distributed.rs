@@ -188,12 +188,7 @@ pub fn distributed_wcol_order(
     threshold: usize,
     assignment: IdAssignment,
 ) -> Result<DistributedOrder, ModelViolation> {
-    distributed_wcol_order_with(
-        graph,
-        threshold,
-        assignment,
-        ExecutionStrategy::auto_for(graph.num_vertices()),
-    )
+    distributed_wcol_order_with(graph, threshold, assignment, ExecutionStrategy::Auto)
 }
 
 /// [`distributed_wcol_order`] with an explicit [`ExecutionStrategy`]; both

@@ -112,12 +112,7 @@ impl WReachIndex {
     /// Builds the index with the size-gated automatic execution strategy;
     /// see [`build_with`](WReachIndex::build_with).
     pub fn build(graph: &Graph, order: &LinearOrder, radius: u32) -> Self {
-        Self::build_with(
-            graph,
-            order,
-            radius,
-            ExecutionStrategy::auto_for(graph.num_vertices()),
-        )
+        Self::build_with(graph, order, radius, ExecutionStrategy::Auto)
     }
 
     /// Builds the index with one restricted BFS per source

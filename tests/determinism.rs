@@ -21,9 +21,10 @@ use bedom::graph::Graph;
 use bedom::wcol::{default_threshold, distributed_wcol_order_with};
 
 /// The strategy pair every assertion compares: `Sequential` against
-/// `Parallel` by default, or — when `BEDOM_PERTURB_SEED` is set to an
-/// integer — against [`ExecutionStrategy::Perturbed`], which staggers worker
-/// start-up and shuffles the join order with that seed. CI runs the whole
+/// `Parallel` by default, or — when `BEDOM_PERTURB_SEED` is set to a
+/// decimal integer — against [`ExecutionStrategy::Pooled`] with that seed,
+/// which staggers worker start-up and shuffles the join order. Any other
+/// value panics instead of silently running unperturbed. CI runs the whole
 /// suite a second time under a perturbed schedule this way; any output that
 /// depends on worker completion order fails the same assertions.
 fn strategies() -> [ExecutionStrategy; 2] {
@@ -448,7 +449,7 @@ fn pooled_and_streaming_scenario_paths_match_the_collected_run() {
         ExecutionStrategy::Parallel,
         ExecutionStrategy::Pooled(0),
         ExecutionStrategy::Pooled(0xDEAD_BEEF),
-        ExecutionStrategy::Perturbed(12),
+        ExecutionStrategy::Pooled(12),
     ] {
         assert_eq!(
             solve_scenario(&shards, strategy).unwrap(),
@@ -649,7 +650,7 @@ fn perturbed_schedules_match_sequential_output() {
     for seed in [0u64, 1, 0xC0FFEE, u64::MAX] {
         assert_eq!(
             reference,
-            run(ExecutionStrategy::Perturbed(seed)),
+            run(ExecutionStrategy::Pooled(seed)),
             "seed {seed}: perturbed schedule changed the output"
         );
     }
