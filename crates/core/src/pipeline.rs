@@ -472,9 +472,8 @@ pub fn witnessed_constant_for(graph: &Graph, r: u32, strategy: OrderingStrategy)
 ///
 /// * outputs and metrics are bit-identical across every
 ///   [`ExecutionStrategy`] — each shard's engine and index sweeps are
-///   pinned to the
-///   [`ExecutionStrategy::nested`] strategy, so nothing depends on how
-///   shards are spread;
+///   pinned to the [`ExecutionStrategy::nested`] strategy, so nothing
+///   depends on how shards are spread;
 /// * every worker reuses one [`BfsScratch`] (grown to the largest shard it
 ///   sees) to re-validate each shard's dominating set — an invalid set
 ///   panics, mirroring [`solve_checked`]'s defensiveness at batch scale;

@@ -16,8 +16,9 @@
 //! ```
 //!
 //! where `frame(x)` is [`encode_frame`]'s `magic | version | payload |
-//! fnv1a64` envelope. Records may repeat a shard (last write wins) and appear
-//! in any order — whatever order workers finished in. There is no footer: a
+//! fnv1a64` envelope. Records may repeat a shard (last write wins) and may
+//! appear in any order; `ScenarioRunner::run_resumable` writes them in
+//! ascending shard order under every strategy. There is no footer: a
 //! crash mid-append leaves a partial trailing frame, which
 //! [`FrameReader`] reports as a typed error at a byte offset; on reopen the
 //! journal truncates the file back to that offset (dropping at most the one

@@ -6,10 +6,10 @@
 //! batch that dies must not restart from zero, and resuming must never be
 //! observable in the results.
 //!
-//! Alongside the resume cases, the pooled work-queue strategy (dynamic shard
-//! claiming, seeded claim order) is pinned against chunked execution over
-//! the conformance corpus's instance shapes — the other half of the
-//! "domination as a service" determinism contract.
+//! Alongside the resume cases, the seeded pooled strategy (dynamic shard
+//! claiming, seeded claim order) is pinned against unseeded parallel
+//! execution over the conformance corpus's instance shapes — the other half
+//! of the "domination as a service" determinism contract.
 
 use bedom::core::{
     solve_scenario, solve_scenario_resumable, solve_scenario_streaming, Algorithm, BatchError,
@@ -225,7 +225,7 @@ fn resuming_a_complete_journal_replays_without_touching_the_file() {
     std::fs::remove_file(&path).unwrap();
 }
 
-/// The pooled work queue against chunked execution over the conformance
+/// The seeded work queue against the unseeded one over the conformance
 /// corpus's shapes: structured families, a planar triangulation, and the
 /// degenerate instances (empty, single vertex, disconnected) where solvers
 /// historically diverge first. Dynamic claim order must never reach the
@@ -268,16 +268,16 @@ fn pooled_queue_matches_chunked_execution_over_the_corpus() {
     let run = |strategy| -> ScenarioReport<DominationReport> {
         solve_scenario(&shards, strategy).unwrap()
     };
-    let chunked = run(ExecutionStrategy::Parallel);
+    let parallel = run(ExecutionStrategy::Parallel);
     assert_eq!(
         run(ExecutionStrategy::Sequential),
-        chunked,
-        "chunked parallel execution diverged from sequential"
+        parallel,
+        "parallel execution diverged from sequential"
     );
     for seed in [0u64, 1, 0xC0FFEE, u64::MAX] {
         assert_eq!(
             run(ExecutionStrategy::Pooled(seed)),
-            chunked,
+            parallel,
             "pool seed {seed}: dynamic claim order reached the output"
         );
     }
