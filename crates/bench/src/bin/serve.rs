@@ -174,12 +174,20 @@ fn arg<'a>(rest: &[&'a str], key: &str) -> Option<&'a str> {
         .find_map(|t| t.strip_prefix(key).and_then(|t| t.strip_prefix('=')))
 }
 
+/// The query's radius. Every query path doubles it — contexts reach `2r`
+/// and the sequential solve orders at `2r` — and the library's connected
+/// variants reach `2r + 1`, so a radius whose `2r + 1` overflows `u32` is
+/// refused before any context is touched.
 fn parse_radius(rest: &[&str]) -> Result<u32, String> {
-    match arg(rest, "r") {
-        Some(raw) => raw
-            .parse()
-            .map_err(|_| format!("err r={raw} is not a radius")),
-        None => Err("err missing r=<radius>".to_string()),
+    let Some(raw) = arg(rest, "r") else {
+        return Err("err missing r=<radius>".to_string());
+    };
+    let r: u32 = raw
+        .parse()
+        .map_err(|_| format!("err r={raw} is not a radius"))?;
+    match r.checked_mul(2).and_then(|reach| reach.checked_add(1)) {
+        Some(_) => Ok(r),
+        None => Err(format!("err r={r} is out of range")),
     }
 }
 

@@ -70,14 +70,19 @@
 //! that remain. Summary distances travel in 8 bits, so radii above 255 fail
 //! with a typed error.
 //!
-//! Node state holds no maps: adjacency records sit in one flat store by
-//! neighbour position, a ball entry is one `id << 8 | d` word (`d ≤ r ≤
-//! 255`), a local distance one `id << 16 | d` word (`d < 2r ≤ 510`; ids are
-//! below `n ≤ 2³²`, so both sort by id), each member's heard summary a
-//! 4-byte slot (unheard, stub, or an index into the unflagged summaries),
-//! flood dedup bits by `local_dist` position. One per-thread, epoch-stamped
-//! scratch maps network ids to local ids for the ball merge and the decision
-//! round, whose coverage masks share one arena reused across vertices.
+//! Node state holds no maps: adjacency records sit in one flat store of
+//! 32-bit ids by neighbour position (network ids are a permutation of `0..n`
+//! and `n ≤ 2³²`), a ball entry is one `id << 8 | d` word (`d ≤ r ≤ 255`), a
+//! local distance one `id << 16 | d` word (`d < 2r ≤ 510`; both sort by id),
+//! each member's heard summary a 4-byte slot (unheard, stub, or an index
+//! into the unflagged summaries), flood dedup bits by `local_dist` position.
+//! The frozen ball is one shared allocation that is also the vertex's own
+//! summary — shipped, relayed and read in the decision round without a copy
+//! — and its repricing dictionary, which is never stored: it is the ball's
+//! ids, or the closed neighbourhood of a flagged vertex. One per-thread,
+//! epoch-stamped scratch maps network ids to local ids for the ball merge
+//! and the decision round, whose coverage masks share one arena reused
+//! across vertices.
 //!
 //! Announcements propagate `r` hops (a vertex within distance `r` of a
 //! dominator must learn it is dominated), so the protocol runs **exactly
@@ -235,16 +240,17 @@ pub enum KsvKind {
     Forward,
 }
 
-/// Shared `(vertex id, exact distance from owner)` summary entries,
-/// ascending by id — `Arc`'d so relays never copy ball data.
-pub type SummaryEntries = Arc<[(u64, u8)]>;
+/// Shared summary entries: one `vertex id << 8 | exact distance from owner`
+/// word each, ascending by id — the owner's frozen ball itself, `Arc`'d so
+/// neither the summary broadcast nor a relay copies ball data.
+pub type SummaryEntries = Arc<[u64]>;
 
 /// One flooded neighbourhood summary: the owner's exact radius-`r` ball with
 /// distances, or a stub when the owner is flagged (hub-adjacent). `entries`
-/// is shared (`Arc`) so relays never copy ball data; `wire_bits` is the
-/// sender-computed wire cost of this item under the encoding it was sent in
-/// (origin summaries encode inner entries implicitly, relays reprice ids
-/// against the sender's ball dictionary).
+/// is the owner's shared (`Arc`) ball, so relays never copy ball data;
+/// `wire_bits` is the sender-computed wire cost of this item under the
+/// encoding it was sent in (origin summaries encode inner entries
+/// implicitly, relays reprice ids against the sender's ball dictionary).
 #[derive(Clone, Debug)]
 pub struct KsvSummaryItem {
     /// Whose ball this is.
@@ -253,8 +259,8 @@ pub struct KsvSummaryItem {
     /// entries: a hub within distance `r` already dominates every potential
     /// reader of the pruned data.
     pub flagged: bool,
-    /// `(vertex id, exact distance from owner)`, ascending by id; empty when
-    /// flagged.
+    /// One `vertex id << 8 | exact distance from owner` word per ball
+    /// member, ascending by id; empty when flagged.
     pub entries: SummaryEntries,
     /// Wire bits charged for this item.
     pub wire_bits: usize,
@@ -361,18 +367,46 @@ fn unpack(word: u64, bits: u32) -> (u64, u32) {
     (word >> bits, cast::u32_from_u64(word & ((1 << bits) - 1)))
 }
 
+/// The closed neighbourhood `N[z]` as ball words — `z` at distance 0, the
+/// sorted open neighbourhood `adj` at distance 1 — in one allocation.
+fn closed_ball<T: Copy + Into<u64>>(z: u64, adj: &[T]) -> SummaryEntries {
+    let (below, above) = adj.split_at(adj.partition_point(|&w| w.into() < z));
+    let one = |&w: &T| pack(w.into(), 1, BALL_DIST_BITS);
+    below
+        .iter()
+        .map(one)
+        .chain([pack(z, 0, BALL_DIST_BITS)])
+        .chain(above.iter().map(one))
+        .collect()
+}
+
 /// Heard slot of a ball member whose summary has not arrived.
 const UNHEARD: u32 = 0;
 /// Heard slot of a flagged member's stub (slot `k + 2` is `summaries[k]`).
 const STUB: u32 = 1;
 
-/// Default hub degree cap for the summary flood: `max(32, 16·∇)`. Scales
-/// with the promised density so bounded-expansion graphs keep few hubs
-/// (each hub costs one dominating-set slot but removes its whole cluster's
-/// flood and election load); the floor keeps tiny dense graphs hub-free so
-/// the protocol degenerates to the exact paper behaviour there.
+/// Which ids the repricing dictionary announced by a vertex's own summary
+/// broadcast holds. Receivers can reconstruct it, and the vertex never
+/// stores it: each case is state it keeps anyway.
+#[derive(Clone, Copy, Debug)]
+enum Dictionary {
+    /// No summary broadcast yet (or the vertex was down through it): empty.
+    Empty,
+    /// Unflagged: the frozen ball's ids, announced by the summary itself.
+    Ball,
+    /// Flagged: the closed neighbourhood `ctx.neighbor_ids ∪ {id}`, which
+    /// the init adjacency exchange announced.
+    ClosedNeighborhood,
+}
+
+/// Default hub degree cap for the summary flood: `max(32, 16·∇)`, saturating
+/// at `usize::MAX`. Scales with the promised density so bounded-expansion
+/// graphs keep few hubs (each hub costs one dominating-set slot but removes
+/// its whole cluster's flood and election load); the floor keeps tiny dense
+/// graphs hub-free so the protocol degenerates to the exact paper behaviour
+/// there.
 pub fn default_hub_cap(nabla: usize) -> usize {
-    (16 * nabla).max(32)
+    nabla.saturating_mul(16).max(32)
 }
 
 thread_local! {
@@ -544,28 +578,30 @@ pub struct KsvNode {
     /// when hubs are disabled).
     hub_cap: usize,
     /// The direct neighbours' adjacency records from the init exchange
-    /// (each sorted), concatenated in arrival order. They feed the flag,
-    /// deferral and forwarding checks, and at `r = 1` the whole decision
-    /// view; this vertex's own record is `ctx.neighbor_ids`.
-    adj: Vec<u64>,
+    /// (each sorted), concatenated in arrival order as 32-bit network ids.
+    /// They feed the flag, deferral and forwarding checks, and at `r = 1`
+    /// the whole decision view; this vertex's own record is
+    /// `ctx.neighbor_ids`.
+    adj: Vec<u32>,
     /// Per position in `ctx.neighbor_ids`: the `start..end` range of that
     /// neighbour's record in `adj`, empty until it arrives (a neighbour's
     /// record lists this vertex, so an arrived record is never empty).
-    adj_at: Vec<(usize, usize)>,
+    adj_at: Vec<(u32, u32)>,
     /// Summary flood: the radius-`r` ball so far, `id << 8 | exact
-    /// distance` ascending by id. Frozen from call `r − 1` on.
-    ball: Vec<u64>,
+    /// distance` ascending by id. Frozen from call `r − 1` on, when it
+    /// becomes this vertex's own summary (unflagged) and every receiver
+    /// shares it; it is never mutated in place, only replaced.
+    ball: SummaryEntries,
     /// Summary flood: parallel to the frozen ball, each member's heard slot
     /// (own included). Allocated at call `r − 1`, or at the first summary
     /// call of a vertex that was down through it.
     heard: Vec<u32>,
     /// Summary flood: the unflagged members' summaries, in arrival order.
     summaries: Vec<Option<SummaryEntries>>,
-    /// Summary flood: the frozen repricing dictionary announced by our own
-    /// summary broadcast — our ball ids (unflagged) or closed neighbourhood
-    /// (flagged), sorted. Receivers can reconstruct it, so relayed entry
-    /// ids found here are charged at `⌈log₂ |dict|⌉` bits.
-    dict: Vec<u64>,
+    /// Summary flood: the repricing dictionary announced by our own summary
+    /// broadcast. Relayed entry ids found in it are charged at
+    /// `⌈log₂ size⌉` bits.
+    dictionary: Dictionary,
     /// Exact local distances from this vertex, one `id << 16 | distance`
     /// word each, sorted by id, up to `2r − 1` — the farthest reach of the
     /// hop-aware relay filters of both flood phases, which are all they
@@ -612,10 +648,10 @@ impl KsvNode {
             hub_cap,
             adj: Vec::new(),
             adj_at: Vec::new(),
-            ball: Vec::new(),
+            ball: SummaryEntries::default(),
             heard: Vec::new(),
             summaries: Vec::new(),
-            dict: Vec::new(),
+            dictionary: Dictionary::Empty,
             local_dist: Vec::new(),
             planned_election: Vec::new(),
             seen: Vec::new(),
@@ -636,14 +672,14 @@ impl KsvNode {
 
     /// The adjacency record of the neighbour at position `p` of
     /// `ctx.neighbor_ids`, if it arrived.
-    fn record(&self, p: usize) -> Option<&[u64]> {
+    fn record(&self, p: usize) -> Option<&[u32]> {
         let (start, end) = self.adj_at[p];
-        (start < end).then(|| &self.adj[start..end])
+        (start < end).then(|| &self.adj[start as usize..end as usize])
     }
 
     /// The adjacency record of neighbour `w`, if `w` is a neighbour and its
     /// record arrived.
-    fn neighbor_record(&self, ctx: &NodeContext, w: u64) -> Option<&[u64]> {
+    fn neighbor_record(&self, ctx: &NodeContext, w: u64) -> Option<&[u32]> {
         self.record(ctx.neighbor_ids.binary_search(&w).ok()?)
     }
 
@@ -653,7 +689,7 @@ impl KsvNode {
         from == z
             || self
                 .neighbor_record(ctx, from)
-                .is_some_and(|adj| adj.binary_search(&z).is_ok())
+                .is_some_and(|adj| adj.binary_search(&cast::u32_from_u64(z)).is_ok())
     }
 
     /// Marks `z` in half `half` of the flood dedup bitset. Returns its local
@@ -681,7 +717,7 @@ impl KsvNode {
     }
 
     /// Stores the neighbours' adjacency records from the init exchange
-    /// (first arrival wins) in one flat allocation.
+    /// (first arrival wins) in one flat allocation of 32-bit ids.
     fn absorb_adjacency(&mut self, ctx: &NodeContext, inbox: Inbox<'_, KsvMessage>) {
         self.adj
             .reserve_exact(inbox.into_iter().map(|m| m.payload.ids.len()).sum());
@@ -690,9 +726,10 @@ impl KsvNode {
                 continue;
             };
             if msg.payload.kind == KsvKind::Adjacency && self.record(p).is_none() {
-                let start = self.adj.len();
-                self.adj.extend_from_slice(&msg.payload.ids);
-                self.adj_at[p] = (start, self.adj.len());
+                let start = cast::u32_from_usize(self.adj.len());
+                self.adj
+                    .extend(msg.payload.ids.iter().map(|&z| cast::u32_from_u64(z)));
+                self.adj_at[p] = (start, cast::u32_from_usize(self.adj.len()));
             }
         }
     }
@@ -798,7 +835,7 @@ impl KsvNode {
         let mut fresh = SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
             scratch.begin(0);
-            for &w in &self.ball {
+            for &w in self.ball.iter() {
                 scratch.relax(w >> BALL_DIST_BITS, 0);
             }
             let known = scratch.ids.len();
@@ -810,18 +847,21 @@ impl KsvNode {
             scratch.ids[known..].to_vec()
         });
         fresh.sort_unstable();
-        // Merge from the back into the grown ball (ids are distinct).
-        let (mut i, mut j) = (self.ball.len(), fresh.len());
-        self.ball.resize(i + j, 0);
-        while j > 0 {
-            if i > 0 && self.ball[i - 1] >> BALL_DIST_BITS > fresh[j - 1] {
-                self.ball[i + j - 1] = self.ball[i - 1];
-                i -= 1;
+        // Merge into a fresh allocation (ids are distinct): the old ball may
+        // be shared with a checkpoint, so it is never written.
+        let old = &self.ball;
+        let mut ball: SummaryEntries = std::iter::repeat_n(0, old.len() + fresh.len()).collect();
+        let (mut i, mut j) = (0, 0);
+        for slot in Arc::make_mut(&mut ball) {
+            if j == fresh.len() || (i < old.len() && old[i] >> BALL_DIST_BITS < fresh[j]) {
+                *slot = old[i];
+                i += 1;
             } else {
-                self.ball[i + j - 1] = pack(fresh[j - 1], distance, BALL_DIST_BITS);
-                j -= 1;
+                *slot = pack(fresh[j], distance, BALL_DIST_BITS);
+                j += 1;
             }
         }
+        self.ball = ball;
         fresh
     }
 
@@ -917,8 +957,8 @@ impl KsvNode {
     }
 
     /// The origin summary broadcast (call `r − 1`, ball complete): computes
-    /// the flag, freezes the repricing dictionary, and ships either the
-    /// exact ball (unflagged: inner entries implicit against the already
+    /// the flag, fixes the repricing dictionary, and ships either the exact
+    /// ball itself (unflagged: inner entries implicit against the already
     /// broadcast adjacency, frontier entries explicit) or a 1-bit stub
     /// (flagged: a hub within distance `r` dominates every potential reader
     /// of this data, so none of it is needed). Also records the own
@@ -931,28 +971,23 @@ impl KsvNode {
         let (own, item) = if flagged {
             // Dictionary receivers can reconstruct from a stub sender: the
             // closed neighbourhood (adjacency was broadcast at init).
-            let mut dict: Vec<u64> = ctx.neighbor_ids.clone();
-            dict.push(self.id);
-            dict.sort_unstable();
-            self.dict = dict;
+            self.dictionary = Dictionary::ClosedNeighborhood;
             let item = KsvSummaryItem {
                 owner: self.id,
                 flagged: true,
-                entries: Arc::from(&[][..]),
+                entries: SummaryEntries::default(),
                 wire_bits: 1,
             };
             (None, item)
         } else {
             // Dictionary = the ball ids, all announced by this message
             // (inner part = the init adjacency, frontier explicit below).
-            self.dict = self.ball.iter().map(|&w| w >> BALL_DIST_BITS).collect();
-            let entries: SummaryEntries = self
+            self.dictionary = Dictionary::Ball;
+            let frontier = self
                 .ball
                 .iter()
-                .map(|&w| unpack(w, BALL_DIST_BITS))
-                .map(|(z, d)| (z, cast::u8_from_u32(d)))
-                .collect();
-            let frontier = entries.iter().filter(|&&(_, d)| d >= 2).count();
+                .filter(|&&w| unpack(w, BALL_DIST_BITS).1 >= 2)
+                .count();
             // 1 flag bit + a deg-bit membership mask over N(v) (the inner
             // part, reconstructed by receivers who know N(v)) + explicit
             // frontier entries.
@@ -960,10 +995,10 @@ impl KsvNode {
             let item = KsvSummaryItem {
                 owner: self.id,
                 flagged: false,
-                entries: Arc::clone(&entries),
+                entries: Arc::clone(&self.ball),
                 wire_bits,
             };
-            (Some(entries), item)
+            (Some(Arc::clone(&self.ball)), item)
         };
         // The ball is frozen from here on: one heard slot per member.
         self.heard = vec![UNHEARD; self.ball.len()];
@@ -994,18 +1029,19 @@ impl KsvNode {
         };
         let deg_v = ctx.neighbor_ids.len();
         'needy: for (p, &w) in ctx.neighbor_ids.iter().enumerate() {
-            if w == u || nu.binary_search(&w).is_ok() {
+            if w == u || nu.binary_search(&cast::u32_from_u64(w)).is_ok() {
                 continue; // w heard the origin broadcast itself
             }
             let Some(nw) = self.record(p) else {
                 return false;
             };
             for &y in nw {
-                if y != self.id
+                let y_id = u64::from(y);
+                if y_id != self.id
                     && nu.binary_search(&y).is_ok()
                     && self
-                        .neighbor_record(ctx, y)
-                        .is_some_and(|ny| (ny.len(), y) > (deg_v, self.id))
+                        .neighbor_record(ctx, y_id)
+                        .is_some_and(|ny| (ny.len(), y_id) > (deg_v, self.id))
                 {
                     continue 'needy;
                 }
@@ -1015,20 +1051,41 @@ impl KsvNode {
         true
     }
 
-    /// Reprices a summary for relaying: entry ids found in our frozen
+    /// The size of our repricing dictionary.
+    fn dictionary_len(&self, ctx: &NodeContext) -> usize {
+        match self.dictionary {
+            Dictionary::Empty => 0,
+            Dictionary::Ball => self.ball.len(),
+            Dictionary::ClosedNeighborhood => ctx.neighbor_ids.len() + 1,
+        }
+    }
+
+    /// Whether `z` is in our repricing dictionary.
+    fn in_dictionary(&self, ctx: &NodeContext, z: u64) -> bool {
+        match self.dictionary {
+            Dictionary::Empty => false,
+            Dictionary::Ball => self.ball_index(z).is_some(),
+            Dictionary::ClosedNeighborhood => {
+                z == self.id || ctx.neighbor_ids.binary_search(&z).is_ok()
+            }
+        }
+    }
+
+    /// Reprices a summary for relaying: entry ids found in our repricing
     /// dictionary cost a dictionary reference, the rest a raw id; every
     /// entry pays a 1-bit hit flag and its distance. The item header is the
     /// owner id plus a 16-bit entry count.
     fn repriced_item(
         &self,
+        ctx: &NodeContext,
         owner: u64,
         entries: &SummaryEntries,
         dict_bits: usize,
     ) -> KsvSummaryItem {
         let db = dist_bits(self.r);
         let mut wire_bits = self.id_bits + 16;
-        for &(z, _) in entries.iter() {
-            let ref_bits = if self.dict.binary_search(&z).is_ok() {
+        for &w in entries.iter() {
+            let ref_bits = if self.in_dictionary(ctx, w >> BALL_DIST_BITS) {
                 dict_bits
             } else {
                 self.id_bits
@@ -1051,7 +1108,7 @@ impl KsvNode {
     /// arrival. Flagged owners relay as bare stub ids.
     fn relay_summaries(&self, ctx: &NodeContext, fresh: Vec<usize>) -> Outgoing<KsvMessage> {
         let r = self.r;
-        let dict_bits = ceil_log2(self.dict.len());
+        let dict_bits = ceil_log2(self.dictionary_len(ctx));
         let mut stubs: Vec<u64> = Vec::new();
         let mut items: Vec<KsvSummaryItem> = Vec::new();
         for i in fresh {
@@ -1064,7 +1121,7 @@ impl KsvNode {
                 STUB => stubs.push(owner),
                 k => {
                     let entries = self.summaries[k as usize - 2].as_ref();
-                    items.extend(entries.map(|e| self.repriced_item(owner, e, dict_bits)));
+                    items.extend(entries.map(|e| self.repriced_item(ctx, owner, e, dict_bits)));
                 }
             }
         }
@@ -1095,7 +1152,6 @@ impl KsvNode {
         let ball = std::mem::take(&mut self.ball);
         let heard = std::mem::take(&mut self.heard);
         let mut heard_summaries = std::mem::take(&mut self.summaries);
-        self.dict = Vec::new();
         let mut view_ball = Vec::with_capacity(ball.len());
         let mut summaries = Vec::with_capacity(ball.len());
         for (&w, slot) in ball.iter().zip(heard) {
@@ -1129,25 +1185,20 @@ impl KsvNode {
     /// [`Self::check_adjacency_coverage`] has passed, so every member's
     /// record is present.
     fn view_from_adjacency(&self, ctx: &NodeContext) -> KsvView {
-        let closed = |z: u64, adj: &[u64]| -> SummaryEntries {
-            let (below, above) = adj.split_at(adj.partition_point(|&w| w < z));
-            let one = |&w: &u64| (w, 1);
-            below
-                .iter()
-                .map(one)
-                .chain([(z, 0)])
-                .chain(above.iter().map(one))
-                .collect()
-        };
-        let own = closed(self.id, &ctx.neighbor_ids);
-        let ball = own.iter().map(|&(z, d)| (z, u32::from(d), false)).collect();
+        let own = closed_ball(self.id, &ctx.neighbor_ids);
+        let ball = own
+            .iter()
+            .map(|&w| unpack(w, BALL_DIST_BITS))
+            .map(|(z, d)| (z, d, false))
+            .collect();
         let summaries = own
             .iter()
-            .map(|&(z, _)| {
+            .map(|&w| {
+                let z = w >> BALL_DIST_BITS;
                 Some(if z == self.id {
                     Arc::clone(&own)
                 } else {
-                    closed(z, self.neighbor_record(ctx, z).unwrap_or_default())
+                    closed_ball(z, self.neighbor_record(ctx, z).unwrap_or_default())
                 })
             })
             .collect();
@@ -1237,8 +1288,9 @@ impl KsvNode {
                 continue;
             };
             let covers = !hub_near && du >= 1;
-            for &(z, dz) in entries.iter() {
-                let local = scratch.relax(z, du + u32::from(dz));
+            for &w in entries.iter() {
+                let (z, dz) = unpack(w, BALL_DIST_BITS);
+                let local = scratch.relax(z, du + dz);
                 if covers && z != self.id {
                     set_bit(scratch.mask(local), position);
                 }
@@ -1299,11 +1351,7 @@ impl NodeAlgorithm for KsvNode {
             self.join(KsvMembership::HighDegree);
         }
         if self.r >= 2 {
-            self.ball = Vec::with_capacity(deg + 1);
-            self.ball.push(pack(ctx.id, 0, BALL_DIST_BITS));
-            self.ball
-                .extend(ctx.neighbor_ids.iter().map(|&w| pack(w, 1, BALL_DIST_BITS)));
-            self.ball.sort_unstable();
+            self.ball = closed_ball(ctx.id, &ctx.neighbor_ids);
         }
         self.message(KsvKind::Adjacency, ctx.neighbor_ids.clone())
     }
@@ -1640,7 +1688,7 @@ fn validate_ksv_outputs(
 /// `2∇` budget its `D₁` checks run with.
 fn ksv_network<'g>(graph: &'g Graph, r: u32, config: &KsvConfig) -> (Network<'g, KsvNode>, usize) {
     let nabla = config.nabla.unwrap_or_else(|| estimate_nabla(graph));
-    let hard_budget = 2 * nabla;
+    let hard_budget = nabla.saturating_mul(2);
     let hub_cap = if r >= 2 {
         config.hub_cap.unwrap_or_else(|| default_hub_cap(nabla))
     } else {
@@ -1711,13 +1759,7 @@ fn run_ksv_network(
                 policy,
                 |net| validate_ksv_outputs(net, total_rounds),
             )
-            .map_err(|exhausted| {
-                exhausted
-                    .violations
-                    .last()
-                    .cloned()
-                    .expect("an exhausted recovery carries at least one violation")
-            })?;
+            .map_err(|exhausted| exhausted.last)?;
             Some(report)
         }
     };
@@ -2241,7 +2283,7 @@ mod tests {
                         (!flagged[x]).then(|| {
                             balls[x]
                                 .iter()
-                                .map(|&(y, d)| (ids[y], cast::u8_from_u32(d)))
+                                .map(|&(y, d)| pack(ids[y], d, BALL_DIST_BITS))
                                 .collect()
                         })
                     })
@@ -2312,35 +2354,39 @@ mod tests {
     }
 
     /// A ball member's flood state as the flood-state table reads it.
-    enum HeardState<'a> {
+    enum HeardState {
         Unheard,
         Stub,
-        Summary(&'a [(u64, u8)]),
+        /// The summary as `(id, d)` pairs.
+        Summary(Vec<(u64, u32)>),
     }
 
     /// A node's flood state in representation-free form.
-    struct FloodState<'a> {
+    struct FloodState {
         /// The ball as `(id, d)` pairs.
         ball: Vec<(u64, u32)>,
         /// One state per allocated heard slot.
-        heard: Vec<HeardState<'a>>,
+        heard: Vec<HeardState>,
         /// `local_dist` as `(id, d)` pairs.
         local_dist: Vec<(u64, u32)>,
     }
 
     impl KsvNode {
         /// The flood-state table's one window into the node's storage.
-        fn flood_state(&self) -> FloodState<'_> {
+        fn flood_state(&self) -> FloodState {
+            let pairs = |words: &[u64], bits| words.iter().map(|&w| unpack(w, bits)).collect();
             let heard = self
                 .heard
                 .iter()
                 .map(|&slot| match slot {
                     UNHEARD => HeardState::Unheard,
                     STUB => HeardState::Stub,
-                    k => HeardState::Summary(self.summaries[k as usize - 2].as_deref().unwrap()),
+                    k => HeardState::Summary(pairs(
+                        self.summaries[k as usize - 2].as_deref().unwrap(),
+                        BALL_DIST_BITS,
+                    )),
                 })
                 .collect();
-            let pairs = |words: &[u64], bits| words.iter().map(|&w| unpack(w, bits)).collect();
             FloodState {
                 ball: pairs(&self.ball, BALL_DIST_BITS),
                 heard,
@@ -2544,6 +2590,26 @@ mod tests {
                 },
                 "r = {r}"
             );
+        }
+    }
+
+    #[test]
+    fn huge_promised_nablas_saturate_instead_of_overflowing() {
+        // `2∇` and `16∇` saturate: a promised ∇ this large leaves no budget
+        // a ball can defeat and no degree above the hub cap.
+        assert_eq!(default_hub_cap(usize::MAX), usize::MAX);
+        let g = stacked_triangulation(300, 5);
+        for nabla in [1 << 63, usize::MAX] {
+            for r in [1u32, 2] {
+                let config = KsvConfig {
+                    nabla: Some(nabla),
+                    ..KsvConfig::new()
+                };
+                let result = distributed_ksv_domination_r(&g, r, config).unwrap();
+                assert!(is_distance_dominating_set(&g, &result.dominating_set, r));
+                assert!(result.hard_core.is_empty(), "∇ = {nabla}, r = {r}");
+                assert!(result.high_degree.is_empty(), "∇ = {nabla}, r = {r}");
+            }
         }
     }
 

@@ -319,8 +319,11 @@ pub struct RecoveryReport {
 pub struct RecoveryExhausted {
     /// Attempts made (initial run plus retries).
     pub attempts: usize,
-    /// Every violation encountered, in detection order.
-    pub violations: Vec<ModelViolation>,
+    /// The violations that failed every attempt before the last, in
+    /// detection order.
+    pub earlier: Vec<ModelViolation>,
+    /// The violation that failed the last attempt.
+    pub last: ModelViolation,
 }
 
 impl std::fmt::Display for RecoveryExhausted {
@@ -330,7 +333,7 @@ impl std::fmt::Display for RecoveryExhausted {
             "recovery budget exhausted after {} attempt(s); violations in order:",
             self.attempts
         )?;
-        for (i, violation) in self.violations.iter().enumerate() {
+        for (i, violation) in self.earlier.iter().chain([&self.last]).enumerate() {
             writeln!(f, "  {}: {violation}", i + 1)?;
         }
         Ok(())
@@ -376,7 +379,8 @@ where
     if let Err(violation) = network.init() {
         return Err(RecoveryExhausted {
             attempts: 1,
-            violations: vec![violation],
+            earlier: Vec::new(),
+            last: violation,
         });
     }
     let initial_rounds = network.stats().rounds;
@@ -413,13 +417,14 @@ where
                 });
             }
             Err(violation) => {
-                violations.push(violation);
                 if retries >= recovery.max_retries {
                     return Err(RecoveryExhausted {
                         attempts: retries + 1,
-                        violations,
+                        earlier: violations,
+                        last: violation,
                     });
                 }
+                violations.push(violation);
                 retries += 1;
                 // Strictly-backward walk: drop every checkpoint taken at or
                 // after the previous restore point (they descend from a
@@ -932,9 +937,10 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err.attempts, 2);
-        assert_eq!(err.violations.len(), 2);
+        assert_eq!(err.earlier.len(), 1);
         let text = err.to_string();
         assert!(text.contains("exhausted after 2 attempt(s)"), "{text}");
+        assert!(text.contains("\n  2: "), "{text}");
         assert!(text.contains("required knowledge"), "{text}");
     }
 

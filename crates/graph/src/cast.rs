@@ -41,17 +41,6 @@ pub fn u16_from_usize(x: usize) -> u16 {
     }
 }
 
-/// `u32 → u8`, panicking loudly past `u8::MAX` (summary-flood distances are
-/// encoded in 8 bits; the KSV entry points reject radii above 255 with a
-/// typed error before any distance is cast).
-#[track_caller]
-pub fn u8_from_u32(x: u32) -> u8 {
-    match u8::try_from(x) {
-        Ok(v) => v,
-        Err(_) => panic!("narrowing conversion out of range: {x} does not fit in u8"),
-    }
-}
-
 /// `u64 → usize`, panicking loudly past `usize::MAX` (file-format vertex
 /// counts on 32-bit hosts).
 #[track_caller]
@@ -72,7 +61,6 @@ mod tests {
         assert_eq!(u32_from_usize(u32::MAX as usize), u32::MAX);
         assert_eq!(u32_from_u64(u64::from(u32::MAX)), u32::MAX);
         assert_eq!(u16_from_usize(65_535), u16::MAX);
-        assert_eq!(u8_from_u32(255), u8::MAX);
         assert_eq!(usize_from_u64(7), 7);
     }
 
@@ -92,11 +80,5 @@ mod tests {
     #[should_panic(expected = "does not fit in u16")]
     fn u16_overflow_panics() {
         u16_from_usize(65_536);
-    }
-
-    #[test]
-    #[should_panic(expected = "does not fit in u8")]
-    fn u8_overflow_panics() {
-        u8_from_u32(256);
     }
 }
