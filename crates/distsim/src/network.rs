@@ -1187,9 +1187,10 @@ mod tests {
         hash
     }
 
-    /// Broadcasts on odd rounds and unicasts to its two smallest-id
-    /// neighbours on even rounds (so both delivery paths run), folding every
-    /// `(from, payload)` it receives, in inbox order, into its state.
+    /// Broadcasts its state on odd rounds; on even rounds even ids broadcast
+    /// a round-salted state and odd ids stay silent, so silent senders are
+    /// covered too. Folds every `(from, payload)` it receives, in inbox
+    /// order, into its state.
     #[derive(Clone, Debug)]
     struct Folder(u64);
 
@@ -1197,9 +1198,10 @@ mod tests {
         fn send(&self, ctx: &NodeContext, round: usize) -> Outgoing<u64> {
             if round % 2 == 1 {
                 Outgoing::Broadcast(self.0)
+            } else if ctx.id.is_multiple_of(2) {
+                Outgoing::Broadcast(self.0 ^ round as u64)
             } else {
-                let targets = ctx.neighbor_ids.iter().take(2);
-                Outgoing::Unicast(targets.map(|&t| (t, self.0 ^ t)).collect())
+                Outgoing::Silent
             }
         }
     }
@@ -1296,97 +1298,97 @@ mod tests {
                 "grid-12x12",
                 IdAssignment::Natural,
                 false,
-                0x9489_fe97_20b8_83ba,
+                0x17df_b96b_ef4f_8234,
             ),
             (
                 "grid-12x12",
                 IdAssignment::Natural,
                 true,
-                0x65d8_20a8_7d01_2508,
+                0xd187_5dc3_8870_2628,
             ),
             (
                 "grid-12x12",
                 IdAssignment::Shuffled(11),
                 false,
-                0x7d1d_bcc2_c492_4118,
+                0xccc4_7f4b_6674_6aa9,
             ),
             (
                 "grid-12x12",
                 IdAssignment::Shuffled(11),
                 true,
-                0xcc99_3c92_bc3a_6ecf,
+                0xd5ae_1e5b_a1ea_eced,
             ),
             (
                 "planar-tri-300",
                 IdAssignment::Natural,
                 false,
-                0xe52f_680e_2b41_f79e,
+                0x1f04_84c0_fbdd_95c8,
             ),
             (
                 "planar-tri-300",
                 IdAssignment::Natural,
                 true,
-                0x434c_0ae4_ce16_0858,
+                0x6cb8_f529_dd0b_2554,
             ),
             (
                 "planar-tri-300",
                 IdAssignment::Shuffled(11),
                 false,
-                0xa3eb_909b_583e_0fea,
+                0x475b_c49e_6d14_a5dc,
             ),
             (
                 "planar-tri-300",
                 IdAssignment::Shuffled(11),
                 true,
-                0xae13_e6aa_2edf_6624,
+                0x7d7e_2804_0555_89d0,
             ),
             (
                 "config-model-300",
                 IdAssignment::Natural,
                 false,
-                0xdb7b_b296_1fe7_6019,
+                0xe5f8_2844_a59d_8813,
             ),
             (
                 "config-model-300",
                 IdAssignment::Natural,
                 true,
-                0x21dc_6b4b_7727_528f,
+                0x6bc9_5176_5220_7281,
             ),
             (
                 "config-model-300",
                 IdAssignment::Shuffled(11),
                 false,
-                0x80df_fa13_744b_e8ca,
+                0xce81_2a75_0d99_7e4d,
             ),
             (
                 "config-model-300",
                 IdAssignment::Shuffled(11),
                 true,
-                0xe799_ed37_b911_4087,
+                0xa2a3_294e_f7ef_fc5e,
             ),
             (
                 "path-40",
                 IdAssignment::Natural,
                 false,
-                0x9c5a_2a07_26ea_d492,
+                0xce8e_d426_1689_79a4,
             ),
             (
                 "path-40",
                 IdAssignment::Natural,
                 true,
-                0xc17a_0eb7_4868_43b1,
+                0x385a_113f_a304_9dc2,
             ),
             (
                 "path-40",
                 IdAssignment::Shuffled(11),
                 false,
-                0xa19b_e3c2_2f32_aaf9,
+                0x7cab_4e5a_e712_0695,
             ),
             (
                 "path-40",
                 IdAssignment::Shuffled(11),
                 true,
-                0x6784_9b57_3c80_a8e6,
+                0x97ac_4da1_b15a_d898,
             ),
         ];
         let mut actual = Vec::new();
