@@ -1,26 +1,22 @@
-//! The tentpole benchmark: the superstep engine's flat, double-buffered,
-//! zero-copy delivery versus the seed's per-receiver `Vec`-of-clones delivery
-//! on a 100k-vertex stacked planar triangulation.
+//! The superstep engine's double-buffered, zero-copy broadcast delivery on a
+//! 100k-vertex stacked planar triangulation, sequential and parallel.
 //!
 //! The protocol is a token relay — the communication pattern of the paper's
 //! election and token-routing phases (Theorem 9) and the connected-set
 //! flooding (Theorem 10): every vertex broadcasts a bundle of fixed-size
 //! tokens, each addressed (in its header word) to one neighbour, and every
 //! receiver scans the header of each delivered token, keeping only the ones
-//! addressed to it. This is precisely how unicast is simulated over
-//! CONGEST_BC broadcast, and it is the delivery scheme's worst case for the
-//! seed executor: a broadcast to `d` neighbours cloned the full payload `d`
-//! times even though `d − 1` receivers discard it after reading one word.
-//! The engine delivers by reference, so discarded tokens cost one cache line
-//! instead of a clone.
+//! addressed to it. This is how an addressed message travels over CONGEST_BC
+//! broadcast: `d − 1` of a broadcast's `d` receivers discard it after
+//! reading one word. The engine delivers by reference, so a discarded token
+//! costs one cache line instead of a clone.
 //!
-//! Both executors are checked to produce identical outputs before timing
-//! starts, and a counting global allocator reports the allocation totals the
-//! two delivery schemes incur for one identical run.
+//! The sequential and parallel engines are checked to move identical traffic
+//! before timing starts, and a counting global allocator reports the
+//! allocations one run makes.
 
 #![allow(unsafe_code)] // the counting allocator implements `GlobalAlloc`
 
-use bedom_bench::legacy::{LegacyAlgorithm, LegacyIncoming, LegacyNetwork};
 use bedom_distsim::{
     Engine, ExecutionStrategy, IdAssignment, Inbox, Model, Network, NodeAlgorithm, NodeContext,
     Outgoing, RunPolicy,
@@ -38,7 +34,7 @@ const ROUNDS: usize = 8;
 const P: usize = 48;
 
 /// Counts heap allocations so the bench can report, next to the timings, how
-/// many allocations each delivery scheme performs for one full run.
+/// many allocations one full run performs.
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -118,53 +114,6 @@ impl NodeAlgorithm for Relay {
     }
 }
 
-/// The same relay on the seed's clone-per-delivery executor.
-struct LegacyRelay {
-    id: u64,
-    next_hop: u64,
-}
-
-impl LegacyAlgorithm for LegacyRelay {
-    type Message = Vec<u64>;
-    type Output = u64;
-
-    fn init(&mut self, id: u64) -> Option<Vec<u64>> {
-        self.id = id;
-        let mut token = vec![id; P];
-        token[0] = self.next_hop;
-        Some(token)
-    }
-
-    fn round(&mut self, _: usize, inbox: &[LegacyIncoming<Vec<u64>>]) -> Option<Vec<u64>> {
-        keep_and_readdress(
-            self.id,
-            self.next_hop,
-            &mut inbox.iter().map(|m| &m.payload),
-        )
-    }
-
-    fn output(&self) -> u64 {
-        0
-    }
-}
-
-fn total_bits_legacy(graph: &Graph) -> usize {
-    let mut net = LegacyNetwork::new(graph, |v| {
-        let next_hop = graph
-            .neighbors(v)
-            .iter()
-            .map(|&w| w as u64)
-            .min()
-            .unwrap_or(v as u64);
-        LegacyRelay {
-            id: v as u64,
-            next_hop,
-        }
-    });
-    net.run(ROUNDS);
-    net.stats().total_bits
-}
-
 fn total_bits_engine(graph: &Graph, strategy: ExecutionStrategy) -> usize {
     let mut net = Network::new(graph, Model::Local, IdAssignment::Natural, |_, _| Relay);
     net.set_strategy(strategy);
@@ -174,42 +123,25 @@ fn total_bits_engine(graph: &Graph, strategy: ExecutionStrategy) -> usize {
 
 fn bench_delivery(c: &mut Criterion) {
     let graph = stacked_triangulation(N, 3);
-    // Cross-check: both executors must move exactly the same traffic.
-    let reference = total_bits_legacy(&graph);
+    // Cross-check: both strategies must move exactly the same traffic.
     assert_eq!(
-        reference,
         total_bits_engine(&graph, ExecutionStrategy::Sequential),
-        "legacy and engine disagree"
-    );
-    assert_eq!(
-        reference,
         total_bits_engine(&graph, ExecutionStrategy::Parallel),
         "sequential and parallel engine disagree"
     );
 
-    // Allocation profile of one full run of each executor (graph + algorithm
-    // allocations included, so the difference is pure delivery overhead).
-    let legacy_allocs = count_allocs(|| {
-        black_box(total_bits_legacy(&graph));
-    });
+    // Allocation profile of one full run (network construction and algorithm
+    // allocations included).
     let engine_allocs = count_allocs(|| {
         black_box(total_bits_engine(&graph, ExecutionStrategy::Sequential));
     });
-    println!(
-        "allocations for one {ROUNDS}-round relay on n = {N}: \
-         legacy-clone = {legacy_allocs}, engine-flat = {engine_allocs}"
-    );
+    println!("allocations for one {ROUNDS}-round relay on n = {N}: engine-flat = {engine_allocs}");
 
     let mut group = c.benchmark_group("engine_delivery");
     group.sample_size(3);
     group.measurement_time(std::time::Duration::from_secs(2));
     group.warm_up_time(std::time::Duration::from_millis(200));
     group.throughput(Throughput::Elements((N * ROUNDS) as u64));
-    group.bench_with_input(
-        BenchmarkId::new("relay8", "legacy-clone-seq"),
-        &graph,
-        |b, g| b.iter(|| black_box(total_bits_legacy(g))),
-    );
     group.bench_with_input(
         BenchmarkId::new("relay8", "engine-flat-seq"),
         &graph,

@@ -34,10 +34,11 @@
 //!
 //! ## Delivery buffers
 //!
-//! The engine's per-round cost model is documented on [`Network`]: a flat
-//! CSR-style arena of 16-byte packets (offsets + packet buffer reused across
-//! rounds, payloads delivered by reference, outboxes double-buffered), so a
-//! round performs no engine-side heap allocation at steady state.
+//! The engine's per-round cost model is documented on [`Network`]: every
+//! outbox is silent or one broadcast, each inbox reads its receiver's
+//! id-sorted neighbour list straight off the senders' outboxes (payloads
+//! delivered by reference, outboxes double-buffered), so a round performs no
+//! engine-side heap allocation.
 
 use crate::model::ModelViolation;
 use crate::network::{Network, NetworkSnapshot};

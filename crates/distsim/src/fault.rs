@@ -230,11 +230,11 @@ impl FaultPlan {
     }
 }
 
-/// The per-receiver delivery predicate the broadcast fast path threads into
-/// [`crate::node::InboxSource::Broadcasts`]: the arena path filters packets
-/// at build time, the fast path filters them at read time with this. Senders
-/// arrive as the network's storage slots and are mapped back to graph
-/// vertices, which is what the plan is keyed by.
+/// The per-receiver delivery predicate an [`crate::node::Inbox`] carries
+/// under an active fault plan: the inbox skips, as it is read, every
+/// neighbour's broadcast this says is lost. Senders arrive as the network's
+/// storage slots and are mapped back to graph vertices, which is what the
+/// plan is keyed by.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct DeliveryFilter<'a> {
     pub(crate) plan: &'a FaultPlan,

@@ -1,17 +1,17 @@
 //! # bedom-distsim
 //!
 //! A synchronous distributed-computing simulator for the **bedom** project:
-//! the LOCAL, CONGEST and CONGEST_BC models of Section 2 of *"Distributed
-//! Domination on Graph Classes of Bounded Expansion"* (SPAA 2018), with
-//! run-time enforcement of the bandwidth and broadcast restrictions and
-//! detailed round/bit accounting.
+//! the LOCAL and CONGEST_BC models of Section 2 of *"Distributed Domination
+//! on Graph Classes of Bounded Expansion"* (SPAA 2018), with a broadcast-only
+//! engine (so the broadcast restriction holds by type), run-time enforcement
+//! of the bandwidth, and detailed round/bit accounting.
 //!
 //! Two execution styles are provided:
 //!
 //! * The **superstep engine** ([`engine::Engine`] over a
 //!   [`network::Network`]) — a message-passing executor that drives one
 //!   [`node::NodeAlgorithm`] state machine per vertex in lockstep rounds,
-//!   with flat zero-copy message delivery, pluggable
+//!   with zero-copy broadcast delivery, pluggable
 //!   [`engine::RoundObserver`]s and a single sequential/parallel code path
 //!   ([`engine::ExecutionStrategy`]). This is used for the paper's
 //!   CONGEST_BC algorithms, where the round count and the message sizes are

@@ -1,4 +1,4 @@
-//! Distributed computing models: LOCAL, CONGEST and CONGEST_BC.
+//! Distributed computing models: LOCAL and CONGEST_BC.
 //!
 //! The paper (Section 2, "Distributed system model") considers synchronous,
 //! reliable message passing on the network graph:
@@ -8,11 +8,19 @@
 //! * **CONGEST_BC** — every vertex *broadcasts* one message of `O(log n)` bits
 //!   to all its neighbours.
 //!
-//! The simulator enforces these restrictions at run time: an algorithm that
-//! unicasts in CONGEST_BC, or whose message exceeds the bandwidth, produces a
-//! [`ModelViolation`] instead of silently "working". The bandwidth is
-//! expressed as a multiple of `⌈log₂ n⌉` because that is how the paper states
-//! every bound (e.g. Lemma 7's messages of size `O(c(2r)²·r·log n)`).
+//! The simulator implements LOCAL and CONGEST_BC. Its engine is
+//! broadcast-only: a vertex either stays silent or broadcasts one message
+//! per round ([`crate::Outgoing`]), so the broadcast restriction holds by
+//! type. A protocol that addresses a message to one neighbour broadcasts it
+//! with the address in a header, as the Theorem 9 token routing does, and
+//! every other receiver drops it after reading the header. LOCAL runs on
+//! the same broadcasts without a size limit, which loses nothing: one
+//! broadcast can carry every per-neighbour message with its address.
+//!
+//! The bandwidth is checked at run time: a message that exceeds it produces
+//! a [`ModelViolation`] instead of silently "working". It is expressed as a
+//! multiple of `⌈log₂ n⌉` because that is how the paper states every bound
+//! (e.g. Lemma 7's messages of size `O(c(2r)²·r·log n)`).
 
 /// Number of bits needed to write an identifier in `0..n` (at least 1).
 pub fn id_bits(n: usize) -> usize {
@@ -31,13 +39,8 @@ pub fn log2_ceil(n: usize) -> usize {
 /// The communication model an execution runs under.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Model {
-    /// Arbitrary message sizes, per-neighbour messages allowed.
+    /// Arbitrary message sizes.
     Local,
-    /// Per-neighbour messages of at most `bandwidth_logs · ⌈log₂ n⌉` bits.
-    Congest {
-        /// Bandwidth in units of `⌈log₂ n⌉` bits.
-        bandwidth_logs: usize,
-    },
     /// One broadcast message per vertex per round of at most
     /// `bandwidth_logs · ⌈log₂ n⌉` bits.
     CongestBc {
@@ -47,11 +50,6 @@ pub enum Model {
 }
 
 impl Model {
-    /// The classical CONGEST model with messages of exactly one id-width.
-    pub fn congest() -> Model {
-        Model::Congest { bandwidth_logs: 1 }
-    }
-
     /// The classical broadcast CONGEST model with messages of one id-width.
     pub fn congest_bc() -> Model {
         Model::CongestBc { bandwidth_logs: 1 }
@@ -69,22 +67,14 @@ impl Model {
     pub fn max_message_bits(&self, n: usize) -> Option<usize> {
         match *self {
             Model::Local => None,
-            Model::Congest { bandwidth_logs } | Model::CongestBc { bandwidth_logs } => {
-                Some(bandwidth_logs.max(1) * log2_ceil(n))
-            }
+            Model::CongestBc { bandwidth_logs } => Some(bandwidth_logs.max(1) * log2_ceil(n)),
         }
-    }
-
-    /// Whether the model restricts vertices to a single broadcast per round.
-    pub fn broadcast_only(&self) -> bool {
-        matches!(self, Model::CongestBc { .. })
     }
 
     /// Short display name used in experiment tables.
     pub fn name(&self) -> &'static str {
         match self {
             Model::Local => "LOCAL",
-            Model::Congest { .. } => "CONGEST",
             Model::CongestBc { .. } => "CONGEST_BC",
         }
     }
@@ -93,14 +83,6 @@ impl Model {
 /// A violation of the communication model detected by the executor.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ModelViolation {
-    /// A vertex attempted per-neighbour (unicast) messages in a
-    /// broadcast-only model.
-    UnicastInBroadcastModel {
-        /// Offending vertex (network id).
-        vertex: u64,
-        /// Round in which the violation occurred.
-        round: usize,
-    },
     /// A message exceeded the model's bandwidth.
     MessageTooLarge {
         /// Offending vertex (network id).
@@ -111,15 +93,6 @@ pub enum ModelViolation {
         bits: usize,
         /// Maximum allowed size in bits.
         limit: usize,
-    },
-    /// A vertex addressed a message to a non-neighbour.
-    NotANeighbor {
-        /// Offending vertex (network id).
-        vertex: u64,
-        /// The invalid destination (network id).
-        target: u64,
-        /// Round in which the violation occurred.
-        round: usize,
     },
     /// A radius-`requested` query was issued against state prepared only up
     /// to radius `supported` (a context's weak-reachability index, a phase's
@@ -188,10 +161,6 @@ pub enum ModelViolation {
 impl std::fmt::Display for ModelViolation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ModelViolation::UnicastInBroadcastModel { vertex, round } => write!(
-                f,
-                "vertex {vertex} sent per-neighbour messages in a broadcast-only model (round {round})"
-            ),
             ModelViolation::MessageTooLarge {
                 vertex,
                 round,
@@ -200,14 +169,6 @@ impl std::fmt::Display for ModelViolation {
             } => write!(
                 f,
                 "vertex {vertex} sent a {bits}-bit message, exceeding the {limit}-bit limit (round {round})"
-            ),
-            ModelViolation::NotANeighbor {
-                vertex,
-                target,
-                round,
-            } => write!(
-                f,
-                "vertex {vertex} addressed non-neighbour {target} (round {round})"
             ),
             ModelViolation::RadiusOutOfRange {
                 requested,
@@ -274,7 +235,6 @@ mod tests {
     #[test]
     fn model_bandwidths() {
         assert_eq!(Model::Local.max_message_bits(1000), None);
-        assert_eq!(Model::congest().max_message_bits(1024), Some(10));
         assert_eq!(Model::congest_bc().max_message_bits(1024), Some(10));
         assert_eq!(Model::congest_bc_scaled(5).max_message_bits(1024), Some(50));
         // Bandwidth multiplier 0 is clamped to 1.
@@ -282,13 +242,6 @@ mod tests {
             Model::CongestBc { bandwidth_logs: 0 }.max_message_bits(16),
             Some(4)
         );
-    }
-
-    #[test]
-    fn broadcast_only_flag() {
-        assert!(Model::congest_bc().broadcast_only());
-        assert!(!Model::congest().broadcast_only());
-        assert!(!Model::Local.broadcast_only());
     }
 
     #[test]
@@ -349,7 +302,6 @@ mod tests {
     #[test]
     fn model_names() {
         assert_eq!(Model::Local.name(), "LOCAL");
-        assert_eq!(Model::congest().name(), "CONGEST");
         assert_eq!(Model::congest_bc().name(), "CONGEST_BC");
     }
 }

@@ -11,29 +11,23 @@
 //! exactly one implementation of a round, used by both modes, so sequential
 //! and parallel runs are bit-identical by construction.
 //!
-//! ## Flat, double-buffered delivery
+//! ## Double-buffered broadcast delivery
 //!
-//! Per round the executor
+//! Every outbox is silent or one broadcast ([`Outgoing`]). So a receiver's
+//! inbox is its neighbours' outboxes, read in network-id order through the
+//! id-sorted neighbour CSR the network builds once. Per round the executor
 //!
 //! 1. charges the current outboxes to the statistics,
-//! 2. prepares delivery: in broadcast-only rounds (all of CONGEST_BC)
-//!    receivers read straight off the precomputed id-sorted neighbour CSR —
-//!    zero per-round work; in rounds with unicasts it rebuilds the flat
-//!    inbox arena, a CSR-style `offsets` array (one slot per receiver) plus
-//!    one 16-byte `Packet` per delivery, pointing into the sender's
-//!    outbox — either way **no payload is ever cloned**, receivers read
-//!    messages by reference through [`Inbox`],
-//! 3. evaluates every vertex's transition, writing the next outbox into a
-//!    second pre-allocated outbox buffer, and
-//! 4. swaps the two outbox buffers.
+//! 2. evaluates every vertex's transition on its [`Inbox`], writing the next
+//!    outbox into a second pre-allocated outbox buffer, and
+//! 3. swaps the two outbox buffers.
 //!
-//! The offsets, arena and both outbox buffers are reused across rounds, so
-//! the executor performs no per-round heap allocation of its own once the
-//! buffers have grown to their steady-state size (payload allocations made by
-//! the algorithms themselves are, of course, theirs). The seed implementation
-//! allocated a fresh `Vec` per receiver per round and cloned every payload
-//! per delivery; the `engine_delivery` bench in `bedom-bench` measures the
-//! difference.
+//! An inbox reads payloads by reference, so **no payload is ever cloned**.
+//! Under a fault plan it skips, as it is read, each broadcast the plan
+//! drops. Delivery therefore does no per-round work, and with both outbox
+//! buffers reused the executor performs no per-round heap allocation of its
+//! own (payload allocations made by the algorithms themselves are theirs).
+//! The `engine_delivery` bench in `bedom-bench` times it.
 //!
 //! ## Storage order
 //!
@@ -41,10 +35,10 @@
 //! attaches each new vertex to a random face), so walking inboxes in vertex
 //! order misses cache on every neighbour. The network therefore stores its
 //! per-vertex state in *slots*: one BFS order of the graph, computed when it
-//! is built. The node instances, their contexts, both outbox buffers, the
-//! inbox arena and the id-sorted delivery CSR are all indexed by slot, so a
-//! receiver's neighbours, and the payloads they allocated earlier in the
-//! same sweep, sit near it in memory.
+//! is built. The node instances, their contexts, both outbox buffers and
+//! the id-sorted delivery CSR are all indexed by slot, so a receiver's
+//! neighbours, and the payloads they allocated earlier in the same sweep,
+//! sit near it in memory.
 //!
 //! Slots never leave this module. The factory receives the graph vertex,
 //! [`Network::outputs`], [`Network::node`] and [`Network::id_of`] are keyed
@@ -58,7 +52,7 @@ use crate::fault::{DeliveryFilter, FaultPlan};
 use crate::ids::IdAssignment;
 use crate::message::MessageSize;
 use crate::model::{Model, ModelViolation};
-use crate::node::{Inbox, InboxSource, NodeAlgorithm, NodeContext, Outgoing, Packet};
+use crate::node::{Inbox, NodeAlgorithm, NodeContext, Outgoing};
 use crate::trace::{RoundStats, RunStats};
 use bedom_graph::cast::u32_from_usize;
 use bedom_graph::{Graph, Vertex};
@@ -85,19 +79,11 @@ pub struct Network<'g, A: NodeAlgorithm> {
     outboxes: Vec<Outgoing<A::Message>>,
     /// Double buffer the next round's outboxes are written into.
     next_outboxes: Vec<Outgoing<A::Message>>,
-    /// CSR offsets into [`Network::inbox_arena`]; length `n + 1`.
-    inbox_offsets: Vec<u32>,
-    /// Flat delivery arena, rebuilt (in place) every round.
-    inbox_arena: Vec<Packet>,
     /// CSR offsets into [`Network::delivery_order`]; length `n + 1`.
     nbr_offsets: Vec<u32>,
     /// Every slot's neighbour slots sorted by network id — the deterministic
     /// delivery order, precomputed once.
     delivery_order: Vec<u32>,
-    /// Inverse of the id assignment (ids are always a dense permutation of
-    /// `0..n`): the graph vertex holding each id, used to resolve unicast
-    /// targets for fault checks.
-    vertex_of: Vec<Vertex>,
     /// The installed fault schedule, if any. Configuration, not execution
     /// state: snapshots do not capture it and restores do not touch it.
     fault: Option<FaultPlan>,
@@ -135,6 +121,8 @@ impl<'g, A: NodeAlgorithm> Network<'g, A> {
         for (slot, &v) in vertex_at.iter().enumerate() {
             slot_of[v as usize] = u32_from_usize(slot);
         }
+        // Inverse of the id assignment (ids are always a dense permutation
+        // of `0..n`): the graph vertex holding each id.
         let mut vertex_of: Vec<Vertex> = vec![0; n];
         for (v, &id) in id_of.iter().enumerate() {
             debug_assert!((id as usize) < n, "id assignments are dense permutations");
@@ -186,11 +174,8 @@ impl<'g, A: NodeAlgorithm> Network<'g, A> {
             nodes,
             outboxes: (0..n).map(|_| Outgoing::Silent).collect(),
             next_outboxes: (0..n).map(|_| Outgoing::Silent).collect(),
-            inbox_offsets: vec![0; n + 1],
-            inbox_arena: Vec::new(),
             nbr_offsets,
             delivery_order,
-            vertex_of,
             fault: None,
             stats: RunStats::default(),
             strategy: ExecutionStrategy::Sequential,
@@ -270,8 +255,8 @@ impl<'g, A: NodeAlgorithm> Network<'g, A> {
     }
 
     /// Executes a single communication round — delivers the current outboxes
-    /// through the flat arena and computes the next ones — and returns its
-    /// statistics. This is the engine's single-round primitive; use
+    /// and computes the next ones — and returns its statistics. This is the
+    /// engine's single-round primitive; use
     /// [`crate::engine::Engine::run`] for whole executions.
     pub fn step(&mut self) -> Result<RoundStats, ModelViolation> {
         self.init()?;
@@ -279,9 +264,9 @@ impl<'g, A: NodeAlgorithm> Network<'g, A> {
 
         // Fault preamble. Crashed senders lose whatever they queued last
         // round: silencing their outboxes up front keeps the accounting and
-        // both delivery paths consistent without per-path special cases.
-        // `active_at` gates all of this, so fault-free rounds (and fault-free
-        // networks) pay nothing.
+        // the delivery consistent without special cases. `active_at` gates
+        // all of this, so fault-free rounds (and fault-free networks) pay
+        // nothing.
         let fault = self.fault.as_ref().filter(|p| p.active_at(round_index));
         let mut crashed = 0usize;
         if let Some(plan) = fault {
@@ -293,97 +278,51 @@ impl<'g, A: NodeAlgorithm> Network<'g, A> {
             }
         }
 
-        // Account for what is about to be delivered, and detect whether any
-        // sender unicast (broadcast-only rounds — all of CONGEST_BC — take a
-        // delivery fast path that needs no arena at all). Under a fault plan
-        // the sender still pays the wire cost of every message it offers
-        // (`bits_sent`), but suppressed deliveries move from `deliveries`
-        // to `dropped_deliveries`.
+        // Account for what is about to be delivered. Under a fault plan the
+        // sender still pays the wire cost of every message it offers
+        // (`bits_sent`), but suppressed deliveries move from `deliveries` to
+        // `dropped_deliveries`.
         let mut round_stats = RoundStats {
             round: round_index,
             crashed,
             ..RoundStats::default()
         };
-        let mut any_unicast = false;
         let graph = self.graph;
         for (out, &v) in self.outboxes.iter().zip(&self.vertex_at) {
-            match out {
-                Outgoing::Silent => {}
-                Outgoing::Broadcast(m) => {
-                    let bits = m.size_bits();
-                    round_stats.senders += 1;
-                    let degree = graph.degree(v);
-                    let delivered = match fault {
-                        Some(plan) => graph
-                            .neighbors(v)
-                            .iter()
-                            .filter(|&&w| plan.delivers(round_index, v, w))
-                            .count(),
-                        None => degree,
-                    };
-                    round_stats.deliveries += delivered;
-                    round_stats.dropped_deliveries += degree - delivered;
-                    round_stats.bits_sent += bits;
-                    // The per-round maximum is frame-granular: payloads that
-                    // model a framing layer report their largest frame, so a
-                    // hub's split broadcast no longer dominates the statistic
-                    // while its full (framed) cost still lands in bits_sent.
-                    round_stats.max_message_bits =
-                        round_stats.max_message_bits.max(m.max_frame_bits());
-                    self.stats.max_vertex_round_bits = self.stats.max_vertex_round_bits.max(bits);
-                }
-                Outgoing::Unicast(messages) => {
-                    any_unicast = true;
-                    if !messages.is_empty() {
-                        round_stats.senders += 1;
-                    }
-                    let mut vertex_bits = 0;
-                    for (target, m) in messages {
-                        let bits = m.size_bits();
-                        let delivered = match fault {
-                            // Targets passed validation last round, so the
-                            // inverse id map resolves them to real vertices.
-                            Some(plan) => {
-                                plan.delivers(round_index, v, self.vertex_of[*target as usize])
-                            }
-                            None => true,
-                        };
-                        if delivered {
-                            round_stats.deliveries += 1;
-                        } else {
-                            round_stats.dropped_deliveries += 1;
-                        }
-                        round_stats.bits_sent += bits;
-                        vertex_bits += bits;
-                        round_stats.max_message_bits =
-                            round_stats.max_message_bits.max(m.max_frame_bits());
-                    }
-                    self.stats.max_vertex_round_bits =
-                        self.stats.max_vertex_round_bits.max(vertex_bits);
-                }
-            }
-        }
-
-        if any_unicast {
-            let mut offsets = std::mem::take(&mut self.inbox_offsets);
-            let mut arena = std::mem::take(&mut self.inbox_arena);
-            self.build_inboxes(&mut offsets, &mut arena, fault, round_index);
-            (self.inbox_offsets, self.inbox_arena) = (offsets, arena);
+            let Outgoing::Broadcast(m) = out else {
+                continue;
+            };
+            let bits = m.size_bits();
+            round_stats.senders += 1;
+            let degree = graph.degree(v);
+            let delivered = match fault {
+                Some(plan) => graph
+                    .neighbors(v)
+                    .iter()
+                    .filter(|&&w| plan.delivers(round_index, v, w))
+                    .count(),
+                None => degree,
+            };
+            round_stats.deliveries += delivered;
+            round_stats.dropped_deliveries += degree - delivered;
+            round_stats.bits_sent += bits;
+            // The per-round maximum is frame-granular: payloads that model a
+            // framing layer report their largest frame, so a hub's split
+            // broadcast no longer dominates the statistic while its full
+            // (framed) cost still lands in bits_sent.
+            round_stats.max_message_bits = round_stats.max_message_bits.max(m.max_frame_bits());
+            self.stats.max_vertex_round_bits = self.stats.max_vertex_round_bits.max(bits);
         }
 
         // Evaluate every vertex's transition through the one execution path;
-        // results land in the second outbox buffer by slot. Broadcast-only
-        // rounds read straight off the pre-sorted neighbour CSR; rounds with
-        // unicasts go through the freshly built packet arena. Both sources
-        // deliver in the same deterministic order; under a fault plan the
-        // arena was built pre-filtered and the fast path filters on read.
+        // results land in the second outbox buffer by slot. Inboxes read
+        // straight off the pre-sorted neighbour CSR and, under a fault plan,
+        // filter on read.
         {
             let contexts = &self.contexts;
             let outboxes = &self.outboxes;
             let ids = &self.ids;
             let vertex_at = &self.vertex_at;
-            let offsets = &self.inbox_offsets;
-            let arena = &self.inbox_arena;
             let nbr_offsets = &self.nbr_offsets;
             let delivery_order = &self.delivery_order;
             self.strategy
@@ -395,21 +334,18 @@ impl<'g, A: NodeAlgorithm> Network<'g, A> {
                         *slot = Outgoing::Silent;
                         return;
                     }
-                    let source = if any_unicast {
-                        InboxSource::Packets(&arena[offsets[w] as usize..offsets[w + 1] as usize])
-                    } else {
-                        InboxSource::Broadcasts(
-                            &delivery_order[nbr_offsets[w] as usize..nbr_offsets[w + 1] as usize],
-                            ids,
-                            fault.map(|plan| DeliveryFilter {
-                                plan,
-                                round: round_index,
-                                receiver,
-                                vertex_at,
-                            }),
-                        )
+                    let inbox = Inbox {
+                        neighbors: &delivery_order
+                            [nbr_offsets[w] as usize..nbr_offsets[w + 1] as usize],
+                        ids,
+                        filter: fault.map(|plan| DeliveryFilter {
+                            plan,
+                            round: round_index,
+                            receiver,
+                            vertex_at,
+                        }),
+                        outboxes,
                     };
-                    let inbox = Inbox { source, outboxes };
                     *slot = node.round(&contexts[w], round_index, inbox);
                 });
         }
@@ -419,130 +355,12 @@ impl<'g, A: NodeAlgorithm> Network<'g, A> {
         Ok(round_stats)
     }
 
-    /// Rebuilds the flat inbox arena from the current outboxes: counts per
-    /// receiver, prefix sums, then a fill pass over disjoint arena segments.
-    /// With a fault plan, deliveries it suppresses in `round` are excluded at
-    /// build time, so the arena only ever contains surviving packets.
-    fn build_inboxes(
-        &self,
-        offsets: &mut [u32],
-        arena: &mut Vec<Packet>,
-        fault: Option<&FaultPlan>,
-        round: usize,
-    ) {
-        let n = self.graph.num_vertices();
-        let ids = &self.ids;
-        let outboxes = &self.outboxes;
-        let nbr_offsets = &self.nbr_offsets;
-        let delivery_order = &self.delivery_order;
-        let vertex_at = &self.vertex_at;
-        let delivers = move |u: u32, w: usize| -> bool {
-            fault.is_none_or(|plan| plan.delivers(round, vertex_at[u as usize], vertex_at[w]))
-        };
-
-        // How many messages does receiver `w` get this round?
-        let count_for = |w: usize| -> u32 {
-            let mut count = 0u32;
-            for &u in &delivery_order[nbr_offsets[w] as usize..nbr_offsets[w + 1] as usize] {
-                match &outboxes[u as usize] {
-                    Outgoing::Silent => {}
-                    Outgoing::Broadcast(_) => {
-                        if delivers(u, w) {
-                            count += 1;
-                        }
-                    }
-                    Outgoing::Unicast(messages) => {
-                        if delivers(u, w) {
-                            count += u32_from_usize(
-                                messages.iter().filter(|(t, _)| *t == ids[w]).count(),
-                            );
-                        }
-                    }
-                }
-            }
-            count
-        };
-        // Fill counts shifted by one, then prefix-sum in place: offsets[w] /
-        // offsets[w + 1] end up delimiting receiver w's arena segment.
-        offsets[0] = 0;
-        self.strategy
-            .apply(&mut offsets[1..], |w, slot| *slot = count_for(w));
-        for w in 0..n {
-            offsets[w + 1] += offsets[w];
-        }
-        let total = offsets[n] as usize;
-        arena.clear();
-        arena.resize(total, Packet::default());
-
-        // Fill receiver segments; contiguous receiver chunks own disjoint
-        // arena slices, so the fill parallelises without synchronisation.
-        let offsets = &*offsets;
-        let fill_receiver = |w: usize, segment: &mut [Packet]| {
-            let mut cursor = 0;
-            for &u in &delivery_order[nbr_offsets[w] as usize..nbr_offsets[w + 1] as usize] {
-                match &outboxes[u as usize] {
-                    Outgoing::Silent => {}
-                    Outgoing::Broadcast(_) => {
-                        if delivers(u, w) {
-                            segment[cursor] = Packet {
-                                from: ids[u as usize],
-                                sender: u,
-                                unicast_idx: 0,
-                            };
-                            cursor += 1;
-                        }
-                    }
-                    Outgoing::Unicast(messages) => {
-                        if delivers(u, w) {
-                            for (k, (target, _)) in messages.iter().enumerate() {
-                                if *target == ids[w] {
-                                    segment[cursor] = Packet {
-                                        from: ids[u as usize],
-                                        sender: u,
-                                        unicast_idx: u32_from_usize(k),
-                                    };
-                                    cursor += 1;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            debug_assert_eq!(cursor, segment.len());
-        };
-        let threads = self.strategy.threads_for(n);
-        let chunk = n.div_ceil(threads.max(1)).max(1);
-        let mut jobs: Vec<(usize, &mut [Packet])> = Vec::with_capacity(threads);
-        let mut rest: &mut [Packet] = arena;
-        let mut consumed = 0usize;
-        let mut w = 0usize;
-        while w < n {
-            let end = (w + chunk).min(n);
-            let slice_end = offsets[end] as usize;
-            let (head, tail) = rest.split_at_mut(slice_end - consumed);
-            jobs.push((w, head));
-            rest = tail;
-            consumed = slice_end;
-            w = end;
-        }
-        self.strategy.run_jobs(jobs, |(start_w, mut slice)| {
-            let mut w = start_w;
-            while !slice.is_empty() {
-                let len = (offsets[w + 1] - offsets[w]) as usize;
-                let (segment, tail) = slice.split_at_mut(len);
-                fill_receiver(w, segment);
-                slice = tail;
-                w += 1;
-            }
-        });
-    }
-
     /// Captures the complete execution state — node state machines, pending
     /// outboxes, statistics — as a [`NetworkSnapshot`]. Restoring it into a
     /// network built over the same graph (same factory, model, ids and
-    /// strategy) resumes the run **bit-identically**: the delivery buffers
-    /// are rebuilt from the restored outboxes, so nothing observable depends
-    /// on when the snapshot was taken. This is the checkpoint primitive
+    /// strategy) resumes the run **bit-identically**: the next round's
+    /// inboxes read the restored outboxes, so nothing observable depends on
+    /// when the snapshot was taken. This is the checkpoint primitive
     /// behind [`crate::engine::SnapshotObserver`]. Nodes and outboxes are
     /// captured in graph-vertex order, whatever the storage order.
     pub fn snapshot(&self) -> NetworkSnapshot<A>
@@ -581,7 +399,6 @@ impl<'g, A: NodeAlgorithm> Network<'g, A> {
         for slot in &mut self.next_outboxes {
             *slot = Outgoing::Silent;
         }
-        self.inbox_arena.clear();
         self.stats = snapshot.stats.clone();
         self.initialized = snapshot.initialized;
     }
@@ -616,56 +433,27 @@ impl<'g, A: NodeAlgorithm> Network<'g, A> {
         &self.nodes[self.slot_of[v as usize] as usize]
     }
 
-    /// Checks every outbox against the communication model, in graph-vertex
+    /// Checks every broadcast against the model's bandwidth, in graph-vertex
     /// order, so the first violation reported does not depend on the layout.
     fn validate(
         &self,
         outboxes: &[Outgoing<A::Message>],
         round: usize,
     ) -> Result<(), ModelViolation> {
-        let limit = self.model.max_message_bits(self.graph.num_vertices());
+        let Some(limit) = self.model.max_message_bits(self.graph.num_vertices()) else {
+            return Ok(());
+        };
         for &s in &self.slot_of {
             let s = s as usize;
-            let vertex = self.ids[s];
-            match &outboxes[s] {
-                Outgoing::Silent => {}
-                Outgoing::Broadcast(m) => {
-                    if let Some(limit) = limit {
-                        let bits = m.size_bits();
-                        if bits > limit {
-                            return Err(ModelViolation::MessageTooLarge {
-                                vertex,
-                                round,
-                                bits,
-                                limit,
-                            });
-                        }
-                    }
-                }
-                Outgoing::Unicast(messages) => {
-                    if self.model.broadcast_only() {
-                        return Err(ModelViolation::UnicastInBroadcastModel { vertex, round });
-                    }
-                    for (target, m) in messages {
-                        if !self.contexts[s].is_neighbor(*target) {
-                            return Err(ModelViolation::NotANeighbor {
-                                vertex,
-                                target: *target,
-                                round,
-                            });
-                        }
-                        if let Some(limit) = limit {
-                            let bits = m.size_bits();
-                            if bits > limit {
-                                return Err(ModelViolation::MessageTooLarge {
-                                    vertex,
-                                    round,
-                                    bits,
-                                    limit,
-                                });
-                            }
-                        }
-                    }
+            if let Outgoing::Broadcast(m) = &outboxes[s] {
+                let bits = m.size_bits();
+                if bits > limit {
+                    return Err(ModelViolation::MessageTooLarge {
+                        vertex: self.ids[s],
+                        round,
+                        bits,
+                        limit,
+                    });
                 }
             }
         }
@@ -682,8 +470,8 @@ fn gather<T: Clone>(items: &[T], order: &[u32]) -> Vec<T> {
 /// A checkpoint of a [`Network`]'s execution state, captured by
 /// [`Network::snapshot`] and consumed by [`Network::restore`]. Holds the node
 /// state machines, the outboxes pending delivery, and the accumulated
-/// statistics (including the global round counter); the engine-side delivery
-/// buffers are derived state and are rebuilt on resume.
+/// statistics (including the global round counter); the delivery order is
+/// derived from the graph and ids, so it is not captured.
 pub struct NetworkSnapshot<A: NodeAlgorithm> {
     pub(crate) nodes: Vec<A>,
     pub(crate) outboxes: Vec<Outgoing<A::Message>>,
@@ -885,48 +673,6 @@ mod tests {
         }
     }
 
-    /// An algorithm that (incorrectly) unicasts, to exercise model checking.
-    struct BadUnicaster;
-
-    impl NodeAlgorithm for BadUnicaster {
-        type Message = u64;
-        type Output = ();
-
-        fn init(&mut self, ctx: &NodeContext) -> Outgoing<u64> {
-            match ctx.neighbor_ids.first() {
-                Some(&t) => Outgoing::Unicast(vec![(t, ctx.id)]),
-                None => Outgoing::Silent,
-            }
-        }
-
-        fn round(&mut self, _: &NodeContext, _: usize, _: Inbox<'_, u64>) -> Outgoing<u64> {
-            Outgoing::Silent
-        }
-
-        fn output(&self, _: &NodeContext) {}
-    }
-
-    #[test]
-    fn unicast_rejected_in_broadcast_model_but_allowed_in_congest() {
-        let g = path(5);
-        let mut net = Network::new(&g, Model::congest_bc(), IdAssignment::Natural, |_, _| {
-            BadUnicaster
-        });
-        let err = run_fixed(&mut net, 1).unwrap_err();
-        assert!(matches!(
-            err,
-            ModelViolation::UnicastInBroadcastModel { .. }
-        ));
-
-        let mut net = Network::new(
-            &g,
-            Model::Congest { bandwidth_logs: 64 },
-            IdAssignment::Natural,
-            |_, _| BadUnicaster,
-        );
-        run_fixed(&mut net, 1).unwrap();
-    }
-
     /// An algorithm whose message grows past any bandwidth limit.
     struct Bloater;
 
@@ -961,34 +707,6 @@ mod tests {
 
         let mut net = Network::new(&g, Model::Local, IdAssignment::Natural, |_, _| Bloater);
         run_fixed(&mut net, 1).unwrap();
-    }
-
-    #[test]
-    fn addressing_non_neighbor_is_rejected() {
-        struct WrongTarget;
-        impl NodeAlgorithm for WrongTarget {
-            type Message = u64;
-            type Output = ();
-            fn init(&mut self, ctx: &NodeContext) -> Outgoing<u64> {
-                // Vertex 0 addresses id 4, which is not adjacent on a path of 5.
-                if ctx.id == 0 {
-                    Outgoing::Unicast(vec![(4, 1)])
-                } else {
-                    Outgoing::Silent
-                }
-            }
-            fn round(&mut self, _: &NodeContext, _: usize, _: Inbox<'_, u64>) -> Outgoing<u64> {
-                Outgoing::Silent
-            }
-            fn output(&self, _: &NodeContext) {}
-        }
-        let g = path(5);
-        let mut net = Network::new(&g, Model::Local, IdAssignment::Natural, |_, _| WrongTarget);
-        let err = run_fixed(&mut net, 1).unwrap_err();
-        assert!(matches!(
-            err,
-            ModelViolation::NotANeighbor { target: 4, .. }
-        ));
     }
 
     #[test]
@@ -1086,47 +804,6 @@ mod tests {
     }
 
     #[test]
-    fn unicast_arena_honours_the_fault_plan() {
-        use crate::fault::FaultPlan;
-        struct UniFloodState(usize);
-        impl NodeAlgorithm for UniFloodState {
-            type Message = u64;
-            type Output = usize;
-            fn init(&mut self, ctx: &NodeContext) -> Outgoing<u64> {
-                Outgoing::Unicast(ctx.neighbor_ids.iter().map(|&t| (t, ctx.id)).collect())
-            }
-            fn round(&mut self, _: &NodeContext, _: usize, inbox: Inbox<'_, u64>) -> Outgoing<u64> {
-                self.0 = inbox.len();
-                Outgoing::Silent
-            }
-            fn output(&self, _: &NodeContext) -> usize {
-                self.0
-            }
-        }
-        let g = cycle(6);
-        let mut net = Network::new(&g, Model::Local, IdAssignment::Natural, |_, _| {
-            UniFloodState(usize::MAX)
-        });
-        net.set_fault_plan(FaultPlan::seeded(0).crash(3, 1, 2));
-        run_fixed(&mut net, 1).unwrap();
-        let outputs = net.outputs();
-        // Vertex 3 crashed: it received nothing (state frozen at MAX) and
-        // its two unicasts were lost, so its neighbours got one message.
-        assert_eq!(outputs[3], usize::MAX);
-        assert_eq!(outputs[2], 1);
-        assert_eq!(outputs[4], 1);
-        assert_eq!(outputs[0], 2);
-        let stats = net.stats();
-        // The crashed sender's queued unicasts are silenced before they
-        // reach the wire (a dead vertex offers nothing), so only the two
-        // messages inbound to the crashed vertex count as dropped.
-        assert_eq!(stats.per_round[0].dropped_deliveries, 2);
-        assert_eq!(stats.per_round[0].senders, 5);
-        assert_eq!(stats.per_round[0].deliveries, 8);
-        assert_eq!(stats.per_round[0].crashed, 1);
-    }
-
-    #[test]
     fn faulty_runs_are_bit_identical_across_strategies() {
         use crate::fault::FaultPlan;
         let g = grid(10, 10);
@@ -1145,34 +822,6 @@ mod tests {
         let par = run(ExecutionStrategy::Parallel);
         assert_eq!(seq, par);
         assert!(seq.1.dropped_deliveries > 0, "the plan should bite");
-    }
-
-    #[test]
-    fn multiple_unicasts_to_same_receiver_arrive_in_send_order() {
-        struct DoubleSender;
-        impl NodeAlgorithm for DoubleSender {
-            type Message = u64;
-            type Output = Vec<u64>;
-            fn init(&mut self, ctx: &NodeContext) -> Outgoing<u64> {
-                if ctx.id == 0 {
-                    Outgoing::Unicast(vec![(1, 10), (1, 20)])
-                } else {
-                    Outgoing::Silent
-                }
-            }
-            fn round(&mut self, _: &NodeContext, _: usize, _: Inbox<'_, u64>) -> Outgoing<u64> {
-                Outgoing::Silent
-            }
-            fn output(&self, _: &NodeContext) -> Vec<u64> {
-                Vec::new()
-            }
-        }
-        let g = path(3);
-        let mut net = Network::new(&g, Model::Local, IdAssignment::Natural, |_, _| DoubleSender);
-        net.init().unwrap();
-        let stats = net.step().unwrap();
-        assert_eq!(stats.deliveries, 2);
-        assert_eq!(stats.senders, 1);
     }
 
     /// The FNV-1a (64-bit) offset basis.

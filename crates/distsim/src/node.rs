@@ -8,10 +8,16 @@
 //! and receiving messages, every client may perform arbitrary finite
 //! computations.").
 //!
+//! The engine runs the broadcast models: at the end of a round a vertex
+//! either stays silent or broadcasts one message to all its neighbours
+//! ([`Outgoing`]). A protocol that addresses a message to one neighbour
+//! broadcasts it with the address in a header, as the Theorem 9 token
+//! routing does.
+//!
 //! Message delivery is zero-copy: the engine never clones payloads. A vertex
-//! reads its inbox through [`Inbox`], a flat view into the delivery arena that
-//! resolves each received message to a *reference* into the sender's outbox
-//! (see the `engine` module for the delivery machinery).
+//! reads its inbox through [`Inbox`], a view over its id-sorted neighbour
+//! list that resolves each received message to a *reference* into the
+//! sender's outbox (see the `network` module for the delivery machinery).
 
 use crate::fault::DeliveryFilter;
 use crate::message::MessageSize;
@@ -36,24 +42,16 @@ impl NodeContext {
     pub fn degree(&self) -> usize {
         self.neighbor_ids.len()
     }
-
-    /// Whether `id` is a neighbour of this vertex.
-    pub fn is_neighbor(&self, id: u64) -> bool {
-        self.neighbor_ids.binary_search(&id).is_ok()
-    }
 }
 
-/// What a vertex sends at the end of a round.
+/// What a vertex sends at the end of a round: nothing, or one message to
+/// every neighbour (the only two options in CONGEST_BC).
 #[derive(Clone, Debug)]
 pub enum Outgoing<M> {
     /// Send nothing this round.
     Silent,
-    /// Broadcast the same message to every neighbour (the only option besides
-    /// silence in CONGEST_BC).
+    /// Broadcast the same message to every neighbour.
     Broadcast(M),
-    /// Send individual messages to selected neighbours, addressed by their
-    /// network identifier. Only valid in LOCAL and CONGEST.
-    Unicast(Vec<(u64, M)>),
 }
 
 impl<M> Outgoing<M> {
@@ -61,20 +59,6 @@ impl<M> Outgoing<M> {
     pub fn is_silent(&self) -> bool {
         matches!(self, Outgoing::Silent)
     }
-}
-
-/// One delivery record in the flat inbox arena: which sender produced the
-/// message and where inside its outbox the payload lives. Payloads are
-/// resolved lazily by [`Inbox`], so a broadcast to `d` neighbours stores `d`
-/// 16-byte packets instead of `d` payload clones.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct Packet {
-    /// Network id of the sender (delivery order key).
-    pub from: u64,
-    /// Storage slot of the sender in the network (not its graph vertex).
-    pub sender: u32,
-    /// Index into the sender's unicast list (unused for broadcasts).
-    pub unicast_idx: u32,
 }
 
 /// A message received from a neighbour. The payload borrows from the sender's
@@ -95,32 +79,19 @@ impl<M> Clone for Incoming<'_, M> {
 }
 impl<M> Copy for Incoming<'_, M> {}
 
-/// How an [`Inbox`] locates its messages.
-///
-/// `Packets` is the general form: a slice of the engine's delivery arena
-/// (covers unicast and mixed rounds). `Broadcasts` is the fast path for
-/// rounds in which every sender broadcast or stayed silent — the normal case
-/// in CONGEST_BC — where the receiver's pre-sorted neighbour list *is* the
-/// delivery structure and no arena needs building at all.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum InboxSource<'a> {
-    /// Packets from the delivery arena. Fault filtering (if any) happened at
-    /// arena-build time, so the packets are exactly the surviving deliveries.
-    Packets(&'a [Packet]),
-    /// The storage slots of the receiver's neighbours (sorted by network
-    /// id); silent senders are skipped during iteration. The second slice
-    /// maps slot → network id. The filter, when present, additionally
-    /// suppresses deliveries the installed [`crate::FaultPlan`] kills this
-    /// round.
-    Broadcasts(&'a [u32], &'a [u64], Option<DeliveryFilter<'a>>),
-}
-
-/// A vertex's inbox for one round: a flat, allocation-free view over the
-/// engine's delivery structures. Iterate it to obtain [`Incoming`] messages
-/// in deterministic order (increasing sender id, then sender send-order).
+/// A vertex's inbox for one round: an allocation-free view over the
+/// receiver's neighbour list. Iterate it to obtain [`Incoming`] messages in
+/// deterministic order (increasing sender id); silent senders, and senders
+/// whose broadcast the installed [`crate::FaultPlan`] drops, are skipped.
 #[derive(Debug)]
 pub struct Inbox<'a, M> {
-    pub(crate) source: InboxSource<'a>,
+    /// The storage slots of the receiver's neighbours, sorted by network id.
+    pub(crate) neighbors: &'a [u32],
+    /// Network id of every slot.
+    pub(crate) ids: &'a [u64],
+    /// The deliveries the fault plan allows this round, if one is active.
+    pub(crate) filter: Option<DeliveryFilter<'a>>,
+    /// Every slot's outbox.
     pub(crate) outboxes: &'a [Outgoing<M>],
 }
 
@@ -136,35 +107,36 @@ impl<'a, M> Inbox<'a, M> {
     /// An inbox with no messages (used for round 0 and in tests).
     pub fn empty() -> Inbox<'static, M> {
         Inbox {
-            source: InboxSource::Packets(&[]),
+            neighbors: &[],
+            ids: &[],
+            filter: None,
             outboxes: &[],
         }
     }
 
-    /// Number of messages received this round. Constant-time on arena-backed
-    /// inboxes; on the broadcast fast path it counts the non-silent
-    /// neighbours (`O(degree)`).
-    pub fn len(&self) -> usize {
-        match self.source {
-            InboxSource::Packets(packets) => packets.len(),
-            InboxSource::Broadcasts(neighbors, _, filter) => neighbors
-                .iter()
-                .filter(|&&u| {
-                    !self.outboxes[u as usize].is_silent()
-                        && filter.is_none_or(|f| f.delivers_from(u))
-                })
-                .count(),
+    /// The payload the neighbour in slot `u` delivers this round, if any.
+    fn payload_from(&self, u: u32) -> Option<&'a M> {
+        let outboxes = self.outboxes;
+        match &outboxes[u as usize] {
+            Outgoing::Broadcast(m) if self.filter.is_none_or(|f| f.delivers_from(u)) => Some(m),
+            _ => None,
         }
+    }
+
+    /// Number of messages received this round (`O(degree)`: it counts the
+    /// neighbours that deliver).
+    pub fn len(&self) -> usize {
+        self.neighbors
+            .iter()
+            .filter(|&&u| self.payload_from(u).is_some())
+            .count()
     }
 
     /// Whether nothing was received.
     pub fn is_empty(&self) -> bool {
-        match self.source {
-            InboxSource::Packets(packets) => packets.is_empty(),
-            InboxSource::Broadcasts(neighbors, _, filter) => neighbors.iter().all(|&u| {
-                self.outboxes[u as usize].is_silent() || filter.is_some_and(|f| !f.delivers_from(u))
-            }),
-        }
+        self.neighbors
+            .iter()
+            .all(|&u| self.payload_from(u).is_none())
     }
 
     /// Iterates the received messages in deterministic order.
@@ -208,54 +180,21 @@ impl<'a, M> Iterator for InboxIter<'a, M> {
     type Item = Incoming<'a, M>;
 
     fn next(&mut self) -> Option<Incoming<'a, M>> {
-        match self.inbox.source {
-            InboxSource::Packets(packets) => {
-                let packet = packets.get(self.next)?;
-                self.next += 1;
-                let payload = match &self.inbox.outboxes[packet.sender as usize] {
-                    Outgoing::Broadcast(m) => m,
-                    Outgoing::Unicast(messages) => &messages[packet.unicast_idx as usize].1,
-                    Outgoing::Silent => {
-                        unreachable!("delivery arena refers to a silent sender")
-                    }
-                };
-                Some(Incoming {
-                    from: packet.from,
+        let inbox = self.inbox;
+        loop {
+            let &u = inbox.neighbors.get(self.next)?;
+            self.next += 1;
+            if let Some(payload) = inbox.payload_from(u) {
+                return Some(Incoming {
+                    from: inbox.ids[u as usize],
                     payload,
-                })
+                });
             }
-            InboxSource::Broadcasts(neighbors, ids, filter) => loop {
-                let &u = neighbors.get(self.next)?;
-                self.next += 1;
-                if let Some(filter) = filter {
-                    if !filter.delivers_from(u) {
-                        continue;
-                    }
-                }
-                match &self.inbox.outboxes[u as usize] {
-                    Outgoing::Silent => continue,
-                    Outgoing::Broadcast(m) => {
-                        return Some(Incoming {
-                            from: ids[u as usize],
-                            payload: m,
-                        });
-                    }
-                    Outgoing::Unicast(_) => {
-                        unreachable!("broadcast fast path used in a round with unicasts")
-                    }
-                }
-            },
         }
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        match self.inbox.source {
-            InboxSource::Packets(packets) => {
-                let remaining = packets.len() - self.next;
-                (remaining, Some(remaining))
-            }
-            InboxSource::Broadcasts(neighbors, _, _) => (0, Some(neighbors.len() - self.next)),
-        }
+        (0, Some(self.inbox.neighbors.len() - self.next))
     }
 }
 
@@ -302,8 +241,6 @@ mod tests {
             neighbor_ids: vec![2, 5, 11],
         };
         assert_eq!(ctx.degree(), 3);
-        assert!(ctx.is_neighbor(5));
-        assert!(!ctx.is_neighbor(7));
     }
 
     #[test]
@@ -311,37 +248,6 @@ mod tests {
         let s: Outgoing<u32> = Outgoing::Silent;
         assert!(s.is_silent());
         assert!(!Outgoing::Broadcast(3u32).is_silent());
-        assert!(!Outgoing::Unicast(vec![(1, 2u32)]).is_silent());
-    }
-
-    #[test]
-    fn inbox_resolves_broadcasts_and_unicasts() {
-        let outboxes: Vec<Outgoing<u32>> = vec![
-            Outgoing::Broadcast(70),
-            Outgoing::Silent,
-            Outgoing::Unicast(vec![(9, 41), (3, 42)]),
-        ];
-        let packets = vec![
-            Packet {
-                from: 0,
-                sender: 0,
-                unicast_idx: 0,
-            },
-            Packet {
-                from: 2,
-                sender: 2,
-                unicast_idx: 1,
-            },
-        ];
-        let inbox = Inbox {
-            source: InboxSource::Packets(&packets),
-            outboxes: &outboxes,
-        };
-        assert_eq!(inbox.len(), 2);
-        assert!(!inbox.is_empty());
-        let received: Vec<(u64, u32)> = inbox.iter().map(|m| (m.from, *m.payload)).collect();
-        assert_eq!(received, vec![(0, 70), (2, 42)]);
-        assert_eq!(inbox.iter().count(), 2);
     }
 
     #[test]
@@ -354,7 +260,9 @@ mod tests {
         let ids = vec![10u64, 11, 12];
         let neighbors = vec![0u32, 1, 2];
         let inbox = Inbox {
-            source: InboxSource::Broadcasts(&neighbors, &ids, None),
+            neighbors: &neighbors,
+            ids: &ids,
+            filter: None,
             outboxes: &outboxes,
         };
         assert_eq!(inbox.len(), 2);
@@ -381,7 +289,9 @@ mod tests {
             vertex_at: &[0, 1, 2, 3],
         };
         let inbox = Inbox {
-            source: InboxSource::Broadcasts(&neighbors, &ids, Some(filter)),
+            neighbors: &neighbors,
+            ids: &ids,
+            filter: Some(filter),
             outboxes: &outboxes,
         };
         assert_eq!(inbox.len(), 2);

@@ -87,14 +87,14 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Consumes exactly `n` bytes from the front of `input`.
-fn take<'a>(input: &mut &'a [u8], n: usize) -> Result<&'a [u8], CodecError> {
-    if input.len() < n {
-        return Err(CodecError::Truncated);
-    }
-    let (head, tail) = input.split_at(n);
+/// Consumes exactly `N` bytes from the front of `input`.
+fn take_array<const N: usize>(input: &mut &[u8]) -> Result<[u8; N], CodecError> {
+    let bytes = *input;
+    let (head, tail) = bytes
+        .split_first_chunk::<N>()
+        .ok_or(CodecError::Truncated)?;
     *input = tail;
-    Ok(head)
+    Ok(*head)
 }
 
 /// A type that can write itself to bytes and read itself back. Implement it
@@ -112,10 +112,7 @@ impl ByteCodec for u64 {
         out.extend_from_slice(&self.to_le_bytes());
     }
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
-        let bytes = take(input, 8)?;
-        Ok(u64::from_le_bytes(
-            bytes.try_into().expect("take returned 8 bytes"),
-        ))
+        take_array(input).map(u64::from_le_bytes)
     }
 }
 
@@ -124,10 +121,7 @@ impl ByteCodec for u32 {
         out.extend_from_slice(&self.to_le_bytes());
     }
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
-        let bytes = take(input, 4)?;
-        Ok(u32::from_le_bytes(
-            bytes.try_into().expect("take returned 4 bytes"),
-        ))
+        take_array(input).map(u32::from_le_bytes)
     }
 }
 
@@ -146,9 +140,9 @@ impl ByteCodec for bool {
         out.push(u8::from(*self));
     }
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
-        match take(input, 1)?[0] {
-            0 => Ok(false),
-            1 => Ok(true),
+        match take_array(input)? {
+            [0] => Ok(false),
+            [1] => Ok(true),
             _ => Err(CodecError::Malformed("boolean tag out of range")),
         }
     }
@@ -165,9 +159,9 @@ impl<T: ByteCodec> ByteCodec for Option<T> {
         }
     }
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
-        match take(input, 1)?[0] {
-            0 => Ok(None),
-            1 => Ok(Some(T::decode(input)?)),
+        match take_array(input)? {
+            [0] => Ok(None),
+            [1] => Ok(Some(T::decode(input)?)),
             _ => Err(CodecError::Malformed("option tag out of range")),
         }
     }
@@ -200,29 +194,13 @@ impl<M: ByteCodec> ByteCodec for Outgoing<M> {
                 out.push(1);
                 m.encode(out);
             }
-            Outgoing::Unicast(messages) => {
-                out.push(2);
-                messages.len().encode(out);
-                for (target, m) in messages {
-                    target.encode(out);
-                    m.encode(out);
-                }
-            }
         }
     }
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
-        match take(input, 1)?[0] {
-            0 => Ok(Outgoing::Silent),
-            1 => Ok(Outgoing::Broadcast(M::decode(input)?)),
-            2 => {
-                let len = usize::decode(input)?;
-                let mut messages = Vec::with_capacity(len.min(input.len()));
-                for _ in 0..len {
-                    let target = u64::decode(input)?;
-                    messages.push((target, M::decode(input)?));
-                }
-                Ok(Outgoing::Unicast(messages))
-            }
+        match take_array(input)? {
+            [0] => Ok(Outgoing::Silent),
+            [1] => Ok(Outgoing::Broadcast(M::decode(input)?)),
+            // Tag 2, per-neighbour messages, is retired with the variant.
             _ => Err(CodecError::Malformed("outgoing tag out of range")),
         }
     }
@@ -354,13 +332,11 @@ where
     if version != VERSION {
         return Err(CodecError::UnsupportedVersion(version));
     }
-    let payload = &bytes[6..bytes.len() - 8];
-    let stored = u64::from_le_bytes(
-        bytes[bytes.len() - 8..]
-            .try_into()
-            .expect("checksum slice is 8 bytes"),
-    );
-    if fnv1a(payload) != stored {
+    let Some((framed, checksum)) = bytes.split_last_chunk::<8>() else {
+        return Err(CodecError::Truncated);
+    };
+    let payload = &framed[6..];
+    if fnv1a(payload) != u64::from_le_bytes(*checksum) {
         return Err(CodecError::Checksum);
     }
 
@@ -585,16 +561,25 @@ mod tests {
     }
 
     #[test]
-    fn unicast_outboxes_round_trip() {
-        let outbox: Outgoing<u64> = Outgoing::Unicast(vec![(9, 41), (3, 42)]);
-        let mut bytes = Vec::new();
-        outbox.encode(&mut bytes);
-        let mut input = bytes.as_slice();
-        let decoded = Outgoing::<u64>::decode(&mut input).unwrap();
-        assert!(input.is_empty());
-        match decoded {
-            Outgoing::Unicast(messages) => assert_eq!(messages, vec![(9, 41), (3, 42)]),
-            other => panic!("wrong variant {other:?}"),
+    fn retired_and_unknown_outgoing_tags_are_typed_errors() {
+        // Tag 2 once carried per-neighbour messages: a count, then
+        // `(target, message)` pairs. Every tag is followed by such a body,
+        // well formed for the retired tag 2.
+        let mut former_unicast_body = Vec::new();
+        2usize.encode(&mut former_unicast_body);
+        for (target, message) in [(9u64, 41u64), (3, 42)] {
+            target.encode(&mut former_unicast_body);
+            message.encode(&mut former_unicast_body);
+        }
+        for tag in 2..=u8::MAX {
+            let mut bytes = vec![tag];
+            bytes.extend_from_slice(&former_unicast_body);
+            let mut input = bytes.as_slice();
+            assert_eq!(
+                Outgoing::<u64>::decode(&mut input).unwrap_err(),
+                CodecError::Malformed("outgoing tag out of range"),
+                "tag {tag}"
+            );
         }
     }
 

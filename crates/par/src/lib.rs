@@ -326,37 +326,6 @@ impl ExecutionStrategy {
         });
     }
 
-    /// Calls `f(i, &mut out[i])` for every index, possibly in parallel
-    /// chunks — the in-place variant of [`ExecutionStrategy::map_collect`]
-    /// for pre-allocated buffers.
-    pub fn apply<B, F>(self, out: &mut [B], f: F)
-    where
-        B: Send,
-        F: Fn(usize, &mut B) + Sync,
-    {
-        let n = out.len();
-        let threads = self.threads_for(n);
-        if threads <= 1 || n == 0 {
-            for (i, slot) in out.iter_mut().enumerate() {
-                f(i, slot);
-            }
-            return;
-        }
-        let chunk = n.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (idx, part) in out.chunks_mut(chunk).enumerate() {
-                let base = idx * chunk;
-                let f = &f;
-                scope.spawn(move || {
-                    self.stagger(idx);
-                    for (i, slot) in part.iter_mut().enumerate() {
-                        f(base + i, slot);
-                    }
-                });
-            }
-        });
-    }
-
     /// Calls `f(i, &mut a[i], &mut b[i])` for every index, possibly in
     /// parallel chunks. This is the allocation-free primitive behind the
     /// superstep engine's round evaluation: `a` holds the mutable per-vertex
@@ -388,32 +357,6 @@ impl ExecutionStrategy {
                     for (i, (x, y)) in ca.iter_mut().zip(cb.iter_mut()).enumerate() {
                         f(base + i, x, y);
                     }
-                });
-            }
-        });
-    }
-
-    /// Runs `f` once per job, possibly spreading jobs across threads. Jobs
-    /// carry their own disjoint `&mut` state (e.g. one arena slice each), so
-    /// no synchronisation is needed; with `Sequential` (or a single job)
-    /// they simply run in order on the calling thread.
-    pub fn run_jobs<J, F>(self, jobs: Vec<J>, f: F)
-    where
-        J: Send,
-        F: Fn(J) + Sync,
-    {
-        if jobs.len() <= 1 || !self.is_parallel() {
-            for job in jobs {
-                f(job);
-            }
-            return;
-        }
-        std::thread::scope(|scope| {
-            for (idx, job) in jobs.into_iter().enumerate() {
-                let f = &f;
-                scope.spawn(move || {
-                    self.stagger(idx);
-                    f(job)
                 });
             }
         });
@@ -555,21 +498,6 @@ mod tests {
     }
 
     #[test]
-    fn strategies_agree_on_apply() {
-        for n in [0usize, 1, 9, 5000] {
-            let run = |strategy: ExecutionStrategy| {
-                let mut out = vec![0usize; n];
-                strategy.apply(&mut out, |i, slot| *slot = i * 3 + 1);
-                out
-            };
-            assert_eq!(
-                run(ExecutionStrategy::Sequential),
-                run(ExecutionStrategy::Parallel)
-            );
-        }
-    }
-
-    #[test]
     fn strategies_agree_on_zip_apply() {
         for n in [0usize, 1, 5, 997] {
             let run = |strategy: ExecutionStrategy| {
@@ -585,19 +513,6 @@ mod tests {
                 run(ExecutionStrategy::Sequential),
                 run(ExecutionStrategy::Parallel)
             );
-        }
-    }
-
-    #[test]
-    fn run_jobs_touches_every_job() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        for strategy in [ExecutionStrategy::Sequential, ExecutionStrategy::Parallel] {
-            let hits = AtomicUsize::new(0);
-            let jobs: Vec<usize> = (0..37).collect();
-            strategy.run_jobs(jobs, |j| {
-                hits.fetch_add(j + 1, Ordering::Relaxed);
-            });
-            assert_eq!(hits.load(Ordering::Relaxed), (1..=37).sum::<usize>());
         }
     }
 
@@ -763,12 +678,16 @@ mod tests {
             };
             assert_eq!(with(ExecutionStrategy::Sequential), with(pooled));
 
-            let apply = |strategy: ExecutionStrategy| {
+            let zip = |strategy: ExecutionStrategy| {
+                let mut state: Vec<usize> = (0..n).collect();
                 let mut out = vec![0usize; n];
-                strategy.apply(&mut out, |i, slot| *slot = i ^ 0x5555);
-                out
+                strategy.zip_apply(&mut state, &mut out, |i, s, o| {
+                    *s ^= 0x5555;
+                    *o = *s + i;
+                });
+                (state, out)
             };
-            assert_eq!(apply(ExecutionStrategy::Sequential), apply(pooled));
+            assert_eq!(zip(ExecutionStrategy::Sequential), zip(pooled));
 
             let chunks = pooled.chunk_collect_with(n, || (), |(), range| range);
             let mut expected_start = 0;
