@@ -200,7 +200,8 @@ impl<M: ByteCodec> ByteCodec for Outgoing<M> {
         match take_array(input)? {
             [0] => Ok(Outgoing::Silent),
             [1] => Ok(Outgoing::Broadcast(M::decode(input)?)),
-            // Tag 2, per-neighbour messages, is retired with the variant.
+            // Tag 2 once held per-neighbour messages. Never reuse it, so a
+            // frame that carries it stays a typed error.
             _ => Err(CodecError::Malformed("outgoing tag out of range")),
         }
     }
