@@ -95,9 +95,9 @@ fn seq_matches(ctx: &FileContext, i: usize, pat: &[&str]) -> bool {
 /// **L1 — `narrow-cast`**: no unchecked narrowing `as u8`/`as u16`/`as u32`
 /// on wire-path code.
 ///
-/// PR 4 hand-swept these off the wire paths (`WireId`'s checked `u16` width,
-/// delivery-CSR offsets, stored-path lengths) because a silently wrapping
-/// cast corrupts bit accounting instead of failing loudly. Scope: the
+/// The wire paths were swept clean of these by hand (delivery-CSR offsets,
+/// stored-path lengths) because a silently wrapping cast corrupts bit
+/// accounting instead of failing loudly. Scope: the
 /// message-carrying crates (`bedom-distsim`, `bedom-wcol::distributed`,
 /// `bedom-core::dist_*`) plus the wire-adjacent graph interchange paths
 /// (`io.rs`, `components.rs`). Widening casts (`as usize`, `as u64`) never
@@ -201,8 +201,8 @@ impl Lint for HashOrder {
 ///
 /// `Instant::now`, `SystemTime` and `RandomState` make runs unrepeatable;
 /// reproducibility is the property the whole KSV reproduction leans on.
-/// Timing belongs in `bedom-bench` and the criterion shim; everything else
-/// takes seeds (`bedom-rng`) and counts rounds/bits, not seconds.
+/// Timing belongs in `bedom-bench`; everything else takes seeds
+/// (`bedom-rng`) and counts rounds/bits, not seconds.
 #[derive(Debug)]
 pub struct WallClock;
 
@@ -212,14 +212,12 @@ impl Lint for WallClock {
     }
 
     fn description(&self) -> &'static str {
-        "wall-clock/entropy source outside bedom-bench and the criterion shim"
+        "wall-clock/entropy source outside bedom-bench"
     }
 
     fn applies(&self, ctx: &FileContext) -> bool {
         let p = ctx.path.as_str();
-        !p.starts_with("crates/bench/")
-            && !p.starts_with("crates/criterion-shim/")
-            && !matches!(ctx.kind, FileKind::Test | FileKind::Bench)
+        !p.starts_with("crates/bench/") && !matches!(ctx.kind, FileKind::Test | FileKind::Bench)
     }
 
     fn check(&self, ctx: &FileContext, out: &mut Vec<Finding>) {

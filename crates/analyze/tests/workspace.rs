@@ -1,7 +1,7 @@
 //! The analyzer over the real workspace: the committed `analyze.toml` must
 //! leave zero violations (what CI's `--deny` step asserts), and the lints
-//! must catch a seeded regression — reverting the PR-4-era checked cast in
-//! the wire-id codec makes `narrow-cast` fire again.
+//! must catch a seeded regression — reverting the checked cast of the
+//! engine's delivery-CSR offsets makes `narrow-cast` fire again.
 
 use bedom_analyze::{analyze_source, Allowlist, FileKind};
 use std::path::Path;
@@ -57,15 +57,15 @@ fn no_narrow_cast_entries_survive_in_the_committed_allowlist() {
 }
 
 #[test]
-fn seeded_regression_reverting_the_checked_wire_id_cast_is_caught() {
-    // `WireId::new` narrows `id_bits(n)` to u16 through a checked
-    // conversion (introduced in the PR-4 message-codec work). Assert the
-    // real file is clean, then revert the cast in memory to the unchecked
-    // `as u16` form and assert the analyzer catches it — this is the
-    // regression CI's `--deny` step exists to stop.
-    let path = workspace_root().join("crates/distsim/src/message.rs");
-    let src = std::fs::read_to_string(&path).expect("message.rs must exist");
-    let rel = "crates/distsim/src/message.rs";
+fn seeded_regression_reverting_the_checked_delivery_offset_cast_is_caught() {
+    // `Network::new` narrows each delivery-CSR offset to u32 through the
+    // checked `u32_from_usize`. Assert the real file is clean, then revert
+    // the cast in memory to the unchecked `as u32` form and assert the
+    // analyzer catches it — this is the regression CI's `--deny` step exists
+    // to stop.
+    let path = workspace_root().join("crates/distsim/src/network.rs");
+    let src = std::fs::read_to_string(&path).expect("network.rs must exist");
+    let rel = "crates/distsim/src/network.rs";
 
     let clean: Vec<_> = analyze_source(rel, &src)
         .into_iter()
@@ -73,15 +73,15 @@ fn seeded_regression_reverting_the_checked_wire_id_cast_is_caught() {
         .collect();
     assert!(
         clean.is_empty(),
-        "message.rs regressed on its own: {clean:?}"
+        "network.rs regressed on its own: {clean:?}"
     );
 
-    let checked = "bits: u16::try_from(crate::model::id_bits(n))";
+    let checked = "nbr_offsets.push(u32_from_usize(delivery_order.len()));";
     assert!(
         src.contains(checked),
         "the checked cast moved — update this regression test alongside it"
     );
-    let reverted = src.replace(checked, "bits: crate::model::id_bits(n) as u16 //");
+    let reverted = src.replace(checked, "nbr_offsets.push(delivery_order.len() as u32);");
     let hits: Vec<_> = analyze_source(rel, &reverted)
         .into_iter()
         .filter(|f| f.lint == "narrow-cast")

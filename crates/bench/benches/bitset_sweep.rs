@@ -17,23 +17,19 @@
 //! time, lost to the per-source scalar sweep on every instance it was
 //! measured on and was deleted; the README records its figures.
 //!
-//! Run with `BEDOM_BENCH_JSON=BENCH_bitset.json` to commit the numbers.
+//! Each timing is the median of `SAMPLES` runs after an untimed warm-up run,
+//! and the checks read the last run's output. Run with
+//! `BEDOM_BENCH_JSON=BENCH_bitset.json` to commit the numbers.
 
+use bedom_bench::report::{record_metric, time_samples, write_json_report};
 use bedom_graph::bfs::{multi_source_distances, UNREACHABLE};
 use bedom_graph::bitset::{reach_words64, ReachMatrix};
 use bedom_graph::domset::{bitmask_minimum_domination_number, greedy_distance_dominating_set};
 use bedom_graph::generators::{cycle, stacked_triangulation};
 use bedom_graph::power::all_closed_neighborhoods;
 use bedom_graph::{Graph, Vertex};
-use criterion::{criterion_group, criterion_main, record_metric, Criterion};
-use std::hint::black_box;
-use std::time::Instant;
 
-fn timed(f: impl FnOnce()) -> f64 {
-    let start = Instant::now();
-    f();
-    start.elapsed().as_secs_f64()
-}
+const SAMPLES: usize = 20;
 
 /// The exact oracle as it stood before the kernel (seed version, verbatim
 /// algorithm): scalar closed neighbourhoods folded into u32 masks, then every
@@ -67,7 +63,7 @@ fn full_enumeration_oracle(graph: &Graph, r: u32) -> usize {
     best
 }
 
-fn bench_oracle_leg(_c: &mut Criterion) {
+fn bench_oracle_leg() {
     // C_24 at r = 2 has gamma = ceil(24/5) = 5 — the size-ordered oracle must
     // genuinely scan every subset of size <= 4 before it can answer, so this
     // is its worst case relative to gamma, not a lucky early exit.
@@ -75,22 +71,13 @@ fn bench_oracle_leg(_c: &mut Criterion) {
     let graph = cycle(n);
     let r = 2u32;
 
-    let want = full_enumeration_oracle(&graph, r);
-    let got = bitmask_minimum_domination_number(&graph, r);
+    let (want, full_secs) = time_samples("oracle/full-enumeration/24", SAMPLES, || {
+        full_enumeration_oracle(&graph, r)
+    });
+    let (got, gosper_secs) = time_samples("oracle/size-ordered/24", SAMPLES, || {
+        bitmask_minimum_domination_number(&graph, r)
+    });
     assert_eq!(got, Some(want), "oracle leg: enumerations disagree");
-
-    let full_secs = timed(|| {
-        black_box(full_enumeration_oracle(&graph, r));
-    });
-    // The size-ordered oracle terminates in well under a second; average a
-    // few runs for a stable number.
-    let reps = 20u32;
-    let gosper_total = timed(|| {
-        for _ in 0..reps {
-            black_box(bitmask_minimum_domination_number(&graph, r));
-        }
-    });
-    let gosper_secs = gosper_total / reps as f64;
     println!(
         "oracle leg, cycle (n = {n}, r = {r}, gamma = {want}): full-2^n = {full_secs:.3} s, \
          size-ordered = {gosper_secs:.6} s ({:.0}x)",
@@ -106,7 +93,7 @@ fn bench_oracle_leg(_c: &mut Criterion) {
     let _ = reach_words64(&graph, r);
 }
 
-fn bench_validator_leg(_c: &mut Criterion) {
+fn bench_validator_leg() {
     let n = 512usize;
     let graph = stacked_triangulation(n, 4);
     let r = 2u32;
@@ -130,37 +117,30 @@ fn bench_validator_leg(_c: &mut Criterion) {
         })
         .collect();
 
-    let scalar_verdicts: Vec<bool> = queries
-        .iter()
-        .map(|set| {
-            let dist = multi_source_distances(&graph, set);
-            dist.iter().all(|&d| d != UNREACHABLE && d <= r)
-        })
-        .collect();
-    let matrix = ReachMatrix::build(&graph, r);
-    let matrix_verdicts: Vec<bool> = queries.iter().map(|set| matrix.covers(set)).collect();
+    let (scalar_verdicts, scalar_secs) = time_samples("validator/scalar-bfs/512", SAMPLES, || {
+        queries
+            .iter()
+            .map(|set| {
+                let dist = multi_source_distances(&graph, set);
+                dist.iter().all(|&d| d != UNREACHABLE && d <= r)
+            })
+            .collect::<Vec<bool>>()
+    });
+    // Row build included: the matrix is paid for once per (graph, r), then
+    // every query is a handful of word ORs.
+    let (matrix_verdicts, matrix_secs) = time_samples("validator/bitset-rows/512", SAMPLES, || {
+        let matrix = ReachMatrix::build(&graph, r);
+        queries
+            .iter()
+            .map(|set| matrix.covers(set))
+            .collect::<Vec<bool>>()
+    });
     assert_eq!(
         scalar_verdicts, matrix_verdicts,
         "validator leg: verdicts disagree"
     );
     let positives = scalar_verdicts.iter().filter(|&&v| v).count();
-    drop(matrix);
-
     let q = queries.len();
-    let scalar_secs = timed(|| {
-        for set in &queries {
-            let dist = multi_source_distances(&graph, set);
-            black_box(dist.iter().all(|&d| d != UNREACHABLE && d <= r));
-        }
-    });
-    // Row build included: the matrix is paid for once per (graph, r), then
-    // every query is a handful of word ORs.
-    let matrix_secs = timed(|| {
-        let matrix = ReachMatrix::build(&graph, r);
-        for set in &queries {
-            black_box(matrix.covers(set));
-        }
-    });
     println!(
         "validator leg, planar-tri (n = {n}, r = {r}, {q} queries, {positives} dominating): \
          scalar-bfs = {scalar_secs:.3} s, bitset-rows = {matrix_secs:.3} s ({:.1}x)",
@@ -173,5 +153,8 @@ fn bench_validator_leg(_c: &mut Criterion) {
     record_metric("validator_speedup", scalar_secs / matrix_secs);
 }
 
-criterion_group!(benches, bench_oracle_leg, bench_validator_leg);
-criterion_main!(benches);
+fn main() {
+    bench_oracle_leg();
+    bench_validator_leg();
+    write_json_report();
+}

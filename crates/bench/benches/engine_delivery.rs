@@ -13,17 +13,20 @@
 //!
 //! The sequential and parallel engines are checked to move identical traffic
 //! before timing starts, and a counting global allocator reports the
-//! allocations one run makes.
+//! allocations one run makes. Each timing is the median of `SAMPLES` runs
+//! after an untimed warm-up run. No committed `BENCH_*.json` file holds
+//! these rows; the bench is the instrument for engine delivery until the
+//! engine reports per-round timings itself.
 
 #![allow(unsafe_code)] // the counting allocator implements `GlobalAlloc`
 
+use bedom_bench::report::{time_samples, write_json_report};
 use bedom_distsim::{
     Engine, ExecutionStrategy, IdAssignment, Inbox, Model, Network, NodeAlgorithm, NodeContext,
     Outgoing, RunPolicy,
 };
 use bedom_graph::generators::stacked_triangulation;
 use bedom_graph::Graph;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -32,6 +35,7 @@ const N: usize = 100_000;
 const ROUNDS: usize = 8;
 /// Words per token, sized like the election phase's path-set payloads.
 const P: usize = 48;
+const SAMPLES: usize = 3;
 
 /// Counts heap allocations so the bench can report, next to the timings, how
 /// many allocations one full run performs.
@@ -121,7 +125,7 @@ fn total_bits_engine(graph: &Graph, strategy: ExecutionStrategy) -> usize {
     net.stats().total_bits
 }
 
-fn bench_delivery(c: &mut Criterion) {
+fn bench_delivery() {
     let graph = stacked_triangulation(N, 3);
     // Cross-check: both strategies must move exactly the same traffic.
     assert_eq!(
@@ -137,23 +141,19 @@ fn bench_delivery(c: &mut Criterion) {
     });
     println!("allocations for one {ROUNDS}-round relay on n = {N}: engine-flat = {engine_allocs}");
 
-    let mut group = c.benchmark_group("engine_delivery");
-    group.sample_size(3);
-    group.measurement_time(std::time::Duration::from_secs(2));
-    group.warm_up_time(std::time::Duration::from_millis(200));
-    group.throughput(Throughput::Elements((N * ROUNDS) as u64));
-    group.bench_with_input(
-        BenchmarkId::new("relay8", "engine-flat-seq"),
-        &graph,
-        |b, g| b.iter(|| black_box(total_bits_engine(g, ExecutionStrategy::Sequential))),
-    );
-    group.bench_with_input(
-        BenchmarkId::new("relay8", "engine-flat-par"),
-        &graph,
-        |b, g| b.iter(|| black_box(total_bits_engine(g, ExecutionStrategy::Parallel))),
-    );
-    group.finish();
+    for (id, strategy) in [
+        ("relay8/engine-flat-seq", ExecutionStrategy::Sequential),
+        ("relay8/engine-flat-par", ExecutionStrategy::Parallel),
+    ] {
+        let (_, secs) = time_samples(id, SAMPLES, || total_bits_engine(&graph, strategy));
+        println!(
+            "{id}: {:.3} Melem/s",
+            (N * ROUNDS) as f64 / secs / 1_000_000.0
+        );
+    }
 }
 
-criterion_group!(benches, bench_delivery);
-criterion_main!(benches);
+fn main() {
+    bench_delivery();
+    write_json_report();
+}

@@ -1,7 +1,7 @@
 //! The PR 7 robustness benchmark: what checkpoint-based self-healing costs
 //! on the 100k-vertex headline instances.
 //!
-//! Four distance-2 KSV runs per instance, same graph and seeds throughout:
+//! Four distance-2 KSV variants per instance, same graph and seeds throughout:
 //!
 //! * **clean**: the fault-free baseline (`distributed_ksv_domination_r`);
 //! * **checkpointed**: the same run under a [`RecoveryPolicy`] with an empty
@@ -16,10 +16,14 @@
 //!
 //! The recorded quantities are the wall times, the overhead ratios
 //! (`checkpoint_overhead`, `recovery_overhead`), and the supervisor's
-//! accounting (retries, restored rounds, replayed rounds). Run with
+//! accounting (retries, restored rounds, replayed rounds). Each variant is
+//! timed on one run after an untimed warm-up run, which brings the allocator
+//! to a steady state so the variants compare with each other (and with
+//! `BENCH_ksv.json`); the checks read the timed run's output. Run with
 //! `BEDOM_BENCH_JSON=BENCH_faults.json` to commit the numbers.
 
 use bedom_bench::connected_instance;
+use bedom_bench::report::{record_metric, time_samples, write_json_report};
 use bedom_core::{
     distributed_ksv_domination_r, distributed_ksv_domination_r_faulty, ksv_rounds, KsvConfig,
 };
@@ -27,9 +31,6 @@ use bedom_distsim::{ExecutionStrategy, FaultPlan, IdAssignment, RecoveryPolicy};
 use bedom_graph::domset::is_distance_dominating_set;
 use bedom_graph::generators::{stacked_triangulation, Family};
 use bedom_graph::Graph;
-use criterion::{criterion_group, criterion_main, record_metric, Criterion};
-use std::hint::black_box;
-use std::time::Instant;
 
 const N: usize = 100_000;
 const SEED: u64 = 0xd15d;
@@ -38,9 +39,9 @@ const R: u32 = 2;
 fn ksv_config() -> KsvConfig {
     KsvConfig {
         assignment: IdAssignment::Shuffled(SEED),
-        // Pinned Sequential so the numbers are engine-work for engine-work on
-        // any machine (the container is single-core anyway); fault decisions
-        // are stateless hashes, so the strategy does not change the outcome.
+        // Pinned Sequential so the numbers compare engine work with engine
+        // work whatever the machine's core count; fault decisions are
+        // stateless hashes, so the strategy does not change the outcome.
         ..KsvConfig::with_strategy(ExecutionStrategy::Sequential)
     }
 }
@@ -56,7 +57,7 @@ fn recovery_policy() -> RecoveryPolicy {
     RecoveryPolicy::new(4, 8)
 }
 
-fn bench_fault_recovery(_c: &mut Criterion) {
+fn bench_fault_recovery() {
     let instances: Vec<(&str, Graph)> = vec![
         ("planar-tri-faults", stacked_triangulation(N, 3)),
         (
@@ -70,24 +71,16 @@ fn bench_fault_recovery(_c: &mut Criterion) {
         record_metric(&format!("{name}_n"), n as f64);
         record_metric(&format!("{name}_r"), R as f64);
 
-        // Validity and the acceptance contract, checked before timing — this
-        // untimed run also warms the allocator so the timed runs below are
-        // comparable to each other (and to `BENCH_ksv.json`).
-        let clean = distributed_ksv_domination_r(graph, R, ksv_config()).unwrap();
+        // Fault-free baseline.
+        let (clean, clean_secs) = time_samples(&format!("clean/{name}/{n}"), 1, || {
+            distributed_ksv_domination_r(graph, R, ksv_config()).unwrap()
+        });
         assert!(is_distance_dominating_set(graph, &clean.dominating_set, R));
         assert_eq!(clean.rounds, ksv_rounds(R));
 
-        // Fault-free baseline.
-        let clean_secs = {
-            let start = Instant::now();
-            black_box(distributed_ksv_domination_r(graph, R, ksv_config()).unwrap());
-            start.elapsed().as_secs_f64()
-        };
-
         // Checkpointing without faults: the pure snapshot cost.
-        let (checkpointed, checkpointed_secs) = {
-            let start = Instant::now();
-            let result = black_box(
+        let (checkpointed, checkpointed_secs) =
+            time_samples(&format!("checkpointed/{name}/{n}"), 1, || {
                 distributed_ksv_domination_r_faulty(
                     graph,
                     R,
@@ -95,10 +88,8 @@ fn bench_fault_recovery(_c: &mut Criterion) {
                     FaultPlan::seeded(SEED),
                     Some(recovery_policy()),
                 )
-                .unwrap(),
-            );
-            (result, start.elapsed().as_secs_f64())
-        };
+                .unwrap()
+            });
         let checkpoint_report = checkpointed.recovery.as_ref().unwrap();
         assert_eq!(
             checkpoint_report.retries, 0,
@@ -107,34 +98,22 @@ fn bench_fault_recovery(_c: &mut Criterion) {
         assert_eq!(checkpointed.dominating_set, clean.dominating_set);
 
         // Lossy without recovery: must degrade to a typed violation.
-        let (lossy, lossy_secs) = {
-            let start = Instant::now();
-            let result = black_box(distributed_ksv_domination_r_faulty(
+        let (lossy, lossy_secs) = time_samples(&format!("lossy/{name}/{n}"), 1, || {
+            distributed_ksv_domination_r_faulty(graph, R, ksv_config(), lossy_plan(), None)
+        });
+        let violation = lossy.expect_err("a 50% drop window at n = 100k must be detected");
+
+        // Lossy under recovery: must heal to the fault-free set.
+        let (healed, healed_secs) = time_samples(&format!("healed/{name}/{n}"), 1, || {
+            distributed_ksv_domination_r_faulty(
                 graph,
                 R,
                 ksv_config(),
                 lossy_plan(),
-                None,
-            ));
-            (result, start.elapsed().as_secs_f64())
-        };
-        let violation = lossy.expect_err("a 50% drop window at n = 100k must be detected");
-
-        // Lossy under recovery: must heal to the fault-free set.
-        let (healed, healed_secs) = {
-            let start = Instant::now();
-            let result = black_box(
-                distributed_ksv_domination_r_faulty(
-                    graph,
-                    R,
-                    ksv_config(),
-                    lossy_plan(),
-                    Some(recovery_policy()),
-                )
-                .unwrap(),
-            );
-            (result, start.elapsed().as_secs_f64())
-        };
+                Some(recovery_policy()),
+            )
+            .unwrap()
+        });
         let report = healed.recovery.as_ref().unwrap();
         assert!(report.retries >= 1, "{name}: recovery must have fired");
         assert_eq!(
@@ -196,5 +175,7 @@ fn bench_fault_recovery(_c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_fault_recovery);
-criterion_main!(benches);
+fn main() {
+    bench_fault_recovery();
+    write_json_report();
+}

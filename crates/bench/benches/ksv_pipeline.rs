@@ -14,15 +14,24 @@
 //!
 //! The recorded quantities are the acceptance metrics of the PR: engine
 //! rounds, total wire bits, set sizes against the packing lower bound, and
-//! wall time. Outputs are validity-checked before timing starts. Run with
-//! `BEDOM_BENCH_JSON=BENCH_ksv.json` to commit the numbers.
+//! wall time. Each protocol is timed after an untimed warm-up run, and the
+//! last timed run's output is validity-checked; the `*_seconds` metrics are
+//! the medians of the timing rows. Run with `BEDOM_BENCH_JSON=BENCH_ksv.json` to commit the
+//! numbers.
 //!
 //! The distance-r generalisation (arXiv:2207.02669) runs at the full
 //! `N` = 100k headline sizes on the summary flood (per-edge dedup,
 //! dictionary compression, hub-clustered summaries), and per-phase bit
 //! buckets show where the wire budget goes.
+//!
+//! Frozen rows: the 22 `planar-tri-flood_*` and `config-model-flood_*`
+//! metrics of `BENCH_ksv.json` compared the former per-path record flood
+//! with the summary flood on 10k instances. The record flood is deleted, so
+//! this bench no longer writes them; they are carried over unchanged when
+//! the file is regenerated.
 
 use bedom_bench::connected_instance;
+use bedom_bench::report::{record_metric, time_samples, write_json_report};
 use bedom_core::{
     distributed_distance_domination, distributed_ksv_domination, distributed_ksv_domination_r,
     ksv_rounds, DistDomSetConfig, KsvConfig, KsvDomResult, KSV_ROUNDS,
@@ -31,18 +40,17 @@ use bedom_distsim::{ExecutionStrategy, IdAssignment};
 use bedom_graph::domset::{is_distance_dominating_set, packing_lower_bound};
 use bedom_graph::generators::{stacked_triangulation, Family};
 use bedom_graph::Graph;
-use criterion::{criterion_group, criterion_main, record_metric, BenchmarkId, Criterion};
-use std::hint::black_box;
-use std::time::Instant;
 
 const N: usize = 100_000;
 const SEED: u64 = 0xd15d;
+/// Timed runs per protocol at r = 1; the r = 2 runs take one each.
+const SAMPLES: usize = 2;
 
 fn t9_config_r(r: u32) -> DistDomSetConfig {
     DistDomSetConfig {
         assignment: IdAssignment::Shuffled(SEED),
-        // Pinned Sequential so the comparison is engine-work for engine-work
-        // on any machine (the container is single-core anyway).
+        // Pinned Sequential so the comparison is engine work for engine work
+        // whatever the machine's core count.
         ..DistDomSetConfig::with_strategy(r, ExecutionStrategy::Sequential)
     }
 }
@@ -79,7 +87,7 @@ fn record_phase_bits(name: &str, ksv: &KsvDomResult) {
     );
 }
 
-fn bench_ksv_pipeline(c: &mut Criterion) {
+fn bench_ksv_pipeline() {
     let instances: Vec<(&str, Graph)> = vec![
         ("planar-tri", stacked_triangulation(N, 3)),
         (
@@ -88,18 +96,17 @@ fn bench_ksv_pipeline(c: &mut Criterion) {
         ),
     ];
 
-    let mut group = c.benchmark_group("ksv_pipeline");
-    group.sample_size(2);
-    group.measurement_time(std::time::Duration::from_secs(1));
-    group.warm_up_time(std::time::Duration::from_millis(1));
-
     for (name, graph) in &instances {
         let n = graph.num_vertices();
         record_metric(&format!("{name}_n"), n as f64);
 
-        // Validity and the acceptance contract, checked before timing.
-        let t9 = distributed_distance_domination(graph, t9_config()).unwrap();
-        let ksv = distributed_ksv_domination(graph, ksv_config()).unwrap();
+        let (t9, t9_secs) = time_samples(&format!("order-based/{name}/{n}"), SAMPLES, || {
+            distributed_distance_domination(graph, t9_config()).unwrap()
+        });
+        let (ksv, ksv_secs) = time_samples(&format!("ksv/{name}/{n}"), SAMPLES, || {
+            distributed_ksv_domination(graph, ksv_config()).unwrap()
+        });
+        // Validity and the acceptance contract.
         assert!(is_distance_dominating_set(graph, &t9.dominating_set, 1));
         assert!(is_distance_dominating_set(graph, &ksv.dominating_set, 1));
         assert_eq!(
@@ -108,17 +115,6 @@ fn bench_ksv_pipeline(c: &mut Criterion) {
         );
         let lb = packing_lower_bound(graph, 1);
         let t9_bits: usize = t9.phase_stats.iter().map(|s| s.total_bits).sum();
-
-        let t9_secs = {
-            let start = Instant::now();
-            black_box(distributed_distance_domination(graph, t9_config()).unwrap());
-            start.elapsed().as_secs_f64()
-        };
-        let ksv_secs = {
-            let start = Instant::now();
-            black_box(distributed_ksv_domination(graph, ksv_config()).unwrap());
-            start.elapsed().as_secs_f64()
-        };
 
         println!(
             "{name} (n = {n}): order-based = {} rounds / {t9_bits} bits / |D| = {} in {t9_secs:.2} s, \
@@ -167,43 +163,15 @@ fn bench_ksv_pipeline(c: &mut Criterion) {
             &format!("{name}_bit_reduction"),
             t9_bits as f64 / ksv.stats.total_bits.max(1) as f64,
         );
-
-        group.bench_with_input(
-            BenchmarkId::new(format!("order-based/{name}"), n),
-            graph,
-            |b, g| {
-                b.iter(|| {
-                    black_box(
-                        distributed_distance_domination(g, t9_config())
-                            .unwrap()
-                            .dominating_set
-                            .len(),
-                    )
-                })
-            },
-        );
-        group.bench_with_input(BenchmarkId::new(format!("ksv/{name}"), n), graph, |b, g| {
-            b.iter(|| {
-                black_box(
-                    distributed_ksv_domination(g, ksv_config())
-                        .unwrap()
-                        .dominating_set
-                        .len(),
-                )
-            })
-        });
     }
-    group.finish();
 }
 
 /// The distance-r headline: KSV at r = 2 against the order-based pipeline at
 /// r = 2 on the same full-size (`N`) instances and seeds — feasible since
-/// the summary flood replaced per-path record re-shipping. The acceptance
-/// contract (total KSV bits ≤ 2× the order-based bits) is asserted before
-/// anything is timed. One validity-checked run plus one timed run per
-/// protocol, recorded to the same JSON; the criterion loop is reserved for
-/// the r = 1 headline cases.
-fn bench_ksv_distance_r(_c: &mut Criterion) {
+/// the summary flood replaced per-path record re-shipping. One warm-up run
+/// and one timed run per protocol; the timed run is validity-checked against
+/// the acceptance contract (total KSV bits ≤ 2× the order-based bits).
+fn bench_ksv_distance_r() {
     let instances: Vec<(&str, Graph)> = vec![
         ("planar-tri-r", stacked_triangulation(N, 3)),
         (
@@ -217,8 +185,12 @@ fn bench_ksv_distance_r(_c: &mut Criterion) {
         let n = graph.num_vertices();
         record_metric(&format!("{name}_n"), n as f64);
 
-        let t9 = distributed_distance_domination(graph, t9_config_r(r)).unwrap();
-        let ksv = distributed_ksv_domination_r(graph, r, ksv_config()).unwrap();
+        let (t9, t9_secs) = time_samples(&format!("order-based/{name}/{n}"), 1, || {
+            distributed_distance_domination(graph, t9_config_r(r)).unwrap()
+        });
+        let (ksv, ksv_secs) = time_samples(&format!("ksv/{name}/{n}"), 1, || {
+            distributed_ksv_domination_r(graph, r, ksv_config()).unwrap()
+        });
         assert!(is_distance_dominating_set(graph, &t9.dominating_set, r));
         assert!(is_distance_dominating_set(graph, &ksv.dominating_set, r));
         assert_eq!(
@@ -234,17 +206,6 @@ fn bench_ksv_distance_r(_c: &mut Criterion) {
             ksv.stats.total_bits,
             2 * t9_bits
         );
-
-        let t9_secs = {
-            let start = Instant::now();
-            black_box(distributed_distance_domination(graph, t9_config_r(r)).unwrap());
-            start.elapsed().as_secs_f64()
-        };
-        let ksv_secs = {
-            let start = Instant::now();
-            black_box(distributed_ksv_domination_r(graph, r, ksv_config()).unwrap());
-            start.elapsed().as_secs_f64()
-        };
 
         println!(
             "{name} (n = {n}, r = {r}): order-based = {} rounds / {t9_bits} bits / |D| = {} in \
@@ -301,5 +262,8 @@ fn bench_ksv_distance_r(_c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_ksv_pipeline, bench_ksv_distance_r);
-criterion_main!(benches);
+fn main() {
+    bench_ksv_pipeline();
+    bench_ksv_distance_r();
+    write_json_report();
+}

@@ -1,12 +1,13 @@
-//! Shared utilities for the bedom benchmark harness and the table/figure
-//! generator binary (`experiments`).
+//! Shared utilities for the bedom benches and the table/figure generator
+//! binary (`experiments`).
 //!
 //! Everything the experiment tables need — instance construction per family,
 //! uniform algorithm wrappers, ratio bookkeeping — lives here so that the
-//! Criterion benches and the `experiments` binary stay thin and consistent
-//! with each other.
+//! benches and the `experiments` binary stay thin and consistent with each
+//! other. The [`report`] module times the benches and writes the committed
+//! `BENCH_*.json` files.
 
-pub mod legacy_wreach;
+pub mod report;
 
 use bedom_graph::components::largest_component;
 use bedom_graph::generators::Family;

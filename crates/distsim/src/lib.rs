@@ -61,7 +61,7 @@ pub use fault::{CrashWindow, FaultPlan};
 pub use ids::IdAssignment;
 pub use journal::{BatchJournal, DurabilityMode, JournalError, ShardRecord};
 pub use local::{build_view, run_local, run_local_with, LocalView};
-pub use message::{MessageSize, WireId};
+pub use message::MessageSize;
 pub use model::{id_bits, log2_ceil, Model, ModelViolation};
 pub use network::{Network, NetworkSnapshot};
 pub use node::{Inbox, Incoming, NodeAlgorithm, NodeContext, Outgoing};

@@ -70,37 +70,6 @@ impl<A: MessageSize, B: MessageSize> MessageSize for (A, B) {
     }
 }
 
-/// An identifier transmitted with exactly `⌈log₂ n⌉` bits. Wrapping ids in
-/// this type lets algorithms express "this field costs one id width" without
-/// hard-coding `n`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct WireId {
-    /// The identifier value.
-    pub value: u64,
-    /// Width in bits this identifier is charged at.
-    pub bits: u16,
-}
-
-impl WireId {
-    /// Wraps `value` as an id of a graph with `n` vertices.
-    pub fn new(value: u64, n: usize) -> Self {
-        WireId {
-            value,
-            // `id_bits` is `⌈log₂ n⌉ ≤ usize::BITS`, so this cannot truncate;
-            // the checked conversion keeps the invariant loud if the id-width
-            // computation ever changes.
-            bits: u16::try_from(crate::model::id_bits(n))
-                .expect("id width exceeds u16 bits — id_bits(n) must stay ≤ usize::BITS"),
-        }
-    }
-}
-
-impl MessageSize for WireId {
-    fn size_bits(&self) -> usize {
-        self.bits as usize
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,22 +97,5 @@ mod tests {
         assert_eq!(7u64.max_frame_bits(), 7u64.size_bits());
         let v = vec![1u32, 2, 3];
         assert_eq!(v.max_frame_bits(), v.size_bits());
-    }
-
-    #[test]
-    fn wire_id_charged_at_log_n() {
-        let id = WireId::new(5, 1024);
-        assert_eq!(id.size_bits(), 10);
-        let id = WireId::new(5, 1_000_000);
-        assert_eq!(id.size_bits(), 20);
-    }
-
-    #[test]
-    fn wire_id_width_at_the_usize_boundary() {
-        // The widest possible id width is usize::BITS (n = usize::MAX); the
-        // checked u16 conversion must accept it without truncation.
-        let id = WireId::new(5, usize::MAX);
-        assert_eq!(id.size_bits(), usize::BITS as usize);
-        assert_eq!(id.bits as u32, usize::BITS);
     }
 }

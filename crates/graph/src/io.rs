@@ -5,9 +5,10 @@
 //! instances:
 //!
 //! * **edge list** — one `u v` pair per line, `#` comments, vertex count
-//!   inferred (or given by an optional `n m` header line);
-//! * **DIMACS** — `c` comment lines, one `p edge <n> <m>` problem line,
-//!   `e <u> <v>` edge lines with 1-based vertex ids.
+//!   inferred (or given by an optional single-number `n` header line; a
+//!   first line of two numbers is an edge);
+//! * **DIMACS** — `c` comment lines, exactly one `p edge <n> <m>` problem
+//!   line, `e <u> <v>` edge lines with 1-based vertex ids.
 
 use crate::graph::{Graph, GraphBuilder, Vertex};
 use std::fmt::Write as _;
@@ -66,8 +67,9 @@ fn checked_vertex(id: u64, n: usize) -> Option<Vertex> {
 
 /// Parses an edge-list document. Lines are `u v` (whitespace separated,
 /// 0-based ids); empty lines and lines starting with `#` are ignored. An
-/// optional first non-comment line `n` or `n m` fixes the vertex count;
-/// otherwise it is `max id + 1`.
+/// optional first non-comment line holding the single number `n` fixes the
+/// vertex count; otherwise it is `max id + 1`. A first line of two numbers
+/// is read as an edge, not as an `n m` header.
 pub fn parse_edge_list(text: &str) -> Result<Graph, ParseError> {
     let mut declared_n: Option<usize> = None;
     let mut edges: Vec<(u64, u64, usize)> = Vec::new();
@@ -157,7 +159,8 @@ pub fn to_edge_list(graph: &Graph) -> String {
 }
 
 /// Parses a DIMACS `.col`/`.edge` style document (`p edge n m`, `e u v` with
-/// 1-based ids).
+/// 1-based ids). A second problem line is malformed: it would discard every
+/// edge read before it.
 pub fn parse_dimacs(text: &str) -> Result<Graph, ParseError> {
     let mut builder: Option<GraphBuilder> = None;
     let mut n = 0usize;
@@ -168,6 +171,12 @@ pub fn parse_dimacs(text: &str) -> Result<Graph, ParseError> {
             continue;
         }
         if let Some(rest) = line.strip_prefix("p ") {
+            if builder.is_some() {
+                return Err(ParseError::Malformed {
+                    line: line_no,
+                    message: "second problem line".into(),
+                });
+            }
             let fields: Vec<&str> = rest.split_whitespace().collect();
             if fields.len() < 2 {
                 return Err(ParseError::Malformed {
@@ -282,6 +291,10 @@ mod tests {
         let g = parse_edge_list("0 1\n1 2\n# comment\n2 3\n").unwrap();
         assert_eq!(g.num_vertices(), 4);
         assert_eq!(g.num_edges(), 3);
+        // A first line of two numbers is an edge, not an `n m` header.
+        let g = parse_edge_list("5 3\n0 1\n").unwrap();
+        assert_eq!(g.num_vertices(), 6);
+        assert_eq!(g.edges().collect::<Vec<_>>(), [(0, 1), (3, 5)]);
     }
 
     #[test]
@@ -312,6 +325,10 @@ mod tests {
         assert!(matches!(
             parse_dimacs("p edge 3 1\nq 1 2\n"),
             Err(ParseError::Malformed { .. })
+        ));
+        assert!(matches!(
+            parse_dimacs("p edge 3 1\ne 1 2\np edge 5 0\n"),
+            Err(ParseError::Malformed { line: 3, .. })
         ));
     }
 
