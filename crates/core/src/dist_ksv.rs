@@ -2353,6 +2353,80 @@ mod tests {
         }
     }
 
+    #[test]
+    fn greedy_picks_match_a_full_rescan() {
+        // Seeded coverage rows of 1–3 words with at most four bits each, so
+        // gains tie often, interned in shuffled id order: the lazy greedy
+        // must pick exactly what a full rescan per pick does (largest gain,
+        // then smallest id), in order, and leave the same positions
+        // uncovered.
+        use std::cmp::Reverse;
+        let mut rng = bedom_rng::DetRng::seed_from_u64(0x6eed);
+        let mut scratch = KsvScratch::default();
+        for case in 0..200 {
+            let words = rng.gen_range(1..=3usize);
+            let k = rng.gen_range(1..=64 * words);
+            let mut pool: Vec<u64> = (0..400).collect();
+            rng.shuffle(&mut pool);
+            let ids = &pool[..rng.gen_range(1..=60usize)];
+            let rows: Vec<Vec<u64>> = ids
+                .iter()
+                .map(|_| {
+                    let mut row = vec![0; words];
+                    for _ in 0..rng.gen_range(0..=4usize) {
+                        set_bit(&mut row, rng.gen_range(0..64 * words));
+                    }
+                    row
+                })
+                .collect();
+            for budget in [1, 4, usize::MAX] {
+                for threshold in 1..=3 {
+                    scratch.begin(words);
+                    for (&id, row) in ids.iter().zip(&rows) {
+                        let local = scratch.relax(id, 0);
+                        scratch.mask(local).copy_from_slice(row);
+                    }
+                    scratch.uncover(k);
+                    let mut picks = Vec::new();
+                    scratch.greedy_cover(budget, threshold, |id| picks.push(id));
+
+                    let mut uncovered = vec![0; words];
+                    for i in 0..k {
+                        set_bit(&mut uncovered, i);
+                    }
+                    let mut expected = Vec::new();
+                    while expected.len() < budget {
+                        let best = ids
+                            .iter()
+                            .zip(&rows)
+                            .map(|(&id, row)| {
+                                let fresh: u32 = row
+                                    .iter()
+                                    .zip(&uncovered)
+                                    .map(|(a, b)| (a & b).count_ones())
+                                    .sum();
+                                (fresh, Reverse(id), row)
+                            })
+                            .max_by_key(|&(fresh, id, _)| (fresh, id));
+                        let Some((fresh, Reverse(id), row)) = best else {
+                            break;
+                        };
+                        if fresh == 0 || fresh < threshold {
+                            break;
+                        }
+                        for (w, m) in uncovered.iter_mut().zip(row) {
+                            *w &= !m;
+                        }
+                        expected.push(id);
+                    }
+                    let at = format!("case {case}, budget {budget}, threshold {threshold}");
+                    assert_eq!(picks, expected, "{at}");
+                    assert_eq!(scratch.uncovered, uncovered, "{at}");
+                }
+            }
+        }
+    }
+
     /// A ball member's flood state as the flood-state table reads it.
     enum HeardState {
         Unheard,
