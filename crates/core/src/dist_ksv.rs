@@ -82,7 +82,12 @@
 //! ids, or the closed neighbourhood of a flagged vertex. One per-thread,
 //! epoch-stamped scratch maps network ids to local ids for the ball merge
 //! and the decision round, whose coverage masks share one arena reused
-//! across vertices.
+//! across vertices. At `r ≥ 2` the decision call interns the frozen ball
+//! there first, so the same slot table finds each last relay's owner in
+//! `O(1)`, and the relayed entries are read in place in the inbox instead
+//! of being copied into the flood state. The greedy's lazy heap holds one
+//! `u64` per candidate, `gain << 32 | (u32::MAX − id)`: largest gain first,
+//! then smallest id.
 //!
 //! Announcements propagate `r` hops (a vertex within distance `r` of a
 //! dominator must learn it is dominated), so the protocol runs **exactly
@@ -123,8 +128,7 @@ use bedom_graph::cast;
 use bedom_graph::domset::is_distance_dominating_set;
 use bedom_graph::{Graph, Vertex};
 use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::sync::Arc;
 
 /// Communication rounds of the distance-1 KSV protocol — a constant,
@@ -418,9 +422,12 @@ thread_local! {
 /// Per-thread scratch of the KSV node computations, after
 /// `bedom_graph::bfs::BfsScratch`: network ids are a permutation of `0..n`,
 /// so an **epoch-stamped** slot per id maps it to a dense local index in
-/// `O(1)`, and bumping the epoch forgets every mapping at once. Grows on
-/// demand; nothing in it outlives one node's computation, so it never
-/// affects a result.
+/// `O(1)`, and bumping the epoch forgets every mapping at once. The ball
+/// merge dedups ids through it. The decision call at `r ≥ 2` interns the
+/// frozen ball first, so the slot table is also its owner lookup: a
+/// member's local index is its ball index. The greedy reads it to find a
+/// heap key's mask row. Grows on demand; nothing in it outlives one node's
+/// computation, so it never affects a result.
 #[derive(Debug, Default)]
 struct KsvScratch {
     /// `(epoch stamp, local index)` per network id.
@@ -436,8 +443,22 @@ struct KsvScratch {
     masks: Vec<u64>,
     /// The greedy's uncovered positions of `N_r[v]`.
     uncovered: Vec<u64>,
-    /// The greedy's heap buffer: `(claimed gain, id, local index)`.
-    heap: Vec<(u32, Reverse<u64>, u32)>,
+    /// The greedy's heap buffer: one [`heap_key`] per candidate.
+    heap: Vec<u64>,
+}
+
+/// The greedy's heap key of candidate `id` at gain `gain`:
+/// `gain << 32 | (u32::MAX − id)`. Network ids and gains are both below
+/// `2³²`, so the max-heap pops the largest gain first and, among equal
+/// gains, the smallest id — the `(gain, id)` order in one word.
+fn heap_key(gain: u32, id: u64) -> u64 {
+    u64::from(gain) << 32 | u64::from(u32::MAX - cast::u32_from_u64(id))
+}
+
+/// The `(gain, id)` a [`heap_key`] holds.
+fn heap_entry(key: u64) -> (u32, u64) {
+    let low = cast::u32_from_u64(key & u64::from(u32::MAX));
+    (cast::u32_from_u64(key >> 32), u64::from(u32::MAX - low))
 }
 
 impl KsvScratch {
@@ -452,6 +473,30 @@ impl KsvScratch {
             self.slots.fill((0, 0));
             self.epoch = 1;
         }
+    }
+
+    /// Starts a new local-id space without masks holding a decision
+    /// view's ball, `(id, distance)` in ball order: member `i` takes local
+    /// index `i`.
+    fn begin_ball(&mut self, ball: impl Iterator<Item = (u64, u32)>) {
+        self.begin(0);
+        for (z, d) in ball {
+            self.relax(z, d);
+        }
+    }
+
+    /// Switches to `words`-word coverage masks: every local id interned so
+    /// far gets a zeroed row, and later ones get theirs as they come.
+    fn begin_masks(&mut self, words: usize) {
+        self.words = words;
+        self.masks.clear();
+        self.masks.resize(self.ids.len() * words, 0);
+    }
+
+    /// The local index of `id`, if it is interned.
+    fn local_of(&self, id: u64) -> Option<usize> {
+        let &(stamp, local) = self.slots.get(cast::usize_from_u64(id))?;
+        (stamp == self.epoch).then_some(local as usize)
     }
 
     /// The local index of `id`, interned on first sight (with distance `d`
@@ -495,42 +540,50 @@ impl KsvScratch {
     /// newly covers at least `threshold` elements, up to `budget` picks.
     /// Rows that cover nothing (non-candidates) never enter the heap.
     ///
-    /// Gains only decrease as `uncovered` shrinks, so a popped entry whose
+    /// Gains only decrease as `uncovered` shrinks, so a top entry whose
     /// recomputed gain still matches is globally maximal (the lazy-deletion
     /// argument of the sequential greedy in `bedom_graph::domset`), and the
-    /// selection is *identical* to a full rescan per pick. It depends only
-    /// on `(gain, id)`, never on the local-id layout, so equal views elect
-    /// bit-identical sets. Clears covered bits from `uncovered` and hands
-    /// each pick's network id to `pick`.
+    /// selection is *identical* to a full rescan per pick. A stale top is
+    /// re-keyed in place with its recomputed gain (dropped at gain 0). The
+    /// selection depends only on `(gain, id)`, never on the local-id layout,
+    /// so equal views elect bit-identical sets. Clears covered bits from
+    /// `uncovered` and hands each pick's network id to `pick`.
     fn greedy_cover(&mut self, budget: usize, threshold: u32, mut pick: impl FnMut(u64)) {
         let (ids, words, masks) = (&self.ids, self.words, &self.masks);
         let uncovered = &mut self.uncovered;
-        let mut entries = std::mem::take(&mut self.heap);
-        entries.clear();
-        entries.extend(masks.chunks_exact(words).zip(ids).enumerate().filter_map(
-            |(local, (mask, &id))| {
-                let g = gain(mask, uncovered);
-                (g > 0).then(|| (g, Reverse(id), cast::u32_from_usize(local)))
-            },
-        ));
-        let mut queue = BinaryHeap::from(entries);
+        let mut keys = std::mem::take(&mut self.heap);
+        keys.clear();
+        keys.extend(
+            masks
+                .chunks_exact(words)
+                .zip(ids)
+                .filter_map(|(mask, &id)| {
+                    let g = gain(mask, uncovered);
+                    (g > 0).then(|| heap_key(g, id))
+                }),
+        );
+        let mut queue = BinaryHeap::from(keys);
         let mut picked = 0;
         while picked < budget {
-            let Some((claimed, Reverse(id), local)) = queue.pop() else {
+            let Some(mut top) = queue.peek_mut() else {
                 break;
             };
-            let local = local as usize;
+            let (claimed, id) = heap_entry(*top);
+            let local = self.slots[cast::usize_from_u64(id)].1 as usize;
             let mask = &masks[local * words..(local + 1) * words];
             let actual = gain(mask, uncovered);
             if actual < claimed {
                 if actual > 0 {
-                    queue.push((actual, Reverse(id), cast::u32_from_usize(local)));
+                    *top = heap_key(actual, id); // sifts down when `top` drops
+                } else {
+                    PeekMut::pop(top);
                 }
                 continue;
             }
             if actual < threshold {
                 break;
             }
+            PeekMut::pop(top);
             for (w, m) in uncovered.iter_mut().zip(mask) {
                 *w &= !m;
             }
@@ -544,10 +597,12 @@ impl KsvScratch {
     }
 }
 
-/// The decision-round view the knowledge flood assembles: the radius-`r`
-/// ball with exact distances and flag bits, plus (for unflagged members)
-/// their exact radius-`r` summaries. `decide_from_view` reads nothing else,
-/// so equal views make equal decisions.
+/// A decision view: the radius-`r` ball with exact distances and flag
+/// bits, plus (for unflagged members) their exact radius-`r` summaries.
+/// The `r = 1` decision builds one from the adjacency exchange; at `r ≥ 2`
+/// the decision call reads the same knowledge off its flood state and
+/// inbox without building one. `decide_from_view` reads nothing else, so
+/// equal views make equal decisions.
 struct KsvView {
     /// `(id, distance from self, flagged)`, ascending by id; contains self
     /// at distance 0.
@@ -917,12 +972,13 @@ impl KsvNode {
         fresh
     }
 
-    /// One summary-flood round (calls `1..=2r − 1`). While the ball grows
-    /// (calls `< r`) it absorbs the adjacency records (call 1) and beacons
-    /// and emits the next beacon wave, or at call `r − 1` the own summary;
-    /// from call `r` on the ball is frozen and it absorbs summaries, relays
-    /// the first-heard ones at calls `r..=2r − 2`, and stays silent at the
-    /// decision call (absorb only; `decide` runs right after).
+    /// One summary-flood round before the decision call (calls
+    /// `1..=2r − 2`). While the ball grows (calls `< r`) it absorbs the
+    /// adjacency records (call 1) and beacons and emits the next beacon
+    /// wave, or at call `r − 1` the own summary; from call `r` on the ball
+    /// is frozen and it absorbs summaries and relays the first-heard ones.
+    /// The decision call absorbs the last relays itself
+    /// ([`Self::decide_from_flood`]).
     fn summary_flood_round(
         &mut self,
         ctx: &NodeContext,
@@ -950,10 +1006,7 @@ impl KsvNode {
             return self.broadcast_summary(ctx);
         }
         let fresh = self.absorb_summaries(inbox);
-        if round <= 2 * r - 2 {
-            return self.relay_summaries(ctx, fresh);
-        }
-        Outgoing::Silent
+        self.relay_summaries(ctx, fresh)
     }
 
     /// The origin summary broadcast (call `r − 1`, ball complete): computes
@@ -1140,41 +1193,88 @@ impl KsvNode {
     // Decision round
     // ------------------------------------------------------------------
 
-    /// Builds the decision view from the summary flood. On a reliable
+    /// The decision call at `r ≥ 2` (call `2r − 1`): absorbs the last
+    /// relays and decides, without building a view. The frozen ball is
+    /// interned in the thread's scratch first, so member `i` takes local id
+    /// `i`: an arriving owner finds its ball index through the slot table,
+    /// and its entries are read where they lie in the inbox. On a reliable
     /// network every ball member's summary or stub has arrived by now
     /// (origin broadcast at call `r − 1`, one hop per relay round,
     /// deferral-safe at distance 2, unconditional beyond) — this *is* the
     /// flood coverage invariant, and it is locally checkable. A gap means
     /// messages were lost in transit, and the vertex reports it as a typed
     /// [`ModelViolation::IncompleteKnowledge`] instead of deciding on a
-    /// truncated view. Drops the flood state either way.
-    fn view_from_summaries(&mut self) -> Result<KsvView, ModelViolation> {
+    /// truncated view. A lost adjacency record leaves the flood state with
+    /// the last relays absorbed; every later outcome drops it.
+    fn decide_from_flood(
+        &mut self,
+        ctx: &NodeContext,
+        inbox: Inbox<'_, KsvMessage>,
+    ) -> Outgoing<KsvMessage> {
+        if let Err(violation) = self.check_adjacency_coverage(ctx) {
+            let _ = self.absorb_summaries(inbox);
+            self.violation = Some(violation);
+            return Outgoing::Silent;
+        }
         let ball = std::mem::take(&mut self.ball);
-        let heard = std::mem::take(&mut self.heard);
-        let mut heard_summaries = std::mem::take(&mut self.summaries);
-        let mut view_ball = Vec::with_capacity(ball.len());
-        let mut summaries = Vec::with_capacity(ball.len());
-        for (&w, slot) in ball.iter().zip(heard) {
-            let entries = match slot {
-                UNHEARD => continue,
-                STUB => None,
-                k => heard_summaries[k as usize - 2].take(),
-            };
-            let (z, d) = unpack(w, BALL_DIST_BITS);
-            view_ball.push((z, d, entries.is_none()));
-            summaries.push(entries);
-        }
-        if view_ball.len() != ball.len() {
-            return Err(ModelViolation::IncompleteKnowledge {
-                vertex: self.id,
-                round: 2 * self.r as usize - 1,
-                expected: ball.len(),
-                received: view_ball.len(),
+        let mut heard = std::mem::take(&mut self.heard);
+        let summaries = std::mem::take(&mut self.summaries);
+        // Down through call r − 1: the ball froze without our summary.
+        heard.resize(ball.len(), UNHEARD);
+        SCRATCH.with(|cell| {
+            let scratch = &mut *cell.borrow_mut();
+            scratch.begin_ball(ball.iter().map(|&w| unpack(w, BALL_DIST_BITS)));
+            // First arrival wins, as in `absorb_summaries`; heard slot
+            // `summaries.len() + j + 2` is `arrived[j]`.
+            let mut arrived: Vec<&[u64]> = Vec::new();
+            for msg in inbox {
+                if !matches!(msg.payload.kind, KsvKind::Summary | KsvKind::SummaryRelay) {
+                    continue;
+                }
+                let items = msg.payload.summaries.iter().map(|item| {
+                    let entries = (!item.flagged).then_some(&*item.entries);
+                    (item.owner, entries)
+                });
+                let stubs = msg.payload.ids.iter().map(|&owner| (owner, None));
+                for (owner, entries) in items.chain(stubs) {
+                    let Some(i) = scratch.local_of(owner) else {
+                        continue;
+                    };
+                    if heard[i] == UNHEARD {
+                        heard[i] = match entries {
+                            None => STUB,
+                            Some(entries) => {
+                                arrived.push(entries);
+                                cast::u32_from_usize(summaries.len() + arrived.len() + 1)
+                            }
+                        };
+                    }
+                }
+            }
+            let received = heard.iter().filter(|&&slot| slot != UNHEARD).count();
+            if received != ball.len() {
+                self.violation = Some(ModelViolation::IncompleteKnowledge {
+                    vertex: self.id,
+                    round: 2 * self.r as usize - 1,
+                    expected: ball.len(),
+                    received,
+                });
+                return Outgoing::Silent;
+            }
+            let members = ball.iter().zip(&heard).map(|(&w, &slot)| {
+                let entries = match slot {
+                    STUB => None,
+                    k => {
+                        let k = k as usize - 2;
+                        match summaries.get(k) {
+                            Some(entries) => entries.as_deref(),
+                            None => Some(arrived[k - summaries.len()]),
+                        }
+                    }
+                };
+                (unpack(w, BALL_DIST_BITS).1, slot == STUB, entries)
             });
-        }
-        Ok(KsvView {
-            ball: view_ball,
-            summaries,
+            self.decide_in(scratch, members)
         })
     }
 
@@ -1223,23 +1323,18 @@ impl KsvNode {
         Ok(())
     }
 
-    /// The decision round (call `2r − 1`): all knowledge is in. Builds the
-    /// decision view — from the adjacency exchange at `r = 1`, from the
-    /// summary flood otherwise — and decides from it. If the knowledge
-    /// invariants fail — messages were lost — the vertex records the
-    /// violation and skips the decision instead of deciding on truncated
-    /// knowledge (it will self-elect in the final round, and the run-level
-    /// entry point surfaces the violation as a typed error).
-    fn decide(&mut self, ctx: &NodeContext) -> Outgoing<KsvMessage> {
-        let view = self.check_adjacency_coverage(ctx).and_then(|()| {
-            if self.r == 1 {
-                Ok(self.view_from_adjacency(ctx))
-            } else {
-                self.view_from_summaries()
+    /// The decision call at `r = 1`: builds the view from the adjacency
+    /// exchange and decides from it. If an adjacency record was lost, the
+    /// vertex records the violation and skips the decision instead of
+    /// deciding on truncated knowledge (it will self-elect in the final
+    /// round, and the run-level entry point surfaces the violation as a
+    /// typed error).
+    fn decide_from_adjacency(&mut self, ctx: &NodeContext) -> Outgoing<KsvMessage> {
+        match self.check_adjacency_coverage(ctx) {
+            Ok(()) => {
+                let view = self.view_from_adjacency(ctx);
+                self.decide_from_view(view)
             }
-        });
-        match view {
-            Ok(view) => self.decide_from_view(view),
             Err(violation) => {
                 self.violation = Some(violation);
                 Outgoing::Silent
@@ -1247,48 +1342,61 @@ impl KsvNode {
         }
     }
 
-    /// The decision at every radius, read off the view alone, through the
-    /// thread's scratch. Computes the pruned local distances, applies the
-    /// hub short-circuit, then fills the coverage arena over the
-    /// *unflagged* positions of `N_r(v)` (position `i` is the `i`-th
-    /// unflagged member of the open `r`-neighbourhood in ascending id order,
-    /// position `deg_r` is `v` itself; a candidate `z ≠ v` covers `u`
-    /// exactly when `z ∈ ball_r(u)`, read off `u`'s exact summary), runs the
-    /// `D₁` check and — when it passes — precomputes the pseudo-cover
-    /// election from the same arena. Flagged positions need no coverage: a
-    /// flagged vertex has a hub within distance 1 and is dominated by it.
+    /// The decision on a built view (the `r = 1` view, or the exact-view
+    /// oracle's in tests), through the thread's scratch.
     fn decide_from_view(&mut self, view: KsvView) -> Outgoing<KsvMessage> {
-        SCRATCH.with(|cell| self.decide_in(&view, &mut cell.borrow_mut()))
+        SCRATCH.with(|cell| {
+            let scratch = &mut *cell.borrow_mut();
+            scratch.begin_ball(view.ball.iter().map(|&(z, d, _)| (z, d)));
+            let members = view.ball.iter().zip(&view.summaries);
+            let members =
+                members.map(|(&(_, d, flagged), entries)| (d, flagged, entries.as_deref()));
+            self.decide_in(scratch, members)
+        })
     }
 
-    fn decide_in(&mut self, view: &KsvView, scratch: &mut KsvScratch) -> Outgoing<KsvMessage> {
+    /// The decision at every radius, read off the ball members alone:
+    /// `(distance from self, flagged, exact summary)` in ascending id
+    /// order, already in `scratch` by [`KsvScratch::begin_ball`]; the
+    /// summary is `None` exactly when the member is flagged.
+    /// Computes the pruned local distances, applies the hub short-circuit,
+    /// then fills the coverage arena over the *unflagged* positions of
+    /// `N_r(v)` (position `i` is the `i`-th unflagged member of the open
+    /// `r`-neighbourhood in ascending id order, position `deg_r` is `v`
+    /// itself; a candidate `z ≠ v` covers `u` exactly when `z ∈ ball_r(u)`,
+    /// read off `u`'s exact summary), runs the `D₁` check and — when it
+    /// passes — precomputes the pseudo-cover election from the same arena.
+    /// Flagged positions need no coverage: a flagged vertex has a hub within
+    /// distance 1 and is dominated by it.
+    fn decide_in<'e>(
+        &mut self,
+        scratch: &mut KsvScratch,
+        members: impl Iterator<Item = (u32, bool, Option<&'e [u64]>)> + Clone,
+    ) -> Outgoing<KsvMessage> {
         let r = self.r;
         // Hub short-circuit: a flagged vertex within distance r − 1 proves
         // a hub within distance r (and conversely — the nearest flagged
         // vertex on a shortest path to a hub sits one hop earlier), and
         // every hub is in the dominating set from init. Nothing to check,
         // nothing to elect; membership stays as-is (hubs already joined).
-        let hub_near = view.ball.iter().any(|&(_, d, f)| f && d < r);
-        let members = || view.ball.iter().zip(&view.summaries).enumerate();
-        let deg_r = members()
-            .filter(|(_, (&(_, d, _), summary))| d >= 1 && summary.is_some())
+        let hub_near = members.clone().any(|(d, flagged, _)| flagged && d < r);
+        let deg_r = members
+            .clone()
+            .filter(|&(d, _, entries)| d >= 1 && entries.is_some())
             .count();
-        scratch.begin(if hub_near { 0 } else { cover_words(deg_r) });
+        scratch.begin_masks(if hub_near { 0 } else { cover_words(deg_r) });
         // Pruned local distances, min-relaxed in one pass: the ball itself
-        // (its members take local ids 0.. in ball order) plus one unflagged
-        // midpoint hop (`d(v,u) + d_u(z)`). Exact wherever an unflagged
-        // midpoint exists — everywhere, when no hubs are near. The same
-        // pass fills the coverage arena.
-        for &(z, d, _) in &view.ball {
-            scratch.relax(z, d);
-        }
+        // (interned already) plus one unflagged midpoint hop
+        // (`d(v,u) + d_u(z)`). Exact wherever an unflagged midpoint exists
+        // — everywhere, when no hubs are near. The same pass fills the
+        // coverage arena.
         let mut position = 0;
-        for (i, (&(_, du, _), summary)) in members() {
-            let Some(entries) = summary else {
+        for (i, (du, _, entries)) in members.enumerate() {
+            let Some(entries) = entries else {
                 continue;
             };
             let covers = !hub_near && du >= 1;
-            for &w in entries.iter() {
+            for &w in entries {
                 let (z, dz) = unpack(w, BALL_DIST_BITS);
                 let local = scratch.relax(z, du + dz);
                 if covers && z != self.id {
@@ -1370,18 +1478,17 @@ impl NodeAlgorithm for KsvNode {
         if round <= decide {
             // Knowledge rounds. At r = 1 the adjacency exchange is the whole
             // flood; at r ≥ 2 the summary flood runs its beacons, summary
-            // broadcast and relays, absorbing only at the decision call.
-            // Then the D₁ check: members start the announcement flood,
-            // everyone else precomputes and waits.
+            // broadcast and relays, and the decision call absorbs the last
+            // relays. Then the D₁ check: members start the announcement
+            // flood, everyone else precomputes and waits.
             if r == 1 {
                 self.absorb_adjacency(ctx, inbox);
-            } else {
-                let wave = self.summary_flood_round(ctx, round, inbox);
-                if round < decide {
-                    return wave;
-                }
+                return self.decide_from_adjacency(ctx);
             }
-            return self.decide(ctx);
+            if round < decide {
+                return self.summary_flood_round(ctx, round, inbox);
+            }
+            return self.decide_from_flood(ctx, inbox);
         }
         if round < elect {
             // D₁ announcement relays (r ≥ 2).
@@ -1703,14 +1810,12 @@ fn ksv_network<'g>(graph: &'g Graph, r: u32, config: &KsvConfig) -> (Network<'g,
     (network, hard_budget)
 }
 
-/// Shared body of the plain and faulty entry points.
-fn run_ksv_network(
-    graph: &Graph,
-    r: u32,
-    config: KsvConfig,
-    fault: Option<FaultPlan>,
-    recovery: Option<RecoveryPolicy>,
-) -> Result<KsvDomResult, ModelViolation> {
+/// The radii every KSV entry point accepts, checked before any arithmetic
+/// on `r`: `r = 0` is [`ModelViolation::RadiusUnsupported`] (distance-0
+/// domination is the degenerate full vertex set), and `r > 255` is
+/// [`ModelViolation::RadiusOutOfRange`], because summary distances travel
+/// in 8 bits. Past this check `2r` and `6r − 1` cannot overflow.
+fn check_ksv_radius(r: u32) -> Result<(), ModelViolation> {
     if r == 0 {
         return Err(ModelViolation::RadiusUnsupported {
             requested: 0,
@@ -1725,6 +1830,18 @@ fn run_ksv_network(
             what: "the KSV summary flood (its distances travel in 8 bits)",
         });
     }
+    Ok(())
+}
+
+/// Shared body of the plain and faulty entry points.
+fn run_ksv_network(
+    graph: &Graph,
+    r: u32,
+    config: KsvConfig,
+    fault: Option<FaultPlan>,
+    recovery: Option<RecoveryPolicy>,
+) -> Result<KsvDomResult, ModelViolation> {
+    check_ksv_radius(r)?;
     let n = graph.num_vertices();
     if n == 0 {
         return Ok(KsvDomResult {
@@ -1843,20 +1960,15 @@ pub struct KsvContextReport {
 /// [`crate::context::DistContextConfig::for_domination`] with this `r` or
 /// larger); a smaller context fails loudly with
 /// [`ModelViolation::RadiusOutOfRange`] instead of verifying against
-/// truncated balls. `r = 0` is rejected with
-/// [`ModelViolation::RadiusUnsupported`], as in the standalone entry point.
+/// truncated balls. As in the standalone entry points, `r = 0` is rejected
+/// with [`ModelViolation::RadiusUnsupported`] and radii above 255 with
+/// [`ModelViolation::RadiusOutOfRange`], before the context is consulted.
 pub fn distributed_ksv_domination_r_in_with(
     ctx: &DistContext<'_>,
     r: u32,
     tuning: KsvConfig,
 ) -> Result<KsvContextReport, ModelViolation> {
-    if r == 0 {
-        return Err(ModelViolation::RadiusUnsupported {
-            requested: 0,
-            minimum: 1,
-            what: "the KSV constant-round protocol (distance-0 domination is the degenerate full vertex set)",
-        });
-    }
+    check_ksv_radius(r)?;
     if ctx.max_radius() < 2 * r {
         return Err(ModelViolation::RadiusOutOfRange {
             requested: 2 * r,
@@ -2636,6 +2748,43 @@ mod tests {
         let err =
             distributed_ksv_domination_r_faulty(&g, 256, KsvConfig::new(), plan, None).unwrap_err();
         assert!(out_of_range(err));
+    }
+
+    #[test]
+    fn radii_whose_double_overflows_fail_with_a_typed_error() {
+        // From r = 2³¹ on, `2r` overflows `u32`: each entry point, the
+        // context-backed one included, must refuse such a radius with the
+        // 8-bit limit's typed error before doubling it.
+        let g = path(6);
+        let ctx = DistContext::elect(&g, DistContextConfig::for_domination(1)).unwrap();
+        for r in [1 << 31, u32::MAX] {
+            let out_of_range = |err| {
+                matches!(
+                    err,
+                    ModelViolation::RadiusOutOfRange {
+                        requested,
+                        supported: 255,
+                        ..
+                    } if requested == r
+                )
+            };
+            let err = distributed_ksv_domination(&g, KsvConfig::for_radius(r)).unwrap_err();
+            assert!(out_of_range(err), "distributed_ksv_domination at r = {r}");
+            let err = distributed_ksv_domination_r(&g, r, KsvConfig::new()).unwrap_err();
+            assert!(out_of_range(err), "distributed_ksv_domination_r at r = {r}");
+            let plan = FaultPlan::seeded(1);
+            let err = distributed_ksv_domination_r_faulty(&g, r, KsvConfig::new(), plan, None)
+                .unwrap_err();
+            assert!(
+                out_of_range(err),
+                "distributed_ksv_domination_r_faulty at r = {r}"
+            );
+            let err = distributed_ksv_domination_r_in_with(&ctx, r, KsvConfig::new()).unwrap_err();
+            assert!(
+                out_of_range(err),
+                "distributed_ksv_domination_r_in_with at r = {r}"
+            );
+        }
     }
 
     #[test]
