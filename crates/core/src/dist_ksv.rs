@@ -937,6 +937,25 @@ impl KsvNode {
         cast::u32_from_usize(self.summaries.len() + 1)
     }
 
+    /// Hands every summary (`Some` entries) and stub (`None`) this round
+    /// delivered to `arrival` as `(owner, entries)`, in arrival order.
+    fn for_each_arrival<'a>(
+        inbox: Inbox<'a, KsvMessage>,
+        mut arrival: impl FnMut(u64, Option<&'a SummaryEntries>),
+    ) {
+        for msg in inbox {
+            if !matches!(msg.payload.kind, KsvKind::Summary | KsvKind::SummaryRelay) {
+                continue;
+            }
+            for item in &msg.payload.summaries {
+                arrival(item.owner, (!item.flagged).then_some(&item.entries));
+            }
+            for &owner in &msg.payload.ids {
+                arrival(owner, None);
+            }
+        }
+    }
+
     /// Records every summary (or stub) this round delivered whose owner is
     /// a ball member not heard from yet, and returns those members' ball
     /// indices, ascending (= id order) — this round's relay candidates.
@@ -949,25 +968,15 @@ impl KsvNode {
             // Down through call r − 1: the ball froze without our summary.
             self.heard = vec![UNHEARD; self.ball.len()];
         }
-        for msg in inbox {
-            if !matches!(msg.payload.kind, KsvKind::Summary | KsvKind::SummaryRelay) {
-                continue;
+        Self::for_each_arrival(inbox, |owner, entries| {
+            let Some(i) = self.ball_index(owner) else {
+                return;
+            };
+            if self.heard[i] == UNHEARD {
+                self.heard[i] = self.hear(entries.cloned());
+                fresh.push(i);
             }
-            let items = msg.payload.summaries.iter().map(|item| {
-                let entries = (!item.flagged).then_some(&item.entries);
-                (item.owner, entries)
-            });
-            let stubs = msg.payload.ids.iter().map(|&owner| (owner, None));
-            for (owner, entries) in items.chain(stubs) {
-                let Some(i) = self.ball_index(owner) else {
-                    continue;
-                };
-                if self.heard[i] == UNHEARD {
-                    self.heard[i] = self.hear(entries.cloned());
-                    fresh.push(i);
-                }
-            }
-        }
+        });
         fresh.sort_unstable();
         fresh
     }
@@ -1227,30 +1236,20 @@ impl KsvNode {
             // First arrival wins, as in `absorb_summaries`; heard slot
             // `summaries.len() + j + 2` is `arrived[j]`.
             let mut arrived: Vec<&[u64]> = Vec::new();
-            for msg in inbox {
-                if !matches!(msg.payload.kind, KsvKind::Summary | KsvKind::SummaryRelay) {
-                    continue;
-                }
-                let items = msg.payload.summaries.iter().map(|item| {
-                    let entries = (!item.flagged).then_some(&*item.entries);
-                    (item.owner, entries)
-                });
-                let stubs = msg.payload.ids.iter().map(|&owner| (owner, None));
-                for (owner, entries) in items.chain(stubs) {
-                    let Some(i) = scratch.local_of(owner) else {
-                        continue;
+            Self::for_each_arrival(inbox, |owner, entries| {
+                let Some(i) = scratch.local_of(owner) else {
+                    return;
+                };
+                if heard[i] == UNHEARD {
+                    heard[i] = match entries {
+                        None => STUB,
+                        Some(entries) => {
+                            arrived.push(&entries[..]);
+                            cast::u32_from_usize(summaries.len() + arrived.len() + 1)
+                        }
                     };
-                    if heard[i] == UNHEARD {
-                        heard[i] = match entries {
-                            None => STUB,
-                            Some(entries) => {
-                                arrived.push(entries);
-                                cast::u32_from_usize(summaries.len() + arrived.len() + 1)
-                            }
-                        };
-                    }
                 }
-            }
+            });
             let received = heard.iter().filter(|&&slot| slot != UNHEARD).count();
             if received != ball.len() {
                 self.violation = Some(ModelViolation::IncompleteKnowledge {
