@@ -7,10 +7,21 @@
 //! constant `wcol_2r`, from one index built at `2r`. A counting global
 //! allocator reports the allocations of one run next to the timings.
 //!
+//! The timed runs build the index with [`WReachIndex::build`], whose `Auto`
+//! strategy takes its worker count from `available_parallelism`, and every
+//! worker allocates its own scratch and chunk. The counted run
+//! (`{family}_index_allocs`) builds it with
+//! `ExecutionStrategy::Sequential` instead, so that row depends on the code
+//! alone, not on the core count of the machine that ran the bench.
+//!
 //! A second section profiles the distributed Lemma 7 protocol, whose paths
 //! live in flat per-vertex [`PathStore`](bedom_core::PathStore) arenas, on
 //! one 20k-vertex instance: allocations and wall time of one engine run,
-//! with the measured constant checked against `wcol_of_order`.
+//! with the measured constant checked against `wcol_of_order`. That run is
+//! already sequential, yet its `dist_wreach_flat_allocs` row has read both
+//! 428 091 and 428 090 with no code change between the two (the committed
+//! 428 090 is what a 2-vCPU box measures today), so that row is exact only
+//! for one box and toolchain.
 //!
 //! Each timing is the median of `SAMPLES` runs after an untimed warm-up run.
 //! Run with `BEDOM_BENCH_JSON=BENCH_wreach.json` to commit the numbers.
@@ -30,6 +41,7 @@
 use bedom_bench::connected_instance;
 use bedom_bench::report::{record_metric, time_samples, write_json_report};
 use bedom_core::dist_wreach::WReachConfig;
+use bedom_distsim::ExecutionStrategy;
 use bedom_graph::generators::{stacked_triangulation, Family};
 use bedom_graph::Graph;
 use bedom_wcol::{degeneracy_based_order, LinearOrder, WReachIndex};
@@ -68,8 +80,8 @@ fn count_allocs(f: impl FnOnce()) -> u64 {
 }
 
 /// The index-backed analysis core: one sweep at `2r` serves both quantities.
-fn index_pipeline(graph: &Graph, order: &LinearOrder) -> usize {
-    let index = WReachIndex::build(graph, order, 2 * R);
+fn index_pipeline(graph: &Graph, order: &LinearOrder, strategy: ExecutionStrategy) -> usize {
+    let index = WReachIndex::build_with(graph, order, 2 * R, strategy);
     let dominators = index.min_wreach_at(R);
     dominators.len() + index.wcol()
 }
@@ -79,7 +91,7 @@ fn run_flat_protocol(graph: &Graph, super_ids: &[u64], rho: u32) -> usize {
     let config = WReachConfig {
         rho,
         bandwidth_logs: None,
-        strategy: bedom_distsim::ExecutionStrategy::Sequential,
+        strategy: ExecutionStrategy::Sequential,
     };
     bedom_core::distributed_weak_reachability(graph, super_ids, config)
         .unwrap()
@@ -101,10 +113,10 @@ fn bench_wreach_index() {
         record_metric(&format!("{name}_n"), n as f64);
 
         let (_, index_secs) = time_samples(&format!("flat-index/{name}/{n}"), SAMPLES, || {
-            index_pipeline(graph, &order)
+            index_pipeline(graph, &order, ExecutionStrategy::Auto)
         });
         let index_allocs = count_allocs(|| {
-            black_box(index_pipeline(graph, &order));
+            black_box(index_pipeline(graph, &order, ExecutionStrategy::Sequential));
         });
         println!("{name} (n = {n}): flat-index = {index_secs:.3} s / {index_allocs} allocs");
         record_metric(&format!("{name}_index_allocs"), index_allocs as f64);
