@@ -1221,6 +1221,8 @@ impl KsvNode {
         inbox: Inbox<'_, KsvMessage>,
     ) -> Outgoing<KsvMessage> {
         if let Err(violation) = self.check_adjacency_coverage(ctx) {
+            // No decision follows, but the flood state still takes in the
+            // last relays, as on a relay call: the flood-state pins hash it.
             let _ = self.absorb_summaries(inbox);
             self.violation = Some(violation);
             return Outgoing::Silent;
