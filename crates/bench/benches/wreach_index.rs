@@ -16,8 +16,10 @@
 //!
 //! A second section profiles the distributed Lemma 7 protocol, whose paths
 //! live in flat per-vertex [`PathStore`](bedom_core::PathStore) arenas, on
-//! one 20k-vertex instance: allocations and wall time of one engine run,
-//! with the measured constant checked against `wcol_of_order`. That run is
+//! one 20k-vertex instance: allocations, peak live bytes
+//! (`dist_wreach_flat_peak_bytes`, the most bytes held at once above what
+//! was live before the run) and wall time of one engine run, with the
+//! measured constant checked against `wcol_of_order`. That run is
 //! already sequential, yet its `dist_wreach_flat_allocs` row has read both
 //! 428 091 and 428 090 with no code change between the two (the committed
 //! 428 090 is what a 2-vCPU box measures today), so that row is exact only
@@ -47,25 +49,33 @@ use bedom_graph::Graph;
 use bedom_wcol::{degeneracy_based_order, LinearOrder, WReachIndex};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 const N: usize = 100_000;
 const R: u32 = 1;
 const SAMPLES: usize = 5;
 
-/// Counts heap allocations so the bench can report, next to the timings, how
-/// many allocations one run performs.
+/// Counts heap allocations and live bytes so the bench can report, next to
+/// the timings, how many allocations one run performs and how many bytes it
+/// holds at its peak.
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Bytes currently allocated.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+/// The most bytes allocated at once since `peak_bytes` last reset it.
+static PEAK: AtomicUsize = AtomicUsize::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
+        PEAK.fetch_max(live, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -77,6 +87,14 @@ fn count_allocs(f: impl FnOnce()) -> u64 {
     let before = ALLOCS.load(Ordering::Relaxed);
     f();
     ALLOCS.load(Ordering::Relaxed) - before
+}
+
+/// The most bytes `f` holds live at once, above what was live before it.
+fn peak_bytes(f: impl FnOnce()) -> usize {
+    let before = LIVE.load(Ordering::Relaxed);
+    PEAK.store(before, Ordering::Relaxed);
+    f();
+    PEAK.load(Ordering::Relaxed) - before
 }
 
 /// The index-backed analysis core: one sweep at `2r` serves both quantities.
@@ -137,14 +155,18 @@ fn bench_wreach_index() {
         bedom_wcol::wcol_of_order(&g, &order, rho),
         "the protocol's constant differs from wcol of its order"
     );
-    let flat_allocs = count_allocs(|| {
-        black_box(run_flat_protocol(&g, &super_ids, rho));
+    let mut flat_allocs = 0;
+    let flat_peak = peak_bytes(|| {
+        flat_allocs = count_allocs(|| {
+            black_box(run_flat_protocol(&g, &super_ids, rho));
+        });
     });
     println!(
         "dist-wreach path store (n = 20000, rho = {rho}): \
-         flat = {flat_secs:.2} s / {flat_allocs} allocs"
+         flat = {flat_secs:.2} s / {flat_allocs} allocs / {flat_peak} peak bytes"
     );
     record_metric("dist_wreach_flat_allocs", flat_allocs as f64);
+    record_metric("dist_wreach_flat_peak_bytes", flat_peak as f64);
     record_metric("dist_wreach_flat_seconds", flat_secs);
 }
 

@@ -9,7 +9,8 @@
 //! * The Lemma 7 protocol: `DistContext::wreach()` must stay within a fixed
 //!   number of allocations per vertex — a flat path store and a reused
 //!   outbox per vertex, one message per broadcast — never one vector per
-//!   stored or forwarded path.
+//!   stored or forwarded path — and within a budget of peak live bytes per
+//!   vertex, which holds the stores' and messages' compact layout.
 //!
 //! Lives in its own integration-test binary, with a single `#[test]`, so the
 //! counting global allocator sees no interference from tests running on
@@ -22,19 +23,26 @@ use bedom::distsim::ExecutionStrategy;
 use bedom::graph::generators::{configuration_model_power_law, stacked_triangulation};
 use bedom::wcol::WReachIndex;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Bytes currently allocated.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+/// The most bytes allocated at once since `peak_bytes` last reset it.
+static PEAK: AtomicUsize = AtomicUsize::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
+        PEAK.fetch_max(live, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -47,6 +55,19 @@ fn count_allocs(f: impl FnOnce()) -> u64 {
     f();
     ALLOCS.load(Ordering::Relaxed) - before
 }
+
+/// The most bytes `f` holds live at once, above what was live before it.
+fn peak_bytes(f: impl FnOnce()) -> usize {
+    let before = LIVE.load(Ordering::Relaxed);
+    PEAK.store(before, Ordering::Relaxed);
+    f();
+    PEAK.load(Ordering::Relaxed) - before
+}
+
+/// Peak live bytes per vertex of a ρ = 4 Lemma 7 run, including the result
+/// the context keeps: 2644 (planar-tri) and 2232 (config-model) with 64-bit
+/// super-ids in every store and message.
+const PEAK_BUDGET: f64 = 3000.0;
 
 #[test]
 fn context_index_sweep_and_wreach_protocol_stay_within_their_allocation_budgets() {
@@ -97,14 +118,27 @@ fn context_index_sweep_and_wreach_protocol_stay_within_their_allocation_budgets(
             },
         )
         .expect("the order phase runs on every generated graph");
-        let allocs = count_allocs(|| {
-            ctx.wreach().expect("a fault-free protocol run succeeds");
+        let mut allocs = 0;
+        let peak = peak_bytes(|| {
+            allocs = count_allocs(|| {
+                ctx.wreach().expect("a fault-free protocol run succeeds");
+            });
         });
         let per_vertex = allocs as f64 / n as f64;
         assert!(
             per_vertex < 35.0,
             "{name}: DistContext::wreach() performed {per_vertex:.1} allocations per vertex \
              on n = {n} (budget 35)"
+        );
+        let peak_per_vertex = peak as f64 / n as f64;
+        eprintln!(
+            "{name}: {per_vertex:.1} allocations and {peak_per_vertex:.0} peak live bytes \
+             per vertex"
+        );
+        assert!(
+            peak_per_vertex < PEAK_BUDGET,
+            "{name}: DistContext::wreach() held {peak_per_vertex:.0} peak live bytes per vertex \
+             on n = {n} (budget {PEAK_BUDGET})"
         );
     }
 }
