@@ -30,13 +30,13 @@ use std::collections::BTreeSet;
 /// Per-vertex state of the path-flooding phase.
 #[derive(Debug)]
 pub struct PathFloodNode {
-    sid: u64,
+    sid: u32,
     id_bits: usize,
     /// Paths this vertex still has to announce (initially: the stored paths of
     /// a dominating-set member; afterwards: paths it discovered itself on).
-    pending: Vec<Vec<u64>>,
+    pending: Vec<Vec<u32>>,
     /// Paths already forwarded (dedup key: the full path).
-    forwarded: BTreeSet<Vec<u64>>,
+    forwarded: BTreeSet<Vec<u32>>,
     /// Whether this vertex belongs to `D'`.
     in_connected_set: bool,
 }
@@ -44,7 +44,7 @@ pub struct PathFloodNode {
 impl PathFloodNode {
     /// Initial state. `seed_paths` are the stored paths of a dominating-set
     /// member (empty for non-members); `in_d` marks membership in `D`.
-    pub fn new(sid: u64, id_bits: usize, in_d: bool, seed_paths: Vec<Vec<u64>>) -> Self {
+    pub fn new(sid: u32, id_bits: usize, in_d: bool, seed_paths: Vec<Vec<u32>>) -> Self {
         PathFloodNode {
             sid,
             id_bits,
@@ -166,10 +166,12 @@ pub fn distributed_connected_domination_in(
     ctx: &DistContext<'_>,
     r: u32,
 ) -> Result<DistConnectedResult, ModelViolation> {
+    // In u64, so that no r doubles past u32::MAX and wraps below the
+    // context's radius.
+    let reach = 2 * u64::from(r) + 1;
     assert!(
-        ctx.max_radius() > 2 * r,
-        "connected radius-{r} domination needs a context of reach radius ≥ {}, got {}",
-        2 * r + 1,
+        u64::from(ctx.max_radius()) >= reach,
+        "connected radius-{r} domination needs a context of reach radius ≥ {reach}, got {}",
         ctx.max_radius()
     );
     let graph = ctx.graph();
@@ -197,7 +199,7 @@ pub fn distributed_connected_domination_in(
     // does), or the 2r + 2-round flood budget and the blow-up bound would
     // not hold. At an exact-radius context the filter is a no-op.
     let rho = 2 * r as usize + 1;
-    let within_rho = |path: &[u64]| path.len().saturating_sub(1) <= rho;
+    let within_rho = |path: &[u32]| path.len().saturating_sub(1) <= rho;
     let id_bits = ctx.id_bits();
     let in_d: Vec<bool> = {
         let mut flags = vec![false; n];
@@ -213,7 +215,7 @@ pub fn distributed_connected_domination_in(
             info.paths
                 .values()
                 .filter(|path| within_rho(path))
-                .map(<[u64]>::to_vec)
+                .map(<[u32]>::to_vec)
                 .collect()
         } else {
             Vec::new()
@@ -367,6 +369,15 @@ mod tests {
         assert_eq!(exact.connected_dominating_set, big.connected_dominating_set);
         assert_eq!(exact.measured_constant, big.measured_constant);
         assert!(is_induced_connected(&g, &big.connected_dominating_set));
+    }
+
+    #[test]
+    #[should_panic(expected = "needs a context of reach radius")]
+    fn radius_whose_double_overflows_u32_is_rejected() {
+        let g = path(5);
+        let ctx =
+            crate::DistContext::elect(&g, crate::DistContextConfig::for_domination(1)).unwrap();
+        let _ = distributed_connected_domination_in(&ctx, 1 << 31);
     }
 
     #[test]

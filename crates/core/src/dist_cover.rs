@@ -147,10 +147,12 @@ pub fn distributed_neighborhood_cover_in(
     ctx: &DistContext<'_>,
     r: u32,
 ) -> Result<DistributedCover, ModelViolation> {
+    // In u64, so that no r doubles past u32::MAX and wraps below the
+    // context's radius.
+    let reach = 2 * u64::from(r);
     assert!(
-        ctx.max_radius() >= 2 * r,
-        "radius-{r} cover needs a context of reach radius ≥ {}, got {}",
-        2 * r,
+        u64::from(ctx.max_radius()) >= reach,
+        "radius-{r} cover needs a context of reach radius ≥ {reach}, got {}",
         ctx.max_radius()
     );
     let graph = ctx.graph();
@@ -168,8 +170,8 @@ pub fn distributed_neighborhood_cover_in(
     }
     let wreach = ctx.wreach()?;
 
-    let resolve = |sid: u64| -> Vertex {
-        ctx.vertex_of_sid(sid)
+    let resolve = |sid: u32| -> Vertex {
+        ctx.vertex_of_sid(u64::from(sid))
             .expect("path sid must belong to a vertex")
     };
     let mut memberships: Vec<Vec<(Vertex, Vec<Vertex>)>> = Vec::with_capacity(wreach.info.len());
@@ -311,6 +313,14 @@ mod tests {
             bedom_wcol::min_wreach(&g, &cover.order, 2),
             "per-vertex local home election must match min WReach_r"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "needs a context of reach radius")]
+    fn radius_whose_double_overflows_u32_is_rejected() {
+        let g = bedom_graph::generators::path(5);
+        let ctx = DistContext::elect(&g, DistContextConfig::for_domination(1)).unwrap();
+        let _ = distributed_neighborhood_cover_in(&ctx, 1 << 31);
     }
 
     #[test]

@@ -44,12 +44,12 @@ use bedom_wcol::LinearOrder;
 /// thereby learns it is in the dominating set.
 #[derive(Debug)]
 pub struct ElectionNode {
-    sid: u64,
+    sid: u32,
     id_bits: usize,
     /// `(target, length of the token forwarded towards it)`, sorted by
     /// target: a later token for the same target is forwarded only if it is
     /// shorter than that one, so duplicates are dropped.
-    forwarded: Vec<(u64, usize)>,
+    forwarded: Vec<(u32, usize)>,
     /// Tokens to broadcast this round.
     outbox: PathOutbox,
     /// Whether this vertex has learnt it is in the dominating set.
@@ -59,7 +59,7 @@ pub struct ElectionNode {
 impl ElectionNode {
     /// Initial state: the vertex already knows its elected dominator path
     /// (from the weak-reachability phase outputs).
-    pub fn new(sid: u64, id_bits: usize, elected_path: &[u64]) -> Self {
+    pub fn new(sid: u32, id_bits: usize, elected_path: &[u32]) -> Self {
         let mut node = ElectionNode {
             sid,
             id_bits,
@@ -72,7 +72,7 @@ impl ElectionNode {
     }
 
     /// Accepts a token whose last entry is this vertex.
-    fn accept(&mut self, path: &[u64]) {
+    fn accept(&mut self, path: &[u32]) {
         debug_assert_eq!(path.last(), Some(&self.sid));
         if path.len() == 1 {
             // The token has reached its target: self-election.
@@ -230,10 +230,12 @@ pub fn distributed_distance_domination_in(
     ctx: &DistContext<'_>,
     r: u32,
 ) -> Result<DistDomSetResult, ModelViolation> {
+    // In u64, so that no r doubles past u32::MAX and wraps below the
+    // context's radius.
+    let reach = 2 * u64::from(r);
     assert!(
-        ctx.max_radius() >= 2 * r,
-        "radius-{r} domination needs a context of reach radius ≥ {}, got {}",
-        2 * r,
+        u64::from(ctx.max_radius()) >= reach,
+        "radius-{r} domination needs a context of reach radius ≥ {reach}, got {}",
         ctx.max_radius()
     );
     let graph = ctx.graph();
@@ -259,7 +261,7 @@ pub fn distributed_distance_domination_in(
     // plus up to r forwarding hops). Every vertex elects min WReach_r[w].
     let id_bits = ctx.id_bits();
     let info = &wreach.info;
-    let elected_sids: Vec<u64> = info
+    let elected_sids: Vec<u32> = info
         .iter()
         .map(|info| info.min_reachable_within(r as usize))
         .collect();
@@ -281,7 +283,7 @@ pub fn distributed_distance_domination_in(
     let dominator_of: Vec<Vertex> = elected_sids
         .iter()
         .map(|&sid| {
-            ctx.vertex_of_sid(sid)
+            ctx.vertex_of_sid(u64::from(sid))
                 .expect("elected sid must belong to a vertex")
         })
         .collect();
@@ -492,6 +494,14 @@ mod tests {
         let g = grid(4, 4);
         let ctx = DistContext::elect(&g, DistContextConfig::for_domination(1)).unwrap();
         let _ = distributed_distance_domination_in(&ctx, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "needs a context of reach radius")]
+    fn radius_whose_double_overflows_u32_is_rejected() {
+        let g = path(5);
+        let ctx = DistContext::elect(&g, DistContextConfig::for_domination(1)).unwrap();
+        let _ = distributed_distance_domination_in(&ctx, 1 << 31);
     }
 
     #[test]

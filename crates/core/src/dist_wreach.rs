@@ -27,12 +27,19 @@
 //! accept and forward paths without allocating a vector per path. The wire
 //! format charges 8 bits for a path's length, so a path has at most 255 ids
 //! and [`distributed_weak_reachability`] rejects `ρ > 254`.
+//!
+//! Every path protocol holds super-ids as `u32` in memory, while the wire
+//! accounting still charges `id_bits` per id, so no bit total depends on the
+//! width. The order phase's super-ids stay below `(⌈log₂ n⌉ + 3)·n`, which
+//! fits in 32 bits up to n ≈ 1.2·10⁸; [`distributed_weak_reachability`]
+//! narrows them once, and fails with [`ModelViolation::IdOutOfRange`] before
+//! any round when one does not fit.
 
 use bedom_distsim::{
     Engine, ExecutionStrategy, IdAssignment, Inbox, MessageSize, Model, ModelViolation, Network,
     NodeAlgorithm, NodeContext, Outgoing, RunPolicy, RunStats,
 };
-use bedom_graph::cast::u32_from_usize;
+use bedom_graph::cast::{u32_from_u64, u32_from_usize};
 use bedom_graph::Graph;
 
 /// The largest reach radius whose paths (`ρ + 1` ids) fit the 8-bit path
@@ -40,7 +47,7 @@ use bedom_graph::Graph;
 const MAX_RHO: u32 = 254;
 
 /// The path a `(offset, len)` span marks in `ids`.
-fn span_of(ids: &[u64], (offset, len): (u32, u32)) -> &[u64] {
+fn span_of(ids: &[u32], (offset, len): (u32, u32)) -> &[u32] {
     &ids[offset as usize..][..len as usize]
 }
 
@@ -48,7 +55,9 @@ fn span_of(ids: &[u64], (offset, len): (u32, u32)) -> &[u64] {
 ///
 /// The store holds at most `|WReach_ρ[w]| ≤ c(ρ)` entries (a class constant)
 /// in three allocations: the sorted starts, one `(offset, len)` span per
-/// start, and one arena holding every path's ids. Lookups are binary searches
+/// start, and one arena holding every path's ids. Starts and ids are 32-bit
+/// super-ids; [`PathStore::encoded_bits`] still charges `id_bits` per id, the
+/// width the wire accounting uses. Lookups are binary searches
 /// over the starts. The protocol replaces a path only by one that is no
 /// longer (shorter paths win), so a replacement overwrites its span in place
 /// and a new start appends to the arena; a shorter replacement leaves dead
@@ -56,9 +65,9 @@ fn span_of(ids: &[u64], (offset, len): (u32, u32)) -> &[u64] {
 /// never the arena.
 #[derive(Clone, Debug, Default)]
 pub struct PathStore {
-    keys: Vec<u64>,
+    keys: Vec<u32>,
     spans: Vec<(u32, u32)>,
-    ids: Vec<u64>,
+    ids: Vec<u32>,
 }
 
 impl PartialEq for PathStore {
@@ -86,25 +95,25 @@ impl PathStore {
     }
 
     /// The stored path for `start`, if any. `O(log len)`.
-    pub fn get(&self, start: u64) -> Option<&[u64]> {
+    pub fn get(&self, start: u32) -> Option<&[u32]> {
         let i = self.keys.binary_search(&start).ok()?;
         Some(self.path_at(i))
     }
 
     /// The path of the `i`-th smallest start.
-    fn path_at(&self, i: usize) -> &[u64] {
+    fn path_at(&self, i: usize) -> &[u32] {
         span_of(&self.ids, self.spans[i])
     }
 
     /// Stores `path` for `start`, replacing any previous entry.
-    pub fn insert(&mut self, start: u64, path: &[u64]) {
+    pub fn insert(&mut self, start: u32, path: &[u32]) {
         self.store(self.keys.binary_search(&start), start, path, None);
     }
 
     /// Stores `path ++ tail` for `start` at `slot`, the result of searching
     /// the starts for `start`. A path no longer than the one it replaces
     /// overwrites it in place; anything else appends to the arena.
-    fn store(&mut self, slot: Result<usize, usize>, start: u64, path: &[u64], tail: Option<u64>) {
+    fn store(&mut self, slot: Result<usize, usize>, start: u32, path: &[u32], tail: Option<u32>) {
         let len = path.len() + usize::from(tail.is_some());
         let span = match slot {
             Ok(i) if len <= self.spans[i].1 as usize => {
@@ -132,7 +141,7 @@ impl PathStore {
     }
 
     /// Iterates `(start, path)` in increasing start super-id order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &[u64])> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (u32, &[u32])> + '_ {
         self.keys
             .iter()
             .zip(&self.spans)
@@ -140,12 +149,12 @@ impl PathStore {
     }
 
     /// The stored start super-ids, in increasing order.
-    pub fn keys(&self) -> impl Iterator<Item = u64> + '_ {
+    pub fn keys(&self) -> impl Iterator<Item = u32> + '_ {
         self.keys.iter().copied()
     }
 
     /// The stored paths, in increasing start super-id order.
-    pub fn values(&self) -> impl Iterator<Item = &[u64]> + '_ {
+    pub fn values(&self) -> impl Iterator<Item = &[u32]> + '_ {
         (0..self.len()).map(|i| self.path_at(i))
     }
 
@@ -170,13 +179,14 @@ impl PathStore {
 /// Theorem 9 and 10 phases that route along its paths.
 ///
 /// Each path is a sequence of super-ids from its start vertex to the sender,
-/// held as one `[len, id…]` run of a single word vector. For bandwidth
-/// accounting every super-id is charged at `id_bits` bits (super-ids are
-/// bounded by `O(n log n)`, i.e. `O(log n)` bits), plus 16 bits for the
-/// message and 8 bits per path for the lengths.
+/// held as one `[len, id…]` run of a single 32-bit word vector. For
+/// bandwidth accounting every super-id is charged at `id_bits` bits
+/// (super-ids are bounded by `O(n log n)`, i.e. `O(log n)` bits), whatever
+/// its width in memory, plus 16 bits for the message and 8 bits per path for
+/// the lengths.
 #[derive(Clone, Debug, Default)]
 pub struct PathSetMessage {
-    words: Vec<u64>,
+    words: Vec<u32>,
     count: usize,
     id_bits: usize,
 }
@@ -193,14 +203,14 @@ impl PathSetMessage {
     }
 
     /// Appends `path`.
-    pub(crate) fn push(&mut self, path: &[u64]) {
-        self.words.push(path.len() as u64);
+    pub(crate) fn push(&mut self, path: &[u32]) {
+        self.words.push(u32_from_usize(path.len()));
         self.words.extend_from_slice(path);
         self.count += 1;
     }
 
     /// The paths, in the order they were sent.
-    pub fn paths(&self) -> impl Iterator<Item = &[u64]> + '_ {
+    pub fn paths(&self) -> impl Iterator<Item = &[u32]> + '_ {
         let mut rest = self.words.as_slice();
         std::iter::from_fn(move || {
             let (&len, tail) = rest.split_first()?;
@@ -224,13 +234,13 @@ impl MessageSize for PathSetMessage {
 /// broadcast order of every path protocol.
 #[derive(Debug, Default)]
 pub(crate) struct PathOutbox {
-    ids: Vec<u64>,
+    ids: Vec<u32>,
     spans: Vec<(u32, u32)>,
 }
 
 impl PathOutbox {
     /// Queues `path ++ tail`.
-    pub(crate) fn push(&mut self, path: &[u64], tail: Option<u64>) {
+    pub(crate) fn push(&mut self, path: &[u32], tail: Option<u32>) {
         let offset = u32_from_usize(self.ids.len());
         self.ids.extend_from_slice(path);
         self.ids.extend(tail);
@@ -261,7 +271,7 @@ impl PathOutbox {
 #[derive(Clone, Debug)]
 pub struct WReachInfo {
     /// This vertex's super-id.
-    pub sid: u64,
+    pub sid: u32,
     /// For every known start `v` (with `sid(v) < sid(self)`): the stored path
     /// from `v`'s super-id to this vertex's super-id. The entry for the vertex
     /// itself (`sid → [sid]`) is included, mirroring `v ∈ WReach_ρ[v]`.
@@ -270,7 +280,7 @@ pub struct WReachInfo {
 
 impl WReachInfo {
     /// Super-ids of `WReach_ρ[w]` (including `w` itself), sorted.
-    pub fn wreach_sids(&self) -> Vec<u64> {
+    pub fn wreach_sids(&self) -> Vec<u32> {
         self.paths.keys().collect()
     }
 
@@ -278,7 +288,7 @@ impl WReachInfo {
     /// `max_len` edges — used by Theorem 9 to elect `min WReach_r[w]` from an
     /// order computed for a larger radius. Starts are sorted, so this is the
     /// first short-enough one.
-    pub fn min_reachable_within(&self, max_len: usize) -> u64 {
+    pub fn min_reachable_within(&self, max_len: usize) -> u32 {
         self.paths
             .iter()
             .find(|(_, path)| path.len().saturating_sub(1) <= max_len)
@@ -289,7 +299,7 @@ impl WReachInfo {
 /// Node state of the parallel restricted-BFS protocol (paper's Algorithm 4).
 #[derive(Debug)]
 pub struct WReachNode {
-    sid: u64,
+    sid: u32,
     rho: u32,
     id_bits: usize,
     paths: PathStore,
@@ -299,7 +309,7 @@ pub struct WReachNode {
 impl WReachNode {
     /// Creates the initial state for a vertex with super-id `sid`, reach
     /// radius `rho`, charging `id_bits` bits per transmitted super-id.
-    pub fn new(sid: u64, rho: u32, id_bits: usize) -> Self {
+    pub fn new(sid: u32, rho: u32, id_bits: usize) -> Self {
         WReachNode {
             sid,
             rho,
@@ -312,7 +322,7 @@ impl WReachNode {
     /// Offers the extension `path ++ [self.sid]` as a candidate; stores and
     /// queues it for broadcast if it is new or better than the stored one.
     /// Both copies are written straight from the borrowed incoming path.
-    fn offer(&mut self, path: &[u64]) {
+    fn offer(&mut self, path: &[u32]) {
         let start = path[0];
         // Only smaller starts, and never a path through this vertex.
         if start >= self.sid || path.contains(&self.sid) {
@@ -335,7 +345,7 @@ impl WReachNode {
 /// Whether the candidate `path ++ [last]` beats `existing` under the
 /// protocol's preference (shorter first, then lexicographically smaller),
 /// decided without materialising the candidate.
-fn extension_is_better(path: &[u64], last: u64, existing: &[u64]) -> bool {
+fn extension_is_better(path: &[u32], last: u32, existing: &[u32]) -> bool {
     let candidate_len = path.len() + 1;
     if candidate_len != existing.len() {
         return candidate_len < existing.len();
@@ -435,7 +445,9 @@ impl WReachConfig {
 ///
 /// Fails with [`ModelViolation::RadiusOutOfRange`] before any round runs when
 /// `config.rho > 254`: a stored path has `ρ + 1` ids, and the wire format
-/// describes at most 255.
+/// describes at most 255. Fails with [`ModelViolation::IdOutOfRange`] before
+/// any round runs when a super-id exceeds `u32::MAX`, the width every path
+/// protocol holds super-ids in.
 pub fn distributed_weak_reachability(
     graph: &Graph,
     super_ids: &[u64],
@@ -449,6 +461,13 @@ pub fn distributed_weak_reachability(
             what: "the Lemma 7 protocol (a path's length travels in 8 bits)",
         });
     }
+    if let Some(&id) = super_ids.iter().find(|&&sid| sid > u64::from(u32::MAX)) {
+        return Err(ModelViolation::IdOutOfRange {
+            id,
+            supported: u64::from(u32::MAX),
+            what: "the Lemma 7 protocol (super-ids are held in 32 bits)",
+        });
+    }
     let n = graph.num_vertices();
     // Super-ids fit in O(log n) bits: they are bounded by (phases+1)·n.
     let id_bits = bedom_distsim::log2_ceil(n.max(2).pow(2)) + 8;
@@ -457,7 +476,7 @@ pub fn distributed_weak_reachability(
         None => Model::Local,
     };
     let mut network = Network::new(graph, model, IdAssignment::Natural, |v, _ctx| {
-        WReachNode::new(super_ids[v as usize], config.rho, id_bits)
+        WReachNode::new(u32_from_u64(super_ids[v as usize]), config.rho, id_bits)
     });
     network.set_strategy(config.strategy);
     Engine::new(&mut network).run(RunPolicy::fixed(config.rho as usize))?;
@@ -480,13 +499,13 @@ pub fn distributed_weak_reachability(
     // reachability sets.
     if config.rho >= 1 {
         for w in graph.vertices() {
-            let my_sid = super_ids[w as usize];
+            let my_sid = info[w as usize].sid;
             for &u in graph.neighbors(w) {
-                let u_sid = super_ids[u as usize];
+                let u_sid = info[u as usize].sid;
                 if u_sid < my_sid && info[w as usize].paths.get(u_sid).is_none() {
                     return Err(ModelViolation::PathMissing {
-                        vertex: my_sid,
-                        neighbor: u_sid,
+                        vertex: u64::from(my_sid),
+                        neighbor: u64::from(u_sid),
                         round: 1,
                     });
                 }
@@ -563,7 +582,7 @@ mod tests {
         for w in g.vertices() {
             for (start_sid, path) in result.info[w as usize].paths.iter() {
                 assert_eq!(*path.first().unwrap(), start_sid);
-                assert_eq!(*path.last().unwrap(), super_ids[w as usize]);
+                assert_eq!(u64::from(*path.last().unwrap()), super_ids[w as usize]);
                 assert!(path.len() <= rho as usize + 1, "path too long: {path:?}");
                 // Consecutive path vertices must be adjacent in G.
                 let as_vertices: Vec<Vertex> = path
@@ -644,7 +663,7 @@ mod tests {
         // The allocation-free comparison must agree with "build the candidate
         // and compare Vecs" on every shape: shorter, longer, lexicographic
         // splits in the shared prefix and in the appended last element.
-        let cases: &[(&[u64], u64, &[u64])] = &[
+        let cases: &[(&[u32], u32, &[u32])] = &[
             (&[1], 9, &[1, 9]),
             (&[1], 9, &[1, 9, 4]),
             (&[1, 2], 9, &[1, 9]),
@@ -686,7 +705,7 @@ mod tests {
         assert_eq!(store.get(2), Some(&[2][..]));
         store.insert(5, &[5, 7, 5]);
         assert_eq!(store.get(5), Some(&[5, 7, 5][..]));
-        let collected: Vec<(u64, &[u64])> = store.iter().collect();
+        let collected: Vec<(u32, &[u32])> = store.iter().collect();
         assert_eq!(collected[0], (2, &[2][..]));
         assert_eq!(collected[2], (9, &[9, 2][..]));
         assert_eq!(
@@ -759,6 +778,28 @@ mod tests {
     }
 
     #[test]
+    fn super_ids_wider_than_32_bits_fail_with_a_typed_error() {
+        // Every path protocol holds super-ids in 32 bits: a wider one fails
+        // before any round instead of being truncated into another vertex's.
+        let g = path(2);
+        let err = distributed_weak_reachability(&g, &[0, 1 << 32], WReachConfig::measuring(1))
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            ModelViolation::IdOutOfRange {
+                id: 0x1_0000_0000,
+                supported: 0xffff_ffff,
+                ..
+            }
+        ));
+        let widest = [0, u64::from(u32::MAX)];
+        let result =
+            distributed_weak_reachability(&g, &widest, WReachConfig::measuring(1)).unwrap();
+        assert_eq!(result.info[1].sid, u32::MAX);
+        assert_eq!(result.info[1].paths.get(0), Some(&[0, u32::MAX][..]));
+    }
+
+    #[test]
     fn radii_beyond_the_8_bit_path_length_are_rejected() {
         // ρ = 254 stores paths of 255 ids, the most an 8-bit length
         // describes; ρ = 255 would store 256 and fails before any round.
@@ -778,7 +819,10 @@ mod tests {
             distributed_weak_reachability(&g, &super_ids, WReachConfig::measuring(254)).unwrap();
         let longest = result.info[254].paths.get(0).unwrap();
         assert_eq!(longest.len(), 255);
-        assert_eq!(longest, &super_ids[..255]);
+        assert!(longest
+            .iter()
+            .map(|&id| u64::from(id))
+            .eq(super_ids[..255].iter().copied()));
         // A context at reach radius 255 elects its order but cannot run
         // Lemma 7.
         let ctx = crate::DistContext::elect(&g, crate::DistContextConfig::new(255)).unwrap();

@@ -106,6 +106,17 @@ pub enum ModelViolation {
         /// What was queried (for the error message).
         what: &'static str,
     },
+    /// An identifier exceeds the width a protocol holds identifiers in (a
+    /// 32-bit super-id store, …). Narrowing it would silently alias two
+    /// vertices, so the protocol refuses before any round instead.
+    IdOutOfRange {
+        /// The identifier the caller supplied.
+        id: u64,
+        /// The largest identifier the protocol supports.
+        supported: u64,
+        /// What rejected it (for the error message).
+        what: &'static str,
+    },
     /// A radius-`requested` query was issued against a protocol or phase
     /// that only operates at radii ≥ `minimum` (e.g. the degenerate `r = 0`
     /// domination problem, whose answer is the full vertex set and needs no
@@ -177,6 +188,10 @@ impl std::fmt::Display for ModelViolation {
             } => write!(
                 f,
                 "radius-{requested} query on {what} prepared only up to radius {supported}"
+            ),
+            ModelViolation::IdOutOfRange { id, supported, what } => write!(
+                f,
+                "id {id} given to {what} exceeds the largest supported id {supported}"
             ),
             ModelViolation::RadiusUnsupported {
                 requested,
@@ -273,6 +288,18 @@ mod tests {
         assert!(too_small.to_string().contains("radius-0"));
         assert!(too_small.to_string().contains(">= 1"));
         assert!(too_small.to_string().contains("a test protocol"));
+    }
+
+    #[test]
+    fn id_violation_displays_the_id_and_its_limit() {
+        let too_wide = ModelViolation::IdOutOfRange {
+            id: 1 << 32,
+            supported: u64::from(u32::MAX),
+            what: "a test store",
+        };
+        let text = too_wide.to_string();
+        assert!(text.contains("id 4294967296 given to a test store"));
+        assert!(text.contains("largest supported id 4294967295"));
     }
 
     #[test]

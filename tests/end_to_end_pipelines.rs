@@ -452,10 +452,10 @@ fn lemma7_fingerprint(graph: &bedom::graph::Graph, r: u32) -> ([usize; 5], u64) 
     let wreach = ctx.wreach().unwrap();
     let mut hash = FNV_OFFSET;
     for info in &wreach.info {
-        hash = fnv1a_words(hash, [info.sid, info.paths.len() as u64]);
+        hash = fnv1a_words(hash, [u64::from(info.sid), info.paths.len() as u64]);
         for (start, path) in info.paths.iter() {
-            hash = fnv1a_words(hash, [start, path.len() as u64]);
-            hash = fnv1a_words(hash, path.iter().copied());
+            hash = fnv1a_words(hash, [u64::from(start), path.len() as u64]);
+            hash = fnv1a_words(hash, path.iter().map(|&id| u64::from(id)));
         }
     }
     hash = fnv1a_words(
