@@ -56,13 +56,13 @@ fn span_of(ids: &[u32], (offset, len): (u32, u32)) -> &[u32] {
 /// The store holds at most `|WReach_ρ[w]| ≤ c(ρ)` entries (a class constant)
 /// in three allocations: the sorted starts, one `(offset, len)` span per
 /// start, and one arena holding every path's ids. Starts and ids are 32-bit
-/// super-ids; [`PathStore::encoded_bits`] still charges `id_bits` per id, the
-/// width the wire accounting uses. Lookups are binary searches
-/// over the starts. The protocol replaces a path only by one that is no
-/// longer (shorter paths win), so a replacement overwrites its span in place
-/// and a new start appends to the arena; a shorter replacement leaves dead
-/// words behind. Equality therefore compares the `(start, path)` sequences,
-/// never the arena.
+/// super-ids in memory; [`PathStore::encoded_bits`] still charges `id_bits`
+/// per id, as the wire accounting does. Lookups are binary searches over the
+/// starts. The protocol replaces a path only by one that is no longer
+/// (shorter paths win), so a replacement overwrites its span in place and a
+/// new start appends to the arena; a shorter replacement leaves dead words
+/// behind. Equality therefore compares the `(start, path)` sequences, never
+/// the arena.
 #[derive(Clone, Debug, Default)]
 pub struct PathStore {
     keys: Vec<u32>,
@@ -461,6 +461,8 @@ pub fn distributed_weak_reachability(
             what: "the Lemma 7 protocol (a path's length travels in 8 bits)",
         });
     }
+    // Refuse a super-id wider than 32 bits before any round, so that the
+    // checked narrowing of each one below cannot fire.
     if let Some(&id) = super_ids.iter().find(|&&sid| sid > u64::from(u32::MAX)) {
         return Err(ModelViolation::IdOutOfRange {
             id,
