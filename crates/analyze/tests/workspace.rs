@@ -76,12 +76,12 @@ fn seeded_regression_reverting_the_checked_delivery_offset_cast_is_caught() {
         "network.rs regressed on its own: {clean:?}"
     );
 
-    let checked = "nbr_offsets.push(u32_from_usize(delivery_order.len()));";
+    let checked = "nbr_offsets.push(u32_from_usize(neighbor_ids.len()));";
     assert!(
         src.contains(checked),
         "the checked cast moved — update this regression test alongside it"
     );
-    let reverted = src.replace(checked, "nbr_offsets.push(delivery_order.len() as u32);");
+    let reverted = src.replace(checked, "nbr_offsets.push(neighbor_ids.len() as u32);");
     let hits: Vec<_> = analyze_source(rel, &reverted)
         .into_iter()
         .filter(|f| f.lint == "narrow-cast")

@@ -50,8 +50,9 @@ pub struct ElectionNode {
     /// target: a later token for the same target is forwarded only if it is
     /// shorter than that one, so duplicates are dropped.
     forwarded: Vec<(u32, usize)>,
-    /// Tokens to broadcast this round.
-    outbox: PathOutbox,
+    /// The init broadcast: the own token, built at construction and handed
+    /// out by `init`.
+    init: Option<PathSetMessage>,
     /// Whether this vertex has learnt it is in the dominating set.
     in_dominating_set: bool,
 }
@@ -64,29 +65,34 @@ impl ElectionNode {
             sid,
             id_bits,
             forwarded: Vec::new(),
-            outbox: PathOutbox::default(),
+            init: None,
             in_dominating_set: false,
         };
-        node.accept(elected_path);
+        node.init = node.accept(elected_path).map(|forward| {
+            let mut message = PathSetMessage::with_capacity(id_bits, 1, forward.len());
+            message.push(forward);
+            message
+        });
         node
     }
 
-    /// Accepts a token whose last entry is this vertex.
-    fn accept(&mut self, path: &[u32]) {
+    /// Accepts a token whose last entry is this vertex, and returns the
+    /// token to forward, if any.
+    fn accept<'p>(&mut self, path: &'p [u32]) -> Option<&'p [u32]> {
         debug_assert_eq!(path.last(), Some(&self.sid));
         if path.len() == 1 {
             // The token has reached its target: self-election.
             self.in_dominating_set = true;
-            return;
+            return None;
         }
         let target = path[0];
         let forward = &path[..path.len() - 1];
         match self.forwarded.binary_search_by_key(&target, |&(t, _)| t) {
             Ok(i) if path.len() < self.forwarded[i].1 => self.forwarded[i].1 = forward.len(),
-            Ok(_) => return,
+            Ok(_) => return None,
             Err(i) => self.forwarded.insert(i, (target, forward.len())),
         }
-        self.outbox.push(forward, None);
+        Some(forward)
     }
 }
 
@@ -95,7 +101,9 @@ impl NodeAlgorithm for ElectionNode {
     type Output = bool;
 
     fn init(&mut self, _ctx: &NodeContext) -> Outgoing<PathSetMessage> {
-        self.outbox.broadcast(self.id_bits)
+        self.init
+            .take()
+            .map_or(Outgoing::Silent, Outgoing::Broadcast)
     }
 
     fn round(
@@ -104,14 +112,19 @@ impl NodeAlgorithm for ElectionNode {
         _round: usize,
         inbox: Inbox<'_, PathSetMessage>,
     ) -> Outgoing<PathSetMessage> {
-        for message in inbox {
-            for path in message.payload.paths() {
-                if path.last() == Some(&self.sid) {
-                    self.accept(path);
+        PathOutbox::with(|outbox| {
+            for message in inbox {
+                for path in message.payload.paths() {
+                    if path.last() != Some(&self.sid) {
+                        continue;
+                    }
+                    if let Some(forward) = self.accept(path) {
+                        outbox.push(forward, None);
+                    }
                 }
             }
-        }
-        self.outbox.broadcast(self.id_bits)
+            outbox.broadcast(self.id_bits)
+        })
     }
 
     fn output(&self, _ctx: &NodeContext) -> bool {

@@ -1286,7 +1286,7 @@ impl KsvNode {
     /// [`Self::check_adjacency_coverage`] has passed, so every member's
     /// record is present.
     fn view_from_adjacency(&self, ctx: &NodeContext) -> KsvView {
-        let own = closed_ball(self.id, &ctx.neighbor_ids);
+        let own = closed_ball(self.id, ctx.neighbor_ids);
         let ball = own
             .iter()
             .map(|&w| unpack(w, BALL_DIST_BITS))
@@ -1460,9 +1460,9 @@ impl NodeAlgorithm for KsvNode {
             self.join(KsvMembership::HighDegree);
         }
         if self.r >= 2 {
-            self.ball = closed_ball(ctx.id, &ctx.neighbor_ids);
+            self.ball = closed_ball(ctx.id, ctx.neighbor_ids);
         }
-        self.message(KsvKind::Adjacency, ctx.neighbor_ids.clone())
+        self.message(KsvKind::Adjacency, ctx.neighbor_ids.to_vec())
     }
 
     fn round(

@@ -23,10 +23,11 @@
 //! and one id arena; a [`PathSetMessage`] is one vector of `[len, id…]` runs.
 //! The Lemma 7 node here, the Theorem 9 election and the Theorem 10 path
 //! flood read messages through [`PathSetMessage::paths`]. The first two
-//! queue their broadcasts in a reused crate-private `PathOutbox`, so they
-//! accept and forward paths without allocating a vector per path. The wire
-//! format charges 8 bits for a path's length, so a path has at most 255 ids
-//! and [`distributed_weak_reachability`] rejects `ρ > 254`.
+//! queue a round's broadcast in one crate-private `PathOutbox` per thread,
+//! reused by every vertex that thread evaluates, so they accept and forward
+//! paths without allocating a vector per path or keeping a queue per vertex.
+//! The wire format charges 8 bits for a path's length, so a path has at most
+//! 255 ids and [`distributed_weak_reachability`] rejects `ρ > 254`.
 //!
 //! Every path protocol holds super-ids as `u32` in memory, while the wire
 //! accounting still charges `id_bits` per id, so no bit total depends on the
@@ -41,6 +42,7 @@ use bedom_distsim::{
 };
 use bedom_graph::cast::{u32_from_u64, u32_from_usize};
 use bedom_graph::Graph;
+use std::cell::RefCell;
 
 /// The largest reach radius whose paths (`ρ + 1` ids) fit the 8-bit path
 /// length of the wire format.
@@ -228,17 +230,30 @@ impl MessageSize for PathSetMessage {
     }
 }
 
-/// A node's reused queue of outgoing paths: their ids back to back plus one
-/// span per path. [`PathOutbox::broadcast`] turns a round's queue into one
+/// A queue of outgoing paths: their ids back to back plus one span per path.
+/// [`PathOutbox::broadcast`] turns a round's queue into one
 /// [`PathSetMessage`] in lexicographic path order, the deterministic
-/// broadcast order of every path protocol.
+/// broadcast order of every path protocol, and empties it. Each thread
+/// holds one ([`PathOutbox::with`]), which the nodes it evaluates fill and
+/// broadcast in turn, so its capacity is reused across vertices and rounds.
 #[derive(Debug, Default)]
 pub(crate) struct PathOutbox {
     ids: Vec<u32>,
     spans: Vec<(u32, u32)>,
 }
 
+thread_local! {
+    /// One [`PathOutbox`] per thread, empty between node calls.
+    static OUTBOX: RefCell<PathOutbox> = RefCell::new(PathOutbox::default());
+}
+
 impl PathOutbox {
+    /// Runs `f` with the thread's outbox. `f` must leave it empty, which
+    /// [`PathOutbox::broadcast`] does, and must not re-enter.
+    pub(crate) fn with<T>(f: impl FnOnce(&mut PathOutbox) -> T) -> T {
+        OUTBOX.with(|cell| f(&mut cell.borrow_mut()))
+    }
+
     /// Queues `path ++ tail`.
     pub(crate) fn push(&mut self, path: &[u32], tail: Option<u32>) {
         let offset = u32_from_usize(self.ids.len());
@@ -303,7 +318,6 @@ pub struct WReachNode {
     rho: u32,
     id_bits: usize,
     paths: PathStore,
-    outbox: PathOutbox,
 }
 
 impl WReachNode {
@@ -315,14 +329,14 @@ impl WReachNode {
             rho,
             id_bits,
             paths: PathStore::new(),
-            outbox: PathOutbox::default(),
         }
     }
 
-    /// Offers the extension `path ++ [self.sid]` as a candidate; stores and
-    /// queues it for broadcast if it is new or better than the stored one.
-    /// Both copies are written straight from the borrowed incoming path.
-    fn offer(&mut self, path: &[u32]) {
+    /// Offers the extension `path ++ [self.sid]` as a candidate; stores it,
+    /// and queues it in `outbox` for broadcast, if it is new or better than
+    /// the stored one. Both copies are written straight from the borrowed
+    /// incoming path.
+    fn offer(&mut self, path: &[u32], outbox: &mut PathOutbox) {
         let start = path[0];
         // Only smaller starts, and never a path through this vertex.
         if start >= self.sid || path.contains(&self.sid) {
@@ -336,7 +350,7 @@ impl WReachNode {
         }
         // Re-broadcast only paths that can still be usefully extended.
         if path.len() < self.rho as usize {
-            self.outbox.push(path, Some(self.sid));
+            outbox.push(path, Some(self.sid));
         }
         self.paths.store(slot, start, path, Some(self.sid));
     }
@@ -363,8 +377,9 @@ impl NodeAlgorithm for WReachNode {
 
     fn init(&mut self, _ctx: &NodeContext) -> Outgoing<PathSetMessage> {
         self.paths.insert(self.sid, &[self.sid]);
-        self.outbox.push(&[self.sid], None);
-        self.outbox.broadcast(self.id_bits)
+        let mut message = PathSetMessage::with_capacity(self.id_bits, 1, 1);
+        message.push(&[self.sid]);
+        Outgoing::Broadcast(message)
     }
 
     fn round(
@@ -376,15 +391,17 @@ impl NodeAlgorithm for WReachNode {
         if round > self.rho as usize {
             return Outgoing::Silent;
         }
-        for message in inbox {
-            for path in message.payload.paths() {
-                // Extending a longer path would exceed the reach radius.
-                if path.len() <= self.rho as usize {
-                    self.offer(path);
+        PathOutbox::with(|outbox| {
+            for message in inbox {
+                for path in message.payload.paths() {
+                    // Extending a longer path would exceed the reach radius.
+                    if path.len() <= self.rho as usize {
+                        self.offer(path, outbox);
+                    }
                 }
             }
-        }
-        self.outbox.broadcast(self.id_bits)
+            outbox.broadcast(self.id_bits)
+        })
     }
 
     fn output(&self, _ctx: &NodeContext) -> WReachInfo {

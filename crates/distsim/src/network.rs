@@ -35,10 +35,13 @@
 //! attaches each new vertex to a random face), so walking inboxes in vertex
 //! order misses cache on every neighbour. The network therefore stores its
 //! per-vertex state in *slots*: one BFS order of the graph, computed when it
-//! is built. The node instances, their contexts, both outbox buffers and
-//! the id-sorted delivery CSR are all indexed by slot, so a receiver's
-//! neighbours, and the payloads they allocated earlier in the same sweep,
-//! sit near it in memory.
+//! is built. The node instances, both outbox buffers and the id-sorted
+//! neighbour CSR are all indexed by slot, so a receiver's neighbours, and
+//! the payloads they allocated earlier in the same sweep, sit near it in
+//! memory. The CSR holds each slot's neighbours twice over one offset
+//! array: as slots (the delivery order) and as network ids, the slice every
+//! [`NodeContext`] of that slot borrows. Contexts are built per call, so the
+//! network allocates nothing per vertex.
 //!
 //! Slots never leave this module. The factory receives the graph vertex,
 //! [`Network::outputs`], [`Network::node`] and [`Network::id_of`] are keyed
@@ -73,17 +76,20 @@ pub struct Network<'g, A: NodeAlgorithm> {
     slot_of: Vec<u32>,
     /// Network id of each slot's vertex.
     ids: Vec<u64>,
-    contexts: Vec<NodeContext>,
     nodes: Vec<A>,
     /// Outboxes produced by the last evaluated round (to be delivered next).
     outboxes: Vec<Outgoing<A::Message>>,
     /// Double buffer the next round's outboxes are written into.
     next_outboxes: Vec<Outgoing<A::Message>>,
-    /// CSR offsets into [`Network::delivery_order`]; length `n + 1`.
+    /// CSR offsets into [`Network::delivery_order`] and
+    /// [`Network::neighbor_ids`]; length `n + 1`.
     nbr_offsets: Vec<u32>,
     /// Every slot's neighbour slots sorted by network id — the deterministic
     /// delivery order, precomputed once.
     delivery_order: Vec<u32>,
+    /// The network ids of [`Network::delivery_order`]'s slots: each slot's
+    /// sorted neighbour ids, which its contexts borrow.
+    neighbor_ids: Vec<u64>,
     /// The installed fault schedule, if any. Configuration, not execution
     /// state: snapshots do not capture it and restores do not touch it.
     fault: Option<FaultPlan>,
@@ -121,61 +127,48 @@ impl<'g, A: NodeAlgorithm> Network<'g, A> {
         for (slot, &v) in vertex_at.iter().enumerate() {
             slot_of[v as usize] = u32_from_usize(slot);
         }
-        // Inverse of the id assignment (ids are always a dense permutation
-        // of `0..n`): the graph vertex holding each id.
-        let mut vertex_of: Vec<Vertex> = vec![0; n];
-        for (v, &id) in id_of.iter().enumerate() {
+        let ids: Vec<u64> = vertex_at.iter().map(|&v| id_of[v as usize]).collect();
+        // The slot holding each id (ids are always a dense permutation of
+        // `0..n`).
+        let mut slot_of_id = vec![0u32; n];
+        for (slot, &id) in ids.iter().enumerate() {
             debug_assert!((id as usize) < n, "id assignments are dense permutations");
-            vertex_of[id as usize] = v as Vertex;
+            slot_of_id[id as usize] = u32_from_usize(slot);
         }
-        let contexts: Vec<NodeContext> = vertex_at
+
+        // The id-sorted neighbour CSR: each slot's neighbour ids, sorted,
+        // then the slots holding them — the deterministic delivery order.
+        let mut nbr_offsets: Vec<u32> = Vec::with_capacity(n + 1);
+        let mut neighbor_ids: Vec<u64> = Vec::with_capacity(2 * graph.num_edges());
+        nbr_offsets.push(0);
+        for &v in &vertex_at {
+            let start = neighbor_ids.len();
+            neighbor_ids.extend(graph.neighbors(v).iter().map(|&w| id_of[w as usize]));
+            neighbor_ids[start..].sort_unstable();
+            nbr_offsets.push(u32_from_usize(neighbor_ids.len()));
+        }
+        let delivery_order: Vec<u32> = neighbor_ids
             .iter()
-            .map(|&v| {
-                let mut neighbor_ids: Vec<u64> = graph
-                    .neighbors(v)
-                    .iter()
-                    .map(|&w| id_of[w as usize])
-                    .collect();
-                neighbor_ids.sort_unstable();
-                NodeContext {
-                    id: id_of[v as usize],
-                    n,
-                    neighbor_ids,
-                }
-            })
+            .map(|&id| slot_of_id[id as usize])
             .collect();
         let nodes: Vec<A> = vertex_at
             .iter()
-            .zip(&contexts)
-            .map(|(&v, ctx)| factory(v, ctx))
+            .enumerate()
+            .map(|(s, &v)| factory(v, &context_at(&ids, &nbr_offsets, &neighbor_ids, s)))
             .collect();
-
-        // Precompute the deterministic delivery order: each slot's
-        // neighbours, sorted by network id as its context already lists them.
-        let mut nbr_offsets: Vec<u32> = Vec::with_capacity(n + 1);
-        let mut delivery_order: Vec<u32> = Vec::with_capacity(2 * graph.num_edges());
-        nbr_offsets.push(0);
-        for ctx in &contexts {
-            delivery_order.extend(
-                ctx.neighbor_ids
-                    .iter()
-                    .map(|&id| slot_of[vertex_of[id as usize] as usize]),
-            );
-            nbr_offsets.push(u32_from_usize(delivery_order.len()));
-        }
 
         Network {
             graph,
             model,
-            ids: vertex_at.iter().map(|&v| id_of[v as usize]).collect(),
+            ids,
             vertex_at,
             slot_of,
-            contexts,
             nodes,
             outboxes: (0..n).map(|_| Outgoing::Silent).collect(),
             next_outboxes: (0..n).map(|_| Outgoing::Silent).collect(),
             nbr_offsets,
             delivery_order,
+            neighbor_ids,
             fault: None,
             stats: RunStats::default(),
             strategy: ExecutionStrategy::Sequential,
@@ -244,10 +237,10 @@ impl<'g, A: NodeAlgorithm> Network<'g, A> {
         if self.initialized {
             return Ok(());
         }
-        let contexts = &self.contexts;
+        let (ids, nbr_offsets, neighbor_ids) = (&self.ids, &self.nbr_offsets, &self.neighbor_ids);
         self.strategy
             .zip_apply(&mut self.nodes, &mut self.outboxes, |s, node, slot| {
-                *slot = node.init(&contexts[s]);
+                *slot = node.init(&context_at(ids, nbr_offsets, neighbor_ids, s));
             });
         self.validate(&self.outboxes, 0)?;
         self.initialized = true;
@@ -319,12 +312,12 @@ impl<'g, A: NodeAlgorithm> Network<'g, A> {
         // straight off the pre-sorted neighbour CSR and, under a fault plan,
         // filter on read.
         {
-            let contexts = &self.contexts;
             let outboxes = &self.outboxes;
             let ids = &self.ids;
             let vertex_at = &self.vertex_at;
             let nbr_offsets = &self.nbr_offsets;
             let delivery_order = &self.delivery_order;
+            let neighbor_ids = &self.neighbor_ids;
             self.strategy
                 .zip_apply(&mut self.nodes, &mut self.next_outboxes, |w, node, slot| {
                     let receiver = vertex_at[w];
@@ -346,7 +339,8 @@ impl<'g, A: NodeAlgorithm> Network<'g, A> {
                         }),
                         outboxes,
                     };
-                    *slot = node.round(&contexts[w], round_index, inbox);
+                    let ctx = context_at(ids, nbr_offsets, neighbor_ids, w);
+                    *slot = node.round(&ctx, round_index, inbox);
                 });
         }
         self.validate(&self.next_outboxes, round_index)?;
@@ -407,7 +401,10 @@ impl<'g, A: NodeAlgorithm> Network<'g, A> {
     pub fn outputs(&self) -> Vec<A::Output> {
         self.slot_of
             .iter()
-            .map(|&s| self.nodes[s as usize].output(&self.contexts[s as usize]))
+            .map(|&s| {
+                let ctx = context_at(&self.ids, &self.nbr_offsets, &self.neighbor_ids, s as usize);
+                self.nodes[s as usize].output(&ctx)
+            })
             .collect()
     }
 
@@ -458,6 +455,21 @@ impl<'g, A: NodeAlgorithm> Network<'g, A> {
             }
         }
         Ok(())
+    }
+}
+
+/// The context of the vertex in slot `s`: its id, and its sorted neighbour
+/// ids borrowed from the network's CSR.
+fn context_at<'a>(
+    ids: &[u64],
+    nbr_offsets: &[u32],
+    neighbor_ids: &'a [u64],
+    s: usize,
+) -> NodeContext<'a> {
+    NodeContext {
+        id: ids[s],
+        n: ids.len(),
+        neighbor_ids: &neighbor_ids[nbr_offsets[s] as usize..nbr_offsets[s + 1] as usize],
     }
 }
 

@@ -27,17 +27,21 @@ use crate::message::MessageSize;
 /// Per the paper's model every vertex knows its own unique `O(log n)`-bit
 /// identifier, the order `n` of the graph, and (after one implicit round) the
 /// identifiers of its neighbours.
-#[derive(Clone, Debug)]
-pub struct NodeContext {
+///
+/// A borrowed `Copy` view: the network keeps every vertex's neighbour ids in
+/// one id-sorted array and builds each call's context over its slice, so a
+/// context costs no allocation. Copy out what you keep.
+#[derive(Clone, Copy, Debug)]
+pub struct NodeContext<'a> {
     /// This vertex's unique network identifier.
     pub id: u64,
     /// Number of vertices of the network graph, known to all vertices.
     pub n: usize,
     /// Identifiers of the neighbours, sorted increasingly.
-    pub neighbor_ids: Vec<u64>,
+    pub neighbor_ids: &'a [u64],
 }
 
-impl NodeContext {
+impl NodeContext<'_> {
     /// Degree of this vertex.
     pub fn degree(&self) -> usize {
         self.neighbor_ids.len()
@@ -238,7 +242,7 @@ mod tests {
         let ctx = NodeContext {
             id: 10,
             n: 100,
-            neighbor_ids: vec![2, 5, 11],
+            neighbor_ids: &[2, 5, 11],
         };
         assert_eq!(ctx.degree(), 3);
     }

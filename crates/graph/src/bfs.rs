@@ -14,7 +14,7 @@ pub const UNREACHABLE: u32 = u32::MAX;
 
 thread_local! {
     /// One [`BfsScratch`] per thread backing the whole-graph entry points
-    /// ([`multi_source_distances`], [`eccentricity`],
+    /// ([`multi_source_distances`], [`eccentricity`], [`closed_neighborhood`],
     /// [`closed_set_neighborhood`]): repeated calls reuse a single
     /// epoch-stamped visited array instead of allocating and zeroing a fresh
     /// `vec![UNREACHABLE; n]` queue + marks pair per call.
@@ -92,27 +92,14 @@ pub fn distance(graph: &Graph, u: Vertex, v: Vertex) -> Option<u32> {
 
 /// The closed `r`-neighbourhood `N_r[v]` (always contains `v`, per the paper's
 /// convention that paths of length 0 are allowed), sorted by vertex id.
+/// Runs [`BfsScratch::closed_neighborhood_into`] on the thread's shared
+/// scratch, so a call touches `O(|N_r[v]|)` memory, not `Θ(n)`, and
+/// allocates only the returned vector.
 pub fn closed_neighborhood(graph: &Graph, v: Vertex, r: u32) -> Vec<Vertex> {
     let mut result = Vec::new();
-    let mut dist = vec![UNREACHABLE; graph.num_vertices()];
-    let mut queue = VecDeque::new();
-    dist[v as usize] = 0;
-    queue.push_back(v);
-    result.push(v);
-    while let Some(x) = queue.pop_front() {
-        let d = dist[x as usize];
-        if d >= r {
-            continue;
-        }
-        for &w in graph.neighbors(x) {
-            if dist[w as usize] == UNREACHABLE {
-                dist[w as usize] = d + 1;
-                result.push(w);
-                queue.push_back(w);
-            }
-        }
-    }
-    result.sort_unstable();
+    with_shared_scratch(graph.num_vertices(), |scratch| {
+        scratch.closed_neighborhood_into(graph, v, r, &mut result);
+    });
     result
 }
 
@@ -222,8 +209,8 @@ impl BfsScratch {
     }
 
     /// The closed `r`-neighbourhood `N_r[v]`, appended to `out` sorted by
-    /// vertex id — the scratch-reusing equivalent of
-    /// [`closed_neighborhood`].
+    /// vertex id — what [`closed_neighborhood`] computes on the thread's
+    /// shared scratch.
     pub fn closed_neighborhood_into(
         &mut self,
         graph: &Graph,

@@ -309,7 +309,10 @@ pub fn bitmask_minimum_domination_number(graph: &Graph, r: u32) -> Option<usize>
 /// greedily constructed `2r`-independent set (a set of vertices pairwise at
 /// distance > 2r): no vertex can distance-r dominate two of them, so the
 /// packing size is a valid lower bound on OPT. Used on instances too large
-/// for the exact solver.
+/// for the exact solver. Each packing vertex blocks its `2r`-ball through
+/// [`closed_neighborhood`], so the cost is the balls' total size, not `n` per
+/// packing vertex. `2r` saturates at `u32::MAX`: a radius that only bounds
+/// the search cannot wrap to 0.
 pub fn packing_lower_bound(graph: &Graph, r: u32) -> usize {
     let n = graph.num_vertices();
     if n == 0 {
@@ -323,7 +326,7 @@ pub fn packing_lower_bound(graph: &Graph, r: u32) -> usize {
             continue;
         }
         count += 1;
-        for w in closed_neighborhood(graph, v, 2 * r) {
+        for w in closed_neighborhood(graph, v, r.saturating_mul(2)) {
             blocked[w as usize] = true;
         }
     }
@@ -468,6 +471,15 @@ mod tests {
             assert!(lb <= opt.len(), "lb {lb} > opt {}", opt.len());
             assert!(lb >= 1);
         }
+    }
+
+    #[test]
+    fn packing_lower_bound_saturates_a_radius_whose_double_overflows() {
+        // 2r = 2³² would wrap to 0 and pack all six vertices; saturated, a
+        // ball is a whole edge, so one vertex per edge packs.
+        let g = graph_from_edges(6, &[(0, 1), (2, 3), (4, 5)]);
+        assert_eq!(packing_lower_bound(&g, 1 << 31), 3);
+        assert_eq!(packing_lower_bound(&g, u32::MAX), 3);
     }
 
     #[test]

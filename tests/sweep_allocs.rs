@@ -1,16 +1,21 @@
-//! Allocation regression for the two context phases every distributed
-//! pipeline runs.
+//! Allocation regression for the phases every Theorem 9 solve runs.
 //!
 //! * The index sweep: `DistContext::index()` must stay `O(workers)` in
 //!   allocation count — one epoch-stamped BFS scratch per worker, one set of
 //!   ball buffers per chunk, one final CSR — never `Θ(n)` fresh vectors (the
 //!   seed's per-ball `vec![false; n]`) nor the per-batch lane buffers of a
 //!   64-source word-parallel sweep.
+//! * The packing lower bound: `packing_lower_bound` must allocate in
+//!   proportion to its balls, never an `n`-sized array per packing vertex.
+//! * Network set-up: `Network::new` must allocate a fixed number of flat
+//!   arrays, never one neighbour-id vector per vertex.
 //! * The Lemma 7 protocol: `DistContext::wreach()` must stay within a fixed
-//!   number of allocations per vertex — a flat path store and a reused
-//!   outbox per vertex, one message per broadcast — never one vector per
+//!   number of allocations per vertex — a flat path store per vertex, one
+//!   outbox per thread, one message per broadcast — never one vector per
 //!   stored or forwarded path — and within a budget of peak live bytes per
 //!   vertex, which holds the stores' and messages' compact layout.
+//! * The Theorem 9 election on a context whose Lemma 7 run is cached: a
+//!   fixed number of allocations per vertex, with no outbox per vertex.
 //!
 //! Lives in its own integration-test binary, with a single `#[test]`, so the
 //! counting global allocator sees no interference from tests running on
@@ -18,8 +23,11 @@
 
 #![allow(unsafe_code)] // the counting allocator implements `GlobalAlloc`
 
-use bedom::core::{DistContext, DistContextConfig};
-use bedom::distsim::ExecutionStrategy;
+use bedom::core::{distributed_distance_domination_in, DistContext, DistContextConfig};
+use bedom::distsim::{
+    ExecutionStrategy, IdAssignment, Inbox, Model, Network, NodeAlgorithm, NodeContext, Outgoing,
+};
+use bedom::graph::domset::packing_lower_bound;
 use bedom::graph::generators::{configuration_model_power_law, stacked_triangulation};
 use bedom::wcol::WReachIndex;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -28,6 +36,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Bytes allocated in total.
+static BYTES: AtomicUsize = AtomicUsize::new(0);
 /// Bytes currently allocated.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 /// The most bytes allocated at once since `peak_bytes` last reset it.
@@ -36,6 +46,7 @@ static PEAK: AtomicUsize = AtomicUsize::new(0);
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size(), Ordering::Relaxed);
         let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
         PEAK.fetch_max(live, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
@@ -56,6 +67,13 @@ fn count_allocs(f: impl FnOnce()) -> u64 {
     ALLOCS.load(Ordering::Relaxed) - before
 }
 
+/// The bytes `f` allocates in total.
+fn alloc_bytes(f: impl FnOnce()) -> usize {
+    let before = BYTES.load(Ordering::Relaxed);
+    f();
+    BYTES.load(Ordering::Relaxed) - before
+}
+
 /// The most bytes `f` holds live at once, above what was live before it.
 fn peak_bytes(f: impl FnOnce()) -> usize {
     let before = LIVE.load(Ordering::Relaxed);
@@ -65,9 +83,29 @@ fn peak_bytes(f: impl FnOnce()) -> usize {
 }
 
 /// Peak live bytes per vertex of a ρ = 4 Lemma 7 run, including the result
-/// the context keeps: 1680 (planar-tri) and 1422 (config-model) with 32-bit
-/// super-ids in every store and message, 2644 and 2232 with 64-bit ones.
-const PEAK_BUDGET: f64 = 2000.0;
+/// the context keeps: 1291 (planar-tri) and 1152 (config-model) with one
+/// outbox per thread and a borrowed neighbour-id view per context, 1673 and
+/// 1415 with an outbox and a neighbour-id vector per vertex, 2644 and 2232
+/// with 64-bit super-ids as well.
+const PEAK_BUDGET: f64 = 1500.0;
+
+/// A protocol that never sends: its network costs only the set-up.
+struct Silent;
+
+impl NodeAlgorithm for Silent {
+    type Message = ();
+    type Output = ();
+
+    fn init(&mut self, _: &NodeContext) -> Outgoing<()> {
+        Outgoing::Silent
+    }
+
+    fn round(&mut self, _: &NodeContext, _: usize, _: Inbox<'_, ()>) -> Outgoing<()> {
+        Outgoing::Silent
+    }
+
+    fn output(&self, _: &NodeContext) {}
+}
 
 #[test]
 fn context_index_sweep_and_wreach_protocol_stay_within_their_allocation_budgets() {
@@ -99,9 +137,23 @@ fn context_index_sweep_and_wreach_protocol_stay_within_their_allocation_budgets(
         "the context's index differs from the plain per-source build"
     );
 
+    // The packing lower bound blocks each packing vertex's 2-ball through
+    // the thread's shared BFS scratch: a fresh n-sized distance array per
+    // packing vertex (the former layout allocated 99.5 MB here) trips the
+    // budget.
+    let mut packing = 0;
+    let bytes = alloc_bytes(|| packing = packing_lower_bound(&g, 1));
+    assert!(packing > 0);
+    eprintln!("packing_lower_bound: {bytes} bytes allocated");
+    assert!(
+        bytes < 1 << 20,
+        "packing_lower_bound allocated {bytes} bytes on n = {n} at r = 1 (budget 1 MiB)"
+    );
+
     // The Lemma 7 protocol at radius 4: each vertex stores and forwards
     // dozens of paths, so one vector per path (the former layout made 80.0
-    // and 60.8 allocations per vertex here) trips the budget.
+    // and 60.8 allocations per vertex here) or an outbox per vertex (25.3 and
+    // 21.2) trips the budget.
     let n = 5_000;
     for (name, g) in [
         ("planar-tri", stacked_triangulation(n, 3)),
@@ -118,6 +170,17 @@ fn context_index_sweep_and_wreach_protocol_stay_within_their_allocation_budgets(
             },
         )
         .expect("the order phase runs on every generated graph");
+        // A neighbour-id vector per vertex (the former layout made 5011
+        // allocations here) trips the budget.
+        let allocs = count_allocs(|| {
+            Network::new(&g, Model::Local, IdAssignment::Natural, |_, _| Silent);
+        });
+        eprintln!("{name}: Network::new performed {allocs} allocations");
+        assert!(
+            allocs < 32,
+            "{name}: Network::new performed {allocs} allocations on n = {n} (budget 32)"
+        );
+
         let mut allocs = 0;
         let peak = peak_bytes(|| {
             allocs = count_allocs(|| {
@@ -126,9 +189,9 @@ fn context_index_sweep_and_wreach_protocol_stay_within_their_allocation_budgets(
         });
         let per_vertex = allocs as f64 / n as f64;
         assert!(
-            per_vertex < 35.0,
+            per_vertex < 20.0,
             "{name}: DistContext::wreach() performed {per_vertex:.1} allocations per vertex \
-             on n = {n} (budget 35)"
+             on n = {n} (budget 20)"
         );
         let peak_per_vertex = peak as f64 / n as f64;
         eprintln!(
@@ -139,6 +202,21 @@ fn context_index_sweep_and_wreach_protocol_stay_within_their_allocation_budgets(
             peak_per_vertex < PEAK_BUDGET,
             "{name}: DistContext::wreach() held {peak_per_vertex:.0} peak live bytes per vertex \
              on n = {n} (budget {PEAK_BUDGET})"
+        );
+
+        // The election on the cached Lemma 7 result: a token message per
+        // sender and a forwarding record per vertex, so an outbox and a
+        // neighbour-id vector per vertex (5.13 and 4.76 allocations per
+        // vertex) trip the budget.
+        let allocs = count_allocs(|| {
+            distributed_distance_domination_in(&ctx, 2).expect("a fault-free election succeeds");
+        });
+        let per_vertex = allocs as f64 / n as f64;
+        eprintln!("{name}: {per_vertex:.2} election allocations per vertex");
+        assert!(
+            per_vertex < 3.0,
+            "{name}: distributed_distance_domination_in performed {per_vertex:.2} allocations \
+             per vertex on n = {n} (budget 3)"
         );
     }
 }
