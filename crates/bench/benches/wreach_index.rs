@@ -20,10 +20,10 @@
 //! (`dist_wreach_flat_peak_bytes`, the most bytes held at once above what
 //! was live before the run) and wall time of one engine run, with the
 //! measured constant checked against `wcol_of_order`. That run is
-//! already sequential, yet its `dist_wreach_flat_allocs` row has read both
-//! 428 091 and 428 090 with no code change between the two (the committed
-//! 428 090 is what a 2-vCPU box measures today), so that row is exact only
-//! for one box and toolchain.
+//! already sequential, yet its `dist_wreach_flat_allocs` row once read both
+//! 428 091 and 428 090 with no code change between the two, so that row is
+//! exact only for one box and toolchain (the committed 308 227 is what a
+//! 2-vCPU box measures with one path outbox per thread).
 //!
 //! Each timing is the median of `SAMPLES` runs after an untimed warm-up run.
 //! Run with `BEDOM_BENCH_JSON=BENCH_wreach.json` to commit the numbers.
