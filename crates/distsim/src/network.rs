@@ -40,8 +40,8 @@
 //! the payloads they allocated earlier in the same sweep, sit near it in
 //! memory. The CSR holds each slot's neighbours twice over one offset
 //! array: as slots (the delivery order) and as network ids, the slice every
-//! [`NodeContext`] of that slot borrows. Contexts are built per call, so the
-//! network allocates nothing per vertex.
+//! [`NodeContext`] of that slot borrows. Contexts are built per call, so a
+//! network is built with a fixed number of allocations, none per vertex.
 //!
 //! Slots never leave this module. The factory receives the graph vertex,
 //! [`Network::outputs`], [`Network::node`] and [`Network::id_of`] are keyed
