@@ -24,11 +24,19 @@
 //! dictionary compression, hub-clustered summaries), and per-phase bit
 //! buckets show where the wire budget goes.
 //!
+//! A counting global allocator records the peak live bytes of one untimed
+//! r = 2 run per instance (`{instance}_ksv_peak_bytes`: the most bytes held
+//! at once above what was live before the run). Every allocation of the
+//! timed runs passes through it as well, so the `*_seconds` rows carry its
+//! overhead, as `wreach_index`'s do.
+//!
 //! Frozen rows: the 22 `planar-tri-flood_*` and `config-model-flood_*`
 //! metrics of `BENCH_ksv.json` compared the former per-path record flood
 //! with the summary flood on 10k instances. The record flood is deleted, so
 //! this bench no longer writes them; they are carried over unchanged when
 //! the file is regenerated.
+
+#![allow(unsafe_code)] // the counting allocator implements `GlobalAlloc`
 
 use bedom_bench::connected_instance;
 use bedom_bench::report::{record_metric, time_samples, write_json_report};
@@ -40,6 +48,42 @@ use bedom_distsim::{ExecutionStrategy, IdAssignment};
 use bedom_graph::domset::{is_distance_dominating_set, packing_lower_bound};
 use bedom_graph::generators::{stacked_triangulation, Family};
 use bedom_graph::Graph;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::hint::black_box;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Tracks live bytes so the bench can report how many bytes one run holds
+/// at its peak.
+struct CountingAlloc;
+
+/// Bytes currently allocated.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+/// The most bytes allocated at once since `peak_bytes` last reset it.
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
+        PEAK.fetch_max(live, Ordering::Relaxed);
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+/// The most bytes `f` holds live at once, above what was live before it.
+fn peak_bytes(f: impl FnOnce()) -> usize {
+    let before = LIVE.load(Ordering::Relaxed);
+    PEAK.store(before, Ordering::Relaxed);
+    f();
+    PEAK.load(Ordering::Relaxed) - before
+}
 
 const N: usize = 100_000;
 const SEED: u64 = 0xd15d;
@@ -170,7 +214,8 @@ fn bench_ksv_pipeline() {
 /// r = 2 on the same full-size (`N`) instances and seeds — feasible since
 /// the summary flood replaced per-path record re-shipping. One warm-up run
 /// and one timed run per protocol; the timed run is validity-checked against
-/// the acceptance contract (total KSV bits ≤ 2× the order-based bits).
+/// the acceptance contract (total KSV bits ≤ 2× the order-based bits). A
+/// last, untimed KSV run measures the protocol's peak live bytes.
 fn bench_ksv_distance_r() {
     let instances: Vec<(&str, Graph)> = vec![
         ("planar-tri-r", stacked_triangulation(N, 3)),
@@ -198,6 +243,9 @@ fn bench_ksv_distance_r() {
             ksv_rounds(r),
             "{name}: distance-{r} KSV must stay constant-round at n = {n}"
         );
+        let ksv_peak = peak_bytes(|| {
+            black_box(distributed_ksv_domination_r(graph, r, ksv_config()).unwrap());
+        });
         let lb = packing_lower_bound(graph, r);
         let t9_bits: usize = t9.phase_stats.iter().map(|s| s.total_bits).sum();
         assert!(
@@ -209,7 +257,8 @@ fn bench_ksv_distance_r() {
 
         println!(
             "{name} (n = {n}, r = {r}): order-based = {} rounds / {t9_bits} bits / |D| = {} in \
-             {t9_secs:.2} s, ksv = {} rounds / {} bits / |D| = {} in {ksv_secs:.2} s (lb {lb})",
+             {t9_secs:.2} s, ksv = {} rounds / {} bits / |D| = {} in {ksv_secs:.2} s, \
+             {ksv_peak} peak bytes (lb {lb})",
             t9.total_rounds(),
             t9.dominating_set.len(),
             ksv.rounds,
@@ -251,6 +300,7 @@ fn bench_ksv_distance_r() {
         record_metric(&format!("{name}_packing_lower_bound"), lb as f64);
         record_metric(&format!("{name}_t9_seconds"), t9_secs);
         record_metric(&format!("{name}_ksv_seconds"), ksv_secs);
+        record_metric(&format!("{name}_ksv_peak_bytes"), ksv_peak as f64);
         record_metric(
             &format!("{name}_round_reduction"),
             t9.total_rounds() as f64 / ksv.rounds.max(1) as f64,

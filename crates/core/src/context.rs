@@ -199,29 +199,27 @@ impl<'g> DistContext<'g> {
     /// caches it; later calls — from the same pipeline or from another phase
     /// sharing this context — are free.
     pub fn wreach(&self) -> Result<&DistributedWReach, ModelViolation> {
-        if self.wreach.get().is_none() {
-            let result = if self.graph.num_vertices() == 0 {
-                DistributedWReach {
-                    info: Vec::new(),
-                    rounds: 0,
-                    stats: RunStats::default(),
-                }
-            } else {
-                distributed_weak_reachability(
-                    self.graph,
-                    self.super_ids(),
-                    WReachConfig {
-                        rho: self.config.max_radius,
-                        bandwidth_logs: self.config.bandwidth_logs,
-                        strategy: self.config.strategy,
-                    },
-                )?
-            };
-            // A concurrent set is impossible (&self is !Sync via OnceCell);
-            // ignore the Err the API forces us to consider.
-            let _ = self.wreach.set(result);
+        if let Some(wreach) = self.wreach.get() {
+            return Ok(wreach);
         }
-        Ok(self.wreach.get().expect("wreach cell was just filled"))
+        let result = if self.graph.num_vertices() == 0 {
+            DistributedWReach {
+                info: Vec::new(),
+                rounds: 0,
+                stats: RunStats::default(),
+            }
+        } else {
+            distributed_weak_reachability(
+                self.graph,
+                self.super_ids(),
+                WReachConfig {
+                    rho: self.config.max_radius,
+                    bandwidth_logs: self.config.bandwidth_logs,
+                    strategy: self.config.strategy,
+                },
+            )?
+        };
+        Ok(self.wreach.get_or_init(|| result))
     }
 
     /// Whether the weak-reachability protocol has already run.

@@ -70,24 +70,30 @@
 //! that remain. Summary distances travel in 8 bits, so radii above 255 fail
 //! with a typed error.
 //!
-//! Node state holds no maps: adjacency records sit in one flat store of
-//! 32-bit ids by neighbour position (network ids are a permutation of `0..n`
-//! and `n ≤ 2³²`), a ball entry is one `id << 8 | d` word (`d ≤ r ≤ 255`), a
-//! local distance one `id << 16 | d` word (`d < 2r ≤ 510`; both sort by id),
-//! each member's heard summary a 4-byte slot (unheard, stub, or an index
-//! into the unflagged summaries), flood dedup bits by `local_dist` position.
-//! The frozen ball is one shared allocation that is also the vertex's own
-//! summary — shipped, relayed and read in the decision round without a copy
-//! — and its repricing dictionary, which is never stored: it is the ball's
-//! ids, or the closed neighbourhood of a flagged vertex. One per-thread,
+//! Node state holds no maps, and each broadcast is stored once. An
+//! adjacency record is one shared allocation of 32-bit ids (network ids are
+//! a permutation of `0..n` and `n ≤ 2³²`): the sender's init broadcast
+//! carries it, and every receiver keeps a clone by neighbour position. A
+//! ball entry is one `id << 8 | d` word (`d ≤ r ≤ 255`), a local distance
+//! one `id << 16 | d` word (`d < 2r ≤ 510`; both sort by id). Each ball
+//! member's heard state is two bits (heard, stub), and each heard summary
+//! is kept with its ball index. The frozen ball is one shared allocation
+//! that serves three roles without a copy. It is the vertex's own summary,
+//! shipped, relayed and read in the decision round. It is its repricing
+//! dictionary, which is never stored: it is the ball's ids, or the closed
+//! neighbourhood of a flagged vertex. And after the decision call it is the
+//! near part of the local distances: `local_dist` holds only the ids beyond
+//! the ball and any member a midpoint brought closer, and the flood dedup
+//! bits go by position in `local_dist`, then in the ball. One per-thread,
 //! epoch-stamped scratch maps network ids to local ids for the ball merge
 //! and the decision round, whose coverage masks share one arena reused
 //! across vertices. At `r ≥ 2` the decision call interns the frozen ball
 //! there first, so the same slot table finds each last relay's owner in
 //! `O(1)`, and the relayed entries are read in place in the inbox instead
-//! of being copied into the flood state. The greedy's lazy heap holds one
-//! `u64` per candidate, `gain << 32 | (u32::MAX − id)`: largest gain first,
-//! then smallest id.
+//! of being copied into the flood state. At `r = 1` the decision builds
+//! the members' closed balls from the shared records into a second
+//! per-thread buffer. The greedy's lazy heap holds one `u64` per candidate,
+//! `gain << 32 | (u32::MAX − id)`: largest gain first, then smallest id.
 //!
 //! Announcements propagate `r` hops (a vertex within distance `r` of a
 //! dominator must learn it is dominated), so the protocol runs **exactly
@@ -219,7 +225,8 @@ pub struct KsvVertexOutput {
 /// messages.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KsvKind {
-    /// Init broadcast: the sender's open neighbourhood (network ids).
+    /// Init broadcast: the sender's open neighbourhood, as the shared
+    /// [`KsvMessage::record`].
     Adjacency,
     /// Summary-flood ball wave (`r ≥ 3`): ids the sender first learnt last
     /// round — its ball frontier, which receivers place one hop further
@@ -278,6 +285,11 @@ pub struct KsvMessage {
     /// Network ids, sorted increasingly. For [`KsvKind::SummaryRelay`] these
     /// are stub owner ids (flagged summaries relay as bare ids).
     pub ids: Vec<u64>,
+    /// The sender's adjacency record for [`KsvKind::Adjacency`]: its open
+    /// neighbourhood as 32-bit network ids, sorted increasingly, charged
+    /// like `ids`. Every receiver keeps a clone of this one allocation
+    /// instead of a copy. `None` for every other kind.
+    pub record: Option<Arc<[u32]>>,
     /// Summary items for the summary-flood kinds; empty for every other
     /// kind.
     pub summaries: Vec<KsvSummaryItem>,
@@ -291,17 +303,24 @@ impl KsvMessage {
     /// loudly, like every other wire-path bound.
     fn payload_bits(&self) -> usize {
         debug_assert!(
-            match self.kind {
-                KsvKind::Summary => self.ids.is_empty(),
-                KsvKind::SummaryRelay => true,
-                _ => self.summaries.is_empty(),
-            },
+            (self.kind == KsvKind::Adjacency) == self.record.is_some()
+                && match self.kind {
+                    KsvKind::Adjacency => self.ids.is_empty() && self.summaries.is_empty(),
+                    KsvKind::Summary => self.ids.is_empty(),
+                    KsvKind::SummaryRelay => true,
+                    _ => self.summaries.is_empty(),
+                },
             "KSV payload lists must match the message kind"
         );
+        let record = self.record.as_deref().map_or(0, <[u32]>::len);
         assert!(
-            self.ids.len() <= u16::MAX as usize && self.summaries.len() <= u16::MAX as usize,
-            "KSV message carries {} ids / {} summaries — unencodable in a 16-bit length prefix",
+            self.ids.len() <= u16::MAX as usize
+                && record <= u16::MAX as usize
+                && self.summaries.len() <= u16::MAX as usize,
+            "KSV message carries {} ids / a {}-id record / {} summaries — unencodable in a \
+             16-bit length prefix",
             self.ids.len(),
+            record,
             self.summaries.len()
         );
         let summary_bits: usize = self
@@ -316,7 +335,7 @@ impl KsvMessage {
                 item.wire_bits
             })
             .sum();
-        self.ids.len() * self.id_bits + summary_bits
+        (self.ids.len() + record) * self.id_bits + summary_bits
     }
 }
 
@@ -371,9 +390,9 @@ fn unpack(word: u64, bits: u32) -> (u64, u32) {
     (word >> bits, cast::u32_from_u64(word & ((1 << bits) - 1)))
 }
 
-/// The closed neighbourhood `N[z]` as ball words — `z` at distance 0, the
-/// sorted open neighbourhood `adj` at distance 1 — in one allocation.
-fn closed_ball<T: Copy + Into<u64>>(z: u64, adj: &[T]) -> SummaryEntries {
+/// The closed neighbourhood `N[z]` as ball words, ascending by id: `z` at
+/// distance 0, the sorted open neighbourhood `adj` at distance 1.
+fn closed_ball_words<T: Copy + Into<u64>>(z: u64, adj: &[T]) -> impl Iterator<Item = u64> + '_ {
     let (below, above) = adj.split_at(adj.partition_point(|&w| w.into() < z));
     let one = |&w: &T| pack(w.into(), 1, BALL_DIST_BITS);
     below
@@ -381,13 +400,44 @@ fn closed_ball<T: Copy + Into<u64>>(z: u64, adj: &[T]) -> SummaryEntries {
         .map(one)
         .chain([pack(z, 0, BALL_DIST_BITS)])
         .chain(above.iter().map(one))
-        .collect()
 }
 
-/// Heard slot of a ball member whose summary has not arrived.
-const UNHEARD: u32 = 0;
-/// Heard slot of a flagged member's stub (slot `k + 2` is `summaries[k]`).
-const STUB: u32 = 1;
+/// The closed neighbourhood `N[z]` as ball words in one allocation.
+fn closed_ball<T: Copy + Into<u64>>(z: u64, adj: &[T]) -> SummaryEntries {
+    closed_ball_words(z, adj).collect()
+}
+
+/// Heard state of a ball member whose summary has not arrived.
+const UNHEARD: u64 = 0;
+/// Heard state of a member whose summary arrived (its entries are in
+/// `KsvNode::summaries`).
+const HEARD: u64 = 1;
+/// Heard state of a flagged member whose stub arrived.
+const STUB: u64 = HEARD | 2;
+
+/// Words of a heard bitset over `members` ball members, two bits each.
+fn heard_words(members: usize) -> usize {
+    (2 * members).div_ceil(64)
+}
+
+/// The heard state (`UNHEARD`, `HEARD` or `STUB`) of ball member `i`.
+fn heard_state(heard: &[u64], i: usize) -> u64 {
+    heard[i / 32] >> (2 * (i % 32)) & 3
+}
+
+/// Records the heard state of ball member `i`, which was unheard.
+fn set_heard(heard: &mut [u64], i: usize, state: u64) {
+    heard[i / 32] |= state << (2 * (i % 32));
+}
+
+/// How many ball members have been heard from (summary or stub).
+fn heard_count(heard: &[u64]) -> usize {
+    const HEARD_BITS: u64 = 0x5555_5555_5555_5555;
+    heard
+        .iter()
+        .map(|&w| (w & HEARD_BITS).count_ones() as usize)
+        .sum()
+}
 
 /// Which ids the repricing dictionary announced by a vertex's own summary
 /// broadcast holds. Receivers can reconstruct it, and the vertex never
@@ -417,6 +467,31 @@ thread_local! {
     /// One [`KsvScratch`] per thread, reused across vertices, runs and
     /// radii.
     static SCRATCH: RefCell<KsvScratch> = RefCell::new(KsvScratch::default());
+    /// One [`ClosedBalls`] per thread: the `r = 1` decision's member balls,
+    /// which it reads while it holds [`SCRATCH`].
+    static CLOSED_BALLS: RefCell<ClosedBalls> = RefCell::new(ClosedBalls::default());
+}
+
+/// The closed neighbourhoods of a vertex's closed neighbourhood, which are
+/// the member summaries of the `r = 1` decision, built from the shared
+/// adjacency records into one per-thread buffer instead of one allocation
+/// per member.
+#[derive(Debug, Default)]
+struct ClosedBalls {
+    /// The members' closed balls, concatenated in ball order.
+    words: Vec<u64>,
+    /// Where each member's ball ends in `words`.
+    ends: Vec<usize>,
+}
+
+impl ClosedBalls {
+    /// The members' balls, in ball order.
+    fn slices(&self) -> impl Iterator<Item = &[u64]> + Clone {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts
+            .zip(&self.ends)
+            .map(|(start, &end)| &self.words[start..end])
+    }
 }
 
 /// Per-thread scratch of the KSV node computations, after
@@ -445,6 +520,9 @@ struct KsvScratch {
     uncovered: Vec<u64>,
     /// The greedy's heap buffer: one [`heap_key`] per candidate.
     heap: Vec<u64>,
+    /// The decision call's map from ball member to its summary's index in
+    /// the flood state's summaries, then in the last relays.
+    summary_of: Vec<u32>,
 }
 
 /// The greedy's heap key of candidate `id` at gain `gain`:
@@ -599,10 +677,12 @@ impl KsvScratch {
 
 /// A decision view: the radius-`r` ball with exact distances and flag
 /// bits, plus (for unflagged members) their exact radius-`r` summaries.
-/// The `r = 1` decision builds one from the adjacency exchange; at `r ≥ 2`
-/// the decision call reads the same knowledge off its flood state and
-/// inbox without building one. `decide_from_view` reads nothing else, so
-/// equal views make equal decisions.
+/// The exact-view oracle builds one per vertex by BFS; the protocol's
+/// decision calls read the same knowledge off the adjacency records
+/// (`r = 1`) or the flood state and inbox (`r ≥ 2`) without building one.
+/// `decide_from_view` reads nothing else, so equal views make equal
+/// decisions.
+#[cfg(test)]
 struct KsvView {
     /// `(id, distance from self, flagged)`, ascending by id; contains self
     /// at distance 0.
@@ -632,37 +712,44 @@ pub struct KsvNode {
     /// Degree above which a vertex is a hub (`usize::MAX` at `r = 1` and
     /// when hubs are disabled).
     hub_cap: usize,
-    /// The direct neighbours' adjacency records from the init exchange
-    /// (each sorted), concatenated in arrival order as 32-bit network ids.
-    /// They feed the flag, deferral and forwarding checks, and at `r = 1`
-    /// the whole decision view; this vertex's own record is
-    /// `ctx.neighbor_ids`.
-    adj: Vec<u32>,
-    /// Per position in `ctx.neighbor_ids`: the `start..end` range of that
-    /// neighbour's record in `adj`, empty until it arrives (a neighbour's
-    /// record lists this vertex, so an arrived record is never empty).
-    adj_at: Vec<(u32, u32)>,
+    /// Per position in `ctx.neighbor_ids`: that neighbour's adjacency
+    /// record from the init exchange, `None` until it arrives. Each is the
+    /// sender's one shared allocation of sorted 32-bit network ids. They
+    /// feed the flag, deferral and forwarding checks, and at `r = 1` the
+    /// whole decision; this vertex's own record is `ctx.neighbor_ids`.
+    adj: Vec<Option<Arc<[u32]>>>,
     /// Summary flood: the radius-`r` ball so far, `id << 8 | exact
     /// distance` ascending by id. Frozen from call `r − 1` on, when it
     /// becomes this vertex's own summary (unflagged) and every receiver
-    /// shares it; it is never mutated in place, only replaced.
+    /// shares it; it is never mutated in place, only replaced. The decision
+    /// call moves it to `near`.
     ball: SummaryEntries,
-    /// Summary flood: parallel to the frozen ball, each member's heard slot
-    /// (own included). Allocated at call `r − 1`, or at the first summary
-    /// call of a vertex that was down through it.
-    heard: Vec<u32>,
-    /// Summary flood: the unflagged members' summaries, in arrival order.
-    summaries: Vec<Option<SummaryEntries>>,
+    /// Summary flood: two bits per frozen ball member (own included), its
+    /// heard state: `UNHEARD`, `HEARD` (the summary is in `summaries`) or
+    /// `STUB`. Allocated at call `r − 1`, or at the first summary call of a
+    /// vertex that was down through it.
+    heard: Vec<u64>,
+    /// Summary flood: the unflagged members' summaries with their ball
+    /// indices, in arrival order.
+    summaries: Vec<(u32, SummaryEntries)>,
     /// Summary flood: the repricing dictionary announced by our own summary
     /// broadcast. Relayed entry ids found in it are charged at
     /// `⌈log₂ size⌉` bits.
     dictionary: Dictionary,
-    /// Exact local distances from this vertex, one `id << 16 | distance`
-    /// word each, sorted by id, up to `2r − 1` — the farthest reach of the
-    /// hop-aware relay filters of both flood phases, which are all they
-    /// back. Computed in the decision round. Exact wherever an unflagged
-    /// midpoint exists — in particular everywhere when the graph has no
-    /// hubs; a missing entry can only suppress a relay, which `D₃` absorbs.
+    /// The near half of the local distances: the frozen radius-`r` ball
+    /// (`id << 8 | distance` words, ascending by id), moved here by the
+    /// decision call without a copy. At `r = 1` it is the closed
+    /// neighbourhood.
+    near: SummaryEntries,
+    /// The rest of the exact local distances from this vertex, one
+    /// `id << 16 | distance` word each, sorted by id: the ids beyond the
+    /// ball up to `2r − 1` — the farthest reach of the hop-aware relay
+    /// filters of both flood phases, which are all they back — plus any
+    /// ball member a midpoint brought closer than its ball distance (only
+    /// after lost beacons). An id here overrides its `near` entry. Computed
+    /// in the decision round. Exact wherever an unflagged midpoint exists —
+    /// in particular everywhere when the graph has no hubs; a missing entry
+    /// can only suppress a relay, which `D₃` absorbs.
     local_dist: Vec<u64>,
     /// The pseudo-cover this vertex will elect *if* it is still undominated
     /// at the election round. Precomputed in the decision round from the
@@ -671,11 +758,11 @@ pub struct KsvNode {
     /// dominant local computation, so it must be built exactly once (and
     /// not retained: only this small id list survives the round boundary).
     planned_election: Vec<u64>,
-    /// Flood dedup over `local_dist` positions: bit `p` of half
-    /// `ANNOUNCERS` marks announcer `p` as heard (both announcement
-    /// phases), of half `TARGETS` election target `p` as processed. Ids
-    /// outside `local_dist` are never relayed or forwarded — both filters
-    /// need a local distance — so they need no mark.
+    /// Flood dedup over the positions of `local_dist` followed by those of
+    /// `near`: bit `p` of half `ANNOUNCERS` marks announcer `p` as heard
+    /// (both announcement phases), of half `TARGETS` election target `p`
+    /// as processed. Ids without a local distance are never relayed or
+    /// forwarded — both filters need one — so they need no mark.
     seen: Vec<u64>,
     membership: Option<KsvMembership>,
     dominated: bool,
@@ -702,11 +789,11 @@ impl KsvNode {
             threshold,
             hub_cap,
             adj: Vec::new(),
-            adj_at: Vec::new(),
             ball: SummaryEntries::default(),
             heard: Vec::new(),
             summaries: Vec::new(),
             dictionary: Dictionary::Empty,
+            near: SummaryEntries::default(),
             local_dist: Vec::new(),
             planned_election: Vec::new(),
             seen: Vec::new(),
@@ -720,6 +807,7 @@ impl KsvNode {
         Outgoing::Broadcast(KsvMessage {
             kind,
             ids,
+            record: None,
             summaries: Vec::new(),
             id_bits: self.id_bits,
         })
@@ -728,8 +816,7 @@ impl KsvNode {
     /// The adjacency record of the neighbour at position `p` of
     /// `ctx.neighbor_ids`, if it arrived.
     fn record(&self, p: usize) -> Option<&[u32]> {
-        let (start, end) = self.adj_at[p];
-        (start < end).then(|| &self.adj[start as usize..end as usize])
+        self.adj[p].as_deref()
     }
 
     /// The adjacency record of neighbour `w`, if `w` is a neighbour and its
@@ -749,19 +836,30 @@ impl KsvNode {
 
     /// Marks `z` in half `half` of the flood dedup bitset. Returns its local
     /// distance if this is its first sighting there, `None` if it was seen
-    /// before or has no local distance.
+    /// before or has no local distance. `local_dist` is searched first, so
+    /// a member a midpoint brought closer is read and marked there.
     fn first_sighting(&mut self, z: u64, half: usize) -> Option<u32> {
-        let p = self
+        let far = self.local_dist.len();
+        let (p, d) = match self
             .local_dist
             .binary_search_by_key(&z, |&w| w >> LOCAL_DIST_BITS)
-            .ok()?;
-        let bit = half * self.local_dist.len() + p;
+        {
+            Ok(p) => (p, unpack(self.local_dist[p], LOCAL_DIST_BITS).1),
+            Err(_) => {
+                let q = self
+                    .near
+                    .binary_search_by_key(&z, |&w| w >> BALL_DIST_BITS)
+                    .ok()?;
+                (far + q, unpack(self.near[q], BALL_DIST_BITS).1)
+            }
+        };
+        let bit = half * (far + self.near.len()) + p;
         let (word, mask) = (bit / 64, 1u64 << (bit % 64));
         if self.seen[word] & mask != 0 {
             return None;
         }
         self.seen[word] |= mask;
-        Some(unpack(self.local_dist[p], LOCAL_DIST_BITS).1)
+        Some(d)
     }
 
     fn join(&mut self, membership: KsvMembership) {
@@ -771,20 +869,18 @@ impl KsvNode {
         self.dominated = true;
     }
 
-    /// Stores the neighbours' adjacency records from the init exchange
-    /// (first arrival wins) in one flat allocation of 32-bit ids.
+    /// Keeps the neighbours' adjacency records from the init exchange
+    /// (first arrival wins): one shared clone per neighbour, no copy.
     fn absorb_adjacency(&mut self, ctx: &NodeContext, inbox: Inbox<'_, KsvMessage>) {
-        self.adj
-            .reserve_exact(inbox.into_iter().map(|m| m.payload.ids.len()).sum());
         for msg in inbox {
+            let Some(record) = &msg.payload.record else {
+                continue;
+            };
             let Ok(p) = ctx.neighbor_ids.binary_search(&msg.from) else {
                 continue;
             };
-            if msg.payload.kind == KsvKind::Adjacency && self.record(p).is_none() {
-                let start = cast::u32_from_usize(self.adj.len());
-                self.adj
-                    .extend(msg.payload.ids.iter().map(|&z| cast::u32_from_u64(z)));
-                self.adj_at[p] = (start, cast::u32_from_usize(self.adj.len()));
+            if self.adj[p].is_none() {
+                self.adj[p] = Some(Arc::clone(record));
             }
         }
     }
@@ -882,7 +978,7 @@ impl KsvNode {
         let mut lists = inbox
             .into_iter()
             .filter(|msg| matches!(msg.payload.kind, KsvKind::Adjacency | KsvKind::Beacon))
-            .map(|msg| &msg.payload.ids)
+            .map(|msg| msg.payload)
             .peekable();
         if lists.peek().is_none() {
             return Vec::new();
@@ -894,8 +990,13 @@ impl KsvNode {
                 scratch.relax(w >> BALL_DIST_BITS, 0);
             }
             let known = scratch.ids.len();
-            for ids in lists {
-                for &z in ids {
+            for payload in lists {
+                let record = payload.record.as_deref().unwrap_or_default();
+                for z in record
+                    .iter()
+                    .map(|&z| u64::from(z))
+                    .chain(payload.ids.iter().copied())
+                {
                     scratch.relax(z, 0);
                 }
             }
@@ -927,14 +1028,18 @@ impl KsvNode {
             .ok()
     }
 
-    /// The heard slot of a member whose summary (`None`: stub) just
-    /// arrived; a summary is appended to `summaries`.
-    fn hear(&mut self, entries: Option<SummaryEntries>) -> u32 {
-        if entries.is_none() {
-            return STUB;
-        }
-        self.summaries.push(entries);
-        cast::u32_from_usize(self.summaries.len() + 1)
+    /// Records that ball member `i`'s summary (`None`: its stub) arrived,
+    /// appending a summary to `summaries`, and returns the summary's index
+    /// there.
+    fn hear(&mut self, i: usize, entries: Option<&SummaryEntries>) -> Option<usize> {
+        let Some(entries) = entries else {
+            set_heard(&mut self.heard, i, STUB);
+            return None;
+        };
+        set_heard(&mut self.heard, i, HEARD);
+        self.summaries
+            .push((cast::u32_from_usize(i), Arc::clone(entries)));
+        Some(self.summaries.len() - 1)
     }
 
     /// Hands every summary (`Some` entries) and stub (`None`) this round
@@ -957,24 +1062,25 @@ impl KsvNode {
     }
 
     /// Records every summary (or stub) this round delivered whose owner is
-    /// a ball member not heard from yet, and returns those members' ball
-    /// indices, ascending (= id order) — this round's relay candidates.
+    /// a ball member not heard from yet, and returns those members'
+    /// `(ball index, summary index)` pairs, ascending by ball index (= id
+    /// order; no summary index for a stub) — this round's relay candidates.
     /// First arrival wins, which is what makes each summary cross each edge
     /// at most once. Owners outside the ball are ignored: nothing ever
     /// relays or reads them.
-    fn absorb_summaries(&mut self, inbox: Inbox<'_, KsvMessage>) -> Vec<usize> {
+    fn absorb_summaries(&mut self, inbox: Inbox<'_, KsvMessage>) -> Vec<(usize, Option<usize>)> {
         let mut fresh = Vec::new();
         if self.heard.is_empty() {
             // Down through call r − 1: the ball froze without our summary.
-            self.heard = vec![UNHEARD; self.ball.len()];
+            self.heard = vec![0; heard_words(self.ball.len())];
         }
         Self::for_each_arrival(inbox, |owner, entries| {
             let Some(i) = self.ball_index(owner) else {
                 return;
             };
-            if self.heard[i] == UNHEARD {
-                self.heard[i] = self.hear(entries.cloned());
-                fresh.push(i);
+            if heard_state(&self.heard, i) == UNHEARD {
+                let k = self.hear(i, entries);
+                fresh.push((i, k));
             }
         });
         fresh.sort_unstable();
@@ -1062,14 +1168,15 @@ impl KsvNode {
             };
             (Some(Arc::clone(&self.ball)), item)
         };
-        // The ball is frozen from here on: one heard slot per member.
-        self.heard = vec![UNHEARD; self.ball.len()];
+        // The ball is frozen from here on: two heard bits per member.
+        self.heard = vec![0; heard_words(self.ball.len())];
         if let Some(i) = self.ball_index(self.id) {
-            self.heard[i] = self.hear(own);
+            let _ = self.hear(i, own.as_ref());
         }
         Outgoing::Broadcast(KsvMessage {
             kind: KsvKind::Summary,
             ids: Vec::new(),
+            record: None,
             summaries: vec![item],
             id_bits: self.id_bits,
         })
@@ -1168,22 +1275,25 @@ impl KsvNode {
     /// audience); owners at distance 1 are subject to the deferral rule;
     /// everything else relays unconditionally — once, this being its first
     /// arrival. Flagged owners relay as bare stub ids.
-    fn relay_summaries(&self, ctx: &NodeContext, fresh: Vec<usize>) -> Outgoing<KsvMessage> {
+    fn relay_summaries(
+        &self,
+        ctx: &NodeContext,
+        fresh: Vec<(usize, Option<usize>)>,
+    ) -> Outgoing<KsvMessage> {
         let r = self.r;
         let dict_bits = ceil_log2(self.dictionary_len(ctx));
         let mut stubs: Vec<u64> = Vec::new();
         let mut items: Vec<KsvSummaryItem> = Vec::new();
-        for i in fresh {
+        for (i, k) in fresh {
             let (owner, d) = unpack(self.ball[i], BALL_DIST_BITS);
             if d >= r || (d == 1 && self.defer_relay(ctx, owner)) {
                 continue;
             }
-            match self.heard[i] {
-                UNHEARD => {} // fresh slots are always filled
-                STUB => stubs.push(owner),
-                k => {
-                    let entries = self.summaries[k as usize - 2].as_ref();
-                    items.extend(entries.map(|e| self.repriced_item(ctx, owner, e, dict_bits)));
+            match k {
+                None => stubs.push(owner),
+                Some(k) => {
+                    let entries = &self.summaries[k].1;
+                    items.push(self.repriced_item(ctx, owner, entries, dict_bits));
                 }
             }
         }
@@ -1193,6 +1303,7 @@ impl KsvNode {
         Outgoing::Broadcast(KsvMessage {
             kind: KsvKind::SummaryRelay,
             ids: stubs,
+            record: None,
             summaries: items,
             id_bits: self.id_bits,
         })
@@ -1231,28 +1342,27 @@ impl KsvNode {
         let mut heard = std::mem::take(&mut self.heard);
         let summaries = std::mem::take(&mut self.summaries);
         // Down through call r − 1: the ball froze without our summary.
-        heard.resize(ball.len(), UNHEARD);
+        heard.resize(heard_words(ball.len()), 0);
         SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
             scratch.begin_ball(ball.iter().map(|&w| unpack(w, BALL_DIST_BITS)));
-            // First arrival wins, as in `absorb_summaries`; heard slot
-            // `summaries.len() + j + 2` is `arrived[j]`.
-            let mut arrived: Vec<&[u64]> = Vec::new();
+            // First arrival wins, as in `absorb_summaries`.
+            let mut arrived: Vec<(usize, &[u64])> = Vec::new();
             Self::for_each_arrival(inbox, |owner, entries| {
                 let Some(i) = scratch.local_of(owner) else {
                     return;
                 };
-                if heard[i] == UNHEARD {
-                    heard[i] = match entries {
-                        None => STUB,
+                if heard_state(&heard, i) == UNHEARD {
+                    match entries {
+                        None => set_heard(&mut heard, i, STUB),
                         Some(entries) => {
-                            arrived.push(&entries[..]);
-                            cast::u32_from_usize(summaries.len() + arrived.len() + 1)
+                            set_heard(&mut heard, i, HEARD);
+                            arrived.push((i, &entries[..]));
                         }
-                    };
+                    }
                 }
             });
-            let received = heard.iter().filter(|&&slot| slot != UNHEARD).count();
+            let received = heard_count(&heard);
             if received != ball.len() {
                 self.violation = Some(ModelViolation::IncompleteKnowledge {
                     vertex: self.id,
@@ -1262,48 +1372,28 @@ impl KsvNode {
                 });
                 return Outgoing::Silent;
             }
-            let members = ball.iter().zip(&heard).map(|(&w, &slot)| {
-                let entries = match slot {
-                    STUB => None,
-                    k => {
-                        let k = k as usize - 2;
-                        match summaries.get(k) {
-                            Some(entries) => entries.as_deref(),
-                            None => Some(arrived[k - summaries.len()]),
-                        }
-                    }
-                };
-                (unpack(w, BALL_DIST_BITS).1, slot == STUB, entries)
+            // Member → summary index: `summaries` first, then the last
+            // relays in arrival order. Stubs keep a stale index, never read.
+            let mut summary_of = std::mem::take(&mut scratch.summary_of);
+            summary_of.clear();
+            summary_of.resize(ball.len(), 0);
+            let owners = summaries.iter().map(|&(i, _)| i as usize);
+            for (k, i) in owners.chain(arrived.iter().map(|&(i, _)| i)).enumerate() {
+                summary_of[i] = cast::u32_from_usize(k);
+            }
+            let entries_of = |k: usize| match summaries.get(k) {
+                Some((_, entries)) => &entries[..],
+                None => arrived[k - summaries.len()].1,
+            };
+            let members = ball.iter().enumerate().map(|(i, &w)| {
+                let stub = heard_state(&heard, i) == STUB;
+                let entries = (!stub).then(|| entries_of(summary_of[i] as usize));
+                (unpack(w, BALL_DIST_BITS).1, stub, entries)
             });
-            self.decide_in(scratch, members)
+            let outgoing = self.decide_in(scratch, &ball, members);
+            scratch.summary_of = summary_of;
+            outgoing
         })
-    }
-
-    /// Builds the `r = 1` decision view straight from the adjacency
-    /// exchange, which is the whole flood at distance 1: the ball is `N[v]`,
-    /// each member's summary is its closed neighbourhood, and nobody is
-    /// flagged (hubs are off at `r = 1`). Runs only after
-    /// [`Self::check_adjacency_coverage`] has passed, so every member's
-    /// record is present.
-    fn view_from_adjacency(&self, ctx: &NodeContext) -> KsvView {
-        let own = closed_ball(self.id, ctx.neighbor_ids);
-        let ball = own
-            .iter()
-            .map(|&w| unpack(w, BALL_DIST_BITS))
-            .map(|(z, d)| (z, d, false))
-            .collect();
-        let summaries = own
-            .iter()
-            .map(|&w| {
-                let z = w >> BALL_DIST_BITS;
-                Some(if z == self.id {
-                    Arc::clone(&own)
-                } else {
-                    closed_ball(z, self.neighbor_record(ctx, z).unwrap_or_default())
-                })
-            })
-            .collect();
-        KsvView { ball, summaries }
     }
 
     /// Cheap locally checkable knowledge invariant: the init round broadcast
@@ -1312,7 +1402,7 @@ impl KsvNode {
     /// own). A gap proves the adjacency exchange was lost in transit.
     fn check_adjacency_coverage(&self, ctx: &NodeContext) -> Result<(), ModelViolation> {
         let expected = 1 + ctx.neighbor_ids.len();
-        let received = 1 + self.adj_at.iter().filter(|(s, e)| s < e).count();
+        let received = 1 + self.adj.iter().filter(|record| record.is_some()).count();
         if received != expected {
             return Err(ModelViolation::IncompleteKnowledge {
                 vertex: self.id,
@@ -1324,42 +1414,74 @@ impl KsvNode {
         Ok(())
     }
 
-    /// The decision call at `r = 1`: builds the view from the adjacency
-    /// exchange and decides from it. If an adjacency record was lost, the
-    /// vertex records the violation and skips the decision instead of
-    /// deciding on truncated knowledge (it will self-elect in the final
-    /// round, and the run-level entry point surfaces the violation as a
-    /// typed error).
+    /// The decision call at `r = 1`. The adjacency exchange is the whole
+    /// flood at distance 1: the ball is `N[v]`, each member's summary is its
+    /// closed neighbourhood, built from the shared records into the
+    /// thread's [`ClosedBalls`], and nobody is flagged (hubs are off at
+    /// `r = 1`). If an adjacency record was lost, the vertex records the
+    /// violation and skips the decision instead of deciding on truncated
+    /// knowledge (it will self-elect in the final round, and the run-level
+    /// entry point surfaces the violation as a typed error).
     fn decide_from_adjacency(&mut self, ctx: &NodeContext) -> Outgoing<KsvMessage> {
-        match self.check_adjacency_coverage(ctx) {
-            Ok(()) => {
-                let view = self.view_from_adjacency(ctx);
-                self.decide_from_view(view)
-            }
-            Err(violation) => {
-                self.violation = Some(violation);
-                Outgoing::Silent
-            }
+        if let Err(violation) = self.check_adjacency_coverage(ctx) {
+            self.violation = Some(violation);
+            return Outgoing::Silent;
         }
+        let ball = closed_ball(self.id, ctx.neighbor_ids);
+        CLOSED_BALLS.with(|cell| {
+            let balls = &mut *cell.borrow_mut();
+            balls.words.clear();
+            balls.ends.clear();
+            // The members other than self are the neighbours, in position
+            // order.
+            let mut records = self.adj.iter();
+            for &w in ball.iter() {
+                let z = w >> BALL_DIST_BITS;
+                if z == self.id {
+                    balls.words.extend_from_slice(&ball);
+                } else {
+                    let record = records.next().and_then(Option::as_deref);
+                    balls
+                        .words
+                        .extend(closed_ball_words(z, record.unwrap_or_default()));
+                }
+                balls.ends.push(balls.words.len());
+            }
+            SCRATCH.with(|cell| {
+                let scratch = &mut *cell.borrow_mut();
+                scratch.begin_ball(ball.iter().map(|&w| unpack(w, BALL_DIST_BITS)));
+                let members = ball.iter().zip(balls.slices());
+                let members = members
+                    .map(|(&w, entries)| (unpack(w, BALL_DIST_BITS).1, false, Some(entries)));
+                self.decide_in(scratch, &ball, members)
+            })
+        })
     }
 
-    /// The decision on a built view (the `r = 1` view, or the exact-view
-    /// oracle's in tests), through the thread's scratch.
+    /// The decision on a built view (the exact-view oracle's), through the
+    /// thread's scratch.
+    #[cfg(test)]
     fn decide_from_view(&mut self, view: KsvView) -> Outgoing<KsvMessage> {
+        let ball: SummaryEntries = view
+            .ball
+            .iter()
+            .map(|&(z, d, _)| pack(z, d, BALL_DIST_BITS))
+            .collect();
         SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
             scratch.begin_ball(view.ball.iter().map(|&(z, d, _)| (z, d)));
             let members = view.ball.iter().zip(&view.summaries);
             let members =
                 members.map(|(&(_, d, flagged), entries)| (d, flagged, entries.as_deref()));
-            self.decide_in(scratch, members)
+            self.decide_in(scratch, &ball, members)
         })
     }
 
     /// The decision at every radius, read off the ball members alone:
     /// `(distance from self, flagged, exact summary)` in ascending id
     /// order, already in `scratch` by [`KsvScratch::begin_ball`]; the
-    /// summary is `None` exactly when the member is flagged.
+    /// summary is `None` exactly when the member is flagged. `ball` holds
+    /// the same members as ball words and becomes `near`.
     /// Computes the pruned local distances, applies the hub short-circuit,
     /// then fills the coverage arena over the *unflagged* positions of
     /// `N_r(v)` (position `i` is the `i`-th unflagged member of the open
@@ -1372,6 +1494,7 @@ impl KsvNode {
     fn decide_in<'e>(
         &mut self,
         scratch: &mut KsvScratch,
+        ball: &SummaryEntries,
         members: impl Iterator<Item = (u32, bool, Option<&'e [u64]>)> + Clone,
     ) -> Outgoing<KsvMessage> {
         let r = self.r;
@@ -1390,13 +1513,23 @@ impl KsvNode {
         // (interned already) plus one unflagged midpoint hop
         // (`d(v,u) + d_u(z)`). Exact wherever an unflagged midpoint exists
         // — everywhere, when no hubs are near. The same pass fills the
-        // coverage arena.
+        // coverage arena. Without masks (hub near), an entry at `2r` or
+        // beyond is never kept and covers nothing, so it is skipped.
         let mut position = 0;
         for (i, (du, _, entries)) in members.enumerate() {
             let Some(entries) = entries else {
                 continue;
             };
-            let covers = !hub_near && du >= 1;
+            if hub_near {
+                for &w in entries {
+                    let (z, dz) = unpack(w, BALL_DIST_BITS);
+                    if du + dz < 2 * r {
+                        scratch.relax(z, du + dz);
+                    }
+                }
+                continue;
+            }
+            let covers = du >= 1;
             for &w in entries {
                 let (z, dz) = unpack(w, BALL_DIST_BITS);
                 let local = scratch.relax(z, du + dz);
@@ -1411,17 +1544,27 @@ impl KsvNode {
                 position += 1;
             }
         }
-        // Kept up to the relay filters' reach, in one exact allocation.
-        let kept = scratch.dist.iter().filter(|&&d| d < 2 * r).count();
-        let mut local_dist = Vec::with_capacity(kept);
-        for (&z, &d) in scratch.ids.iter().zip(&scratch.dist) {
-            if d < 2 * r {
-                local_dist.push(pack(z, d, LOCAL_DIST_BITS));
-            }
-        }
+        // The ball is `near`. `local_dist` keeps the ids beyond it up to the
+        // relay filters' reach and the members a midpoint brought closer, in
+        // one exact allocation.
+        let (near_dist, far_dist) = scratch.dist.split_at(ball.len());
+        let closer = ball
+            .iter()
+            .zip(near_dist)
+            .filter(|&(&w, &d)| d < unpack(w, BALL_DIST_BITS).1)
+            .map(|(&w, &d)| pack(w >> BALL_DIST_BITS, d, LOCAL_DIST_BITS));
+        let beyond = scratch.ids[ball.len()..]
+            .iter()
+            .zip(far_dist)
+            .filter(|&(_, &d)| d < 2 * r)
+            .map(|(&z, &d)| pack(z, d, LOCAL_DIST_BITS));
+        let kept = closer.chain(beyond);
+        let mut local_dist = Vec::with_capacity(kept.clone().count());
+        local_dist.extend(kept);
         local_dist.sort_unstable();
-        self.seen = vec![0; (2 * local_dist.len()).div_ceil(64)];
+        self.seen = vec![0; (2 * (local_dist.len() + ball.len())).div_ceil(64)];
         self.local_dist = local_dist;
+        self.near = Arc::clone(ball);
         if hub_near {
             self.dominated = true;
             return Outgoing::Silent;
@@ -1453,7 +1596,7 @@ impl NodeAlgorithm for KsvNode {
     fn init(&mut self, ctx: &NodeContext) -> Outgoing<KsvMessage> {
         // Round 0: exchange open neighbourhoods (the first knowledge wave).
         let deg = ctx.neighbor_ids.len();
-        self.adj_at = vec![(0, 0); deg];
+        self.adj = vec![None; deg];
         if deg > self.hub_cap {
             // Cluster representative: in the set from the start, visibly so
             // (every neighbour reads the degree off this same broadcast).
@@ -1462,7 +1605,14 @@ impl NodeAlgorithm for KsvNode {
         if self.r >= 2 {
             self.ball = closed_ball(ctx.id, ctx.neighbor_ids);
         }
-        self.message(KsvKind::Adjacency, ctx.neighbor_ids.to_vec())
+        let record = ctx.neighbor_ids.iter().map(|&z| cast::u32_from_u64(z));
+        Outgoing::Broadcast(KsvMessage {
+            kind: KsvKind::Adjacency,
+            ids: Vec::new(),
+            record: Some(record.collect()),
+            summaries: Vec::new(),
+            id_bits: self.id_bits,
+        })
     }
 
     fn round(
@@ -2423,7 +2573,7 @@ mod tests {
             (
                 node.membership == Some(KsvMembership::HardCore),
                 node.planned_election.clone(),
-                node.local_dist.clone(),
+                node.local_distances(),
                 node.dominated,
             )
         };
@@ -2562,23 +2712,46 @@ mod tests {
         /// The flood-state table's one window into the node's storage.
         fn flood_state(&self) -> FloodState {
             let pairs = |words: &[u64], bits| words.iter().map(|&w| unpack(w, bits)).collect();
-            let heard = self
-                .heard
-                .iter()
-                .map(|&slot| match slot {
+            let mut summary_of = vec![None; self.ball.len()];
+            for (i, entries) in &self.summaries {
+                summary_of[*i as usize] = Some(entries);
+            }
+            let slots = if self.heard.is_empty() {
+                0
+            } else {
+                self.ball.len()
+            };
+            let heard = (0..slots)
+                .map(|i| match heard_state(&self.heard, i) {
                     UNHEARD => HeardState::Unheard,
                     STUB => HeardState::Stub,
-                    k => HeardState::Summary(pairs(
-                        self.summaries[k as usize - 2].as_deref().unwrap(),
-                        BALL_DIST_BITS,
-                    )),
+                    _ => HeardState::Summary(pairs(summary_of[i].unwrap(), BALL_DIST_BITS)),
                 })
                 .collect();
             FloodState {
                 ball: pairs(&self.ball, BALL_DIST_BITS),
                 heard,
-                local_dist: pairs(&self.local_dist, LOCAL_DIST_BITS),
+                local_dist: pairs(&self.local_distances(), LOCAL_DIST_BITS),
             }
+        }
+
+        /// All local distances as one list of `id << 16 | distance` words,
+        /// sorted by id: `local_dist` and the `near` entries it does not
+        /// override.
+        fn local_distances(&self) -> Vec<u64> {
+            let far = |z| {
+                self.local_dist
+                    .binary_search_by_key(&z, |&w| w >> LOCAL_DIST_BITS)
+                    .is_ok()
+            };
+            let near = self.near.iter().map(|&w| unpack(w, BALL_DIST_BITS));
+            let mut all: Vec<u64> = near
+                .filter(|&(z, _)| !far(z))
+                .map(|(z, d)| pack(z, d, LOCAL_DIST_BITS))
+                .chain(self.local_dist.iter().copied())
+                .collect();
+            all.sort_unstable();
+            all
         }
     }
 
