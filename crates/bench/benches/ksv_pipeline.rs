@@ -61,15 +61,21 @@ static LIVE: AtomicUsize = AtomicUsize::new(0);
 /// The most bytes allocated at once since `peak_bytes` last reset it.
 static PEAK: AtomicUsize = AtomicUsize::new(0);
 
+// SAFETY: every call is forwarded unchanged to `System`, and the counters
+// beside it never allocate.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
         PEAK.fetch_max(live, Ordering::Relaxed);
+        // SAFETY: the caller meets `GlobalAlloc::alloc`'s contract for
+        // `layout`, which is `System`'s too.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        // SAFETY: `ptr` was allocated by `alloc` above, so by `System`, with
+        // this `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
 }
