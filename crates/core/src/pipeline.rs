@@ -236,25 +236,36 @@ impl DominationPipeline {
         self
     }
 
-    /// The reach radius a distributed run of this pipeline queries
-    /// (`2r`, or `2r + 1` when the connected set is requested).
-    fn max_radius(&self) -> u32 {
-        if self.connected {
-            2 * self.r + 1
-        } else {
-            2 * self.r
-        }
+    /// The reach radius a distributed run of this pipeline queries (`2r`,
+    /// or `2r + 1` when the connected set is requested), checked before any
+    /// arithmetic on `r`, as KSV checks its radius: a reach beyond `u32` is
+    /// [`ModelViolation::RadiusOutOfRange`]. Past this check `2r` cannot
+    /// overflow either.
+    fn reach_radius(&self) -> Result<u32, ModelViolation> {
+        let reach = self
+            .r
+            .checked_mul(2)
+            .and_then(|rho| rho.checked_add(self.connected.into()));
+        reach.ok_or(ModelViolation::RadiusOutOfRange {
+            requested: self.r,
+            supported: u32::MAX / 2,
+            what: "the pipeline's reach radius (2r, or 2r + 1 when connected, in 32 bits)",
+        })
     }
 
-    /// Solves the instance.
+    /// Solves the instance. A radius whose reach radius (`2r`, or `2r + 1`
+    /// when connected) overflows `u32` fails with
+    /// [`ModelViolation::RadiusOutOfRange`] before any phase runs.
     pub fn solve(&self, graph: &Graph) -> Result<DominationReport, ModelViolation> {
         let r = self.r;
+        let reach = self.reach_radius()?;
         let lower_bound = packing_lower_bound(graph, r);
         if self.algorithm == Algorithm::KsvConstantRound {
             return self.solve_ksv(graph, lower_bound);
         }
         match self.mode {
             Mode::Sequential => {
+                // `2r ≤ reach`, so the doubling cannot overflow.
                 let order = compute_order(graph, 2 * r, self.strategy);
                 let result = domset_via_min_wreach_with(graph, &order, r, self.execution);
                 let connected = if self.connected {
@@ -289,7 +300,7 @@ impl DominationPipeline {
                     DistContextConfig {
                         assignment: IdAssignment::Shuffled(self.seed),
                         strategy: self.execution,
-                        ..DistContextConfig::new(self.max_radius())
+                        ..DistContextConfig::new(reach)
                     },
                 )?;
                 // Fold the wire accounting by reference before moving the
@@ -318,7 +329,7 @@ impl DominationPipeline {
                         let (bits, max_bits) = bits_of(&result.phase_stats);
                         (result, None, rounds, bits, max_bits)
                     };
-                let witnessed_constant = ctx.witnessed_constant(self.max_radius())?;
+                let witnessed_constant = ctx.witnessed_constant(reach)?;
                 let election_verified = domset.dominator_of == ctx.expected_election(r)?;
                 Ok(DominationReport {
                     r,
@@ -719,7 +730,7 @@ fn dominates_with(graph: &Graph, set: &[Vertex], r: u32, scratch: &mut BfsScratc
 mod tests {
     use super::*;
     use bedom_graph::components::is_induced_connected;
-    use bedom_graph::generators::{grid, random_tree, stacked_triangulation};
+    use bedom_graph::generators::{grid, path, random_tree, stacked_triangulation};
 
     #[test]
     fn sequential_pipeline_with_defaults() {
@@ -772,6 +783,40 @@ mod tests {
             assert!(is_distance_dominating_set(&g, connected, 1), "{mode:?}");
             assert!(is_induced_connected(&g, connected), "{mode:?}");
             assert!(report.election_verified, "{mode:?}");
+        }
+    }
+
+    /// Solving `pipeline` at radii whose double overflows `u32` fails with
+    /// the typed reach error, not an overflow.
+    fn assert_reach_overflow_is_refused(pipeline: DominationPipeline) {
+        for r in [1 << 31, u32::MAX] {
+            let pipeline = DominationPipeline { r, ..pipeline };
+            let err = pipeline.solve(&path(5)).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    ModelViolation::RadiusOutOfRange { requested, supported, .. }
+                        if requested == r && supported == u32::MAX / 2
+                ),
+                "r = {r}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn sequential_solve_refuses_a_radius_whose_double_overflows() {
+        assert_reach_overflow_is_refused(DominationPipeline::new(1));
+    }
+
+    #[test]
+    fn distributed_solve_refuses_a_radius_whose_double_overflows() {
+        assert_reach_overflow_is_refused(DominationPipeline::new(1).mode(Mode::Distributed));
+    }
+
+    #[test]
+    fn connected_solves_refuse_a_radius_whose_double_overflows() {
+        for mode in [Mode::Sequential, Mode::Distributed] {
+            assert_reach_overflow_is_refused(DominationPipeline::new(1).mode(mode).connected(true));
         }
     }
 
