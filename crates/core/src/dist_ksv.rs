@@ -70,30 +70,32 @@
 //! that remain. Summary distances travel in 8 bits, so radii above 255 fail
 //! with a typed error.
 //!
-//! Node state holds no maps, and each broadcast is stored once. An
-//! adjacency record is one shared allocation of 32-bit ids (network ids are
-//! a permutation of `0..n` and `n ≤ 2³²`): the sender's init broadcast
-//! carries it, and every receiver keeps a clone by neighbour position. A
-//! ball entry is one `id << 8 | d` word (`d ≤ r ≤ 255`), a local distance
-//! one `id << 16 | d` word (`d < 2r ≤ 510`; both sort by id). Each ball
-//! member's heard state is two bits (heard, stub), and each heard summary
-//! is kept with its ball index. The frozen ball is one shared allocation
-//! that serves three roles without a copy. It is the vertex's own summary,
-//! shipped, relayed and read in the decision round. It is its repricing
-//! dictionary, which is never stored: it is the ball's ids, or the closed
-//! neighbourhood of a flagged vertex. And after the decision call it is the
-//! near part of the local distances: `local_dist` holds only the ids beyond
-//! the ball and any member a midpoint brought closer, and the flood dedup
-//! bits go by position in `local_dist`, then in the ball. One per-thread,
-//! epoch-stamped scratch maps network ids to local ids for the ball merge
-//! and the decision round, whose coverage masks share one arena reused
-//! across vertices. At `r ≥ 2` the decision call interns the frozen ball
-//! there first, so the same slot table finds each last relay's owner in
-//! `O(1)`, and the relayed entries are read in place in the inbox instead
-//! of being copied into the flood state. At `r = 1` the decision builds
-//! the members' closed balls from the shared records into a second
-//! per-thread buffer. The greedy's lazy heap holds one `u64` per candidate,
-//! `gain << 32 | (u32::MAX − id)`: largest gain first, then smallest id.
+//! Node state holds no maps, and each broadcast is stored once. Network ids
+//! are a permutation of `0..n` and `n ≤ 2³²`, so they are held in 32 bits.
+//! An adjacency record is one shared allocation of such ids: the sender's
+//! init broadcast carries it, and every receiver keeps a clone by neighbour
+//! position. A ball is a [`Ball`], one shared allocation of `n + ⌈n/4⌉`
+//! words: the member ids ascending, then one distance byte per member
+//! (`d ≤ r ≤ 255`), about 5 bytes per entry. A local distance is one
+//! `id << 16 | d` word (`d < 2r ≤ 510`, sorting by id). Each ball member's
+//! heard state is two bits (heard, stub), and each heard summary is kept
+//! with its ball index. The frozen ball serves three roles without a copy.
+//! It is the vertex's own summary, shipped, relayed and read in the
+//! decision round. It is its repricing dictionary, which is never stored:
+//! it is the ball's ids, or the closed neighbourhood of a flagged vertex.
+//! And after the decision call it is the near part of the local distances:
+//! `local_dist` holds only the ids beyond the ball and any member a
+//! midpoint brought closer, and the flood dedup bits go by position in
+//! `local_dist`, then in the ball. One per-thread, epoch-stamped scratch
+//! maps network ids to local ids for the ball merge and the decision
+//! round, whose coverage masks share one arena reused across vertices. At
+//! `r ≥ 2` the decision call interns the frozen ball there first, so the
+//! same slot table finds each last relay's owner in `O(1)`, and the relayed
+//! entries are read in place in the inbox instead of being copied into the
+//! flood state. At `r = 1` the decision reads each member's closed
+//! neighbourhood in place, from its shared record. The greedy's lazy heap
+//! holds one `u64` per candidate, `gain << 32 | (u32::MAX − id)`: largest
+//! gain first, then smallest id.
 //!
 //! Announcements propagate `r` hops (a vertex within distance `r` of a
 //! dominator must learn it is dominated), so the protocol runs **exactly
@@ -251,14 +253,92 @@ pub enum KsvKind {
     Forward,
 }
 
-/// Shared summary entries: one `vertex id << 8 | exact distance from owner`
-/// word each, ascending by id — the owner's frozen ball itself, `Arc`'d so
-/// neither the summary broadcast nor a relay copies ball data.
-pub type SummaryEntries = Arc<[u64]>;
+/// A radius-`r` ball: its members ascending by id, each with its exact
+/// distance from the centre, in one shared allocation of `n + ⌈n/4⌉` words.
+/// The first `n` words are the member ids, and the rest hold one distance
+/// byte per member (`d ≤ r ≤ 255`), four to a word, lowest byte first. So
+/// an entry takes about 5 bytes, and the word count alone fixes `n`. A
+/// clone shares the allocation, so neither a summary broadcast nor a relay
+/// copies ball data.
+#[derive(Clone, Default)]
+pub struct Ball(Arc<[u32]>);
+
+impl Ball {
+    /// The ball of the `n` entries `(id, distance)` that `entries` yields,
+    /// ascending by id, in one allocation.
+    fn from_sorted(n: usize, entries: impl IntoIterator<Item = (u64, u32)>) -> Self {
+        let mut words: Arc<[u32]> = std::iter::repeat_n(0, n + n.div_ceil(4)).collect();
+        let (ids, dists) = Arc::make_mut(&mut words).split_at_mut(n);
+        let mut len = 0;
+        for (i, (id, d)) in entries.into_iter().enumerate() {
+            assert!(d <= u32::from(u8::MAX), "ball distance {d} exceeds a byte");
+            ids[i] = cast::u32_from_u64(id);
+            dists[i / 4] |= d << (8 * (i % 4));
+            len = i + 1;
+        }
+        assert_eq!(len, n, "a ball of {n} entries was given {len}");
+        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ball ids must ascend");
+        Ball(words)
+    }
+
+    /// How many members the ball has.
+    fn len(&self) -> usize {
+        // `n + ⌈n/4⌉` words hold `n` members, and `n` is the word count
+        // less a fifth of it, rounded up.
+        let words = self.0.len();
+        words - words.div_ceil(5)
+    }
+
+    /// The member ids, ascending, and the packed distance words.
+    fn parts(&self) -> (&[u32], &[u32]) {
+        self.0.split_at(self.len())
+    }
+
+    /// The member ids, ascending.
+    fn ids(&self) -> &[u32] {
+        self.parts().0
+    }
+
+    /// The id of member `i`.
+    fn id(&self, i: usize) -> u64 {
+        u64::from(self.ids()[i])
+    }
+
+    /// The distance of member `i` from the centre.
+    fn dist(&self, i: usize) -> u32 {
+        let (ids, dists) = self.parts();
+        assert!(i < ids.len(), "ball index {i} of {} members", ids.len());
+        dist_byte(dists, i)
+    }
+
+    /// The members as `(id, distance)`, ascending by id.
+    fn iter(&self) -> impl Iterator<Item = (u64, u32)> + Clone + '_ {
+        let (ids, dists) = self.parts();
+        let entry = move |(i, &id)| (u64::from(id), dist_byte(dists, i));
+        ids.iter().enumerate().map(entry)
+    }
+
+    /// The index of member `id`, if `id` is a member.
+    fn index_of(&self, id: u64) -> Option<usize> {
+        let id = u32::try_from(id).ok()?;
+        self.ids().binary_search(&id).ok()
+    }
+}
+
+/// Member `i`'s distance: byte `i % 4` of distance word `i / 4`.
+fn dist_byte(dists: &[u32], i: usize) -> u32 {
+    dists[i / 4] >> (8 * (i % 4)) & 0xff
+}
+
+impl std::fmt::Debug for Ball {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
 
 /// One flooded neighbourhood summary: the owner's exact radius-`r` ball with
 /// distances, or a stub when the owner is flagged (hub-adjacent). `entries`
-/// is the owner's shared (`Arc`) ball, so relays never copy ball data;
+/// is the owner's shared ball, so relays never copy ball data;
 /// `wire_bits` is the sender-computed wire cost of this item under the
 /// encoding it was sent in (origin summaries encode inner entries
 /// implicitly, relays reprice ids against the sender's ball dictionary).
@@ -270,9 +350,9 @@ pub struct KsvSummaryItem {
     /// entries: a hub within distance `r` already dominates every potential
     /// reader of the pruned data.
     pub flagged: bool,
-    /// One `vertex id << 8 | exact distance from owner` word per ball
-    /// member, ascending by id; empty when flagged.
-    pub entries: SummaryEntries,
+    /// The owner's ball: each member with its exact distance from the
+    /// owner, ascending by id; empty when flagged.
+    pub entries: Ball,
     /// Wire bits charged for this item.
     pub wire_bits: usize,
 }
@@ -374,37 +454,45 @@ fn gain(mask: &[u64], uncovered: &[u64]) -> u32 {
         .sum()
 }
 
-/// Distance bits of a packed ball entry: `d ≤ r ≤ 255`.
-const BALL_DIST_BITS: u32 = 8;
-/// Distance bits of a packed local distance: `d < 2r ≤ 510`.
+/// Distance bits of a local distance word: `d < 2r ≤ 510`.
 const LOCAL_DIST_BITS: u32 = 16;
 
-/// Packs `(id, d)` into `id << bits | d`, which sorts by id.
-fn pack(id: u64, d: u32, bits: u32) -> u64 {
-    assert!(d >> bits == 0, "distance {d} does not fit in {bits} bits");
-    id << bits | u64::from(d)
+/// The local distance word `id << 16 | d`, which sorts by id.
+fn local_word(id: u64, d: u32) -> u64 {
+    assert!(
+        d >> LOCAL_DIST_BITS == 0,
+        "local distance {d} does not fit in {LOCAL_DIST_BITS} bits"
+    );
+    id << LOCAL_DIST_BITS | u64::from(d)
 }
 
-/// The `(id, d)` of a word packed with a `bits`-bit distance.
-fn unpack(word: u64, bits: u32) -> (u64, u32) {
-    (word >> bits, cast::u32_from_u64(word & ((1 << bits) - 1)))
+/// The `(id, d)` of a local distance word.
+fn local_entry(word: u64) -> (u64, u32) {
+    let d = word & ((1 << LOCAL_DIST_BITS) - 1);
+    (word >> LOCAL_DIST_BITS, cast::u32_from_u64(d))
 }
 
-/// The closed neighbourhood `N[z]` as ball words, ascending by id: `z` at
+/// The closed neighbourhood `N[z]` as ball entries, ascending by id: `z` at
 /// distance 0, the sorted open neighbourhood `adj` at distance 1.
-fn closed_ball_words<T: Copy + Into<u64>>(z: u64, adj: &[T]) -> impl Iterator<Item = u64> + '_ {
+fn closed_ball<T: Copy + Into<u64>>(z: u64, adj: &[T]) -> Ball {
     let (below, above) = adj.split_at(adj.partition_point(|&w| w.into() < z));
-    let one = |&w: &T| pack(w.into(), 1, BALL_DIST_BITS);
-    below
-        .iter()
-        .map(one)
-        .chain([pack(z, 0, BALL_DIST_BITS)])
-        .chain(above.iter().map(one))
+    let one = |&w: &T| (w.into(), 1);
+    let entries = below.iter().map(one).chain([(z, 0)]);
+    Ball::from_sorted(adj.len() + 1, entries.chain(above.iter().map(one)))
 }
 
-/// The closed neighbourhood `N[z]` as ball words in one allocation.
-fn closed_ball<T: Copy + Into<u64>>(z: u64, adj: &[T]) -> SummaryEntries {
-    closed_ball_words(z, adj).collect()
+/// The closed neighbourhood `N[z]` as `(id, distance)` entries, in any
+/// order: `z` at distance 0 and every other id at 1. `ids` holds `N[z]`,
+/// or `N(z)` when `extra` adds `z`.
+fn closed_entries(
+    z: u64,
+    extra: Option<u32>,
+    ids: &[u32],
+) -> impl Iterator<Item = (u64, u32)> + '_ {
+    extra.into_iter().chain(ids.iter().copied()).map(move |w| {
+        let w = u64::from(w);
+        (w, u32::from(w != z))
+    })
 }
 
 /// Heard state of a ball member whose summary has not arrived.
@@ -467,31 +555,6 @@ thread_local! {
     /// One [`KsvScratch`] per thread, reused across vertices, runs and
     /// radii.
     static SCRATCH: RefCell<KsvScratch> = RefCell::new(KsvScratch::default());
-    /// One [`ClosedBalls`] per thread: the `r = 1` decision's member balls,
-    /// which it reads while it holds [`SCRATCH`].
-    static CLOSED_BALLS: RefCell<ClosedBalls> = RefCell::new(ClosedBalls::default());
-}
-
-/// The closed neighbourhoods of a vertex's closed neighbourhood, which are
-/// the member summaries of the `r = 1` decision, built from the shared
-/// adjacency records into one per-thread buffer instead of one allocation
-/// per member.
-#[derive(Debug, Default)]
-struct ClosedBalls {
-    /// The members' closed balls, concatenated in ball order.
-    words: Vec<u64>,
-    /// Where each member's ball ends in `words`.
-    ends: Vec<usize>,
-}
-
-impl ClosedBalls {
-    /// The members' balls, in ball order.
-    fn slices(&self) -> impl Iterator<Item = &[u64]> + Clone {
-        let starts = std::iter::once(0).chain(self.ends.iter().copied());
-        starts
-            .zip(&self.ends)
-            .map(|(start, &end)| &self.words[start..end])
-    }
 }
 
 /// Per-thread scratch of the KSV node computations, after
@@ -687,9 +750,9 @@ struct KsvView {
     /// `(id, distance from self, flagged)`, ascending by id; contains self
     /// at distance 0.
     ball: Vec<(u64, u32, bool)>,
-    /// Parallel to `ball`: the member's exact ball (id-sorted, with
-    /// distances from the member), `None` exactly when flagged.
-    summaries: Vec<Option<SummaryEntries>>,
+    /// Parallel to `ball`: the member's exact ball (with distances from
+    /// the member), `None` exactly when flagged.
+    summaries: Vec<Option<Ball>>,
 }
 
 /// Index of the announcer half of `KsvNode::seen`.
@@ -718,12 +781,12 @@ pub struct KsvNode {
     /// feed the flag, deferral and forwarding checks, and at `r = 1` the
     /// whole decision; this vertex's own record is `ctx.neighbor_ids`.
     adj: Vec<Option<Arc<[u32]>>>,
-    /// Summary flood: the radius-`r` ball so far, `id << 8 | exact
-    /// distance` ascending by id. Frozen from call `r − 1` on, when it
-    /// becomes this vertex's own summary (unflagged) and every receiver
-    /// shares it; it is never mutated in place, only replaced. The decision
-    /// call moves it to `near`.
-    ball: SummaryEntries,
+    /// Summary flood: the radius-`r` ball so far, with exact distances.
+    /// Frozen from call `r − 1` on, when it becomes this vertex's own
+    /// summary (unflagged) and every receiver shares it; it is never
+    /// mutated in place, only replaced. The decision call moves it to
+    /// `near`.
+    ball: Ball,
     /// Summary flood: two bits per frozen ball member (own included), its
     /// heard state: `UNHEARD`, `HEARD` (the summary is in `summaries`) or
     /// `STUB`. Allocated at call `r − 1`, or at the first summary call of a
@@ -731,16 +794,15 @@ pub struct KsvNode {
     heard: Vec<u64>,
     /// Summary flood: the unflagged members' summaries with their ball
     /// indices, in arrival order.
-    summaries: Vec<(u32, SummaryEntries)>,
+    summaries: Vec<(u32, Ball)>,
     /// Summary flood: the repricing dictionary announced by our own summary
     /// broadcast. Relayed entry ids found in it are charged at
     /// `⌈log₂ size⌉` bits.
     dictionary: Dictionary,
-    /// The near half of the local distances: the frozen radius-`r` ball
-    /// (`id << 8 | distance` words, ascending by id), moved here by the
-    /// decision call without a copy. At `r = 1` it is the closed
-    /// neighbourhood.
-    near: SummaryEntries,
+    /// The near half of the local distances: the frozen radius-`r` ball,
+    /// moved here by the decision call without a copy. At `r = 1` it is
+    /// the closed neighbourhood.
+    near: Ball,
     /// The rest of the exact local distances from this vertex, one
     /// `id << 16 | distance` word each, sorted by id: the ids beyond the
     /// ball up to `2r − 1` — the farthest reach of the hop-aware relay
@@ -789,11 +851,11 @@ impl KsvNode {
             threshold,
             hub_cap,
             adj: Vec::new(),
-            ball: SummaryEntries::default(),
+            ball: Ball::default(),
             heard: Vec::new(),
             summaries: Vec::new(),
             dictionary: Dictionary::Empty,
-            near: SummaryEntries::default(),
+            near: Ball::default(),
             local_dist: Vec::new(),
             planned_election: Vec::new(),
             seen: Vec::new(),
@@ -842,15 +904,12 @@ impl KsvNode {
         let far = self.local_dist.len();
         let (p, d) = match self
             .local_dist
-            .binary_search_by_key(&z, |&w| w >> LOCAL_DIST_BITS)
+            .binary_search_by_key(&z, |&w| local_entry(w).0)
         {
-            Ok(p) => (p, unpack(self.local_dist[p], LOCAL_DIST_BITS).1),
+            Ok(p) => (p, local_entry(self.local_dist[p]).1),
             Err(_) => {
-                let q = self
-                    .near
-                    .binary_search_by_key(&z, |&w| w >> BALL_DIST_BITS)
-                    .ok()?;
-                (far + q, unpack(self.near[q], BALL_DIST_BITS).1)
+                let q = self.near.index_of(z)?;
+                (far + q, self.near.dist(q))
             }
         };
         let bit = half * (far + self.near.len()) + p;
@@ -986,8 +1045,8 @@ impl KsvNode {
         let mut fresh = SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
             scratch.begin(0);
-            for &w in self.ball.iter() {
-                scratch.relax(w >> BALL_DIST_BITS, 0);
+            for (z, _) in self.ball.iter() {
+                scratch.relax(z, 0);
             }
             let known = scratch.ids.len();
             for payload in lists {
@@ -1005,40 +1064,29 @@ impl KsvNode {
         fresh.sort_unstable();
         // Merge into a fresh allocation (ids are distinct): the old ball may
         // be shared with a checkpoint, so it is never written.
-        let old = &self.ball;
-        let mut ball: SummaryEntries = std::iter::repeat_n(0, old.len() + fresh.len()).collect();
-        let (mut i, mut j) = (0, 0);
-        for slot in Arc::make_mut(&mut ball) {
-            if j == fresh.len() || (i < old.len() && old[i] >> BALL_DIST_BITS < fresh[j]) {
-                *slot = old[i];
-                i += 1;
-            } else {
-                *slot = pack(fresh[j], distance, BALL_DIST_BITS);
-                j += 1;
-            }
-        }
+        let mut old = self.ball.iter().peekable();
+        let mut new = fresh.iter().map(|&z| (z, distance)).peekable();
+        let merged = std::iter::from_fn(move || match (old.peek(), new.peek()) {
+            (Some(a), Some(b)) if b.0 < a.0 => new.next(),
+            (Some(_), _) => old.next(),
+            (None, _) => new.next(),
+        });
+        let ball = Ball::from_sorted(self.ball.len() + fresh.len(), merged);
         self.ball = ball;
         fresh
-    }
-
-    /// The ball index of member `id`.
-    fn ball_index(&self, id: u64) -> Option<usize> {
-        self.ball
-            .binary_search_by_key(&id, |&w| w >> BALL_DIST_BITS)
-            .ok()
     }
 
     /// Records that ball member `i`'s summary (`None`: its stub) arrived,
     /// appending a summary to `summaries`, and returns the summary's index
     /// there.
-    fn hear(&mut self, i: usize, entries: Option<&SummaryEntries>) -> Option<usize> {
+    fn hear(&mut self, i: usize, entries: Option<&Ball>) -> Option<usize> {
         let Some(entries) = entries else {
             set_heard(&mut self.heard, i, STUB);
             return None;
         };
         set_heard(&mut self.heard, i, HEARD);
         self.summaries
-            .push((cast::u32_from_usize(i), Arc::clone(entries)));
+            .push((cast::u32_from_usize(i), entries.clone()));
         Some(self.summaries.len() - 1)
     }
 
@@ -1046,7 +1094,7 @@ impl KsvNode {
     /// delivered to `arrival` as `(owner, entries)`, in arrival order.
     fn for_each_arrival<'a>(
         inbox: Inbox<'a, KsvMessage>,
-        mut arrival: impl FnMut(u64, Option<&'a SummaryEntries>),
+        mut arrival: impl FnMut(u64, Option<&'a Ball>),
     ) {
         for msg in inbox {
             if !matches!(msg.payload.kind, KsvKind::Summary | KsvKind::SummaryRelay) {
@@ -1075,7 +1123,7 @@ impl KsvNode {
             self.heard = vec![0; heard_words(self.ball.len())];
         }
         Self::for_each_arrival(inbox, |owner, entries| {
-            let Some(i) = self.ball_index(owner) else {
+            let Some(i) = self.ball.index_of(owner) else {
                 return;
             };
             if heard_state(&self.heard, i) == UNHEARD {
@@ -1143,7 +1191,7 @@ impl KsvNode {
             let item = KsvSummaryItem {
                 owner: self.id,
                 flagged: true,
-                entries: SummaryEntries::default(),
+                entries: Ball::default(),
                 wire_bits: 1,
             };
             (None, item)
@@ -1151,11 +1199,7 @@ impl KsvNode {
             // Dictionary = the ball ids, all announced by this message
             // (inner part = the init adjacency, frontier explicit below).
             self.dictionary = Dictionary::Ball;
-            let frontier = self
-                .ball
-                .iter()
-                .filter(|&&w| unpack(w, BALL_DIST_BITS).1 >= 2)
-                .count();
+            let frontier = self.ball.iter().filter(|&(_, d)| d >= 2).count();
             // 1 flag bit + a deg-bit membership mask over N(v) (the inner
             // part, reconstructed by receivers who know N(v)) + explicit
             // frontier entries.
@@ -1163,14 +1207,14 @@ impl KsvNode {
             let item = KsvSummaryItem {
                 owner: self.id,
                 flagged: false,
-                entries: Arc::clone(&self.ball),
+                entries: self.ball.clone(),
                 wire_bits,
             };
-            (Some(Arc::clone(&self.ball)), item)
+            (Some(self.ball.clone()), item)
         };
         // The ball is frozen from here on: two heard bits per member.
         self.heard = vec![0; heard_words(self.ball.len())];
-        if let Some(i) = self.ball_index(self.id) {
+        if let Some(i) = self.ball.index_of(self.id) {
             let _ = self.hear(i, own.as_ref());
         }
         Outgoing::Broadcast(KsvMessage {
@@ -1233,7 +1277,7 @@ impl KsvNode {
     fn in_dictionary(&self, ctx: &NodeContext, z: u64) -> bool {
         match self.dictionary {
             Dictionary::Empty => false,
-            Dictionary::Ball => self.ball_index(z).is_some(),
+            Dictionary::Ball => self.ball.index_of(z).is_some(),
             Dictionary::ClosedNeighborhood => {
                 z == self.id || ctx.neighbor_ids.binary_search(&z).is_ok()
             }
@@ -1248,13 +1292,13 @@ impl KsvNode {
         &self,
         ctx: &NodeContext,
         owner: u64,
-        entries: &SummaryEntries,
+        entries: &Ball,
         dict_bits: usize,
     ) -> KsvSummaryItem {
         let db = dist_bits(self.r);
         let mut wire_bits = self.id_bits + 16;
-        for &w in entries.iter() {
-            let ref_bits = if self.in_dictionary(ctx, w >> BALL_DIST_BITS) {
+        for (z, _) in entries.iter() {
+            let ref_bits = if self.in_dictionary(ctx, z) {
                 dict_bits
             } else {
                 self.id_bits
@@ -1264,7 +1308,7 @@ impl KsvNode {
         KsvSummaryItem {
             owner,
             flagged: false,
-            entries: Arc::clone(entries),
+            entries: entries.clone(),
             wire_bits,
         }
     }
@@ -1285,7 +1329,7 @@ impl KsvNode {
         let mut stubs: Vec<u64> = Vec::new();
         let mut items: Vec<KsvSummaryItem> = Vec::new();
         for (i, k) in fresh {
-            let (owner, d) = unpack(self.ball[i], BALL_DIST_BITS);
+            let (owner, d) = (self.ball.id(i), self.ball.dist(i));
             if d >= r || (d == 1 && self.defer_relay(ctx, owner)) {
                 continue;
             }
@@ -1345,9 +1389,9 @@ impl KsvNode {
         heard.resize(heard_words(ball.len()), 0);
         SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
-            scratch.begin_ball(ball.iter().map(|&w| unpack(w, BALL_DIST_BITS)));
+            scratch.begin_ball(ball.iter());
             // First arrival wins, as in `absorb_summaries`.
-            let mut arrived: Vec<(usize, &[u64])> = Vec::new();
+            let mut arrived: Vec<(usize, &Ball)> = Vec::new();
             Self::for_each_arrival(inbox, |owner, entries| {
                 let Some(i) = scratch.local_of(owner) else {
                     return;
@@ -1357,7 +1401,7 @@ impl KsvNode {
                         None => set_heard(&mut heard, i, STUB),
                         Some(entries) => {
                             set_heard(&mut heard, i, HEARD);
-                            arrived.push((i, &entries[..]));
+                            arrived.push((i, entries));
                         }
                     }
                 }
@@ -1382,13 +1426,13 @@ impl KsvNode {
                 summary_of[i] = cast::u32_from_usize(k);
             }
             let entries_of = |k: usize| match summaries.get(k) {
-                Some((_, entries)) => &entries[..],
+                Some((_, entries)) => entries,
                 None => arrived[k - summaries.len()].1,
             };
-            let members = ball.iter().enumerate().map(|(i, &w)| {
+            let members = ball.iter().enumerate().map(|(i, (_, d))| {
                 let stub = heard_state(&heard, i) == STUB;
-                let entries = (!stub).then(|| entries_of(summary_of[i] as usize));
-                (unpack(w, BALL_DIST_BITS).1, stub, entries)
+                let entries = (!stub).then(|| entries_of(summary_of[i] as usize).iter());
+                (d, stub, entries)
             });
             let outgoing = self.decide_in(scratch, &ball, members);
             scratch.summary_of = summary_of;
@@ -1416,63 +1460,55 @@ impl KsvNode {
 
     /// The decision call at `r = 1`. The adjacency exchange is the whole
     /// flood at distance 1: the ball is `N[v]`, each member's summary is its
-    /// closed neighbourhood, built from the shared records into the
-    /// thread's [`ClosedBalls`], and nobody is flagged (hubs are off at
-    /// `r = 1`). If an adjacency record was lost, the vertex records the
-    /// violation and skips the decision instead of deciding on truncated
-    /// knowledge (it will self-elect in the final round, and the run-level
-    /// entry point surfaces the violation as a typed error).
+    /// closed neighbourhood, read in place from its shared record (its own
+    /// is the ball), and nobody is flagged (hubs are off at `r = 1`). If an
+    /// adjacency record was lost, the vertex records the violation and
+    /// skips the decision instead of deciding on truncated knowledge (it
+    /// will self-elect in the final round, and the run-level entry point
+    /// surfaces the violation as a typed error).
     fn decide_from_adjacency(&mut self, ctx: &NodeContext) -> Outgoing<KsvMessage> {
         if let Err(violation) = self.check_adjacency_coverage(ctx) {
             self.violation = Some(violation);
             return Outgoing::Silent;
         }
         let ball = closed_ball(self.id, ctx.neighbor_ids);
-        CLOSED_BALLS.with(|cell| {
-            let balls = &mut *cell.borrow_mut();
-            balls.words.clear();
-            balls.ends.clear();
-            // The members other than self are the neighbours, in position
-            // order.
-            let mut records = self.adj.iter();
-            for &w in ball.iter() {
-                let z = w >> BALL_DIST_BITS;
-                if z == self.id {
-                    balls.words.extend_from_slice(&ball);
-                } else {
-                    let record = records.next().and_then(Option::as_deref);
-                    balls
-                        .words
-                        .extend(closed_ball_words(z, record.unwrap_or_default()));
-                }
-                balls.ends.push(balls.words.len());
-            }
-            SCRATCH.with(|cell| {
-                let scratch = &mut *cell.borrow_mut();
-                scratch.begin_ball(ball.iter().map(|&w| unpack(w, BALL_DIST_BITS)));
-                let members = ball.iter().zip(balls.slices());
-                let members = members
-                    .map(|(&w, entries)| (unpack(w, BALL_DIST_BITS).1, false, Some(entries)));
-                self.decide_in(scratch, &ball, members)
-            })
-        })
+        // The members other than self are the neighbours in position order:
+        // below self's ball index `own`, member `i` is neighbour `i`, and
+        // above it neighbour `i − 1`. The records are lent to the decision
+        // and put back, since the election flood reads them.
+        let adj = std::mem::take(&mut self.adj);
+        let own = ctx.neighbor_ids.partition_point(|&w| w < self.id);
+        let members = ball.iter().enumerate().map(|(i, (z, d))| {
+            let entries = if i == own {
+                closed_entries(z, None, ball.ids())
+            } else {
+                let record = adj[i - usize::from(i > own)].as_deref();
+                let z32 = Some(cast::u32_from_u64(z));
+                closed_entries(z, z32, record.unwrap_or_default())
+            };
+            (d, false, Some(entries))
+        });
+        let outgoing = SCRATCH.with(|cell| {
+            let scratch = &mut *cell.borrow_mut();
+            scratch.begin_ball(ball.iter());
+            self.decide_in(scratch, &ball, members)
+        });
+        self.adj = adj;
+        outgoing
     }
 
     /// The decision on a built view (the exact-view oracle's), through the
     /// thread's scratch.
     #[cfg(test)]
     fn decide_from_view(&mut self, view: KsvView) -> Outgoing<KsvMessage> {
-        let ball: SummaryEntries = view
-            .ball
-            .iter()
-            .map(|&(z, d, _)| pack(z, d, BALL_DIST_BITS))
-            .collect();
+        let entries = view.ball.iter().map(|&(z, d, _)| (z, d));
+        let ball = Ball::from_sorted(view.ball.len(), entries);
         SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
-            scratch.begin_ball(view.ball.iter().map(|&(z, d, _)| (z, d)));
+            scratch.begin_ball(ball.iter());
             let members = view.ball.iter().zip(&view.summaries);
-            let members =
-                members.map(|(&(_, d, flagged), entries)| (d, flagged, entries.as_deref()));
+            let members = members
+                .map(|(&(_, d, flagged), entries)| (d, flagged, entries.as_ref().map(Ball::iter)));
             self.decide_in(scratch, &ball, members)
         })
     }
@@ -1480,8 +1516,9 @@ impl KsvNode {
     /// The decision at every radius, read off the ball members alone:
     /// `(distance from self, flagged, exact summary)` in ascending id
     /// order, already in `scratch` by [`KsvScratch::begin_ball`]; the
-    /// summary is `None` exactly when the member is flagged. `ball` holds
-    /// the same members as ball words and becomes `near`.
+    /// summary, its `(id, distance)` entries in any order, is `None`
+    /// exactly when the member is flagged. `ball` holds the same members
+    /// and becomes `near`.
     /// Computes the pruned local distances, applies the hub short-circuit,
     /// then fills the coverage arena over the *unflagged* positions of
     /// `N_r(v)` (position `i` is the `i`-th unflagged member of the open
@@ -1491,11 +1528,11 @@ impl KsvNode {
     /// passes — precomputes the pseudo-cover election from the same arena.
     /// Flagged positions need no coverage: a flagged vertex has a hub within
     /// distance 1 and is dominated by it.
-    fn decide_in<'e>(
+    fn decide_in<E: IntoIterator<Item = (u64, u32)>>(
         &mut self,
         scratch: &mut KsvScratch,
-        ball: &SummaryEntries,
-        members: impl Iterator<Item = (u32, bool, Option<&'e [u64]>)> + Clone,
+        ball: &Ball,
+        members: impl Iterator<Item = (u32, bool, Option<E>)> + Clone,
     ) -> Outgoing<KsvMessage> {
         let r = self.r;
         // Hub short-circuit: a flagged vertex within distance r − 1 proves
@@ -1506,7 +1543,7 @@ impl KsvNode {
         let hub_near = members.clone().any(|(d, flagged, _)| flagged && d < r);
         let deg_r = members
             .clone()
-            .filter(|&(d, _, entries)| d >= 1 && entries.is_some())
+            .filter(|(d, _, entries)| *d >= 1 && entries.is_some())
             .count();
         scratch.begin_masks(if hub_near { 0 } else { cover_words(deg_r) });
         // Pruned local distances, min-relaxed in one pass: the ball itself
@@ -1521,8 +1558,7 @@ impl KsvNode {
                 continue;
             };
             if hub_near {
-                for &w in entries {
-                    let (z, dz) = unpack(w, BALL_DIST_BITS);
+                for (z, dz) in entries {
                     if du + dz < 2 * r {
                         scratch.relax(z, du + dz);
                     }
@@ -1530,8 +1566,7 @@ impl KsvNode {
                 continue;
             }
             let covers = du >= 1;
-            for &w in entries {
-                let (z, dz) = unpack(w, BALL_DIST_BITS);
+            for (z, dz) in entries {
                 let local = scratch.relax(z, du + dz);
                 if covers && z != self.id {
                     set_bit(scratch.mask(local), position);
@@ -1551,20 +1586,20 @@ impl KsvNode {
         let closer = ball
             .iter()
             .zip(near_dist)
-            .filter(|&(&w, &d)| d < unpack(w, BALL_DIST_BITS).1)
-            .map(|(&w, &d)| pack(w >> BALL_DIST_BITS, d, LOCAL_DIST_BITS));
+            .filter(|&((_, d), &relaxed)| relaxed < d)
+            .map(|((z, _), &d)| local_word(z, d));
         let beyond = scratch.ids[ball.len()..]
             .iter()
             .zip(far_dist)
             .filter(|&(_, &d)| d < 2 * r)
-            .map(|(&z, &d)| pack(z, d, LOCAL_DIST_BITS));
+            .map(|(&z, &d)| local_word(z, d));
         let kept = closer.chain(beyond);
         let mut local_dist = Vec::with_capacity(kept.clone().count());
         local_dist.extend(kept);
         local_dist.sort_unstable();
         self.seen = vec![0; (2 * (local_dist.len() + ball.len())).div_ceil(64)];
         self.local_dist = local_dist;
-        self.near = Arc::clone(ball);
+        self.near = ball.clone();
         if hub_near {
             self.dominated = true;
             return Outgoing::Silent;
@@ -2544,10 +2579,8 @@ mod tests {
                     .iter()
                     .map(|&(x, _)| {
                         (!flagged[x]).then(|| {
-                            balls[x]
-                                .iter()
-                                .map(|&(y, d)| pack(ids[y], d, BALL_DIST_BITS))
-                                .collect()
+                            let entries = balls[x].iter().map(|&(y, d)| (ids[y], d));
+                            Ball::from_sorted(balls[x].len(), entries)
                         })
                     })
                     .collect(),
@@ -2690,6 +2723,33 @@ mod tests {
         }
     }
 
+    #[test]
+    fn balls_keep_every_entry_at_every_length() {
+        // Lengths 0..=9 cover each remainder of the four-to-a-word distance
+        // packing at least twice. Ids climb in steps of 3 up to u32::MAX,
+        // so the ids between them and past u32::MAX are misses; distances
+        // put 255 next to 0 so a byte that leaked would show.
+        const DISTS: [u32; 9] = [255, 0, 1, 254, 128, 255, 7, 0, 200];
+        for n in 0..=9usize {
+            let top = u64::from(u32::MAX);
+            let entries: Vec<(u64, u32)> = (0..n)
+                .map(|i| (top - 3 * (n - 1 - i) as u64, DISTS[i]))
+                .collect();
+            let ball = Ball::from_sorted(n, entries.iter().copied());
+            assert_eq!(ball.len(), n);
+            assert_eq!(ball.iter().collect::<Vec<_>>(), entries, "n = {n}");
+            assert_eq!(ball.clone().iter().collect::<Vec<_>>(), entries);
+            for (i, &(id, d)) in entries.iter().enumerate() {
+                assert_eq!((ball.id(i), ball.dist(i)), (id, d), "n = {n}, i = {i}");
+                assert_eq!(ball.index_of(id), Some(i), "n = {n}, id = {id}");
+                assert_eq!(ball.index_of(id - 1), None, "n = {n}, id = {id} − 1");
+            }
+            for miss in [0, top - 3 * n as u64 - 1, top + 1, u64::MAX] {
+                assert_eq!(ball.index_of(miss), None, "n = {n}, miss {miss}");
+            }
+        }
+    }
+
     /// A ball member's flood state as the flood-state table reads it.
     enum HeardState {
         Unheard,
@@ -2711,7 +2771,6 @@ mod tests {
     impl KsvNode {
         /// The flood-state table's one window into the node's storage.
         fn flood_state(&self) -> FloodState {
-            let pairs = |words: &[u64], bits| words.iter().map(|&w| unpack(w, bits)).collect();
             let mut summary_of = vec![None; self.ball.len()];
             for (i, entries) in &self.summaries {
                 summary_of[*i as usize] = Some(entries);
@@ -2725,13 +2784,17 @@ mod tests {
                 .map(|i| match heard_state(&self.heard, i) {
                     UNHEARD => HeardState::Unheard,
                     STUB => HeardState::Stub,
-                    _ => HeardState::Summary(pairs(summary_of[i].unwrap(), BALL_DIST_BITS)),
+                    _ => HeardState::Summary(summary_of[i].unwrap().iter().collect()),
                 })
                 .collect();
             FloodState {
-                ball: pairs(&self.ball, BALL_DIST_BITS),
+                ball: self.ball.iter().collect(),
                 heard,
-                local_dist: pairs(&self.local_distances(), LOCAL_DIST_BITS),
+                local_dist: self
+                    .local_distances()
+                    .into_iter()
+                    .map(local_entry)
+                    .collect(),
             }
         }
 
@@ -2741,13 +2804,12 @@ mod tests {
         fn local_distances(&self) -> Vec<u64> {
             let far = |z| {
                 self.local_dist
-                    .binary_search_by_key(&z, |&w| w >> LOCAL_DIST_BITS)
+                    .binary_search_by_key(&z, |&w| local_entry(w).0)
                     .is_ok()
             };
-            let near = self.near.iter().map(|&w| unpack(w, BALL_DIST_BITS));
-            let mut all: Vec<u64> = near
+            let mut all: Vec<u64> = (self.near.iter())
                 .filter(|&(z, _)| !far(z))
-                .map(|(z, d)| pack(z, d, LOCAL_DIST_BITS))
+                .map(|(z, d)| local_word(z, d))
                 .chain(self.local_dist.iter().copied())
                 .collect();
             all.sort_unstable();
