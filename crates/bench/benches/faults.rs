@@ -17,10 +17,12 @@
 //! The recorded quantities are the wall times, the overhead ratios
 //! (`checkpoint_overhead`, `recovery_overhead`), and the supervisor's
 //! accounting (retries, restored rounds, replayed rounds). Each variant is
-//! timed on one run after an untimed warm-up run, which brings the allocator
-//! to a steady state so the variants compare with each other (and with
-//! `BENCH_ksv.json`); the checks read the timed run's output. Run with
-//! `BEDOM_BENCH_JSON=BENCH_faults.json` to commit the numbers.
+//! timed as the median of `SAMPLES` runs after an untimed warm-up run,
+//! which brings the allocator to a steady state so the variants compare
+//! with each other (and with `BENCH_ksv.json`); one timed run per variant
+//! let the ratios swing with the machine, down to a checkpointed run timed
+//! faster than the clean one. The checks read the last timed run's output.
+//! Run with `BEDOM_BENCH_JSON=BENCH_faults.json` to commit the numbers.
 
 use bedom_bench::connected_instance;
 use bedom_bench::report::{record_metric, time_samples, write_json_report};
@@ -35,6 +37,8 @@ use bedom_graph::Graph;
 const N: usize = 100_000;
 const SEED: u64 = 0xd15d;
 const R: u32 = 2;
+/// Timed runs per variant; each row and ratio reads their median.
+const SAMPLES: usize = 3;
 
 fn ksv_config() -> KsvConfig {
     KsvConfig {
@@ -72,7 +76,7 @@ fn bench_fault_recovery() {
         record_metric(&format!("{name}_r"), R as f64);
 
         // Fault-free baseline.
-        let (clean, clean_secs) = time_samples(&format!("clean/{name}/{n}"), 1, || {
+        let (clean, clean_secs) = time_samples(&format!("clean/{name}/{n}"), SAMPLES, || {
             distributed_ksv_domination_r(graph, R, ksv_config()).unwrap()
         });
         assert!(is_distance_dominating_set(graph, &clean.dominating_set, R));
@@ -80,7 +84,7 @@ fn bench_fault_recovery() {
 
         // Checkpointing without faults: the pure snapshot cost.
         let (checkpointed, checkpointed_secs) =
-            time_samples(&format!("checkpointed/{name}/{n}"), 1, || {
+            time_samples(&format!("checkpointed/{name}/{n}"), SAMPLES, || {
                 distributed_ksv_domination_r_faulty(
                     graph,
                     R,
@@ -98,13 +102,13 @@ fn bench_fault_recovery() {
         assert_eq!(checkpointed.dominating_set, clean.dominating_set);
 
         // Lossy without recovery: must degrade to a typed violation.
-        let (lossy, lossy_secs) = time_samples(&format!("lossy/{name}/{n}"), 1, || {
+        let (lossy, lossy_secs) = time_samples(&format!("lossy/{name}/{n}"), SAMPLES, || {
             distributed_ksv_domination_r_faulty(graph, R, ksv_config(), lossy_plan(), None)
         });
         let violation = lossy.expect_err("a 50% drop window at n = 100k must be detected");
 
         // Lossy under recovery: must heal to the fault-free set.
-        let (healed, healed_secs) = time_samples(&format!("healed/{name}/{n}"), 1, || {
+        let (healed, healed_secs) = time_samples(&format!("healed/{name}/{n}"), SAMPLES, || {
             distributed_ksv_domination_r_faulty(
                 graph,
                 R,
