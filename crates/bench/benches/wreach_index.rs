@@ -22,8 +22,8 @@
 //! measured constant checked against `wcol_of_order`. That run is
 //! already sequential, yet its `dist_wreach_flat_allocs` row once read both
 //! 428 091 and 428 090 with no code change between the two, so that row is
-//! exact only for one box and toolchain (the committed 308 227 is what a
-//! 2-vCPU box measures with one path outbox per thread).
+//! exact only for one box and toolchain (the committed 281 976 is what a
+//! 2-vCPU box measures with each stored path's first and last id implicit).
 //!
 //! Each timing is the median of `SAMPLES` runs after an untimed warm-up run.
 //! Run with `BEDOM_BENCH_JSON=BENCH_wreach.json` to commit the numbers.

@@ -19,7 +19,7 @@
 
 use crate::context::{DistContext, DistContextConfig};
 use crate::dist_domset::{distributed_distance_domination_in, DistDomSetConfig, DistDomSetResult};
-use crate::dist_wreach::PathSetMessage;
+use crate::dist_wreach::{PathSetMessage, PathView};
 use bedom_distsim::{
     Engine, IdAssignment, Inbox, ModelViolation, Network, NodeAlgorithm, NodeContext, Outgoing,
     RunPolicy, RunStats,
@@ -63,7 +63,7 @@ impl PathFloodNode {
         let ids = self.pending.iter().map(Vec::len).sum();
         let mut message = PathSetMessage::with_capacity(self.id_bits, self.pending.len(), ids);
         for path in self.pending.drain(..) {
-            message.push(&path);
+            message.push(&[&path]);
             self.forwarded.insert(path);
         }
         Outgoing::Broadcast(message)
@@ -199,7 +199,7 @@ pub fn distributed_connected_domination_in(
     // does), or the 2r + 2-round flood budget and the blow-up bound would
     // not hold. At an exact-radius context the filter is a no-op.
     let rho = 2 * r as usize + 1;
-    let within_rho = |path: &[u32]| path.len().saturating_sub(1) <= rho;
+    let within_rho = |path: &PathView<'_>| path.len() - 1 <= rho;
     let id_bits = ctx.id_bits();
     let in_d: Vec<bool> = {
         let mut flags = vec![false; n];
@@ -214,8 +214,8 @@ pub fn distributed_connected_domination_in(
         let seed_paths = if in_d[v as usize] {
             info.paths
                 .values()
-                .filter(|path| within_rho(path))
-                .map(<[u32]>::to_vec)
+                .filter(within_rho)
+                .map(|path| path.to_vec())
                 .collect()
         } else {
             Vec::new()
@@ -242,7 +242,7 @@ pub fn distributed_connected_domination_in(
     // the seeds (equals the protocol's measured constant at exact radius).
     let measured_constant = wreach_info
         .iter()
-        .map(|info| info.paths.values().filter(|path| within_rho(path)).count())
+        .map(|info| info.paths.values().filter(within_rho).count())
         .max()
         .unwrap_or(0);
     Ok(DistConnectedResult {

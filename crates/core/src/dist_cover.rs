@@ -189,7 +189,7 @@ pub fn distributed_neighborhood_cover_in(
         for (center_sid, path) in info.paths.iter() {
             // Stored paths have at most `max_radius` edges (protocol bound);
             // a checked conversion keeps a pathological store loud.
-            let edges = u32::try_from(path.len().saturating_sub(1))
+            let edges = u32::try_from(path.len() - 1)
                 .expect("stored path length exceeds u32 — violates the protocol's radius bound");
             if edges > 2 * r {
                 // A larger-radius context may hold farther-reaching paths;

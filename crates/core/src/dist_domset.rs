@@ -27,7 +27,7 @@
 //! the one of \[46\]; see DESIGN.md §1.3).
 
 use crate::context::{DistContext, DistContextConfig};
-use crate::dist_wreach::{PathOutbox, PathSetMessage};
+use crate::dist_wreach::{PathOutbox, PathSetMessage, PathView};
 use bedom_distsim::{
     Engine, ExecutionStrategy, IdAssignment, Inbox, ModelViolation, Network, NodeAlgorithm,
     NodeContext, Outgoing, RunPolicy, RunStats,
@@ -59,8 +59,8 @@ pub struct ElectionNode {
 
 impl ElectionNode {
     /// Initial state: the vertex already knows its elected dominator path
-    /// (from the weak-reachability phase outputs).
-    pub fn new(sid: u32, id_bits: usize, elected_path: &[u32]) -> Self {
+    /// (from the weak-reachability phase outputs), which ends at `sid`.
+    pub fn new(sid: u32, id_bits: usize, elected_path: PathView<'_>) -> Self {
         let mut node = ElectionNode {
             sid,
             id_bits,
@@ -68,11 +68,20 @@ impl ElectionNode {
             init: None,
             in_dominating_set: false,
         };
-        node.init = node.accept(elected_path).map(|forward| {
-            let mut message = PathSetMessage::with_capacity(id_bits, 1, forward.len());
-            message.push(forward);
-            message
-        });
+        // The path is the start, the interior and this vertex, which the
+        // one-id path of a self-election lacks.
+        let [start, interior, own] = elected_path.parts();
+        debug_assert!(own.is_empty() || own == [sid]);
+        if own.is_empty() {
+            node.in_dominating_set = true;
+        } else {
+            // The token is the path with this vertex popped off.
+            let len = elected_path.len() - 1;
+            node.forwarded.push((start[0], len));
+            let mut message = PathSetMessage::with_capacity(id_bits, 1, len);
+            message.push(&[start, interior]);
+            node.init = Some(message);
+        }
         node
     }
 
@@ -119,7 +128,7 @@ impl NodeAlgorithm for ElectionNode {
                         continue;
                     }
                     if let Some(forward) = self.accept(path) {
-                        outbox.push(forward, None);
+                        outbox.push(&[forward]);
                     }
                 }
             }
@@ -328,7 +337,7 @@ pub fn distributed_distance_domination_in(
         .map(|info| {
             info.paths
                 .values()
-                .filter(|path| path.len().saturating_sub(1) <= rho)
+                .filter(|path| path.len() - 1 <= rho)
                 .count()
         })
         .max()

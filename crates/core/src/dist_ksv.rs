@@ -2001,7 +2001,7 @@ fn ksv_network<'g>(graph: &'g Graph, r: u32, config: &KsvConfig) -> (Network<'g,
 /// domination is the degenerate full vertex set), and `r > 255` is
 /// [`ModelViolation::RadiusOutOfRange`], because summary distances travel
 /// in 8 bits. Past this check `2r` and `6r − 1` cannot overflow.
-fn check_ksv_radius(r: u32) -> Result<(), ModelViolation> {
+pub(crate) fn check_ksv_radius(r: u32) -> Result<(), ModelViolation> {
     if r == 0 {
         return Err(ModelViolation::RadiusUnsupported {
             requested: 0,

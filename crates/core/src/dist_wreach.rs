@@ -20,7 +20,11 @@
 //!
 //! This module owns the path format, and every path is stored flat. A
 //! vertex's [`PathStore`] is its sorted start super-ids, one span per start
-//! and one id arena; a [`PathSetMessage`] is one vector of `[len, id…]` runs.
+//! and one id arena. Every path it stores begins with its start and ends
+//! with the vertex's own super-id, so the arena holds only each path's
+//! interior: the key supplies the first id, the store holds the last one
+//! once, and readers see each path through a [`PathView`]. A
+//! [`PathSetMessage`] is one vector of `[len, id…]` runs of whole paths.
 //! The Lemma 7 node here, the Theorem 9 election and the Theorem 10 path
 //! flood read messages through [`PathSetMessage::paths`]. The first two
 //! queue a round's broadcast in one crate-private `PathOutbox` per thread,
@@ -53,20 +57,28 @@ fn span_of(ids: &[u32], (offset, len): (u32, u32)) -> &[u32] {
     &ids[offset as usize..][..len as usize]
 }
 
-/// A sorted flat map from start super-id to its stored routing path.
+/// A sorted flat map from start super-id to the stored routing path of one
+/// vertex, the store's *owner*.
 ///
-/// The store holds at most `|WReach_ρ[w]| ≤ c(ρ)` entries (a class constant)
-/// in three allocations: the sorted starts, one `(offset, len)` span per
-/// start, and one arena holding every path's ids. Starts and ids are 32-bit
-/// super-ids in memory; [`PathStore::encoded_bits`] still charges `id_bits`
-/// per id, as the wire accounting does. Lookups are binary searches over the
-/// starts. The protocol replaces a path only by one that is no longer
+/// Every stored path runs from its start to the owner: it begins with the
+/// start, which is the entry's key, and ends with the owner's super-id,
+/// which the store holds once. So the store keeps only each path's interior
+/// ids, and the owner's own entry is the one-id path `[owner]`. It holds at
+/// most `|WReach_ρ[w]| ≤ c(ρ)` entries (a class constant) in three
+/// allocations: the sorted starts, one `(offset, len)` span of interior ids
+/// per start, and one arena holding every interior. Starts and ids are
+/// 32-bit super-ids in memory; [`PathStore::encoded_bits`] still charges
+/// `id_bits` per id of the whole path, as the wire accounting does. Lookups
+/// are binary searches over the starts, and [`PathStore::get`],
+/// [`PathStore::iter`] and [`PathStore::values`] hand out each path as a
+/// [`PathView`]. The protocol replaces a path only by one that is no longer
 /// (shorter paths win), so a replacement overwrites its span in place and a
 /// new start appends to the arena; a shorter replacement leaves dead words
-/// behind. Equality therefore compares the `(start, path)` sequences, never
-/// the arena.
-#[derive(Clone, Debug, Default)]
+/// behind. Equality therefore compares the owner and the `(start, path)`
+/// sequences, never the arena.
+#[derive(Clone, Debug)]
 pub struct PathStore {
+    owner: u32,
     keys: Vec<u32>,
     spans: Vec<(u32, u32)>,
     ids: Vec<u32>,
@@ -74,16 +86,21 @@ pub struct PathStore {
 
 impl PartialEq for PathStore {
     fn eq(&self, other: &Self) -> bool {
-        self.iter().eq(other.iter())
+        self.owner == other.owner && self.iter().eq(other.iter())
     }
 }
 
 impl Eq for PathStore {}
 
 impl PathStore {
-    /// An empty store.
-    pub fn new() -> Self {
-        PathStore::default()
+    /// An empty store of paths that end at `owner`.
+    fn new(owner: u32) -> Self {
+        PathStore {
+            owner,
+            keys: Vec::new(),
+            spans: Vec::new(),
+            ids: Vec::new(),
+        }
     }
 
     /// Number of stored starts — `|WReach_ρ[w]|` once the protocol finishes.
@@ -97,40 +114,54 @@ impl PathStore {
     }
 
     /// The stored path for `start`, if any. `O(log len)`.
-    pub fn get(&self, start: u32) -> Option<&[u32]> {
+    pub fn get(&self, start: u32) -> Option<PathView<'_>> {
         let i = self.keys.binary_search(&start).ok()?;
         Some(self.path_at(i))
     }
 
     /// The path of the `i`-th smallest start.
-    fn path_at(&self, i: usize) -> &[u32] {
-        span_of(&self.ids, self.spans[i])
+    fn path_at(&self, i: usize) -> PathView<'_> {
+        let start = &self.keys[i];
+        PathView {
+            start,
+            interior: span_of(&self.ids, self.spans[i]),
+            owner: (*start != self.owner).then_some(&self.owner),
+        }
     }
 
     /// Stores `path` for `start`, replacing any previous entry.
-    pub fn insert(&mut self, start: u32, path: &[u32]) {
-        self.store(self.keys.binary_search(&start), start, path, None);
+    ///
+    /// # Panics
+    /// Panics unless `path` runs from `start` to the owner.
+    fn insert(&mut self, start: u32, path: &[u32]) {
+        let interior = match path {
+            [only] if *only == start && start == self.owner => &[],
+            [first, interior @ .., last]
+                if *first == start && *last == self.owner && start != self.owner =>
+            {
+                interior
+            }
+            _ => panic!("path {path:?} does not run from {start} to {}", self.owner),
+        };
+        self.store(self.keys.binary_search(&start), start, interior);
     }
 
-    /// Stores `path ++ tail` for `start` at `slot`, the result of searching
-    /// the starts for `start`. A path no longer than the one it replaces
-    /// overwrites it in place; anything else appends to the arena.
-    fn store(&mut self, slot: Result<usize, usize>, start: u32, path: &[u32], tail: Option<u32>) {
-        let len = path.len() + usize::from(tail.is_some());
+    /// Stores the path with `interior` for `start` at `slot`, the result of
+    /// searching the starts for `start`. An interior no longer than the one
+    /// it replaces overwrites it in place; anything else appends to the
+    /// arena.
+    fn store(&mut self, slot: Result<usize, usize>, start: u32, interior: &[u32]) {
+        let len = u32_from_usize(interior.len());
         let span = match slot {
-            Ok(i) if len <= self.spans[i].1 as usize => {
-                let offset = self.spans[i].0 as usize;
-                self.ids[offset..][..path.len()].copy_from_slice(path);
-                if let Some(last) = tail {
-                    self.ids[offset + path.len()] = last;
-                }
-                (self.spans[i].0, u32_from_usize(len))
+            Ok(i) if len <= self.spans[i].1 => {
+                let offset = self.spans[i].0;
+                self.ids[offset as usize..][..interior.len()].copy_from_slice(interior);
+                (offset, len)
             }
             _ => {
                 let offset = u32_from_usize(self.ids.len());
-                self.ids.extend_from_slice(path);
-                self.ids.extend(tail);
-                (offset, u32_from_usize(len))
+                self.ids.extend_from_slice(interior);
+                (offset, len)
             }
         };
         match slot {
@@ -143,11 +174,8 @@ impl PathStore {
     }
 
     /// Iterates `(start, path)` in increasing start super-id order.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, &[u32])> + '_ {
-        self.keys
-            .iter()
-            .zip(&self.spans)
-            .map(|(&start, &span)| (start, span_of(&self.ids, span)))
+    pub fn iter(&self) -> impl Iterator<Item = (u32, PathView<'_>)> + '_ {
+        (0..self.len()).map(|i| (self.keys[i], self.path_at(i)))
     }
 
     /// The stored start super-ids, in increasing order.
@@ -156,24 +184,79 @@ impl PathStore {
     }
 
     /// The stored paths, in increasing start super-id order.
-    pub fn values(&self) -> impl Iterator<Item = &[u32]> + '_ {
+    pub fn values(&self) -> impl Iterator<Item = PathView<'_>> + '_ {
         (0..self.len()).map(|i| self.path_at(i))
     }
 
     /// Bits a [`PathSetMessage`] broadcasting every stored path would occupy
     /// under the flat encoding the engine's bandwidth accounting charges
     /// (16-bit message length prefix, 8-bit per-path length prefix,
-    /// `id_bits` per super-id). This ties the per-node store to the wire
-    /// format: what a vertex *can* announce about its weak-reachability
-    /// knowledge costs exactly `encoded_bits`, and any actual
-    /// [`PathSetMessage`] carries a subset of it — the audit hook behind the
-    /// bandwidth regression in `tests/model_compliance.rs`.
+    /// `id_bits` per super-id of the whole path, its implicit first and last
+    /// ids included). This ties the per-node store to the wire format: what
+    /// a vertex *can* announce about its weak-reachability knowledge costs
+    /// exactly `encoded_bits`, and any actual [`PathSetMessage`] carries a
+    /// subset of it — the audit hook behind the bandwidth regression in
+    /// `tests/model_compliance.rs`.
     pub fn encoded_bits(&self, id_bits: usize) -> usize {
         16 + self
-            .spans
-            .iter()
-            .map(|&(_, len)| 8 + len as usize * id_bits)
+            .values()
+            .map(|path| 8 + path.len() * id_bits)
             .sum::<usize>()
+    }
+}
+
+/// One stored path of a [`PathStore`], from its start to the store's owner,
+/// read from the three places the store keeps its ids: the start (the
+/// entry's key), the interior, and the owner's super-id, which the owner's
+/// own one-id entry lacks.
+#[derive(Clone, Copy)]
+pub struct PathView<'a> {
+    start: &'a u32,
+    interior: &'a [u32],
+    owner: Option<&'a u32>,
+}
+
+impl<'a> PathView<'a> {
+    /// Number of ids on the path, one more than its edges; never zero.
+    #[allow(clippy::len_without_is_empty)] // a path holds at least its start
+    pub fn len(&self) -> usize {
+        1 + self.interior.len() + usize::from(self.owner.is_some())
+    }
+
+    /// The path's super-ids, from the start to the owner.
+    pub fn iter(&self) -> impl Iterator<Item = &'a u32> + 'a {
+        std::iter::once(self.start)
+            .chain(self.interior)
+            .chain(self.owner)
+    }
+
+    /// The path's super-ids as a vector, from the start to the owner.
+    pub fn to_vec(&self) -> Vec<u32> {
+        self.iter().copied().collect()
+    }
+
+    /// The path as three runs of ids — the start, the interior, and the
+    /// owner or nothing — to copy it into a message without a vector.
+    pub(crate) fn parts(&self) -> [&'a [u32]; 3] {
+        [
+            std::slice::from_ref(self.start),
+            self.interior,
+            self.owner.map_or(&[], std::slice::from_ref),
+        ]
+    }
+}
+
+impl PartialEq for PathView<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for PathView<'_> {}
+
+impl std::fmt::Debug for PathView<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -204,10 +287,13 @@ impl PathSetMessage {
         }
     }
 
-    /// Appends `path`.
-    pub(crate) fn push(&mut self, path: &[u32]) {
-        self.words.push(u32_from_usize(path.len()));
-        self.words.extend_from_slice(path);
+    /// Appends the path whose ids are the runs of `parts`, back to back.
+    pub(crate) fn push(&mut self, parts: &[&[u32]]) {
+        let len = parts.iter().map(|part| part.len()).sum();
+        self.words.push(u32_from_usize(len));
+        for part in parts {
+            self.words.extend_from_slice(part);
+        }
         self.count += 1;
     }
 
@@ -254,11 +340,12 @@ impl PathOutbox {
         OUTBOX.with(|cell| f(&mut cell.borrow_mut()))
     }
 
-    /// Queues `path ++ tail`.
-    pub(crate) fn push(&mut self, path: &[u32], tail: Option<u32>) {
+    /// Queues the path whose ids are the runs of `parts`, back to back.
+    pub(crate) fn push(&mut self, parts: &[&[u32]]) {
         let offset = u32_from_usize(self.ids.len());
-        self.ids.extend_from_slice(path);
-        self.ids.extend(tail);
+        for part in parts {
+            self.ids.extend_from_slice(part);
+        }
         self.spans
             .push((offset, u32_from_usize(self.ids.len()) - offset));
     }
@@ -274,7 +361,7 @@ impl PathOutbox {
             .sort_unstable_by(|&a, &b| span_of(ids, a).cmp(span_of(ids, b)));
         let mut message = PathSetMessage::with_capacity(id_bits, self.spans.len(), ids.len());
         for &span in &self.spans {
-            message.push(span_of(ids, span));
+            message.push(&[span_of(ids, span)]);
         }
         self.ids.clear();
         self.spans.clear();
@@ -288,8 +375,9 @@ pub struct WReachInfo {
     /// This vertex's super-id.
     pub sid: u32,
     /// For every known start `v` (with `sid(v) < sid(self)`): the stored path
-    /// from `v`'s super-id to this vertex's super-id. The entry for the vertex
-    /// itself (`sid → [sid]`) is included, mirroring `v ∈ WReach_ρ[v]`.
+    /// from `v`'s super-id to this vertex's super-id, whose owner is `sid`.
+    /// The entry for the vertex itself (`sid → [sid]`) is included,
+    /// mirroring `v ∈ WReach_ρ[v]`.
     pub paths: PathStore,
 }
 
@@ -306,7 +394,7 @@ impl WReachInfo {
     pub fn min_reachable_within(&self, max_len: usize) -> u32 {
         self.paths
             .iter()
-            .find(|(_, path)| path.len().saturating_sub(1) <= max_len)
+            .find(|(_, path)| path.len() - 1 <= max_len)
             .map_or(self.sid, |(sid, _)| sid)
     }
 }
@@ -314,9 +402,9 @@ impl WReachInfo {
 /// Node state of the parallel restricted-BFS protocol (paper's Algorithm 4).
 #[derive(Debug)]
 pub struct WReachNode {
-    sid: u32,
     rho: u32,
     id_bits: usize,
+    /// The paths found so far, owned by this vertex's super-id.
     paths: PathStore,
 }
 
@@ -325,50 +413,45 @@ impl WReachNode {
     /// radius `rho`, charging `id_bits` bits per transmitted super-id.
     pub fn new(sid: u32, rho: u32, id_bits: usize) -> Self {
         WReachNode {
-            sid,
             rho,
             id_bits,
-            paths: PathStore::new(),
+            paths: PathStore::new(sid),
         }
     }
 
-    /// Offers the extension `path ++ [self.sid]` as a candidate; stores it,
-    /// and queues it in `outbox` for broadcast, if it is new or better than
-    /// the stored one. Both copies are written straight from the borrowed
-    /// incoming path.
+    /// Offers the extension `path ++ [sid]` as a candidate, where `sid` is
+    /// this vertex's super-id; stores it, and queues it in `outbox` for
+    /// broadcast, if it is new or better than the stored one. Both copies
+    /// are written straight from the borrowed incoming path, and the store
+    /// keeps only its interior `path[1..]`.
     fn offer(&mut self, path: &[u32], outbox: &mut PathOutbox) {
+        let sid = self.paths.owner;
         let start = path[0];
         // Only smaller starts, and never a path through this vertex.
-        if start >= self.sid || path.contains(&self.sid) {
+        if start >= sid || path.contains(&sid) {
             return;
         }
+        let interior = &path[1..];
         let slot = self.paths.keys.binary_search(&start);
         if let Ok(i) = slot {
-            if !extension_is_better(path, self.sid, self.paths.path_at(i)) {
+            if !interior_is_better(interior, span_of(&self.paths.ids, self.paths.spans[i])) {
                 return;
             }
         }
         // Re-broadcast only paths that can still be usefully extended.
         if path.len() < self.rho as usize {
-            outbox.push(path, Some(self.sid));
+            outbox.push(&[path, &[sid]]);
         }
-        self.paths.store(slot, start, path, Some(self.sid));
+        self.paths.store(slot, start, interior);
     }
 }
 
-/// Whether the candidate `path ++ [last]` beats `existing` under the
-/// protocol's preference (shorter first, then lexicographically smaller),
-/// decided without materialising the candidate.
-fn extension_is_better(path: &[u32], last: u32, existing: &[u32]) -> bool {
-    let candidate_len = path.len() + 1;
-    if candidate_len != existing.len() {
-        return candidate_len < existing.len();
-    }
-    match path.cmp(&existing[..path.len()]) {
-        std::cmp::Ordering::Less => true,
-        std::cmp::Ordering::Greater => false,
-        std::cmp::Ordering::Equal => last < existing[path.len()],
-    }
+/// Whether a candidate path beats the stored one for the same start under
+/// the protocol's preference (shorter first, then lexicographically
+/// smaller), decided on their interiors: both paths begin with the start and
+/// end with the owner, so the interiors alone order them.
+fn interior_is_better(candidate: &[u32], stored: &[u32]) -> bool {
+    (candidate.len(), candidate) < (stored.len(), stored)
 }
 
 impl NodeAlgorithm for WReachNode {
@@ -376,9 +459,10 @@ impl NodeAlgorithm for WReachNode {
     type Output = WReachInfo;
 
     fn init(&mut self, _ctx: &NodeContext) -> Outgoing<PathSetMessage> {
-        self.paths.insert(self.sid, &[self.sid]);
+        let sid = self.paths.owner;
+        self.paths.insert(sid, &[sid]);
         let mut message = PathSetMessage::with_capacity(self.id_bits, 1, 1);
-        message.push(&[self.sid]);
+        message.push(&[&[sid]]);
         Outgoing::Broadcast(message)
     }
 
@@ -406,7 +490,7 @@ impl NodeAlgorithm for WReachNode {
 
     fn output(&self, _ctx: &NodeContext) -> WReachInfo {
         WReachInfo {
-            sid: self.sid,
+            sid: self.paths.owner,
             paths: self.paths.clone(),
         }
     }
@@ -505,7 +589,7 @@ pub fn distributed_weak_reachability(
         .into_nodes()
         .into_iter()
         .map(|node| WReachInfo {
-            sid: node.sid,
+            sid: node.paths.owner,
             paths: node.paths,
         })
         .collect();
@@ -600,6 +684,7 @@ mod tests {
             distributed_weak_reachability(&g, &super_ids, WReachConfig::measuring(rho)).unwrap();
         for w in g.vertices() {
             for (start_sid, path) in result.info[w as usize].paths.iter() {
+                let path = path.to_vec();
                 assert_eq!(*path.first().unwrap(), start_sid);
                 assert_eq!(u64::from(*path.last().unwrap()), super_ids[w as usize]);
                 assert!(path.len() <= rho as usize + 1, "path too long: {path:?}");
@@ -678,70 +763,144 @@ mod tests {
     }
 
     #[test]
-    fn extension_comparison_matches_materialised_comparison() {
-        // The allocation-free comparison must agree with "build the candidate
-        // and compare Vecs" on every shape: shorter, longer, lexicographic
-        // splits in the shared prefix and in the appended last element.
-        let cases: &[(&[u32], u32, &[u32])] = &[
-            (&[1], 9, &[1, 9]),
-            (&[1], 9, &[1, 9, 4]),
-            (&[1, 2], 9, &[1, 9]),
-            (&[1, 2], 9, &[1, 3, 9]),
-            (&[1, 4], 9, &[1, 3, 9]),
-            (&[1, 3], 7, &[1, 3, 9]),
-            (&[1, 3], 9, &[1, 3, 7]),
-            (&[1, 3], 9, &[1, 3, 9]),
-            (&[2], 5, &[2, 5, 7, 8]),
+    fn interior_comparison_matches_materialised_comparison() {
+        // Two paths for one start share their first and last ids, so
+        // comparing interiors must agree with "compare the whole Vecs" on
+        // every shape: shorter, longer, and lexicographic splits anywhere in
+        // the interior.
+        let cases: &[(&[u32], &[u32])] = &[
+            (&[1, 9], &[1, 4, 9]),
+            (&[1, 4, 9], &[1, 9]),
+            (&[1, 2, 9], &[1, 3, 9]),
+            (&[1, 3, 9], &[1, 2, 9]),
+            (&[1, 3, 9], &[1, 3, 9]),
+            (&[1, 3, 5, 9], &[1, 3, 4, 9]),
+            (&[1, 3, 4, 9], &[1, 3, 5, 9]),
+            (&[2, 8, 9], &[2, 5, 7, 9]),
         ];
-        for &(path, last, existing) in cases {
-            let mut materialised = path.to_vec();
-            materialised.push(last);
-            let expected = materialised.len() < existing.len()
-                || (materialised.len() == existing.len() && materialised.as_slice() < existing);
+        let interior = |path: &'static [u32]| &path[1..path.len() - 1];
+        for &(candidate, stored) in cases {
+            let expected = (candidate.len(), candidate) < (stored.len(), stored);
             assert_eq!(
-                extension_is_better(path, last, existing),
+                interior_is_better(interior(candidate), interior(stored)),
                 expected,
-                "path {path:?} ++ [{last}] vs {existing:?}"
+                "{candidate:?} vs {stored:?}"
             );
         }
     }
 
     #[test]
     fn path_store_behaves_like_a_sorted_map() {
-        let mut store = PathStore::new();
+        let mut store = PathStore::new(9);
         assert!(store.is_empty());
         assert_eq!(store.get(3), None);
-        store.insert(5, &[5]);
-        store.insert(2, &[2, 5]);
-        store.insert(9, &[9, 2]);
+        store.insert(9, &[9]);
+        store.insert(2, &[2, 5, 9]);
+        store.insert(5, &[5, 9]);
         assert_eq!(store.len(), 3);
         assert_eq!(store.keys().collect::<Vec<_>>(), vec![2, 5, 9]);
-        assert_eq!(store.get(2), Some(&[2, 5][..]));
+        assert_eq!(store.get(2).map(|path| path.to_vec()), Some(vec![2, 5, 9]));
         // Replacement keeps the store sorted and deduplicated, in place when
         // the new path is no longer and by appending when it is longer.
-        store.insert(2, &[2]);
+        store.insert(2, &[2, 9]);
         assert_eq!(store.len(), 3);
-        assert_eq!(store.get(2), Some(&[2][..]));
-        store.insert(5, &[5, 7, 5]);
-        assert_eq!(store.get(5), Some(&[5, 7, 5][..]));
-        let collected: Vec<(u32, &[u32])> = store.iter().collect();
-        assert_eq!(collected[0], (2, &[2][..]));
-        assert_eq!(collected[2], (9, &[9, 2][..]));
+        assert_eq!(store.get(2).map(|path| path.to_vec()), Some(vec![2, 9]));
+        store.insert(5, &[5, 7, 3, 9]);
+        assert_eq!(store.get(5).map(|path| path.len()), Some(4));
+        let collected: Vec<(u32, Vec<u32>)> = store
+            .iter()
+            .map(|(start, path)| (start, path.to_vec()))
+            .collect();
         assert_eq!(
-            store.values().collect::<Vec<_>>(),
-            vec![&[2][..], &[5, 7, 5], &[9, 2]]
+            collected,
+            vec![(2, vec![2, 9]), (5, vec![5, 7, 3, 9]), (9, vec![9])]
         );
+        assert!(store.values().map(|path| path.to_vec()).eq([
+            vec![2, 9],
+            vec![5, 7, 3, 9],
+            vec![9]
+        ]));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not run from 2 to 9")]
+    fn path_store_refuses_a_path_that_misses_its_owner() {
+        PathStore::new(9).insert(2, &[2, 5]);
+    }
+
+    #[test]
+    fn path_views_rebuild_every_length_the_wire_format_describes() {
+        // At ρ = 254 a store holds paths of 1 to 255 ids: the owner's own
+        // one-id entry and, for every other start, the start, an interior
+        // of up to 253 ids and the owner. The view must give each back whole.
+        let owner = 1000;
+        let path_of = |len: u32| -> Vec<u32> {
+            if len == 1 {
+                return vec![owner];
+            }
+            let mut path = vec![len];
+            path.extend((0..len - 2).map(|i| 2000 + i));
+            path.push(owner);
+            path
+        };
+        let mut store = PathStore::new(owner);
+        for len in (1..=255).rev() {
+            let path = path_of(len);
+            store.insert(path[0], &path);
+        }
+        assert_eq!(store.len(), 255);
+        let mut bits = 16;
+        for len in 1..=255 {
+            let expected = path_of(len);
+            let view = store.get(expected[0]).expect("every start is stored");
+            assert_eq!(view.len(), expected.len());
+            assert_eq!(view.to_vec(), expected);
+            assert!(view.iter().copied().eq(expected.iter().copied()));
+            assert_eq!(view.parts().concat(), expected);
+            bits += 8 + 13 * expected.len();
+        }
+        assert_eq!(store.encoded_bits(13), bits);
+        let own = store.get(owner).expect("the own entry is stored");
+        assert_eq!((own.len(), own.to_vec()), (1, vec![owner]));
+        assert_eq!(own.parts(), [&[owner][..], &[], &[]]);
+        // The arena holds only interiors: 0 + 1 + … + 253 ids.
+        let arena = 253 * 254 / 2;
+        assert_eq!(store.ids.len(), arena);
+        // A same-length replacement overwrites its interior in place.
+        let mut replacement = path_of(255);
+        replacement[1..254].reverse();
+        store.insert(255, &replacement);
+        assert_eq!(store.ids.len(), arena);
+        assert_eq!(store.get(255).map(|path| path.to_vec()), Some(replacement));
+        // The same content reached through another history — another
+        // insertion order, then the original and a shorter path for start
+        // 255 before the final one, which no longer fits in place — is the
+        // same store.
+        let mut other = PathStore::new(owner);
+        other.insert(255, &path_of(255));
+        for len in 1..=254 {
+            let path = path_of(len);
+            other.insert(path[0], &path);
+        }
+        assert_ne!(store, other);
+        let mut shorter = path_of(255);
+        shorter.drain(1..3);
+        other.insert(255, &shorter);
+        assert_ne!(store, other);
+        other.insert(255, &store.get(255).expect("stored").to_vec());
+        assert_eq!(store, other);
+        assert_ne!(PathStore::new(1), PathStore::new(2));
     }
 
     #[test]
     fn path_stores_with_equal_content_are_equal_whatever_their_history() {
         // An in-place replacement leaves dead words in the arena, so equal
         // stores may differ in layout; equality must see only the content.
-        let mut replaced = PathStore::new();
+        let mut replaced = PathStore::new(9);
         replaced.insert(4, &[4, 8, 6, 9]);
         replaced.insert(1, &[1, 3, 9]);
         replaced.insert(4, &[4, 9]);
-        let mut direct = PathStore::new();
+        let mut direct = PathStore::new(9);
         direct.insert(1, &[1, 3, 9]);
         direct.insert(4, &[4, 9]);
         assert_eq!(replaced, direct);
@@ -752,8 +911,8 @@ mod tests {
     #[test]
     fn message_size_accounting() {
         let mut m = PathSetMessage::with_capacity(10, 2, 4);
-        m.push(&[1, 2, 3]);
-        m.push(&[4]);
+        m.push(&[&[1, 2], &[3]]);
+        m.push(&[&[4]]);
         assert_eq!(m.size_bits(), 16 + (8 + 30) + (8 + 10));
         assert_eq!(m.paths().collect::<Vec<_>>(), vec![&[1, 2, 3][..], &[4]]);
         assert_eq!(PathSetMessage::with_capacity(10, 0, 0).size_bits(), 16);
@@ -765,10 +924,10 @@ mod tests {
         // order `Vec<Vec<u64>>::sort` would give.
         let mut outbox = PathOutbox::default();
         assert!(matches!(outbox.broadcast(8), Outgoing::Silent));
-        outbox.push(&[3, 5], Some(9));
-        outbox.push(&[1], None);
-        outbox.push(&[3], Some(9));
-        outbox.push(&[1, 4], None);
+        outbox.push(&[&[3, 5], &[9]]);
+        outbox.push(&[&[1]]);
+        outbox.push(&[&[3], &[9]]);
+        outbox.push(&[&[1, 4]]);
         let Outgoing::Broadcast(message) = outbox.broadcast(8) else {
             panic!("queued paths must be broadcast");
         };
@@ -783,17 +942,17 @@ mod tests {
         // A message carrying exactly the store's paths must cost exactly the
         // store's flat encoding — the wire accounting runs on the flat
         // PathStore representation, not on any legacy shape.
-        let mut store = PathStore::new();
+        let mut store = PathStore::new(7);
         store.insert(7, &[7]);
         store.insert(2, &[2, 9, 7]);
         store.insert(4, &[4, 7]);
         let id_bits = 13;
         let mut message = PathSetMessage::with_capacity(id_bits, 0, 0);
         for path in store.values() {
-            message.push(path);
+            message.push(&path.parts());
         }
         assert_eq!(message.size_bits(), store.encoded_bits(id_bits));
-        assert_eq!(PathStore::new().encoded_bits(id_bits), 16);
+        assert_eq!(PathStore::new(7).encoded_bits(id_bits), 16);
     }
 
     #[test]
@@ -815,7 +974,10 @@ mod tests {
         let result =
             distributed_weak_reachability(&g, &widest, WReachConfig::measuring(1)).unwrap();
         assert_eq!(result.info[1].sid, u32::MAX);
-        assert_eq!(result.info[1].paths.get(0), Some(&[0, u32::MAX][..]));
+        assert_eq!(
+            result.info[1].paths.get(0).map(|path| path.to_vec()),
+            Some(vec![0, u32::MAX])
+        );
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub use dist_ksv::{
     KSV_FRAME_HEADER_BITS, KSV_FRAME_PAYLOAD_BITS, KSV_ROUNDS,
 };
 pub use dist_wreach::{
-    distributed_weak_reachability, DistributedWReach, PathStore, WReachConfig, WReachInfo,
+    distributed_weak_reachability, DistributedWReach, PathStore, PathView, WReachConfig, WReachInfo,
 };
 pub use local_connect::{local_connect, LocalConnectResult};
 pub use pipeline::{

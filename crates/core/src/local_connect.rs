@@ -145,7 +145,10 @@ pub fn local_connect(
     for &v in dominating_set {
         in_d[v as usize] = true;
     }
-    let view_radius = 2 * r + 1;
+    // The view radius and the path bound below only bound searches, and no
+    // distance exceeds n − 1 ≤ u32::MAX, so saturating at u32::MAX finds
+    // exactly what 2r + 1 would.
+    let view_radius = r.saturating_mul(2).saturating_add(1);
 
     // Step 1 (per vertex): determine the owner of every vertex. Evaluated at
     // radius r + 1 … but ownership needs paths from dominators within r, all
@@ -186,7 +189,7 @@ pub fn local_connect(
                 // {v, owner_x} is an edge of H(D): add the common
                 // lexicographically-shortest path of length ≤ 2r + 1.
                 if let Some(path) =
-                    lex_shortest_path(view, v.min(owner_x), v.max(owner_x), 2 * r + 1)
+                    lex_shortest_path(view, v.min(owner_x), v.max(owner_x), view_radius)
                 {
                     additions.extend(path);
                 }
@@ -217,7 +220,7 @@ pub fn local_connect(
         connected_dominating_set,
         owner_of,
         blowup,
-        rounds: (3 * r + 1) as usize,
+        rounds: 3 * r as usize + 1,
     }
 }
 
@@ -261,6 +264,24 @@ mod tests {
         );
         assert_eq!(result.rounds, (3 * r + 1) as usize);
         result
+    }
+
+    #[test]
+    fn radii_whose_double_overflows_saturate_to_the_exact_answer() {
+        // No distance on 12 vertices exceeds 11, so every radius from 12 on
+        // connects the same way; only the reported round count grows.
+        let g = cycle(12);
+        let ids = IdAssignment::Shuffled(17).assign(&g);
+        let expected = local_connect(&g, &ids, &[0, 6], 12);
+        for r in [1 << 31, u32::MAX] {
+            let result = local_connect(&g, &ids, &[0, 6], r);
+            assert_eq!(
+                result.connected_dominating_set, expected.connected_dominating_set,
+                "r = {r}"
+            );
+            assert_eq!(result.owner_of, expected.owner_of, "r = {r}");
+            assert_eq!(result.rounds, 3 * r as usize + 1);
+        }
     }
 
     #[test]

@@ -25,8 +25,8 @@ use crate::context::{DistContext, DistContextConfig};
 use crate::dist_connected::distributed_connected_domination_in;
 use crate::dist_domset::distributed_distance_domination_in;
 use crate::dist_ksv::{
-    distributed_ksv_domination_r_faulty, distributed_ksv_domination_r_in_with, KsvConfig,
-    KsvDomResult,
+    check_ksv_radius, distributed_ksv_domination_r_faulty, distributed_ksv_domination_r_in_with,
+    KsvConfig, KsvDomResult,
 };
 use crate::local_connect::local_connect;
 use crate::seq_domset::domset_via_min_wreach_with;
@@ -240,8 +240,14 @@ impl DominationPipeline {
     /// or `2r + 1` when the connected set is requested), checked before any
     /// arithmetic on `r`, as KSV checks its radius: a reach beyond `u32` is
     /// [`ModelViolation::RadiusOutOfRange`]. Past this check `2r` cannot
-    /// overflow either.
+    /// overflow either. With [`Algorithm::KsvConstantRound`], a radius KSV
+    /// refuses (`r > 255`) fails here too, so that no phase runs before the
+    /// protocol would refuse it; `r = 0` is the degenerate full vertex set,
+    /// which the KSV path answers without the protocol.
     fn reach_radius(&self) -> Result<u32, ModelViolation> {
+        if self.algorithm == Algorithm::KsvConstantRound && self.r > 0 {
+            check_ksv_radius(self.r)?;
+        }
         let reach = self
             .r
             .checked_mul(2)
@@ -254,8 +260,9 @@ impl DominationPipeline {
     }
 
     /// Solves the instance. A radius whose reach radius (`2r`, or `2r + 1`
-    /// when connected) overflows `u32` fails with
-    /// [`ModelViolation::RadiusOutOfRange`] before any phase runs.
+    /// when connected) overflows `u32`, or that KSV refuses when it is the
+    /// algorithm, fails with [`ModelViolation::RadiusOutOfRange`] before any
+    /// phase runs.
     pub fn solve(&self, graph: &Graph) -> Result<DominationReport, ModelViolation> {
         let r = self.r;
         let reach = self.reach_radius()?;
@@ -470,8 +477,11 @@ pub fn solve_checked(graph: &Graph, r: u32) -> Option<DominationReport> {
 /// Computes, for reporting, the constant witnessed by a given strategy on a
 /// given instance (used by the ablation in EXPERIMENTS.md).
 pub fn witnessed_constant_for(graph: &Graph, r: u32, strategy: OrderingStrategy) -> usize {
-    let order = compute_order(graph, 2 * r, strategy);
-    WReachIndex::build(graph, &order, 2 * r).wcol()
+    // Both radii only bound searches, and no restricted distance exceeds
+    // n − 1 ≤ u32::MAX, so a saturated 2r gives exactly the 2r answer.
+    let reach = r.saturating_mul(2);
+    let order = compute_order(graph, reach, strategy);
+    WReachIndex::build(graph, &order, reach).wcol()
 }
 
 /// Solves a batch of independent `(graph, pipeline)` shards across the
@@ -730,7 +740,7 @@ fn dominates_with(graph: &Graph, set: &[Vertex], r: u32, scratch: &mut BfsScratc
 mod tests {
     use super::*;
     use bedom_graph::components::is_induced_connected;
-    use bedom_graph::generators::{grid, path, random_tree, stacked_triangulation};
+    use bedom_graph::generators::{cycle, grid, path, random_tree, stacked_triangulation};
 
     #[test]
     fn sequential_pipeline_with_defaults() {
@@ -811,6 +821,49 @@ mod tests {
     #[test]
     fn distributed_solve_refuses_a_radius_whose_double_overflows() {
         assert_reach_overflow_is_refused(DominationPipeline::new(1).mode(Mode::Distributed));
+    }
+
+    #[test]
+    fn witnessed_constant_for_radii_whose_double_overflows_is_exact() {
+        // No restricted distance on 12 vertices exceeds 11, so every radius
+        // from 12 on witnesses the same constant.
+        let g = cycle(12);
+        for strategy in OrderingStrategy::ALL {
+            let expected = witnessed_constant_for(&g, 12, strategy);
+            for r in [1 << 31, u32::MAX] {
+                assert_eq!(
+                    witnessed_constant_for(&g, r, strategy),
+                    expected,
+                    "r = {r}, {strategy:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn ksv_radii_beyond_255_are_refused_before_any_phase() {
+        // The helper `solve` calls first refuses them, so neither the
+        // packing bound nor the order phase runs on a radius KSV refuses.
+        for connected in [false, true] {
+            for r in [256, u32::MAX] {
+                let pipeline = DominationPipeline::new(r)
+                    .algorithm(Algorithm::KsvConstantRound)
+                    .connected(connected);
+                let err = pipeline.reach_radius().unwrap_err();
+                assert!(
+                    matches!(
+                        err,
+                        ModelViolation::RadiusOutOfRange { requested, supported: 255, .. }
+                            if requested == r
+                    ),
+                    "r = {r}: {err:?}"
+                );
+                assert_eq!(pipeline.solve(&path(5)).unwrap_err(), err);
+            }
+        }
+        let ksv = DominationPipeline::new(255).algorithm(Algorithm::KsvConstantRound);
+        assert_eq!(ksv.reach_radius(), Ok(510));
+        assert_eq!(DominationPipeline { r: 0, ..ksv }.reach_radius(), Ok(0));
     }
 
     #[test]

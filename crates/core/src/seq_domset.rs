@@ -60,7 +60,9 @@ pub fn domset_via_min_wreach_with(
     r: u32,
     strategy: bedom_par::ExecutionStrategy,
 ) -> SeqDomSetResult {
-    let index = WReachIndex::build_with(graph, order, 2 * r, strategy);
+    // The sweep radius only bounds the balls, and no restricted distance
+    // exceeds n − 1 ≤ u32::MAX, so a saturated 2r sweeps exactly as 2r.
+    let index = WReachIndex::build_with(graph, order, r.saturating_mul(2), strategy);
     let dominator_of = index.min_wreach_at(r);
     let witnessed_constant = index.wcol();
     let mut dominating_set: Vec<Vertex> = dominator_of.to_vec();
@@ -167,6 +169,23 @@ mod tests {
         random_ktree, random_tree, stacked_triangulation, star,
     };
     use bedom_wcol::degeneracy_based_order;
+
+    #[test]
+    fn radii_whose_double_overflows_saturate_to_the_exact_answer() {
+        // No restricted distance on 12 vertices exceeds 11, so every radius
+        // from 12 on gives the same set and constant.
+        let g = cycle(12);
+        let order = degeneracy_based_order(&g);
+        let strategy = bedom_par::ExecutionStrategy::Sequential;
+        let expected = domset_via_min_wreach_with(&g, &order, 12, strategy);
+        for r in [1 << 31, u32::MAX] {
+            let result = domset_via_min_wreach_with(&g, &order, r, strategy);
+            assert_eq!(result.dominating_set, expected.dominating_set, "r = {r}");
+            assert_eq!(result.dominator_of, expected.dominator_of, "r = {r}");
+            assert_eq!(result.witnessed_constant, expected.witnessed_constant);
+            assert_eq!(result.r, r);
+        }
+    }
 
     fn check_instance(graph: &Graph, r: u32) -> SeqDomSetResult {
         let order = degeneracy_based_order(graph);
