@@ -24,6 +24,9 @@
 //! 428 091 and 428 090 with no code change between the two, so that row is
 //! exact only for one box and toolchain (the committed 281 976 is what a
 //! 2-vCPU box measures with each stored path's first and last id implicit).
+//! On the same instance, `dist_pipeline_peak_bytes` is the peak live bytes
+//! of one whole distributed Theorem 9 solve at r = 2 (sequential), which
+//! holds the solve's index sweep apart from its Lemma 7 stores.
 //!
 //! Each timing is the median of `SAMPLES` runs after an untimed warm-up run.
 //! Run with `BEDOM_BENCH_JSON=BENCH_wreach.json` to commit the numbers.
@@ -43,6 +46,7 @@
 use bedom_bench::connected_instance;
 use bedom_bench::report::{record_metric, time_samples, write_json_report};
 use bedom_core::dist_wreach::WReachConfig;
+use bedom_core::{DominationPipeline, Mode};
 use bedom_distsim::ExecutionStrategy;
 use bedom_graph::generators::{stacked_triangulation, Family};
 use bedom_graph::Graph;
@@ -168,6 +172,18 @@ fn bench_wreach_index() {
     record_metric("dist_wreach_flat_allocs", flat_allocs as f64);
     record_metric("dist_wreach_flat_peak_bytes", flat_peak as f64);
     record_metric("dist_wreach_flat_seconds", flat_secs);
+
+    let pipeline_peak = peak_bytes(|| {
+        black_box(
+            DominationPipeline::new(2)
+                .mode(Mode::Distributed)
+                .execution(ExecutionStrategy::Sequential)
+                .solve(&g)
+                .unwrap(),
+        );
+    });
+    println!("distributed pipeline (n = 20000, r = 2): {pipeline_peak} peak bytes");
+    record_metric("dist_pipeline_peak_bytes", pipeline_peak as f64);
 }
 
 fn main() {

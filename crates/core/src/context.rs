@@ -20,15 +20,20 @@
 //!   witnessed constant (`wcol_2r` of the elected order), the expected
 //!   sequential election `min WReach_r`, and any other simulation-side
 //!   verification as `O(1)` CSR-slice reads at every radius up to the build
-//!   radius. Pipelines that never ask an analysis question never pay for the
-//!   sweep.
+//!   radius, for as long as the context lives. Its readers are the consumers
+//!   that keep a context warm: `serve`, whose order-based and cover queries
+//!   share cached contexts, and context-backed KSV. Pipelines that never
+//!   ask an analysis question never pay for the sweep.
 //!
 //! The regression contract (asserted in `tests/end_to_end_pipelines.rs`):
 //! one end-to-end distributed [`DominationPipeline::solve`](crate::DominationPipeline::solve)
 //! (`crate::pipeline`), including witnessed-constant computation and
 //! election verification, performs **exactly one** ball sweep, where
 //! assembling the same report from the pre-context entry points took three
-//! (constant, election check, cover home — one sweep each).
+//! (constant, election check, cover home — one sweep each). That
+//! solve does not use the cached index: it sweeps the elected order before
+//! the protocol phases run Lemma 7, reads both fields and drops the sweep,
+//! so the sweep and the Lemma 7 path stores never coexist.
 
 use crate::dist_wreach::{distributed_weak_reachability, DistributedWReach, WReachConfig};
 use bedom_distsim::{ExecutionStrategy, IdAssignment, Model, ModelViolation, RunStats};
@@ -229,8 +234,10 @@ impl<'g> DistContext<'g> {
 
     /// The shared [`WReachIndex`] over the elected order, built lazily at
     /// [`DistContext::max_radius`] — **the** single ball sweep of a
-    /// context-backed pipeline. Every radius `r ≤ max_radius` is answered
-    /// from the stored depths.
+    /// context-backed consumer that keeps the context (the distributed
+    /// [`DominationPipeline::solve`](crate::DominationPipeline::solve)
+    /// sweeps once on its own; see the module docs). Every radius
+    /// `r ≤ max_radius` is answered from the stored depths.
     pub fn index(&self) -> &WReachIndex {
         self.index.get_or_init(|| {
             WReachIndex::build_with(

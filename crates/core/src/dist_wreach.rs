@@ -52,6 +52,20 @@ use std::cell::RefCell;
 /// length of the wire format.
 const MAX_RHO: u32 = 254;
 
+/// The reach radii the Lemma 7 protocol accepts: `ρ > 254` is
+/// [`ModelViolation::RadiusOutOfRange`], because a stored path has `ρ + 1`
+/// ids and its length travels in 8 bits.
+pub(crate) fn check_lemma7_radius(rho: u32) -> Result<(), ModelViolation> {
+    if rho > MAX_RHO {
+        return Err(ModelViolation::RadiusOutOfRange {
+            requested: rho,
+            supported: MAX_RHO,
+            what: "the Lemma 7 protocol (a path's length travels in 8 bits)",
+        });
+    }
+    Ok(())
+}
+
 /// The path a `(offset, len)` span marks in `ids`.
 fn span_of(ids: &[u32], (offset, len): (u32, u32)) -> &[u32] {
     &ids[offset as usize..][..len as usize]
@@ -555,13 +569,7 @@ pub fn distributed_weak_reachability(
     config: WReachConfig,
 ) -> Result<DistributedWReach, ModelViolation> {
     assert_eq!(super_ids.len(), graph.num_vertices());
-    if config.rho > MAX_RHO {
-        return Err(ModelViolation::RadiusOutOfRange {
-            requested: config.rho,
-            supported: MAX_RHO,
-            what: "the Lemma 7 protocol (a path's length travels in 8 bits)",
-        });
-    }
+    check_lemma7_radius(config.rho)?;
     // Refuse a super-id wider than 32 bits before any round, so that the
     // checked narrowing of each one below cannot fire.
     if let Some(&id) = super_ids.iter().find(|&&sid| sid > u64::from(u32::MAX)) {

@@ -11,9 +11,12 @@
 //!
 //! * [`DominationPipeline::solve`] — one instance. In distributed mode the
 //!   pipeline elects **one** [`DistContext`] and constructs every phase from
-//!   it; the witnessed constant and the election verification are reads of
-//!   the context's single lazy [`WReachIndex`] sweep (exactly one ball sweep
-//!   per end-to-end distributed solve — a regression test pins this).
+//!   it. The witnessed constant and the expected election are read from one
+//!   [`WReachIndex`] sweep over the elected order, which the pipeline builds
+//!   itself, not through the context's cached index, and drops before the
+//!   protocol phases run Lemma 7, so the sweep never coexists with the
+//!   Lemma 7 path stores. That is exactly one ball sweep per end-to-end
+//!   distributed solve — a regression test pins this.
 //! * [`solve_scenario`] — a batch of independent `(graph, pipeline)` shards
 //!   spread over the workers of an execution strategy through
 //!   [`bedom_distsim::scenario::ScenarioRunner`], with per-worker
@@ -28,6 +31,7 @@ use crate::dist_ksv::{
     check_ksv_radius, distributed_ksv_domination_r_faulty, distributed_ksv_domination_r_in_with,
     KsvConfig, KsvDomResult,
 };
+use crate::dist_wreach::check_lemma7_radius;
 use crate::local_connect::local_connect;
 use crate::seq_domset::domset_via_min_wreach_with;
 use bedom_distsim::journal::{DurabilityMode, JournalError};
@@ -83,7 +87,7 @@ pub struct DominationReport {
     /// The constant `c` witnessed by the order that was used — the proven
     /// approximation-ratio bound for this run. In distributed mode this is
     /// `wcol` of the elected order at the pipeline's reach radius, read from
-    /// the context's shared index.
+    /// the solve's one index sweep.
     pub witnessed_constant: usize,
     /// A lower bound on the optimum (2r-packing), for ratio reporting.
     pub optimum_lower_bound: usize,
@@ -97,9 +101,9 @@ pub struct DominationReport {
     /// Whether the election was verified against the sequential formula
     /// `min WReach_r` of the order actually used. Sequential mode computes
     /// the formula directly (trivially verified); distributed mode
-    /// cross-checks the protocol's elected dominators against the context's
-    /// index — a simulation-side soundness check that costs an `O(n)` read,
-    /// not a sweep.
+    /// cross-checks the protocol's elected dominators against the election
+    /// read from the solve's one index sweep — a simulation-side soundness
+    /// check.
     pub election_verified: bool,
 }
 
@@ -240,10 +244,12 @@ impl DominationPipeline {
     /// or `2r + 1` when the connected set is requested), checked before any
     /// arithmetic on `r`, as KSV checks its radius: a reach beyond `u32` is
     /// [`ModelViolation::RadiusOutOfRange`]. Past this check `2r` cannot
-    /// overflow either. With [`Algorithm::KsvConstantRound`], a radius KSV
-    /// refuses (`r > 255`) fails here too, so that no phase runs before the
-    /// protocol would refuse it; `r = 0` is the degenerate full vertex set,
-    /// which the KSV path answers without the protocol.
+    /// overflow either. A radius the distributed protocol would refuse fails
+    /// here too, so that no phase runs before the protocol would refuse it:
+    /// with [`Algorithm::KsvConstantRound`], `r > 255` (KSV; `r = 0` is the
+    /// degenerate full vertex set, which the KSV path answers without the
+    /// protocol), and in distributed mode with [`Algorithm::OrderBased`], a
+    /// reach above 254 (Lemma 7).
     fn reach_radius(&self) -> Result<u32, ModelViolation> {
         if self.algorithm == Algorithm::KsvConstantRound && self.r > 0 {
             check_ksv_radius(self.r)?;
@@ -251,18 +257,22 @@ impl DominationPipeline {
         let reach = self
             .r
             .checked_mul(2)
-            .and_then(|rho| rho.checked_add(self.connected.into()));
-        reach.ok_or(ModelViolation::RadiusOutOfRange {
-            requested: self.r,
-            supported: u32::MAX / 2,
-            what: "the pipeline's reach radius (2r, or 2r + 1 when connected, in 32 bits)",
-        })
+            .and_then(|rho| rho.checked_add(self.connected.into()))
+            .ok_or(ModelViolation::RadiusOutOfRange {
+                requested: self.r,
+                supported: u32::MAX / 2,
+                what: "the pipeline's reach radius (2r, or 2r + 1 when connected, in 32 bits)",
+            })?;
+        if self.mode == Mode::Distributed && self.algorithm == Algorithm::OrderBased {
+            check_lemma7_radius(reach)?;
+        }
+        Ok(reach)
     }
 
     /// Solves the instance. A radius whose reach radius (`2r`, or `2r + 1`
-    /// when connected) overflows `u32`, or that KSV refuses when it is the
-    /// algorithm, fails with [`ModelViolation::RadiusOutOfRange`] before any
-    /// phase runs.
+    /// when connected) overflows `u32`, or that the distributed protocol
+    /// refuses (KSV above 255, Lemma 7 above a reach of 254), fails with
+    /// [`ModelViolation::RadiusOutOfRange`] before any phase runs.
     pub fn solve(&self, graph: &Graph) -> Result<DominationReport, ModelViolation> {
         let r = self.r;
         let reach = self.reach_radius()?;
@@ -298,10 +308,8 @@ impl DominationPipeline {
                 })
             }
             Mode::Distributed => {
-                // One context per solve: the order phase runs here, the
-                // weak-reachability protocol runs once on first use, and the
-                // single lazy index sweep below serves the witnessed constant
-                // *and* the election verification.
+                // One context per solve: the order phase runs here, and the
+                // weak-reachability protocol runs once, on first use below.
                 let ctx = DistContext::elect(
                     graph,
                     DistContextConfig {
@@ -310,6 +318,15 @@ impl DominationPipeline {
                         ..DistContextConfig::new(reach)
                     },
                 )?;
+                // The solve's one ball sweep serves the witnessed constant
+                // *and* the expected election. It needs only the graph and
+                // the order, so it runs before Lemma 7 and is dropped at the
+                // end of this block: the index and the path stores never
+                // coexist.
+                let (witnessed_constant, expected_election) = {
+                    let index = WReachIndex::build_with(graph, ctx.order(), reach, self.execution);
+                    (index.wcol_at(reach), index.min_wreach_at(r))
+                };
                 // Fold the wire accounting by reference before moving the
                 // results out — no per-round stats are cloned.
                 let bits_of = |stats: &[RunStats]| -> (usize, usize) {
@@ -336,8 +353,7 @@ impl DominationPipeline {
                         let (bits, max_bits) = bits_of(&result.phase_stats);
                         (result, None, rounds, bits, max_bits)
                     };
-                let witnessed_constant = ctx.witnessed_constant(reach)?;
-                let election_verified = domset.dominator_of == ctx.expected_election(r)?;
+                let election_verified = domset.dominator_of == expected_election;
                 Ok(DominationReport {
                     r,
                     mode: Mode::Distributed,
@@ -771,8 +787,8 @@ mod tests {
             report.election_verified,
             "distributed election must match the index's sequential formula"
         );
-        // The witnessed constant comes from the context's index at 2r and
-        // bounds the ratio.
+        // The witnessed constant comes from the solve's index sweep at 2r
+        // and bounds the ratio.
         assert!(report.witnessed_constant >= 1);
         assert!(
             report.dominating_set.len()
@@ -864,6 +880,47 @@ mod tests {
         let ksv = DominationPipeline::new(255).algorithm(Algorithm::KsvConstantRound);
         assert_eq!(ksv.reach_radius(), Ok(510));
         assert_eq!(DominationPipeline { r: 0, ..ksv }.reach_radius(), Ok(0));
+    }
+
+    #[test]
+    fn lemma7_reaches_beyond_254_are_refused_before_any_phase() {
+        // The helper `solve` calls first refuses them with the protocol's
+        // own error, so neither the packing bound, the order phase nor the
+        // index sweep runs on a reach Lemma 7 refuses.
+        let g = path(5);
+        let super_ids: Vec<u64> = (0..5).collect();
+        for (r, connected) in [(128, false), (127, true)] {
+            let reach = 2 * r + u32::from(connected);
+            let pipeline = DominationPipeline::new(r)
+                .mode(Mode::Distributed)
+                .connected(connected);
+            let err = pipeline.reach_radius().unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    ModelViolation::RadiusOutOfRange { requested, supported: 254, .. }
+                        if requested == reach
+                ),
+                "r = {r}: {err:?}"
+            );
+            let protocol = crate::distributed_weak_reachability(
+                &g,
+                &super_ids,
+                crate::dist_wreach::WReachConfig::measuring(reach),
+            );
+            assert_eq!(protocol.unwrap_err(), err);
+            let before = ball_sweeps_on_this_thread();
+            assert_eq!(pipeline.solve(&g).unwrap_err(), err);
+            assert_eq!(ball_sweeps_on_this_thread(), before, "r = {r}: a sweep ran");
+        }
+        let plain = DominationPipeline::new(127).mode(Mode::Distributed);
+        assert_eq!(plain.reach_radius(), Ok(254));
+        let connected = DominationPipeline::new(126).connected(true);
+        assert_eq!(connected.mode(Mode::Distributed).reach_radius(), Ok(253));
+        // Neither Theorem 5 nor KSV runs Lemma 7.
+        assert_eq!(DominationPipeline::new(128).reach_radius(), Ok(256));
+        let ksv = DominationPipeline { r: 128, ..plain }.algorithm(Algorithm::KsvConstantRound);
+        assert_eq!(ksv.reach_radius(), Ok(256));
     }
 
     #[test]

@@ -16,6 +16,9 @@
 //!   vertex, which holds the stores' and messages' compact layout.
 //! * The Theorem 9 election on a context whose Lemma 7 run is cached: a
 //!   fixed number of allocations per vertex, with no outbox per vertex.
+//! * One whole distributed Theorem 9 solve: a budget of peak live bytes per
+//!   vertex, which holds the solve's index sweep apart from the Lemma 7
+//!   stores — the sweep runs before the protocol and is dropped.
 //!
 //! Lives in its own integration-test binary, with a single `#[test]`, so the
 //! counting global allocator sees no interference from tests running on
@@ -23,7 +26,9 @@
 
 #![allow(unsafe_code)] // the counting allocator implements `GlobalAlloc`
 
-use bedom::core::{distributed_distance_domination_in, DistContext, DistContextConfig};
+use bedom::core::{
+    distributed_distance_domination_in, DistContext, DistContextConfig, DominationPipeline, Mode,
+};
 use bedom::distsim::{
     ExecutionStrategy, IdAssignment, Inbox, Model, Network, NodeAlgorithm, NodeContext, Outgoing,
 };
@@ -88,6 +93,12 @@ fn peak_bytes(f: impl FnOnce()) -> usize {
 /// the store's arena, 1673 and 1415 with an outbox and a neighbour-id vector
 /// per vertex as well, 2644 and 2232 with 64-bit super-ids as well.
 const PEAK_BUDGET: f64 = 1200.0;
+
+/// Peak live bytes per vertex of one whole distributed Theorem 9 solve at
+/// r = 2 (ρ = 4): 1086 (planar-tri) and 1032 (config-model) with the index
+/// swept before Lemma 7 and dropped, 1308 and 1221 with the index built
+/// after the election, beside the Lemma 7 stores.
+const SOLVE_PEAK_BUDGET: f64 = 1200.0;
 
 /// A protocol that never sends: its network costs only the set-up.
 struct Silent;
@@ -163,6 +174,24 @@ fn context_index_sweep_and_wreach_protocol_stay_within_their_allocation_budgets(
             configuration_model_power_law(n, 2.5, 2, 8, 3),
         ),
     ] {
+        let peak = peak_bytes(|| {
+            let report = DominationPipeline::new(2)
+                .mode(Mode::Distributed)
+                .execution(ExecutionStrategy::Sequential)
+                .solve(&g)
+                .expect("a fault-free distributed solve succeeds");
+            assert!(report.election_verified);
+        });
+        let peak_per_vertex = peak as f64 / n as f64;
+        eprintln!(
+            "{name}: a distributed solve held {peak_per_vertex:.0} peak live bytes per vertex"
+        );
+        assert!(
+            peak_per_vertex < SOLVE_PEAK_BUDGET,
+            "{name}: a distributed r = 2 solve held {peak_per_vertex:.0} peak live bytes per \
+             vertex on n = {n} (budget {SOLVE_PEAK_BUDGET})"
+        );
+
         let ctx = DistContext::elect(
             &g,
             DistContextConfig {
