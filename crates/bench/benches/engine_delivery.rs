@@ -12,14 +12,14 @@
 //! costs one cache line instead of a clone.
 //!
 //! The sequential and parallel engines are checked to move identical traffic
-//! before timing starts, and a counting global allocator reports the
-//! allocations one run makes. Each timing is the median of `SAMPLES` runs
-//! after an untimed warm-up run. No committed `BENCH_*.json` file holds
-//! these rows; the bench is the instrument for engine delivery until the
-//! engine reports per-round timings itself.
+//! before timing starts, and the shared counting allocator
+//! (`bedom_bench::alloc::CountingAlloc`) reports the allocations one run
+//! makes. Each timing is the median of `SAMPLES` runs after an untimed
+//! warm-up run. No committed `BENCH_*.json` file holds these rows; the bench
+//! is the instrument for engine delivery until the engine reports per-round
+//! timings itself.
 
-#![allow(unsafe_code)] // the counting allocator implements `GlobalAlloc`
-
+use bedom_bench::alloc::{count_allocs, CountingAlloc};
 use bedom_bench::report::{time_samples, write_json_report};
 use bedom_distsim::{
     Engine, ExecutionStrategy, IdAssignment, Inbox, Model, Network, NodeAlgorithm, NodeContext,
@@ -27,41 +27,16 @@ use bedom_distsim::{
 };
 use bedom_graph::generators::stacked_triangulation;
 use bedom_graph::Graph;
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 const N: usize = 100_000;
 const ROUNDS: usize = 8;
 /// Words per token, sized like the election phase's path-set payloads.
 const P: usize = 48;
 const SAMPLES: usize = 3;
-
-/// Counts heap allocations so the bench can report, next to the timings, how
-/// many allocations one full run performs.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-fn count_allocs(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    f();
-    ALLOCS.load(Ordering::Relaxed) - before
-}
 
 /// Keeps the tokens addressed to this vertex and re-addresses each to the
 /// vertex's lowest-id neighbour.

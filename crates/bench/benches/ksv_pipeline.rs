@@ -24,11 +24,12 @@
 //! dictionary compression, hub-clustered summaries), and per-phase bit
 //! buckets show where the wire budget goes.
 //!
-//! A counting global allocator records the peak live bytes of one untimed
-//! r = 2 run per instance (`{instance}_ksv_peak_bytes`: the most bytes held
-//! at once above what was live before the run). Every allocation of the
-//! timed runs passes through it as well, so the `*_seconds` rows carry its
-//! overhead, as `wreach_index`'s do.
+//! The shared counting allocator (`bedom_bench::alloc::CountingAlloc`)
+//! records the peak live bytes of one untimed r = 2 run per instance
+//! (`{instance}_ksv_peak_bytes`: the most bytes held at once above what was
+//! live before the run). Every allocation of the timed runs passes through
+//! it as well, so the `*_seconds` rows carry its overhead, as
+//! `wreach_index`'s do.
 //!
 //! Frozen rows: the 22 `planar-tri-flood_*` and `config-model-flood_*`
 //! metrics of `BENCH_ksv.json` compared the former per-path record flood
@@ -36,8 +37,7 @@
 //! this bench no longer writes them; they are carried over unchanged when
 //! the file is regenerated.
 
-#![allow(unsafe_code)] // the counting allocator implements `GlobalAlloc`
-
+use bedom_bench::alloc::{peak_bytes, CountingAlloc};
 use bedom_bench::connected_instance;
 use bedom_bench::report::{record_metric, time_samples, write_json_report};
 use bedom_core::{
@@ -48,48 +48,10 @@ use bedom_distsim::{ExecutionStrategy, IdAssignment};
 use bedom_graph::domset::{is_distance_dominating_set, packing_lower_bound};
 use bedom_graph::generators::{stacked_triangulation, Family};
 use bedom_graph::Graph;
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Tracks live bytes so the bench can report how many bytes one run holds
-/// at its peak.
-struct CountingAlloc;
-
-/// Bytes currently allocated.
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-/// The most bytes allocated at once since `peak_bytes` last reset it.
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-// SAFETY: every call is forwarded unchanged to `System`, and the counters
-// beside it never allocate.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
-        PEAK.fetch_max(live, Ordering::Relaxed);
-        // SAFETY: the caller meets `GlobalAlloc::alloc`'s contract for
-        // `layout`, which is `System`'s too.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        // SAFETY: `ptr` was allocated by `alloc` above, so by `System`, with
-        // this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-/// The most bytes `f` holds live at once, above what was live before it.
-fn peak_bytes(f: impl FnOnce()) -> usize {
-    let before = LIVE.load(Ordering::Relaxed);
-    PEAK.store(before, Ordering::Relaxed);
-    f();
-    PEAK.load(Ordering::Relaxed) - before
-}
 
 const N: usize = 100_000;
 const SEED: u64 = 0xd15d;

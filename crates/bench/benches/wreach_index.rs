@@ -4,8 +4,9 @@
 //!
 //! The measured operation is the analysis core of `domset_via_min_wreach`
 //! (Theorem 5): compute `min WReach_r[w]` for every `w` and the witnessed
-//! constant `wcol_2r`, from one index built at `2r`. A counting global
-//! allocator reports the allocations of one run next to the timings.
+//! constant `wcol_2r`, from one index built at `2r`. The shared counting
+//! allocator (`bedom_bench::alloc::CountingAlloc`) reports the allocations of
+//! one run next to the timings.
 //!
 //! The timed runs build the index with [`WReachIndex::build`], whose `Auto`
 //! strategy takes its worker count from `available_parallelism`, and every
@@ -41,8 +42,7 @@
 //! * the `dist_wreach_btree_*` metrics, which measured a replica of the
 //!   former `BTreeMap` per-node Lemma 7 store.
 
-#![allow(unsafe_code)] // the counting allocator implements `GlobalAlloc`
-
+use bedom_bench::alloc::{count_allocs, peak_bytes, CountingAlloc};
 use bedom_bench::connected_instance;
 use bedom_bench::report::{record_metric, time_samples, write_json_report};
 use bedom_core::dist_wreach::WReachConfig;
@@ -51,55 +51,14 @@ use bedom_distsim::ExecutionStrategy;
 use bedom_graph::generators::{stacked_triangulation, Family};
 use bedom_graph::Graph;
 use bedom_wcol::{degeneracy_based_order, LinearOrder, WReachIndex};
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-
-const N: usize = 100_000;
-const R: u32 = 1;
-const SAMPLES: usize = 5;
-
-/// Counts heap allocations and live bytes so the bench can report, next to
-/// the timings, how many allocations one run performs and how many bytes it
-/// holds at its peak.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-/// Bytes currently allocated.
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-/// The most bytes allocated at once since `peak_bytes` last reset it.
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
-        PEAK.fetch_max(live, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-fn count_allocs(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    f();
-    ALLOCS.load(Ordering::Relaxed) - before
-}
-
-/// The most bytes `f` holds live at once, above what was live before it.
-fn peak_bytes(f: impl FnOnce()) -> usize {
-    let before = LIVE.load(Ordering::Relaxed);
-    PEAK.store(before, Ordering::Relaxed);
-    f();
-    PEAK.load(Ordering::Relaxed) - before
-}
+const N: usize = 100_000;
+const R: u32 = 1;
+const SAMPLES: usize = 5;
 
 /// The index-backed analysis core: one sweep at `2r` serves both quantities.
 fn index_pipeline(graph: &Graph, order: &LinearOrder, strategy: ExecutionStrategy) -> usize {

@@ -5,8 +5,10 @@
 //! uniform algorithm wrappers, ratio bookkeeping — lives here so that the
 //! benches and the `experiments` binary stay thin and consistent with each
 //! other. The [`report`] module times the benches and writes the committed
-//! `BENCH_*.json` files.
+//! `BENCH_*.json` files, and the [`alloc`] module holds the counting global
+//! allocator that the allocation benches and tests install.
 
+pub mod alloc;
 pub mod report;
 
 use bedom_graph::components::largest_component;

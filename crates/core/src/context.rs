@@ -35,7 +35,9 @@
 //! the protocol phases run Lemma 7, reads both fields and drops the sweep,
 //! so the sweep and the Lemma 7 path stores never coexist.
 
-use crate::dist_wreach::{distributed_weak_reachability, DistributedWReach, WReachConfig};
+use crate::dist_wreach::{
+    check_lemma7_radius, distributed_weak_reachability, DistributedWReach, WReachConfig,
+};
 use bedom_distsim::{ExecutionStrategy, IdAssignment, Model, ModelViolation, RunStats};
 use bedom_graph::{Graph, Vertex};
 use bedom_wcol::{
@@ -73,15 +75,42 @@ impl DistContextConfig {
         }
     }
 
-    /// The radius a plain distance-`r` domination run needs (`2r`).
+    /// The radius a plain distance-`r` domination run needs (`2r`),
+    /// saturated at `u32::MAX`. A saturated reach is above the 254 the
+    /// Lemma 7 protocol accepts, so [`DistContext::wreach`] refuses it with
+    /// [`ModelViolation::RadiusOutOfRange`]; an index query at it is exact,
+    /// because no distance exceeds `n − 1`.
     pub fn for_domination(r: u32) -> Self {
-        DistContextConfig::new(2 * r)
+        DistContextConfig::new(r.saturating_mul(2))
     }
 
-    /// The radius the connected variant needs (`2r + 1`).
+    /// The radius the connected variant needs (`2r + 1`), saturated as in
+    /// [`DistContextConfig::for_domination`].
     pub fn for_connected_domination(r: u32) -> Self {
-        DistContextConfig::new(2 * r + 1)
+        DistContextConfig::new(r.saturating_mul(2).saturating_add(1))
     }
+}
+
+/// The reach radius of a distance-`r` run, `2r` or `2r + 1` when
+/// `connected`, checked: a reach beyond `u32` is
+/// [`ModelViolation::RadiusOutOfRange`].
+pub(crate) fn reach_radius(r: u32, connected: bool) -> Result<u32, ModelViolation> {
+    r.checked_mul(2)
+        .and_then(|rho| rho.checked_add(connected.into()))
+        .ok_or(ModelViolation::RadiusOutOfRange {
+            requested: r,
+            supported: u32::MAX / 2,
+            what: "the reach radius (2r, or 2r + 1 when connected, in 32 bits)",
+        })
+}
+
+/// [`reach_radius`], also refused where the Lemma 7 protocol refuses it (a
+/// reach above 254), so that a distributed order-based run fails before its
+/// order phase instead of after it.
+pub(crate) fn lemma7_reach_radius(r: u32, connected: bool) -> Result<u32, ModelViolation> {
+    let reach = reach_radius(r, connected)?;
+    check_lemma7_radius(reach)?;
+    Ok(reach)
 }
 
 /// The shared precompute state of one distributed run: the graph, the
@@ -364,6 +393,22 @@ mod tests {
         assert!(wreach.info.is_empty());
         assert_eq!(ctx.witnessed_constant(3).unwrap(), 0);
         assert_eq!(ctx.max_radius(), 3);
+    }
+
+    #[test]
+    fn a_saturated_reach_is_refused_by_lemma7_and_exact_in_the_index() {
+        for r in [1 << 31, u32::MAX] {
+            assert_eq!(DistContextConfig::for_domination(r).max_radius, u32::MAX);
+            let connected = DistContextConfig::for_connected_domination(r);
+            assert_eq!(connected.max_radius, u32::MAX);
+        }
+        let g = grid(4, 4);
+        let ctx = DistContext::elect(&g, DistContextConfig::for_domination(1 << 31)).unwrap();
+        let refused = check_lemma7_radius(u32::MAX).unwrap_err();
+        assert_eq!(ctx.wreach().unwrap_err(), refused);
+        // No restricted distance on 16 vertices exceeds 15.
+        let exact = bedom_wcol::wcol_of_order(&g, ctx.order(), 15);
+        assert_eq!(ctx.witnessed_constant(u32::MAX), Ok(exact));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! simultaneously forwarded paths by `c' = c(2r+1)` — the same bookkeeping as
 //! in the proof of Theorem 10.
 
-use crate::context::{DistContext, DistContextConfig};
+use crate::context::{lemma7_reach_radius, DistContext, DistContextConfig};
 use crate::dist_domset::{distributed_distance_domination_in, DistDomSetConfig, DistDomSetResult};
 use crate::dist_wreach::{PathSetMessage, PathView};
 use bedom_distsim::{
@@ -136,18 +136,21 @@ impl DistConnectedResult {
 pub type DistConnectedConfig = DistDomSetConfig;
 
 /// Runs the full Theorem 10 pipeline: elects a fresh [`DistContext`] at
-/// reach radius `2r + 1` and solves in it.
+/// reach radius `2r + 1` and solves in it. A radius whose reach overflows
+/// `u32` or exceeds what the Lemma 7 protocol accepts (`r ≥ 127`) fails with
+/// [`ModelViolation::RadiusOutOfRange`] before the order phase.
 pub fn distributed_connected_domination(
     graph: &Graph,
     config: DistConnectedConfig,
 ) -> Result<DistConnectedResult, ModelViolation> {
+    let reach = lemma7_reach_radius(config.r, true)?;
     let ctx = DistContext::elect(
         graph,
         DistContextConfig {
             assignment: config.assignment,
             bandwidth_logs: config.bandwidth_logs,
             strategy: config.strategy,
-            ..DistContextConfig::for_connected_domination(config.r)
+            ..DistContextConfig::new(reach)
         },
     )?;
     distributed_connected_domination_in(&ctx, config.r)
@@ -266,6 +269,18 @@ mod tests {
         configuration_model_power_law, cycle, grid, maximal_outerplanar, path, random_ktree,
         random_tree, stacked_triangulation,
     };
+
+    #[test]
+    fn radii_lemma7_refuses_fail_with_the_checked_reach_error() {
+        // Lemma 7 refuses a reach of 255, and 2r + 1 overflows u32 for the others.
+        let g = path(5);
+        for r in [127, 1 << 31, u32::MAX] {
+            let refused = lemma7_reach_radius(r, true).unwrap_err();
+            let result = distributed_connected_domination(&g, DistConnectedConfig::new(r));
+            assert_eq!(result.unwrap_err(), refused);
+        }
+        check(&g, 126);
+    }
 
     fn check(graph: &Graph, r: u32) -> DistConnectedResult {
         let result = distributed_connected_domination(graph, DistConnectedConfig::new(r)).unwrap();

@@ -10,7 +10,7 @@
 //! global (collected) view used by the experiments, and verifies that it
 //! coincides with the sequential cover built from the same order.
 
-use crate::context::{DistContext, DistContextConfig};
+use crate::context::{lemma7_reach_radius, DistContext, DistContextConfig};
 use bedom_distsim::{ExecutionStrategy, IdAssignment, ModelViolation, RunStats};
 use bedom_graph::{Graph, Vertex};
 use bedom_wcol::{LinearOrder, NeighborhoodCover};
@@ -116,18 +116,22 @@ impl DistCoverConfig {
 }
 
 /// Runs the Theorem 8 pipeline: elects a fresh [`DistContext`] at reach
-/// radius `2r` and packages the cover representation from it.
+/// radius `2r` and packages the cover representation from it. A radius
+/// whose reach overflows `u32` or exceeds what the Lemma 7 protocol accepts
+/// (`r ≥ 128`) fails with [`ModelViolation::RadiusOutOfRange`] before the
+/// order phase.
 pub fn distributed_neighborhood_cover(
     graph: &Graph,
     config: DistCoverConfig,
 ) -> Result<DistributedCover, ModelViolation> {
+    let reach = lemma7_reach_radius(config.r, false)?;
     let ctx = DistContext::elect(
         graph,
         DistContextConfig {
             assignment: config.assignment,
             bandwidth_logs: config.bandwidth_logs,
             strategy: config.strategy,
-            ..DistContextConfig::for_domination(config.r)
+            ..DistContextConfig::new(reach)
         },
     )?;
     distributed_neighborhood_cover_in(&ctx, config.r)
@@ -228,6 +232,18 @@ mod tests {
         stacked_triangulation,
     };
     use bedom_wcol::neighborhood_cover;
+
+    #[test]
+    fn radii_lemma7_refuses_fail_with_the_checked_reach_error() {
+        // Lemma 7 refuses a reach of 256, and 2r overflows u32 for the others.
+        let g = grid(1, 5);
+        for r in [128, 1 << 31, u32::MAX] {
+            let refused = lemma7_reach_radius(r, false).unwrap_err();
+            let result = distributed_neighborhood_cover(&g, DistCoverConfig::new(r));
+            assert_eq!(result.unwrap_err(), refused);
+        }
+        check(&g, 127);
+    }
 
     fn check(graph: &Graph, r: u32) -> DistributedCover {
         let cover = distributed_neighborhood_cover(graph, DistCoverConfig::new(r)).unwrap();

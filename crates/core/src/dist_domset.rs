@@ -26,7 +26,7 @@
 //! paper's `O(r²·log n)` bound (our substituted order phase is cheaper than
 //! the one of \[46\]; see DESIGN.md §1.3).
 
-use crate::context::{DistContext, DistContextConfig};
+use crate::context::{lemma7_reach_radius, DistContext, DistContextConfig};
 use crate::dist_wreach::{PathOutbox, PathSetMessage, PathView};
 use bedom_distsim::{
     Engine, ExecutionStrategy, IdAssignment, Inbox, ModelViolation, Network, NodeAlgorithm,
@@ -219,18 +219,22 @@ impl DistDomSetConfig {
 }
 
 /// Runs the full Theorem 9 pipeline on `graph`: elects a fresh
-/// [`DistContext`] at reach radius `2r` and solves in it.
+/// [`DistContext`] at reach radius `2r` and solves in it. A radius whose
+/// reach overflows `u32` or exceeds what the Lemma 7 protocol accepts
+/// (`r ≥ 128`) fails with [`ModelViolation::RadiusOutOfRange`] before the
+/// order phase.
 pub fn distributed_distance_domination(
     graph: &Graph,
     config: DistDomSetConfig,
 ) -> Result<DistDomSetResult, ModelViolation> {
+    let reach = lemma7_reach_radius(config.r, false)?;
     let ctx = DistContext::elect(
         graph,
         DistContextConfig {
             assignment: config.assignment,
             bandwidth_logs: config.bandwidth_logs,
             strategy: config.strategy,
-            ..DistContextConfig::for_domination(config.r)
+            ..DistContextConfig::new(reach)
         },
     )?;
     distributed_distance_domination_in(&ctx, config.r)
@@ -524,6 +528,18 @@ mod tests {
         let g = path(5);
         let ctx = DistContext::elect(&g, DistContextConfig::for_domination(1)).unwrap();
         let _ = distributed_distance_domination_in(&ctx, 1 << 31);
+    }
+
+    #[test]
+    fn radii_lemma7_refuses_fail_with_the_checked_reach_error() {
+        // Lemma 7 refuses a reach of 256, and 2r overflows u32 for the others.
+        let g = path(5);
+        for r in [128, 1 << 31, u32::MAX] {
+            let refused = lemma7_reach_radius(r, false).unwrap_err();
+            let result = distributed_distance_domination(&g, DistDomSetConfig::new(r));
+            assert_eq!(result.unwrap_err(), refused);
+        }
+        check(&g, 127);
     }
 
     #[test]

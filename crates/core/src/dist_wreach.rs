@@ -396,11 +396,6 @@ pub struct WReachInfo {
 }
 
 impl WReachInfo {
-    /// Super-ids of `WReach_ρ[w]` (including `w` itself), sorted.
-    pub fn wreach_sids(&self) -> Vec<u32> {
-        self.paths.keys().collect()
-    }
-
     /// The `L`-minimum super-id reachable by a stored path of at most
     /// `max_len` edges — used by Theorem 9 to elect `min WReach_r[w]` from an
     /// order computed for a larger radius. Starts are sorted, so this is the

@@ -24,14 +24,10 @@
 //!   accounting. Shard reports come back in shard order and are bit-identical
 //!   across sequential and parallel execution.
 
-use crate::context::{DistContext, DistContextConfig};
+use crate::context::{lemma7_reach_radius, reach_radius, DistContext, DistContextConfig};
 use crate::dist_connected::distributed_connected_domination_in;
 use crate::dist_domset::distributed_distance_domination_in;
-use crate::dist_ksv::{
-    check_ksv_radius, distributed_ksv_domination_r_faulty, distributed_ksv_domination_r_in_with,
-    KsvConfig, KsvDomResult,
-};
-use crate::dist_wreach::check_lemma7_radius;
+use crate::dist_ksv::{check_ksv_radius, distributed_ksv_domination_r_in_with, KsvConfig};
 use crate::local_connect::local_connect;
 use crate::seq_domset::domset_via_min_wreach_with;
 use bedom_distsim::journal::{DurabilityMode, JournalError};
@@ -39,9 +35,7 @@ use bedom_distsim::scenario::{
     ReportSink, ScenarioReport, ScenarioRunner, ShardMetrics, ShardReport,
 };
 use bedom_distsim::snapshot_codec::{ByteCodec, CodecError};
-use bedom_distsim::{
-    ExecutionStrategy, FaultPlan, IdAssignment, ModelViolation, RecoveryPolicy, RunStats,
-};
+use bedom_distsim::{ExecutionStrategy, IdAssignment, ModelViolation, RunStats};
 use bedom_graph::bfs::BfsScratch;
 use bedom_graph::domset::{is_distance_dominating_set, packing_lower_bound};
 use bedom_graph::{Graph, Vertex};
@@ -254,19 +248,11 @@ impl DominationPipeline {
         if self.algorithm == Algorithm::KsvConstantRound && self.r > 0 {
             check_ksv_radius(self.r)?;
         }
-        let reach = self
-            .r
-            .checked_mul(2)
-            .and_then(|rho| rho.checked_add(self.connected.into()))
-            .ok_or(ModelViolation::RadiusOutOfRange {
-                requested: self.r,
-                supported: u32::MAX / 2,
-                what: "the pipeline's reach radius (2r, or 2r + 1 when connected, in 32 bits)",
-            })?;
         if self.mode == Mode::Distributed && self.algorithm == Algorithm::OrderBased {
-            check_lemma7_radius(reach)?;
+            lemma7_reach_radius(self.r, self.connected)
+        } else {
+            reach_radius(self.r, self.connected)
         }
-        Ok(reach)
     }
 
     /// Solves the instance. A radius whose reach radius (`2r`, or `2r + 1`
@@ -444,37 +430,6 @@ impl DominationPipeline {
                 })
             }
         }
-    }
-
-    /// Runs the KSV constant-round solve of this pipeline's configuration on
-    /// an **unreliable network**: `fault` injects seeded message drops, link
-    /// outages and crash windows. Degradation is typed — a lossy run either
-    /// returns a correct result or a [`ModelViolation`], never a silently
-    /// wrong set. With a [`RecoveryPolicy`] the engine checkpoints, rolls
-    /// back on violations and replays; the recovered output is bit-identical
-    /// to the fault-free solve (the rollback log rides along in
-    /// [`KsvDomResult::recovery`]). The pipeline's radius, seed, threshold
-    /// and execution strategy are honoured; the fault plan is a call
-    /// argument because [`DominationPipeline`] is a `Copy` configuration.
-    pub fn solve_ksv_under_faults(
-        &self,
-        graph: &Graph,
-        fault: FaultPlan,
-        recovery: Option<RecoveryPolicy>,
-    ) -> Result<KsvDomResult, ModelViolation> {
-        distributed_ksv_domination_r_faulty(
-            graph,
-            self.r,
-            KsvConfig {
-                r: self.r,
-                assignment: IdAssignment::Shuffled(self.seed),
-                threshold: self.ksv_threshold,
-                strategy: self.execution,
-                ..KsvConfig::new()
-            },
-            fault,
-            recovery,
-        )
     }
 }
 

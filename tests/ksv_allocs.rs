@@ -4,61 +4,23 @@
 //! per-neighbour records or hash-map nodes — and within a budget of peak
 //! live bytes per vertex, which holds the flood state's compact layout.
 //!
-//! Lives in its own integration-test binary so the counting global allocator
-//! sees no interference from unrelated tests running on sibling threads; the
-//! tests in it take one lock so they do not see each other either.
-
-#![allow(unsafe_code)] // the counting allocator implements `GlobalAlloc`
+//! Lives in its own integration-test binary so the shared counting allocator
+//! (`bedom_bench::alloc::CountingAlloc`) sees no interference from unrelated
+//! tests running on sibling threads; the tests in it take one lock so they
+//! do not see each other either.
 
 use bedom::core::{distributed_ksv_domination_r, KsvConfig};
 use bedom::distsim::ExecutionStrategy;
 use bedom::graph::generators::{configuration_model_power_law, stacked_triangulation};
 use bedom::graph::Graph;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use bedom_bench::alloc::{count_allocs, peak_bytes, CountingAlloc};
 use std::sync::Mutex;
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-/// Bytes currently allocated.
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-/// The most bytes allocated at once since `peak_bytes` last reset it.
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
-        PEAK.fetch_max(live, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// Serialises the tests of this binary.
 static SERIAL: Mutex<()> = Mutex::new(());
-
-fn count_allocs(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    f();
-    ALLOCS.load(Ordering::Relaxed) - before
-}
-
-/// The most bytes `f` holds live at once, above what was live before it.
-fn peak_bytes(f: impl FnOnce()) -> usize {
-    let before = LIVE.load(Ordering::Relaxed);
-    PEAK.store(before, Ordering::Relaxed);
-    f();
-    PEAK.load(Ordering::Relaxed) - before
-}
 
 /// One sequential fault-free run at radius `r`.
 fn run(g: &Graph, r: u32) {

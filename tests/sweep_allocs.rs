@@ -21,10 +21,8 @@
 //!   stores — the sweep runs before the protocol and is dropped.
 //!
 //! Lives in its own integration-test binary, with a single `#[test]`, so the
-//! counting global allocator sees no interference from tests running on
-//! sibling threads.
-
-#![allow(unsafe_code)] // the counting allocator implements `GlobalAlloc`
+//! shared counting allocator (`bedom_bench::alloc::CountingAlloc`) sees no
+//! interference from tests running on sibling threads.
 
 use bedom::core::{
     distributed_distance_domination_in, DistContext, DistContextConfig, DominationPipeline, Mode,
@@ -35,57 +33,10 @@ use bedom::distsim::{
 use bedom::graph::domset::packing_lower_bound;
 use bedom::graph::generators::{configuration_model_power_law, stacked_triangulation};
 use bedom::wcol::WReachIndex;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-/// Bytes allocated in total.
-static BYTES: AtomicUsize = AtomicUsize::new(0);
-/// Bytes currently allocated.
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-/// The most bytes allocated at once since `peak_bytes` last reset it.
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size(), Ordering::Relaxed);
-        let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
-        PEAK.fetch_max(live, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+use bedom_bench::alloc::{alloc_bytes, count_allocs, peak_bytes, CountingAlloc};
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-fn count_allocs(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    f();
-    ALLOCS.load(Ordering::Relaxed) - before
-}
-
-/// The bytes `f` allocates in total.
-fn alloc_bytes(f: impl FnOnce()) -> usize {
-    let before = BYTES.load(Ordering::Relaxed);
-    f();
-    BYTES.load(Ordering::Relaxed) - before
-}
-
-/// The most bytes `f` holds live at once, above what was live before it.
-fn peak_bytes(f: impl FnOnce()) -> usize {
-    let before = LIVE.load(Ordering::Relaxed);
-    PEAK.store(before, Ordering::Relaxed);
-    f();
-    PEAK.load(Ordering::Relaxed) - before
-}
 
 /// Peak live bytes per vertex of a ρ = 4 Lemma 7 run, including the result
 /// the context keeps: 1040 (planar-tri) and 930 (config-model) with each
