@@ -1,33 +1,33 @@
-//! The word-parallel bitset frontier kernel versus its scalar counterparts,
-//! measured on the two places it is wired in.
+//! The word-parallel bitset frontier kernel versus its scalar counterpart,
+//! measured on the one place it is wired in.
 //!
 //! **Oracle leg** (n = 24). The exact bitmask oracle before this kernel
 //! existed: enumerate all 2ⁿ subsets in numeric order over scalar-built u32
-//! coverage masks. After: closed-neighbourhood rows from one
-//! [`reach_words64`] batch, subsets enumerated in **size order** (Gosper's
-//! hack), stopping at the first covering size. This is what paid for raising
-//! `BITMASK_ORACLE_MAX_N` from 20 to 26.
+//! coverage masks. After: closed-neighbourhood rows from one kernel run
+//! (`bedom_graph::bitset::reach_words64`), subsets enumerated in **size
+//! order** (Gosper's hack), stopping at the first covering size. This is
+//! what paid for raising `BITMASK_ORACLE_MAX_N` from 20 to 26.
 //!
-//! **Validator leg** (n = 512, a stream of coverage queries). Before: one
-//! scalar multi-source BFS per candidate set. After: [`ReachMatrix`] rows
-//! built once through the kernel, each query `O(|set|·n/64)` word ORs —
-//! build cost included in the measured time.
+//! Two more legs were deleted; the README records their figures:
 //!
-//! A third leg, the order-restricted `WReachIndex` sweep run 64 sources at a
-//! time, lost to the per-source scalar sweep on every instance it was
-//! measured on and was deleted; the README records its figures.
+//! * the order-restricted `WReachIndex` sweep run 64 sources at a time,
+//!   which lost to the per-source scalar sweep on every instance it was
+//!   measured on;
+//! * the validator leg, which timed kernel-built rows against one full
+//!   scalar BFS per query over 512 queries per row build. Every caller of
+//!   the validator asks one query per graph and set, and at that traffic
+//!   the rows were slower than one depth-`r` BFS, so the validator runs
+//!   that BFS and the leg has nothing left to measure.
 //!
 //! Each timing is the median of `SAMPLES` runs after an untimed warm-up run,
 //! and the checks read the last run's output. Run with
 //! `BEDOM_BENCH_JSON=BENCH_bitset.json` to commit the numbers.
 
 use bedom_bench::report::{record_metric, time_samples, write_json_report};
-use bedom_graph::bfs::{multi_source_distances, UNREACHABLE};
-use bedom_graph::bitset::{reach_words64, ReachMatrix};
-use bedom_graph::domset::{bitmask_minimum_domination_number, greedy_distance_dominating_set};
-use bedom_graph::generators::{cycle, stacked_triangulation};
+use bedom_graph::domset::bitmask_minimum_domination_number;
+use bedom_graph::generators::cycle;
 use bedom_graph::power::all_closed_neighborhoods;
-use bedom_graph::{Graph, Vertex};
+use bedom_graph::Graph;
 
 const SAMPLES: usize = 20;
 
@@ -88,73 +88,9 @@ fn bench_oracle_leg() {
     record_metric("oracle_full_enumeration_seconds", full_secs);
     record_metric("oracle_size_ordered_seconds", gosper_secs);
     record_metric("oracle_speedup", full_secs / gosper_secs);
-    // The raised gate exists because the rows come from one kernel batch and
-    // the enumeration stops at the first covering size.
-    let _ = reach_words64(&graph, r);
-}
-
-fn bench_validator_leg() {
-    let n = 512usize;
-    let graph = stacked_triangulation(n, 4);
-    let r = 2u32;
-    // A deterministic stream of candidate sets of varying size and verdict —
-    // the query pattern of a search loop asking "does this set dominate?".
-    // Every fourth query extends a known dominating set (greedy), so both
-    // verdicts occur; the rest are pseudo-random near-covers.
-    let base = greedy_distance_dominating_set(&graph, r);
-    let queries: Vec<Vec<Vertex>> = (0..512u64)
-        .map(|i| {
-            let mut set: Vec<Vertex> = (0..n as u64)
-                .filter(|&v| {
-                    (v.wrapping_mul(2654435761).wrapping_add(i * 40503)) % 512 < 24 + i % 48
-                })
-                .map(|v| v as Vertex)
-                .collect();
-            if i % 4 == 0 {
-                set.extend_from_slice(&base);
-            }
-            set
-        })
-        .collect();
-
-    let (scalar_verdicts, scalar_secs) = time_samples("validator/scalar-bfs/512", SAMPLES, || {
-        queries
-            .iter()
-            .map(|set| {
-                let dist = multi_source_distances(&graph, set);
-                dist.iter().all(|&d| d != UNREACHABLE && d <= r)
-            })
-            .collect::<Vec<bool>>()
-    });
-    // Row build included: the matrix is paid for once per (graph, r), then
-    // every query is a handful of word ORs.
-    let (matrix_verdicts, matrix_secs) = time_samples("validator/bitset-rows/512", SAMPLES, || {
-        let matrix = ReachMatrix::build(&graph, r);
-        queries
-            .iter()
-            .map(|set| matrix.covers(set))
-            .collect::<Vec<bool>>()
-    });
-    assert_eq!(
-        scalar_verdicts, matrix_verdicts,
-        "validator leg: verdicts disagree"
-    );
-    let positives = scalar_verdicts.iter().filter(|&&v| v).count();
-    let q = queries.len();
-    println!(
-        "validator leg, planar-tri (n = {n}, r = {r}, {q} queries, {positives} dominating): \
-         scalar-bfs = {scalar_secs:.3} s, bitset-rows = {matrix_secs:.3} s ({:.1}x)",
-        scalar_secs / matrix_secs
-    );
-    record_metric("validator_n", n as f64);
-    record_metric("validator_queries", q as f64);
-    record_metric("validator_scalar_seconds", scalar_secs);
-    record_metric("validator_bitset_seconds", matrix_secs);
-    record_metric("validator_speedup", scalar_secs / matrix_secs);
 }
 
 fn main() {
     bench_oracle_leg();
-    bench_validator_leg();
     write_json_report();
 }

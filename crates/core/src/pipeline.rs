@@ -19,10 +19,10 @@
 //!   distributed solve — a regression test pins this.
 //! * [`solve_scenario`] — a batch of independent `(graph, pipeline)` shards
 //!   spread over the workers of an execution strategy through
-//!   [`bedom_distsim::scenario::ScenarioRunner`], with per-worker
-//!   `BfsScratch` reuse for validation and per-shard sweep/round/bit
-//!   accounting. Shard reports come back in shard order and are bit-identical
-//!   across sequential and parallel execution.
+//!   [`bedom_distsim::scenario::ScenarioRunner`], with per-shard
+//!   validation through [`is_distance_dominating_set`] and per-shard
+//!   sweep/round/bit accounting. Shard reports come back in shard order and
+//!   are bit-identical across sequential and parallel execution.
 
 use crate::context::{lemma7_reach_radius, reach_radius, DistContext, DistContextConfig};
 use crate::dist_connected::distributed_connected_domination_in;
@@ -36,7 +36,6 @@ use bedom_distsim::scenario::{
 };
 use bedom_distsim::snapshot_codec::{ByteCodec, CodecError};
 use bedom_distsim::{ExecutionStrategy, IdAssignment, ModelViolation, RunStats};
-use bedom_graph::bfs::BfsScratch;
 use bedom_graph::domset::{is_distance_dominating_set, packing_lower_bound};
 use bedom_graph::{Graph, Vertex};
 use bedom_wcol::{ball_sweeps_on_this_thread, compute_order, OrderingStrategy, WReachIndex};
@@ -466,9 +465,10 @@ pub fn witnessed_constant_for(graph: &Graph, r: u32, strategy: OrderingStrategy)
 ///   [`ExecutionStrategy`] — each shard's engine and index sweeps are
 ///   pinned to the [`ExecutionStrategy::nested`] strategy, so nothing
 ///   depends on how shards are spread;
-/// * every worker reuses one [`BfsScratch`] (grown to the largest shard it
-///   sees) to re-validate each shard's dominating set — an invalid set
-///   panics, mirroring [`solve_checked`]'s defensiveness at batch scale;
+/// * every shard's dominating set is re-validated with
+///   [`is_distance_dominating_set`], which runs on its worker thread's
+///   shared BFS scratch — an invalid set panics, mirroring
+///   [`solve_checked`]'s defensiveness at batch scale;
 /// * a [`ModelViolation`] in any shard fails the whole batch with the
 ///   lowest-indexed shard's error.
 ///
@@ -485,12 +485,11 @@ pub fn solve_scenario(
 }
 
 /// The per-shard body shared by every batch entry point: solve, re-validate
-/// the dominating set through the worker's reusable scratch, and measure.
+/// the dominating set, and measure.
 /// A failed shard reports `None` metrics — absence is the signal; a failure
 /// must never read as a "0 rounds, 0 bits" success.
 fn solve_shard(
     inner: ExecutionStrategy,
-    scratch: &mut BfsScratch,
     shard: usize,
     graph: &Graph,
     pipeline: &DominationPipeline,
@@ -501,9 +500,8 @@ fn solve_shard(
     let sweeps_before = ball_sweeps_on_this_thread();
     match pipeline.execution(inner).solve(graph) {
         Ok(solved) => {
-            scratch.ensure_capacity(graph.num_vertices());
             assert!(
-                dominates_with(graph, &solved.dominating_set, solved.r, scratch),
+                is_distance_dominating_set(graph, &solved.dominating_set, solved.r),
                 "shard {shard} produced an invalid dominating set"
             );
             let metrics = ShardMetrics {
@@ -603,8 +601,8 @@ pub fn solve_scenario_streaming(
     };
     runner.run_streaming(
         shards,
-        || BfsScratch::new(0),
-        |scratch, shard, (graph, pipeline)| solve_shard(inner, scratch, shard, graph, pipeline),
+        || (),
+        |_, shard, (graph, pipeline)| solve_shard(inner, shard, graph, pipeline),
         &mut adapter,
     );
     match adapter.first_violation {
@@ -644,10 +642,8 @@ pub fn solve_scenario_resumable(
         shards,
         journal_path,
         durability,
-        || BfsScratch::new(0),
-        |scratch, shard, (graph, pipeline)| match solve_shard(
-            inner, scratch, shard, graph, pipeline,
-        ) {
+        || (),
+        |_, shard, (graph, pipeline)| match solve_shard(inner, shard, graph, pipeline) {
             (Ok(solved), metrics) => (Some(solved), metrics),
             (Err(violation), _) => {
                 let mut slot = first_violation
@@ -684,27 +680,6 @@ pub fn solve_scenario_resumable(
         }
     }
     Ok(ScenarioReport { shards: solved })
-}
-
-/// Scratch-reusing distance-`r` domination check: multi-source BFS from the
-/// set through an epoch-stamped [`BfsScratch`], so a batch of validations
-/// allocates nothing per shard at steady state.
-fn dominates_with(graph: &Graph, set: &[Vertex], r: u32, scratch: &mut BfsScratch) -> bool {
-    scratch.begin();
-    for &v in set {
-        scratch.try_visit(v, 0);
-    }
-    let mut head = 0;
-    while let Some(&(x, d)) = scratch.entries().get(head) {
-        head += 1;
-        if d >= r {
-            continue;
-        }
-        for &w in graph.neighbors(x) {
-            scratch.try_visit(w, d + 1);
-        }
-    }
-    scratch.entries().len() == graph.num_vertices()
 }
 
 #[cfg(test)]
@@ -1042,18 +1017,5 @@ mod tests {
         assert!(report.shards[0].expect_metrics().rounds > 0);
         assert_eq!(report.shards[1].expect_metrics().rounds, 0);
         assert!(report.total_message_bits() > 0);
-    }
-
-    #[test]
-    fn scratch_backed_validation_agrees_with_the_reference_predicate() {
-        let g = stacked_triangulation(80, 3);
-        let mut scratch = BfsScratch::new(g.num_vertices());
-        let good = bedom_graph::domset::greedy_distance_dominating_set(&g, 1);
-        assert!(dominates_with(&g, &good, 1, &mut scratch));
-        assert!(!dominates_with(&g, &[], 1, &mut scratch));
-        assert!(!dominates_with(&g, &[0], 0, &mut scratch));
-        let empty = Graph::empty(0);
-        scratch.ensure_capacity(0);
-        assert!(dominates_with(&empty, &[], 3, &mut scratch));
     }
 }

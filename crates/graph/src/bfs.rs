@@ -15,9 +15,12 @@ pub const UNREACHABLE: u32 = u32::MAX;
 thread_local! {
     /// One [`BfsScratch`] per thread backing the whole-graph entry points
     /// ([`multi_source_distances`], [`eccentricity`], [`closed_neighborhood`],
-    /// [`closed_set_neighborhood`]): repeated calls reuse a single
-    /// epoch-stamped visited array instead of allocating and zeroing a fresh
-    /// `vec![UNREACHABLE; n]` queue + marks pair per call.
+    /// [`closed_set_neighborhood`] and the domination validator
+    /// [`is_distance_dominating_set`](crate::domset::is_distance_dominating_set)):
+    /// repeated calls reuse a single epoch-stamped visited array instead of
+    /// allocating and zeroing a fresh `vec![UNREACHABLE; n]` queue + marks
+    /// pair per call. A worker thread of a batch therefore validates every
+    /// shard it solves on one scratch.
     static SHARED_SCRATCH: RefCell<BfsScratch> = RefCell::new(BfsScratch::new(0));
 }
 
@@ -95,6 +98,10 @@ pub fn distance(graph: &Graph, u: Vertex, v: Vertex) -> Option<u32> {
 /// Runs [`BfsScratch::closed_neighborhood_into`] on the thread's shared
 /// scratch, so a call touches `O(|N_r[v]|)` memory, not `Θ(n)`, and
 /// allocates only the returned vector.
+///
+/// # Panics
+///
+/// If `v` is not a vertex of `graph`.
 pub fn closed_neighborhood(graph: &Graph, v: Vertex, r: u32) -> Vec<Vertex> {
     let mut result = Vec::new();
     with_shared_scratch(graph.num_vertices(), |scratch| {
@@ -211,6 +218,11 @@ impl BfsScratch {
     /// The closed `r`-neighbourhood `N_r[v]`, appended to `out` sorted by
     /// vertex id — what [`closed_neighborhood`] computes on the thread's
     /// shared scratch.
+    ///
+    /// # Panics
+    ///
+    /// If `v` is not a vertex of `graph`, even when the scratch was grown
+    /// for a larger graph.
     pub fn closed_neighborhood_into(
         &mut self,
         graph: &Graph,
@@ -218,8 +230,26 @@ impl BfsScratch {
         r: u32,
         out: &mut Vec<Vertex>,
     ) {
+        self.ball(graph, std::slice::from_ref(&v), r);
+        self.sort_entries_by_vertex();
+        out.extend(self.entries.iter().map(|&(w, _)| w));
+    }
+
+    /// The depth-`r` multi-source sweep behind every closed-neighbourhood
+    /// query and the domination validator: a new traversal that records each
+    /// vertex within distance `r` of `sources` (duplicates ignored) with its
+    /// depth, in discovery order. Panics on a source outside `graph`, which a
+    /// scratch grown by a larger graph would otherwise record.
+    fn ball(&mut self, graph: &Graph, sources: &[Vertex], r: u32) {
+        let n = graph.num_vertices();
         self.begin();
-        self.try_visit(v, 0);
+        for &s in sources {
+            assert!(
+                (s as usize) < n,
+                "vertex {s} is not in a graph of {n} vertices"
+            );
+            self.try_visit(s, 0);
+        }
         let mut head = 0;
         while let Some(&(x, d)) = self.entries.get(head) {
             head += 1;
@@ -230,30 +260,36 @@ impl BfsScratch {
                 self.try_visit(w, d + 1);
             }
         }
-        self.sort_entries_by_vertex();
-        out.extend(self.entries.iter().map(|&(w, _)| w));
     }
+}
+
+/// Runs the depth-`r` sweep from `set` on the thread's shared scratch and
+/// hands `f` the scratch, whose entries are then `N_r[set]` with depths.
+///
+/// # Panics
+///
+/// If a member of `set` is not a vertex of `graph`.
+pub(crate) fn with_set_ball<T>(
+    graph: &Graph,
+    set: &[Vertex],
+    r: u32,
+    f: impl FnOnce(&mut BfsScratch) -> T,
+) -> T {
+    with_shared_scratch(graph.num_vertices(), |scratch| {
+        scratch.ball(graph, set, r);
+        f(scratch)
+    })
 }
 
 /// Closed `r`-neighbourhood of a set: `N_r[A] = ∪_{v∈A} N_r[v]`, sorted.
 /// A depth-bounded multi-source sweep through the thread's shared
 /// [`BfsScratch`]: touches `O(|N_r[A]|)` memory, not `Θ(n)` per call.
+///
+/// # Panics
+///
+/// If a member of `set` is not a vertex of `graph`.
 pub fn closed_set_neighborhood(graph: &Graph, set: &[Vertex], r: u32) -> Vec<Vertex> {
-    with_shared_scratch(graph.num_vertices(), |scratch| {
-        scratch.begin();
-        for &s in set {
-            scratch.try_visit(s, 0);
-        }
-        let mut head = 0;
-        while let Some(&(x, d)) = scratch.entries().get(head) {
-            head += 1;
-            if d >= r {
-                continue;
-            }
-            for &w in graph.neighbors(x) {
-                scratch.try_visit(w, d + 1);
-            }
-        }
+    with_set_ball(graph, set, r, |scratch| {
         scratch.sort_entries_by_vertex();
         scratch.entries().iter().map(|&(w, _)| w).collect()
     })
@@ -531,6 +567,21 @@ mod tests {
         assert_eq!(nbh, vec![0, 1, 7, 8]);
         // Duplicate sources collapse, and r = 0 is the (sorted) set itself.
         assert_eq!(closed_set_neighborhood(&g, &[4, 4, 0], 0), vec![0, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "vertex 7 is not in a graph of 5 vertices")]
+    fn closed_neighborhood_rejects_a_vertex_outside_the_graph() {
+        // The warm-up grows the thread's shared scratch past vertex 7.
+        closed_neighborhood(&path_graph(100), 50, 2);
+        closed_neighborhood(&path_graph(5), 7, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "vertex 7 is not in a graph of 5 vertices")]
+    fn closed_set_neighborhood_rejects_a_vertex_outside_the_graph() {
+        closed_set_neighborhood(&path_graph(100), &[50], 2);
+        closed_set_neighborhood(&path_graph(5), &[7], 0);
     }
 
     #[test]

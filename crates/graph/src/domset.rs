@@ -6,62 +6,31 @@
 //! T6 in DESIGN.md) measures against. None of them is the paper's
 //! contribution; the paper's own algorithms live in `bedom-core`.
 
-use crate::bfs::{closed_neighborhood, multi_source_distances, UNREACHABLE};
-use crate::bitset::{reach_words64, ReachMatrix};
+use crate::bfs::{closed_neighborhood, with_set_ball};
+use crate::bitset::reach_words64;
 use crate::graph::{Graph, Vertex};
 use crate::power::all_closed_neighborhoods;
 use std::collections::BinaryHeap;
 
-/// Largest `n` for which the brute-force validator routes through the
-/// word-parallel `N_r[·]` bitset rows ([`ReachMatrix`]) instead of a scalar
-/// multi-source BFS. At these sizes the rows cost about as much as the one
-/// scalar BFS while the membership test collapses to word ANDs — and the
-/// conformance corpus then exercises the bitset kernel inside the validator
-/// itself. Beyond the gate a single `O(n + m)` scalar BFS is strictly
-/// cheaper than building `n²/64` words of rows, so large instances keep the
-/// scalar path.
-const BITSET_VALIDATOR_MAX_N: usize = 512;
-
 /// Checks that `set` is a distance-`r` dominating set of `graph`: every vertex
-/// is within distance `r` of some member of `set`.
+/// is within distance `r` of some member of `set`. Duplicate members are
+/// ignored, and the empty set dominates only the empty graph.
 ///
-/// The empty set dominates only the empty graph. Small instances (up to
-/// `BITSET_VALIDATOR_MAX_N`) are checked against word-parallel `N_r[·]`
-/// bitset rows; larger ones by one scalar multi-source BFS.
+/// This is the brute-force validator of the conformance harness: one
+/// depth-`r` multi-source BFS from `set`, the sweep of
+/// [`closed_set_neighborhood`](crate::bfs::closed_set_neighborhood), run on
+/// the thread's shared [`BfsScratch`](crate::bfs::BfsScratch). The set
+/// dominates exactly when the sweep reaches all `n` vertices. A call
+/// touches `O(|N_r[set]|)` memory and allocates nothing once the scratch
+/// has grown to `n`.
+///
+/// # Panics
+///
+/// If a member of `set` is not a vertex of `graph`.
 pub fn is_distance_dominating_set(graph: &Graph, set: &[Vertex], r: u32) -> bool {
-    let n = graph.num_vertices();
-    if n == 0 {
-        return true;
-    }
-    if set.is_empty() {
-        return false;
-    }
-    if n <= BITSET_VALIDATOR_MAX_N {
-        return ReachMatrix::build(graph, r).covers(set);
-    }
-    let dist = multi_source_distances(graph, set);
-    dist.iter().all(|&d| d != UNREACHABLE && d <= r)
-}
-
-/// Vertices *not* dominated by `set` at distance `r` (sorted). Routed like
-/// [`is_distance_dominating_set`]: bitset rows below the size gate, scalar
-/// multi-source BFS above it.
-pub fn undominated_vertices(graph: &Graph, set: &[Vertex], r: u32) -> Vec<Vertex> {
-    let n = graph.num_vertices();
-    if n == 0 {
-        return Vec::new();
-    }
-    if set.is_empty() {
-        return graph.vertices().collect();
-    }
-    if n <= BITSET_VALIDATOR_MAX_N {
-        return ReachMatrix::build(graph, r).uncovered(set);
-    }
-    let dist = multi_source_distances(graph, set);
-    graph
-        .vertices()
-        .filter(|&v| dist[v as usize] == UNREACHABLE || dist[v as usize] > r)
-        .collect()
+    with_set_ball(graph, set, r, |ball| {
+        ball.entries().len() == graph.num_vertices()
+    })
 }
 
 /// Classical greedy distance-`r` dominating set: repeatedly pick the vertex
@@ -380,7 +349,8 @@ pub fn approximation_quality(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::{cycle, grid, path, star};
+    use crate::bfs::all_pairs_distances;
+    use crate::generators::{cycle, gnp, grid, path, stacked_triangulation, star};
     use crate::graph::graph_from_edges;
 
     #[test]
@@ -394,12 +364,52 @@ mod tests {
     }
 
     #[test]
-    fn undominated_listing() {
-        let g = path(6);
-        assert_eq!(undominated_vertices(&g, &[0], 1), vec![2, 3, 4, 5]);
-        assert_eq!(undominated_vertices(&g, &[2, 5], 1), vec![0]);
-        assert!(undominated_vertices(&g, &[2, 5], 2).is_empty());
-        assert_eq!(undominated_vertices(&g, &[], 1).len(), 6);
+    fn validator_agrees_with_all_pairs_distances() {
+        for g in [
+            path(10),
+            grid(9, 9), // n = 81 > 64
+            stacked_triangulation(150, 4),
+            gnp(70, 0.07, 11),
+            graph_from_edges(7, &[(0, 1), (2, 3), (3, 4)]),
+            Graph::empty(0),
+            Graph::empty(3),
+        ] {
+            let d = all_pairs_distances(&g);
+            let n = g.num_vertices() as Vertex;
+            for r in [0u32, 1, 2, 5] {
+                let greedy = greedy_distance_dominating_set(&g, r);
+                let candidates: Vec<Vec<Vertex>> = vec![
+                    vec![],
+                    (0..n).collect(),
+                    (0..n).step_by(3).collect(),
+                    // Vertex 0 twice: a duplicate member changes nothing.
+                    (0..n).step_by(2).chain(0..n.min(1)).collect(),
+                    greedy.clone(),
+                ];
+                for set in candidates {
+                    let want = d.iter().all(|dv| set.iter().any(|&u| dv[u as usize] <= r));
+                    assert_eq!(
+                        is_distance_dominating_set(&g, &set, r),
+                        want,
+                        "n={n}, r={r}, set={set:?}"
+                    );
+                }
+                assert!(is_distance_dominating_set(&g, &greedy, r));
+                assert_eq!(is_distance_dominating_set(&g, &[], r), n == 0);
+            }
+            if n > 1 {
+                assert!(!is_distance_dominating_set(&g, &[0], 0));
+            }
+        }
+        assert!(is_distance_dominating_set(&Graph::empty(0), &[], 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "vertex 7 is not in a graph of 5 vertices")]
+    fn validator_rejects_a_vertex_outside_the_graph() {
+        // The warm-up grows the thread's shared scratch past vertex 7.
+        assert!(is_distance_dominating_set(&path(100), &[50], 50));
+        is_distance_dominating_set(&path(5), &[7], 0);
     }
 
     #[test]

@@ -129,27 +129,6 @@ impl Family {
         }
     }
 
-    /// Whether membership in a fixed bounded-expansion class is guaranteed
-    /// (asymptotically almost surely for the random models).
-    pub fn is_bounded_expansion(self) -> bool {
-        !matches!(self, Family::Gnp)
-    }
-
-    /// Whether every generated graph is planar.
-    pub fn is_planar(self) -> bool {
-        matches!(
-            self,
-            Family::Path
-                | Family::Cycle
-                | Family::Grid
-                | Family::RandomTree
-                | Family::BinaryTree
-                | Family::PlanarTriangulation
-                | Family::Outerplanar
-                | Family::TwoTree
-        )
-    }
-
     /// Generates a member of the family with approximately `n` vertices.
     ///
     /// The exact vertex count may differ slightly (e.g. grids round to the

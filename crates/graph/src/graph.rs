@@ -146,12 +146,6 @@ impl Graph {
         }
         builder.build()
     }
-
-    /// Total degree of the set `set` (with multiplicity), used in density
-    /// estimates.
-    pub fn total_degree(&self, set: &[Vertex]) -> usize {
-        set.iter().map(|&v| self.degree(v)).sum()
-    }
 }
 
 impl fmt::Debug for Graph {

@@ -24,7 +24,9 @@ pub enum ParseError {
         /// Explanation.
         message: String,
     },
-    /// An edge referenced a vertex outside the declared range.
+    /// An edge referenced a vertex outside the declared range or, when the
+    /// count is inferred, an id of `u32::MAX` or more (the count would be
+    /// `id + 1`, more vertices than a [`Vertex`] can number).
     VertexOutOfRange {
         /// 1-based line number.
         line: usize,
@@ -52,6 +54,19 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Reads a declared vertex count. [`Vertex`] numbers the vertices, so a
+/// count above `u32::MAX` is malformed; it is refused here, before anything
+/// is allocated for it.
+fn declared_count(count: u64, line: usize) -> Result<usize, ParseError> {
+    match Vertex::try_from(count) {
+        Ok(n) => Ok(n as usize),
+        Err(_) => Err(ParseError::Malformed {
+            line,
+            message: format!("vertex count {count} exceeds {}", Vertex::MAX),
+        }),
+    }
+}
+
 /// Converts a file-format id into the vertex id space: `Some` iff it fits in
 /// [`Vertex`] *and* is below the declared count `n`. Replaces the former
 /// `as Vertex` narrowings, which would wrap ids above `u32::MAX` into valid
@@ -69,7 +84,8 @@ fn checked_vertex(id: u64, n: usize) -> Option<Vertex> {
 /// 0-based ids); empty lines and lines starting with `#` are ignored. An
 /// optional first non-comment line holding the single number `n` fixes the
 /// vertex count; otherwise it is `max id + 1`. A first line of two numbers
-/// is read as an edge, not as an `n m` header.
+/// is read as an edge, not as an `n m` header. Counts, declared or
+/// inferred, stop at `u32::MAX`.
 pub fn parse_edge_list(text: &str) -> Result<Graph, ParseError> {
     let mut declared_n: Option<usize> = None;
     let mut edges: Vec<(u64, u64, usize)> = Vec::new();
@@ -90,13 +106,7 @@ pub fn parse_edge_list(text: &str) -> Result<Graph, ParseError> {
         })?;
         match (saw_header_candidate, numbers.len()) {
             (false, 1) => {
-                declared_n =
-                    Some(
-                        usize::try_from(numbers[0]).map_err(|_| ParseError::Malformed {
-                            line: line_no,
-                            message: format!("vertex count {} does not fit in usize", numbers[0]),
-                        })?,
-                    );
+                declared_n = Some(declared_count(numbers[0], line_no)?);
                 saw_header_candidate = true;
             }
             (false, 2) | (true, 2) => {
@@ -121,10 +131,21 @@ pub fn parse_edge_list(text: &str) -> Result<Graph, ParseError> {
     }
     let n = match declared_n {
         Some(n) => n,
-        None if edges.is_empty() => 0,
-        // The inferred count is max id + 1; ids are checked into the vertex
-        // id space instead of being narrowed with wrapping casts.
-        None => crate::cast::usize_from_u64(max_id) + 1,
+        // The inferred count is max id + 1, so the first edge with an id of
+        // `u32::MAX` or more is out of range; below that the sum cannot wrap.
+        None => match edges
+            .iter()
+            .find(|&&(u, v, _)| u.max(v) >= u64::from(Vertex::MAX))
+        {
+            Some(&(u, v, line)) => {
+                return Err(ParseError::VertexOutOfRange {
+                    line,
+                    vertex: u.max(v),
+                })
+            }
+            None if edges.is_empty() => 0,
+            None => crate::cast::usize_from_u64(max_id) + 1,
+        },
     };
     let mut builder = GraphBuilder::new(n);
     for (u, v, line) in edges {
@@ -184,10 +205,11 @@ pub fn parse_dimacs(text: &str) -> Result<Graph, ParseError> {
                     message: "problem line needs 'p edge n m'".into(),
                 });
             }
-            n = fields[1].parse().map_err(|_| ParseError::Malformed {
+            let count = fields[1].parse().map_err(|_| ParseError::Malformed {
                 line: line_no,
                 message: "could not parse vertex count".into(),
             })?;
+            n = declared_count(count, line_no)?;
             builder = Some(GraphBuilder::new(n));
             continue;
         }
@@ -344,6 +366,45 @@ mod tests {
         assert!(matches!(
             parse_dimacs(&format!("p edge 3 1\ne {big} 1\n")),
             Err(ParseError::VertexOutOfRange { .. })
+        ));
+    }
+
+    #[test]
+    fn an_inferred_count_past_u64_is_out_of_range() {
+        // The inferred count `max id + 1` must not overflow.
+        assert_eq!(
+            parse_edge_list("0 18446744073709551615\n"),
+            Err(ParseError::VertexOutOfRange {
+                line: 1,
+                vertex: u64::MAX
+            })
+        );
+    }
+
+    #[test]
+    fn an_id_that_implies_2_pow_32_vertices_is_out_of_range() {
+        assert_eq!(
+            parse_edge_list("0 4294967295\n"),
+            Err(ParseError::VertexOutOfRange {
+                line: 1,
+                vertex: 4_294_967_295
+            })
+        );
+    }
+
+    #[test]
+    fn an_edge_list_count_of_2_pow_32_is_malformed() {
+        assert!(matches!(
+            parse_edge_list("4294967296\n"),
+            Err(ParseError::Malformed { line: 1, .. })
+        ));
+    }
+
+    #[test]
+    fn a_dimacs_count_of_2_pow_32_is_malformed() {
+        assert!(matches!(
+            parse_dimacs("p edge 4294967296 0\n"),
+            Err(ParseError::Malformed { line: 1, .. })
         ));
     }
 

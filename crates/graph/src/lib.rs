@@ -10,8 +10,8 @@
 //! * a compact CSR [`Graph`] type with a safe builder,
 //! * BFS/distance/radius utilities matching the paper's definitions
 //!   ([`bfs`]),
-//! * word-parallel closed-neighbourhood rows from a `u64`-packed
-//!   multi-source BFS ([`bitset`]),
+//! * word-parallel closed-neighbourhood rows for graphs with `n ≤ 64`, from
+//!   a `u64`-packed multi-source BFS ([`bitset`]),
 //! * connectivity and union–find ([`components`]),
 //! * degeneracy / core decomposition and degenerate orientations
 //!   ([`degeneracy`]),

@@ -1,11 +1,11 @@
-//! The validator leg of the word-parallel bitset kernel on the conformance
-//! corpus: every row of [`ReachMatrix`] must be exactly the scalar closed
+//! The rows the exact bitmask oracle reads, on the conformance corpus: every
+//! row of [`reach_words64`] must be exactly the scalar closed
 //! `r`-neighbourhood.
 //!
 //! The corpus mirrors `tests/conformance.rs` — the paper's structured
 //! families, the degenerate shapes, and the n ∈ (20, 26] band.
 
-use bedom::graph::bitset::ReachMatrix;
+use bedom::graph::bitset::reach_words64;
 use bedom::graph::generators::{cycle, grid, path, stacked_triangulation, star};
 use bedom::graph::{graph_from_edges, Graph, Vertex};
 
@@ -28,18 +28,15 @@ fn corpus() -> Vec<(&'static str, Graph)> {
 }
 
 #[test]
-fn reach_matrix_rows_match_scalar_neighborhoods_on_the_corpus() {
+fn reach_words64_rows_match_scalar_neighborhoods_on_the_corpus() {
     use bedom::graph::bfs::closed_neighborhood;
     for (name, g) in corpus() {
         for r in [0u32, 1, 3] {
-            let matrix = ReachMatrix::build(&g, r);
+            let rows = reach_words64(&g, r);
             for v in g.vertices() {
                 let want = closed_neighborhood(&g, v, r);
-                let row = matrix.row(v);
-                let got: Vec<Vertex> = g
-                    .vertices()
-                    .filter(|&u| (row[u as usize / 64] >> (u % 64)) & 1 == 1)
-                    .collect();
+                let row = rows[v as usize];
+                let got: Vec<Vertex> = g.vertices().filter(|&u| (row >> u) & 1 == 1).collect();
                 assert_eq!(got, want, "{name}, r = {r}, v = {v}");
             }
         }
