@@ -10,7 +10,7 @@ use bedom::baselines::{
 use bedom::core::{
     approximate_distance_domination, distributed_connected_domination,
     distributed_distance_domination, distributed_neighborhood_cover, domset_via_min_wreach,
-    local_connect, DistConnectedConfig, DistCoverConfig, DistDomSetConfig,
+    local_connect, DistConnectedConfig, DistCoverConfig, DistDomSetConfig, DistDomSetResult,
 };
 use bedom::distsim::IdAssignment;
 use bedom::graph::components::{is_induced_connected, largest_component};
@@ -217,6 +217,85 @@ fn context_shares_phases_across_domset_cover_and_connected() {
         &graph,
         &connected.connected_dominating_set
     ));
+}
+
+/// Asserts that two Theorem 9 runs agree on every set, round and bit.
+fn assert_same_domset(a: &DistDomSetResult, b: &DistDomSetResult, what: &str) {
+    assert_eq!(a.dominating_set, b.dominating_set, "{what}: set");
+    assert_eq!(a.dominator_of, b.dominator_of, "{what}: dominator_of");
+    assert_eq!(a.order, b.order, "{what}: order");
+    let rounds = |x: &DistDomSetResult| (x.order_rounds, x.wreach_rounds, x.election_rounds);
+    assert_eq!(rounds(a), rounds(b), "{what}: rounds");
+    assert_eq!(
+        a.phase_stats, b.phase_stats,
+        "{what}: per-phase stats and bits"
+    );
+    assert_eq!(a.measured_constant, b.measured_constant, "{what}: constant");
+}
+
+#[test]
+fn standalone_entry_points_match_their_context_backed_runs() {
+    // Each standalone Theorem 8–10 entry point is `DistContext::elect` at
+    // its reach radius plus its `_in` variant. With the same explicit ids
+    // and strategy on both sides, every set, order, round, per-phase bit,
+    // cover membership and home must agree.
+    use bedom::core::{
+        distributed_connected_domination_in, distributed_distance_domination_in,
+        distributed_neighborhood_cover_in, DistContext, DistContextConfig,
+    };
+    use bedom::distsim::ExecutionStrategy;
+
+    let assignment = IdAssignment::Shuffled(0xd15d);
+    let strategy = ExecutionStrategy::Sequential;
+    for family in [Family::PlanarTriangulation, Family::ConfigurationModel] {
+        let graph = family.generate(300, 7);
+        for r in 1..=2u32 {
+            let what = format!("{} r = {r}", family.name());
+            let context = |max_radius| {
+                let config = DistContextConfig {
+                    assignment,
+                    strategy,
+                    ..DistContextConfig::new(max_radius)
+                };
+                DistContext::elect(&graph, config).unwrap()
+            };
+            let config = DistDomSetConfig {
+                assignment,
+                ..DistDomSetConfig::with_strategy(r, strategy)
+            };
+
+            // Theorem 9.
+            let alone = distributed_distance_domination(&graph, config).unwrap();
+            let within = distributed_distance_domination_in(&context(2 * r), r).unwrap();
+            assert_same_domset(&alone, &within, &what);
+
+            // Theorem 8.
+            let cover_config = DistCoverConfig {
+                assignment,
+                ..DistCoverConfig::with_strategy(r, strategy)
+            };
+            let alone = distributed_neighborhood_cover(&graph, cover_config).unwrap();
+            let within = distributed_neighborhood_cover_in(&context(2 * r), r).unwrap();
+            assert_eq!(alone.memberships, within.memberships, "{what}: memberships");
+            assert_eq!(alone.home, within.home, "{what}: homes");
+            assert_eq!(alone.order, within.order, "{what}: cover order");
+            assert_eq!(alone.total_rounds(), within.total_rounds(), "{what}");
+            assert_eq!(alone.phase_stats, within.phase_stats, "{what}: cover bits");
+            assert_eq!(alone.measured_constant, within.measured_constant);
+
+            // Theorem 10.
+            let alone = distributed_connected_domination(&graph, config).unwrap();
+            let within = distributed_connected_domination_in(&context(2 * r + 1), r).unwrap();
+            assert_same_domset(&alone.domset, &within.domset, &what);
+            assert_eq!(
+                alone.connected_dominating_set, within.connected_dominating_set,
+                "{what}: connected set"
+            );
+            assert_eq!(alone.flood_rounds, within.flood_rounds, "{what}");
+            assert_eq!(alone.flood_stats, within.flood_stats, "{what}: flood bits");
+            assert_eq!(alone.measured_constant, within.measured_constant);
+        }
+    }
 }
 
 #[test]
