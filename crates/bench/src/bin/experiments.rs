@@ -1,15 +1,15 @@
 //! Table/figure generator for the bedom reproduction.
 //!
-//! Each sub-command regenerates one experiment of EXPERIMENTS.md (the paper
-//! has no empirical section, so the experiments operationalise its theorems;
-//! see DESIGN.md §3 for the mapping):
+//! Each sub-command regenerates one experiment table (the paper has no
+//! empirical section, so the experiments operationalise its theorems; the
+//! README's *Experiment tables* maps each table to its theorem):
 //!
 //! ```text
 //! cargo run --release -p bedom-bench --bin experiments -- [t1|t2|t3|t4|t5|t6|f1|f2|f3|f4|s1|k1|all] [--quick]
 //! ```
 //!
 //! `--quick` shrinks instance sizes so the full suite finishes in a couple of
-//! minutes; the default sizes are the ones EXPERIMENTS.md reports. No
+//! minutes; CI runs `all --quick`. The default sizes are the full scale. No
 //! argument runs everything; any other argument prints the usage to stderr
 //! and exits with status 2 before anything runs.
 //!
@@ -22,8 +22,8 @@ use bedom_bench::{compared_algorithms, connected_instance, format_quality_table,
 use bedom_core::{
     approximate_distance_domination, distributed_connected_domination,
     distributed_distance_domination, distributed_distance_domination_in,
-    distributed_neighborhood_cover_in, local_connect, solve_scenario, DistConnectedConfig,
-    DistContext, DistContextConfig, DistDomSetConfig, DominationPipeline, Mode,
+    distributed_neighborhood_cover_in, local_connect, solve_scenario, DistContext,
+    DistContextConfig, DistDomSetConfig, DominationPipeline, Mode,
 };
 use bedom_distsim::{log2_ceil, ExecutionStrategy, IdAssignment};
 use bedom_graph::domset::{exact_distance_dominating_set, packing_lower_bound};
@@ -256,8 +256,8 @@ fn table_t2(scale: &Scale) {
         for target in [scale.n(2_000), scale.n(16_000)] {
             let graph = connected_instance(family, target, 3);
             let r = 2u32;
-            for strategy in [OrderingStrategy::Degeneracy, OrderingStrategy::Degree] {
-                let order = bedom_wcol::compute_order(&graph, 2 * r, strategy);
+            for strategy in OrderingStrategy::ALL {
+                let order = bedom_wcol::compute_order(&graph, strategy);
                 // One index sweep serves both the constant and the cover.
                 let index = WReachIndex::build(&graph, &order, 2 * r);
                 let c = index.wcol();
@@ -336,7 +336,7 @@ fn table_t4(scale: &Scale) {
         for r in [1u32, 2] {
             let graph = connected_instance(family, scale.n(4_000), 9);
             let result =
-                distributed_connected_domination(&graph, DistConnectedConfig::new(r)).unwrap();
+                distributed_connected_domination(&graph, DistDomSetConfig::new(r)).unwrap();
             println!(
                 "{:<14} {:>8} {:>3} {:>8} {:>8} {:>8.2} {:>10} {:>8}",
                 family.name(),

@@ -284,6 +284,26 @@ impl<'g> DistContext<'g> {
         self.index.get().is_some()
     }
 
+    /// Checks that this context's Lemma 7 run serves a distance-`r` phase,
+    /// which reads paths of up to `2r` edges, or `2r + 1` when `connected`.
+    /// Otherwise the phase fails with [`ModelViolation::RadiusOutOfRange`],
+    /// which reports the largest `r` the context serves.
+    pub(crate) fn check_reach(&self, r: u32, connected: bool) -> Result<(), ModelViolation> {
+        let max_radius = self.config.max_radius;
+        match reach_radius(r, connected) {
+            Ok(reach) if reach <= max_radius => Ok(()),
+            _ => Err(ModelViolation::RadiusOutOfRange {
+                requested: r,
+                supported: max_radius.saturating_sub(connected.into()) / 2,
+                what: if connected {
+                    "a DistContext for connected domination (reach radius 2r + 1)"
+                } else {
+                    "a DistContext for domination and covers (reach radius 2r)"
+                },
+            }),
+        }
+    }
+
     /// Checks that a radius-`r` analysis query is answerable exactly by this
     /// context. The shared index is built at [`DistContext::max_radius`];
     /// answering a larger radius from it would silently read truncated balls

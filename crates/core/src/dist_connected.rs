@@ -17,7 +17,7 @@
 //! simultaneously forwarded paths by `c' = c(2r+1)` — the same bookkeeping as
 //! in the proof of Theorem 10.
 
-use crate::context::{lemma7_reach_radius, DistContext, DistContextConfig};
+use crate::context::DistContext;
 use crate::dist_domset::{distributed_distance_domination_in, DistDomSetConfig, DistDomSetResult};
 use crate::dist_wreach::{PathSetMessage, PathView};
 use bedom_distsim::{
@@ -131,29 +131,15 @@ impl DistConnectedResult {
     }
 }
 
-/// Configuration of the connected distributed algorithm (same knobs as the
-/// plain one).
-pub type DistConnectedConfig = DistDomSetConfig;
-
 /// Runs the full Theorem 10 pipeline: elects a fresh [`DistContext`] at
 /// reach radius `2r + 1` and solves in it. A radius whose reach overflows
 /// `u32` or exceeds what the Lemma 7 protocol accepts (`r ≥ 127`) fails with
 /// [`ModelViolation::RadiusOutOfRange`] before the order phase.
 pub fn distributed_connected_domination(
     graph: &Graph,
-    config: DistConnectedConfig,
+    config: DistDomSetConfig,
 ) -> Result<DistConnectedResult, ModelViolation> {
-    let reach = lemma7_reach_radius(config.r, true)?;
-    let ctx = DistContext::elect(
-        graph,
-        DistContextConfig {
-            assignment: config.assignment,
-            bandwidth_logs: config.bandwidth_logs,
-            strategy: config.strategy,
-            ..DistContextConfig::new(reach)
-        },
-    )?;
-    distributed_connected_domination_in(&ctx, config.r)
+    distributed_connected_domination_in(&config.elect(graph, true)?, config.r)
 }
 
 /// Runs Theorem 10 against an existing [`DistContext`] (reach radius
@@ -161,22 +147,15 @@ pub fn distributed_connected_domination(
 /// path-flooding phase both read the context's single weak-reachability
 /// execution — electing from the `(2r+1)`-radius run yields the same `D`
 /// because the election only uses paths of length ≤ `r`
-/// (`|WReach_2r| ≤ |WReach_{2r+1}|`, as the paper notes).
-///
-/// # Panics
-/// Panics if `ctx.max_radius() < 2r + 1`.
+/// (`|WReach_2r| ≤ |WReach_{2r+1}|`, as the paper notes). A context whose
+/// reach radius is below `2r + 1` fails with
+/// [`ModelViolation::RadiusOutOfRange`], reporting the largest `r` it
+/// serves.
 pub fn distributed_connected_domination_in(
     ctx: &DistContext<'_>,
     r: u32,
 ) -> Result<DistConnectedResult, ModelViolation> {
-    // In u64, so that no r doubles past u32::MAX and wraps below the
-    // context's radius.
-    let reach = 2 * u64::from(r) + 1;
-    assert!(
-        u64::from(ctx.max_radius()) >= reach,
-        "connected radius-{r} domination needs a context of reach radius ≥ {reach}, got {}",
-        ctx.max_radius()
-    );
+    ctx.check_reach(r, true)?;
     let graph = ctx.graph();
     let n = graph.num_vertices();
 
@@ -262,6 +241,7 @@ pub fn distributed_connected_domination_in(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::lemma7_reach_radius;
     use bedom_graph::components::is_induced_connected;
     use bedom_graph::components::largest_component;
     use bedom_graph::domset::{is_distance_dominating_set, packing_lower_bound};
@@ -276,14 +256,14 @@ mod tests {
         let g = path(5);
         for r in [127, 1 << 31, u32::MAX] {
             let refused = lemma7_reach_radius(r, true).unwrap_err();
-            let result = distributed_connected_domination(&g, DistConnectedConfig::new(r));
+            let result = distributed_connected_domination(&g, DistDomSetConfig::new(r));
             assert_eq!(result.unwrap_err(), refused);
         }
         check(&g, 126);
     }
 
     fn check(graph: &Graph, r: u32) -> DistConnectedResult {
-        let result = distributed_connected_domination(graph, DistConnectedConfig::new(r)).unwrap();
+        let result = distributed_connected_domination(graph, DistDomSetConfig::new(r)).unwrap();
         // D' dominates, contains D, and is connected (G is connected in all
         // test instances).
         assert!(is_distance_dominating_set(
@@ -387,23 +367,29 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "needs a context of reach radius")]
     fn radius_whose_double_overflows_u32_is_rejected() {
         let g = path(5);
         let ctx =
             crate::DistContext::elect(&g, crate::DistContextConfig::for_domination(1)).unwrap();
-        let _ = distributed_connected_domination_in(&ctx, 1 << 31);
+        let err = distributed_connected_domination_in(&ctx, 1 << 31).unwrap_err();
+        assert!(matches!(
+            err,
+            ModelViolation::RadiusOutOfRange {
+                requested: 0x8000_0000,
+                supported: 0,
+                ..
+            }
+        ));
     }
 
     #[test]
     fn single_vertex_and_single_edge() {
         let single = Graph::empty(1);
-        let result =
-            distributed_connected_domination(&single, DistConnectedConfig::new(1)).unwrap();
+        let result = distributed_connected_domination(&single, DistDomSetConfig::new(1)).unwrap();
         assert_eq!(result.connected_dominating_set, vec![0]);
 
         let edge = bedom_graph::graph_from_edges(2, &[(0, 1)]);
-        let result = distributed_connected_domination(&edge, DistConnectedConfig::new(1)).unwrap();
+        let result = distributed_connected_domination(&edge, DistDomSetConfig::new(1)).unwrap();
         assert!(is_distance_dominating_set(
             &edge,
             &result.connected_dominating_set,

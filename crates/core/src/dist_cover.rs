@@ -10,8 +10,9 @@
 //! global (collected) view used by the experiments, and verifies that it
 //! coincides with the sequential cover built from the same order.
 
-use crate::context::{lemma7_reach_radius, DistContext, DistContextConfig};
-use bedom_distsim::{ExecutionStrategy, IdAssignment, ModelViolation, RunStats};
+use crate::context::DistContext;
+use crate::dist_domset::DistDomSetConfig;
+use bedom_distsim::{ModelViolation, RunStats};
 use bedom_graph::{Graph, Vertex};
 use bedom_wcol::{LinearOrder, NeighborhoodCover};
 
@@ -80,41 +81,6 @@ impl DistributedCover {
     }
 }
 
-/// Configuration for the distributed cover computation.
-#[derive(Clone, Copy, Debug)]
-pub struct DistCoverConfig {
-    /// Covering radius `r` (clusters have radius ≤ 2r).
-    pub r: u32,
-    /// Identifier assignment for the order phase.
-    pub assignment: IdAssignment,
-    /// Bandwidth multiplier (see
-    /// [`WReachConfig::bandwidth_logs`](crate::WReachConfig::bandwidth_logs)).
-    pub bandwidth_logs: Option<usize>,
-    /// Engine execution strategy for both phases.
-    pub strategy: ExecutionStrategy,
-}
-
-impl DistCoverConfig {
-    /// Defaults: shuffled ids, unenforced bandwidth, size-gated automatic
-    /// execution strategy.
-    pub fn new(r: u32) -> Self {
-        DistCoverConfig {
-            r,
-            assignment: IdAssignment::Shuffled(0xc0fe),
-            bandwidth_logs: None,
-            strategy: ExecutionStrategy::Auto,
-        }
-    }
-
-    /// The same configuration with an explicit execution strategy.
-    pub fn with_strategy(r: u32, strategy: ExecutionStrategy) -> Self {
-        DistCoverConfig {
-            strategy,
-            ..DistCoverConfig::new(r)
-        }
-    }
-}
-
 /// Runs the Theorem 8 pipeline: elects a fresh [`DistContext`] at reach
 /// radius `2r` and packages the cover representation from it. A radius
 /// whose reach overflows `u32` or exceeds what the Lemma 7 protocol accepts
@@ -122,19 +88,9 @@ impl DistCoverConfig {
 /// order phase.
 pub fn distributed_neighborhood_cover(
     graph: &Graph,
-    config: DistCoverConfig,
+    config: DistDomSetConfig,
 ) -> Result<DistributedCover, ModelViolation> {
-    let reach = lemma7_reach_radius(config.r, false)?;
-    let ctx = DistContext::elect(
-        graph,
-        DistContextConfig {
-            assignment: config.assignment,
-            bandwidth_logs: config.bandwidth_logs,
-            strategy: config.strategy,
-            ..DistContextConfig::new(reach)
-        },
-    )?;
-    distributed_neighborhood_cover_in(&ctx, config.r)
+    distributed_neighborhood_cover_in(&config.elect(graph, false)?, config.r)
 }
 
 /// Packages the Theorem 8 cover representation from an existing
@@ -143,22 +99,14 @@ pub fn distributed_neighborhood_cover(
 /// holds. A context at a reach radius larger than `2r` (e.g. the `2r + 1` of
 /// a connected-domination run) serves the radius-`2r` cover by filtering the
 /// stored paths to at most `2r` edges (they are restricted shortest paths,
-/// so the filter recovers `WReach_2r` exactly).
-///
-/// # Panics
-/// Panics if `ctx.max_radius() < 2r`.
+/// so the filter recovers `WReach_2r` exactly). A context whose reach radius
+/// is below `2r` fails with [`ModelViolation::RadiusOutOfRange`], reporting
+/// the largest `r` it serves.
 pub fn distributed_neighborhood_cover_in(
     ctx: &DistContext<'_>,
     r: u32,
 ) -> Result<DistributedCover, ModelViolation> {
-    // In u64, so that no r doubles past u32::MAX and wraps below the
-    // context's radius.
-    let reach = 2 * u64::from(r);
-    assert!(
-        u64::from(ctx.max_radius()) >= reach,
-        "radius-{r} cover needs a context of reach radius ≥ {reach}, got {}",
-        ctx.max_radius()
-    );
+    ctx.check_reach(r, false)?;
     let graph = ctx.graph();
     if graph.num_vertices() == 0 {
         return Ok(DistributedCover {
@@ -227,6 +175,8 @@ pub fn distributed_neighborhood_cover_in(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::{lemma7_reach_radius, DistContextConfig};
+    use bedom_distsim::IdAssignment;
     use bedom_graph::generators::{
         configuration_model_power_law, grid, maximal_outerplanar, random_ktree, random_tree,
         stacked_triangulation,
@@ -239,14 +189,14 @@ mod tests {
         let g = grid(1, 5);
         for r in [128, 1 << 31, u32::MAX] {
             let refused = lemma7_reach_radius(r, false).unwrap_err();
-            let result = distributed_neighborhood_cover(&g, DistCoverConfig::new(r));
+            let result = distributed_neighborhood_cover(&g, DistDomSetConfig::new(r));
             assert_eq!(result.unwrap_err(), refused);
         }
         check(&g, 127);
     }
 
     fn check(graph: &Graph, r: u32) -> DistributedCover {
-        let cover = distributed_neighborhood_cover(graph, DistCoverConfig::new(r)).unwrap();
+        let cover = distributed_neighborhood_cover(graph, DistDomSetConfig::new(r)).unwrap();
         let as_seq = cover.to_neighborhood_cover(graph);
         // Covering property, radius bound and degree bound of Theorem 8.
         assert!(as_seq.covers_all_r_neighborhoods(graph));
@@ -314,7 +264,7 @@ mod tests {
     #[test]
     fn empty_graph() {
         let g = Graph::empty(0);
-        let cover = distributed_neighborhood_cover(&g, DistCoverConfig::new(2)).unwrap();
+        let cover = distributed_neighborhood_cover(&g, DistDomSetConfig::new(2)).unwrap();
         assert!(cover.memberships.is_empty());
         assert!(cover.home.is_empty());
         assert_eq!(cover.total_rounds(), 0);
@@ -323,7 +273,7 @@ mod tests {
     #[test]
     fn locally_computed_homes_equal_the_sequential_min_wreach() {
         let g = stacked_triangulation(120, 13);
-        let cover = distributed_neighborhood_cover(&g, DistCoverConfig::new(2)).unwrap();
+        let cover = distributed_neighborhood_cover(&g, DistDomSetConfig::new(2)).unwrap();
         assert_eq!(
             cover.home,
             bedom_wcol::min_wreach(&g, &cover.order, 2),
@@ -332,11 +282,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "needs a context of reach radius")]
     fn radius_whose_double_overflows_u32_is_rejected() {
         let g = bedom_graph::generators::path(5);
         let ctx = DistContext::elect(&g, DistContextConfig::for_domination(1)).unwrap();
-        let _ = distributed_neighborhood_cover_in(&ctx, 1 << 31);
+        let err = distributed_neighborhood_cover_in(&ctx, 1 << 31).unwrap_err();
+        assert!(matches!(
+            err,
+            ModelViolation::RadiusOutOfRange {
+                requested: 0x8000_0000,
+                supported: 1,
+                ..
+            }
+        ));
     }
 
     #[test]

@@ -24,7 +24,14 @@
 //! The total number of communication rounds is
 //! `(order phase) + 2r + (r + 1) = O(log n + r)`, comfortably within the
 //! paper's `O(r²·log n)` bound (our substituted order phase is cheaper than
-//! the one of \[46\]; see DESIGN.md §1.3).
+//! the one of \[46\]; see the README's *Substitutes for cited algorithms*).
+//!
+//! [`DistDomSetConfig`] is the one configuration of the three standalone
+//! order-based entry points: this one, the Theorem 8 cover
+//! ([`crate::dist_cover::distributed_neighborhood_cover`]) and the
+//! Theorem 10 connected set
+//! ([`crate::dist_connected::distributed_connected_domination`]). Each
+//! elects a fresh context from it and calls its `_in` variant.
 
 use crate::context::{lemma7_reach_radius, DistContext, DistContextConfig};
 use crate::dist_wreach::{PathOutbox, PathSetMessage, PathView};
@@ -181,15 +188,17 @@ impl DistDomSetResult {
     }
 }
 
-/// Configuration of the distributed dominating-set algorithm.
+/// Configuration of a standalone order-based run: the Theorem 9 set, the
+/// Theorem 8 cover or the Theorem 10 connected set. It is the radius `r`
+/// plus the [`DistContextConfig`] knobs of the context the run elects.
 #[derive(Clone, Copy, Debug)]
 pub struct DistDomSetConfig {
-    /// Domination radius `r`.
+    /// Domination (or covering) radius `r`.
     pub r: u32,
     /// Identifier assignment used in the order phase.
     pub assignment: IdAssignment,
-    /// Bandwidth multiplier for the weak-reachability and election phases
-    /// (`None` = measure only; see
+    /// Bandwidth multiplier for the protocol phases (`None` = measure only;
+    /// see
     /// [`WReachConfig::bandwidth_logs`](crate::WReachConfig::bandwidth_logs)).
     pub bandwidth_logs: Option<usize>,
     /// Engine execution strategy for every phase (sequential and parallel
@@ -216,6 +225,27 @@ impl DistDomSetConfig {
             ..DistDomSetConfig::new(r)
         }
     }
+
+    /// Elects the context a standalone run needs: reach radius `2r`, or
+    /// `2r + 1` when `connected`. A reach that overflows `u32` or that the
+    /// Lemma 7 protocol refuses fails with
+    /// [`ModelViolation::RadiusOutOfRange`] before the order phase.
+    pub(crate) fn elect<'g>(
+        &self,
+        graph: &'g Graph,
+        connected: bool,
+    ) -> Result<DistContext<'g>, ModelViolation> {
+        let reach = lemma7_reach_radius(self.r, connected)?;
+        DistContext::elect(
+            graph,
+            DistContextConfig {
+                max_radius: reach,
+                assignment: self.assignment,
+                bandwidth_logs: self.bandwidth_logs,
+                strategy: self.strategy,
+            },
+        )
+    }
 }
 
 /// Runs the full Theorem 9 pipeline on `graph`: elects a fresh
@@ -227,17 +257,7 @@ pub fn distributed_distance_domination(
     graph: &Graph,
     config: DistDomSetConfig,
 ) -> Result<DistDomSetResult, ModelViolation> {
-    let reach = lemma7_reach_radius(config.r, false)?;
-    let ctx = DistContext::elect(
-        graph,
-        DistContextConfig {
-            assignment: config.assignment,
-            bandwidth_logs: config.bandwidth_logs,
-            strategy: config.strategy,
-            ..DistContextConfig::new(reach)
-        },
-    )?;
-    distributed_distance_domination_in(&ctx, config.r)
+    distributed_distance_domination_in(&config.elect(graph, false)?, config.r)
 }
 
 /// Runs the election/routing phases of Theorem 9 against an existing
@@ -248,22 +268,14 @@ pub fn distributed_distance_domination(
 ///
 /// The context's reach radius may exceed `2r` (Theorem 10 solves with a
 /// `2r + 1` context): the election only considers stored paths of at most
-/// `r` edges, so the computed `D` is the Theorem 9 set either way.
-///
-/// # Panics
-/// Panics if `ctx.max_radius() < 2r`.
+/// `r` edges, so the computed `D` is the Theorem 9 set either way. A context
+/// whose reach radius is below `2r` fails with
+/// [`ModelViolation::RadiusOutOfRange`], reporting the largest `r` it serves.
 pub fn distributed_distance_domination_in(
     ctx: &DistContext<'_>,
     r: u32,
 ) -> Result<DistDomSetResult, ModelViolation> {
-    // In u64, so that no r doubles past u32::MAX and wraps below the
-    // context's radius.
-    let reach = 2 * u64::from(r);
-    assert!(
-        u64::from(ctx.max_radius()) >= reach,
-        "radius-{r} domination needs a context of reach radius ≥ {reach}, got {}",
-        ctx.max_radius()
-    );
+    ctx.check_reach(r, false)?;
     let graph = ctx.graph();
     let n = graph.num_vertices();
 
@@ -515,19 +527,33 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "needs a context of reach radius")]
     fn context_with_too_small_radius_is_rejected() {
         let g = grid(4, 4);
         let ctx = DistContext::elect(&g, DistContextConfig::for_domination(1)).unwrap();
-        let _ = distributed_distance_domination_in(&ctx, 2);
+        let err = distributed_distance_domination_in(&ctx, 2).unwrap_err();
+        assert!(matches!(
+            err,
+            ModelViolation::RadiusOutOfRange {
+                requested: 2,
+                supported: 1,
+                ..
+            }
+        ));
     }
 
     #[test]
-    #[should_panic(expected = "needs a context of reach radius")]
     fn radius_whose_double_overflows_u32_is_rejected() {
         let g = path(5);
         let ctx = DistContext::elect(&g, DistContextConfig::for_domination(1)).unwrap();
-        let _ = distributed_distance_domination_in(&ctx, 1 << 31);
+        let err = distributed_distance_domination_in(&ctx, 1 << 31).unwrap_err();
+        assert!(matches!(
+            err,
+            ModelViolation::RadiusOutOfRange {
+                requested: 0x8000_0000,
+                supported: 1,
+                ..
+            }
+        ));
     }
 
     #[test]

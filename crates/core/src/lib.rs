@@ -14,6 +14,13 @@
 //! | KSV constant-round protocol (arXiv:2012.02701, follow-up work) | [`dist_ksv`] | [`dist_ksv::distributed_ksv_domination`] |
 //! | Distance-`r` KSV generalisation (arXiv:2207.02669, follow-up work) | [`dist_ksv`] | [`dist_ksv::distributed_ksv_domination_r`] |
 //!
+//! The three order-based distributed results (Theorems 8, 9 and 10) share
+//! one prefix, the order phase plus Lemma 7, which a [`DistContext`] runs
+//! once. Each has an `_in` variant that runs against such a context, and a
+//! standalone entry point that elects a fresh one from the one config they
+//! share, [`DistDomSetConfig`]. [`DominationPipeline`] is the one-call layer
+//! over Theorems 5, 9 and 10 and the KSV family.
+//!
 //! The substrates live in sibling crates: graphs and generators in
 //! `bedom-graph`, the LOCAL/CONGEST/CONGEST_BC simulator in `bedom-distsim`,
 //! orders/weak-reachability/covers in `bedom-wcol`, and the comparison
@@ -31,12 +38,10 @@ pub mod seq_domset;
 
 pub use context::{DistContext, DistContextConfig};
 pub use dist_connected::{
-    distributed_connected_domination, distributed_connected_domination_in, DistConnectedConfig,
-    DistConnectedResult,
+    distributed_connected_domination, distributed_connected_domination_in, DistConnectedResult,
 };
 pub use dist_cover::{
-    distributed_neighborhood_cover, distributed_neighborhood_cover_in, DistCoverConfig,
-    DistributedCover,
+    distributed_neighborhood_cover, distributed_neighborhood_cover_in, DistributedCover,
 };
 pub use dist_domset::{
     distributed_distance_domination, distributed_distance_domination_in, DistDomSetConfig,
@@ -53,8 +58,8 @@ pub use dist_wreach::{
 };
 pub use local_connect::{local_connect, LocalConnectResult};
 pub use pipeline::{
-    solve_checked, solve_scenario, solve_scenario_resumable, solve_scenario_streaming, Algorithm,
-    BatchError, DominationPipeline, DominationReport, Mode,
+    solve_scenario, solve_scenario_resumable, solve_scenario_streaming, Algorithm, BatchError,
+    DominationPipeline, DominationReport, Mode,
 };
 pub use seq_domset::{
     approximate_distance_domination, domset_algorithm1, domset_via_min_wreach,
@@ -128,8 +133,7 @@ mod randomized_tests {
             let r = rng.gen_range(1..3u32);
             let core_vertices = largest_component(&g);
             let (core, _) = g.induced_subgraph(&core_vertices);
-            let result =
-                distributed_connected_domination(&core, DistConnectedConfig::new(r)).unwrap();
+            let result = distributed_connected_domination(&core, DistDomSetConfig::new(r)).unwrap();
             assert!(
                 is_distance_dominating_set(&core, &result.connected_dominating_set, r),
                 "case {case}"

@@ -38,7 +38,7 @@ use bedom_distsim::snapshot_codec::{ByteCodec, CodecError};
 use bedom_distsim::{ExecutionStrategy, IdAssignment, ModelViolation, RunStats};
 use bedom_graph::domset::{is_distance_dominating_set, packing_lower_bound};
 use bedom_graph::{Graph, Vertex};
-use bedom_wcol::{ball_sweeps_on_this_thread, compute_order, OrderingStrategy, WReachIndex};
+use bedom_wcol::{ball_sweeps_on_this_thread, degeneracy_based_order, WReachIndex};
 
 /// Which execution mode to use for solving an instance.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -160,10 +160,8 @@ pub struct DominationPipeline {
     mode: Mode,
     algorithm: Algorithm,
     connected: bool,
-    strategy: OrderingStrategy,
     seed: u64,
     execution: ExecutionStrategy,
-    ksv_threshold: u32,
 }
 
 impl DominationPipeline {
@@ -176,10 +174,8 @@ impl DominationPipeline {
             mode: Mode::Sequential,
             algorithm: Algorithm::OrderBased,
             connected: false,
-            strategy: OrderingStrategy::Degeneracy,
             seed: 0x5eed,
             execution: ExecutionStrategy::Auto,
-            ksv_threshold: 1,
         }
     }
 
@@ -204,12 +200,6 @@ impl DominationPipeline {
         self
     }
 
-    /// Ordering heuristic for sequential mode.
-    pub fn ordering(mut self, strategy: OrderingStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
     /// Seed for identifier assignment in distributed mode.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -221,15 +211,6 @@ impl DominationPipeline {
     /// `Sequential` inside its shard workers.
     pub fn execution(mut self, execution: ExecutionStrategy) -> Self {
         self.execution = execution;
-        self
-    }
-
-    /// Pseudo-cover admission threshold for the KSV path (clamped to ≥ 1,
-    /// default 1 — exhaustive covers). The papers' counting argument uses a
-    /// `Θ(∇)` value; the `k1` experiment sweeps it through this knob. No
-    /// effect on the order-based algorithm.
-    pub fn ksv_threshold(mut self, threshold: u32) -> Self {
-        self.ksv_threshold = threshold;
         self
     }
 
@@ -267,8 +248,7 @@ impl DominationPipeline {
         }
         match self.mode {
             Mode::Sequential => {
-                // `2r ≤ reach`, so the doubling cannot overflow.
-                let order = compute_order(graph, 2 * r, self.strategy);
+                let order = degeneracy_based_order(graph);
                 let result = domset_via_min_wreach_with(graph, &order, r, self.execution);
                 let connected = if self.connected {
                     let ids = IdAssignment::Shuffled(self.seed).assign(graph);
@@ -396,14 +376,7 @@ impl DominationPipeline {
                         ..DistContextConfig::for_domination(r)
                     },
                 )?;
-                let report = distributed_ksv_domination_r_in_with(
-                    &ctx,
-                    r,
-                    KsvConfig {
-                        threshold: self.ksv_threshold,
-                        ..KsvConfig::new()
-                    },
-                )?;
+                let report = distributed_ksv_domination_r_in_with(&ctx, r, KsvConfig::new())?;
                 let connected = if self.connected {
                     // The LOCAL connector of Theorem 17, as in sequential
                     // mode (the Theorem 10 machinery is order-based).
@@ -432,28 +405,6 @@ impl DominationPipeline {
     }
 }
 
-/// One-call convenience: sequential Theorem 5 with defaults, plus validity
-/// checking (returns `None` if the produced set fails validation, which would
-/// indicate a bug — exposed this way for defensive callers).
-pub fn solve_checked(graph: &Graph, r: u32) -> Option<DominationReport> {
-    let report = DominationPipeline::new(r).solve(graph).ok()?;
-    if is_distance_dominating_set(graph, &report.dominating_set, r) {
-        Some(report)
-    } else {
-        None
-    }
-}
-
-/// Computes, for reporting, the constant witnessed by a given strategy on a
-/// given instance (used by the ablation in EXPERIMENTS.md).
-pub fn witnessed_constant_for(graph: &Graph, r: u32, strategy: OrderingStrategy) -> usize {
-    // Both radii only bound searches, and no restricted distance exceeds
-    // n − 1 ≤ u32::MAX, so a saturated 2r gives exactly the 2r answer.
-    let reach = r.saturating_mul(2);
-    let order = compute_order(graph, reach, strategy);
-    WReachIndex::build(graph, &order, reach).wcol()
-}
-
 /// Solves a batch of independent `(graph, pipeline)` shards across the
 /// workers of `strategy` and returns per-shard [`DominationReport`]s **in
 /// shard order**, each with rounds / message bits / ball-sweep metrics
@@ -467,8 +418,7 @@ pub fn witnessed_constant_for(graph: &Graph, r: u32, strategy: OrderingStrategy)
 ///   depends on how shards are spread;
 /// * every shard's dominating set is re-validated with
 ///   [`is_distance_dominating_set`], which runs on its worker thread's
-///   shared BFS scratch — an invalid set panics, mirroring
-///   [`solve_checked`]'s defensiveness at batch scale;
+///   shared BFS scratch — an invalid set panics;
 /// * a [`ModelViolation`] in any shard fails the whole batch with the
 ///   lowest-indexed shard's error.
 ///
@@ -686,7 +636,7 @@ pub fn solve_scenario_resumable(
 mod tests {
     use super::*;
     use bedom_graph::components::is_induced_connected;
-    use bedom_graph::generators::{cycle, grid, path, random_tree, stacked_triangulation};
+    use bedom_graph::generators::{grid, path, random_tree, stacked_triangulation};
 
     #[test]
     fn sequential_pipeline_with_defaults() {
@@ -770,23 +720,6 @@ mod tests {
     }
 
     #[test]
-    fn witnessed_constant_for_radii_whose_double_overflows_is_exact() {
-        // No restricted distance on 12 vertices exceeds 11, so every radius
-        // from 12 on witnesses the same constant.
-        let g = cycle(12);
-        for strategy in OrderingStrategy::ALL {
-            let expected = witnessed_constant_for(&g, 12, strategy);
-            for r in [1 << 31, u32::MAX] {
-                assert_eq!(
-                    witnessed_constant_for(&g, r, strategy),
-                    expected,
-                    "r = {r}, {strategy:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn ksv_radii_beyond_255_are_refused_before_any_phase() {
         // The helper `solve` calls first refuses them, so neither the
         // packing bound nor the order phase runs on a radius KSV refuses.
@@ -858,20 +791,6 @@ mod tests {
         for mode in [Mode::Sequential, Mode::Distributed] {
             assert_reach_overflow_is_refused(DominationPipeline::new(1).mode(mode).connected(true));
         }
-    }
-
-    #[test]
-    fn ordering_strategy_is_honoured() {
-        let g = random_tree(120, 5);
-        for strategy in OrderingStrategy::ALL {
-            let report = DominationPipeline::new(2)
-                .ordering(strategy)
-                .solve(&g)
-                .unwrap();
-            assert!(is_distance_dominating_set(&g, &report.dominating_set, 2));
-            assert!(report.witnessed_constant >= 1);
-        }
-        assert!(witnessed_constant_for(&g, 2, OrderingStrategy::Degeneracy) >= 1);
     }
 
     #[test]
@@ -973,13 +892,6 @@ mod tests {
             &report.shards[3].output.dominating_set,
             2
         ));
-    }
-
-    #[test]
-    fn solve_checked_validates() {
-        let g = grid(8, 8);
-        let report = solve_checked(&g, 1).unwrap();
-        assert!(is_distance_dominating_set(&g, &report.dominating_set, 1));
     }
 
     #[test]

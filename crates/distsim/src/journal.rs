@@ -2,7 +2,7 @@
 //! `ScenarioRunner::run_resumable`.
 //!
 //! A million-instance batch that dies at shard 999_990 must not restart from
-//! zero (ROADMAP item 5). The journal records each completed shard as one
+//! zero. The journal records each completed shard as one
 //! [`snapshot_codec`](crate::snapshot_codec) frame in an append-only file, so
 //! a resumed run can skip everything already done and still produce output
 //! **bit-identical** to an uninterrupted run — the journal stores the job's

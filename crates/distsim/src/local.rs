@@ -14,10 +14,9 @@
 //! the same [`ExecutionStrategy`] as the superstep engine, so sequential and
 //! parallel evaluation share one code path and agree bit for bit.
 
-use bedom_graph::bfs::UNREACHABLE;
+use bedom_graph::bfs::BfsScratch;
 use bedom_graph::{Graph, Vertex};
 use bedom_par::ExecutionStrategy;
-use std::collections::VecDeque;
 
 /// The radius-`t` view of a single vertex: everything a LOCAL algorithm may
 /// depend on after `t` communication rounds.
@@ -109,39 +108,47 @@ pub fn run_local_with<O: Send>(
         graph.num_vertices(),
         "one id per vertex required"
     );
-    strategy.map_collect(graph.num_vertices(), |v| {
-        let view = build_view(graph, ids, v as Vertex, radius);
-        algorithm(&view)
-    })
+    let n = graph.num_vertices();
+    // One scratch per worker, so that a view costs O(|ball|).
+    strategy.map_collect_with(
+        n,
+        || BfsScratch::new(n),
+        |scratch, v| algorithm(&view_in(scratch, graph, ids, v as Vertex, radius)),
+    )
 }
 
 /// Builds the radius-`t` view of vertex `v`.
+///
+/// # Panics
+///
+/// If `v` is not a vertex of `graph`.
 pub fn build_view<'g>(graph: &'g Graph, ids: &'g [u64], v: Vertex, radius: u32) -> LocalView<'g> {
-    let mut dist = vec![UNREACHABLE; graph.num_vertices()];
-    let mut queue = VecDeque::new();
-    let mut members = vec![v];
-    dist[v as usize] = 0;
-    queue.push_back(v);
-    while let Some(x) = queue.pop_front() {
-        let d = dist[x as usize];
-        if d >= radius {
-            continue;
-        }
-        for &w in graph.neighbors(x) {
-            if dist[w as usize] == UNREACHABLE {
-                dist[w as usize] = d + 1;
-                members.push(w);
-                queue.push_back(w);
-            }
-        }
-    }
-    members.sort_unstable();
-    let ball_distances = members.iter().map(|&w| dist[w as usize]).collect();
+    view_in(
+        &mut BfsScratch::new(graph.num_vertices()),
+        graph,
+        ids,
+        v,
+        radius,
+    )
+}
+
+/// [`build_view`] on a caller's scratch, which must cover `graph`: the ball
+/// and its depths come from one bounded sweep, sorted by vertex.
+fn view_in<'g>(
+    scratch: &mut BfsScratch,
+    graph: &'g Graph,
+    ids: &'g [u64],
+    v: Vertex,
+    radius: u32,
+) -> LocalView<'g> {
+    let mut ball = Vec::new();
+    scratch.closed_neighborhood_into(graph, v, radius, &mut ball);
+    let ball_distances = scratch.entries().iter().map(|&(_, d)| d).collect();
     LocalView {
         graph,
         center: v,
         radius,
-        ball: members,
+        ball,
         ball_distances,
         ids,
     }

@@ -1,5 +1,5 @@
-//! In-tree byte codec for [`NetworkSnapshot`] — the first step toward
-//! on-disk checkpoints (ROADMAP item 2).
+//! In-tree byte codec for [`NetworkSnapshot`] and the frames of the durable
+//! batch journal ([`crate::journal`]).
 //!
 //! The workspace is dependency-free, so the wire format is hand-rolled and
 //! deliberately simple: a versioned header, little-endian fixed-width

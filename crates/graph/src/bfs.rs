@@ -14,7 +14,8 @@ pub const UNREACHABLE: u32 = u32::MAX;
 
 thread_local! {
     /// One [`BfsScratch`] per thread backing the whole-graph entry points
-    /// ([`multi_source_distances`], [`eccentricity`], [`closed_neighborhood`],
+    /// ([`bfs_distances`], [`multi_source_distances`], [`distance`],
+    /// [`eccentricity`], [`radius`], [`closed_neighborhood`],
     /// [`closed_set_neighborhood`] and the domination validator
     /// [`is_distance_dominating_set`](crate::domset::is_distance_dominating_set)):
     /// repeated calls reuse a single epoch-stamped visited array instead of
@@ -35,8 +36,21 @@ fn with_shared_scratch<T>(n: usize, f: impl FnOnce(&mut BfsScratch) -> T) -> T {
     })
 }
 
+/// Panics unless `v` is a vertex of a graph of `n` vertices. A scratch grown
+/// by a larger graph would otherwise record `v` and answer for it.
+fn assert_in_graph(v: Vertex, n: usize) {
+    assert!(
+        (v as usize) < n,
+        "vertex {v} is not in a graph of {n} vertices"
+    );
+}
+
 /// Single-source BFS distances from `source`. `UNREACHABLE` marks vertices in
 /// other components.
+///
+/// # Panics
+///
+/// If `source` is not a vertex of `graph`.
 pub fn bfs_distances(graph: &Graph, source: Vertex) -> Vec<u32> {
     multi_source_distances(graph, std::slice::from_ref(&source))
 }
@@ -45,21 +59,13 @@ pub fn bfs_distances(graph: &Graph, source: Vertex) -> Vec<u32> {
 /// (duplicates allowed and ignored). Only the returned distance vector is
 /// allocated; the traversal itself runs through the thread's shared
 /// [`BfsScratch`].
+///
+/// # Panics
+///
+/// If a member of `sources` is not a vertex of `graph`.
 pub fn multi_source_distances(graph: &Graph, sources: &[Vertex]) -> Vec<u32> {
-    let n = graph.num_vertices();
-    with_shared_scratch(n, |scratch| {
-        scratch.begin();
-        for &s in sources {
-            scratch.try_visit(s, 0);
-        }
-        let mut head = 0;
-        while let Some(&(x, d)) = scratch.entries().get(head) {
-            head += 1;
-            for &w in graph.neighbors(x) {
-                scratch.try_visit(w, d + 1);
-            }
-        }
-        let mut dist = vec![UNREACHABLE; n];
+    with_set_ball(graph, sources, UNREACHABLE, |scratch| {
+        let mut dist = vec![UNREACHABLE; graph.num_vertices()];
         for &(v, d) in scratch.entries() {
             dist[v as usize] = d;
         }
@@ -67,30 +73,19 @@ pub fn multi_source_distances(graph: &Graph, sources: &[Vertex]) -> Vec<u32> {
     })
 }
 
-/// Distance between `u` and `v`, or `None` if they are disconnected.
+/// Distance between `u` and `v`, or `None` if they are disconnected: a BFS
+/// from `u` on the thread's shared [`BfsScratch`] that stops when it reaches
+/// `v`.
+///
+/// # Panics
+///
+/// If `u` or `v` is not a vertex of `graph`.
 pub fn distance(graph: &Graph, u: Vertex, v: Vertex) -> Option<u32> {
-    // Early exit BFS.
-    if u == v {
-        return Some(0);
-    }
     let n = graph.num_vertices();
-    let mut dist = vec![UNREACHABLE; n];
-    let mut queue = VecDeque::new();
-    dist[u as usize] = 0;
-    queue.push_back(u);
-    while let Some(x) = queue.pop_front() {
-        let d = dist[x as usize];
-        for &w in graph.neighbors(x) {
-            if dist[w as usize] == UNREACHABLE {
-                dist[w as usize] = d + 1;
-                if w == v {
-                    return Some(d + 1);
-                }
-                queue.push_back(w);
-            }
-        }
-    }
-    None
+    assert_in_graph(v, n);
+    with_shared_scratch(n, |scratch| {
+        scratch.ball(graph, std::slice::from_ref(&u), UNREACHABLE, |x| x == v)
+    })
 }
 
 /// The closed `r`-neighbourhood `N_r[v]` (always contains `v`, per the paper's
@@ -230,28 +225,36 @@ impl BfsScratch {
         r: u32,
         out: &mut Vec<Vertex>,
     ) {
-        self.ball(graph, std::slice::from_ref(&v), r);
+        self.ball(graph, std::slice::from_ref(&v), r, |_| false);
         self.sort_entries_by_vertex();
         out.extend(self.entries.iter().map(|&(w, _)| w));
     }
 
     /// The depth-`r` multi-source sweep behind every closed-neighbourhood
-    /// query and the domination validator: a new traversal that records each
-    /// vertex within distance `r` of `sources` (duplicates ignored) with its
-    /// depth, in discovery order. Panics on a source outside `graph`, which a
-    /// scratch grown by a larger graph would otherwise record.
-    fn ball(&mut self, graph: &Graph, sources: &[Vertex], r: u32) {
+    /// query, every distance and the domination validator: a new traversal
+    /// that records each vertex within distance `r` of `sources` (duplicates
+    /// ignored) with its depth, in discovery order. It stops at the first
+    /// dequeued vertex that `stop` accepts and returns that vertex's depth,
+    /// or `None` if no vertex within reach is accepted. Panics on a source
+    /// outside `graph`.
+    fn ball(
+        &mut self,
+        graph: &Graph,
+        sources: &[Vertex],
+        r: u32,
+        stop: impl Fn(Vertex) -> bool,
+    ) -> Option<u32> {
         let n = graph.num_vertices();
         self.begin();
         for &s in sources {
-            assert!(
-                (s as usize) < n,
-                "vertex {s} is not in a graph of {n} vertices"
-            );
+            assert_in_graph(s, n);
             self.try_visit(s, 0);
         }
         let mut head = 0;
         while let Some(&(x, d)) = self.entries.get(head) {
+            if stop(x) {
+                return Some(d);
+            }
             head += 1;
             if d >= r {
                 continue;
@@ -260,6 +263,7 @@ impl BfsScratch {
                 self.try_visit(w, d + 1);
             }
         }
+        None
     }
 }
 
@@ -276,7 +280,7 @@ pub(crate) fn with_set_ball<T>(
     f: impl FnOnce(&mut BfsScratch) -> T,
 ) -> T {
     with_shared_scratch(graph.num_vertices(), |scratch| {
-        scratch.ball(graph, set, r);
+        scratch.ball(graph, set, r, |_| false);
         f(scratch)
     })
 }
@@ -297,22 +301,21 @@ pub fn closed_set_neighborhood(graph: &Graph, set: &[Vertex], r: u32) -> Vec<Ver
 
 /// Eccentricity of `v` within its connected component (max distance to a
 /// reachable vertex). Runs through the thread's shared [`BfsScratch`], so no
-/// distance vector is materialised — FIFO order makes depths non-decreasing,
-/// so the last depth seen is the maximum.
+/// distance vector is materialised.
+///
+/// # Panics
+///
+/// If `v` is not a vertex of `graph`.
 pub fn eccentricity(graph: &Graph, v: Vertex) -> u32 {
-    with_shared_scratch(graph.num_vertices(), |scratch| {
-        scratch.begin();
-        scratch.try_visit(v, 0);
-        let mut head = 0;
-        let mut ecc = 0;
-        while let Some(&(x, d)) = scratch.entries().get(head) {
-            head += 1;
-            ecc = d;
-            for &w in graph.neighbors(x) {
-                scratch.try_visit(w, d + 1);
-            }
-        }
-        ecc
+    eccentricity_up_to(graph, v, UNREACHABLE)
+}
+
+/// `min(eccentricity(v), cutoff)`: the depth-`cutoff` sweep from `v`. FIFO
+/// order makes depths non-decreasing, so the last entry's depth is the
+/// maximum. [`radius`] passes its best value so far as the cutoff.
+fn eccentricity_up_to(graph: &Graph, v: Vertex, cutoff: u32) -> u32 {
+    with_set_ball(graph, std::slice::from_ref(&v), cutoff, |scratch| {
+        scratch.entries().last().map_or(0, |&(_, d)| d)
     })
 }
 
@@ -336,40 +339,12 @@ pub fn radius(graph: &Graph) -> Option<u32> {
     // early-stopping lower bound is sufficient and exact.
     let mut best = u32::MAX;
     for v in graph.vertices() {
-        let ecc = bounded_eccentricity(graph, v, best);
-        if ecc < best {
-            best = ecc;
-        }
+        best = eccentricity_up_to(graph, v, best);
         if best == 0 {
             break;
         }
     }
     Some(best)
-}
-
-/// Eccentricity of `v`, but abandons early (returning `cutoff`) as soon as the
-/// eccentricity is known to be ≥ `cutoff`. Used by [`radius`].
-fn bounded_eccentricity(graph: &Graph, v: Vertex, cutoff: u32) -> u32 {
-    let n = graph.num_vertices();
-    let mut dist = vec![UNREACHABLE; n];
-    let mut queue = VecDeque::new();
-    dist[v as usize] = 0;
-    queue.push_back(v);
-    let mut ecc = 0;
-    while let Some(x) = queue.pop_front() {
-        let d = dist[x as usize];
-        ecc = ecc.max(d);
-        if ecc >= cutoff {
-            return cutoff;
-        }
-        for &w in graph.neighbors(x) {
-            if dist[w as usize] == UNREACHABLE {
-                dist[w as usize] = d + 1;
-                queue.push_back(w);
-            }
-        }
-    }
-    ecc
 }
 
 /// Radius of the subgraph of `graph` induced by `cluster` (duplicates allowed
@@ -582,6 +557,44 @@ mod tests {
     fn closed_set_neighborhood_rejects_a_vertex_outside_the_graph() {
         closed_set_neighborhood(&path_graph(100), &[50], 2);
         closed_set_neighborhood(&path_graph(5), &[7], 0);
+    }
+
+    #[test]
+    fn entry_points_refuse_a_vertex_outside_the_graph() {
+        // The warm-up grows the thread's shared scratch past vertex 5, which
+        // each call below must refuse rather than answer for.
+        closed_neighborhood(&path_graph(100), 50, 2);
+        let g = path_graph(5);
+        let calls: [(&str, &dyn Fn()); 6] = [
+            ("distance(5, 5)", &|| {
+                let _ = distance(&g, 5, 5);
+            }),
+            ("distance(0, 5)", &|| {
+                let _ = distance(&g, 0, 5);
+            }),
+            ("distance(5, 0)", &|| {
+                let _ = distance(&g, 5, 0);
+            }),
+            ("eccentricity", &|| {
+                let _ = eccentricity(&g, 5);
+            }),
+            ("bfs_distances", &|| {
+                let _ = bfs_distances(&g, 5);
+            }),
+            ("multi_source_distances", &|| {
+                let _ = multi_source_distances(&g, &[0, 5]);
+            }),
+        ];
+        for (name, call) in calls {
+            let panic =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(call)).expect_err(name);
+            let message = panic.downcast_ref::<String>().map(String::as_str);
+            assert_eq!(
+                message,
+                Some("vertex 5 is not in a graph of 5 vertices"),
+                "{name}"
+            );
+        }
     }
 
     #[test]

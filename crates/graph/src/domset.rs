@@ -2,8 +2,8 @@
 //! the classical greedy set-cover approximation, an exact branch-and-bound
 //! solver for small instances and a packing-based lower bound for large ones.
 //!
-//! These are the yardsticks every approximation-ratio experiment (T1, T4, T5,
-//! T6 in DESIGN.md) measures against. None of them is the paper's
+//! These are the yardsticks the approximation-ratio tables T1 and T6 measure
+//! against (README, *Experiment tables*). None of them is the paper's
 //! contribution; the paper's own algorithms live in `bedom-core`.
 
 use crate::bfs::{closed_neighborhood, with_set_ball};

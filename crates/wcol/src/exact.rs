@@ -5,7 +5,7 @@
 //! pruning) for tiny graphs. It exists purely to validate the heuristic
 //! orderings of [`crate::heuristics`]: the heuristics can never beat the exact
 //! optimum and, on the small instances where both can be computed, should not
-//! be far above it.
+//! be far above it. It is compiled for this crate's tests only.
 
 use crate::order::LinearOrder;
 use crate::wreach::wcol_of_order;

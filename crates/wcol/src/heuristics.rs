@@ -3,28 +3,22 @@
 //! The paper invokes Dvořák's linear-time algorithm (Theorem 2) to compute,
 //! on any bounded expansion class, an order `L` with `wcol_r(G, L) ≤ d(r)` for
 //! a class constant `d(r)`. Dvořák's algorithm is described only by citation;
-//! as documented in DESIGN.md (§1.3) we substitute practical ordering
-//! heuristics with the same interface — the algorithms downstream only ever
-//! use the order and the *measured* bound `c = max_v |WReach_2r[v]|`, so
-//! correctness and approximation guarantees are preserved relative to the
-//! measured constant, which experiment T2 shows to be small and essentially
-//! `n`-independent on the tested classes.
+//! as the README's *Substitutes for cited algorithms* records, we substitute
+//! a practical ordering heuristic with the same interface — the algorithms
+//! downstream only ever use the order and the *measured* bound
+//! `c = max_v |WReach_2r[v]|`, so correctness and approximation guarantees
+//! are preserved relative to the measured constant, which experiment T2
+//! shows to be small and essentially `n`-independent on the tested classes.
 //!
-//! Three heuristics are provided:
+//! Two heuristics are provided:
 //!
 //! * [`OrderingStrategy::Degeneracy`] — the reverse of a smallest-degree-last
 //!   peel order ("hubs first"). Guarantees `wcol_1 ≤ degeneracy + 1` and works
-//!   well for larger `r` on sparse classes.
+//!   well for larger `r` on sparse classes. Every solve uses it.
 //! * [`OrderingStrategy::Degree`] — vertices sorted by decreasing degree, the
-//!   simplest hub-first order (no guarantee, cheap, a useful ablation).
-//! * [`OrderingStrategy::WreachGreedy`] — iteratively appends to the *front*
-//!   region the vertex whose restricted ball is currently largest, a greedy
-//!   reduction of the quantity being minimised; more expensive but gives the
-//!   smallest constants in practice (used for the ablation in EXPERIMENTS.md).
+//!   simplest hub-first order (no guarantee, cheap; T2's ablation).
 
-use crate::index::WReachIndex;
 use crate::order::LinearOrder;
-use bedom_graph::bfs::BfsScratch;
 use bedom_graph::degeneracy::degeneracy_order;
 use bedom_graph::{Graph, Vertex};
 
@@ -35,36 +29,26 @@ pub enum OrderingStrategy {
     Degeneracy,
     /// Decreasing degree.
     Degree,
-    /// Greedy minimisation of restricted-ball sizes for the given radius.
-    WreachGreedy,
 }
 
 impl OrderingStrategy {
     /// All strategies, for ablation sweeps.
-    pub const ALL: [OrderingStrategy; 3] = [
-        OrderingStrategy::Degeneracy,
-        OrderingStrategy::Degree,
-        OrderingStrategy::WreachGreedy,
-    ];
+    pub const ALL: [OrderingStrategy; 2] = [OrderingStrategy::Degeneracy, OrderingStrategy::Degree];
 
     /// Stable display name.
     pub fn name(self) -> &'static str {
         match self {
             OrderingStrategy::Degeneracy => "degeneracy",
             OrderingStrategy::Degree => "degree",
-            OrderingStrategy::WreachGreedy => "wreach-greedy",
         }
     }
 }
 
-/// Computes an order with the chosen strategy. `radius` is the weak
-/// reachability radius the order will be used for (only the `WreachGreedy`
-/// strategy uses it).
-pub fn compute_order(graph: &Graph, radius: u32, strategy: OrderingStrategy) -> LinearOrder {
+/// Computes an order with the chosen strategy.
+pub fn compute_order(graph: &Graph, strategy: OrderingStrategy) -> LinearOrder {
     match strategy {
         OrderingStrategy::Degeneracy => degeneracy_based_order(graph),
         OrderingStrategy::Degree => degree_based_order(graph),
-        OrderingStrategy::WreachGreedy => wreach_greedy_order(graph, radius),
     }
 }
 
@@ -84,109 +68,6 @@ pub fn degree_based_order(graph: &Graph) -> LinearOrder {
         .map(|v| (-(graph.degree(v) as i64), v))
         .collect();
     LinearOrder::from_keys(&keys)
-}
-
-/// Greedy front-construction: repeatedly pick, among unplaced vertices, the
-/// one whose "uncovered weak ball" is currently the largest and place it next
-/// (smallest remaining position). Intuition: a vertex placed early is smaller
-/// than many others, so the vertices it can "absorb" into their WReach sets
-/// should be the ones that would otherwise propagate reachability; picking
-/// high-coverage vertices first mirrors the structure of transitive-fraternal
-/// augmentation orders without their cost.
-///
-/// Runs in `O(n · (m + n))` in the worst case — fine for the instance sizes
-/// where the ablation is reported.
-pub fn wreach_greedy_order(graph: &Graph, radius: u32) -> LinearOrder {
-    let n = graph.num_vertices();
-    let r = radius.max(1);
-    let mut placed = vec![false; n];
-    let mut covered = vec![false; n];
-    let mut order: Vec<Vertex> = Vec::with_capacity(n);
-    // One epoch-stamped scratch serves every scoring/covering BFS in the
-    // loop — the former fresh `vec![false; n]` per score call was the
-    // dominant cost of this heuristic.
-    let mut scratch = BfsScratch::new(n);
-
-    // Priority: number of uncovered vertices within distance r, recomputed
-    // lazily (scores only decrease as vertices get covered). BFS to depth r
-    // over unplaced vertices, counting uncovered ones.
-    fn score(
-        graph: &Graph,
-        v: Vertex,
-        r: u32,
-        placed: &[bool],
-        covered: &[bool],
-        scratch: &mut BfsScratch,
-    ) -> usize {
-        scratch.begin();
-        scratch.try_visit(v, 0);
-        let mut count = usize::from(!covered[v as usize]);
-        let mut head = 0;
-        while let Some(&(x, d)) = scratch.entries().get(head) {
-            head += 1;
-            if d >= r {
-                continue;
-            }
-            for &w in graph.neighbors(x) {
-                if !placed[w as usize] && scratch.try_visit(w, d + 1) && !covered[w as usize] {
-                    count += 1;
-                }
-            }
-        }
-        count
-    }
-
-    let mut heap: std::collections::BinaryHeap<(usize, Vertex)> = graph
-        .vertices()
-        .map(|v| (score(graph, v, r, &placed, &covered, &mut scratch), v))
-        .collect();
-
-    while order.len() < n {
-        let Some((claimed, v)) = heap.pop() else {
-            break;
-        };
-        if placed[v as usize] {
-            continue;
-        }
-        let actual = score(graph, v, r, &placed, &covered, &mut scratch);
-        if actual < claimed {
-            heap.push((actual, v));
-            continue;
-        }
-        placed[v as usize] = true;
-        order.push(v);
-        // Mark the ball of v (over unplaced vertices) as covered.
-        scratch.begin();
-        scratch.try_visit(v, 0);
-        covered[v as usize] = true;
-        let mut head = 0;
-        while let Some(&(x, d)) = scratch.entries().get(head) {
-            head += 1;
-            if d >= r {
-                continue;
-            }
-            for &w in graph.neighbors(x) {
-                if !placed[w as usize] && scratch.try_visit(w, d + 1) {
-                    covered[w as usize] = true;
-                }
-            }
-        }
-    }
-    // Any vertices never popped (isolated pathological cases) go last.
-    for v in graph.vertices() {
-        if !placed[v as usize] {
-            order.push(v);
-        }
-    }
-    LinearOrder::from_order(order)
-}
-
-/// Convenience: computes the default order and the constant it witnesses for
-/// radius `r` (i.e. `max_v |WReach_r[G, L, v]|`).
-pub fn order_with_witnessed_constant(graph: &Graph, r: u32) -> (LinearOrder, usize) {
-    let order = degeneracy_based_order(graph);
-    let c = WReachIndex::build(graph, &order, r).wcol();
-    (order, c)
 }
 
 #[cfg(test)]
@@ -226,7 +107,7 @@ mod tests {
     fn heuristics_produce_valid_permutations() {
         let g = stacked_triangulation(50, 7);
         for strategy in OrderingStrategy::ALL {
-            let order = compute_order(&g, 2, strategy);
+            let order = compute_order(&g, strategy);
             assert_eq!(order.len(), 50, "{}", strategy.name());
             let mut seen = [false; 50];
             for v in order.iter() {
@@ -254,8 +135,9 @@ mod tests {
     fn witnessed_constants_stay_small_on_bounded_expansion_classes() {
         // The key empirical fact behind T2: the constants do not grow with n.
         for r in [2u32, 4] {
-            let small = order_with_witnessed_constant(&stacked_triangulation(200, 1), r).1;
-            let large = order_with_witnessed_constant(&stacked_triangulation(2000, 1), r).1;
+            let witnessed = |g: &Graph| wcol_of_order(g, &degeneracy_based_order(g), r);
+            let small = witnessed(&stacked_triangulation(200, 1));
+            let large = witnessed(&stacked_triangulation(2000, 1));
             assert!(large <= 2 * small + 8, "r={r}: {small} -> {large}");
             assert!(large < 60, "r={r}: constant too large: {large}");
         }
@@ -264,8 +146,9 @@ mod tests {
     #[test]
     fn grid_constants_are_modest() {
         let g = grid(20, 20);
-        let (_, c2) = order_with_witnessed_constant(&g, 2);
-        let (_, c4) = order_with_witnessed_constant(&g, 4);
+        let order = degeneracy_based_order(&g);
+        let c2 = wcol_of_order(&g, &order, 2);
+        let c4 = wcol_of_order(&g, &order, 4);
         assert!(c2 <= 12, "c2 = {c2}");
         assert!(c4 <= 40, "c4 = {c4}");
         assert!(c2 <= c4);
@@ -276,12 +159,5 @@ mod tests {
         let names: std::collections::HashSet<_> =
             OrderingStrategy::ALL.iter().map(|s| s.name()).collect();
         assert_eq!(names.len(), OrderingStrategy::ALL.len());
-    }
-
-    #[test]
-    fn wreach_greedy_handles_disconnected_graphs() {
-        let g = bedom_graph::graph_from_edges(6, &[(0, 1), (2, 3)]);
-        let order = wreach_greedy_order(&g, 2);
-        assert_eq!(order.len(), 6);
     }
 }

@@ -15,7 +15,8 @@
 
 pub mod cover;
 pub mod distributed;
-pub mod exact;
+#[cfg(test)]
+mod exact;
 pub mod heuristics;
 pub mod index;
 pub mod order;
@@ -26,9 +27,7 @@ pub use distributed::{
     default_threshold, distributed_wcol_order, distributed_wcol_order_with, DistributedOrder,
     SidLookup,
 };
-pub use heuristics::{
-    compute_order, degeneracy_based_order, order_with_witnessed_constant, OrderingStrategy,
-};
+pub use heuristics::{compute_order, degeneracy_based_order, OrderingStrategy};
 pub use index::{ball_sweeps_on_this_thread, restricted_ball_into, WReachIndex};
 pub use order::LinearOrder;
 pub use wreach::{min_wreach, restricted_ball, wcol_of_order, weak_reachability_sets};
@@ -124,7 +123,7 @@ mod randomized_tests {
             let g = random_tree(7, seed);
             let (opt, _) = exact::exact_wcol(&g, r, 8).unwrap();
             for strategy in OrderingStrategy::ALL {
-                let order = compute_order(&g, r, strategy);
+                let order = compute_order(&g, strategy);
                 assert!(wcol_of_order(&g, &order, r) >= opt, "case {case}");
             }
         });

@@ -14,7 +14,7 @@
 //! cargo run --release --example cover_routing
 //! ```
 
-use bedom::core::{distributed_neighborhood_cover, DistCoverConfig};
+use bedom::core::{distributed_neighborhood_cover, DistDomSetConfig};
 use bedom::graph::bfs::distance;
 use bedom::graph::components::largest_component;
 use bedom::graph::generators::chung_lu_power_law;
@@ -30,7 +30,7 @@ fn main() {
         graph.num_edges()
     );
 
-    let cover = distributed_neighborhood_cover(&graph, DistCoverConfig::new(r))
+    let cover = distributed_neighborhood_cover(&graph, DistDomSetConfig::new(r))
         .expect("protocol respects the model");
     let as_cover = cover.to_neighborhood_cover(&graph);
     println!(

@@ -17,7 +17,7 @@
 //! ```
 
 use bedom::baselines::lenzen_planar_dominating_set;
-use bedom::core::{distributed_connected_domination, local_connect, DistConnectedConfig};
+use bedom::core::{distributed_connected_domination, local_connect, DistDomSetConfig};
 use bedom::distsim::IdAssignment;
 use bedom::graph::components::is_induced_connected;
 use bedom::graph::domset::is_distance_dominating_set;
@@ -58,7 +58,7 @@ fn main() {
     );
 
     // Step 3: the CONGEST_BC pipeline of Theorem 10 on the same instance.
-    let congest = distributed_connected_domination(&graph, DistConnectedConfig::new(r))
+    let congest = distributed_connected_domination(&graph, DistDomSetConfig::new(r))
         .expect("protocol respects the model");
     assert!(is_induced_connected(
         &graph,

@@ -14,7 +14,8 @@
 //!   colouring numbers, sparse neighbourhood covers, and the distributed
 //!   order computation;
 //! * [`core`] (`bedom-core`) — the paper's algorithms (Theorems 5, 8, 9, 10
-//!   and 17);
+//!   and 17); the standalone Theorem 8–10 entry points share one config,
+//!   `DistDomSetConfig`, and `DominationPipeline` is the one-call layer;
 //! * [`baselines`] (`bedom-baselines`) — greedy, Dvořák-style, Lenzen et al.
 //!   planar, Kutten–Peleg and bucketed-greedy comparison algorithms.
 //!

@@ -9,8 +9,7 @@
 
 use bedom::core::{
     distributed_connected_domination, distributed_distance_domination,
-    distributed_neighborhood_cover, distributed_weak_reachability, DistConnectedConfig,
-    DistCoverConfig, DistDomSetConfig, WReachConfig,
+    distributed_neighborhood_cover, distributed_weak_reachability, DistDomSetConfig, WReachConfig,
 };
 use bedom::distsim::{
     EarlyStop, Engine, ExecutionStrategy, IdAssignment, Model, Network, RoundLog, RunPolicy,
@@ -309,9 +308,9 @@ fn scenario_batch_with_mixed_ksv_radii_is_strategy_independent() {
 fn neighborhood_cover_is_strategy_independent() {
     for (name, g) in instances() {
         let run = |strategy| {
-            let config = DistCoverConfig {
+            let config = DistDomSetConfig {
                 assignment: IdAssignment::Shuffled(5),
-                ..DistCoverConfig::with_strategy(1, strategy)
+                ..DistDomSetConfig::with_strategy(1, strategy)
             };
             let cover = distributed_neighborhood_cover(&g, config).unwrap();
             let rounds = cover.total_rounds();
@@ -326,9 +325,9 @@ fn neighborhood_cover_is_strategy_independent() {
 fn connected_domination_is_strategy_independent() {
     for (name, g) in instances() {
         let run = |strategy| {
-            let config = DistConnectedConfig {
+            let config = DistDomSetConfig {
                 assignment: IdAssignment::Shuffled(13),
-                ..DistConnectedConfig::with_strategy(1, strategy)
+                ..DistDomSetConfig::with_strategy(1, strategy)
             };
             let result = distributed_connected_domination(&g, config).unwrap();
             let rounds = result.total_rounds();

@@ -10,7 +10,7 @@ use bedom::baselines::{
 use bedom::core::{
     approximate_distance_domination, distributed_connected_domination,
     distributed_distance_domination, distributed_neighborhood_cover, domset_via_min_wreach,
-    local_connect, DistConnectedConfig, DistCoverConfig, DistDomSetConfig, DistDomSetResult,
+    local_connect, DistDomSetConfig, DistDomSetResult,
 };
 use bedom::distsim::IdAssignment;
 use bedom::graph::components::{is_induced_connected, largest_component};
@@ -40,7 +40,7 @@ fn full_stack(graph: &bedom::graph::Graph, r: u32) {
     let dist = distributed_distance_domination(graph, DistDomSetConfig::new(r)).unwrap();
     assert!(is_distance_dominating_set(graph, &dist.dominating_set, r));
     assert!(dist.dominating_set.len() <= dist.measured_constant * lb);
-    let dist_cover = distributed_neighborhood_cover(graph, DistCoverConfig::new(r)).unwrap();
+    let dist_cover = distributed_neighborhood_cover(graph, DistDomSetConfig::new(r)).unwrap();
     let collected = dist_cover.to_neighborhood_cover(graph);
     assert!(collected.covers_all_r_neighborhoods(graph));
 
@@ -99,8 +99,7 @@ fn connected_pipelines_agree_on_guarantees() {
         let r = 1;
 
         // CONGEST_BC pipeline (Theorem 10).
-        let congest =
-            distributed_connected_domination(&graph, DistConnectedConfig::new(r)).unwrap();
+        let congest = distributed_connected_domination(&graph, DistDomSetConfig::new(r)).unwrap();
         assert!(is_distance_dominating_set(
             &graph,
             &congest.connected_dominating_set,
@@ -270,11 +269,7 @@ fn standalone_entry_points_match_their_context_backed_runs() {
             assert_same_domset(&alone, &within, &what);
 
             // Theorem 8.
-            let cover_config = DistCoverConfig {
-                assignment,
-                ..DistCoverConfig::with_strategy(r, strategy)
-            };
-            let alone = distributed_neighborhood_cover(&graph, cover_config).unwrap();
+            let alone = distributed_neighborhood_cover(&graph, config).unwrap();
             let within = distributed_neighborhood_cover_in(&context(2 * r), r).unwrap();
             assert_eq!(alone.memberships, within.memberships, "{what}: memberships");
             assert_eq!(alone.home, within.home, "{what}: homes");
@@ -282,6 +277,14 @@ fn standalone_entry_points_match_their_context_backed_runs() {
             assert_eq!(alone.total_rounds(), within.total_rounds(), "{what}");
             assert_eq!(alone.phase_stats, within.phase_stats, "{what}: cover bits");
             assert_eq!(alone.measured_constant, within.measured_constant);
+            // `serve` answers `cover r=<r>` from a context at
+            // `DistContextConfig::for_domination(r)`; the standalone cover at
+            // its default config elects the same ids.
+            let alone = distributed_neighborhood_cover(&graph, DistDomSetConfig::new(r)).unwrap();
+            let served = DistContext::elect(&graph, DistContextConfig::for_domination(r)).unwrap();
+            let served = distributed_neighborhood_cover_in(&served, r).unwrap();
+            assert_eq!(alone.memberships, served.memberships, "{what}: default ids");
+            assert_eq!(alone.home, served.home, "{what}: default homes");
 
             // Theorem 10.
             let alone = distributed_connected_domination(&graph, config).unwrap();

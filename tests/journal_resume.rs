@@ -2,9 +2,8 @@
 //! KSV batch whose journal is cut short — cleanly after `k` completed shards
 //! or mid-frame, as a crash during an append would — must resume to output
 //! **bit-identical** to the uninterrupted run, under every execution
-//! strategy. The journal is the paper-scale story of ROADMAP item 5: a long
-//! batch that dies must not restart from zero, and resuming must never be
-//! observable in the results.
+//! strategy. A long batch that dies must not restart from zero, and resuming
+//! must never be observable in the results.
 //!
 //! Alongside the resume cases, the seeded pooled strategy (dynamic shard
 //! claiming, seeded claim order) is pinned against unseeded parallel

@@ -3,8 +3,7 @@
 //! graph families and identifier assignments.
 
 use bedom::core::{
-    distributed_connected_domination, distributed_distance_domination, DistConnectedConfig,
-    DistDomSetConfig,
+    distributed_connected_domination, distributed_distance_domination, DistDomSetConfig,
 };
 use bedom::distsim::{log2_ceil, IdAssignment};
 use bedom::graph::domset::is_distance_dominating_set;
@@ -186,7 +185,7 @@ fn solution_quality_is_robust_to_id_assignment() {
 fn connected_pipeline_round_overhead_is_additive_in_r() {
     let graph = Family::PlanarTriangulation.generate(800, 4);
     let plain = distributed_distance_domination(&graph, DistDomSetConfig::new(1)).unwrap();
-    let connected = distributed_connected_domination(&graph, DistConnectedConfig::new(1)).unwrap();
+    let connected = distributed_connected_domination(&graph, DistDomSetConfig::new(1)).unwrap();
     // Theorem 10 adds the flooding phase plus one extra reach round.
     assert!(connected.total_rounds() >= plain.total_rounds());
     assert!(connected.total_rounds() <= plain.total_rounds() + 2 + 4);
