@@ -22,8 +22,7 @@
 use bedom_bench::alloc::{count_allocs, CountingAlloc};
 use bedom_bench::report::{time_samples, write_json_report};
 use bedom_distsim::{
-    Engine, ExecutionStrategy, IdAssignment, Inbox, Model, Network, NodeAlgorithm, NodeContext,
-    Outgoing, RunPolicy,
+    ExecutionStrategy, IdAssignment, Inbox, Model, Network, NodeAlgorithm, NodeContext, Outgoing,
 };
 use bedom_graph::generators::stacked_triangulation;
 use bedom_graph::Graph;
@@ -96,7 +95,7 @@ impl NodeAlgorithm for Relay {
 fn total_bits_engine(graph: &Graph, strategy: ExecutionStrategy) -> usize {
     let mut net = Network::new(graph, Model::Local, IdAssignment::Natural, |_, _| Relay);
     net.set_strategy(strategy);
-    Engine::new(&mut net).run(RunPolicy::fixed(ROUNDS)).unwrap();
+    net.run(ROUNDS).unwrap();
     net.stats().total_bits
 }
 

@@ -58,7 +58,7 @@ pub struct DistContextConfig {
     /// Bandwidth multiplier for the protocol phases (`None` = measure only;
     /// see [`WReachConfig::bandwidth_logs`]).
     pub bandwidth_logs: Option<usize>,
-    /// Engine execution strategy for every phase and for the index build
+    /// Execution strategy for every phase and for the index build
     /// (sequential and parallel are bit-identical).
     pub strategy: ExecutionStrategy,
 }

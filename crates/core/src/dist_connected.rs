@@ -21,8 +21,7 @@ use crate::context::DistContext;
 use crate::dist_domset::{distributed_distance_domination_in, DistDomSetConfig, DistDomSetResult};
 use crate::dist_wreach::{PathSetMessage, PathView};
 use bedom_distsim::{
-    Engine, IdAssignment, Inbox, ModelViolation, Network, NodeAlgorithm, NodeContext, Outgoing,
-    RunPolicy, RunStats,
+    IdAssignment, Inbox, ModelViolation, Network, NodeAlgorithm, NodeContext, Outgoing, RunStats,
 };
 use bedom_graph::{Graph, Vertex};
 use std::collections::BTreeSet;
@@ -207,7 +206,7 @@ pub fn distributed_connected_domination_in(
     flood.set_strategy(ctx.strategy());
     // Paths have at most 2r + 2 vertices, so 2r + 2 rounds let every path
     // reach all of its vertices.
-    Engine::new(&mut flood).run(RunPolicy::fixed(2 * r as usize + 2))?;
+    flood.run(2 * r as usize + 2)?;
     let in_dprime = flood.outputs();
     let flood_stats = flood.stats().clone();
 

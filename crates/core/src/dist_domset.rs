@@ -36,8 +36,8 @@
 use crate::context::{lemma7_reach_radius, DistContext, DistContextConfig};
 use crate::dist_wreach::{PathOutbox, PathSetMessage, PathView};
 use bedom_distsim::{
-    Engine, ExecutionStrategy, IdAssignment, Inbox, ModelViolation, Network, NodeAlgorithm,
-    NodeContext, Outgoing, RunPolicy, RunStats,
+    ExecutionStrategy, IdAssignment, Inbox, ModelViolation, Network, NodeAlgorithm, NodeContext,
+    Outgoing, RunStats,
 };
 use bedom_graph::{Graph, Vertex};
 use bedom_wcol::LinearOrder;
@@ -201,7 +201,7 @@ pub struct DistDomSetConfig {
     /// see
     /// [`WReachConfig::bandwidth_logs`](crate::WReachConfig::bandwidth_logs)).
     pub bandwidth_logs: Option<usize>,
-    /// Engine execution strategy for every phase (sequential and parallel
+    /// Execution strategy for every phase (sequential and parallel
     /// produce bit-identical results).
     pub strategy: ExecutionStrategy,
 }
@@ -312,7 +312,7 @@ pub fn distributed_distance_domination_in(
         ElectionNode::new(my_info.sid, id_bits, elected_path)
     });
     election.set_strategy(ctx.strategy());
-    Engine::new(&mut election).run(RunPolicy::fixed(r as usize + 1))?;
+    election.run(r as usize + 1)?;
     let in_set = election.outputs();
     let election_stats = election.stats().clone();
 

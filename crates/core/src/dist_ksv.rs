@@ -128,9 +128,9 @@
 
 use crate::context::DistContext;
 use bedom_distsim::{
-    run_with_recovery, Engine, ExecutionStrategy, FaultPlan, IdAssignment, Inbox, MessageSize,
-    Model, ModelViolation, Network, NodeAlgorithm, NodeContext, Outgoing, RecoveryPolicy,
-    RecoveryReport, RunPolicy, RunStats,
+    run_with_recovery, ExecutionStrategy, FaultPlan, IdAssignment, Inbox, MessageSize, Model,
+    ModelViolation, Network, NodeAlgorithm, NodeContext, Outgoing, RecoveryPolicy, RecoveryReport,
+    RunStats,
 };
 use bedom_graph::cast;
 use bedom_graph::domset::is_distance_dominating_set;
@@ -147,7 +147,7 @@ use std::sync::Arc;
 /// further announcement round is needed).
 pub const KSV_ROUNDS: usize = ksv_rounds(1);
 
-/// Engine rounds of the distance-`r` KSV protocol on any non-empty graph:
+/// Communication rounds of the distance-`r` KSV protocol on any non-empty graph:
 /// `6r − 1`, independent of `n` — `2r − 1` knowledge rounds, `r` rounds of
 /// `D₁` announcement, `2r` rounds of election flooding, `r` rounds of `D₂`
 /// announcement (the final `D₃` decision is local to the last receive
@@ -1764,7 +1764,7 @@ pub struct KsvConfig {
     /// `Some(usize::MAX)` disables hubs entirely, recovering the exact
     /// paper behaviour at a higher flood cost. Ignored at `r = 1`.
     pub hub_cap: Option<usize>,
-    /// Engine execution strategy (sequential and parallel are
+    /// Execution strategy (sequential and parallel are
     /// bit-identical).
     pub strategy: ExecutionStrategy,
 }
@@ -2051,17 +2051,14 @@ fn run_ksv_network(
     let total_rounds = ksv_rounds(r);
     let recovery_report = match recovery {
         None => {
-            Engine::new(&mut network).run(RunPolicy::fixed(total_rounds))?;
+            network.run(total_rounds)?;
             validate_ksv_outputs(&network, total_rounds)?;
             None
         }
         Some(policy) => {
-            let report = run_with_recovery(
-                &mut network,
-                RunPolicy::fixed(total_rounds),
-                policy,
-                |net| validate_ksv_outputs(net, total_rounds),
-            )
+            let report = run_with_recovery(&mut network, total_rounds, policy, |net| {
+                validate_ksv_outputs(net, total_rounds)
+            })
             .map_err(|exhausted| exhausted.last)?;
             Some(report)
         }

@@ -41,8 +41,8 @@
 //! any round when one does not fit.
 
 use bedom_distsim::{
-    Engine, ExecutionStrategy, IdAssignment, Inbox, MessageSize, Model, ModelViolation, Network,
-    NodeAlgorithm, NodeContext, Outgoing, RunPolicy, RunStats,
+    ExecutionStrategy, IdAssignment, Inbox, MessageSize, Model, ModelViolation, Network,
+    NodeAlgorithm, NodeContext, Outgoing, RunStats,
 };
 use bedom_graph::cast::{u32_from_u64, u32_from_usize};
 use bedom_graph::Graph;
@@ -585,7 +585,7 @@ pub fn distributed_weak_reachability(
         WReachNode::new(u32_from_u64(super_ids[v as usize]), config.rho, id_bits)
     });
     network.set_strategy(config.strategy);
-    Engine::new(&mut network).run(RunPolicy::fixed(config.rho as usize))?;
+    network.run(config.rho as usize)?;
     let stats = network.stats().clone();
     // Move each vertex's path store out instead of cloning it.
     let info: Vec<WReachInfo> = network

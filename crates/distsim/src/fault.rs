@@ -156,11 +156,6 @@ impl FaultPlan {
         &self.crashes
     }
 
-    /// Whether the plan schedules any fault at all.
-    pub fn has_faults(&self) -> bool {
-        self.drop_probability > 0.0 || self.outage_probability > 0.0 || !self.crashes.is_empty()
-    }
-
     /// Whether any fault can occur in `round` — the network's cheap gate for
     /// skipping all fault bookkeeping in unaffected rounds.
     pub fn active_at(&self, round: usize) -> bool {
@@ -261,7 +256,6 @@ mod tests {
     #[test]
     fn no_faults_by_default() {
         let plan = FaultPlan::seeded(7);
-        assert!(!plan.has_faults());
         for round in 1..10 {
             assert!(!plan.active_at(round));
             assert!(plan.delivers(round, 0, 1));
@@ -353,7 +347,6 @@ mod tests {
         assert!(!plan.active_at(7));
         assert!(plan.active_at(9), "crash windows activate their rounds");
         assert!(!plan.active_at(10));
-        assert!(plan.has_faults());
     }
 
     #[test]

@@ -8,14 +8,14 @@
 //!
 //! Two execution styles are provided:
 //!
-//! * The **superstep engine** ([`engine::Engine`] over a
-//!   [`network::Network`]) — a message-passing executor that drives one
+//! * The **superstep executor** ([`network::Network`]) — drives one
 //!   [`node::NodeAlgorithm`] state machine per vertex in lockstep rounds,
-//!   with zero-copy broadcast delivery, pluggable
-//!   [`engine::RoundObserver`]s and a single sequential/parallel code path
-//!   ([`engine::ExecutionStrategy`]). This is used for the paper's
-//!   CONGEST_BC algorithms, where the round count and the message sizes are
-//!   the measured quantities.
+//!   with zero-copy broadcast delivery, per-round statistics
+//!   ([`trace::RunStats::per_round`]) and a single sequential/parallel code
+//!   path ([`ExecutionStrategy`]). [`network::Network::run`] executes the
+//!   fixed number of rounds a protocol's theorem prescribes; every
+//!   CONGEST_BC algorithm of the paper runs through it, because there the
+//!   round count and the message sizes are the measured quantities.
 //! * [`local::run_local`] — ball-based evaluation of LOCAL-model algorithms
 //!   (a `t`-round LOCAL algorithm is a function of each vertex's radius-`t`
 //!   view), used for the paper's LOCAL-model results where messages may be
@@ -23,21 +23,22 @@
 //!
 //! On top of single-instance execution, [`scenario::ScenarioRunner`] shards
 //! **batches** of independent `(graph, config)` instances across the workers
-//! of an [`engine::ExecutionStrategy`] with per-worker scratch reuse — the
-//! entry point for multi-graph workloads.
+//! of an [`ExecutionStrategy`] with per-worker scratch reuse — the entry
+//! point for multi-graph workloads.
 //!
 //! Both styles are deterministic; parallel and sequential evaluation are
 //! bit-identical (asserted by the workspace's determinism test suite).
 //!
-//! The engine also supports **fault injection and self-healing**: a seeded
+//! The executor also supports **fault injection and self-healing**: a seeded
 //! [`fault::FaultPlan`] schedules message drops, link outages and crash
 //! windows inside [`network::Network::step`] (deterministically — the same
-//! plan produces the same faults under every [`engine::ExecutionStrategy`]),
+//! plan produces the same faults under every [`ExecutionStrategy`]),
 //! algorithms surface lost knowledge as typed [`model::ModelViolation`]s
 //! instead of silently wrong outputs, and [`engine::run_with_recovery`]
-//! rolls back to periodic [`engine::SnapshotObserver`] checkpoints and
-//! replays until a run passes its invariant check. Snapshots serialise
-//! through the versioned, checksummed [`snapshot_codec`].
+//! steps the network under periodic [`network::NetworkSnapshot`]
+//! checkpoints, rolls back and replays until a run passes its invariant
+//! check. Snapshots serialise through the versioned, checksummed
+//! [`snapshot_codec`].
 
 pub mod engine;
 pub mod fault;
@@ -52,11 +53,8 @@ pub mod scenario;
 pub mod snapshot_codec;
 pub mod trace;
 
-pub use engine::{
-    run_with_recovery, EarlyStop, Engine, ExecutionStrategy, RecoveryExhausted, RecoveryPolicy,
-    RecoveryReport, RoundControl, RoundLog, RoundObserver, RunOutcome, RunPolicy, SnapshotObserver,
-    StateObserver, StopReason,
-};
+pub use bedom_par::ExecutionStrategy;
+pub use engine::{run_with_recovery, RecoveryExhausted, RecoveryPolicy, RecoveryReport};
 pub use fault::{CrashWindow, FaultPlan};
 pub use ids::IdAssignment;
 pub use journal::{BatchJournal, DurabilityMode, JournalError, ShardRecord};
@@ -160,7 +158,7 @@ mod randomized_tests {
             let k = rng.gen_range(0..4usize);
             let seed = rng.gen_range(0..100u64);
             let mut net = counter_network(&g, seed);
-            Engine::new(&mut net).run(RunPolicy::fixed(k)).unwrap();
+            net.run(k).unwrap();
             let outputs = net.outputs();
             for v in g.vertices() {
                 let ball = bedom_graph::bfs::closed_neighborhood(&g, v, k as u32);
@@ -170,24 +168,20 @@ mod randomized_tests {
     }
 
     #[test]
-    fn parallel_matches_sequential_with_observers() {
+    fn parallel_matches_sequential_round_by_round() {
         for_each_case(32, |case, rng| {
             let g = arb_graph(rng);
             let seed = rng.gen_range(0..100u64);
             let build = |strategy: ExecutionStrategy| {
                 let mut net = counter_network(&g, seed);
                 net.set_strategy(strategy);
-                let mut log = RoundLog::new();
-                let outcome = Engine::new(&mut net)
-                    .observe(&mut log)
-                    .run(RunPolicy::fixed(4))
-                    .unwrap();
-                assert_eq!(outcome.rounds, log.per_round.len());
+                net.run(4).unwrap();
+                assert_eq!(net.stats().per_round.len(), 4);
                 (
                     net.outputs(),
                     net.stats().total_bits,
                     net.stats().total_deliveries,
-                    log.per_round,
+                    net.stats().per_round.clone(),
                 )
             };
             assert_eq!(

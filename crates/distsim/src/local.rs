@@ -69,16 +69,6 @@ impl<'g> LocalView<'g> {
             .filter(|&w| self.contains(w))
             .collect()
     }
-
-    /// All vertices of the view at distance exactly `d` from the centre.
-    pub fn ring(&self, d: u32) -> Vec<Vertex> {
-        self.ball
-            .iter()
-            .zip(self.ball_distances.iter())
-            .filter(|&(_, &dist)| dist == d)
-            .map(|(&v, _)| v)
-            .collect()
-    }
 }
 
 /// Evaluates a `radius`-round LOCAL algorithm given as a per-vertex function
@@ -171,7 +161,6 @@ mod tests {
         assert_eq!(view.distance_to(8), None);
         assert!(view.contains(5));
         assert!(!view.contains(7));
-        assert_eq!(view.ring(1), vec![3, 5]);
     }
 
     #[test]

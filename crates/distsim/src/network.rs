@@ -1,15 +1,16 @@
-//! The synchronous executor state: one [`NodeAlgorithm`] instance per vertex,
-//! the communication model, the delivery buffers and the statistics.
+//! The synchronous executor: one [`NodeAlgorithm`] instance per vertex, the
+//! communication model, the delivery buffers and the statistics, and the one
+//! loop that drives them.
 //!
-//! A [`Network`] holds *state*; the loop that drives it lives in
-//! [`crate::engine`] ([`crate::engine::Engine::run`]). The split matters:
-//! every algorithm in the workspace — the order phase, weak reachability, the
-//! election, the connected-set flooding — used to hand-roll its own
-//! `init`/`step` loop; they now all go through the one engine entry point,
-//! and the execution strategy (sequential vs `std::thread` chunks, see
-//! [`bedom_par::ExecutionStrategy`]) is a *value*, not a code path: there is
-//! exactly one implementation of a round, used by both modes, so sequential
-//! and parallel runs are bit-identical by construction.
+//! Every protocol in the workspace — the order phase, weak reachability, the
+//! election, the connected-set flooding, the KSV family — runs the number of
+//! rounds its theorem fixes through [`Network::run`]; the recovery supervisor
+//! ([`crate::engine::run_with_recovery`]) steps the same network between its
+//! checkpoints. The execution strategy (sequential vs `std::thread` chunks,
+//! see [`bedom_par::ExecutionStrategy`]) is a *value*, not a code path: there
+//! is exactly one implementation of a round, used by both modes, so
+//! sequential and parallel runs are bit-identical by construction. Per-round
+//! statistics accumulate in [`RunStats::per_round`].
 //!
 //! ## Double-buffered broadcast delivery
 //!
@@ -63,7 +64,7 @@ use bedom_par::ExecutionStrategy;
 
 /// A configured network: the input graph, a communication model, an id
 /// assignment, one algorithm instance per vertex, and the reusable delivery
-/// buffers. Drive it with [`crate::engine::Engine`].
+/// buffers. Drive it with [`Network::run`].
 ///
 /// Every per-vertex buffer below is indexed by storage slot (see the module
 /// docs' *Storage order*).
@@ -225,14 +226,8 @@ impl<'g, A: NodeAlgorithm> Network<'g, A> {
         &self.stats
     }
 
-    /// Whether no vertex has anything pending to send (the engine's
-    /// quiescence test).
-    pub fn is_quiet(&self) -> bool {
-        self.outboxes.iter().all(Outgoing::is_silent)
-    }
-
     /// Runs the initialisation step (round 0) if it has not run yet. Called
-    /// automatically by the engine.
+    /// automatically by [`Network::run`] and [`Network::step`].
     pub fn init(&mut self) -> Result<(), ModelViolation> {
         if self.initialized {
             return Ok(());
@@ -247,10 +242,21 @@ impl<'g, A: NodeAlgorithm> Network<'g, A> {
         Ok(())
     }
 
+    /// Executes exactly `rounds` communication rounds: the initialisation
+    /// step (round 0) if the network is fresh, then `rounds` calls of
+    /// [`Network::step`]. Successive calls compose: the global round counter
+    /// and the statistics continue where the previous call stopped.
+    pub fn run(&mut self, rounds: usize) -> Result<(), ModelViolation> {
+        self.init()?;
+        for _ in 0..rounds {
+            self.step()?;
+        }
+        Ok(())
+    }
+
     /// Executes a single communication round — delivers the current outboxes
     /// and computes the next ones — and returns its statistics. This is the
-    /// engine's single-round primitive; use
-    /// [`crate::engine::Engine::run`] for whole executions.
+    /// single-round primitive; use [`Network::run`] for whole executions.
     pub fn step(&mut self) -> Result<RoundStats, ModelViolation> {
         self.init()?;
         let round_index = self.stats.rounds + 1;
@@ -355,7 +361,7 @@ impl<'g, A: NodeAlgorithm> Network<'g, A> {
     /// strategy) resumes the run **bit-identically**: the next round's
     /// inboxes read the restored outboxes, so nothing observable depends on
     /// when the snapshot was taken. This is the checkpoint primitive
-    /// behind [`crate::engine::SnapshotObserver`]. Nodes and outboxes are
+    /// behind [`crate::engine::run_with_recovery`]. Nodes and outboxes are
     /// captured in graph-vertex order, whatever the storage order.
     pub fn snapshot(&self) -> NetworkSnapshot<A>
     where
@@ -517,7 +523,6 @@ impl<A: NodeAlgorithm> std::fmt::Debug for NetworkSnapshot<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, RunPolicy, StopReason};
     use crate::model::Model;
     use crate::node::Incoming;
     use bedom_graph::generators::{cycle, grid, path, star};
@@ -572,18 +577,11 @@ mod tests {
         })
     }
 
-    fn run_fixed<A: NodeAlgorithm>(
-        net: &mut Network<'_, A>,
-        rounds: usize,
-    ) -> Result<(), ModelViolation> {
-        Engine::new(net).run(RunPolicy::fixed(rounds)).map(|_| ())
-    }
-
     #[test]
     fn max_id_flood_converges_in_diameter_rounds() {
         let g = path(10);
         let mut net = new_flood(&g, Model::congest_bc_scaled(32));
-        run_fixed(&mut net, 9).unwrap();
+        net.run(9).unwrap();
         let outputs = net.outputs();
         assert!(outputs.iter().all(|&b| b == 9));
         assert_eq!(net.stats().rounds, 9);
@@ -593,26 +591,10 @@ mod tests {
     fn insufficient_rounds_leave_far_vertices_unaware() {
         let g = path(10);
         let mut net = new_flood(&g, Model::congest_bc_scaled(32));
-        run_fixed(&mut net, 3).unwrap();
+        net.run(3).unwrap();
         let outputs = net.outputs();
         assert_eq!(outputs[0], 3); // vertex 0 has only heard up to id 3
         assert_eq!(outputs[9], 9);
-    }
-
-    #[test]
-    fn until_quiet_stops_early() {
-        let g = star(20);
-        let mut net = new_flood(&g, Model::congest_bc_scaled(32));
-        let outcome = Engine::new(&mut net)
-            .run(RunPolicy::until_quiet(100))
-            .unwrap();
-        assert_eq!(outcome.reason, StopReason::Quiet);
-        assert!(
-            outcome.rounds <= 4,
-            "star should converge fast, took {}",
-            outcome.rounds
-        );
-        assert!(net.outputs().iter().all(|&b| b == 19));
     }
 
     #[test]
@@ -620,10 +602,10 @@ mod tests {
         let g = grid(12, 12);
         let mut seq = new_flood(&g, Model::congest_bc_scaled(32));
         seq.set_strategy(ExecutionStrategy::Sequential);
-        run_fixed(&mut seq, 30).unwrap();
+        seq.run(30).unwrap();
         let mut par = new_flood(&g, Model::congest_bc_scaled(32));
         par.set_strategy(ExecutionStrategy::Parallel);
-        run_fixed(&mut par, 30).unwrap();
+        par.run(30).unwrap();
         assert_eq!(seq.outputs(), par.outputs());
         assert_eq!(seq.stats().total_bits, par.stats().total_bits);
         assert_eq!(seq.stats().total_deliveries, par.stats().total_deliveries);
@@ -633,13 +615,141 @@ mod tests {
     fn stats_account_broadcasts() {
         let g = cycle(6);
         let mut net = new_flood(&g, Model::congest_bc_scaled(32));
-        run_fixed(&mut net, 1).unwrap();
+        net.run(1).unwrap();
         let stats = net.stats();
         assert_eq!(stats.rounds, 1);
         // Round 1 delivers the init-round broadcasts of all 6 vertices.
         assert_eq!(stats.per_round[0].senders, 6);
         assert_eq!(stats.per_round[0].deliveries, 12);
         assert_eq!(stats.max_message_bits, 64);
+    }
+
+    /// A flood that re-broadcasts its best id every round, so every vertex
+    /// sends in every round.
+    struct ChattyFlood(u64);
+
+    impl NodeAlgorithm for ChattyFlood {
+        type Message = u64;
+        type Output = u64;
+        fn init(&mut self, ctx: &NodeContext) -> Outgoing<u64> {
+            self.0 = ctx.id;
+            Outgoing::Broadcast(self.0)
+        }
+        fn round(&mut self, _: &NodeContext, _: usize, inbox: Inbox<'_, u64>) -> Outgoing<u64> {
+            self.0 = inbox.iter().map(|m| *m.payload).fold(self.0, u64::max);
+            Outgoing::Broadcast(self.0)
+        }
+        fn output(&self, _: &NodeContext) -> u64 {
+            self.0
+        }
+    }
+
+    fn chatty_net(g: &Graph) -> Network<'_, ChattyFlood> {
+        Network::new(
+            g,
+            Model::congest_bc_scaled(32),
+            IdAssignment::Natural,
+            |_, _| ChattyFlood(0),
+        )
+    }
+
+    #[test]
+    fn run_executes_exactly_its_round_budget() {
+        let g = star(5);
+        let mut net = chatty_net(&g);
+        net.run(7).unwrap();
+        let stats = net.stats();
+        assert_eq!(stats.rounds, 7);
+        assert_eq!(
+            stats.per_round.iter().map(|r| r.round).collect::<Vec<_>>(),
+            (1..=7).collect::<Vec<_>>()
+        );
+        // Every round all 5 vertices broadcast.
+        assert!(stats.per_round.iter().all(|r| r.senders == 5));
+    }
+
+    #[test]
+    fn multiple_runs_compose_and_keep_global_round_numbers() {
+        let g = path(8);
+        let mut net = chatty_net(&g);
+        net.run(2).unwrap();
+        net.run(0).unwrap();
+        net.run(3).unwrap();
+        assert_eq!(net.stats().rounds, 5);
+        assert_eq!(
+            net.stats().per_round[2..]
+                .iter()
+                .map(|r| r.round)
+                .collect::<Vec<_>>(),
+            vec![3, 4, 5]
+        );
+        let mut whole = chatty_net(&g);
+        whole.run(5).unwrap();
+        assert_eq!(net.stats(), whole.stats());
+        assert_eq!(net.outputs(), whole.outputs());
+    }
+
+    /// A stateful protocol for snapshot tests: every vertex sums all values
+    /// it has ever received and re-broadcasts its running total, so any
+    /// divergence in a resumed run compounds and is caught by the final
+    /// comparison.
+    #[derive(Clone)]
+    struct Accumulator {
+        total: u64,
+    }
+
+    impl NodeAlgorithm for Accumulator {
+        type Message = u64;
+        type Output = u64;
+
+        fn init(&mut self, ctx: &NodeContext) -> Outgoing<u64> {
+            self.total = ctx.id + 1;
+            Outgoing::Broadcast(self.total)
+        }
+
+        fn round(&mut self, _: &NodeContext, _: usize, inbox: Inbox<'_, u64>) -> Outgoing<u64> {
+            self.total += inbox.iter().map(|m| *m.payload).sum::<u64>();
+            Outgoing::Broadcast(self.total)
+        }
+
+        fn output(&self, _: &NodeContext) -> u64 {
+            self.total
+        }
+    }
+
+    fn accumulator_net(g: &Graph) -> Network<'_, Accumulator> {
+        Network::new(g, Model::Local, IdAssignment::Shuffled(11), |_, _| {
+            Accumulator { total: 0 }
+        })
+    }
+
+    #[test]
+    fn resumed_run_from_snapshot_is_bit_identical() {
+        let g = star(9);
+        let total_rounds = 10;
+
+        // Uninterrupted reference run.
+        let mut reference = accumulator_net(&g);
+        reference.run(total_rounds).unwrap();
+
+        // Checkpointed run: snapshot at round 6, between two `run` calls;
+        // the source network moves on, and a *fresh* network resumes.
+        let mut first = accumulator_net(&g);
+        first.run(6).unwrap();
+        let snapshot = first.snapshot();
+        assert_eq!(snapshot.rounds(), 6);
+        assert_eq!(snapshot.num_vertices(), 9);
+        first.run(1).unwrap();
+
+        let mut resumed = accumulator_net(&g);
+        resumed.restore(&snapshot);
+        assert_eq!(resumed.stats().rounds, 6);
+        resumed.run(total_rounds - 6).unwrap();
+
+        // Outputs and full statistics, the per-round stream included, must
+        // match the uninterrupted run exactly.
+        assert_eq!(resumed.outputs(), reference.outputs());
+        assert_eq!(resumed.stats(), reference.stats());
     }
 
     /// An algorithm that records its whole inbox, to pin down delivery order.
@@ -673,7 +783,7 @@ mod tests {
         let mut net = Network::new(&g, Model::Local, IdAssignment::Shuffled(3), |_, _| {
             InboxRecorder { seen: Vec::new() }
         });
-        run_fixed(&mut net, 1).unwrap();
+        net.run(1).unwrap();
         for (v, seen) in net.outputs().into_iter().enumerate() {
             let froms: Vec<u64> = seen.iter().map(|&(f, _)| f).collect();
             let mut sorted = froms.clone();
@@ -714,11 +824,11 @@ mod tests {
         let mut net = Network::new(&g, Model::congest_bc(), IdAssignment::Natural, |_, _| {
             Bloater
         });
-        let err = run_fixed(&mut net, 1).unwrap_err();
+        let err = net.run(1).unwrap_err();
         assert!(matches!(err, ModelViolation::MessageTooLarge { .. }));
 
         let mut net = Network::new(&g, Model::Local, IdAssignment::Natural, |_, _| Bloater);
-        run_fixed(&mut net, 1).unwrap();
+        net.run(1).unwrap();
     }
 
     #[test]
@@ -733,7 +843,7 @@ mod tests {
                 changed: false,
             },
         );
-        run_fixed(&mut net, 20).unwrap();
+        net.run(20).unwrap();
         assert!(net.outputs().iter().all(|&b| b == 63));
     }
 
@@ -743,7 +853,7 @@ mod tests {
         let g = cycle(6);
         let mut net = new_flood(&g, Model::congest_bc_scaled(32));
         net.set_fault_plan(FaultPlan::seeded(1).drop_messages(1.0).during(1, 2));
-        run_fixed(&mut net, 2).unwrap();
+        net.run(2).unwrap();
         let stats = net.stats();
         // Round 1: every init broadcast offered, none delivered.
         assert_eq!(stats.per_round[0].senders, 6);
@@ -766,7 +876,7 @@ mod tests {
         // Vertex 5 is down for the whole run: the max id 9 cannot cross it.
         let mut net = new_flood(&g, Model::congest_bc_scaled(32));
         net.set_fault_plan(FaultPlan::seeded(0).crash(5, 1, 100));
-        run_fixed(&mut net, 9).unwrap();
+        net.run(9).unwrap();
         let outputs = net.outputs();
         assert!(
             outputs[..5].iter().all(|&b| b <= 4),
@@ -781,34 +891,13 @@ mod tests {
     #[test]
     fn crash_window_end_restores_the_vertex() {
         use crate::fault::FaultPlan;
-        // A flood that re-broadcasts its best every round: unlike the
-        // event-driven `MaxIdFlood` (whose neighbours fall silent and never
-        // retransmit), it keeps offering state to a restored vertex.
-        struct ChattyFlood(u64);
-        impl NodeAlgorithm for ChattyFlood {
-            type Message = u64;
-            type Output = u64;
-            fn init(&mut self, ctx: &NodeContext) -> Outgoing<u64> {
-                self.0 = ctx.id;
-                Outgoing::Broadcast(self.0)
-            }
-            fn round(&mut self, _: &NodeContext, _: usize, inbox: Inbox<'_, u64>) -> Outgoing<u64> {
-                self.0 = inbox.iter().map(|m| *m.payload).fold(self.0, u64::max);
-                Outgoing::Broadcast(self.0)
-            }
-            fn output(&self, _: &NodeContext) -> u64 {
-                self.0
-            }
-        }
+        // Unlike the event-driven `MaxIdFlood` (whose neighbours fall silent
+        // and never retransmit), `ChattyFlood` keeps offering state to a
+        // restored vertex.
         let g = path(5);
-        let mut net = Network::new(
-            &g,
-            Model::congest_bc_scaled(32),
-            IdAssignment::Natural,
-            |_, _| ChattyFlood(0),
-        );
+        let mut net = chatty_net(&g);
         net.set_fault_plan(FaultPlan::seeded(0).crash(2, 1, 3));
-        run_fixed(&mut net, 10).unwrap();
+        net.run(10).unwrap();
         // After the restore round the flood crosses the revived vertex and
         // still converges everywhere.
         assert!(net.outputs().iter().all(|&b| b == 4));
@@ -827,7 +916,7 @@ mod tests {
             let mut net = new_flood(&g, Model::congest_bc_scaled(32));
             net.set_strategy(strategy);
             net.set_fault_plan(plan.clone());
-            run_fixed(&mut net, 25).unwrap();
+            net.run(25).unwrap();
             (net.outputs(), net.stats().clone())
         };
         let seq = run(ExecutionStrategy::Sequential);
@@ -933,7 +1022,7 @@ mod tests {
         assert_eq!(owners, (0..g.num_vertices() as u64).collect::<Vec<_>>());
     }
 
-    /// Everything observable at the engine's boundary must be keyed by graph
+    /// Everything observable at the network's boundary must be keyed by graph
     /// vertex and network id, whatever order the network stores vertices in:
     /// outputs, ids, statistics, snapshot bytes and the first reported model
     /// violation. The scrambled shapes make a BFS order differ from the
@@ -1066,11 +1155,9 @@ mod tests {
                     .crash(crashed, 2, 5);
                 net.set_fault_plan(plan);
             }
-            let mut snapshots = crate::engine::SnapshotObserver::every(3);
-            Engine::new(&mut net)
-                .observe_state(&mut snapshots)
-                .run(RunPolicy::fixed(8))
-                .unwrap();
+            net.run(3).unwrap();
+            let snapshot = encode_snapshot(&net.snapshot());
+            net.run(5).unwrap();
             let mut hash = FNV_OFFSET;
             for (v, out) in net.outputs().into_iter().enumerate() {
                 hash = fnv1a_extend(hash, &out.to_le_bytes());
@@ -1086,7 +1173,7 @@ mod tests {
             let mut stats = Vec::new();
             net.stats().encode(&mut stats);
             hash = fnv1a_extend(hash, &stats);
-            hash = fnv1a_extend(hash, &encode_snapshot(&snapshots.snapshots()[0]));
+            hash = fnv1a_extend(hash, &snapshot);
             actual.push((name, assignment, faulty, hash));
         }
         assert_eq!(actual, pins);
@@ -1128,7 +1215,7 @@ mod tests {
             IdAssignment::Shuffled(11),
             |v, _| RoundOneBloater(v as usize == a || v as usize == b),
         );
-        let violation = run_fixed(&mut net, 2).unwrap_err();
+        let violation = net.run(2).unwrap_err();
         assert_eq!((a, b), (1, 2));
         assert_eq!(
             violation,

@@ -58,13 +58,6 @@ pub enum Outgoing<M> {
     Broadcast(M),
 }
 
-impl<M> Outgoing<M> {
-    /// Whether nothing is sent.
-    pub fn is_silent(&self) -> bool {
-        matches!(self, Outgoing::Silent)
-    }
-}
-
 /// A message received from a neighbour. The payload borrows from the sender's
 /// outbox — receiving is free; clone only what you keep.
 #[derive(Debug)]
@@ -245,13 +238,6 @@ mod tests {
             neighbor_ids: &[2, 5, 11],
         };
         assert_eq!(ctx.degree(), 3);
-    }
-
-    #[test]
-    fn outgoing_silence() {
-        let s: Outgoing<u32> = Outgoing::Silent;
-        assert!(s.is_silent());
-        assert!(!Outgoing::Broadcast(3u32).is_silent());
     }
 
     #[test]

@@ -467,7 +467,6 @@ impl<T: ByteCodec> Iterator for FrameReader<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, RunPolicy, SnapshotObserver};
     use crate::ids::IdAssignment;
     use crate::model::Model;
     use crate::network::Network;
@@ -475,7 +474,7 @@ mod tests {
     use bedom_graph::generators::grid;
 
     /// A stateful protocol whose divergence compounds (same shape as the
-    /// engine's snapshot tests), with a hand-written codec.
+    /// network's snapshot tests), with a hand-written codec.
     #[derive(Clone, Debug, PartialEq)]
     struct Summer {
         total: u64,
@@ -524,12 +523,8 @@ mod tests {
 
     fn encoded_midrun_snapshot(g: &bedom_graph::Graph) -> Vec<u8> {
         let mut net = summer_net(g);
-        let mut snapshots = SnapshotObserver::every(3);
-        Engine::new(&mut net)
-            .observe_state(&mut snapshots)
-            .run(RunPolicy::fixed(4))
-            .unwrap();
-        encode_snapshot(&snapshots.into_latest().unwrap())
+        net.run(3).unwrap();
+        encode_snapshot(&net.snapshot())
     }
 
     #[test]
@@ -542,9 +537,7 @@ mod tests {
             let total_rounds = 8;
 
             let mut reference = summer_net(&g);
-            Engine::new(&mut reference)
-                .run(RunPolicy::fixed(total_rounds))
-                .unwrap();
+            reference.run(total_rounds).unwrap();
 
             let bytes = encoded_midrun_snapshot(&g);
             let snapshot = decode_snapshot::<Summer>(&bytes).unwrap();
@@ -553,9 +546,7 @@ mod tests {
 
             let mut resumed = summer_net(&g);
             resumed.restore(&snapshot);
-            Engine::new(&mut resumed)
-                .run(RunPolicy::fixed(total_rounds - 3))
-                .unwrap();
+            resumed.run(total_rounds - 3).unwrap();
             assert_eq!(resumed.outputs(), reference.outputs());
             assert_eq!(resumed.stats(), reference.stats());
         }

@@ -73,15 +73,6 @@ impl RunStats {
         self.crashed_vertex_rounds += round.crashed;
         self.per_round.push(round);
     }
-
-    /// Average bits per round (0 if no rounds ran).
-    pub fn average_bits_per_round(&self) -> f64 {
-        if self.rounds == 0 {
-            0.0
-        } else {
-            self.total_bits as f64 / self.rounds as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -112,7 +103,6 @@ mod tests {
         assert_eq!(stats.total_deliveries, 45);
         assert_eq!(stats.total_bits, 160);
         assert_eq!(stats.max_message_bits, 20);
-        assert!((stats.average_bits_per_round() - 80.0).abs() < 1e-9);
         assert_eq!(stats.dropped_deliveries, 0);
         assert_eq!(stats.crashed_vertex_rounds, 0);
     }
@@ -143,6 +133,5 @@ mod tests {
     fn empty_stats() {
         let stats = RunStats::default();
         assert_eq!(stats.rounds, 0);
-        assert_eq!(stats.average_bits_per_round(), 0.0);
     }
 }

@@ -7,7 +7,6 @@
 
 use crate::graph::{Graph, Vertex};
 use std::cell::RefCell;
-use std::collections::VecDeque;
 
 /// Distance value used for "unreachable".
 pub const UNREACHABLE: u32 = u32::MAX;
@@ -381,42 +380,6 @@ pub fn all_pairs_distances(graph: &Graph) -> Vec<Vec<u32>> {
     graph.vertices().map(|v| bfs_distances(graph, v)).collect()
 }
 
-/// A shortest path from `u` to `v` as a vertex sequence (inclusive of both
-/// endpoints), or `None` if disconnected. Ties are broken towards smaller
-/// predecessor ids so the result is deterministic.
-pub fn shortest_path(graph: &Graph, u: Vertex, v: Vertex) -> Option<Vec<Vertex>> {
-    let n = graph.num_vertices();
-    let mut dist = vec![UNREACHABLE; n];
-    let mut parent = vec![u32::MAX; n];
-    let mut queue = VecDeque::new();
-    dist[u as usize] = 0;
-    queue.push_back(u);
-    while let Some(x) = queue.pop_front() {
-        if x == v {
-            break;
-        }
-        let d = dist[x as usize];
-        for &w in graph.neighbors(x) {
-            if dist[w as usize] == UNREACHABLE {
-                dist[w as usize] = d + 1;
-                parent[w as usize] = x;
-                queue.push_back(w);
-            }
-        }
-    }
-    if dist[v as usize] == UNREACHABLE {
-        return None;
-    }
-    let mut path = vec![v];
-    let mut cur = v;
-    while cur != u {
-        cur = parent[cur as usize];
-        path.push(cur);
-    }
-    path.reverse();
-    Some(path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -642,19 +605,6 @@ mod tests {
         assert_eq!(induced_radius(&g, &[2, 3, 4, 5, 6]), Some(2));
         assert_eq!(induced_radius(&g, &[2, 4]), None); // disconnected inside cluster
         assert_eq!(induced_radius(&g, &[7]), Some(0));
-    }
-
-    #[test]
-    fn shortest_path_endpoints_and_length() {
-        let g = cycle_graph(6);
-        let p = shortest_path(&g, 0, 3).unwrap();
-        assert_eq!(p.len(), 4);
-        assert_eq!(p[0], 0);
-        assert_eq!(*p.last().unwrap(), 3);
-        for w in p.windows(2) {
-            assert!(g.has_edge(w[0], w[1]));
-        }
-        assert_eq!(shortest_path(&g, 2, 2).unwrap(), vec![2]);
     }
 
     #[test]

@@ -19,8 +19,8 @@
 
 use crate::order::LinearOrder;
 use bedom_distsim::{
-    Engine, ExecutionStrategy, IdAssignment, Inbox, Model, ModelViolation, Network, NodeAlgorithm,
-    NodeContext, Outgoing, RunPolicy, RunStats,
+    ExecutionStrategy, IdAssignment, Inbox, Model, ModelViolation, Network, NodeAlgorithm,
+    NodeContext, Outgoing, RunStats,
 };
 use bedom_graph::degeneracy::degeneracy;
 use bedom_graph::{Graph, Vertex};
@@ -219,7 +219,7 @@ pub fn distributed_wcol_order_with(
     network.set_strategy(strategy);
     // One extra round lets the final `false` announcements drain (they are
     // sent in the round a vertex is removed).
-    Engine::new(&mut network).run(RunPolicy::fixed(total_phases + 1))?;
+    network.run(total_phases + 1)?;
     let blocks = network.outputs();
     let ids: Vec<u64> = (0..n as Vertex).map(|v| network.id_of(v)).collect();
     let stats = network.stats().clone();

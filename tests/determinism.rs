@@ -11,10 +11,7 @@ use bedom::core::{
     distributed_connected_domination, distributed_distance_domination,
     distributed_neighborhood_cover, distributed_weak_reachability, DistDomSetConfig, WReachConfig,
 };
-use bedom::distsim::{
-    EarlyStop, Engine, ExecutionStrategy, IdAssignment, Model, Network, RoundLog, RunPolicy,
-    StopReason,
-};
+use bedom::distsim::{ExecutionStrategy, IdAssignment, Model, Network};
 use bedom::graph::generators::Family;
 use bedom::graph::Graph;
 use bedom::wcol::{default_threshold, distributed_wcol_order_with};
@@ -471,7 +468,7 @@ fn pooled_and_streaming_scenario_paths_match_the_collected_run() {
     }
 }
 
-/// Scenario jobs that attach engine observers: the observer streams inside
+/// Scenario jobs that record per-round statistics: the round streams inside
 /// each shard must be identical whether shards run sequentially or across
 /// workers.
 #[test]
@@ -539,26 +536,30 @@ fn scenario_shard_observer_streams_are_strategy_independent() {
                     },
                 );
                 net.set_strategy(strategy.nested());
-                let mut log = RoundLog::new();
-                Engine::new(&mut net)
-                    .observe(&mut log)
-                    .run(RunPolicy::until_quiet(64))
-                    .unwrap();
+                net.run(flood_rounds(graph)).unwrap();
                 let mut metrics = ShardMetrics::default();
                 metrics.record(net.stats());
-                ((net.outputs(), log.per_round), Some(metrics))
+                (
+                    (net.outputs(), net.stats().per_round.clone()),
+                    Some(metrics),
+                )
             },
         )
     };
     let [a, b] = strategies().map(run);
-    assert_eq!(
-        a, b,
-        "per-shard observer streams diverged between strategies"
-    );
+    assert_eq!(a, b, "per-shard round streams diverged between strategies");
 }
 
-/// The observer hook sees identical per-round statistics under both
-/// strategies, and early termination fires at the same round.
+/// The rounds a fresh-id flood on connected `graph` runs until it falls
+/// silent: one per hop of the diameter, plus the round that delivers the
+/// last broadcasts, after which every outbox is silent.
+fn flood_rounds(graph: &Graph) -> usize {
+    let diameter = bedom::graph::bfs::diameter(graph).expect("a connected graph");
+    diameter as usize + 1
+}
+
+/// The network records identical per-round statistics under both
+/// strategies.
 #[test]
 fn observers_see_identical_round_streams() {
     use bedom::distsim::{Inbox, NodeAlgorithm, NodeContext, Outgoing};
@@ -608,20 +609,13 @@ fn observers_see_identical_round_streams() {
             known: Default::default(),
         });
         net.set_strategy(strategy);
-        let mut log = RoundLog::new();
-        // Convergence detection via the early-termination predicate: stop
-        // once fewer than half the vertices are still talking.
-        let mut stop = EarlyStop::when(|_, stats| stats.senders < g.num_vertices() / 2);
-        let outcome = Engine::new(&mut net)
-            .observe(&mut log)
-            .observe(&mut stop)
-            .run(RunPolicy::until_quiet(64))
-            .unwrap();
-        assert_eq!(outcome.reason, StopReason::Observer);
-        (net.outputs(), log.per_round, stop.fired_at, outcome.rounds)
+        net.run(flood_rounds(&g)).unwrap();
+        // Every vertex has heard every id.
+        assert!(net.outputs().iter().all(|&known| known == g.num_vertices()));
+        (net.outputs(), net.stats().per_round.clone())
     };
     let [a, b] = strategies().map(run);
-    assert_eq!(a, b, "observer streams diverged between strategies");
+    assert_eq!(a, b, "round streams diverged between strategies");
 }
 
 /// The seeded schedule-perturbing mode, exercised unconditionally (not just

@@ -193,13 +193,11 @@ fn connected_pipeline_round_overhead_is_additive_in_r() {
 
 #[test]
 fn observer_round_stream_matches_recorded_stats_and_model_budget() {
-    // The engine's RoundObserver hook must see exactly the statistics the
-    // network records, and under CONGEST_BC every observed round must respect
-    // the model's message budget (the executor would have rejected it
+    // The per-round stream the network records must add up to its run
+    // totals, and under CONGEST_BC every recorded round must respect the
+    // model's message budget (the executor would have rejected it
     // otherwise — this pins the accounting and the enforcement together).
-    use bedom::distsim::{
-        Engine, Inbox, Model, Network, NodeAlgorithm, NodeContext, Outgoing, RoundLog, RunPolicy,
-    };
+    use bedom::distsim::{Inbox, Model, Network, NodeAlgorithm, NodeContext, Outgoing};
 
     /// One-bit presence beacons for three rounds, then silence.
     struct Beacon;
@@ -227,14 +225,25 @@ fn observer_round_stream_matches_recorded_stats_and_model_budget() {
     let model = Model::congest_bc();
     let limit = model.max_message_bits(graph.num_vertices()).unwrap();
     let mut net = Network::new(&graph, model, IdAssignment::Shuffled(4), |_, _| Beacon);
-    let mut log = RoundLog::new();
-    Engine::new(&mut net)
-        .observe(&mut log)
-        .run(RunPolicy::until_quiet(100))
-        .unwrap();
-    assert_eq!(log.per_round.len(), net.stats().rounds);
-    assert_eq!(log.per_round, net.stats().per_round);
-    for round in &log.per_round {
+    // The beacon protocol's three rounds: each delivers one broadcast per
+    // vertex.
+    net.run(3).unwrap();
+    let stats = net.stats();
+    assert_eq!(stats.rounds, 3);
+    assert_eq!(stats.per_round.len(), stats.rounds);
+    assert_eq!(
+        stats.per_round.iter().map(|r| r.round).collect::<Vec<_>>(),
+        vec![1, 2, 3]
+    );
+    assert_eq!(
+        stats.per_round.iter().map(|r| r.bits_sent).sum::<usize>(),
+        stats.total_bits
+    );
+    assert_eq!(
+        stats.per_round.iter().map(|r| r.deliveries).sum::<usize>(),
+        stats.total_deliveries
+    );
+    for round in &stats.per_round {
         assert!(round.max_message_bits <= limit, "round {}", round.round);
         assert_eq!(round.senders, graph.num_vertices());
     }
