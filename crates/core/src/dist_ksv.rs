@@ -14,14 +14,15 @@
 //! 1. **Hard core `D₁`** — a vertex `v` joins `D₁` when its open
 //!    `r`-neighbourhood `N_r(v)` cannot be (greedily) distance-`r` dominated
 //!    by at most `2∇` vertices other than `v`, where `∇` is the promised
-//!    edge-density constant of the class at the relevant depth (the papers
-//!    prove `|D₁| ≤ O(∇)·γ_r`). The check runs locally on radius-`r`
-//!    domination questions answered by the knowledge flood (below). The
-//!    papers' existential test is replaced by the classical greedy
-//!    max-coverage test — polynomial local computation in place of LOCAL's
-//!    unbounded computation; failing greedy is a weaker certificate, so our
-//!    `D₁` can only be a superset of the papers' (the constants degrade by
-//!    the usual greedy factor, the structure does not).
+//!    edge-density constant of the class at the relevant depth, estimated
+//!    here as `⌈m/n⌉` (the papers prove `|D₁| ≤ O(∇)·γ_r`). The check runs
+//!    locally on radius-`r` domination questions answered by the knowledge
+//!    flood (below). The papers' existential test is replaced by the
+//!    classical greedy max-coverage test — polynomial local computation in
+//!    place of LOCAL's unbounded computation; failing greedy is a weaker
+//!    certificate, so our `D₁` can only be a superset of the papers' (the
+//!    constants degrade by the usual greedy factor, the structure does
+//!    not).
 //! 2. **Pseudo-cover dominators `D₂`** — every vertex still undominated
 //!    after the `D₁` announcement flood computes a greedy pseudo-cover of
 //!    its *closed* `r`-neighbourhood `N_r[v]` from candidates within
@@ -542,7 +543,7 @@ enum Dictionary {
 }
 
 /// Default hub degree cap for the summary flood: `max(32, 16·∇)`, saturating
-/// at `usize::MAX`. Scales with the promised density so bounded-expansion
+/// at `usize::MAX`. Scales with the density so bounded-expansion
 /// graphs keep few hubs (each hub costs one dominating-set slot but removes
 /// its whole cluster's flood and election load); the floor keeps tiny dense
 /// graphs hub-free so the protocol degenerates to the exact paper behaviour
@@ -1745,12 +1746,6 @@ pub struct KsvConfig {
     /// Identifier assignment (the protocol is correct under any ids; ids
     /// only break greedy ties).
     pub assignment: IdAssignment,
-    /// The promised edge-density constant `∇` of the graph class at the
-    /// relevant depth (the papers assume it known, like the `c(r)` constants
-    /// elsewhere in this workspace; for `r ≥ 2` the faithful constant is the
-    /// depth-`r` density `∇_r`). `None` estimates `⌈m/n⌉` from the instance
-    /// — an underestimate only grows `D₁`, never breaks domination.
-    pub nabla: Option<usize>,
     /// Pseudo-cover admission threshold: a pick must newly cover at least
     /// this many elements of `N_r[v]`. `1` (the default) makes phase-2
     /// covers exhaustive, so only `r`-isolated vertices reach `D₃`; the
@@ -1760,7 +1755,7 @@ pub struct KsvConfig {
     /// Hub degree cap of the summary-flood cluster merge at `r ≥ 2`:
     /// vertices of larger degree join the set at init and excuse their
     /// whole distance-`r` zone from the election. `None` uses
-    /// [`default_hub_cap`] of the (promised or estimated) `∇`;
+    /// [`default_hub_cap`] of the estimated `∇`;
     /// `Some(usize::MAX)` disables hubs entirely, recovering the exact
     /// paper behaviour at a higher flood cost. Ignored at `r = 1`.
     pub hub_cap: Option<usize>,
@@ -1770,13 +1765,12 @@ pub struct KsvConfig {
 }
 
 impl KsvConfig {
-    /// Defaults: distance 1, shuffled ids, estimated `∇`, exhaustive covers,
-    /// the default hub cap, size-gated automatic strategy.
+    /// Defaults: distance 1, shuffled ids, exhaustive covers, the default
+    /// hub cap, size-gated automatic strategy.
     pub fn new() -> Self {
         KsvConfig {
             r: 1,
             assignment: IdAssignment::Shuffled(0x5eed),
-            nabla: None,
             threshold: 1,
             hub_cap: None,
             strategy: ExecutionStrategy::Auto,
@@ -1895,8 +1889,10 @@ impl KsvDomResult {
     }
 }
 
-/// `⌈m/n⌉`, the instance estimate for the class constant `∇` when none is
-/// promised (at least 1).
+/// `⌈m/n⌉` (at least 1), the instance estimate for the class constant `∇`
+/// that sets the `D₁` budget and the default hub cap. The papers assume the
+/// constant known (for `r ≥ 2` the faithful one is the depth-`r` density
+/// `∇_r`); an underestimate only grows `D₁`, never breaks domination.
 fn estimate_nabla(graph: &Graph) -> usize {
     let n = graph.num_vertices().max(1);
     graph.num_edges().div_ceil(n).max(1)
@@ -1980,7 +1976,7 @@ fn validate_ksv_outputs(
 /// The protocol's network on `graph` at radius `r` under `config`, plus the
 /// `2∇` budget its `D₁` checks run with.
 fn ksv_network<'g>(graph: &'g Graph, r: u32, config: &KsvConfig) -> (Network<'g, KsvNode>, usize) {
-    let nabla = config.nabla.unwrap_or_else(|| estimate_nabla(graph));
+    let nabla = estimate_nabla(graph);
     let hard_budget = nabla.saturating_mul(2);
     let hub_cap = if r >= 2 {
         config.hub_cap.unwrap_or_else(|| default_hub_cap(nabla))
@@ -2132,7 +2128,7 @@ pub struct KsvContextReport {
 /// reads the stored depths, so a `2r` index answers the radius-`r`
 /// certificate without re-sweeping).
 ///
-/// The `threshold`, `hub_cap` and `nabla` knobs of `tuning` are honoured
+/// The `threshold` and `hub_cap` knobs of `tuning` are honoured
 /// (the `k1` experiment sweeps the admission threshold through this), while
 /// the id assignment and execution strategy always come from the context so
 /// runs stay comparable against the order-based path; `tuning.r` is
@@ -3050,27 +3046,9 @@ mod tests {
     }
 
     #[test]
-    fn huge_promised_nablas_saturate_instead_of_overflowing() {
-        // `2∇` and `16∇` saturate: a promised ∇ this large leaves no budget
-        // a ball can defeat and no degree above the hub cap.
-        assert_eq!(default_hub_cap(usize::MAX), usize::MAX);
-        let g = stacked_triangulation(300, 5);
-        for nabla in [1 << 63, usize::MAX] {
-            for r in [1u32, 2] {
-                let config = KsvConfig {
-                    nabla: Some(nabla),
-                    ..KsvConfig::new()
-                };
-                let result = distributed_ksv_domination_r(&g, r, config).unwrap();
-                assert!(is_distance_dominating_set(&g, &result.dominating_set, r));
-                assert!(result.hard_core.is_empty(), "∇ = {nabla}, r = {r}");
-                assert!(result.high_degree.is_empty(), "∇ = {nabla}, r = {r}");
-            }
-        }
-    }
-
-    #[test]
     fn high_degree_hubs_join_and_dominate_their_balls() {
+        // `16∇` saturates instead of overflowing.
+        assert_eq!(default_hub_cap(usize::MAX), usize::MAX);
         // star(40): the centre's degree (40) exceeds the automatic hub cap
         // (∇ estimates to 1, cap 32), so it joins at init and every leaf is
         // hub-dominated — nobody else elects anything.

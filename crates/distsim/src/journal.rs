@@ -317,16 +317,6 @@ impl<T: ByteCodec> BatchJournal<T> {
         self.completed.len()
     }
 
-    /// Whether `shard` already has an intact record on disk.
-    pub fn is_complete(&self, shard: usize) -> bool {
-        self.completed.get(shard).copied().unwrap_or(false)
-    }
-
-    /// How many shards already have intact records on disk.
-    pub fn completed_count(&self) -> usize {
-        self.completed.iter().filter(|&&done| done).count()
-    }
-
     /// The shards with no record yet, in ascending order — the work a resume
     /// still has to do.
     pub fn pending(&self) -> Vec<usize> {
@@ -409,12 +399,11 @@ mod tests {
             for shard in [3u64, 0, 4] {
                 journal.append(&record(shard, shard * 100)).unwrap();
             }
-            assert_eq!(journal.completed_count(), 3);
+            assert_eq!(journal.pending(), vec![1, 2]);
             journal.finish().unwrap();
 
             let mut reopened = BatchJournal::<u64>::open_or_create(&path, 5, mode).unwrap();
             assert_eq!(reopened.pending(), vec![1, 2]);
-            assert!(reopened.is_complete(3) && !reopened.is_complete(1));
             let recovered = reopened.take_recovered();
             assert_eq!(recovered[0], Some(record(0, 0)));
             assert_eq!(recovered[3], Some(record(3, 300)));

@@ -8,8 +8,9 @@
 //!
 //! * Every entry point runs its shards through
 //!   [`ExecutionStrategy::queue_stream_with`]: the workers of a
-//!   [`bedom_par::ExecutionStrategy`] claim shards one at a time off a
-//!   dynamic work queue, so an imbalanced batch keeps every worker busy, and
+//!   [`bedom_par::ExecutionStrategy`] claim shards one at a time off the
+//!   work queue that every `bedom-par` loop schedules on, so an imbalanced
+//!   batch keeps every worker busy, and
 //!   each worker reuses **one scratch value** (a `BfsScratch`, a buffer
 //!   pool, whatever the job needs) across all of its shards, so a
 //!   thousand-shard batch allocates `O(workers)` scratches.
@@ -27,14 +28,14 @@
 //!   bits, ball sweeps) that the aggregate accessors of [`ScenarioReport`]
 //!   fold over, skipping shards that failed before measuring and counting
 //!   them in [`ScenarioReport::failed_shards`].
-//! * A panicking shard panics the batch once every lower-indexed shard has
-//!   been delivered; the shards after it are dropped, even those that had
-//!   already finished.
+//! * A panicking shard panics the batch, with the shard's own payload, once
+//!   every lower-indexed shard has been delivered and every worker joined;
+//!   the shards after it are dropped, even those that had already finished.
 //!
 //! The runner is deliberately generic over the job: `bedom-distsim` sits
 //! below the algorithm crates, so the concrete "solve a domination instance"
 //! job lives in `bedom_core::pipeline::solve_scenario`, and benches/tests
-//! plug in custom jobs (e.g. engine runs with observers) directly.
+//! plug in custom jobs (e.g. engine runs through `Network::run`) directly.
 //!
 //! Loops *inside* a shard should run with the outer strategy's
 //! [`ExecutionStrategy::nested`] strategy — a parallel batch that also forked

@@ -31,16 +31,6 @@ pub fn u32_from_u64(x: u64) -> u32 {
     }
 }
 
-/// `usize → u16`, panicking loudly past `u16::MAX` (id bit-widths and other
-/// log-scale quantities).
-#[track_caller]
-pub fn u16_from_usize(x: usize) -> u16 {
-    match u16::try_from(x) {
-        Ok(v) => v,
-        Err(_) => panic!("narrowing conversion out of range: {x} does not fit in u16"),
-    }
-}
-
 /// `u64 → usize`, panicking loudly past `usize::MAX` (file-format vertex
 /// counts on 32-bit hosts).
 #[track_caller]
@@ -60,7 +50,6 @@ mod tests {
         assert_eq!(u32_from_usize(0), 0);
         assert_eq!(u32_from_usize(u32::MAX as usize), u32::MAX);
         assert_eq!(u32_from_u64(u64::from(u32::MAX)), u32::MAX);
-        assert_eq!(u16_from_usize(65_535), u16::MAX);
         assert_eq!(usize_from_u64(7), 7);
     }
 
@@ -74,11 +63,5 @@ mod tests {
     #[should_panic(expected = "does not fit in u32")]
     fn u32_from_u64_overflow_panics() {
         u32_from_u64(u64::from(u32::MAX) + 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "does not fit in u16")]
-    fn u16_overflow_panics() {
-        u16_from_usize(65_536);
     }
 }

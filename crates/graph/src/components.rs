@@ -66,12 +66,6 @@ impl UnionFind {
     pub fn num_components(&self) -> usize {
         self.components
     }
-
-    /// Size of the set containing `x`.
-    pub fn component_size(&mut self, x: u32) -> usize {
-        let r = self.find(x);
-        self.size[r as usize] as usize
-    }
 }
 
 /// Component id of each vertex (ids are `0..num_components`, assigned in order
@@ -168,18 +162,6 @@ pub fn largest_component(graph: &Graph) -> Vec<Vertex> {
         .collect()
 }
 
-/// A spanning forest of `graph` as an edge list (one tree per component).
-pub fn spanning_forest(graph: &Graph) -> Vec<(Vertex, Vertex)> {
-    let mut uf = UnionFind::new(graph.num_vertices());
-    let mut forest = Vec::new();
-    for (u, v) in graph.edges() {
-        if uf.union(u, v) {
-            forest.push((u, v));
-        }
-    }
-    forest
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,8 +177,6 @@ mod tests {
         assert_eq!(uf.num_components(), 3);
         assert!(uf.connected(0, 2));
         assert!(!uf.connected(0, 3));
-        assert_eq!(uf.component_size(1), 3);
-        assert_eq!(uf.component_size(4), 1);
     }
 
     #[test]
@@ -236,17 +216,5 @@ mod tests {
         let g = graph_from_edges(7, &[(0, 1), (1, 2), (2, 0), (3, 4), (5, 6)]);
         let big = largest_component(&g);
         assert_eq!(big, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn spanning_forest_has_n_minus_c_edges() {
-        let g = graph_from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]);
-        let f = spanning_forest(&g);
-        assert_eq!(f.len(), 6 - 2);
-        let mut uf = UnionFind::new(6);
-        for (u, v) in f {
-            uf.union(u, v);
-        }
-        assert_eq!(uf.num_components(), 2);
     }
 }

@@ -33,7 +33,7 @@ pub fn core_decomposition(graph: &Graph) -> CoreDecomposition {
         };
     }
     let mut degree: Vec<usize> = (0..n).map(|v| graph.degree(v as Vertex)).collect();
-    let max_deg = *degree.iter().max().unwrap();
+    let max_deg = degree.iter().copied().max().unwrap_or(0);
 
     // Bucket sort vertices by degree.
     let mut bin = vec![0usize; max_deg + 2];
@@ -130,50 +130,6 @@ pub fn max_forward_degree(graph: &Graph, order: &[Vertex]) -> usize {
     worst
 }
 
-/// Upper bound on the arboricity via degeneracy: `arb(G) ≤ degeneracy(G)` and
-/// `degeneracy(G) ≤ 2·arb(G) − 1`, so this is within factor 2 of the true
-/// arboricity (the relationship the paper quotes in Section 2).
-pub fn arboricity_upper_bound(graph: &Graph) -> u32 {
-    degeneracy(graph)
-}
-
-/// Nash-Williams style lower bound on the arboricity from the global edge
-/// density: `⌈m / (n − 1)⌉` for `n ≥ 2`.
-pub fn arboricity_lower_bound(graph: &Graph) -> u32 {
-    let n = graph.num_vertices();
-    if n < 2 {
-        return 0;
-    }
-    let m = graph.num_edges();
-    ((m + n - 2) / (n - 1)) as u32
-}
-
-/// Orientation of the edges along a degeneracy ordering: each edge is oriented
-/// from its earlier endpoint towards its later endpoint in reverse peel order,
-/// so every vertex has out-degree at most the degeneracy. Returns `out[v]` =
-/// out-neighbours of `v`. This is the sequential counterpart of the
-/// Barenboim–Elkin orientation the distributed order computation relies on.
-pub fn degenerate_orientation(graph: &Graph) -> Vec<Vec<Vertex>> {
-    let order = degeneracy_order(graph);
-    let n = graph.num_vertices();
-    let mut rank = vec![usize::MAX; n];
-    for (i, &v) in order.iter().enumerate() {
-        rank[v as usize] = i;
-    }
-    let mut out = vec![Vec::new(); n];
-    for (u, v) in graph.edges() {
-        // Orient towards the vertex peeled later (larger rank): the vertex
-        // peeled earlier had degree ≤ degeneracy at peel time, and these
-        // out-edges are exactly its remaining neighbours.
-        if rank[u as usize] < rank[v as usize] {
-            out[u as usize].push(v);
-        } else {
-            out[v as usize].push(u);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,45 +203,5 @@ mod tests {
         let mut sorted = dec.order.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn arboricity_bounds_bracket_truth_for_complete_graph() {
-        // K4 has arboricity 2.
-        let g = complete_graph(4);
-        assert!(arboricity_lower_bound(&g) <= 2);
-        assert!(arboricity_upper_bound(&g) >= 2);
-        assert_eq!(arboricity_lower_bound(&g), 2);
-        assert_eq!(arboricity_lower_bound(&Graph::empty(1)), 0);
-    }
-
-    #[test]
-    fn orientation_has_bounded_out_degree() {
-        let g = complete_graph(6);
-        let out = degenerate_orientation(&g);
-        let d = degeneracy(&g) as usize;
-        let total: usize = out.iter().map(|o| o.len()).sum();
-        assert_eq!(total, g.num_edges());
-        for o in &out {
-            assert!(o.len() <= d);
-        }
-    }
-
-    #[test]
-    fn orientation_covers_each_edge_once() {
-        let g = graph_from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)]);
-        let out = degenerate_orientation(&g);
-        let mut seen = std::collections::HashSet::new();
-        for (v, outs) in out.iter().enumerate() {
-            for &w in outs {
-                let key = if (v as u32) < w {
-                    (v as u32, w)
-                } else {
-                    (w, v as u32)
-                };
-                assert!(seen.insert(key), "edge oriented twice");
-            }
-        }
-        assert_eq!(seen.len(), g.num_edges());
     }
 }

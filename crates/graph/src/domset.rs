@@ -84,11 +84,6 @@ pub fn greedy_distance_dominating_set(graph: &Graph, r: u32) -> Vec<Vertex> {
     result
 }
 
-/// Greedy ordinary dominating set (`r = 1`).
-pub fn greedy_dominating_set(graph: &Graph) -> Vec<Vertex> {
-    greedy_distance_dominating_set(graph, 1)
-}
-
 /// Exact minimum distance-`r` dominating set by branch and bound over the
 /// set-cover formulation. Exponential in the worst case; intended for
 /// instances up to a few hundred vertices (the sizes used in T1 to measure
@@ -427,7 +422,7 @@ mod tests {
     #[test]
     fn greedy_on_star_picks_center() {
         let g = star(30);
-        let d = greedy_dominating_set(&g);
+        let d = greedy_distance_dominating_set(&g, 1);
         assert_eq!(d, vec![0]);
     }
 
@@ -570,7 +565,7 @@ mod tests {
     #[test]
     fn disconnected_graph_domination() {
         let g = graph_from_edges(6, &[(0, 1), (2, 3), (4, 5)]);
-        let d = greedy_dominating_set(&g);
+        let d = greedy_distance_dominating_set(&g, 1);
         assert!(is_distance_dominating_set(&g, &d, 1));
         assert_eq!(d.len(), 3);
         let opt = exact_distance_dominating_set(&g, 1, 100_000).unwrap();

@@ -7,7 +7,7 @@
 //! generators below cover:
 //!
 //! * structured, exactly-analysable families (paths, cycles, grids, tori,
-//!   trees, caterpillars, stars) — used for unit tests with known optimal
+//!   trees, stars) — used for unit tests with known optimal
 //!   dominating sets;
 //! * planar families (stacked triangulations, outerplanar graphs, grid-like
 //!   triangulations) — the headline class for the LOCAL-model results;

@@ -137,7 +137,7 @@ pub fn configuration_model_power_law(
 /// the efficient "Miller–Hagberg" style bucketed procedure restricted to a
 /// direct double loop over weight-sorted prefixes with geometric skips, which
 /// is near-linear for bounded weight sums.
-pub fn chung_lu(weights: &[f64], seed: u64) -> Graph {
+fn chung_lu(weights: &[f64], seed: u64) -> Graph {
     let n = weights.len();
     let mut rng = rng_from_seed(seed);
     let total: f64 = weights.iter().sum();
@@ -149,7 +149,7 @@ pub fn chung_lu(weights: &[f64], seed: u64) -> Graph {
     // geometrically using the maximum remaining probability, then accept with
     // the exact ratio — the standard near-linear Chung–Lu sampler.
     let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| weights[b].partial_cmp(&weights[a]).unwrap());
+    order.sort_by(|&a, &b| weights[b].total_cmp(&weights[a]));
     let w: Vec<f64> = order.iter().map(|&i| weights[i]).collect();
     for i in 0..n - 1 {
         let mut j = i + 1;

@@ -1,5 +1,5 @@
 //! Structured, exactly analysable graph families: paths, cycles, grids, tori,
-//! trees, stars and caterpillars.
+//! trees and stars.
 //!
 //! Optimal (distance-r) dominating set sizes for several of these families are
 //! known in closed form (e.g. `γ_r(P_n) = ⌈n / (2r + 1)⌉`), which makes them
@@ -93,66 +93,6 @@ pub fn random_tree(n: usize, seed: u64) -> Graph {
     b.build()
 }
 
-/// Preferential-attachment style random tree: vertex `i` attaches to an
-/// earlier vertex chosen proportionally to (degree + 1), which produces
-/// skewed degree sequences while remaining a tree (hence planar, bounded
-/// expansion).
-pub fn preferential_attachment_tree(n: usize, seed: u64) -> Graph {
-    let n = n.max(1);
-    let mut rng = rng_from_seed(seed);
-    let mut b = GraphBuilder::new(n);
-    // Every edge endpoint appearance adds one "ticket"; vertex i also always
-    // has one base ticket.
-    let mut tickets: Vec<Vertex> = Vec::with_capacity(2 * n);
-    tickets.push(0);
-    for i in 1..n {
-        let parent = tickets[rng.gen_range(0..tickets.len())];
-        b.add_edge(parent, i as Vertex);
-        tickets.push(parent);
-        tickets.push(i as Vertex);
-    }
-    b.build()
-}
-
-/// Caterpillar: a spine path of `spine` vertices, each with `legs` pendant
-/// leaves. Total vertices: `spine * (1 + legs)`.
-pub fn caterpillar(spine: usize, legs: usize) -> Graph {
-    let spine = spine.max(1);
-    let n = spine * (1 + legs);
-    let mut b = GraphBuilder::new(n);
-    for i in 1..spine {
-        b.add_edge((i - 1) as Vertex, i as Vertex);
-    }
-    let mut next = spine;
-    for s in 0..spine {
-        for _ in 0..legs {
-            b.add_edge(s as Vertex, next as Vertex);
-            next += 1;
-        }
-    }
-    b.build()
-}
-
-/// A "star-split"-like graph: `k` stars of size `branch` whose centres are
-/// joined in a path. These are the kind of very restricted instances the
-/// paper cites prior distance-r domination work on (\[54\], \[56\]).
-pub fn star_chain(k: usize, branch: usize) -> Graph {
-    let k = k.max(1);
-    let n = k * (branch + 1);
-    let mut b = GraphBuilder::new(n);
-    for s in 0..k {
-        let centre = (s * (branch + 1)) as Vertex;
-        if s > 0 {
-            let prev_centre = ((s - 1) * (branch + 1)) as Vertex;
-            b.add_edge(prev_centre, centre);
-        }
-        for j in 1..=branch {
-            b.add_edge(centre, centre + j as Vertex);
-        }
-    }
-    b.build()
-}
-
 /// Random graph where every vertex ends with degree at most `max_degree`:
 /// repeatedly propose uniform random edges, accept while both endpoints have
 /// residual capacity. Bounded maximum degree implies bounded expansion.
@@ -221,11 +161,7 @@ mod tests {
 
     #[test]
     fn trees_are_trees() {
-        for g in [
-            complete_binary_tree(31),
-            random_tree(50, 5),
-            preferential_attachment_tree(50, 5),
-        ] {
+        for g in [complete_binary_tree(31), random_tree(50, 5)] {
             assert_eq!(g.num_edges(), g.num_vertices() - 1);
             assert!(is_connected(&g));
             assert_eq!(degeneracy(&g), 1);
@@ -233,26 +169,10 @@ mod tests {
     }
 
     #[test]
-    fn star_and_caterpillar() {
+    fn star_structure() {
         let s = star(10);
         assert_eq!(s.degree(0), 9);
         assert_eq!(s.num_edges(), 9);
-        let c = caterpillar(5, 3);
-        assert_eq!(c.num_vertices(), 20);
-        assert_eq!(c.num_edges(), 19);
-        assert!(is_connected(&c));
-        assert_eq!(c.degree(0), 4); // one spine neighbour + 3 legs
-        assert_eq!(c.degree(2), 5); // two spine neighbours + 3 legs
-    }
-
-    #[test]
-    fn star_chain_structure() {
-        let g = star_chain(4, 5);
-        assert_eq!(g.num_vertices(), 24);
-        assert!(is_connected(&g));
-        // Each centre: branch legs + up to 2 chain neighbours.
-        assert_eq!(g.degree(0), 6);
-        assert_eq!(g.degree(6), 7);
     }
 
     #[test]

@@ -209,13 +209,6 @@ impl GraphBuilder {
         }
     }
 
-    /// Adds `count` fresh vertices and returns the id of the first one.
-    pub fn add_vertices(&mut self, count: usize) -> Vertex {
-        let first = self.n as Vertex;
-        self.n += count;
-        first
-    }
-
     /// Finalises the builder into a CSR graph.
     pub fn build(mut self) -> Graph {
         self.edges.sort_unstable();
@@ -359,17 +352,6 @@ mod tests {
     fn out_of_range_edge_panics() {
         let mut b = GraphBuilder::new(3);
         b.add_edge(0, 3);
-    }
-
-    #[test]
-    fn add_vertices_grows_graph() {
-        let mut b = GraphBuilder::new(2);
-        let first = b.add_vertices(3);
-        assert_eq!(first, 2);
-        b.add_edge(0, 4);
-        let g = b.build();
-        assert_eq!(g.num_vertices(), 5);
-        assert!(g.has_edge(0, 4));
     }
 
     #[test]

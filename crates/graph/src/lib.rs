@@ -13,9 +13,10 @@
 //! * word-parallel closed-neighbourhood rows for graphs with `n ≤ 64`, from
 //!   a `u64`-packed multi-source BFS ([`bitset`]),
 //! * connectivity and union–find ([`components`]),
-//! * degeneracy / core decomposition and degenerate orientations
+//! * degeneracy / core decomposition and degeneracy orderings
 //!   ([`degeneracy`]),
-//! * power graphs and subdivisions ([`power`]),
+//! * closed `r`-neighbourhood lists, the adjacency of the power graph `G^r`
+//!   ([`power`]),
 //! * generators for every graph class the paper names ([`generators`]),
 //! * reference dominating-set algorithms and validity checks ([`domset`]),
 //! * instance statistics and shallow-minor density probes ([`metrics`]).

@@ -7,7 +7,7 @@
 //! gives a *lower* bound on the true ∇_r and is enough to separate the
 //! bounded-expansion families from the `G(n,p)` control in the tables.
 
-use crate::components::{connected_components, UnionFind};
+use crate::components::connected_components;
 use crate::degeneracy::degeneracy;
 use crate::graph::{Graph, GraphBuilder, Vertex};
 use bedom_rng::DetRng;
@@ -98,70 +98,10 @@ pub fn shallow_minor_density_estimate(graph: &Graph, r: u32, seed: u64) -> f64 {
     minor.average_degree()
 }
 
-/// Verifies that contracting the given branch sets yields a depth-`r` minor:
-/// branch sets must be pairwise disjoint, each inducing a connected subgraph
-/// of radius ≤ `r`. Returns the contracted minor if valid.
-pub fn contract_branch_sets(
-    graph: &Graph,
-    branch_sets: &[Vec<Vertex>],
-    r: u32,
-) -> Result<Graph, String> {
-    let n = graph.num_vertices();
-    let mut owner = vec![u32::MAX; n];
-    for (i, set) in branch_sets.iter().enumerate() {
-        if set.is_empty() {
-            return Err(format!("branch set {i} is empty"));
-        }
-        for &v in set {
-            if v as usize >= n {
-                return Err(format!("branch set {i} contains out-of-range vertex {v}"));
-            }
-            if owner[v as usize] != u32::MAX {
-                return Err(format!("vertex {v} belongs to two branch sets"));
-            }
-            owner[v as usize] = i as u32;
-        }
-        match crate::bfs::induced_radius(graph, set) {
-            Some(rad) if rad <= r => {}
-            Some(rad) => return Err(format!("branch set {i} has radius {rad} > {r}")),
-            None => return Err(format!("branch set {i} is not connected")),
-        }
-    }
-    let mut builder = GraphBuilder::new(branch_sets.len());
-    for (u, v) in graph.edges() {
-        let (a, b) = (owner[u as usize], owner[v as usize]);
-        if a != u32::MAX && b != u32::MAX && a != b {
-            builder.add_edge(a, b);
-        }
-    }
-    Ok(builder.build())
-}
-
-/// Number of connected pieces of the subgraph induced by `set` — a quick
-/// measure used when reporting connected-dominating-set experiments.
-pub fn induced_component_count(graph: &Graph, set: &[Vertex]) -> usize {
-    let mut sorted: Vec<Vertex> = set.to_vec();
-    sorted.sort_unstable();
-    sorted.dedup();
-    if sorted.is_empty() {
-        return 0;
-    }
-    let index_of = |v: Vertex| sorted.binary_search(&v).ok();
-    let mut uf = UnionFind::new(sorted.len());
-    for (i, &v) in sorted.iter().enumerate() {
-        for &w in graph.neighbors(v) {
-            if let Some(j) = index_of(w) {
-                uf.union(i as u32, j as u32);
-            }
-        }
-    }
-    uf.num_components()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::{gnp_with_average_degree, grid, path, stacked_triangulation};
+    use crate::generators::{gnp_with_average_degree, grid, stacked_triangulation};
 
     #[test]
     fn stats_of_grid() {
@@ -188,33 +128,5 @@ mod tests {
             dense_density > planar_density,
             "dense {dense_density} vs planar {planar_density}"
         );
-    }
-
-    #[test]
-    fn contract_valid_branch_sets() {
-        let g = path(9);
-        let sets = vec![vec![0, 1, 2], vec![3, 4, 5], vec![6, 7, 8]];
-        let minor = contract_branch_sets(&g, &sets, 1).unwrap();
-        assert_eq!(minor.num_vertices(), 3);
-        assert_eq!(minor.num_edges(), 2);
-    }
-
-    #[test]
-    fn contract_rejects_bad_branch_sets() {
-        let g = path(9);
-        assert!(contract_branch_sets(&g, &[vec![0, 2]], 1).is_err()); // disconnected
-        assert!(contract_branch_sets(&g, &[vec![0, 1, 2, 3, 4]], 1).is_err()); // radius too large
-        assert!(contract_branch_sets(&g, &[vec![0, 1], vec![1, 2]], 1).is_err()); // overlap
-        assert!(contract_branch_sets(&g, &[vec![]], 1).is_err()); // empty
-        assert!(contract_branch_sets(&g, &[vec![99]], 1).is_err()); // out of range
-    }
-
-    #[test]
-    fn induced_component_counting() {
-        let g = path(10);
-        assert_eq!(induced_component_count(&g, &[0, 1, 2]), 1);
-        assert_eq!(induced_component_count(&g, &[0, 2, 4]), 3);
-        assert_eq!(induced_component_count(&g, &[]), 0);
-        assert_eq!(induced_component_count(&g, &[5, 5, 6, 6]), 1);
     }
 }

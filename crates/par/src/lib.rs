@@ -2,35 +2,36 @@
 //!
 //! A tiny deterministic fork-join layer used everywhere the bedom workspace
 //! evaluates an embarrassingly parallel loop: the superstep engine of
-//! `bedom-distsim`, the ball computations of `bedom-wcol` and the power-graph
-//! construction of `bedom-graph`.
+//! `bedom-distsim`, the ball computations of `bedom-wcol` and the closed
+//! neighbourhoods of `bedom-graph`.
 //!
 //! The crate exists so that there is exactly **one** execution path per loop:
 //! callers write `strategy.map_collect(n, f)` (or one of the other
 //! combinators) and the [`ExecutionStrategy`] value decides whether the body
-//! runs on the current thread or is split into contiguous chunks across
-//! `std::thread::scope` workers. Results are always written back by index, so
-//! sequential and parallel execution are bit-identical by construction — a
-//! property the determinism test suite asserts end to end.
+//! runs on the current thread or on `std::thread::scope` workers. Results are
+//! always released by index, so sequential and parallel execution are
+//! bit-identical by construction — a property the determinism test suite
+//! asserts end to end.
 //!
-//! Two scheduling shapes, both bit-identical by construction:
-//!
-//! * The **static split** (`map_collect`, `chunk_collect_with`, …): every
-//!   combinator splits its index range into `threads()` contiguous chunks up
-//!   front. For the uniform per-element costs of superstep simulation this
-//!   is within noise of a work-stealing scheduler.
-//! * The **work queue** (`queue_stream_with`): a pool of persistent workers
-//!   claims indices dynamically off one shared atomic counter — the shape
-//!   for *imbalanced* loops like multi-graph scenario batches, where one
-//!   heavy shard must not serialise a whole chunk behind it. Results are
-//!   streamed to the caller strictly by index, so the claim order never
-//!   leaks into the output.
+//! Every combinator is an adapter over one scheduling core. On one thread
+//! it is a plain loop. Otherwise `threads_for(n)` workers, each holding one
+//! scratch, claim work items off one shared queue: contiguous index ranges
+//! (`map_collect`, `chunk_collect_with`), single indices
+//! (`queue_stream_with`) or pairs of `chunks_mut` slices (`zip_apply`).
+//! Claims are dynamic, so where items outnumber workers (the shards of a
+//! multi-graph scenario batch) one heavy item never holds up the ones
+//! queued behind it. The calling thread releases results strictly in item
+//! order, so the claim order never leaks into the output, and after the
+//! joins it re-raises a worker's panic with its payload.
 //!
 //! [`ExecutionStrategy::Pooled`] is `Parallel` with a seeded schedule; the
 //! determinism suite runs it to flush out any output that depends on which
 //! worker finished first.
 
+use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
+use std::ops::Range;
+use std::sync::{mpsc, Mutex};
 
 #[cfg(debug_assertions)]
 pub mod sanitizer;
@@ -38,22 +39,21 @@ pub mod sanitizer;
 /// How an embarrassingly parallel loop is executed.
 ///
 /// All variants produce bit-identical results; `Parallel` merely spreads
-/// the index range over OS threads. `Parallel` on a single-core machine
-/// degrades to sequential execution without spawning.
+/// the loop over OS threads — at least two, even on a single-core machine
+/// (see [`ExecutionStrategy::threads_for`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ExecutionStrategy {
     /// Run the loop body on the calling thread.
     Sequential,
-    /// Split the index range into contiguous chunks, one per available core,
-    /// or let the workers claim indices off the work queue.
+    /// Spread the loop's work items over one worker per available core.
     Parallel,
     /// Decide per loop: parallel only when the loop is large enough
     /// (`n > 4096`) to amortise thread handoff, sequential otherwise. The
     /// right default for configs built before the instance size is known.
     Auto,
     /// `Parallel` with a seeded schedule: each worker yields a seed-derived
-    /// number of times before it starts, and the fork-join primitives join
-    /// the workers in a seed-shuffled order (still *placing* results by
+    /// number of times before it starts, and the scheduling core joins the
+    /// workers in a seed-shuffled order (still *releasing* results by
     /// index). Output must be bit-identical to `Sequential` for any seed —
     /// a divergence means a combinator's result depends on scheduling,
     /// which is exactly the bug class the determinism suite runs this mode
@@ -65,11 +65,6 @@ pub enum ExecutionStrategy {
 const PERTURB_SEED_VAR: &str = "BEDOM_PERTURB_SEED";
 
 impl ExecutionStrategy {
-    /// Whether this strategy may use more than one thread.
-    pub fn is_parallel(self) -> bool {
-        !matches!(self, ExecutionStrategy::Sequential)
-    }
-
     /// [`ExecutionStrategy::Pooled`] seeded from the `BEDOM_PERTURB_SEED`
     /// environment variable, or `None` when it is unset. The determinism
     /// suite uses this to re-run its cross-strategy assertions under a
@@ -91,8 +86,8 @@ impl ExecutionStrategy {
         }
     }
 
-    /// Seed-derived busy-yield executed by worker `worker` before it starts
-    /// its chunk; a no-op for unperturbed strategies.
+    /// Seed-derived busy-yield executed by worker `worker` before it claims
+    /// its first item; a no-op for unperturbed strategies.
     fn stagger(self, worker: usize) {
         if let Some(seed) = self.perturb_seed() {
             let yields = splitmix64(seed ^ (worker as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)) % 8;
@@ -146,9 +141,7 @@ impl ExecutionStrategy {
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        let parts =
-            self.chunk_collect_with(n, || (), |(), range| range.map(&f).collect::<Vec<T>>());
-        concat_parts(n, parts)
+        self.map_collect_with(n, || (), |(), i| f(i))
     }
 
     /// `(0..n).map(f).collect()` with a **worker-local scratch**: every worker
@@ -165,10 +158,23 @@ impl ExecutionStrategy {
         I: Fn() -> S + Sync,
         F: Fn(&mut S, usize) -> T + Sync,
     {
-        let parts = self.chunk_collect_with(n, init, |scratch, range| {
-            range.map(|i| f(scratch, i)).collect::<Vec<T>>()
-        });
-        concat_parts(n, parts)
+        let mut out = Vec::new();
+        self.schedule(
+            n,
+            self.chunks(n),
+            init,
+            |scratch, range| range.map(|i| f(scratch, i)).collect::<Vec<T>>(),
+            // The first chunk becomes the output, so a one-chunk loop
+            // returns its vector without a copy.
+            |_, part| {
+                if out.is_empty() {
+                    out = part;
+                } else {
+                    out.extend(part);
+                }
+            },
+        );
+        out
     }
 
     /// Splits `0..n` into one contiguous chunk per worker thread and calls
@@ -183,61 +189,20 @@ impl ExecutionStrategy {
     where
         T: Send,
         I: Fn() -> S + Sync,
-        F: Fn(&mut S, std::ops::Range<usize>) -> T + Sync,
+        F: Fn(&mut S, Range<usize>) -> T + Sync,
     {
-        let threads = self.threads_for(n);
-        if threads <= 1 || n == 0 {
-            let mut scratch = init();
-            #[cfg(debug_assertions)]
-            let _guard = sanitizer::ScratchGuard::acquire(&scratch);
-            return vec![f(&mut scratch, 0..n)];
-        }
-        let chunk = n.div_ceil(threads);
-        let num_chunks = n.div_ceil(chunk);
-        let mut slots: Vec<Option<T>> = Vec::with_capacity(num_chunks);
-        slots.resize_with(num_chunks, || None);
-        std::thread::scope(|scope| {
-            let mut handles: Vec<Option<std::thread::ScopedJoinHandle<'_, T>>> = (0..n)
-                .step_by(chunk)
-                .enumerate()
-                .map(|(worker, start)| {
-                    let end = (start + chunk).min(n);
-                    let init = &init;
-                    let f = &f;
-                    Some(scope.spawn(move || {
-                        self.stagger(worker);
-                        let mut scratch = init();
-                        #[cfg(debug_assertions)]
-                        let _guard = sanitizer::ScratchGuard::acquire(&scratch);
-                        f(&mut scratch, start..end)
-                    }))
-                })
-                .collect();
-            // Harvest in (possibly seed-shuffled) order, but place by index:
-            // completion order must never leak into the result.
-            for idx in join_permutation(self.perturb_seed(), handles.len()) {
-                if let Some(handle) = handles[idx].take() {
-                    slots[idx] = Some(join_worker(handle));
-                }
-            }
-        });
-        let parts: Vec<T> = slots.into_iter().flatten().collect();
-        assert_eq!(
-            parts.len(),
-            num_chunks,
-            "bedom-par: a worker chunk produced no result"
-        );
+        let mut parts = Vec::new();
+        self.schedule(n, self.chunks(n), init, f, |_, part| parts.push(part));
         parts
     }
 
-    /// Runs `f` for every index through a **dynamic work queue**: a pool of
-    /// persistent workers (one scratch each, built by `init`) claims indices
-    /// one at a time off a shared counter, so imbalanced per-index costs
-    /// spread across the pool instead of serialising behind a static chunk
-    /// boundary. Each result is handed to `consume(i, result)` on the
-    /// **calling thread** and can be folded away immediately — the
-    /// combinator behind every scenario batch, where a million-element batch
-    /// must never hold a million results at once.
+    /// Runs `f` for every index through the **work queue** one index at a
+    /// time: each worker (one scratch each, built by `init`) claims the next
+    /// unclaimed index, so imbalanced per-index costs spread across the pool
+    /// instead of serialising behind a chunk boundary. Each result is handed
+    /// to `consume(i, result)` on the **calling thread** and can be folded
+    /// away immediately — the combinator behind every scenario batch, where
+    /// a million-element batch must never hold a million results at once.
     ///
     /// `consume` is invoked **strictly in index order** (a reorder buffer
     /// holds out-of-order completions, so its worst-case footprint is the
@@ -246,84 +211,14 @@ impl ExecutionStrategy {
     /// as `f`'s result for an index does not depend on residual scratch
     /// state. If `f` panics, `consume` still sees every index below the
     /// panicking one, then the panic is re-raised after the joins.
-    pub fn queue_stream_with<S, T, I, F, C>(self, n: usize, init: I, f: F, mut consume: C)
+    pub fn queue_stream_with<S, T, I, F, C>(self, n: usize, init: I, f: F, consume: C)
     where
         T: Send,
         I: Fn() -> S + Sync,
         F: Fn(&mut S, usize) -> T + Sync,
         C: FnMut(usize, T),
     {
-        let threads = self.threads_for(n);
-        if threads <= 1 || n == 0 {
-            let mut scratch = init();
-            #[cfg(debug_assertions)]
-            let _guard = sanitizer::ScratchGuard::acquire(&scratch);
-            for i in 0..n {
-                let value = f(&mut scratch, i);
-                consume(i, value);
-            }
-            return;
-        }
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            let (tx, rx) = std::sync::mpsc::channel::<(usize, T)>();
-            let mut handles: Vec<Option<std::thread::ScopedJoinHandle<'_, ()>>> = (0..threads)
-                .map(|worker| {
-                    let init = &init;
-                    let f = &f;
-                    let next = &next;
-                    let tx = tx.clone();
-                    Some(scope.spawn(move || {
-                        self.stagger(worker);
-                        let mut scratch = init();
-                        #[cfg(debug_assertions)]
-                        let _guard = sanitizer::ScratchGuard::acquire(&scratch);
-                        loop {
-                            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            let value = f(&mut scratch, i);
-                            if tx.send((i, value)).is_err() {
-                                break;
-                            }
-                        }
-                    }))
-                })
-                .collect();
-            drop(tx);
-            // Reorder buffer: completions arrive in schedule order but are
-            // released strictly by index.
-            let mut buffered: std::collections::BTreeMap<usize, T> =
-                std::collections::BTreeMap::new();
-            let mut release = 0usize;
-            let mut received = 0usize;
-            while received < n {
-                match rx.recv() {
-                    Ok((i, value)) => {
-                        received += 1;
-                        buffered.insert(i, value);
-                        while let Some(value) = buffered.remove(&release) {
-                            consume(release, value);
-                            release += 1;
-                        }
-                    }
-                    // Every sender hung up early: a worker died mid-queue.
-                    // Fall through to the joins, which re-raise its panic
-                    // with the original payload.
-                    Err(_) => break,
-                }
-            }
-            for idx in join_permutation(self.perturb_seed(), handles.len()) {
-                if let Some(handle) = handles[idx].take() {
-                    join_worker(handle);
-                }
-            }
-            assert!(
-                buffered.is_empty() && release == n,
-                "bedom-par: the stream queue lost a result"
-            );
-        });
+        self.schedule(n, 0..n, init, f, consume);
     }
 
     /// Calls `f(i, &mut a[i], &mut b[i])` for every index, possibly in
@@ -340,25 +235,114 @@ impl ExecutionStrategy {
     {
         assert_eq!(a.len(), b.len(), "zip_apply requires equal-length slices");
         let n = a.len();
-        let threads = self.threads_for(n);
-        if threads <= 1 || n == 0 {
-            for (i, (x, y)) in a.iter_mut().zip(b.iter_mut()).enumerate() {
-                f(i, x, y);
+        let len = self.chunk_len(n);
+        let pairs = a.chunks_mut(len).zip(b.chunks_mut(len)).enumerate();
+        self.schedule(
+            n,
+            pairs,
+            || (),
+            |(), (k, (xs, ys))| {
+                let first = k * len;
+                for (i, (x, y)) in xs.iter_mut().zip(ys).enumerate() {
+                    f(first + i, x, y);
+                }
+            },
+            |_, ()| {},
+        );
+    }
+
+    /// The length of the chunks the range combinators cut `0..n` into: one
+    /// chunk per worker (at least 1, so `n = 0` is one empty chunk).
+    fn chunk_len(self, n: usize) -> usize {
+        n.div_ceil(self.threads_for(n)).max(1)
+    }
+
+    /// `0..n` cut into ascending `chunk_len(n)`-long ranges (`0..0` alone
+    /// when `n = 0`).
+    fn chunks(self, n: usize) -> impl ExactSizeIterator<Item = Range<usize>> + Send {
+        let len = self.chunk_len(n);
+        (0..n.div_ceil(len).max(1)).map(move |k| k * len..n.min(k * len + len))
+    }
+
+    /// The one scheduling core behind every combinator: calls
+    /// `consume(k, f(&mut scratch, item))` for the `k`-th item of `items`,
+    /// on the calling thread and strictly in item order.
+    ///
+    /// The thread count is [`threads_for`](Self::threads_for) of the `n`
+    /// elements the items cover (so `Auto`'s size gate sees the loop, not
+    /// its chunk count), capped at the item count. One thread runs a plain
+    /// loop over one scratch. More threads each build one scratch and claim
+    /// items off one shared queue until it runs dry; a reorder buffer holds
+    /// results that arrive ahead of their turn. Every scratch is held under
+    /// the debug [`sanitizer::ScratchGuard`]. If `f` panics, `consume` still
+    /// sees every item below the panicking one, the workers are joined (in
+    /// the seed-shuffled order under `Pooled`), and then the panic is
+    /// re-raised with its payload.
+    fn schedule<W, S, T, I, F, C>(self, n: usize, items: W, init: I, f: F, mut consume: C)
+    where
+        W: ExactSizeIterator + Send,
+        T: Send,
+        I: Fn() -> S + Sync,
+        F: Fn(&mut S, W::Item) -> T + Sync,
+        C: FnMut(usize, T),
+    {
+        let len = items.len();
+        let threads = self.threads_for(n).min(len);
+        if threads <= 1 {
+            let mut scratch = init();
+            #[cfg(debug_assertions)]
+            let _guard = sanitizer::ScratchGuard::acquire(&scratch);
+            for (k, item) in items.enumerate() {
+                consume(k, f(&mut scratch, item));
             }
             return;
         }
-        let chunk = n.div_ceil(threads);
+        // Handing the items out under a lock lets a worker keep a claimed
+        // `&mut` slice after the guard drops, so no `unsafe` is needed.
+        let queue = Mutex::new(items.enumerate());
         std::thread::scope(|scope| {
-            for (idx, (ca, cb)) in a.chunks_mut(chunk).zip(b.chunks_mut(chunk)).enumerate() {
-                let base = idx * chunk;
-                let f = &f;
-                scope.spawn(move || {
-                    self.stagger(idx);
-                    for (i, (x, y)) in ca.iter_mut().zip(cb.iter_mut()).enumerate() {
-                        f(base + i, x, y);
-                    }
-                });
+            let (tx, rx) = mpsc::channel();
+            let mut handles: Vec<_> = (0..threads)
+                .map(|worker| {
+                    let (queue, init, f, tx) = (&queue, &init, &f, tx.clone());
+                    Some(scope.spawn(move || {
+                        self.stagger(worker);
+                        let mut scratch = init();
+                        #[cfg(debug_assertions)]
+                        let _guard = sanitizer::ScratchGuard::acquire(&scratch);
+                        // A poisoned queue means a worker panicked while
+                        // claiming: stop, and let the joins re-raise it.
+                        while let Some((k, item)) = queue.lock().ok().and_then(|mut q| q.next()) {
+                            if tx.send((k, f(&mut scratch, item))).is_err() {
+                                break;
+                            }
+                        }
+                    }))
+                })
+                .collect();
+            drop(tx);
+            // The channel closes once every worker has finished or died.
+            let mut pending = BTreeMap::new();
+            let mut released = 0;
+            for (k, value) in rx {
+                pending.insert(k, value);
+                while let Some(value) = pending.remove(&released) {
+                    consume(released, value);
+                    released += 1;
+                }
             }
+            // Join every worker (in the seed's order) before re-raising the
+            // first panic met, so none is left unjoined.
+            let mut panic = None;
+            for worker in join_permutation(self.perturb_seed(), threads) {
+                if let Some(Err(payload)) = handles[worker].take().map(|h| h.join()) {
+                    panic.get_or_insert(payload);
+                }
+            }
+            if let Some(payload) = panic {
+                std::panic::resume_unwind(payload);
+            }
+            assert_eq!(released, len, "bedom-par: the work queue lost a result");
         });
     }
 }
@@ -408,30 +392,6 @@ fn perturbed_from(raw: Option<&std::ffi::OsStr>) -> Option<ExecutionStrategy> {
         Some(seed) => Some(ExecutionStrategy::Pooled(seed)),
         None => panic!("{PERTURB_SEED_VAR} must be a decimal u64 seed, got {raw:?}"),
     }
-}
-
-/// Joins a worker, re-raising its panic payload on the calling thread so a
-/// panicking loop body surfaces with its original message.
-fn join_worker<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> T {
-    match handle.join() {
-        Ok(value) => value,
-        Err(payload) => std::panic::resume_unwind(payload),
-    }
-}
-
-/// Concatenates per-chunk vectors into one `n`-element result, skipping the
-/// copy when a single chunk already holds everything (the sequential path).
-fn concat_parts<T>(n: usize, mut parts: Vec<Vec<T>>) -> Vec<T> {
-    if parts.len() == 1 {
-        if let Some(only) = parts.pop() {
-            return only;
-        }
-    }
-    let mut out = Vec::with_capacity(n);
-    for part in parts {
-        out.extend(part);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -663,7 +623,6 @@ mod tests {
         let n = 4099;
         for seed in [0u64, 1, 0xfeed, 0xDEAD_BEEF, u64::MAX] {
             let pooled = ExecutionStrategy::Pooled(seed);
-            assert!(pooled.is_parallel());
             assert!(pooled.threads_for(n) >= 2);
 
             let seq_map = ExecutionStrategy::Sequential.map_collect(n, |i| i * 31 + 7);
@@ -739,13 +698,42 @@ mod tests {
 
     #[test]
     fn worker_panics_propagate_with_their_payload() {
-        let result = std::panic::catch_unwind(|| {
-            ExecutionStrategy::Parallel.map_collect(5000, |i| {
-                assert!(i != 2500, "boom at {i}");
-                i
-            });
-        });
-        assert!(result.is_err());
+        fn message(run: impl FnOnce()) -> Option<String> {
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run));
+            let payload = result.expect_err("the panic must propagate");
+            payload.downcast_ref::<String>().cloned()
+        }
+        let boom = |i: usize| assert!(i != 2500, "boom at {i}");
+        for strategy in [ExecutionStrategy::Parallel, ExecutionStrategy::Pooled(7)] {
+            for (name, got) in [
+                (
+                    "map_collect",
+                    message(|| drop(strategy.map_collect(5000, boom))),
+                ),
+                (
+                    "map_collect_with",
+                    message(|| drop(strategy.map_collect_with(5000, || (), |(), i| boom(i)))),
+                ),
+                (
+                    "chunk_collect_with",
+                    message(|| {
+                        drop(strategy.chunk_collect_with(
+                            5000,
+                            || (),
+                            |(), range| range.for_each(boom),
+                        ))
+                    }),
+                ),
+                (
+                    "zip_apply",
+                    message(|| {
+                        strategy.zip_apply(&mut [0u8; 5000], &mut [0u8; 5000], |i, _, _| boom(i))
+                    }),
+                ),
+            ] {
+                assert_eq!(got.as_deref(), Some("boom at 2500"), "{name}, {strategy:?}");
+            }
+        }
     }
 
     #[test]

@@ -1,21 +1,23 @@
-//! Debug-build shadow tracker for the scratch-reusing combinators.
+//! Debug-build shadow tracker for the scratch-reusing scheduling core.
 //!
-//! The `*_collect_with` combinators hand every worker thread one scratch
-//! value and promise it is never shared: two workers holding the same
-//! scratch concurrently would race, and — worse for this project — could
-//! make results depend on the schedule. The type system already enforces
-//! this for the combinators' own scratches (each worker calls `init()`
-//! itself), but the invariant is subtle enough that refactors have tried to
-//! hoist the `init()` out of the spawn. This module turns that mistake into
-//! an immediate panic in debug builds instead of a silent data race.
+//! The one scheduling core behind every combinator of this crate hands each
+//! worker thread one scratch value (built by the caller's `init`) and
+//! promises it is never shared: two workers holding the same scratch
+//! concurrently would race, and — worse for this project — could make
+//! results depend on the schedule. The type system already enforces this
+//! for the core's own scratches (each worker calls `init()` itself), but
+//! the invariant is subtle enough that refactors have tried to hoist the
+//! `init()` out of the spawn. This module turns that mistake into an
+//! immediate panic in debug builds instead of a silent data race.
 //!
 //! Every worker registers the address of its scratch in a process-global
-//! table for the duration of its chunk ([`ScratchGuard`]); registering an
-//! address some other live worker already holds panics. Zero-sized scratches
-//! are exempt: all `&()` may legally share an address, so tracking them
-//! would produce false positives. The whole module is compiled only under
-//! `debug_assertions` and costs two hash-map operations per *chunk* (not per
-//! element), so the release kernels are untouched.
+//! table for as long as it claims work items ([`ScratchGuard`]);
+//! registering an address some other live worker already holds panics.
+//! Zero-sized scratches are exempt: all `&()` may legally share an address,
+//! so tracking them would produce false positives. The whole module is
+//! compiled only under `debug_assertions` and costs two hash-map operations
+//! per *worker* (not per item or element), so the release kernels are
+//! untouched.
 
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
@@ -40,7 +42,8 @@ fn lock() -> std::sync::MutexGuard<'static, HashMap<usize, ThreadId>> {
 /// RAII registration of one worker's exclusive hold on its scratch value.
 ///
 /// Construct with [`ScratchGuard::acquire`] right after `init()` and keep it
-/// alive for the worker's whole chunk; dropping it releases the address.
+/// alive until the worker stops claiming items; dropping it releases the
+/// address.
 #[derive(Debug)]
 pub struct ScratchGuard {
     key: Option<usize>,

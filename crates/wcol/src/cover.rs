@@ -29,12 +29,6 @@ pub struct NeighborhoodCover {
 }
 
 impl NeighborhoodCover {
-    /// Number of non-singleton-degenerate (i.e. all) clusters. Every vertex
-    /// contributes a cluster, so this equals `n`.
-    pub fn num_clusters(&self) -> usize {
-        self.clusters.len()
-    }
-
     /// The degree of the cover: the maximum, over vertices `w`, of the number
     /// of clusters containing `w`. By Theorem 4 this is at most the witnessed
     /// `wcol_2r` constant.
@@ -132,7 +126,7 @@ mod tests {
         let cover = neighborhood_cover(graph, &order, r);
         let c = wcol_of_order(graph, &order, 2 * r);
 
-        assert_eq!(cover.num_clusters(), graph.num_vertices());
+        assert_eq!(cover.clusters.len(), graph.num_vertices());
         assert!(
             cover.covers_all_r_neighborhoods(graph),
             "cover misses an r-neighborhood"
@@ -211,7 +205,7 @@ mod tests {
         let single = bedom_graph::Graph::empty(1);
         let order = LinearOrder::identity(1);
         let cover = neighborhood_cover(&single, &order, 3);
-        assert_eq!(cover.num_clusters(), 1);
+        assert_eq!(cover.clusters.len(), 1);
         assert_eq!(cover.degree(), 1);
         assert!(cover.covers_all_r_neighborhoods(&single));
         assert_eq!(cover.max_cluster_radius(&single), Some(0));
@@ -219,7 +213,7 @@ mod tests {
         let empty = bedom_graph::Graph::empty(0);
         let order = LinearOrder::identity(0);
         let cover = neighborhood_cover(&empty, &order, 2);
-        assert_eq!(cover.num_clusters(), 0);
+        assert_eq!(cover.clusters.len(), 0);
         assert_eq!(cover.degree(), 0);
         assert!(cover.covers_all_r_neighborhoods(&empty));
     }

@@ -10,10 +10,11 @@
 //!
 //! * **Epoch-stamped scratch.** The sweep reuses one
 //!   [`BfsScratch`] per worker thread
-//!   (`bedom_par::ExecutionStrategy::chunk_collect_with`): a `u32` stamp
-//!   array reset by bumping an epoch, never re-allocated or re-zeroed per
-//!   ball, so the parallel path allocates `O(threads · n)` once instead of
-//!   `O(n²)` over the sweep.
+//!   (`bedom_par::ExecutionStrategy::chunk_collect_with`, whose workers
+//!   claim contiguous source ranges off `bedom-par`'s one work queue): a
+//!   `u32` stamp array reset by bumping an epoch, never re-allocated or
+//!   re-zeroed per ball, so the parallel path allocates `O(threads · n)`
+//!   once instead of `O(n²)` over the sweep.
 //! * **Flat CSR storage.** All restricted balls and their inversion (the
 //!   `WReach_r` sets) live in `offsets + data` arrays — no per-vertex `Vec` —
 //!   with the restricted-BFS depth stored per entry.
@@ -263,18 +264,10 @@ impl WReachIndex {
             .map(|(&w, _)| w)
     }
 
-    /// Fills `out` (cleared first) with the cluster `X_u` for `r ≤ radius`,
-    /// sorted by vertex id — the caller-buffer form of
-    /// [`WReachIndex::ball_at`] for loops that reuse one buffer.
-    pub fn ball_at_into(&self, u: Vertex, r: u32, out: &mut Vec<Vertex>) {
-        out.clear();
-        out.extend(self.ball_iter_at(u, r));
-    }
-
     /// The cluster `X_u` for a smaller radius `r ≤ radius`, materialised
     /// sorted by vertex id (at the full radius this is a straight copy of
     /// the CSR slice). Allocates the result; query loops should use
-    /// [`WReachIndex::ball_iter_at`] or [`WReachIndex::ball_at_into`].
+    /// [`WReachIndex::ball_iter_at`].
     pub fn ball_at(&self, u: Vertex, r: u32) -> Vec<Vertex> {
         self.assert_radius(r);
         if r >= self.radius {
@@ -317,17 +310,9 @@ impl WReachIndex {
             .map(|(&u, _)| u)
     }
 
-    /// Fills `out` (cleared first) with `WReach_r[G, L, v]` for
-    /// `r ≤ radius`, sorted by vertex id — the caller-buffer form of
-    /// [`WReachIndex::wreach_at`].
-    pub fn wreach_at_into(&self, v: Vertex, r: u32, out: &mut Vec<Vertex>) {
-        out.clear();
-        out.extend(self.wreach_iter_at(v, r));
-    }
-
     /// `WReach_r[G, L, v]` for `r ≤ radius`, materialised sorted by vertex
     /// id. Allocates the result; query loops should use
-    /// [`WReachIndex::wreach_iter_at`] or [`WReachIndex::wreach_at_into`].
+    /// [`WReachIndex::wreach_iter_at`].
     pub fn wreach_at(&self, v: Vertex, r: u32) -> Vec<Vertex> {
         self.assert_radius(r);
         if r >= self.radius {
@@ -456,19 +441,11 @@ impl WReachIndex {
         certified
     }
 
-    /// Whether the index certifies `in_set` as a full distance-`r`
-    /// dominating set (every vertex certified — see
-    /// [`WReachIndex::certified_dominated`]; one-sided: `false` means
-    /// *inconclusive*).
-    pub fn certifies_domination(&self, r: u32, in_set: &[bool]) -> bool {
-        self.certified_dominated(r, in_set).into_iter().all(|c| c)
-    }
-
     /// Number of vertices whose distance-`r` domination by `in_set` the
     /// index certifies (see [`WReachIndex::certified_dominated`]; one-sided,
-    /// no sweep). Equal to the vertex count exactly when
-    /// [`WReachIndex::certifies_domination`] holds — the count the
-    /// simulation-side reports expose.
+    /// no sweep). Equal to the vertex count exactly when the index
+    /// certifies `in_set` as a full distance-`r` dominating set — the count
+    /// the simulation-side reports expose.
     pub fn certified_count(&self, r: u32, in_set: &[bool]) -> usize {
         self.certified_dominated(r, in_set)
             .into_iter()
@@ -603,7 +580,8 @@ mod tests {
             for &d in &elected {
                 in_set[d as usize] = true;
             }
-            assert!(index.certifies_domination(r, &in_set), "r = {r}");
+            let n = g.num_vertices();
+            assert_eq!(index.certified_count(r, &in_set), n, "r = {r}");
             // Soundness: every certified vertex really is within distance r
             // of the set (checked against plain BFS distances).
             let members: Vec<Vertex> = g.vertices().filter(|&v| in_set[v as usize]).collect();
@@ -617,7 +595,7 @@ mod tests {
         }
         // The empty set certifies nothing on a non-empty graph.
         let index = WReachIndex::build(&g, &order, 2);
-        assert!(!index.certifies_domination(1, &vec![false; g.num_vertices()]));
+        assert_eq!(index.certified_count(1, &vec![false; g.num_vertices()]), 0);
     }
 
     #[test]
@@ -632,7 +610,7 @@ mod tests {
         // {1} dominates the whole path at r = 1 and is fully certified
         // (1 ∈ WReach_1[2] and 0 ∈ WReach_1[1]).
         let in_set = vec![false, true, false];
-        assert!(index.certifies_domination(1, &in_set));
+        assert_eq!(index.certified_count(1, &in_set), 3);
         // {2} dominates vertex 1 but the certificate sees it only via
         // 1 ∈ WReach_1[2]; vertex 0 is genuinely undominated, so the
         // certificate correctly refuses the full set.
@@ -663,7 +641,6 @@ mod tests {
         let g = stacked_triangulation(120, 11);
         let order = crate::heuristics::degeneracy_based_order(&g);
         let index = WReachIndex::build(&g, &order, 4);
-        let mut buf = Vec::new();
         for r in 0..=4u32 {
             for v in g.vertices() {
                 assert_eq!(
@@ -671,10 +648,11 @@ mod tests {
                     index.ball_at(v, r),
                     "ball r={r}, v={v}"
                 );
-                index.wreach_at_into(v, r, &mut buf);
-                assert_eq!(buf, index.wreach_at(v, r), "wreach r={r}, v={v}");
-                index.ball_at_into(v, r, &mut buf);
-                assert_eq!(buf, index.ball_at(v, r), "ball_into r={r}, v={v}");
+                assert_eq!(
+                    index.wreach_iter_at(v, r).collect::<Vec<_>>(),
+                    index.wreach_at(v, r),
+                    "wreach r={r}, v={v}"
+                );
             }
         }
     }

@@ -36,25 +36,6 @@ impl LinearOrder {
         LinearOrder { rank, order }
     }
 
-    /// Builds the order from a rank array (`rank[v]` = position of `v`).
-    ///
-    /// # Panics
-    /// Panics if `rank` is not a permutation of `0..rank.len()`.
-    pub fn from_ranks(rank: Vec<u32>) -> Self {
-        let n = rank.len();
-        let mut order = vec![0 as Vertex; n];
-        let mut seen = vec![false; n];
-        for (v, &r) in rank.iter().enumerate() {
-            assert!(
-                (r as usize) < n && !seen[r as usize],
-                "rank array is not a permutation at vertex {v}"
-            );
-            seen[r as usize] = true;
-            order[r as usize] = v as Vertex;
-        }
-        LinearOrder { rank, order }
-    }
-
     /// The identity order (vertex id = position).
     pub fn identity(n: usize) -> Self {
         LinearOrder {
@@ -121,13 +102,6 @@ impl LinearOrder {
     pub fn as_slice(&self) -> &[Vertex] {
         &self.order
     }
-
-    /// The reversed order.
-    pub fn reversed(&self) -> LinearOrder {
-        let mut order = self.order.clone();
-        order.reverse();
-        LinearOrder::from_order(order)
-    }
 }
 
 #[cfg(test)]
@@ -135,10 +109,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn from_order_and_ranks_agree() {
+    fn from_order_ranks_and_compares() {
         let a = LinearOrder::from_order(vec![2, 0, 3, 1]);
-        let b = LinearOrder::from_ranks(vec![1, 3, 0, 2]);
-        assert_eq!(a, b);
         assert_eq!(a.rank(2), 0);
         assert_eq!(a.vertex_at(0), 2);
         assert!(a.less(2, 0));
@@ -168,14 +140,6 @@ mod tests {
         assert_eq!(l.min_of(&[0, 1, 2]), Some(1));
         assert_eq!(l.min_of(&[0]), Some(0));
         assert_eq!(l.min_of(&[]), None);
-    }
-
-    #[test]
-    fn reversed_order() {
-        let l = LinearOrder::from_order(vec![2, 0, 1]);
-        let r = l.reversed();
-        assert_eq!(r.as_slice(), &[1, 0, 2]);
-        assert!(l.less(2, 1) && r.less(1, 2));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Runs the end-to-end benchmark on two source trees in alternating pairs and
 # prints, for each end-to-end metric that BENCHMARK.json declares, each
-# side's median with its quartiles and the number of pairs the change won:
+# side's median with its quartiles, the number of pairs the change won and a
+# verdict:
 #
 #   scripts/pairs.sh PARENT_TREE CHANGE_TREE WORKLOAD SEED PAIRS
 #
@@ -13,6 +14,17 @@
 # is appended to parent.jsonl or change.jsonl in $PAIRS_OUT (default: a new
 # temporary directory). A run that fails its correctness gate stops the
 # script. Needs jq and python3.
+#
+# The verdict applies the first rule that holds, with quartiles taken over
+# each side's runs and "better" in the metric's declared direction:
+#   unresolved  the parent's interquartile range exceeds the bound times its
+#               median, and not every change run beats every parent run;
+#   worse       the change's median is worse than the parent's by more than
+#               the bound (relative to the parent's median);
+#   gain        the change won at least nine tenths of the pairs (ties count
+#               for neither side) and the medians differ by more than the
+#               parent's interquartile range;
+#   ok          otherwise.
 set -euo pipefail
 
 if [ $# -ne 5 ]; then
@@ -75,16 +87,30 @@ def number(x):
     return str(int(x)) if x == int(x) else f"{x:.5g}"
 
 
+def quartiles(xs):
+    return statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else xs * 3
+
+
 def summary(xs):
-    q1, q2, q3 = (
-        statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else xs * 3
-    )
+    q1, q2, q3 = quartiles(xs)
     return f"{number(q2)} [{number(q1)}, {number(q3)}]"
+
+
+def verdict(p, c, sign, bound, won):
+    q1, mp, q3 = quartiles(p)
+    mc = statistics.median(c)
+    if q3 - q1 > bound * abs(mp) and not min(sign * x for x in c) > max(sign * x for x in p):
+        return "unresolved"
+    if sign * (mc - mp) < -bound * abs(mp):
+        return "worse"
+    if won >= 0.9 * len(p) and abs(mc - mp) > q3 - q1:
+        return "gain"
+    return "ok"
 
 
 with open(f"{out}/metrics.jsonl") as f:
     metrics = [json.loads(line) for line in f]
-rows = [("metric", "parent", "change", "change/parent", "bound", "change won")]
+rows = [("metric", "parent", "change", "change/parent", "bound", "change won", "verdict")]
 for m in metrics:
     p, c = values("parent", m["name"]), values("change", m["name"])
     sign = -1 if m["better"] == "lower" else 1
@@ -94,7 +120,7 @@ for m in metrics:
     ratio = f"{mc / mp:.4f}" if mp else "-"
     rows.append(
         (m["name"], summary(p), summary(c), ratio, str(m["bound"]),
-         f"{won}/{len(p)} (ties {ties})")
+         f"{won}/{len(p)} (ties {ties})", verdict(p, c, sign, m["bound"], won))
     )
 widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
 print(f"{workload} seed {seed}: median [quartiles] per side; pairs alternate the order")
