@@ -81,15 +81,27 @@ pub fn time_samples<O>(id: &str, samples: usize, mut f: impl FnMut() -> O) -> (O
         durations.push(start.elapsed());
         output = Some(out);
     }
-    let row = TimingRow::from_samples(id, durations);
+    let median = record_samples(id, durations);
+    let output = output.expect("the sample loop ran at least once");
+    (output, median)
+}
+
+/// Records the row `{id, min_ns, median_ns, max_ns}` over samples the caller
+/// timed itself (a bench that runs several variants back to back within
+/// each sample) and returns their median in seconds.
+pub fn record_samples(id: &str, samples: Vec<Duration>) -> f64 {
+    assert!(
+        !samples.is_empty(),
+        "{id}: a timing needs at least one sample"
+    );
+    let row = TimingRow::from_samples(id, samples);
     println!(
         "  {id:<40} time: [{:.2?} {:.2?} {:.2?}]",
         row.min, row.median, row.max
     );
     let median = row.median.as_secs_f64();
     report().benchmarks.push(row);
-    let output = output.expect("the sample loop ran at least once");
-    (output, median)
+    median
 }
 
 /// Writes every row and metric collected so far to the file named by the

@@ -34,8 +34,9 @@ use bedom_distsim::journal::{DurabilityMode, JournalError};
 use bedom_distsim::scenario::{
     ReportSink, ScenarioReport, ScenarioRunner, ShardMetrics, ShardReport,
 };
-use bedom_distsim::snapshot_codec::{ByteCodec, CodecError};
-use bedom_distsim::{ExecutionStrategy, IdAssignment, ModelViolation, RunStats};
+use bedom_distsim::{
+    ByteCodec, CodecError, ExecutionStrategy, IdAssignment, ModelViolation, RunStats,
+};
 use bedom_graph::domset::{is_distance_dominating_set, packing_lower_bound};
 use bedom_graph::{Graph, Vertex};
 use bedom_wcol::{ball_sweeps_on_this_thread, degeneracy_based_order, WReachIndex};

@@ -5,7 +5,9 @@
 //! form of that call: it steps the network itself, snapshots it at every
 //! [`RecoveryPolicy::checkpoint_every`]-th global round, checks the
 //! protocol's invariants after each attempt, and on a [`ModelViolation`]
-//! restores a checkpoint and replays with the fault plan cleared.
+//! restores a checkpoint and replays with the fault plan cleared. The
+//! checkpoints live in memory, in the network's storage order, and never
+//! leave the supervisor.
 
 use crate::model::ModelViolation;
 use crate::network::{Network, NetworkSnapshot};

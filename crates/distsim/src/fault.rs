@@ -31,8 +31,8 @@
 //! * **Crashes** are explicit windows `[from_round, until_round)` per graph
 //!   vertex: a crashed vertex sends nothing (messages it queued are lost),
 //!   receives nothing, and does not transition — its state freezes until the
-//!   restore round, which is exactly what [`crate::Network::restore`]-based
-//!   recovery assumes.
+//!   restore round, which is exactly what [`crate::run_with_recovery`]
+//!   assumes.
 
 use bedom_rng::DetRng;
 

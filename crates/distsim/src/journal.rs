@@ -3,8 +3,8 @@
 //!
 //! A million-instance batch that dies at shard 999_990 must not restart from
 //! zero. The journal records each completed shard as one
-//! [`snapshot_codec`](crate::snapshot_codec) frame in an append-only file, so
-//! a resumed run can skip everything already done and still produce output
+//! [`codec`](crate::codec) frame in an append-only file, so a resumed run
+//! can skip everything already done and still produce output
 //! **bit-identical** to an uninterrupted run — the journal stores the job's
 //! actual outputs and metrics, not a summary of them.
 //!
@@ -19,24 +19,31 @@
 //! fnv1a64` envelope. Records may repeat a shard (last write wins) and may
 //! appear in any order; `ScenarioRunner::run_resumable` writes them in
 //! ascending shard order under every strategy. There is no footer: a
-//! crash mid-append leaves a partial trailing frame, which
-//! [`FrameReader`] reports as a typed error at a byte offset; on reopen the
-//! journal truncates the file back to that offset (dropping at most the one
-//! torn record) and resumes appending. Earlier frames are checksummed, so
-//! silent corruption never resurrects as a bogus "completed" shard.
+//! crash mid-append leaves a strict prefix of its frame, which
+//! [`FrameReader`] reports as [`CodecError::Truncated`] at a byte offset; on
+//! reopen the journal truncates the file back to that offset (dropping at
+//! most the one torn record) and resumes appending. Every other unreadable
+//! frame (a checksum mismatch, bad magic, an unknown version, a malformed
+//! payload) is corruption: reopening fails with [`JournalError::Frame`] and
+//! leaves the file as it was, so a flipped bit never resurrects as a bogus
+//! "completed" shard nor silently drops the intact records after it. A frame
+//! has no length word, though, so a corrupted length that runs a record's
+//! decode to the end of the file also reads as `Truncated` and is salvaged.
 //!
 //! ## Durability modes
 //!
 //! [`DurabilityMode::Sync`] calls `sync_data` after every append — a crash
 //! loses at most the record being written. [`DurabilityMode::Deferred`]
 //! writes without syncing and syncs once in [`BatchJournal::finish`] — much
-//! cheaper per shard, and a crash loses only whatever the OS had not flushed
-//! (each surviving record is still individually checksummed, so a partially
-//! flushed tail degrades into the torn-record salvage path, never into
-//! corruption).
+//! cheaper per shard. If the OS flushed in order, a crash loses only what
+//! it had not flushed: the surviving bytes are a prefix and take the
+//! torn-record salvage path. A tail flushed out of order (later bytes on
+//! disk, earlier ones not) is not a prefix: it fails its checksum or magic,
+//! and reopening refuses it with a typed error, as it does any other
+//! corruption.
 
+use crate::codec::{encode_frame, ByteCodec, CodecError, FrameError, FrameReader};
 use crate::scenario::ShardMetrics;
-use crate::snapshot_codec::{encode_frame, ByteCodec, CodecError, FrameError, FrameReader};
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::Path;
@@ -49,7 +56,8 @@ pub enum DurabilityMode {
     Sync,
     /// Write-behind: records go to the OS immediately but are only synced by
     /// [`BatchJournal::finish`]. A crash re-runs whatever the OS had not
-    /// flushed — never more than that, thanks to per-record checksums.
+    /// flushed. A tail the OS flushed out of order fails its per-record
+    /// checksum, and reopening refuses it with [`JournalError::Frame`].
     Deferred,
 }
 
@@ -58,9 +66,9 @@ pub enum DurabilityMode {
 pub enum JournalError {
     /// The underlying file operation failed.
     Io(std::io::Error),
-    /// A frame was unreadable in a way salvage must not paper over (bad
-    /// magic, unsupported version, malformed payload). The offset is
-    /// absolute within the journal file.
+    /// A frame was unreadable in a way salvage must not paper over (checksum
+    /// mismatch, bad magic, unsupported version, malformed payload). The
+    /// offset is absolute within the journal file.
     Frame(FrameError),
     /// The journal on disk was written for a different batch size; resuming
     /// would mis-align shard indices.
@@ -206,8 +214,9 @@ impl<T: ByteCodec> BatchJournal<T> {
     ///
     /// A partial trailing frame — the signature of a crash mid-append — is
     /// truncated away and the journal stays usable; any other unreadable
-    /// frame is a typed error. An existing journal whose header disagrees
-    /// with `num_shards` fails with [`JournalError::ShardCountMismatch`].
+    /// frame is a typed error and leaves the file untouched. An existing
+    /// journal whose header disagrees with `num_shards` fails with
+    /// [`JournalError::ShardCountMismatch`].
     pub fn open_or_create(
         path: &Path,
         num_shards: usize,
@@ -249,7 +258,7 @@ impl<T: ByteCodec> BatchJournal<T> {
             // nothing worth keeping: start the journal over.
             None
             | Some(Err(FrameError {
-                error: CodecError::Truncated | CodecError::Checksum,
+                error: CodecError::Truncated,
                 ..
             })) => {
                 journal.file.set_len(0)?;
@@ -287,13 +296,14 @@ impl<T: ByteCodec> BatchJournal<T> {
                     journal.completed[shard] = true;
                     journal.recovered[shard] = Some(record);
                 }
-                // A torn tail surfaces as `Truncated` (mid-frame cut) or
-                // `Checksum` (the cut happened to leave a parseable payload):
+                // A torn tail is a strict prefix of its frame, and decoding
+                // reads front to back, so it surfaces as `Truncated`:
                 // truncate the file back to the last intact frame. Anything
-                // else means real corruption — refuse to guess.
+                // else, a checksum mismatch included, is real corruption —
+                // refuse to guess.
                 Err(FrameError {
                     offset,
-                    error: CodecError::Truncated | CodecError::Checksum,
+                    error: CodecError::Truncated,
                 }) => salvage = Some(records_start + offset),
                 Err(FrameError { offset, error }) => {
                     return Err(JournalError::Frame(FrameError {
@@ -508,22 +518,47 @@ mod tests {
     fn mid_file_corruption_is_a_hard_error_not_a_silent_salvage() {
         let path = temp_path("corrupt");
         let mut journal =
-            BatchJournal::<u64>::open_or_create(&path, 2, DurabilityMode::Sync).unwrap();
-        journal.append(&record(0, 1)).unwrap();
+            BatchJournal::<u64>::open_or_create(&path, 4, DurabilityMode::Sync).unwrap();
+        for shard in 0..3 {
+            journal.append(&record(shard, shard + 1)).unwrap();
+        }
         drop(journal);
-        let mut bytes = std::fs::read(&path).unwrap();
-        let header_len = encode_frame(&JournalHeader { num_shards: 2 }).len();
-        bytes[header_len] = b'X'; // break the record frame's magic
-        std::fs::write(&path, &bytes).unwrap();
-        match BatchJournal::<u64>::open_or_create(&path, 2, DurabilityMode::Sync) {
-            Err(JournalError::Frame(FrameError {
-                offset,
-                error: CodecError::BadMagic,
-            })) => assert_eq!(offset, header_len),
-            other => panic!(
-                "expected a BadMagic frame error, got {:?}",
-                other.map(|_| ())
+        let intact = std::fs::read(&path).unwrap();
+        let header_len = encode_frame(&JournalHeader { num_shards: 4 }).len();
+        let record_len = encode_frame(&record(0, 1)).len();
+        let second_record = header_len + record_len;
+        // (byte, XOR mask, offset of its frame, expected error). A frame is
+        // `magic: 4 | version: 2 | payload | checksum: 8`, so byte 6 of the
+        // file is the low byte of the header's `num_shards`, and a record's
+        // last payload byte (its output's) sits 9 bytes before its end.
+        let cases = [
+            (header_len, 0xff, header_len, CodecError::BadMagic),
+            (
+                second_record + record_len - 9,
+                0xff,
+                second_record,
+                CodecError::Checksum,
             ),
+            (6, 0x01, 0, CodecError::Checksum),
+        ];
+        for (at, mask, frame, expected) in cases {
+            let mut bytes = intact.clone();
+            bytes[at] ^= mask;
+            std::fs::write(&path, &bytes).unwrap();
+            match BatchJournal::<u64>::open_or_create(&path, 4, DurabilityMode::Sync) {
+                Err(JournalError::Frame(FrameError { offset, error })) => {
+                    assert_eq!((offset, error), (frame, expected), "byte {at}");
+                }
+                other => panic!(
+                    "byte {at}: expected a {expected:?} frame error, got {:?}",
+                    other.map(|_| ())
+                ),
+            }
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                bytes,
+                "byte {at}: a refused journal is left as it was"
+            );
         }
         std::fs::remove_file(&path).unwrap();
     }

@@ -35,11 +35,14 @@
 //! plan produces the same faults under every [`ExecutionStrategy`]),
 //! algorithms surface lost knowledge as typed [`model::ModelViolation`]s
 //! instead of silently wrong outputs, and [`engine::run_with_recovery`]
-//! steps the network under periodic [`network::NetworkSnapshot`]
-//! checkpoints, rolls back and replays until a run passes its invariant
-//! check. Snapshots serialise through the versioned, checksummed
-//! [`snapshot_codec`].
+//! steps the network under periodic in-memory checkpoints, rolls back and
+//! replays until a run passes its invariant check.
+//!
+//! [`journal::BatchJournal`] makes batches durable: each completed shard is
+//! one versioned, checksummed frame of the [`codec`] in an append-only file,
+//! so an interrupted batch resumes bit-identically.
 
+pub mod codec;
 pub mod engine;
 pub mod fault;
 pub mod ids;
@@ -50,10 +53,10 @@ pub mod model;
 pub mod network;
 pub mod node;
 pub mod scenario;
-pub mod snapshot_codec;
 pub mod trace;
 
 pub use bedom_par::ExecutionStrategy;
+pub use codec::{encode_frame, ByteCodec, CodecError, FrameError, FrameReader};
 pub use engine::{run_with_recovery, RecoveryExhausted, RecoveryPolicy, RecoveryReport};
 pub use fault::{CrashWindow, FaultPlan};
 pub use ids::IdAssignment;
@@ -61,13 +64,10 @@ pub use journal::{BatchJournal, DurabilityMode, JournalError, ShardRecord};
 pub use local::{build_view, run_local, run_local_with, LocalView};
 pub use message::MessageSize;
 pub use model::{id_bits, log2_ceil, Model, ModelViolation};
-pub use network::{Network, NetworkSnapshot};
+pub use network::Network;
 pub use node::{Inbox, Incoming, NodeAlgorithm, NodeContext, Outgoing};
 pub use scenario::{
     MetricsDigest, ReportSink, ScenarioReport, ScenarioRunner, ShardMetrics, ShardReport,
-};
-pub use snapshot_codec::{
-    decode_snapshot, encode_frame, encode_snapshot, ByteCodec, CodecError, FrameError, FrameReader,
 };
 pub use trace::{RoundStats, RunStats};
 

@@ -46,11 +46,13 @@
 //!
 //! Slots never leave this module. The factory receives the graph vertex,
 //! [`Network::outputs`], [`Network::node`] and [`Network::id_of`] are keyed
-//! by graph vertex, fault plans are asked about graph vertices, model
+//! by graph vertex, fault plans are asked about graph vertices, and model
 //! violations are checked in graph-vertex order (so the first one reported
-//! is the same whatever the layout), and snapshots hold nodes and outboxes
-//! in graph-vertex order. Inboxes are ordered by sender network id, which
-//! the layout does not touch, so no protocol can observe it.
+//! is the same whatever the layout). Inboxes are ordered by sender network
+//! id, which the layout does not touch, so no protocol can observe it.
+//! Checkpoints copy the state as stored, in slot order: they are
+//! crate-private, and the recovery supervisor restores them into the
+//! network that took them.
 
 use crate::fault::{DeliveryFilter, FaultPlan};
 use crate::ids::IdAssignment;
@@ -207,12 +209,13 @@ impl<'g, A: NodeAlgorithm> Network<'g, A> {
     /// Removes the installed fault schedule — the crash-restore step of the
     /// recovery supervisor ([`crate::engine::run_with_recovery`]). Returns
     /// the removed plan, if any.
-    pub fn clear_fault_plan(&mut self) -> Option<FaultPlan> {
+    pub(crate) fn clear_fault_plan(&mut self) -> Option<FaultPlan> {
         self.fault.take()
     }
 
     /// The installed fault schedule, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
+    #[cfg(test)]
+    pub(crate) fn fault_plan(&self) -> Option<&FaultPlan> {
         self.fault.as_ref()
     }
 
@@ -356,33 +359,31 @@ impl<'g, A: NodeAlgorithm> Network<'g, A> {
     }
 
     /// Captures the complete execution state — node state machines, pending
-    /// outboxes, statistics — as a [`NetworkSnapshot`]. Restoring it into a
-    /// network built over the same graph (same factory, model, ids and
-    /// strategy) resumes the run **bit-identically**: the next round's
-    /// inboxes read the restored outboxes, so nothing observable depends on
-    /// when the snapshot was taken. This is the checkpoint primitive
-    /// behind [`crate::engine::run_with_recovery`]. Nodes and outboxes are
-    /// captured in graph-vertex order, whatever the storage order.
-    pub fn snapshot(&self) -> NetworkSnapshot<A>
+    /// outboxes, statistics — as a [`NetworkSnapshot`], in storage order.
+    /// Restoring it into this network, or one built identically over the
+    /// same graph (same factory, model, ids and strategy), resumes the run
+    /// **bit-identically**: the next round's inboxes read the restored
+    /// outboxes, so nothing observable depends on when the snapshot was
+    /// taken. This is the checkpoint primitive behind
+    /// [`crate::engine::run_with_recovery`].
+    pub(crate) fn snapshot(&self) -> NetworkSnapshot<A>
     where
         A: Clone,
         A::Message: Clone,
     {
         NetworkSnapshot {
-            nodes: gather(&self.nodes, &self.slot_of),
-            outboxes: gather(&self.outboxes, &self.slot_of),
+            nodes: self.nodes.clone(),
+            outboxes: self.outboxes.clone(),
             stats: self.stats.clone(),
             initialized: self.initialized,
         }
     }
 
     /// Restores the execution state captured by [`Network::snapshot`].
-    /// The network must be built over a graph of the same size (the intended
-    /// use is an identically-constructed network; nothing else is meaningful).
     ///
     /// # Panics
     /// Panics if the snapshot's vertex count differs from this network's.
-    pub fn restore(&mut self, snapshot: &NetworkSnapshot<A>)
+    pub(crate) fn restore(&mut self, snapshot: &NetworkSnapshot<A>)
     where
         A: Clone,
         A::Message: Clone,
@@ -394,12 +395,12 @@ impl<'g, A: NodeAlgorithm> Network<'g, A> {
             snapshot.nodes.len(),
             self.graph.num_vertices()
         );
-        self.nodes = gather(&snapshot.nodes, &self.vertex_at);
-        self.outboxes = gather(&snapshot.outboxes, &self.vertex_at);
+        self.nodes.clone_from(&snapshot.nodes);
+        self.outboxes.clone_from(&snapshot.outboxes);
         for slot in &mut self.next_outboxes {
             *slot = Outgoing::Silent;
         }
-        self.stats = snapshot.stats.clone();
+        self.stats.clone_from(&snapshot.stats);
         self.initialized = snapshot.initialized;
     }
 
@@ -479,44 +480,22 @@ fn context_at<'a>(
     }
 }
 
-/// `items[order[0]], items[order[1]], …`: moves per-vertex state between
-/// slot order and graph-vertex order.
-fn gather<T: Clone>(items: &[T], order: &[u32]) -> Vec<T> {
-    order.iter().map(|&i| items[i as usize].clone()).collect()
-}
-
 /// A checkpoint of a [`Network`]'s execution state, captured by
-/// [`Network::snapshot`] and consumed by [`Network::restore`]. Holds the node
-/// state machines, the outboxes pending delivery, and the accumulated
-/// statistics (including the global round counter); the delivery order is
-/// derived from the graph and ids, so it is not captured.
-pub struct NetworkSnapshot<A: NodeAlgorithm> {
-    pub(crate) nodes: Vec<A>,
-    pub(crate) outboxes: Vec<Outgoing<A::Message>>,
-    pub(crate) stats: RunStats,
-    pub(crate) initialized: bool,
+/// [`Network::snapshot`] and consumed by [`Network::restore`]: the node state
+/// machines and the outboxes pending delivery, both in storage order, and
+/// the accumulated statistics (including the global round counter). The
+/// delivery order is derived from the graph and ids, so it is not captured.
+pub(crate) struct NetworkSnapshot<A: NodeAlgorithm> {
+    nodes: Vec<A>,
+    outboxes: Vec<Outgoing<A::Message>>,
+    stats: RunStats,
+    initialized: bool,
 }
 
 impl<A: NodeAlgorithm> NetworkSnapshot<A> {
     /// The global round index at which the snapshot was taken.
-    pub fn rounds(&self) -> usize {
+    pub(crate) fn rounds(&self) -> usize {
         self.stats.rounds
-    }
-
-    /// Number of vertices of the snapshotted network.
-    pub fn num_vertices(&self) -> usize {
-        self.nodes.len()
-    }
-}
-
-// Manual impl: summarises the snapshot without requiring `A: Debug`.
-impl<A: NodeAlgorithm> std::fmt::Debug for NetworkSnapshot<A> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NetworkSnapshot")
-            .field("rounds", &self.stats.rounds)
-            .field("num_vertices", &self.nodes.len())
-            .field("initialized", &self.initialized)
-            .finish_non_exhaustive()
     }
 }
 
@@ -725,31 +704,34 @@ mod tests {
 
     #[test]
     fn resumed_run_from_snapshot_is_bit_identical() {
-        let g = star(9);
-        let total_rounds = 10;
+        // BFS from vertex 0 numbers `star(9)` as it is; on the scrambled grid
+        // the storage order differs from the vertex numbering.
+        for g in [star(9), scrambled(&grid(3, 3), 4)] {
+            let total_rounds = 10;
 
-        // Uninterrupted reference run.
-        let mut reference = accumulator_net(&g);
-        reference.run(total_rounds).unwrap();
+            // Uninterrupted reference run.
+            let mut reference = accumulator_net(&g);
+            reference.run(total_rounds).unwrap();
 
-        // Checkpointed run: snapshot at round 6, between two `run` calls;
-        // the source network moves on, and a *fresh* network resumes.
-        let mut first = accumulator_net(&g);
-        first.run(6).unwrap();
-        let snapshot = first.snapshot();
-        assert_eq!(snapshot.rounds(), 6);
-        assert_eq!(snapshot.num_vertices(), 9);
-        first.run(1).unwrap();
+            // Checkpointed run: snapshot at round 6, between two `run` calls;
+            // the source network moves on, and a *fresh* network resumes.
+            let mut first = accumulator_net(&g);
+            first.run(6).unwrap();
+            let snapshot = first.snapshot();
+            assert_eq!(snapshot.rounds(), 6);
+            assert_eq!(snapshot.nodes.len(), 9);
+            first.run(1).unwrap();
 
-        let mut resumed = accumulator_net(&g);
-        resumed.restore(&snapshot);
-        assert_eq!(resumed.stats().rounds, 6);
-        resumed.run(total_rounds - 6).unwrap();
+            let mut resumed = accumulator_net(&g);
+            resumed.restore(&snapshot);
+            assert_eq!(resumed.stats().rounds, 6);
+            resumed.run(total_rounds - 6).unwrap();
 
-        // Outputs and full statistics, the per-round stream included, must
-        // match the uninterrupted run exactly.
-        assert_eq!(resumed.outputs(), reference.outputs());
-        assert_eq!(resumed.stats(), reference.stats());
+            // Outputs and full statistics, the per-round stream included,
+            // must match the uninterrupted run exactly.
+            assert_eq!(resumed.outputs(), reference.outputs());
+            assert_eq!(resumed.stats(), reference.stats());
+        }
     }
 
     /// An algorithm that records its whole inbox, to pin down delivery order.
@@ -977,15 +959,6 @@ mod tests {
         }
         fn output(&self, _: &NodeContext) -> u64 {
             self.0
-        }
-    }
-
-    impl crate::snapshot_codec::ByteCodec for Folder {
-        fn encode(&self, out: &mut Vec<u8>) {
-            self.0.encode(out);
-        }
-        fn decode(input: &mut &[u8]) -> Result<Self, crate::snapshot_codec::CodecError> {
-            u64::decode(input).map(Folder)
         }
     }
 

@@ -41,8 +41,8 @@
 //! [`ExecutionStrategy::nested`] strategy — a parallel batch that also forked
 //! per shard would oversubscribe the machine.
 
+use crate::codec::ByteCodec;
 use crate::journal::{BatchJournal, DurabilityMode, JournalError, ShardRecord};
-use crate::snapshot_codec::ByteCodec;
 use crate::trace::RunStats;
 use bedom_par::ExecutionStrategy;
 use std::path::Path;

@@ -106,8 +106,10 @@ pub fn degeneracy_order(graph: &Graph) -> Vec<Vertex> {
 
 /// Checks the defining property of a degeneracy ordering: returns the maximum
 /// "forward degree" (number of neighbours later in the order) over all
-/// vertices. For a valid degeneracy order this equals the degeneracy.
-pub fn max_forward_degree(graph: &Graph, order: &[Vertex]) -> usize {
+/// vertices. For a valid degeneracy order this equals the degeneracy. The
+/// tests' independent check of [`core_decomposition`]'s order.
+#[cfg(test)]
+pub(crate) fn max_forward_degree(graph: &Graph, order: &[Vertex]) -> usize {
     let n = graph.num_vertices();
     assert_eq!(
         order.len(),

@@ -100,15 +100,6 @@ impl DetRng {
             slice.swap(i, j);
         }
     }
-
-    /// Uniformly chosen element, or `None` on an empty slice.
-    pub fn choose<'a, T>(&mut self, slice: &'a [T]) -> Option<&'a T> {
-        if slice.is_empty() {
-            None
-        } else {
-            Some(&slice[self.gen_below(slice.len() as u64) as usize])
-        }
-    }
 }
 
 /// Integer types usable with [`DetRng::gen_range`].
@@ -221,13 +212,5 @@ mod tests {
         rng2.shuffle(&mut w);
         assert_eq!(shuffled, w);
         assert_ne!(shuffled, (0..100).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn choose_handles_empty_and_singleton() {
-        let mut rng = DetRng::seed_from_u64(5);
-        let empty: [u8; 0] = [];
-        assert_eq!(rng.choose(&empty), None);
-        assert_eq!(rng.choose(&[9u8]), Some(&9));
     }
 }
