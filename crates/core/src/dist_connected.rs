@@ -11,87 +11,80 @@
 //! result is connected whenever `G` is.
 //!
 //! Distributedly, the extra phase is a path-flooding protocol: every `v ∈ D`
-//! broadcasts its stored paths; a vertex that sees itself on a received path
-//! joins `D'` and forwards the path once. Every path a vertex forwards starts
-//! at a member of its own weak reachability set, which bounds the number of
+//! broadcasts its stored paths, and every vertex on a flooded path joins `D'`
+//! and forwards the path once. Every path a vertex forwards starts at a
+//! member of its own weak reachability set, which bounds the number of
 //! simultaneously forwarded paths by `c' = c(2r+1)` — the same bookkeeping as
 //! in the proof of Theorem 10.
+//!
+//! No vertex keeps a path. Lemma 7 stores, per start, a shortest restricted
+//! path (ties broken lexicographically), so every stored path is an induced
+//! path of `G`: a chord would give a shorter restricted path. A path
+//! `[t, …, v]` that its owner `v` broadcasts in `init` therefore reaches the
+//! vertex `k` hops before `v` first in round `k`, from its successor on the
+//! path; the flood runs on a fresh network, no vertex off the path ever
+//! forwards it, and the only other path vertex adjacent to it, its
+//! predecessor, sends it two rounds later. So round `k` forwards exactly the
+//! received paths on which the vertex sits `k` hops before the owner, which
+//! is the vertex's first and only forwarding of each. The suite pins both
+//! Lemma 7 invariants this rests on (`tests/conformance.rs`).
 
 use crate::context::DistContext;
 use crate::dist_domset::{distributed_distance_domination_in, DistDomSetConfig, DistDomSetResult};
-use crate::dist_wreach::{PathSetMessage, PathView};
+use crate::dist_wreach::{PathOutbox, PathSetMessage, PathStore, PathView};
 use bedom_distsim::{
     IdAssignment, Inbox, ModelViolation, Network, NodeAlgorithm, NodeContext, Outgoing, RunStats,
 };
 use bedom_graph::{Graph, Vertex};
-use std::collections::BTreeSet;
 
 /// Per-vertex state of the path-flooding phase.
 #[derive(Debug)]
-pub struct PathFloodNode {
+struct PathFloodNode<'s> {
     sid: u32,
     id_bits: usize,
-    /// Paths this vertex still has to announce (initially: the stored paths of
-    /// a dominating-set member; afterwards: paths it discovered itself on).
-    pending: Vec<Vec<u32>>,
-    /// Paths already forwarded (dedup key: the full path).
-    forwarded: BTreeSet<Vec<u32>>,
+    /// ρ = 2r + 1: the longest seed path, in edges.
+    rho: usize,
     /// Whether this vertex belongs to `D'`.
     in_connected_set: bool,
+    /// The stored paths of a `D` member, broadcast in `init`; `None` for
+    /// every other vertex.
+    seeds: Option<&'s PathStore>,
 }
 
-impl PathFloodNode {
-    /// Initial state. `seed_paths` are the stored paths of a dominating-set
-    /// member (empty for non-members); `in_d` marks membership in `D`.
-    pub fn new(sid: u32, id_bits: usize, in_d: bool, seed_paths: Vec<Vec<u32>>) -> Self {
-        PathFloodNode {
-            sid,
-            id_bits,
-            pending: seed_paths,
-            forwarded: BTreeSet::new(),
-            in_connected_set: in_d,
-        }
-    }
-
-    fn broadcast_pending(&mut self) -> Outgoing<PathSetMessage> {
-        if self.pending.is_empty() {
-            return Outgoing::Silent;
-        }
-        self.pending.sort();
-        self.pending.dedup();
-        let ids = self.pending.iter().map(Vec::len).sum();
-        let mut message = PathSetMessage::with_capacity(self.id_bits, self.pending.len(), ids);
-        for path in self.pending.drain(..) {
-            message.push(&[&path]);
-            self.forwarded.insert(path);
-        }
-        Outgoing::Broadcast(message)
-    }
-}
-
-impl NodeAlgorithm for PathFloodNode {
+impl NodeAlgorithm for PathFloodNode<'_> {
     type Message = PathSetMessage;
     type Output = bool;
 
     fn init(&mut self, _ctx: &NodeContext) -> Outgoing<PathSetMessage> {
-        self.broadcast_pending()
+        let Some(seeds) = self.seeds else {
+            return Outgoing::Silent;
+        };
+        PathOutbox::with(|outbox| {
+            for path in seeds.values().filter(|path| path.len() - 1 <= self.rho) {
+                outbox.push(&path.parts());
+            }
+            outbox.broadcast(self.id_bits)
+        })
     }
 
     fn round(
         &mut self,
         _ctx: &NodeContext,
-        _round: usize,
+        round: usize,
         inbox: Inbox<'_, PathSetMessage>,
     ) -> Outgoing<PathSetMessage> {
-        for message in inbox {
-            for path in message.payload.paths() {
-                if path.contains(&self.sid) && !self.forwarded.contains(path) {
-                    self.in_connected_set = true;
-                    self.pending.push(path.to_vec());
+        PathOutbox::with(|outbox| {
+            for message in inbox {
+                for path in message.payload.paths() {
+                    let position = path.iter().position(|&id| id == self.sid);
+                    if position.is_some_and(|p| path.len() - 1 - p == round) {
+                        self.in_connected_set = true;
+                        outbox.push(&[path]);
+                    }
                 }
             }
-        }
-        self.broadcast_pending()
+            outbox.broadcast(self.id_bits)
+        })
     }
 
     fn output(&self, _ctx: &NodeContext) -> bool {
@@ -176,9 +169,9 @@ pub fn distributed_connected_domination_in(
     // Phase 4: path flooding from the members of D, seeded from the
     // context's cached weak-reachability outputs. A context at a reach
     // radius beyond 2r + 1 holds farther-reaching paths that belong to
-    // WReach sets Theorem 10 never uses; filter them out (same as the cover
-    // does), or the 2r + 2-round flood budget and the blow-up bound would
-    // not hold. At an exact-radius context the filter is a no-op.
+    // WReach sets Theorem 10 never uses; the nodes filter them out (same as
+    // the cover does), or the 2r + 2-round flood budget and the blow-up bound
+    // would not hold. At an exact-radius context the filter is a no-op.
     let rho = 2 * r as usize + 1;
     let within_rho = |path: &PathView<'_>| path.len() - 1 <= rho;
     let id_bits = ctx.id_bits();
@@ -192,16 +185,14 @@ pub fn distributed_connected_domination_in(
     let wreach_info = &ctx.wreach()?.info;
     let mut flood = Network::new(graph, ctx.model(), IdAssignment::Natural, |v, _ctx| {
         let info = &wreach_info[v as usize];
-        let seed_paths = if in_d[v as usize] {
-            info.paths
-                .values()
-                .filter(within_rho)
-                .map(|path| path.to_vec())
-                .collect()
-        } else {
-            Vec::new()
-        };
-        PathFloodNode::new(info.sid, id_bits, in_d[v as usize], seed_paths)
+        let member = in_d[v as usize];
+        PathFloodNode {
+            sid: info.sid,
+            id_bits,
+            rho,
+            in_connected_set: member,
+            seeds: member.then_some(&info.paths),
+        }
     });
     flood.set_strategy(ctx.strategy());
     // Paths have at most 2r + 2 vertices, so 2r + 2 rounds let every path

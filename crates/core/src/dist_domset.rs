@@ -13,7 +13,11 @@
 //!    dominator and sends it a "you are in `D`" token along the stored path
 //!    (at most `r` hops); tokens to the same target are deduplicated at every
 //!    forwarder, so no vertex ever carries more than `c(2r)` distinct tokens
-//!    (the paper's forwarding bound in the proof of Theorem 9).
+//!    (the paper's forwarding bound in the proof of Theorem 9). A forwarder
+//!    keeps only the targets it has served: every prefix of a stored Lemma 7
+//!    path is the stored path of its last vertex, so every token for a
+//!    target `t` that reaches `x` is `x`'s own stored path to `t`, and a
+//!    later one carries nothing new.
 //!
 //! Phases 1 and 2 are owned by the shared [`DistContext`]
 //! ([`crate::context`]): [`distributed_distance_domination_in`] runs only the
@@ -50,13 +54,13 @@ use bedom_wcol::LinearOrder;
 /// becomes the next holder. A token of length 1 has reached its target, which
 /// thereby learns it is in the dominating set.
 #[derive(Debug)]
-pub struct ElectionNode {
+struct ElectionNode {
     sid: u32,
     id_bits: usize,
-    /// `(target, length of the token forwarded towards it)`, sorted by
-    /// target: a later token for the same target is forwarded only if it is
-    /// shorter than that one, so duplicates are dropped.
-    forwarded: Vec<(u32, usize)>,
+    /// The targets this vertex has forwarded a token towards, sorted: every
+    /// token for a target that reaches this vertex is the same path, so a
+    /// later one is dropped.
+    forwarded: Vec<u32>,
     /// The init broadcast: the own token, built at construction and handed
     /// out by `init`.
     init: Option<PathSetMessage>,
@@ -67,7 +71,7 @@ pub struct ElectionNode {
 impl ElectionNode {
     /// Initial state: the vertex already knows its elected dominator path
     /// (from the weak-reachability phase outputs), which ends at `sid`.
-    pub fn new(sid: u32, id_bits: usize, elected_path: PathView<'_>) -> Self {
+    fn new(sid: u32, id_bits: usize, elected_path: PathView<'_>) -> Self {
         let mut node = ElectionNode {
             sid,
             id_bits,
@@ -83,9 +87,8 @@ impl ElectionNode {
             node.in_dominating_set = true;
         } else {
             // The token is the path with this vertex popped off.
-            let len = elected_path.len() - 1;
-            node.forwarded.push((start[0], len));
-            let mut message = PathSetMessage::with_capacity(id_bits, 1, len);
+            node.forwarded.push(start[0]);
+            let mut message = PathSetMessage::with_capacity(id_bits, 1, elected_path.len() - 1);
             message.push(&[start, interior]);
             node.init = Some(message);
         }
@@ -101,14 +104,9 @@ impl ElectionNode {
             self.in_dominating_set = true;
             return None;
         }
-        let target = path[0];
-        let forward = &path[..path.len() - 1];
-        match self.forwarded.binary_search_by_key(&target, |&(t, _)| t) {
-            Ok(i) if path.len() < self.forwarded[i].1 => self.forwarded[i].1 = forward.len(),
-            Ok(_) => return None,
-            Err(i) => self.forwarded.insert(i, (target, forward.len())),
-        }
-        Some(forward)
+        let i = self.forwarded.binary_search(&path[0]).err()?;
+        self.forwarded.insert(i, path[0]);
+        Some(&path[..path.len() - 1])
     }
 }
 

@@ -61,7 +61,7 @@
 //! neighbour. In the spirit of the papers' cluster-merging trick, low-order
 //! vertices near a high-order vertex adopt it as their representative: a
 //! **hub** (degree > [`KsvConfig::hub_cap`]) joins the dominating set
-//! outright ([`KsvMembership::HighDegree`]), ships a 1-bit stub instead of
+//! outright (`KsvMembership::HighDegree`), ships a 1-bit stub instead of
 //! its (huge) summary, and every vertex that detects a hub within distance
 //! `r` — decidable exactly from the flooded flag bits — skips the `D₁`
 //! check and the election entirely. Hard-core checks and pseudo-cover
@@ -75,7 +75,7 @@
 //! are a permutation of `0..n` and `n ≤ 2³²`, so they are held in 32 bits.
 //! An adjacency record is one shared allocation of such ids: the sender's
 //! init broadcast carries it, and every receiver keeps a clone by neighbour
-//! position. A ball is a [`Ball`], one shared allocation of `n + ⌈n/4⌉`
+//! position. A ball is a `Ball`, one shared allocation of `n + ⌈n/4⌉`
 //! words: the member ids ascending, then one distance byte per member
 //! (`d ≤ r ≤ 255`), about 5 bytes per entry. A local distance is one
 //! `id << 16 | d` word (`d < 2r ≤ 510`, sorting by id). Each ball member's
@@ -187,7 +187,7 @@ fn ceil_log2(k: usize) -> usize {
 
 /// Which phase put a vertex into the dominating set.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum KsvMembership {
+enum KsvMembership {
     /// `D₁`: the vertex's `r`-neighbourhood defeated the `2∇`-budget greedy
     /// domination check.
     HardCore,
@@ -204,7 +204,7 @@ pub enum KsvMembership {
 
 /// Per-vertex protocol output.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct KsvVertexOutput {
+struct KsvVertexOutput {
     /// Set membership, if the vertex ended up in the dominating set.
     pub membership: Option<KsvMembership>,
     /// Whether the vertex learnt of a dominator in `N_r[v]` (itself
@@ -227,7 +227,7 @@ pub struct KsvVertexOutput {
 /// plus its entries, mirroring the flat encoding of the weak-reachability
 /// messages.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum KsvKind {
+enum KsvKind {
     /// Init broadcast: the sender's open neighbourhood, as the shared
     /// [`KsvMessage::record`].
     Adjacency,
@@ -262,7 +262,7 @@ pub enum KsvKind {
 /// clone shares the allocation, so neither a summary broadcast nor a relay
 /// copies ball data.
 #[derive(Clone, Default)]
-pub struct Ball(Arc<[u32]>);
+struct Ball(Arc<[u32]>);
 
 impl Ball {
     /// The ball of the `n` entries `(id, distance)` that `entries` yields,
@@ -344,7 +344,7 @@ impl std::fmt::Debug for Ball {
 /// encoding it was sent in (origin summaries encode inner entries
 /// implicitly, relays reprice ids against the sender's ball dictionary).
 #[derive(Clone, Debug)]
-pub struct KsvSummaryItem {
+struct KsvSummaryItem {
     /// Whose ball this is.
     pub owner: u64,
     /// Flagged owners (hub, or hub in the open neighbourhood) ship no
@@ -360,7 +360,7 @@ pub struct KsvSummaryItem {
 
 /// The protocol's broadcast payload.
 #[derive(Clone, Debug)]
-pub struct KsvMessage {
+struct KsvMessage {
     /// What the payload lists mean.
     pub kind: KsvKind,
     /// Network ids, sorted increasingly. For [`KsvKind::SummaryRelay`] these
@@ -765,7 +765,7 @@ const TARGETS: usize = 1;
 /// position (in `ctx.neighbor_ids`, the ball, or `local_dist`) — no maps.
 /// `Clone` so the engine's checkpoint/recovery machinery can snapshot it.
 #[derive(Clone, Debug)]
-pub struct KsvNode {
+struct KsvNode {
     id: u64,
     r: u32,
     id_bits: usize,

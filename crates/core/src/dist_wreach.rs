@@ -26,10 +26,13 @@
 //! once, and readers see each path through a [`PathView`]. A
 //! [`PathSetMessage`] is one vector of `[len, id…]` runs of whole paths.
 //! The Lemma 7 node here, the Theorem 9 election and the Theorem 10 path
-//! flood read messages through [`PathSetMessage::paths`]. The first two
+//! flood read messages through [`PathSetMessage::paths`], and all three
 //! queue a round's broadcast in one crate-private `PathOutbox` per thread,
 //! reused by every vertex that thread evaluates, so they accept and forward
 //! paths without allocating a vector per path or keeping a queue per vertex.
+//! Neither consumer keeps a path of its own: the election remembers only
+//! the targets it has served, and the flood forwards a path by its own
+//! position on it.
 //! The wire format charges 8 bits for a path's length, so a path has at most
 //! 255 ids and [`distributed_weak_reachability`] rejects `ρ > 254`.
 //!
@@ -410,7 +413,7 @@ impl WReachInfo {
 
 /// Node state of the parallel restricted-BFS protocol (paper's Algorithm 4).
 #[derive(Debug)]
-pub struct WReachNode {
+struct WReachNode {
     rho: u32,
     id_bits: usize,
     /// The paths found so far, owned by this vertex's super-id.
@@ -420,7 +423,7 @@ pub struct WReachNode {
 impl WReachNode {
     /// Creates the initial state for a vertex with super-id `sid`, reach
     /// radius `rho`, charging `id_bits` bits per transmitted super-id.
-    pub fn new(sid: u32, rho: u32, id_bits: usize) -> Self {
+    fn new(sid: u32, rho: u32, id_bits: usize) -> Self {
         WReachNode {
             rho,
             id_bits,

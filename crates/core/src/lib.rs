@@ -50,16 +50,16 @@ pub use dist_domset::{
 pub use dist_ksv::{
     default_hub_cap, distributed_ksv_domination, distributed_ksv_domination_r,
     distributed_ksv_domination_r_faulty, distributed_ksv_domination_r_in_with, ksv_rounds,
-    KsvConfig, KsvContextReport, KsvDomResult, KsvMembership, KsvPhaseBits, KsvVertexOutput,
-    KSV_FRAME_HEADER_BITS, KSV_FRAME_PAYLOAD_BITS, KSV_ROUNDS,
+    KsvConfig, KsvContextReport, KsvDomResult, KsvPhaseBits, KSV_FRAME_HEADER_BITS,
+    KSV_FRAME_PAYLOAD_BITS, KSV_ROUNDS,
 };
 pub use dist_wreach::{
     distributed_weak_reachability, DistributedWReach, PathStore, PathView, WReachConfig, WReachInfo,
 };
 pub use local_connect::{local_connect, LocalConnectResult};
 pub use pipeline::{
-    solve_scenario, solve_scenario_resumable, solve_scenario_streaming, Algorithm, BatchError,
-    DominationPipeline, DominationReport, Mode,
+    solve_scenario, solve_scenario_resumable, Algorithm, BatchError, DominationPipeline,
+    DominationReport, Mode,
 };
 pub use seq_domset::{
     approximate_distance_domination, domset_algorithm1, domset_via_min_wreach,

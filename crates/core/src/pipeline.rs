@@ -31,9 +31,7 @@ use crate::dist_ksv::{check_ksv_radius, distributed_ksv_domination_r_in_with, Ks
 use crate::local_connect::local_connect;
 use crate::seq_domset::domset_via_min_wreach_with;
 use bedom_distsim::journal::{DurabilityMode, JournalError};
-use bedom_distsim::scenario::{
-    ReportSink, ScenarioReport, ScenarioRunner, ShardMetrics, ShardReport,
-};
+use bedom_distsim::scenario::{ScenarioReport, ScenarioRunner, ShardMetrics, ShardReport};
 use bedom_distsim::{
     ByteCodec, CodecError, ExecutionStrategy, IdAssignment, ModelViolation, RunStats,
 };
@@ -415,17 +413,34 @@ impl DominationPipeline {
 ///   shared BFS scratch — an invalid set panics;
 /// * a [`ModelViolation`] in any shard fails the whole batch with the
 ///   lowest-indexed shard's error.
-///
-/// This is [`solve_scenario_streaming`] into a [`ScenarioReport`].
 pub fn solve_scenario(
     shards: &[(Graph, DominationPipeline)],
     strategy: ExecutionStrategy,
 ) -> Result<ScenarioReport<DominationReport>, ModelViolation> {
-    let mut report = ScenarioReport {
+    let inner = strategy.nested();
+    let mut results = ScenarioReport {
         shards: Vec::with_capacity(shards.len()),
     };
-    solve_scenario_streaming(shards, strategy, &mut report)?;
-    Ok(report)
+    ScenarioRunner::new(strategy).run_streaming(
+        shards,
+        || (),
+        |_, shard, (graph, pipeline)| solve_shard(inner, shard, graph, pipeline),
+        &mut results,
+    );
+    // Shards arrive in ascending order, so the first error is the
+    // lowest-indexed shard's.
+    let shards = results
+        .shards
+        .into_iter()
+        .map(|report| {
+            Ok(ShardReport {
+                shard: report.shard,
+                output: report.output?,
+                metrics: report.metrics,
+            })
+        })
+        .collect::<Result<_, ModelViolation>>()?;
+    Ok(ScenarioReport { shards })
 }
 
 /// The per-shard body shared by every batch entry point: solve, re-validate
@@ -492,66 +507,6 @@ impl std::error::Error for BatchError {
 impl From<JournalError> for BatchError {
     fn from(e: JournalError) -> Self {
         BatchError::Journal(e)
-    }
-}
-
-/// Absorbs successful shards into the caller's sink and parks the
-/// lowest-indexed violation (absorption happens in ascending shard order, so
-/// the first violation seen is the lowest-indexed one).
-struct OkShards<'a, S> {
-    inner: &'a mut S,
-    first_violation: Option<ModelViolation>,
-}
-
-impl<S: ReportSink<DominationReport>> ReportSink<Result<DominationReport, ModelViolation>>
-    for OkShards<'_, S>
-{
-    fn absorb(&mut self, report: ShardReport<Result<DominationReport, ModelViolation>>) {
-        match report.output {
-            Ok(output) => self.inner.absorb(ShardReport {
-                shard: report.shard,
-                output,
-                metrics: report.metrics,
-            }),
-            Err(violation) => {
-                if self.first_violation.is_none() {
-                    self.first_violation = Some(violation);
-                }
-            }
-        }
-    }
-}
-
-/// Like [`solve_scenario`], but each solved shard is folded into `sink` in
-/// shard order as soon as it (and every lower-indexed shard) finishes —
-/// nothing is retained but the sink, so a million-instance batch runs in
-/// the memory of its reorder window. Streaming into a fresh
-/// [`bedom_distsim::ScenarioReport`] reproduces [`solve_scenario`]; a
-/// [`bedom_distsim::MetricsDigest`] keeps only the aggregate numbers.
-///
-/// On a [`ModelViolation`] the batch fails with the **lowest-indexed**
-/// failing shard's error; the sink keeps every successful shard it already
-/// absorbed (violated shards are skipped, never absorbed).
-pub fn solve_scenario_streaming(
-    shards: &[(Graph, DominationPipeline)],
-    strategy: ExecutionStrategy,
-    sink: &mut impl ReportSink<DominationReport>,
-) -> Result<(), ModelViolation> {
-    let inner = strategy.nested();
-    let runner = ScenarioRunner::new(strategy);
-    let mut adapter = OkShards {
-        inner: sink,
-        first_violation: None,
-    };
-    runner.run_streaming(
-        shards,
-        || (),
-        |_, shard, (graph, pipeline)| solve_shard(inner, shard, graph, pipeline),
-        &mut adapter,
-    );
-    match adapter.first_violation {
-        Some(violation) => Err(violation),
-        None => Ok(()),
     }
 }
 

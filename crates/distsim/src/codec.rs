@@ -2,42 +2,49 @@
 //! ([`crate::journal`]).
 //!
 //! The workspace is dependency-free, so the wire format is hand-rolled and
-//! deliberately simple: a versioned header, little-endian fixed-width
-//! integers, length-prefixed sequences, and an FNV-1a checksum over the
-//! payload. Each frame is self-contained:
+//! deliberately simple: a versioned header with a checked length word,
+//! little-endian fixed-width integers, length-prefixed sequences, and an
+//! FNV-1a checksum over the payload. Each frame is self-contained:
 //!
 //! ```text
-//! "BDSN" | version: u16 LE | payload | fnv1a64(payload): u64 LE
+//! "BDSN" | version: u16 LE | len: u32 LE | !len: u32 LE | payload | fnv1a64(payload): u64 LE
 //! ```
 //!
-//! The payload is one value's [`ByteCodec`] encoding. Record types supply
-//! their own impls (the journal cannot know their layout); the integers,
-//! `bool`, `Option` and `Vec` ship impls here.
+//! The payload is one value's [`ByteCodec`] encoding, exactly `len` bytes.
+//! Record types supply their own impls (the journal cannot know their
+//! layout); the integers, `bool`, `Option` and `Vec` ship impls here.
 //!
 //! [`encode_frame`] writes one frame, and [`FrameReader`] iterates over
 //! **concatenated** frames in one buffer — the contract of an append-only
 //! journal, where each append is a self-contained frame. Decoding is strict:
-//! wrong magic, unknown version, short input, checksum mismatch and unknown
-//! enum tags each fail with a distinct [`CodecError`], inside a
-//! [`FrameError`] carrying the byte offset of the broken frame. Decoding
-//! reads a frame front to back, so a partial trailing frame (a crash
-//! mid-append) always surfaces as [`CodecError::Truncated`], never as a
-//! checksum mismatch; a journal salvages the valid prefix before it and
-//! refuses every other error. A frame has no length word, so a corrupted
-//! length can also run a decode to the end of the input and read as
-//! `Truncated`.
+//! wrong magic, unknown version, short input, checksum mismatch and
+//! malformed payloads each fail with a distinct [`CodecError`], inside a
+//! [`FrameError`] carrying the byte offset of the broken frame. The length
+//! word fixes a frame's extent before any payload byte is read, so only a
+//! strict prefix of a frame — a crash mid-append — reads as
+//! [`CodecError::Truncated`]: an incomplete header, or fewer bytes left than
+//! the payload and checksum need. A length word that disagrees with its
+//! complement is [`CodecError::Malformed`]; the checksum is verified before
+//! the payload is decoded, and a payload that fails to decode in exactly
+//! `len` bytes is `Malformed` too. A journal salvages the valid prefix
+//! before a `Truncated` frame and refuses every other error.
+
+use bedom_graph::cast::u32_from_usize;
 
 const MAGIC: &[u8; 4] = b"BDSN";
-const VERSION: u16 = 1;
-/// Bytes of framing around the payload: magic + version + checksum.
-const FRAME_BYTES: usize = 4 + 2 + 8;
+const VERSION: u16 = 2;
+/// Bytes of the header before the payload: magic, version, `len`, `!len`.
+const HEADER_BYTES: usize = 4 + 2 + 4 + 4;
+/// Bytes of the checksum after the payload.
+const CHECKSUM_BYTES: usize = 8;
 
 /// Why decoding failed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CodecError {
     /// The input does not start with the frame magic.
     BadMagic,
-    /// The frame's version is newer than this build understands.
+    /// The frame's version is not the one this build reads (version 1
+    /// frames, which carried no length word, included).
     UnsupportedVersion(u16),
     /// The input ended before the structure was complete.
     Truncated,
@@ -176,14 +183,21 @@ impl<T: ByteCodec> ByteCodec for Vec<T> {
 
 /// Wraps one [`ByteCodec`] value in a self-contained, checksummed frame —
 /// the unit [`FrameReader`] iterates over and [`crate::journal`] appends.
+///
+/// # Panics
+/// Panics if the value's encoding exceeds `u32::MAX` bytes, the most a
+/// frame's length word describes.
 pub fn encode_frame<T: ByteCodec>(value: &T) -> Vec<u8> {
-    let mut payload = Vec::new();
-    value.encode(&mut payload);
-    let mut out = Vec::with_capacity(payload.len() + FRAME_BYTES);
+    let mut out = Vec::with_capacity(HEADER_BYTES + CHECKSUM_BYTES);
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+    out.extend_from_slice(&[0; 8]);
+    value.encode(&mut out);
+    let len = u32_from_usize(out.len() - HEADER_BYTES);
+    out[6..10].copy_from_slice(&len.to_le_bytes());
+    out[10..14].copy_from_slice(&(!len).to_le_bytes());
+    let checksum = fnv1a(&out[HEADER_BYTES..]);
+    out.extend_from_slice(&checksum.to_le_bytes());
     out
 }
 
@@ -211,16 +225,11 @@ impl std::error::Error for FrameError {}
 ///
 /// Each `next()` decodes one frame's value. Errors are typed per frame
 /// (yielded as a [`FrameError`] with the frame's byte offset) and **fuse**
-/// the iterator: the frame format carries no length word, so nothing after a
-/// broken frame can be located reliably. A partial trailing frame — the
+/// the iterator: a broken frame's length word cannot be trusted, so nothing
+/// after it can be located reliably. A partial trailing frame — the
 /// signature of a crash mid-append — surfaces as [`CodecError::Truncated`]
 /// at the offset where the valid prefix ends ([`FrameReader::offset`] stays
 /// at that position, so a writer can truncate there and continue).
-///
-/// The frame checksum is verified *after* the payload parse here (the
-/// payload's extent is only known once it is decoded), so a corrupted byte
-/// may surface as `Malformed`/`Truncated` instead of `Checksum` — still
-/// typed, still at the right frame.
 #[derive(Debug)]
 pub struct FrameReader<'a, T> {
     bytes: &'a [u8],
@@ -262,19 +271,35 @@ impl<'a, T: ByteCodec> FrameReader<'a, T> {
         if version != VERSION {
             return Err(CodecError::UnsupportedVersion(version));
         }
-        let mut input = &rem[6..];
-        let before = input.len();
-        let value = T::decode(&mut input)?;
-        let consumed = before - input.len();
-        let payload = &rem[6..6 + consumed];
-        let Some(checksum_bytes) = input.first_chunk::<8>() else {
+        let Some(header) = rem.first_chunk::<HEADER_BYTES>() else {
             return Err(CodecError::Truncated);
         };
-        let stored = u64::from_le_bytes(*checksum_bytes);
-        if fnv1a(payload) != stored {
+        let len = u32::from_le_bytes([header[6], header[7], header[8], header[9]]);
+        let check = u32::from_le_bytes([header[10], header[11], header[12], header[13]]);
+        if check != !len {
+            return Err(CodecError::Malformed("corrupt length word"));
+        }
+        // A torn append is a strict prefix of its frame: too few bytes left
+        // for the payload and the checksum.
+        let (payload, trailer) = rem[HEADER_BYTES..]
+            .split_at_checked(len as usize)
+            .ok_or(CodecError::Truncated)?;
+        let checksum = trailer
+            .first_chunk::<CHECKSUM_BYTES>()
+            .ok_or(CodecError::Truncated)?;
+        if u64::from_le_bytes(*checksum) != fnv1a(payload) {
             return Err(CodecError::Checksum);
         }
-        self.offset += 6 + consumed + 8;
+        let mut input = payload;
+        let value = match T::decode(&mut input) {
+            Ok(value) if input.is_empty() => value,
+            Ok(_) => return Err(CodecError::Malformed("bytes left over after the value")),
+            Err(CodecError::Truncated) => {
+                return Err(CodecError::Malformed("the value runs past its length word"))
+            }
+            Err(error) => return Err(error),
+        };
+        self.offset += HEADER_BYTES + payload.len() + CHECKSUM_BYTES;
         Ok(value)
     }
 }
@@ -362,6 +387,29 @@ mod tests {
     }
 
     #[test]
+    fn a_value_that_disagrees_with_its_length_word_is_malformed_never_truncated() {
+        // Each frame is intact, so its checksum matches; only the value
+        // disagrees with the length word. A `u64` read as a `Vec` runs past
+        // its payload, and a `Vec` read as a `u64` leaves bytes over.
+        let seven = encode_frame(&7u64);
+        let err = FrameReader::<Vec<u64>>::new(&seven)
+            .next()
+            .unwrap()
+            .unwrap_err();
+        let past = CodecError::Malformed("the value runs past its length word");
+        assert_eq!((err.offset, err.error), (0, past));
+        let ids = encode_frame(&vec![1u64, 2, 3]);
+        let err = FrameReader::<u64>::new(&ids).next().unwrap().unwrap_err();
+        let over = CodecError::Malformed("bytes left over after the value");
+        assert_eq!((err.offset, err.error), (0, over));
+        // A version 1 frame (no length word) is refused by its version.
+        let mut v1 = seven;
+        v1[4] = 1;
+        let err = FrameReader::<u64>::new(&v1).next().unwrap().unwrap_err();
+        assert_eq!(err.error, CodecError::UnsupportedVersion(1));
+    }
+
+    #[test]
     fn frame_reader_surfaces_mid_stream_corruption_typed_and_fuses() {
         let mut buf = Vec::new();
         buf.extend_from_slice(&encode_frame(&1u64));
@@ -370,12 +418,15 @@ mod tests {
         buf.extend_from_slice(&encode_frame(&3u64));
 
         // Each case flips one byte of the second frame: its magic, the high
-        // byte of its version, and a payload byte (the u64 still parses, so
-        // the checksum is what catches it).
+        // byte of its version, the low byte of its length word (which no
+        // longer matches its complement), and a payload byte (the u64 still
+        // parses, so the checksum is what catches it).
+        let malformed = CodecError::Malformed("corrupt length word");
         for (at, expected) in [
             (0, CodecError::BadMagic),
-            (5, CodecError::UnsupportedVersion(0xff01)),
-            (6, CodecError::Checksum),
+            (5, CodecError::UnsupportedVersion(0xff02)),
+            (6, malformed),
+            (14, CodecError::Checksum),
         ] {
             let mut bytes = buf.clone();
             bytes[second_start + at] ^= 0xff;

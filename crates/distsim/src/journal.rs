@@ -15,20 +15,21 @@
 //! record frame (repeated) = frame(ShardRecord { shard, metrics, output })
 //! ```
 //!
-//! where `frame(x)` is [`encode_frame`]'s `magic | version | payload |
-//! fnv1a64` envelope. Records may repeat a shard (last write wins) and may
-//! appear in any order; `ScenarioRunner::run_resumable` writes them in
-//! ascending shard order under every strategy. There is no footer: a
+//! where `frame(x)` is [`encode_frame`]'s `magic | version | len | !len |
+//! payload | fnv1a64` envelope. Records may repeat a shard (last write wins)
+//! and may appear in any order; `ScenarioRunner::run_resumable` writes them
+//! in ascending shard order under every strategy. There is no footer: a
 //! crash mid-append leaves a strict prefix of its frame, which
 //! [`FrameReader`] reports as [`CodecError::Truncated`] at a byte offset; on
 //! reopen the journal truncates the file back to that offset (dropping at
 //! most the one torn record) and resumes appending. Every other unreadable
-//! frame (a checksum mismatch, bad magic, an unknown version, a malformed
-//! payload) is corruption: reopening fails with [`JournalError::Frame`] and
-//! leaves the file as it was, so a flipped bit never resurrects as a bogus
-//! "completed" shard nor silently drops the intact records after it. A frame
-//! has no length word, though, so a corrupted length that runs a record's
-//! decode to the end of the file also reads as `Truncated` and is salvaged.
+//! frame (a checksum mismatch, bad magic, an unknown version, a length word
+//! that disagrees with its complement, a malformed payload) is corruption:
+//! reopening fails with [`JournalError::Frame`] and leaves the file as it
+//! was, so a flipped bit never resurrects as a bogus "completed" shard nor
+//! silently drops the intact records after it. A record's extent comes from
+//! its checked length word and its payload is checksummed before it is
+//! decoded, so a forged length inside a record is refused, never salvaged.
 //!
 //! ## Durability modes
 //!
@@ -514,6 +515,25 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// Writes `bytes` over the 4-shard journal at `path` and asserts that
+    /// reopening it fails with `error` at the frame at `offset` and leaves
+    /// the file as it was.
+    fn assert_refused<T: ByteCodec>(path: &Path, bytes: &[u8], offset: usize, error: CodecError) {
+        std::fs::write(path, bytes).unwrap();
+        match BatchJournal::<T>::open_or_create(path, 4, DurabilityMode::Sync) {
+            Err(JournalError::Frame(e)) => assert_eq!(e, FrameError { offset, error }),
+            other => panic!(
+                "expected a {error:?} frame error at byte {offset}, got pending {:?}",
+                other.map(|journal| journal.pending())
+            ),
+        }
+        assert_eq!(
+            std::fs::read(path).unwrap(),
+            bytes,
+            "a refused journal is left as it was"
+        );
+    }
+
     #[test]
     fn mid_file_corruption_is_a_hard_error_not_a_silent_salvage() {
         let path = temp_path("corrupt");
@@ -528,9 +548,11 @@ mod tests {
         let record_len = encode_frame(&record(0, 1)).len();
         let second_record = header_len + record_len;
         // (byte, XOR mask, offset of its frame, expected error). A frame is
-        // `magic: 4 | version: 2 | payload | checksum: 8`, so byte 6 of the
-        // file is the low byte of the header's `num_shards`, and a record's
-        // last payload byte (its output's) sits 9 bytes before its end.
+        // `magic: 4 | version: 2 | len: 4 | !len: 4 | payload | checksum: 8`,
+        // so byte 14 of the file is the low byte of the header's
+        // `num_shards`, byte 6 of a record is the low byte of its length
+        // word, and a record's last payload byte (its output's) sits 9 bytes
+        // before its end.
         let cases = [
             (header_len, 0xff, header_len, CodecError::BadMagic),
             (
@@ -539,27 +561,42 @@ mod tests {
                 second_record,
                 CodecError::Checksum,
             ),
-            (6, 0x01, 0, CodecError::Checksum),
+            (14, 0x01, 0, CodecError::Checksum),
+            (
+                second_record + 6,
+                0x10,
+                second_record,
+                CodecError::Malformed("corrupt length word"),
+            ),
         ];
         for (at, mask, frame, expected) in cases {
             let mut bytes = intact.clone();
             bytes[at] ^= mask;
-            std::fs::write(&path, &bytes).unwrap();
-            match BatchJournal::<u64>::open_or_create(&path, 4, DurabilityMode::Sync) {
-                Err(JournalError::Frame(FrameError { offset, error })) => {
-                    assert_eq!((offset, error), (frame, expected), "byte {at}");
-                }
-                other => panic!(
-                    "byte {at}: expected a {expected:?} frame error, got {:?}",
-                    other.map(|_| ())
-                ),
-            }
-            assert_eq!(
-                std::fs::read(&path).unwrap(),
-                bytes,
-                "byte {at}: a refused journal is left as it was"
-            );
+            assert_refused::<u64>(&path, &bytes, frame, expected);
         }
+        std::fs::remove_file(&path).unwrap();
+
+        // A forged `Vec` length inside a record: shards 0–2 of four, three
+        // ids each, with the high byte of the second record's length set.
+        // The payload no longer matches its checksum, so the decode that
+        // would have run the length to the end of the file never starts.
+        let ids = |shard: u64| ShardRecord {
+            shard,
+            metrics: None,
+            output: vec![3 * shard, 3 * shard + 1, 3 * shard + 2],
+        };
+        let mut journal = BatchJournal::open_or_create(&path, 4, DurabilityMode::Sync).unwrap();
+        for shard in 0..3 {
+            journal.append(&ids(shard)).unwrap();
+        }
+        drop(journal);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let record_len = encode_frame(&ids(0)).len();
+        let second_record = header_len + record_len;
+        // A record ends `Vec length: 8 | ids: 24 | checksum: 8`, so the
+        // length's high byte sits 33 bytes before its end.
+        bytes[second_record + record_len - 33] = 1;
+        assert_refused::<Vec<u64>>(&path, &bytes, second_record, CodecError::Checksum);
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -66,9 +66,7 @@ pub use message::MessageSize;
 pub use model::{id_bits, log2_ceil, Model, ModelViolation};
 pub use network::Network;
 pub use node::{Inbox, Incoming, NodeAlgorithm, NodeContext, Outgoing};
-pub use scenario::{
-    MetricsDigest, ReportSink, ScenarioReport, ScenarioRunner, ShardMetrics, ShardReport,
-};
+pub use scenario::{ReportSink, ScenarioReport, ScenarioRunner, ShardMetrics, ShardReport};
 pub use trace::{RoundStats, RunStats};
 
 #[cfg(test)]

@@ -17,13 +17,13 @@
 //! * Finished shards reach the calling thread **in ascending shard order**
 //!   under every strategy (a reorder window holds the ones that finish
 //!   early). [`ScenarioRunner::run_streaming`] folds them into a
-//!   [`ReportSink`], [`ScenarioRunner::run`] into a [`ScenarioReport`] with
-//!   one [`ShardReport`] per shard, and [`ScenarioRunner::run_resumable`]
-//!   also appends each one to a [`BatchJournal`], so an interrupted batch
-//!   resumes where it died, bit-identically to an uninterrupted run. Because
-//!   a shard runs entirely on one worker and the order is fixed, reports
-//!   and journal bytes are identical across **every** strategy (asserted in
-//!   `tests/determinism.rs` and `tests/journal_resume.rs`).
+//!   [`ReportSink`] (a [`ScenarioReport`] keeps one [`ShardReport`] per
+//!   shard), and [`ScenarioRunner::run_resumable`] also appends each one to
+//!   a [`BatchJournal`], so an interrupted batch resumes where it died,
+//!   bit-identically to an uninterrupted run. Because a shard runs entirely
+//!   on one worker and the order is fixed, reports and journal bytes are
+//!   identical across **every** strategy (asserted in `tests/determinism.rs`
+//!   and `tests/journal_resume.rs`).
 //! * [`ShardMetrics`] is the per-shard measurement record (rounds, message
 //!   bits, ball sweeps) that the aggregate accessors of [`ScenarioReport`]
 //!   fold over, skipping shards that failed before measuring and counting
@@ -43,7 +43,6 @@
 
 use crate::codec::ByteCodec;
 use crate::journal::{BatchJournal, DurabilityMode, JournalError, ShardRecord};
-use crate::trace::RunStats;
 use bedom_par::ExecutionStrategy;
 use std::path::Path;
 
@@ -61,16 +60,6 @@ pub struct ShardMetrics {
     /// via `bedom_wcol::ball_sweeps_on_this_thread`, which is exact because a
     /// shard runs entirely on one worker thread).
     pub ball_sweeps: u64,
-}
-
-impl ShardMetrics {
-    /// Folds one phase's [`RunStats`] into the record (rounds and bits add,
-    /// the message maximum maxes). Call once per engine phase of the shard.
-    pub fn record(&mut self, stats: &RunStats) {
-        self.rounds += stats.rounds;
-        self.total_bits += stats.total_bits;
-        self.max_message_bits = self.max_message_bits.max(stats.max_message_bits);
-    }
 }
 
 /// One shard's result: its index in the input batch, the job's output, and
@@ -115,11 +104,6 @@ impl<T> ScenarioReport<T> {
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
         self.shards.len()
-    }
-
-    /// The shard outputs, in shard order.
-    pub fn outputs(&self) -> impl Iterator<Item = &T> + '_ {
-        self.shards.iter().map(|s| &s.output)
     }
 
     /// Indices of shards that reported no metrics (failed before measuring).
@@ -180,25 +164,9 @@ impl<T> ScenarioReport<T> {
     pub fn total_ball_sweeps(&self) -> u64 {
         self.measured().map(|m| m.ball_sweeps).sum()
     }
-
-    /// Maps every shard output, keeping shard order and metrics.
-    pub fn map<U>(self, mut f: impl FnMut(T) -> U) -> ScenarioReport<U> {
-        ScenarioReport {
-            shards: self
-                .shards
-                .into_iter()
-                .map(|s| ShardReport {
-                    shard: s.shard,
-                    output: f(s.output),
-                    metrics: s.metrics,
-                })
-                .collect(),
-        }
-    }
 }
 
-/// A streaming fold over shard results — the "millions of instances" answer
-/// to [`ScenarioReport`]'s keep-everything `Vec`.
+/// A streaming fold over shard results.
 ///
 /// [`ScenarioRunner::run_streaming`] hands each [`ShardReport`] to the sink
 /// **in shard order** (a reorder buffer sits between the workers and the
@@ -212,61 +180,10 @@ pub trait ReportSink<T> {
     fn absorb(&mut self, report: ShardReport<T>);
 }
 
-/// The keep-everything sink: streaming into a [`ScenarioReport`] reproduces
-/// [`ScenarioRunner::run`] exactly.
+/// The keep-everything sink: one [`ShardReport`] per shard, in shard order.
 impl<T> ReportSink<T> for ScenarioReport<T> {
     fn absorb(&mut self, report: ShardReport<T>) {
         self.shards.push(report);
-    }
-}
-
-/// A constant-space [`ReportSink`]: the aggregate numbers of a
-/// [`ScenarioReport`] without retaining any output — what a million-instance
-/// batch streams into.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MetricsDigest {
-    /// Shards absorbed so far.
-    pub num_shards: usize,
-    /// Shards that reported no metrics (failed before measuring), mirroring
-    /// [`ScenarioReport::failed_shards`].
-    pub failed_shards: usize,
-    /// Sum of the measured shards' rounds.
-    pub total_rounds: usize,
-    /// Sum of the measured shards' wire bits.
-    pub total_message_bits: usize,
-    /// Largest single message across the measured shards, in bits.
-    pub max_message_bits: usize,
-    /// Sum of the measured shards' ball sweeps.
-    pub total_ball_sweeps: u64,
-}
-
-impl MetricsDigest {
-    /// The digest a fully-collected report folds down to — the bridge used
-    /// by tests to assert streaming ≡ collecting.
-    pub fn of<T>(report: &ScenarioReport<T>) -> Self {
-        MetricsDigest {
-            num_shards: report.num_shards(),
-            failed_shards: report.failed_shards(),
-            total_rounds: report.total_rounds(),
-            total_message_bits: report.total_message_bits(),
-            max_message_bits: report.max_message_bits(),
-            total_ball_sweeps: report.total_ball_sweeps(),
-        }
-    }
-}
-
-impl<T> ReportSink<T> for MetricsDigest {
-    fn absorb(&mut self, report: ShardReport<T>) {
-        self.num_shards += 1;
-        match report.metrics {
-            Some(m) => {
-                self.total_rounds += m.rounds;
-                self.total_message_bits += m.total_bits;
-                self.max_message_bits = self.max_message_bits.max(m.max_message_bits);
-                self.total_ball_sweeps += m.ball_sweeps;
-            }
-            None => self.failed_shards += 1,
-        }
     }
 }
 
@@ -283,43 +200,17 @@ impl ScenarioRunner {
         ScenarioRunner { strategy }
     }
 
-    /// The strategy shards are spread with.
-    pub fn strategy(&self) -> ExecutionStrategy {
-        self.strategy
-    }
-
-    /// Runs `job` once per input shard and collects the reports in shard
-    /// order — [`ScenarioRunner::run_streaming`] into a [`ScenarioReport`].
-    /// Each worker thread builds one scratch via `init` and reuses it for
-    /// every shard it processes; the job must leave no shard-visible residue
-    /// in the scratch (reset-by-epoch buffers like
-    /// `bedom_graph::bfs::BfsScratch` do this by construction).
-    ///
-    /// A job that fails before measuring must return `None` metrics — never a
-    /// zeroed [`ShardMetrics`] — so the failure stays visible in the report.
-    pub fn run<In, Sc, T>(
-        &self,
-        inputs: &[In],
-        init: impl Fn() -> Sc + Sync,
-        job: impl Fn(&mut Sc, usize, &In) -> (T, Option<ShardMetrics>) + Sync,
-    ) -> ScenarioReport<T>
-    where
-        In: Sync,
-        T: Send,
-    {
-        let mut report = ScenarioReport {
-            shards: Vec::with_capacity(inputs.len()),
-        };
-        self.run_streaming(inputs, init, job, &mut report);
-        report
-    }
-
     /// Runs `job` once per input shard and hands each [`ShardReport`] to
-    /// `sink` **in shard order as soon as it is ready** instead of
-    /// collecting it — a million-instance batch holds at most the reorder
-    /// window, not the whole result set. Streaming into a fresh
-    /// [`ScenarioReport`] sink is [`ScenarioRunner::run`]; a
-    /// [`MetricsDigest`] sink keeps only the aggregate numbers.
+    /// `sink` **in shard order as soon as it is ready**; the batch holds at
+    /// most the reorder window beyond what the sink keeps. Each worker
+    /// thread builds one scratch via `init` and reuses it for every shard it
+    /// processes; the job must leave no shard-visible residue in the scratch
+    /// (reset-by-epoch buffers like `bedom_graph::bfs::BfsScratch` do this by
+    /// construction).
+    ///
+    /// A job that fails before measuring must return `None` metrics — never
+    /// a zeroed [`ShardMetrics`] — so the failure stays visible in the
+    /// report.
     pub fn run_streaming<In, Sc, T>(
         &self,
         inputs: &[In],
@@ -345,18 +236,18 @@ impl ScenarioRunner {
         );
     }
 
-    /// Like [`ScenarioRunner::run`], but checkpointed through a
-    /// [`BatchJournal`] at `journal_path`: every completed shard is appended
-    /// as a durable record (per `durability`), shards the journal already
-    /// holds are **skipped** and their recorded outputs reused, and the
-    /// assembled report is bit-identical to an uninterrupted run — the
-    /// journal stores the job's actual outputs, and a shard's result never
-    /// depends on which strategy or worker ran it.
+    /// Like [`ScenarioRunner::run_streaming`] into a [`ScenarioReport`], but
+    /// checkpointed through a [`BatchJournal`] at `journal_path`: every
+    /// completed shard is appended as a durable record (per `durability`),
+    /// shards the journal already holds are **skipped** and their recorded
+    /// outputs reused, and the assembled report is bit-identical to an
+    /// uninterrupted run — the journal stores the job's actual outputs, and
+    /// a shard's result never depends on which strategy or worker ran it.
     ///
-    /// Start-to-finish on a fresh path behaves like [`ScenarioRunner::run`]
-    /// plus a journal file; after a crash, rerunning with the same inputs
-    /// and path resumes where the journal ends. Delete the journal (or use
-    /// [`ScenarioRunner::run`]) to recompute from scratch.
+    /// Start-to-finish on a fresh path collects the report and writes a
+    /// journal file; after a crash, rerunning with the same inputs and path
+    /// resumes where the journal ends. Delete the journal to recompute from
+    /// scratch.
     ///
     /// Records are appended on the calling thread in ascending shard order,
     /// so the file's bytes do not depend on the strategy. A crash loses the
@@ -444,6 +335,18 @@ mod tests {
         }
     }
 
+    /// Streams a batch into a fresh keep-everything report.
+    fn collect<In: Sync, Sc, T: Send>(
+        strategy: ExecutionStrategy,
+        inputs: &[In],
+        init: impl Fn() -> Sc + Sync,
+        job: impl Fn(&mut Sc, usize, &In) -> (T, Option<ShardMetrics>) + Sync,
+    ) -> ScenarioReport<T> {
+        let mut report = ScenarioReport { shards: Vec::new() };
+        ScenarioRunner::new(strategy).run_streaming(inputs, init, job, &mut report);
+        report
+    }
+
     #[test]
     fn reports_come_back_in_shard_order_under_every_strategy() {
         let inputs: Vec<usize> = (0..37).collect();
@@ -452,7 +355,8 @@ mod tests {
             ExecutionStrategy::Parallel,
             ExecutionStrategy::Pooled(42),
         ] {
-            let report = ScenarioRunner::new(strategy).run(
+            let report = collect(
+                strategy,
                 &inputs,
                 || (),
                 |(), shard, &input| (input * 10, Some(metrics(shard, input, input, 1))),
@@ -473,7 +377,8 @@ mod tests {
         let builds = AtomicUsize::new(0);
         let inputs: Vec<u32> = (0..100).collect();
         let strategy = ExecutionStrategy::Parallel;
-        let report = ScenarioRunner::new(strategy).run(
+        let report = collect(
+            strategy,
             &inputs,
             || {
                 builds.fetch_add(1, Ordering::Relaxed);
@@ -491,34 +396,9 @@ mod tests {
     }
 
     #[test]
-    fn metrics_record_folds_run_stats() {
-        let mut m = ShardMetrics::default();
-        let mut a = RunStats::default();
-        a.push_round(crate::trace::RoundStats {
-            round: 1,
-            senders: 2,
-            deliveries: 4,
-            bits_sent: 100,
-            max_message_bits: 60,
-            ..Default::default()
-        });
-        let mut b = RunStats::default();
-        b.push_round(crate::trace::RoundStats {
-            round: 1,
-            senders: 1,
-            deliveries: 1,
-            bits_sent: 10,
-            max_message_bits: 10,
-            ..Default::default()
-        });
-        m.record(&a);
-        m.record(&b);
-        assert_eq!(m, metrics(2, 110, 60, 0));
-    }
-
-    #[test]
     fn empty_batch() {
-        let report = ScenarioRunner::new(ExecutionStrategy::Parallel).run(
+        let report = collect(
+            ExecutionStrategy::Parallel,
             &Vec::<u8>::new(),
             || (),
             |(), _, _| ((), Some(ShardMetrics::default())),
@@ -534,7 +414,8 @@ mod tests {
     #[test]
     fn aggregates_skip_metricless_shards_and_count_them() {
         let inputs: Vec<usize> = (0..4).collect();
-        let report = ScenarioRunner::new(ExecutionStrategy::Sequential).run(
+        let report = collect(
+            ExecutionStrategy::Sequential,
             &inputs,
             || (),
             |(), shard, _| {
@@ -561,27 +442,6 @@ mod tests {
         let _ = report.expect_metrics();
     }
 
-    #[test]
-    fn streaming_into_a_report_sink_reproduces_run_exactly() {
-        let inputs: Vec<usize> = (0..53).collect();
-        let job = |_: &mut (), shard: usize, &input: &usize| {
-            (input * 3, Some(metrics(shard, input * 8, input, 1)))
-        };
-        let baseline = ScenarioRunner::new(ExecutionStrategy::Sequential).run(&inputs, || (), job);
-        for strategy in [
-            ExecutionStrategy::Sequential,
-            ExecutionStrategy::Parallel,
-            ExecutionStrategy::Pooled(9),
-        ] {
-            let mut collected = ScenarioReport::default();
-            let mut digest = MetricsDigest::default();
-            ScenarioRunner::new(strategy).run_streaming(&inputs, || (), job, &mut collected);
-            ScenarioRunner::new(strategy).run_streaming(&inputs, || (), job, &mut digest);
-            assert_eq!(collected, baseline, "{strategy:?}");
-            assert_eq!(digest, MetricsDigest::of(&baseline), "{strategy:?}");
-        }
-    }
-
     /// A collision-free scratch path (no wall clock: pid + counter).
     fn temp_journal(tag: &str) -> std::path::PathBuf {
         use std::sync::atomic::{AtomicUsize, Ordering};
@@ -605,7 +465,7 @@ mod tests {
                 Some(metrics(shard + 1, shard * 10, shard, 2)),
             )
         };
-        let baseline = ScenarioRunner::new(ExecutionStrategy::Sequential).run(&inputs, || (), job);
+        let baseline = collect(ExecutionStrategy::Sequential, &inputs, || (), job);
         for (mode, strategy) in [
             (DurabilityMode::Sync, ExecutionStrategy::Sequential),
             (DurabilityMode::Deferred, ExecutionStrategy::Parallel),
@@ -692,7 +552,8 @@ mod tests {
     fn a_panicking_shard_leaves_exactly_the_shards_before_it_in_the_journal() {
         let inputs: Vec<u64> = (0..24).collect();
         let job = |shard: usize, input: u64| (input * 2, Some(metrics(1, shard, 1, 1)));
-        let baseline = ScenarioRunner::new(ExecutionStrategy::Sequential).run(
+        let baseline = collect(
+            ExecutionStrategy::Sequential,
             &inputs,
             || (),
             |(), shard, &input| job(shard, input),

@@ -32,7 +32,7 @@ use bedom_graph::{Graph, Vertex};
 /// its removal; thereafter it stays silent. One bit per message, well within
 /// the CONGEST_BC budget.
 #[derive(Debug)]
-pub struct HPartitionNode {
+struct HPartitionNode {
     threshold: usize,
     total_phases: usize,
     active: bool,
@@ -43,7 +43,7 @@ pub struct HPartitionNode {
 
 impl HPartitionNode {
     /// Creates the initial state for a vertex.
-    pub fn new(threshold: usize, total_phases: usize, ctx: &NodeContext) -> Self {
+    fn new(threshold: usize, total_phases: usize, ctx: &NodeContext) -> Self {
         HPartitionNode {
             threshold,
             total_phases,
@@ -52,12 +52,6 @@ impl HPartitionNode {
             active_neighbors: ctx.degree(),
             block: 0,
         }
-    }
-
-    /// The block this vertex was assigned to (meaningful after the protocol
-    /// has run for `total_phases` rounds).
-    pub fn block(&self) -> u32 {
-        self.block
     }
 }
 

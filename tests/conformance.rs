@@ -25,10 +25,10 @@ use bedom::baselines::{
 };
 use bedom::core::{
     approximate_distance_domination, distributed_distance_domination, distributed_ksv_domination,
-    distributed_ksv_domination_r, ksv_rounds, Algorithm, DistDomSetConfig, DominationPipeline,
-    KsvConfig, Mode,
+    distributed_ksv_domination_r, ksv_rounds, Algorithm, DistContext, DistContextConfig,
+    DistDomSetConfig, DominationPipeline, KsvConfig, Mode,
 };
-use bedom::distsim::IdAssignment;
+use bedom::distsim::{ExecutionStrategy, IdAssignment};
 use bedom::graph::domset::{
     bitmask_minimum_domination_number, exact_distance_dominating_set, is_distance_dominating_set,
     packing_lower_bound, BITMASK_ORACLE_MAX_N,
@@ -36,7 +36,7 @@ use bedom::graph::domset::{
 use bedom::graph::generators::{
     configuration_model_power_law, cycle, grid, path, stacked_triangulation, star,
 };
-use bedom::graph::{graph_from_edges, Graph};
+use bedom::graph::{graph_from_edges, Graph, Vertex};
 
 /// The shared corpus: every instance small enough for the exact bitmask
 /// oracle, covering the paper's structured families, a planar triangulation,
@@ -81,6 +81,21 @@ fn disconnected_union_23() -> Graph {
     edges.push((16, 8));
     edges.extend((17..21).map(|i| (i, i + 1)));
     graph_from_edges(23, &edges)
+}
+
+/// The five shapes of the Lemma 7 pin table in
+/// `tests/end_to_end_pipelines.rs`.
+fn lemma7_pin_shapes() -> Vec<(&'static str, Graph)> {
+    vec![
+        ("planar-tri-300", stacked_triangulation(300, 5)),
+        ("star-60", star(60)),
+        (
+            "config-model-300",
+            configuration_model_power_law(300, 2.5, 2, 8, 3),
+        ),
+        ("grid-12x12", grid(12, 12)),
+        ("path-40", path(40)),
+    ]
 }
 
 /// Oracle check of one solver output on one instance: validates against the
@@ -393,4 +408,55 @@ fn ksv_self_healing_recovers_the_fault_free_result() {
              the degradation checks are not firing"
         );
     }
+}
+
+/// The two Lemma 7 invariants that the Theorem 9 election and the Theorem 10
+/// path flood keep no bookkeeping for, on every stored path of the corpus
+/// and the pin shapes at ρ = 1 to 5 under two id seeds: a stored path is an
+/// induced path of G (consecutive vertices adjacent, no other pair), and the
+/// path without its last vertex is the stored path of its new last vertex
+/// for the same start. Both follow from storing, per start, a shortest
+/// restricted path with a lexicographic tie-break. A change to Lemma 7's
+/// broadcast or tie-break rule that breaks the first lets the flood forward
+/// a path twice; one that breaks the second lets the election drop a token.
+#[test]
+fn lemma7_stored_paths_are_induced_and_closed_under_prefixes() {
+    let mut long_paths = 0;
+    for (instance, graph) in corpus().into_iter().chain(lemma7_pin_shapes()) {
+        for rho in 1..=5u32 {
+            for seed in [11, 0x5eed] {
+                let config = DistContextConfig {
+                    assignment: IdAssignment::Shuffled(seed),
+                    strategy: ExecutionStrategy::Sequential,
+                    ..DistContextConfig::new(rho)
+                };
+                let ctx = DistContext::elect(&graph, config).unwrap();
+                let info = &ctx.wreach().unwrap().info;
+                let vertex = |sid: u32| {
+                    ctx.vertex_of_sid(u64::from(sid))
+                        .expect("a stored super-id names a vertex")
+                };
+                for (w, own) in info.iter().enumerate() {
+                    for (start, path) in own.paths.iter() {
+                        let ids = path.to_vec();
+                        let at = format!("{instance}, ρ = {rho}, seed {seed}: path {ids:?} of {w}");
+                        let vertices: Vec<Vertex> = ids.iter().map(|&sid| vertex(sid)).collect();
+                        assert_eq!(vertices.last(), Some(&(w as Vertex)), "{at}");
+                        for (i, &a) in vertices.iter().enumerate() {
+                            for (j, &b) in vertices.iter().enumerate().skip(i + 1) {
+                                assert_eq!(graph.has_edge(a, b), j == i + 1, "{at}: ({i}, {j})");
+                            }
+                        }
+                        if let [head @ .., last, _] = ids.as_slice() {
+                            let stored = info[vertex(*last) as usize].paths.get(start);
+                            let prefix: Vec<u32> = head.iter().chain([last]).copied().collect();
+                            assert_eq!(stored.map(|p| p.to_vec()), Some(prefix), "{at}");
+                        }
+                        long_paths += usize::from(ids.len() >= 3);
+                    }
+                }
+            }
+        }
+    }
+    assert!(long_paths > 0, "no stored path had an interior to check");
 }

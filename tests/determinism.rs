@@ -404,18 +404,14 @@ fn scenario_batch_is_strategy_independent_and_in_shard_order() {
     assert_eq!(a[3].1.len(), 3);
 }
 
-/// The pooled worker queue and the streaming sinks against the collected
-/// sequential baseline: seeded dynamic shard claiming must never reach the
-/// output (bit-identical reports for every pool seed), streaming into a
-/// keep-everything [`ScenarioReport`] must reproduce the collected run
-/// exactly, and the constant-space [`MetricsDigest`] must fold to the
-/// collected report's aggregates — under every strategy.
+/// The pooled worker queue and the streaming runner against the sequential
+/// baseline: `solve_scenario` streams every shard through
+/// `ScenarioRunner::run_streaming` into a keep-everything report, and seeded
+/// dynamic shard claiming must never reach it (bit-identical reports for
+/// every pool seed) — under every strategy.
 #[test]
 fn pooled_and_streaming_scenario_paths_match_the_collected_run() {
-    use bedom::core::{
-        solve_scenario, solve_scenario_streaming, Algorithm, DominationPipeline, Mode,
-    };
-    use bedom::distsim::{MetricsDigest, ScenarioReport};
+    use bedom::core::{solve_scenario, Algorithm, DominationPipeline, Mode};
 
     let shards: Vec<(Graph, DominationPipeline)> = vec![
         (
@@ -452,19 +448,6 @@ fn pooled_and_streaming_scenario_paths_match_the_collected_run() {
             reference,
             "{strategy:?}: collected batch diverged from sequential"
         );
-        let mut collected = ScenarioReport { shards: Vec::new() };
-        solve_scenario_streaming(&shards, strategy, &mut collected).unwrap();
-        assert_eq!(
-            collected, reference,
-            "{strategy:?}: streaming into a report diverged from collecting"
-        );
-        let mut digest = MetricsDigest::default();
-        solve_scenario_streaming(&shards, strategy, &mut digest).unwrap();
-        assert_eq!(
-            digest,
-            MetricsDigest::of(&reference),
-            "{strategy:?}: the streamed digest diverged from the collected aggregates"
-        );
     }
 }
 
@@ -473,7 +456,7 @@ fn pooled_and_streaming_scenario_paths_match_the_collected_run() {
 /// workers.
 #[test]
 fn scenario_shard_observer_streams_are_strategy_independent() {
-    use bedom::distsim::scenario::{ScenarioRunner, ShardMetrics};
+    use bedom::distsim::scenario::{ScenarioReport, ScenarioRunner, ShardMetrics};
     use bedom::distsim::{Inbox, NodeAlgorithm, NodeContext, Outgoing};
 
     /// Fresh-id flood, quiet once nothing new is learnt.
@@ -523,7 +506,8 @@ fn scenario_shard_observer_streams_are_strategy_independent() {
     ];
 
     let run = |strategy: ExecutionStrategy| {
-        ScenarioRunner::new(strategy).run(
+        let mut report = ScenarioReport { shards: Vec::new() };
+        ScenarioRunner::new(strategy).run_streaming(
             &graphs,
             || (),
             |(), shard, graph| {
@@ -537,14 +521,17 @@ fn scenario_shard_observer_streams_are_strategy_independent() {
                 );
                 net.set_strategy(strategy.nested());
                 net.run(flood_rounds(graph)).unwrap();
-                let mut metrics = ShardMetrics::default();
-                metrics.record(net.stats());
-                (
-                    (net.outputs(), net.stats().per_round.clone()),
-                    Some(metrics),
-                )
+                let stats = net.stats();
+                let metrics = ShardMetrics {
+                    rounds: stats.rounds,
+                    total_bits: stats.total_bits,
+                    ..ShardMetrics::default()
+                };
+                ((net.outputs(), stats.per_round.clone()), Some(metrics))
             },
-        )
+            &mut report,
+        );
+        report
     };
     let [a, b] = strategies().map(run);
     assert_eq!(a, b, "per-shard round streams diverged between strategies");

@@ -11,8 +11,8 @@
 //! of the "domination as a service" determinism contract.
 
 use bedom::core::{
-    solve_scenario, solve_scenario_resumable, solve_scenario_streaming, Algorithm, BatchError,
-    DominationPipeline, DominationReport, Mode,
+    solve_scenario, solve_scenario_resumable, Algorithm, BatchError, DominationPipeline,
+    DominationReport, Mode,
 };
 use bedom::distsim::{
     encode_frame, DurabilityMode, ExecutionStrategy, FrameReader, ModelViolation, ScenarioReport,
@@ -284,9 +284,9 @@ fn pooled_queue_matches_chunked_execution_over_the_corpus() {
 
 /// The batch violation contract, pinned under every strategy: a batch whose
 /// shards 1 and 3 both hit `RadiusOutOfRange` fails with shard 1's error
-/// through all three entry points. Streaming absorbs exactly the successful
-/// shards, and the journal keeps exactly their two records, so a rerun
-/// re-attempts only the violated shards.
+/// through both entry points, and the journal keeps exactly the two
+/// successful shards' records, so a rerun re-attempts only the violated
+/// shards.
 #[test]
 fn a_violating_batch_fails_with_the_lowest_indexed_shards_error_under_every_strategy() {
     let shards: Vec<(Graph, DominationPipeline)> = vec![
@@ -335,12 +335,6 @@ fn a_violating_batch_fails_with_the_lowest_indexed_shards_error_under_every_stra
             ),
             "{strategy:?}: solve_scenario failed with {collected:?}"
         );
-
-        let mut sink = ScenarioReport { shards: Vec::new() };
-        let streamed = solve_scenario_streaming(&shards, strategy, &mut sink).unwrap_err();
-        assert_eq!(streamed, collected, "{strategy:?}: streaming");
-        let absorbed: Vec<usize> = sink.shards.iter().map(|s| s.shard).collect();
-        assert_eq!(absorbed, vec![0, 2], "{strategy:?}: the sink's shards");
 
         let journal = temp_journal("violation");
         match solve_scenario_resumable(&shards, strategy, &journal, DurabilityMode::Sync) {

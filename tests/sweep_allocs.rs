@@ -19,13 +19,18 @@
 //! * One whole distributed Theorem 9 solve: a budget of peak live bytes per
 //!   vertex, which holds the solve's index sweep apart from the Lemma 7
 //!   stores — the sweep runs before the protocol and is dropped.
+//! * Theorem 10 on a context whose Lemma 7 run is cached: a fixed number of
+//!   allocations per vertex for the election and the path flood, which
+//!   keep no path of their own, and a budget of peak live bytes per vertex
+//!   for one whole connected solve.
 //!
 //! Lives in its own integration-test binary, with a single `#[test]`, so the
 //! shared counting allocator (`bedom_bench::alloc::CountingAlloc`) sees no
 //! interference from tests running on sibling threads.
 
 use bedom::core::{
-    distributed_distance_domination_in, DistContext, DistContextConfig, DominationPipeline, Mode,
+    distributed_connected_domination_in, distributed_distance_domination_in, DistContext,
+    DistContextConfig, DominationPipeline, Mode,
 };
 use bedom::distsim::{
     ExecutionStrategy, IdAssignment, Inbox, Model, Network, NodeAlgorithm, NodeContext, Outgoing,
@@ -46,10 +51,18 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 const PEAK_BUDGET: f64 = 1200.0;
 
 /// Peak live bytes per vertex of one whole distributed Theorem 9 solve at
-/// r = 2 (ρ = 4): 1086 (planar-tri) and 1032 (config-model) with the index
-/// swept before Lemma 7 and dropped, 1308 and 1221 with the index built
-/// after the election, beside the Lemma 7 stores.
+/// r = 2 (ρ = 4): 1080 (planar-tri) and 989 (config-model) with an election
+/// that records only the targets it forwards to, 1086 and 1032 with a token
+/// length per target as well, both with the index swept before Lemma 7 and
+/// dropped; 1308 and 1221 with the index built after the election, beside
+/// the Lemma 7 stores.
 const SOLVE_PEAK_BUDGET: f64 = 1200.0;
+
+/// Peak live bytes per vertex of one whole connected distributed solve at
+/// r = 2 (ρ = 5): 2118 (config-model) and 1243 (planar-tri) with a path
+/// flood that forwards by position and keeps no path, 4653 and 1324 with
+/// every flooded path kept as its own vector in a set per vertex.
+const CONNECTED_SOLVE_PEAK_BUDGET: f64 = 2400.0;
 
 /// A protocol that never sends: its network costs only the set-up.
 struct Silent;
@@ -125,23 +138,29 @@ fn context_index_sweep_and_wreach_protocol_stay_within_their_allocation_budgets(
             configuration_model_power_law(n, 2.5, 2, 8, 3),
         ),
     ] {
-        let peak = peak_bytes(|| {
-            let report = DominationPipeline::new(2)
-                .mode(Mode::Distributed)
-                .execution(ExecutionStrategy::Sequential)
-                .solve(&g)
-                .expect("a fault-free distributed solve succeeds");
-            assert!(report.election_verified);
-        });
-        let peak_per_vertex = peak as f64 / n as f64;
-        eprintln!(
-            "{name}: a distributed solve held {peak_per_vertex:.0} peak live bytes per vertex"
-        );
-        assert!(
-            peak_per_vertex < SOLVE_PEAK_BUDGET,
-            "{name}: a distributed r = 2 solve held {peak_per_vertex:.0} peak live bytes per \
-             vertex on n = {n} (budget {SOLVE_PEAK_BUDGET})"
-        );
+        for (what, connected, budget) in [
+            ("distributed", false, SOLVE_PEAK_BUDGET),
+            ("connected distributed", true, CONNECTED_SOLVE_PEAK_BUDGET),
+        ] {
+            let peak = peak_bytes(|| {
+                let report = DominationPipeline::new(2)
+                    .mode(Mode::Distributed)
+                    .connected(connected)
+                    .execution(ExecutionStrategy::Sequential)
+                    .solve(&g)
+                    .expect("a fault-free distributed solve succeeds");
+                assert!(report.election_verified);
+            });
+            let peak_per_vertex = peak as f64 / n as f64;
+            eprintln!(
+                "{name}: a {what} solve held {peak_per_vertex:.0} peak live bytes per vertex"
+            );
+            assert!(
+                peak_per_vertex < budget,
+                "{name}: a {what} r = 2 solve held {peak_per_vertex:.0} peak live bytes per \
+                 vertex on n = {n} (budget {budget})"
+            );
+        }
 
         let ctx = DistContext::elect(
             &g,
@@ -198,6 +217,31 @@ fn context_index_sweep_and_wreach_protocol_stay_within_their_allocation_budgets(
             per_vertex < 3.0,
             "{name}: distributed_distance_domination_in performed {per_vertex:.2} allocations \
              per vertex on n = {n} (budget 3)"
+        );
+
+        // Theorem 10 on the cached Lemma 7 result at ρ = 5: the election's
+        // records plus one flood message per sender and round, so a vector
+        // per flooded path (42.6 and 4.9 allocations per vertex) trips the
+        // budget.
+        let ctx = DistContext::elect(
+            &g,
+            DistContextConfig {
+                strategy: ExecutionStrategy::Sequential,
+                ..DistContextConfig::for_connected_domination(2)
+            },
+        )
+        .expect("the order phase runs on every generated graph");
+        ctx.wreach().expect("a fault-free protocol run succeeds");
+        let allocs = count_allocs(|| {
+            distributed_connected_domination_in(&ctx, 2)
+                .expect("a fault-free connected run succeeds");
+        });
+        let per_vertex = allocs as f64 / n as f64;
+        eprintln!("{name}: {per_vertex:.2} connected-phase allocations per vertex");
+        assert!(
+            per_vertex < 8.0,
+            "{name}: distributed_connected_domination_in performed {per_vertex:.2} allocations \
+             per vertex on n = {n} (budget 8)"
         );
     }
 }
